@@ -32,7 +32,7 @@ def main() -> None:
     for n in args.ns:
         dt = 5e-4 * (64 / n)
         steps = round(args.t_end / dt)
-        gap, determined = discrete_intertwining_error(
+        gap, determined, _ = discrete_intertwining_error(
             "z", ALPHA0, L0, n=n, dt=dt, steps=steps,
             cadence=max(1, steps // 10))
         print(f"{n:>4} {dt:>9.2e} {gap:>12.4e} {determined:>15.4e}")

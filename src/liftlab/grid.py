@@ -10,6 +10,7 @@ reproducible.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -64,12 +65,16 @@ class Grid:
     def shape(self) -> tuple[int, ...]:
         return (self.n,) * self.dim
 
-    def axis_coordinate(self, axis: int) -> np.ndarray:
-        """Coordinate values along ``axis`` broadcast to the grid shape."""
-        line = np.arange(self.n) * self.h
+    def axis_line(self, axis: int) -> np.ndarray:
+        """Coordinate values along ``axis``, shaped to broadcast against the
+        grid: (n, 1, 1), (1, n, 1) or (1, 1, n) in three dimensions."""
         reshape = [1] * self.dim
         reshape[axis] = self.n
-        return np.broadcast_to(line.reshape(reshape), self.shape).copy()
+        return (np.arange(self.n) * self.h).reshape(reshape)
+
+    def axis_coordinate(self, axis: int) -> np.ndarray:
+        """Coordinate values along ``axis`` broadcast to the grid shape."""
+        return np.broadcast_to(self.axis_line(axis), self.shape).copy()
 
 
 @dataclass(frozen=True)
@@ -91,70 +96,197 @@ class GridField:
         return self.data.shape[-1]
 
 
-def compile_numeric(e: Expr, var_axes: Mapping[VarId, int]
-                    ) -> Callable[[Sequence[np.ndarray]], np.ndarray]:
-    """Compile an expression into a vectorized evaluator.
+def _check_denominator(den) -> None:
+    if np.min(np.abs(den)) < 1e-300:
+        raise EvaluationDomainError("division by a value with magnitude < 1e-300")
 
-    ``var_axes`` maps each variable to an index into the array tuple the
-    compiled function receives.  Division guards against denominators with
-    magnitude below 1e-300, matching scalar evaluation.
+
+def _power(base, n: int):
+    if n < 0 and np.min(np.abs(base)) < 1e-300:
+        raise EvaluationDomainError("negative power of a value too close to zero")
+    return base ** n
+
+
+def _const(value) -> Callable:
+    return lambda args: value
+
+
+class _Compiler:
+    """One DAG for a batch of expressions, value-numbered by structure.
+
+    ``intern`` gives structurally equal subtrees one value number, as in
+    the DAG construction of Aho, Lam, Sethi & Ullman, *Compilers* 6.1.
+    ``take`` then folds each node whose inputs are all fixed into a value,
+    and compiles every other node once into a closure over the call-time
+    arrays.  A node's result is dropped after its last use, so folded
+    intermediates die while the batch compiles.
     """
-    def build(node: Expr) -> Callable:
+
+    def __init__(self, var_axes: Mapping[VarId, int],
+                 fixed: Mapping[VarId, np.ndarray]):
+        self.var_axes = var_axes
+        self.fixed = fixed
+        self.nodes: list[tuple[Expr, tuple[int, ...]]] = []
+        self.is_fixed: list[bool] = []
+        self.uses: list[int] = []
+        self._by_key: dict[tuple, int] = {}
+        self._done: dict[int, object] = {}
+
+    def intern(self, node: Expr) -> int:
         if isinstance(node, Const):
-            v = float(node.value)
-            return lambda args: v
+            kids, key = (), ("c", node.value)
+        elif isinstance(node, Var):
+            if node.var not in self.fixed and node.var not in self.var_axes:
+                raise GridError(f"variable '{node.var.name}' is not mapped to a grid input")
+            kids, key = (), ("v", node.var)
+        elif isinstance(node, (Sum, Prod)):
+            kids = tuple(self.intern(t) for t in
+                         (node.terms if isinstance(node, Sum) else node.factors))
+            key = (type(node).__name__, kids)
+        elif isinstance(node, Pow):
+            kids = (self.intern(node.base),)
+            key = ("^", node.exponent, kids)
+        elif isinstance(node, Quot):
+            kids = (self.intern(node.num), self.intern(node.den))
+            key = ("/", kids)
+        elif isinstance(node, Call):
+            kids = (self.intern(node.arg),)
+            key = (node.func, kids)
+        else:
+            raise TypeError(f"not an Expr: {node!r}")
+        vn = self._by_key.get(key)
+        if vn is None:
+            vn = self._by_key[key] = len(self.nodes)
+            self.nodes.append((node, kids))
+            self.is_fixed.append(node.var in self.fixed if isinstance(node, Var)
+                                 else all(self.is_fixed[k] for k in kids))
+            self.uses.append(0)
+            for k in kids:
+                self.uses[k] += 1
+        return vn
+
+    def take(self, vn: int):
+        """The folded value or closure of ``vn``, for one of its uses."""
+        try:
+            out = self._done[vn]
+        except KeyError:
+            out = self._done[vn] = self._emit(vn)
+        self.uses[vn] -= 1
+        if not self.uses[vn]:
+            del self._done[vn]
+        return out
+
+    def _emit(self, vn: int):
+        node, kids = self.nodes[vn]
+        fixed = self.is_fixed[vn]
+        if isinstance(node, Const):
+            return float(node.value)
         if isinstance(node, Var):
-            try:
-                idx = var_axes[node.var]
-            except KeyError:
-                raise GridError(f"variable '{node.var.name}' is not mapped to a grid input") from None
+            if fixed:
+                return self.fixed[node.var]
+            idx = self.var_axes[node.var]
             return lambda args: args[idx]
-        if isinstance(node, Sum):
-            fs = [build(t) for t in node.terms]
-            def run_sum(args):
-                out = fs[0](args)
-                for f in fs[1:]:
-                    out = out + f(args)
-                return out
-            return run_sum
-        if isinstance(node, Prod):
-            fs = [build(t) for t in node.factors]
-            def run_prod(args):
-                out = fs[0](args)
-                for f in fs[1:]:
-                    out = out * f(args)
-                return out
-            return run_prod
+        if isinstance(node, (Sum, Prod)):
+            return self._fold_chain(vn)
         if isinstance(node, Pow):
-            f = build(node.base)
             n = node.exponent
-            if n < 0:
-                def run_neg_pow(args):
-                    base = f(args)
-                    if np.min(np.abs(base)) < 1e-300:
-                        raise EvaluationDomainError("negative power of a value too close to zero")
-                    return base ** n
-                return run_neg_pow
-            return lambda args: f(args) ** n
+            base = self.take(kids[0])
+            if fixed:
+                return _power(base, n)
+            return lambda args: _power(base(args), n)
         if isinstance(node, Quot):
-            fn, fd = build(node.num), build(node.den)
+            num, den = self.take(kids[0]), self.take(kids[1])
+            if self.is_fixed[kids[1]]:
+                _check_denominator(den)
+                if fixed:
+                    return num / den
+                return lambda args: num(args) / den
+            fn = num if not self.is_fixed[kids[0]] else _const(num)
+
             def run_div(args):
-                den = fd(args)
-                if np.min(np.abs(den)) < 1e-300:
-                    raise EvaluationDomainError("division by a value with magnitude < 1e-300")
-                return fn(args) / den
+                d = den(args)
+                _check_denominator(d)
+                return fn(args) / d
             return run_div
-        if isinstance(node, Call):
-            f = build(node.arg)
-            op = {"sin": np.sin, "cos": np.cos, "exp": np.exp}[node.func]
-            return lambda args: op(f(args))
-        raise TypeError(f"not an Expr: {node!r}")
+        op = getattr(np, node.func)
+        arg = self.take(kids[0])
+        if fixed:
+            return op(arg)
+        return lambda args: op(arg(args))
 
-    fn = build(e)
+    def _fold_chain(self, vn: int):
+        """A sum or product, combined left to right.
 
-    def evaluate(args: Sequence[np.ndarray]) -> np.ndarray:
-        out = fn(args)
-        return np.asarray(out, dtype=float)
+        The fixed operands fold, in their order, into one accumulator that
+        stands where the first of them stood.
+        """
+        node, kids = self.nodes[vn]
+        combine = operator.add if isinstance(node, Sum) else operator.mul
+        acc, acc_at, parts = None, -1, []
+        for k in kids:
+            r = self.take(k)
+            if not self.is_fixed[k]:
+                parts.append(r)
+            elif acc_at < 0:
+                acc, acc_at = r, len(parts)
+                parts.append(None)
+            else:
+                acc = combine(acc, r)
+        if self.is_fixed[vn]:
+            return acc
+        if acc_at >= 0:
+            parts[acc_at] = _const(acc)
+        first, rest = parts[0], parts[1:]
+
+        def run_chain(args):
+            out = first(args)
+            for f in rest:
+                out = combine(out, f(args))
+            return out
+        return run_chain
+
+
+def compile_numeric(e: Expr | Sequence[Expr], var_axes: Mapping[VarId, int],
+                    fixed: Mapping[VarId, np.ndarray] | None = None) -> Callable:
+    """Compile an expression, or a batch of them sharing one DAG, into a
+    vectorized evaluator.
+
+    ``var_axes`` maps each variable read at call time to an index into the
+    array sequence the compiled function receives.  ``fixed`` maps
+    variables to arrays known now, typically coordinate lines that
+    broadcast against the grid (``Grid.axis_line``).  Structurally equal
+    subtrees compile once.  Every subtree whose variables are all fixed is
+    evaluated here, once; in a sum or product the fixed operands fold, in
+    their order, into one accumulator that stands where the first of them
+    stood.  The rest compiles to closures whose intermediates die as they
+    return.
+
+    Division and negative powers raise ``EvaluationDomainError`` on
+    magnitudes below 1e-300, matching scalar evaluation: once, here, for a
+    folded operand, and on every call for one that is read at call time.
+
+    The evaluator returns a float array for one expression and a list of
+    them for a sequence.  A folded result keeps the broadcast shape of its
+    fixed inputs and is the same read-only array on every call.
+    """
+    single = isinstance(e, Expr)
+    roots = [e] if single else list(e)
+    compiler = _Compiler(var_axes, fixed or {})
+    vns = [compiler.intern(r) for r in roots]
+    for vn in vns:
+        compiler.uses[vn] += 1
+    fns = []
+    for vn in vns:
+        out = compiler.take(vn)
+        if compiler.is_fixed[vn]:
+            out = np.asarray(out, dtype=float).view()
+            out.flags.writeable = False
+            out = _const(out)
+        fns.append(out)
+
+    def evaluate(args: Sequence[np.ndarray] = ()):
+        outs = [np.asarray(f(args), dtype=float) for f in fns]
+        return outs[0] if single else outs
 
     return evaluate
 
@@ -186,7 +318,12 @@ def check_periodic(e: Expr, grid: Grid, var_axes: Mapping[VarId, int],
 
 def discretize(e: Expr, grid: Grid, var_axes: Mapping[VarId, int],
                allow_aperiodic: bool = False) -> np.ndarray:
-    """Pointwise samples of e on the grid nodes.
+    """Pointwise samples of e on the grid nodes, as an array of grid shape.
+
+    ``var_axes`` maps each variable to its grid axis.  Every coordinate is
+    fixed to its axis line, so the compiler folds the whole expression:
+    each distinct subtree is evaluated once, on as many points as its
+    variables span, in the order the expression gives.
 
     Rejects data that does not evaluate periodically unless explicitly
     overridden; silent Gibbs artifacts are worse than friction.
@@ -194,13 +331,8 @@ def discretize(e: Expr, grid: Grid, var_axes: Mapping[VarId, int],
     if not allow_aperiodic and not check_periodic(e, grid, var_axes):
         raise AperiodicDataError(
             "non-periodic data on a periodic grid (pass allow_aperiodic to override)")
-    inputs: list[np.ndarray | None] = [None] * (max(var_axes.values()) + 1 if var_axes else 0)
-    for v, axis in var_axes.items():
-        inputs[axis] = grid.axis_coordinate(axis)
-    fn = compile_numeric(e, var_axes)
-    out = fn(inputs)
-    if np.ndim(out) == 0:
-        out = np.full(grid.shape, float(out))
+    fixed = {v: grid.axis_line(axis) for v, axis in var_axes.items()}
+    out = np.broadcast_to(compile_numeric(e, {}, fixed)(), grid.shape).copy()
     if not np.isfinite(out).all():
         bad = np.argwhere(~np.isfinite(out))[0]
         raise EvaluationDomainError(f"evaluation failed at node {tuple(int(i) for i in bad)}")
@@ -210,10 +342,20 @@ def discretize(e: Expr, grid: Grid, var_axes: Mapping[VarId, int],
 def spatial_derivative(u: np.ndarray, axis: int, h: float) -> np.ndarray:
     """4th-order periodic central difference along ``axis``.
 
+    The shifted neighbours are slices of one copy of ``u`` wrap-padded by
+    two points at each end of ``axis``, which needs at least two points.
     Grouped as differences so constant fields differentiate to exact zero.
     """
-    d1 = np.roll(u, -1, axis=axis) - np.roll(u, 1, axis=axis)
-    d2 = np.roll(u, -2, axis=axis) - np.roll(u, 2, axis=axis)
+    n = u.shape[axis]
+
+    def cut(lo: int, hi: int) -> tuple[slice, ...]:
+        index = [slice(None)] * u.ndim
+        index[axis] = slice(lo, hi)
+        return tuple(index)
+
+    pad = np.concatenate((u[cut(n - 2, n)], u, u[cut(0, 2)]), axis=axis)
+    d1 = pad[cut(3, n + 3)] - pad[cut(1, n + 1)]
+    d2 = pad[cut(4, n + 4)] - pad[cut(0, n)]
     return (8.0 * d1 - d2) / (12.0 * h)
 
 

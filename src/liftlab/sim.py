@@ -6,6 +6,13 @@ first-jet variables), where the jet variables are realized as 4th-order
 stencil derivatives of the state.  The contact-momentum plan is generated
 from the vertical representative of the cotangent lift, the same route the
 symbolic layer uses.
+
+A model's rates compile together into one DAG (``grid.compile_numeric``)
+with the coordinates fixed to the grid's axis lines.  Every coefficient
+that depends on the coordinates alone, such as K and its derivatives, is
+folded into an array when the model is built, on as many points as its
+coordinates span.  An RHS call computes only the stencils the rates read
+and the state-dependent rest of the plan.
 """
 
 from __future__ import annotations
@@ -21,7 +28,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .expr import Expr, ExprError, Var, VarId, canon, partial
+from .expr import (
+    Expr, ExprError, Var, VarId, canon, expr_equal, free_vars, is_rational,
+    partial, substitute,
+)
 from .grid import (
     TWO_PI, Grid, NumericalAbortError, check_periodic, compile_numeric,
     discretize, quadrature, rk4_step, spatial_derivative,
@@ -118,43 +128,34 @@ class Model:
     velocity_max: float
 
 
-def _stencil_inputs(grid: Grid, state: np.ndarray, coords: list[np.ndarray],
-                    ncomp: int) -> list[np.ndarray]:
-    """Input vector [coords..., state comps..., D_a(comp_l)...] (l-major)."""
-    h = grid.h
-    inputs = list(coords)
-    for l in range(ncomp):
-        inputs.append(state[..., l])
-    for l in range(ncomp):
-        for a in range(grid.dim):
-            inputs.append(spatial_derivative(state[..., l], a, h))
-    return inputs
+def _compile_jet_plan(jc: JetChart, grid: Grid, rate_exprs: Sequence[Expr]
+                      ) -> Callable[[np.ndarray], np.ndarray]:
+    """Compile rates over a jet chart into a state -> rates function.
 
-
-def _compile_jet_plan(jc: JetChart, grid: Grid, rate_exprs: Sequence[Expr],
-                      ncomp: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Map base vars to coordinate grids, fibers to state, jets to stencils."""
-    var_axes: dict[VarId, int] = {}
-    pos = 0
-    for v in jc.base:
-        var_axes[v] = pos
-        pos += 1
-    for v in jc.fiber:
-        var_axes[v] = pos
-        pos += 1
+    Base variables are fixed to the grid's coordinate lines, so every
+    coefficient that depends on the coordinates alone is computed here,
+    once.  Fiber variables read the state's components; a jet variable
+    u^l_a reads the stencil derivative of component l along axis a, and
+    only the stencils of the jet variables the rates read are computed.
+    """
+    var_axes = {v: l for l, v in enumerate(jc.fiber)}
+    read = frozenset().union(*(free_vars(e) for e in rate_exprs))
+    stencils = []
     for l in range(jc.k):
         for a in range(jc.m):
-            var_axes[jc.jet(l, a)] = pos
-            pos += 1
-    fns = [compile_numeric(e, var_axes) for e in rate_exprs]
-    coords = [grid.axis_coordinate(a) for a in range(grid.dim)]
+            if jc.jet(l, a) in read:
+                var_axes[jc.jet(l, a)] = jc.k + len(stencils)
+                stencils.append((l, a))
+    fixed = {v: grid.axis_line(a) for a, v in enumerate(jc.base)}
+    plan = compile_numeric(rate_exprs, var_axes, fixed)
+    h = grid.h
 
     def rhs(state: np.ndarray) -> np.ndarray:
-        inputs = _stencil_inputs(grid, state, coords, ncomp)
-        out = np.empty_like(state)
-        for l, fn in enumerate(fns):
-            val = fn(inputs)
-            out[..., l] = val if np.ndim(val) else float(val)
+        comps = [state[..., l] for l in range(jc.k)]
+        inputs = comps + [spatial_derivative(comps[l], a, h) for l, a in stencils]
+        out = np.empty(state.shape[:-1] + (len(rate_exprs),))
+        for l, val in enumerate(plan(inputs)):
+            out[..., l] = val
         return out
 
     return rhs
@@ -224,7 +225,6 @@ def _vlasov_plans(params: PlasmaParams, density: bool) -> tuple[JetChart, list[E
 
 
 def _rebind(e: Expr, mapping: dict[VarId, Expr]) -> Expr:
-    from .expr import substitute
     return substitute(e, mapping)
 
 
@@ -244,18 +244,11 @@ def _parse_params(cfg: SimConfig) -> PlasmaParams:
     return PlasmaParams(mass, charge, phi)
 
 
-def _velocity_arrays(model: str, grid: Grid, cs: ContactStructure | None,
-                     K: Expr | None, params: PlasmaParams | None) -> list[np.ndarray]:
-    coords = [grid.axis_coordinate(a) for a in range(grid.dim)]
-    if model.startswith("contact"):
-        X = contact_vector_field(cs, K)
-        var_axes = {v: i for i, v in enumerate(cs.chart.vars)}
-        return [compile_numeric(c, var_axes)(coords) for c in X.components]
-    pc = plasma_chart(1)
-    h = plasma_hamiltonian(pc, params)
-    X = hamiltonian_vector_field(pc, h)
-    var_axes = {pc.base_var(0): 0, pc.fiber_var(0): 1}
-    return [compile_numeric(c, var_axes)(coords) for c in X.components]
+def _velocity_arrays(grid: Grid, coord_vars: Sequence[VarId],
+                     components: Sequence[Expr]) -> list[np.ndarray]:
+    """The components of a field on the grid, in their broadcast shapes."""
+    fixed = {v: grid.axis_line(a) for a, v in enumerate(coord_vars)}
+    return compile_numeric(components, {}, fixed)()
 
 
 def build_model(cfg: SimConfig) -> Model:
@@ -275,35 +268,33 @@ def build_model(cfg: SimConfig) -> Model:
         else:
             jc, rates = _contact_density_plan(cs, K)
             ncomp = 1
-        coord_vars = cs.chart.vars
-        vel = _velocity_arrays(cfg.model, grid, cs, K, None)
+        vel = _velocity_arrays(grid, cs.chart.vars,
+                               contact_vector_field(cs, K).components)
     else:
         grid = Grid(2, cfg.n)
         params = _parse_params(cfg)
+        pc = plasma_chart(1)
         if cfg.expr:
             # an explicit Hamiltonian must match the one the parameters build
-            pc = plasma_chart(1)
             try:
                 h_text = parse_expr(cfg.expr, pc.full.vars)
             except ExprError as exc:
                 raise ConfigError(f"bad h: {exc}") from None
-            from .expr import expr_equal
             if (_is_rational_pair(h_text, pc, params)
                     and not expr_equal(h_text, plasma_hamiltonian(pc, params))):
                 raise ConfigError("h does not match the Hamiltonian built from params")
         jc, rates = _vlasov_plans(params, density=cfg.model == "vlasov-density")
         ncomp = 1 if cfg.model == "vlasov-density" else 2
-        coord_vars = tuple(jc.base)
-        vel = _velocity_arrays(cfg.model, grid, None, None, params)
+        X = hamiltonian_vector_field(pc, plasma_hamiltonian(pc, params))
+        vel = _velocity_arrays(grid, (pc.base_var(0), pc.fiber_var(0)), X.components)
     if len(cfg.init) != ncomp:
         raise ConfigError(f"model '{cfg.model}' needs {ncomp} initial component(s), got {len(cfg.init)}")
-    rhs = _compile_jet_plan(jc, grid, rates, ncomp)
+    rhs = _compile_jet_plan(jc, grid, rates)
     vmax = max(float(np.max(np.abs(v))) for v in vel)
     return Model(cfg.model, grid, ncomp, tuple(jc.base), rhs, vmax)
 
 
 def _is_rational_pair(h_text, pc, params) -> bool:
-    from .expr import is_rational
     return is_rational(h_text) and is_rational(plasma_hamiltonian(pc, params))
 
 
@@ -490,10 +481,10 @@ def determined_nodes(K_text: str, n: int, dt: float, steps: int,
     X = contact_vector_field(cs, K).components
     seams = [a for a in range(3) if a == 0 or not all(
         check_periodic(c, grid, var_axes, axes=(a,)) for c in X)]
-    fns = [compile_numeric(c, var_axes) for c in X]
+    field = compile_numeric(X, var_axes)
 
     def backward(p: np.ndarray) -> np.ndarray:
-        return -np.stack([np.broadcast_to(f(p), p.shape[1:]) for f in fns])
+        return -np.stack([np.broadcast_to(v, p.shape[1:]) for v in field(p)])
 
     margin = 4 * grid.h
     pos = np.stack([grid.axis_coordinate(a) for a in range(3)])
@@ -513,15 +504,17 @@ def discrete_intertwining_error(K_text: str, alpha_init: Sequence[str],
                                 density_init: str, n: int, dt: float,
                                 steps: int, cadence: int,
                                 allow_aperiodic: bool = True
-                                ) -> tuple[float, float]:
+                                ) -> tuple[float, float, list[float]]:
     """Max-norm gap between (evolve alpha, map to density) and (evolve density).
 
     The density map is the discretized coordinate formula with the same
-    stencils the models use.  Returns (global gap, determined gap), each the
-    worst over the output times.  The determined gap is taken over the
-    nodes of ``determined_nodes``; the global gap also covers the seam
-    bands and their advective wake, where the torus problem supplies no
-    data and each scheme fills in whatever its stencils make of the jump.
+    stencils the models use.  Returns (global gap, determined gap, checked):
+    the gaps are each the worst over the output times, and ``checked`` is
+    the fraction of nodes the determined gap covers at each output time.
+    The determined gap is taken over the nodes of ``determined_nodes``; the
+    global gap also covers the seam bands and their advective wake, where
+    the torus problem supplies no data and each scheme fills in whatever
+    its stencils make of the jump.
     """
     cs = ContactStructure.standard()
     cfg_m = SimConfig(model="contact-momentum", n=n, dt=dt, steps=steps,
@@ -535,12 +528,14 @@ def discrete_intertwining_error(K_text: str, alpha_init: Sequence[str],
     state_m = initial_state(cfg_m, mom)
     state_d = initial_state(cfg_d, den)
     jc, map_expr = contact_density_map_plan(cs)
-    map_rhs = _compile_jet_plan(jc, mom.grid, [map_expr], 3)
-    masks = iter(determined_nodes(K_text, n, dt, steps, cadence))
+    map_rhs = _compile_jet_plan(jc, mom.grid, [map_expr])
+    masks = determined_nodes(K_text, n, dt, steps, cadence)
+    checked = [float(m.mean()) for m in masks]
+    remaining = iter(masks)
 
     def compare(sm: np.ndarray, sd: np.ndarray) -> tuple[float, float]:
         gap = np.abs(map_rhs(sm)[..., 0] - sd[..., 0])
-        return float(gap.max()), float(gap[next(masks)].max(initial=0.0))
+        return float(gap.max()), float(gap[next(remaining)].max(initial=0.0))
 
     worst, worst_determined = compare(state_m, state_d)
     for step in range(1, steps + 1):
@@ -549,4 +544,4 @@ def discrete_intertwining_error(K_text: str, alpha_init: Sequence[str],
         if step % cadence == 0 or step == steps:
             g, gd = compare(state_m, state_d)
             worst, worst_determined = max(worst, g), max(worst_determined, gd)
-    return worst, worst_determined
+    return worst, worst_determined, checked

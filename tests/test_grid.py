@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from liftlab.expr import Const, Var, VarId
+from liftlab.expr import (
+    Call, Const, EvaluationDomainError, Pow, Prod, Quot, Sum, Var, VarId,
+    eval_numeric,
+)
 from liftlab.grid import (
     AperiodicDataError, Grid, GridError, GridField, NumericalAbortError,
     check_periodic, compile_numeric, discretize, quadrature, rk4_step,
@@ -92,6 +96,19 @@ class TestSpatialDerivative:
         rate2 = math.log2(errs[1] / errs[2])
         assert rate2 > 3.8
 
+    @pytest.mark.parametrize("n", [8, 32, 64])
+    def test_matches_roll_formula_bitwise(self, n):
+        # strided component views, as the models pass them
+        g = Grid(3, n)
+        state = np.random.default_rng(n).standard_normal(g.shape + (3,))
+        for l in range(3):
+            u = state[..., l]
+            for axis in range(3):
+                d1 = np.roll(u, -1, axis=axis) - np.roll(u, 1, axis=axis)
+                d2 = np.roll(u, -2, axis=axis) - np.roll(u, 2, axis=axis)
+                want = (8.0 * d1 - d2) / (12.0 * g.h)
+                assert np.array_equal(spatial_derivative(u, axis, g.h), want)
+
 
 class TestQuadrature:
     def test_sine_integrates_to_zero(self):
@@ -148,7 +165,80 @@ class TestCompileNumeric:
         assert np.allclose(got, want, rtol=1e-15)
 
     def test_division_guard(self):
-        from liftlab.expr import EvaluationDomainError
         fn = compile_numeric(parse_expr("1/x", [X]), {X: 0})
         with pytest.raises(EvaluationDomainError):
             fn([np.array([1.0, 0.0])])
+
+    def test_folded_guards_raise_when_compiled(self):
+        # x = 0 is a grid node, where sin(x) vanishes
+        line = {X: Grid(1, 8).axis_line(0)}
+        for text in ("1/sin(x)", "sin(x)^-2", "y/sin(x)"):
+            with pytest.raises(EvaluationDomainError):
+                compile_numeric(parse_expr(text, [X, Y]), {Y: 0}, line)
+        fn = compile_numeric(parse_expr("1/(2 + sin(x))", [X]), {}, line)
+        assert fn().shape == (8,)
+
+    def test_structurally_equal_subtrees_fold_once(self, monkeypatch):
+        terms = tuple(parse_expr("sin(x)", [X]) for _ in range(200))
+        assert len({id(t) for t in terms}) == 200
+        calls = []
+        real_sin = np.sin
+        monkeypatch.setattr(np, "sin", lambda a: calls.append(1) or real_sin(a))
+        xs = Grid(1, 8).axis_line(0)
+        fn = compile_numeric(Sum(terms), {}, {X: xs})
+        assert len(calls) == 1
+        assert np.array_equal(fn(), fn())
+        assert len(calls) == 1
+
+    def test_batch_shares_one_dag_and_folds_read_only(self):
+        rates = [parse_expr(t, [X, Y]) for t in ("cos(x)*y", "cos(x) + 1", "y")]
+        xs = Grid(2, 8).axis_line(0)
+        ys = np.arange(64.0).reshape(8, 8)
+        got = compile_numeric(rates, {Y: 0}, {X: xs})([ys])
+        assert [a.shape for a in got] == [(8, 8), (8, 1), (8, 8)]
+        assert np.array_equal(got[0], np.cos(xs) * ys)
+        assert got[2] is ys
+        with pytest.raises(ValueError):
+            got[1][0, 0] = 0.0
+
+    def test_unmapped_variable_rejected(self):
+        with pytest.raises(GridError):
+            compile_numeric(parse_expr("x*y", [X, Y]), {X: 0})
+
+
+LEAVES = st.one_of(
+    st.sampled_from([Var(X), Var(Y)]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).map(Const),
+)
+
+
+def _branches(children):
+    # denominators and negative-power bases are kept in [1, 3]
+    return st.one_of(
+        st.lists(children, min_size=2, max_size=4).map(lambda ts: Sum(tuple(ts))),
+        st.lists(children, min_size=2, max_size=3).map(lambda fs: Prod(tuple(fs))),
+        st.tuples(st.sampled_from(["sin", "cos"]), children).map(lambda t: Call(*t)),
+        st.tuples(children, children).map(
+            lambda t: Quot(t[0], 2 + Call("cos", t[1]))),
+        st.tuples(children, st.integers(0, 3)).map(lambda t: Pow(*t)),
+        st.tuples(children, st.integers(-2, -1)).map(
+            lambda t: Pow(2 + Call("sin", t[0]), t[1])),
+    )
+
+
+TRIG_RATIONAL = st.recursive(LEAVES, _branches, max_leaves=12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(TRIG_RATIONAL)
+def test_compiled_matches_scalar_evaluation(e):
+    g = Grid(2, 8)
+    xs, ys = g.axis_line(0), g.axis_line(1)
+    want = np.array([[eval_numeric(e, {X: float(a), Y: float(b)})
+                      for b in ys[0]] for a in xs[:, 0]])
+    at_call = compile_numeric(e, {X: 0, Y: 1})([g.axis_coordinate(0), g.axis_coordinate(1)])
+    folded = compile_numeric(e, {}, {X: xs, Y: ys})()
+    mixed = compile_numeric(e, {Y: 0}, {X: xs})([ys])
+    for got in (at_call, folded, mixed):
+        np.testing.assert_allclose(np.broadcast_to(got, g.shape), want,
+                                   rtol=1e-12, atol=1e-12)

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from liftlab import sim
 from liftlab.grid import AperiodicDataError
 from liftlab.sim import (
     ConfigError, SimConfig, build_model, determined_nodes,
@@ -98,6 +99,26 @@ class TestCompiledRates:
         assert np.allclose(rate[..., 0], 0.0, atol=1e-13)
         assert np.allclose(rate[..., 1], 0.0, atol=1e-13)
         assert np.allclose(rate[..., 2], 3.0, atol=1e-12)
+
+    @pytest.mark.parametrize("cfg, stencils", [
+        (SimConfig(model="contact-momentum", n=8, dt=1e-3, steps=1, expr="z",
+                   init=("sin(x)", "cos(y)", "sin(z)")), 6),
+        (SimConfig(model="contact-momentum", n=8, dt=1e-3, steps=1,
+                   expr="cos(x)*sin(y) + z", init=("sin(x)", "cos(y)", "sin(z)")), 9),
+        (SimConfig(model="vlasov-density", n=8, dt=1e-3, steps=1,
+                   params={"phi": "cos(q)"}, init=("1 + 3/10*sin(q)*sin(p)",)), 2),
+    ], ids=["contact-momentum-z", "contact-momentum-trig", "vlasov-density"])
+    def test_rhs_computes_only_the_stencils_it_reads(self, monkeypatch, cfg, stencils):
+        model = build_model(cfg)
+        state = initial_state(cfg, model)
+        want = model.rhs(state)
+        calls = []
+        real = sim.spatial_derivative
+        monkeypatch.setattr(sim, "spatial_derivative",
+                            lambda u, axis, h: calls.append(axis) or real(u, axis, h))
+        got = model.rhs(state)
+        assert len(calls) == stencils
+        assert np.array_equal(got, want)
 
     def test_component_count_enforced(self):
         with pytest.raises(ConfigError):
@@ -268,7 +289,8 @@ class TestConvergenceHarnesses:
             assert not mask.all()
 
     def test_intertwining_harness_runs(self):
-        err, interior = discrete_intertwining_error(
+        err, interior, checked = discrete_intertwining_error(
             "z", ("0", "-cos(x)*sin(y)*sin(z)", "-1"), L0,
             n=16, dt=1e-3, steps=5, cadence=5)
         assert err >= interior >= 0.0
+        assert len(checked) == 2 and all(0.0 < c <= 1.0 for c in checked)
