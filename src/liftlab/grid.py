@@ -356,7 +356,11 @@ def spatial_derivative(u: np.ndarray, axis: int, h: float) -> np.ndarray:
     pad = np.concatenate((u[cut(n - 2, n)], u, u[cut(0, 2)]), axis=axis)
     d1 = pad[cut(3, n + 3)] - pad[cut(1, n + 1)]
     d2 = pad[cut(4, n + 4)] - pad[cut(0, n)]
-    return (8.0 * d1 - d2) / (12.0 * h)
+    # (8 d1 - d2) / (12 h), in place in the fresh array d1
+    d1 *= 8.0
+    d1 -= d2
+    d1 /= 12.0 * h
+    return d1
 
 
 def quadrature(u: np.ndarray, h: float, dim: int) -> float:

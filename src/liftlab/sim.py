@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -77,8 +78,8 @@ class SimConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ConfigError(f"unknown model '{self.model}'; choose one of {MODELS}")
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ConfigError("dt must be finite and positive")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
         if self.cadence < 1:
@@ -86,31 +87,49 @@ class SimConfig:
 
 
 def load_config(path: str | Path) -> SimConfig:
-    """Read a run.json file into a SimConfig."""
-    with open(path) as f:
-        raw = json.load(f)
+    """Read a run.json file into a SimConfig.  A file that does not hold a
+    valid config raises ConfigError."""
+    try:
+        with open(path) as f:
+            raw = json.load(f)
+    except (ValueError, RecursionError) as exc:   # bad JSON or bad encoding
+        raise ConfigError(f"malformed config file: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError("a config file must hold one JSON object")
     known = {"model", "K", "h", "params", "init", "n", "dt", "steps",
              "cadence", "out", "diag", "allow_aperiodic", "seed"}
     extra = set(raw) - known
     if extra:
         raise ConfigError(f"unknown config keys: {sorted(extra)}")
+    for key in ("model", "K", "h", "out", "diag"):
+        if not isinstance(raw.get(key, ""), str):
+            raise ConfigError(f"config key '{key}' must be a string")
+    if not isinstance(raw.get("params", {}), dict):
+        raise ConfigError("config key 'params' must be an object")
+    if not isinstance(raw.get("allow_aperiodic", False), bool):
+        raise ConfigError("config key 'allow_aperiodic' must be true or false")
+    init = raw.get("init", [])
+    if not (isinstance(init, list) and all(isinstance(c, str) for c in init)):
+        raise ConfigError("config key 'init' must be a list of strings")
     try:
         return SimConfig(
             model=raw["model"],
             expr=raw.get("K", raw.get("h", "")),
             params=raw.get("params", {}),
-            init=tuple(raw.get("init", ())),
+            init=tuple(init),
             n=int(raw["n"]),
             dt=float(raw["dt"]),
             steps=int(raw["steps"]),
             cadence=int(raw.get("cadence", 10)),
             out=raw.get("out", "traj.csv"),
             diag=raw.get("diag", "diag.csv"),
-            allow_aperiodic=bool(raw.get("allow_aperiodic", False)),
+            allow_aperiodic=raw.get("allow_aperiodic", False),
             seed=raw.get("seed"),
         )
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc}") from None
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"bad numeric config value: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -333,27 +352,44 @@ def _diag_row(t: float, state: np.ndarray, grid: Grid
     return (t, mass, l2, float(state.min()), float(state.max()))
 
 
-def _write_traj_header(f, ncomp: int) -> None:
+def _write_traj_header(f, ncomp: int) -> int:
     comps = ",".join(f"comp{i}" for i in range(ncomp))
-    f.write(f"t,i,j,k,{comps}\n")
+    return f.write(f"t,i,j,k,{comps}\n")
 
 
-def _write_traj_snapshot(f, t: float, state: np.ndarray, grid: Grid) -> None:
-    dims = grid.dim
+def _row_tails(grid: Grid) -> list[str]:
+    """The ``"j,k,"`` index columns of the rows of one slab of fixed i, in
+    C order; unused indices are zero below three dimensions."""
+    rest = [range(n) for n in grid.shape[1:]] + [range(1)] * (3 - grid.dim)
+    return [f"{j},{k}," for j in rest[0] for k in rest[1]]
+
+
+def _write_traj_snapshot(f, t: float, state: np.ndarray, tails: list[str]) -> int:
+    """Write one snapshot, one slab of fixed i per ``f.write``; returns the
+    number of characters written.  Every value is ``repr`` of a Python
+    float, so the text reads back to the same doubles."""
     ncomp = state.shape[-1]
-    flat = state.reshape(-1, ncomp)
-    idx = np.indices(grid.shape).reshape(dims, -1)
-    for row in range(flat.shape[0]):
-        ijk = [int(idx[d, row]) for d in range(dims)] + [0] * (3 - dims)
-        vals = ",".join(repr(float(v)) for v in flat[row])
-        f.write(f"{t!r},{ijk[0]},{ijk[1]},{ijk[2]},{vals}\n")
+    values = ",".join(["{!r}"] * ncomp)
+    written = 0
+    for i, slab in enumerate(state):
+        fmt = f"{t!r},{i},{{}}{values}\n".format
+        columns = slab.reshape(-1, ncomp).T.tolist()
+        written += f.write("".join(map(fmt, tails, *columns)))
+    return written
 
 
 def run_simulation(cfg: SimConfig) -> RunResult:
     """Integrate the configured model, writing trajectory, diagnostics and
-    a manifest.  Deterministic for a fixed config."""
+    a manifest.  The trajectory and diagnostics are deterministic for a
+    fixed config; the manifest also records per-phase timings and counters."""
+    clock = time.perf_counter
+    t0 = clock()
     model = build_model(cfg)
+    t1 = clock()
     state = initial_state(cfg, model)
+    timings = {"build_s": t1 - t0, "init_s": clock() - t1,
+               "integrate_s": 0.0, "io_s": 0.0}
+    counters = {"steps": 0, "rhs_calls": 0, "snapshots": 0, "traj_bytes": 0}
     grid = model.grid
     cfl = grid.h / (4.0 * model.velocity_max) if model.velocity_max > 0 else math.inf
     if cfg.dt > cfl:
@@ -370,28 +406,39 @@ def run_simulation(cfg: SimConfig) -> RunResult:
         "version": __version__,
         "grid": {"dim": grid.dim, "n": grid.n, "h": grid.h},
         "cfl_advisory_dt": None if math.isinf(cfl) else cfl,
+        "timings": timings,
+        "counters": counters,
     }
     result = RunResult([], [], cfg.out, cfg.diag, manifest_path)
     aborted: NumericalAbortError | None = None
     with open(cfg.out, "w") as traj, open(cfg.diag, "w") as diag:
-        _write_traj_header(traj, model.ncomp)
+        counters["traj_bytes"] = _write_traj_header(traj, model.ncomp)
         diag.write("t,mass,l2,min,max\n")
+        tails = _row_tails(grid)
 
         def emit(t: float, s: np.ndarray) -> None:
-            _write_traj_snapshot(traj, t, s, grid)
+            start = clock()
+            counters["traj_bytes"] += _write_traj_snapshot(traj, t, s, tails)
             row = _diag_row(t, s, grid)
             diag.write(",".join(repr(v) if isinstance(v, float) else str(v)
                                 for v in row) + "\n")
             result.times.append(t)
             result.diagnostics.append(row)
+            counters["snapshots"] += 1
+            timings["io_s"] += clock() - start
 
         emit(0.0, state)
         try:
             for step in range(1, cfg.steps + 1):
+                start = clock()
+                counters["rhs_calls"] += 4
                 state = rk4_step(state, model.rhs, cfg.dt, step)
+                counters["steps"] = step
+                timings["integrate_s"] += clock() - start
                 if step % cfg.cadence == 0:
                     emit(step * cfg.dt, state)
         except NumericalAbortError as exc:
+            timings["integrate_s"] += clock() - start
             aborted = exc
             result.aborted_at = exc.step
             traj.flush()

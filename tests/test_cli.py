@@ -2,7 +2,14 @@
 
 import json
 
+import pytest
+
 from liftlab.cli import main
+
+GOOD_CONFIG = {
+    "model": "vlasov-density", "params": {"phi": "cos(q)"},
+    "init": ["1 + 3/10*sin(q)*sin(p)"], "n": 16, "dt": 1e-3, "steps": 1,
+}
 
 
 def run(capsys, *argv):
@@ -169,3 +176,36 @@ class TestSim:
                                "--diag", str(tmp_path / "d.csv"))
         assert code == 3
         assert "numerical abort" in err
+
+    @pytest.mark.parametrize("dt", ["nan", "inf"])
+    def test_non_finite_dt_is_config_error(self, tmp_path, capsys, dt):
+        code, _, err = run(capsys, "sim", "--model", "contact-density",
+                           "--K", "z", "--init", "1", "--n", "16",
+                           "--dt", dt, "--steps", "1",
+                           "--out", str(tmp_path / "t.csv"),
+                           "--diag", str(tmp_path / "d.csv"))
+        assert code == 2
+        assert "dt must be finite" in err
+
+    @pytest.mark.parametrize("text", [
+        json.dumps(dict(GOOD_CONFIG, n="abc")),
+        json.dumps(dict(GOOD_CONFIG, n=1e400)),
+        json.dumps(dict(GOOD_CONFIG, dt=[1])),
+        json.dumps(dict(GOOD_CONFIG, params=[1])),
+        json.dumps(dict(GOOD_CONFIG, init=[1])),
+        json.dumps(dict(GOOD_CONFIG, out=5)),
+        json.dumps(dict(GOOD_CONFIG, allow_aperiodic="false")),
+        json.dumps([GOOD_CONFIG]),
+        '{"model": "vlasov-density", "n": 16,',
+        "[" * 100000 + "]" * 100000,
+        "\xff",
+    ], ids=["n-not-a-number", "n-overflows", "dt-a-list", "params-a-list",
+            "init-not-strings", "out-not-a-string", "aperiodic-a-string",
+            "top-level-a-list", "malformed-json", "nested-too-deep",
+            "not-utf8"])
+    def test_bad_config_file_is_config_error(self, tmp_path, capsys, text):
+        path = tmp_path / "run.json"
+        path.write_bytes(text.encode("latin-1"))
+        code, _, err = run(capsys, "sim", "--config", str(path))
+        assert code == 2
+        assert err.startswith("error: ")

@@ -1,14 +1,16 @@
 """Simulation configs, compiled models, the run loop, and its outputs."""
 
+import io
 import json
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from liftlab import sim
-from liftlab.grid import AperiodicDataError
+from liftlab.grid import AperiodicDataError, Grid
 from liftlab.sim import (
     ConfigError, SimConfig, build_model, determined_nodes,
     discrete_intertwining_error, initial_state, load_config, run_simulation,
@@ -169,6 +171,14 @@ class TestRunSimulation:
         assert manifest["config"]["steps"] == 5
         assert manifest["grid"]["n"] == 16
         assert manifest["aborted_at_step"] is None
+        timings, counters = manifest["timings"], manifest["counters"]
+        assert set(timings) == {"build_s", "init_s", "integrate_s", "io_s"}
+        assert set(counters) == {"steps", "rhs_calls", "snapshots", "traj_bytes"}
+        assert all(v >= 0 for v in (*timings.values(), *counters.values()))
+        assert counters["steps"] == cfg.steps
+        assert counters["rhs_calls"] == 4 * cfg.steps
+        assert counters["snapshots"] == len(result.times) == 2
+        assert counters["traj_bytes"] == os.path.getsize(cfg.out)
 
     def test_cfl_advisory_warns_but_runs(self, tmp_path):
         cfg = contact_cfg(tmp_path, dt=0.05, steps=1)
@@ -184,8 +194,76 @@ class TestRunSimulation:
             with pytest.raises(NumericalAbortError):
                 run_simulation(cfg)
         manifest = json.load(open(cfg.out + ".manifest.json"))
-        assert manifest["aborted_at_step"] is not None
+        step = manifest["aborted_at_step"]
+        assert step is not None
+        assert manifest["counters"]["steps"] == step - 1
+        assert manifest["counters"]["rhs_calls"] == 4 * step
+        assert manifest["counters"]["traj_bytes"] == os.path.getsize(cfg.out)
         assert os.path.getsize(cfg.diag) > 0
+
+
+EDGE_VALUES = (-0.0, 2.0, 1e16, 1e-5, 5e-324, 1.5e300)
+
+
+def reference_snapshot(t, state, grid):
+    """One line per node in C order of (i, j, k), each value repr(float)."""
+    lines = []
+    for idx in np.ndindex(grid.shape):
+        ijk = list(idx) + [0] * (3 - grid.dim)
+        vals = ",".join(repr(float(v)) for v in state[idx])
+        lines.append(f"{t!r},{ijk[0]},{ijk[1]},{ijk[2]},{vals}\n")
+    return "".join(lines)
+
+
+class DiscardingSink:
+    def write(self, text):
+        return len(text)
+
+
+class TestTrajectoryWriter:
+    @pytest.mark.parametrize("n", [8, 32])
+    @pytest.mark.parametrize("ncomp", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_bytes_match_reference_formatter(self, dim, ncomp, n):
+        grid = Grid(dim, n)
+        rng = np.random.default_rng(100 * dim + 10 * ncomp + n)
+        state = rng.standard_normal(grid.shape + (ncomp,))
+        flat = state.reshape(-1)
+        flat[:len(EDGE_VALUES)] = EDGE_VALUES
+        flat[-len(EDGE_VALUES):] = [-v for v in EDGE_VALUES]
+        for t in (0.0, 0.1 * 3, 1e-3 * 7):
+            f = io.StringIO()
+            written = sim._write_traj_snapshot(f, t, state, sim._row_tails(grid))
+            want = reference_snapshot(t, state, grid)
+            assert f.getvalue() == want
+            assert written == len(want)
+
+    def test_last_snapshot_reads_back_to_the_final_state(self, tmp_path):
+        cfg = contact_cfg(tmp_path, model="contact-momentum", n=8, steps=6,
+                          cadence=3, init=("sin(x)", "cos(y)", "1/3*sin(z)"))
+        run_simulation(cfg)
+        model = build_model(cfg)
+        final = sim._integrate(model, initial_state(cfg, model), cfg.dt, cfg.steps)
+        rows = [line.split(",") for line in open(cfg.out).read().splitlines()[1:]]
+        last = [r for r in rows if float(r[0]) == cfg.steps * cfg.dt]
+        assert [tuple(map(int, r[1:4])) for r in last] == list(np.ndindex(final.shape[:-1]))
+        got = np.array([[float(v) for v in r[4:]] for r in last])
+        want = final.reshape(-1, 3)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_memory_is_bounded_by_one_slab(self):
+        grid = Grid(3, 64)
+        state = np.random.default_rng(0).standard_normal(grid.shape + (3,))
+        tails = sim._row_tails(grid)
+        sink = DiscardingSink()
+        tracemalloc.start()
+        try:
+            written = sim._write_traj_snapshot(sink, 0.5, state, tails)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert written > 64 ** 3 * 60
+        assert peak < 2 * 2 ** 20
 
 
 class TestCompiledPlanAgainstHandWrittenRhs:
