@@ -14,6 +14,16 @@ symbolically.  Canonicalization cancels common polynomial factors
 (x/x -> 1), which enlarges the domain by a measure-zero set; this is the
 usual computer-algebra convention and is relied on throughout.
 
+Nodes are hash-consed (Filliâtre & Conchon, *Type-safe modular
+hash-consing*, ML Workshop 2006): every constructor looks its class name
+and fields up in one module-level table, so one structure is one object.
+Equality is identity, and the hash is structural, computed once when the
+node is made.  Each node memoizes its rationality, its free variables and
+its canonical form in slots.  A canonical node also keeps the reduced
+rational function it was built from, so a canonicalization that meets it
+as a subtree re-indexes the stored polynomials instead of walking the
+tree.  The table and the memos live as long as the process.
+
 Everything here is immutable and safe to share across threads.
 """
 
@@ -23,7 +33,6 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping, Union
 
 from . import poly
@@ -35,7 +44,7 @@ __all__ = [
     "EvaluationDomainError", "SymbolicDivisionError",
     "const", "variable", "expr_class", "is_rational", "free_vars",
     "canonicalize", "canon", "partial", "substitute", "expr_equal",
-    "eval_numeric", "is_zero_expr", "ZERO", "ONE",
+    "eval_numeric", "is_zero_expr", "kernel_stats", "ZERO", "ONE",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp")
@@ -82,10 +91,62 @@ class ExprClass(enum.Enum):
 Number = Union[int, Fraction]
 
 
-class Expr:
-    """Base node.  Subclasses: Const, Var, Sum, Prod, Pow, Quot, Call."""
+# The intern table: (class name, *fields) -> the one node of that
+# structure.  A Const is keyed by its numerator and denominator.
+_TABLE: dict[tuple, "Expr"] = {}
+_set = object.__setattr__
 
-    __slots__ = ()
+
+def _intern(cls: type, key: tuple, fields: tuple) -> "Expr":
+    node = _TABLE.get(key)
+    if node is None:
+        node = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            _set(node, name, value)
+        # the hash the frozen dataclasses had, so set and dict orders stay
+        _set(node, "_hash", hash(fields))
+        for name in Expr.__slots__[1:]:
+            _set(node, name, None)
+        # setdefault: of two threads making one structure, both get the
+        # node that entered the table first
+        node = _TABLE.setdefault(key, node)
+    return node
+
+
+class Expr:
+    """Base node.  Subclasses: Const, Var, Sum, Prod, Pow, Quot, Call.
+
+    Nodes are interned: equal structure means the same object, so ``==``
+    is identity.  The slots after ``_hash`` are memos filled on first use:
+    ``_rat`` (is_rational), ``_fv`` (free_vars), ``_canon`` (the canonical
+    form) and, on a canonical node, ``_rf``, its ``(axes, num, den)``.
+    The stored polynomials are shared and must never be mutated.
+    """
+
+    __slots__ = ("_hash", "_rat", "_fv", "_canon", "_rf")
+
+    def __new__(cls, *fields):
+        """The node of class ``cls`` with these fields, in ``__slots__``
+        order; tuples of children must be tuples."""
+        if len(fields) != len(cls.__slots__):
+            raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} fields")
+        return _intern(cls, (cls.__name__, *fields), fields)
+
+    __eq__ = object.__eq__
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __reduce__(self):
+        # copies and unpickled nodes go through the constructor, so they
+        # are the interned node again
+        return type(self), tuple(getattr(self, s) for s in type(self).__slots__)
 
     def __add__(self, other):
         return _sum2(self, _coerce(other))
@@ -117,7 +178,7 @@ class Expr:
         return Pow(self, n)
 
     def __neg__(self):
-        return _prod2(Const(Fraction(-1)), self)
+        return _prod2(MINUS_ONE, self)
 
     def __str__(self) -> str:
         return format_expr(self)
@@ -126,58 +187,61 @@ class Expr:
         return f"<Expr {format_expr(self)}>"
 
 
-@dataclass(frozen=True, slots=True, eq=True, repr=False)
 class Const(Expr):
+    __slots__ = ("value",)
     value: Fraction
 
-    def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
+    def __new__(cls, value: Number) -> "Const":
+        if type(value) is not Fraction:
+            value = Fraction(value)
+        return _intern(cls, ("Const", value.numerator, value.denominator), (value,))
 
 
-@dataclass(frozen=True, slots=True, eq=True, repr=False)
 class Var(Expr):
+    __slots__ = ("var",)
     var: VarId
 
 
-@dataclass(frozen=True, slots=True, eq=True, repr=False)
 class Sum(Expr):
+    __slots__ = ("terms",)
     terms: tuple[Expr, ...]
 
 
-@dataclass(frozen=True, slots=True, eq=True, repr=False)
 class Prod(Expr):
+    __slots__ = ("factors",)
     factors: tuple[Expr, ...]
 
 
-@dataclass(frozen=True, slots=True, eq=True, repr=False)
 class Pow(Expr):
+    __slots__ = ("base", "exponent")
     base: Expr
     exponent: int
 
 
-@dataclass(frozen=True, slots=True, eq=True, repr=False)
 class Quot(Expr):
+    __slots__ = ("num", "den")
     num: Expr
     den: Expr
 
 
-@dataclass(frozen=True, slots=True, eq=True, repr=False)
 class Call(Expr):
+    __slots__ = ("func", "arg")
     func: str
     arg: Expr
 
-    def __post_init__(self):
-        if self.func not in FUNCTIONS:
-            raise ValueError(f"unknown function '{self.func}'")
+    def __new__(cls, func: str, arg: Expr) -> "Call":
+        if func not in FUNCTIONS:
+            raise ValueError(f"unknown function '{func}'")
+        return _intern(cls, ("Call", func, arg), (func, arg))
 
 
-ZERO = Const(Fraction(0))
-ONE = Const(Fraction(1))
+ZERO = Const(0)
+ONE = Const(1)
+MINUS_ONE = Const(-1)
 
 
 def const(value: Number) -> Const:
-    return Const(Fraction(value))
+    return Const(value)
 
 
 def variable(v: VarId) -> Var:
@@ -188,7 +252,7 @@ def _coerce(x) -> Expr:
     if isinstance(x, Expr):
         return x
     if isinstance(x, (int, Fraction)):
-        return Const(Fraction(x))
+        return Const(x)
     raise TypeError(f"cannot use {type(x).__name__} as an expression")
 
 
@@ -213,51 +277,52 @@ def _prod2(a: Expr, b: Expr) -> Expr:
     return Prod(tuple(factors))
 
 
-@lru_cache(maxsize=None)
 def is_rational(e: Expr) -> bool:
     """True when the expression contains no transcendental leaf."""
-    if isinstance(e, (Const, Var)):
-        return True
-    if isinstance(e, Call):
-        return False
-    if isinstance(e, Sum):
-        return all(is_rational(t) for t in e.terms)
-    if isinstance(e, Prod):
-        return all(is_rational(f) for f in e.factors)
-    if isinstance(e, Pow):
-        return is_rational(e.base)
-    if isinstance(e, Quot):
-        return is_rational(e.num) and is_rational(e.den)
-    raise TypeError(f"not an Expr: {e!r}")
+    r = e._rat
+    if r is None:
+        if isinstance(e, (Const, Var)):
+            r = True
+        elif isinstance(e, Call):
+            r = False
+        elif isinstance(e, (Sum, Prod)):
+            # a plain loop: one stack frame per tree level
+            r = True
+            for t in (e.terms if isinstance(e, Sum) else e.factors):
+                if not is_rational(t):
+                    r = False
+                    break
+        elif isinstance(e, Pow):
+            r = is_rational(e.base)
+        else:
+            r = is_rational(e.num) and is_rational(e.den)
+        _set(e, "_rat", r)
+    return r
 
 
 def expr_class(e: Expr) -> ExprClass:
     return ExprClass.RATIONAL if is_rational(e) else ExprClass.NUMERIC_ONLY
 
 
-@lru_cache(maxsize=None)
 def free_vars(e: Expr) -> frozenset[VarId]:
-    if isinstance(e, Const):
-        return frozenset()
-    if isinstance(e, Var):
-        return frozenset((e.var,))
-    if isinstance(e, Sum):
-        out: frozenset[VarId] = frozenset()
-        for t in e.terms:
-            out |= free_vars(t)
-        return out
-    if isinstance(e, Prod):
-        out = frozenset()
-        for f in e.factors:
-            out |= free_vars(f)
-        return out
-    if isinstance(e, Pow):
-        return free_vars(e.base)
-    if isinstance(e, Quot):
-        return free_vars(e.num) | free_vars(e.den)
-    if isinstance(e, Call):
-        return free_vars(e.arg)
-    raise TypeError(f"not an Expr: {e!r}")
+    fv = e._fv
+    if fv is None:
+        if isinstance(e, Const):
+            fv = frozenset()
+        elif isinstance(e, Var):
+            fv = frozenset((e.var,))
+        elif isinstance(e, (Sum, Prod)):
+            fv = frozenset()
+            for t in (e.terms if isinstance(e, Sum) else e.factors):
+                fv |= free_vars(t)
+        elif isinstance(e, Pow):
+            fv = free_vars(e.base)
+        elif isinstance(e, Quot):
+            fv = free_vars(e.num) | free_vars(e.den)
+        else:
+            fv = free_vars(e.arg)
+        _set(e, "_fv", fv)
+    return fv
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +357,34 @@ def _rf_normalize(num: Poly, den: Poly) -> RatFunc:
     return num, den
 
 
+def _reindex(rf: tuple[tuple[VarId, ...], Poly, Poly], axis_of: dict[VarId, int],
+             nvars: int) -> RatFunc:
+    """A canonical node's stored rational function over the current axes.
+
+    Its axes are a subset of the current ones, in the same order, so with
+    as many axes they are the same and the stored polynomials serve as
+    they are (they are never mutated)."""
+    axes, num, den = rf
+    if len(axes) == nvars:
+        return num, den
+    at = [axis_of[v] for v in axes]
+    zeros = [0] * nvars
+
+    def move(p: Poly) -> Poly:
+        out = {}
+        for m, c in p.items():
+            mono = zeros.copy()
+            for i, k in zip(at, m):
+                mono[i] = k
+            out[tuple(mono)] = c
+        return out
+    return move(num), move(den)
+
+
 def _to_ratfunc(e: Expr, axis_of: dict[VarId, int], nvars: int) -> RatFunc:
+    c = e._canon
+    if c is not None:
+        return _reindex(c._rf, axis_of, nvars)
     one = poly.const(1, nvars)
     if isinstance(e, Const):
         return poly.const(e.value.numerator, nvars), poly.const(e.value.denominator, nvars)
@@ -340,22 +432,34 @@ def _poly_to_expr(p: Poly, axes: tuple[VarId, ...]) -> Expr:
             elif exp > 1:
                 factors.append(Pow(Var(axes[axis]), exp))
         if not factors:
-            terms.append(Const(Fraction(c)))
+            terms.append(Const(c))
         elif c == 1:
             terms.append(factors[0] if len(factors) == 1 else Prod(tuple(factors)))
         else:
-            terms.append(Prod((Const(Fraction(c)), *factors)))
+            terms.append(Prod((Const(c), *factors)))
     return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
 
-@lru_cache(maxsize=None)
+_canonicalize_calls = 0
+_canonicalize_computed = 0
+_canonical_forms = 0
+
+
 def canonicalize(e: Expr) -> Expr:
     """Unique canonical form of a rational expression.
 
-    Idempotent; raises UnsupportedClassError on numeric-only input.
+    Idempotent; raises UnsupportedClassError on numeric-only input.  The
+    result is memoized on ``e``, and the result keeps its reduced
+    rational function for later canonicalizations that contain it.
     """
+    global _canonicalize_calls, _canonicalize_computed, _canonical_forms
+    _canonicalize_calls += 1
+    c = e._canon
+    if c is not None:
+        return c
     if not is_rational(e):
         raise UnsupportedClassError("canonicalize is defined only for rational expressions")
+    _canonicalize_computed += 1
     axes = tuple(sorted(free_vars(e), key=lambda v: (v.index, v.name)))
     axis_of = {v: i for i, v in enumerate(axes)}
     num, den = _rf_normalize(*_to_ratfunc(e, axis_of, len(axes)))
@@ -364,13 +468,33 @@ def canonicalize(e: Expr) -> Expr:
             if any(m[i] for m in num) or any(m[i] for m in den)]
     if len(used) != len(axes):
         def project(p: Poly) -> Poly:
-            return {tuple(m[i] for i in used): c for m, c in p.items()}
+            return {tuple(m[i] for i in used): k for m, k in p.items()}
         num, den = project(num), project(den)
         axes = tuple(axes[i] for i in used)
-    num_expr = _poly_to_expr(num, axes)
-    if poly.is_const(den) and poly.const_value(den) == 1:
-        return num_expr
-    return Quot(num_expr, _poly_to_expr(den, axes))
+    c = _poly_to_expr(num, axes)
+    if not (poly.is_const(den) and poly.const_value(den) == 1):
+        c = Quot(c, _poly_to_expr(den, axes))
+    if c._canon is None:
+        _set(c, "_rf", (axes, num, den))
+        _set(c, "_canon", c)
+        _canonical_forms += 1
+    _set(e, "_canon", c)
+    return c
+
+
+def kernel_stats() -> dict[str, int]:
+    """Work counters of the kernel since the process started.
+
+    ``nodes`` is the size of the intern table, ``canonical_forms`` the
+    number of nodes holding a canonical form, ``canonicalize_calls`` the
+    calls of ``canonicalize`` and ``canonicalize_computed`` those that
+    were not answered from a node's memo.  The counts are plain integer
+    increments without a lock: threads canonicalizing at once may lose
+    a few.
+    """
+    return {"nodes": len(_TABLE), "canonical_forms": _canonical_forms,
+            "canonicalize_calls": _canonicalize_calls,
+            "canonicalize_computed": _canonicalize_computed}
 
 
 def canon(e: Expr) -> Expr:
@@ -483,10 +607,10 @@ def _partial(e: Expr, v: VarId) -> Expr:
         db = _partial(e.base, v)
         if db == ZERO:
             return ZERO
-        return Prod((Const(Fraction(e.exponent)), Pow(e.base, e.exponent - 1), db))
+        return Prod((Const(e.exponent), Pow(e.base, e.exponent - 1), db))
     if isinstance(e, Quot):
         dn, dd = _partial(e.num, v), _partial(e.den, v)
-        num = Sum((Prod((dn, e.den)), Prod((Const(Fraction(-1)), e.num, dd))))
+        num = Sum((Prod((dn, e.den)), Prod((MINUS_ONE, e.num, dd))))
         return Quot(num, Pow(e.den, 2))
     if isinstance(e, Call):
         da = _partial(e.arg, v)
@@ -495,7 +619,7 @@ def _partial(e: Expr, v: VarId) -> Expr:
         if e.func == "sin":
             outer: Expr = Call("cos", e.arg)
         elif e.func == "cos":
-            outer = Prod((Const(Fraction(-1)), Call("sin", e.arg)))
+            outer = Prod((MINUS_ONE, Call("sin", e.arg)))
         else:
             outer = Call("exp", e.arg)
         return Prod((outer, da))

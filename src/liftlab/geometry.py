@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .expr import (
-    Expr, ExprError, ONE, Var, VarId, ZERO, canon, is_rational, is_zero_expr,
-    partial,
+    FUNCTIONS, Expr, ExprError, ONE, Var, VarId, ZERO, canon, is_rational,
+    is_zero_expr, partial,
 )
 from .parser import IDENT_RE
 
@@ -54,6 +54,8 @@ class Chart:
         for i, v in enumerate(self.vars):
             if not IDENT_RE.fullmatch(v.name):
                 raise ChartError(f"invalid variable name '{v.name}'")
+            if v.name in FUNCTIONS:
+                raise ChartError(f"variable name '{v.name}' is a function name")
             if v.index != i:
                 raise ChartError(f"variable '{v.name}' has index {v.index}, expected {i}")
 

@@ -112,14 +112,16 @@ def _const(value) -> Callable:
 
 
 class _Compiler:
-    """One DAG for a batch of expressions, value-numbered by structure.
+    """One DAG for a batch of expressions, value-numbered by node.
 
-    ``intern`` gives structurally equal subtrees one value number, as in
-    the DAG construction of Aho, Lam, Sethi & Ullman, *Compilers* 6.1.
-    ``take`` then folds each node whose inputs are all fixed into a value,
-    and compiles every other node once into a closure over the call-time
-    arrays.  A node's result is dropped after its last use, so folded
-    intermediates die while the batch compiles.
+    Expression nodes are interned, so structurally equal subtrees are one
+    object and ``intern`` keys value numbers on the node itself, as in the
+    DAG construction of Aho, Lam, Sethi & Ullman, *Compilers* 6.1; each
+    distinct subtree is walked once.  ``take`` then folds each node whose
+    inputs are all fixed into a value, and compiles every other node once
+    into a closure over the call-time arrays.  A node's result is dropped
+    after its last use, so folded intermediates die while the batch
+    compiles.
     """
 
     def __init__(self, var_axes: Mapping[VarId, int],
@@ -129,40 +131,37 @@ class _Compiler:
         self.nodes: list[tuple[Expr, tuple[int, ...]]] = []
         self.is_fixed: list[bool] = []
         self.uses: list[int] = []
-        self._by_key: dict[tuple, int] = {}
+        self._by_node: dict[Expr, int] = {}
         self._done: dict[int, object] = {}
 
     def intern(self, node: Expr) -> int:
+        vn = self._by_node.get(node)
+        if vn is not None:
+            return vn
         if isinstance(node, Const):
-            kids, key = (), ("c", node.value)
+            kids = ()
         elif isinstance(node, Var):
             if node.var not in self.fixed and node.var not in self.var_axes:
                 raise GridError(f"variable '{node.var.name}' is not mapped to a grid input")
-            kids, key = (), ("v", node.var)
+            kids = ()
         elif isinstance(node, (Sum, Prod)):
             kids = tuple(self.intern(t) for t in
                          (node.terms if isinstance(node, Sum) else node.factors))
-            key = (type(node).__name__, kids)
         elif isinstance(node, Pow):
             kids = (self.intern(node.base),)
-            key = ("^", node.exponent, kids)
         elif isinstance(node, Quot):
             kids = (self.intern(node.num), self.intern(node.den))
-            key = ("/", kids)
         elif isinstance(node, Call):
             kids = (self.intern(node.arg),)
-            key = (node.func, kids)
         else:
             raise TypeError(f"not an Expr: {node!r}")
-        vn = self._by_key.get(key)
-        if vn is None:
-            vn = self._by_key[key] = len(self.nodes)
-            self.nodes.append((node, kids))
-            self.is_fixed.append(node.var in self.fixed if isinstance(node, Var)
-                                 else all(self.is_fixed[k] for k in kids))
-            self.uses.append(0)
-            for k in kids:
-                self.uses[k] += 1
+        vn = self._by_node[node] = len(self.nodes)
+        self.nodes.append((node, kids))
+        self.is_fixed.append(node.var in self.fixed if isinstance(node, Var)
+                             else all(self.is_fixed[k] for k in kids))
+        self.uses.append(0)
+        for k in kids:
+            self.uses[k] += 1
         return vn
 
     def take(self, vn: int):

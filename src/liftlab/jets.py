@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .expr import (
-    Expr, ExprError, Var, VarId, ZERO, canon, expr_equal, free_vars, partial,
+    FUNCTIONS, Expr, ExprError, Var, VarId, ZERO, canon, expr_equal, free_vars,
+    partial,
 )
 from .geometry import Chart, ChartError, VectorField
 
@@ -60,6 +61,9 @@ class JetChart:
                     names.append(f"{u}_{base_names[a]}{base_names[b]}")
         if len(set(names)) != len(names):
             raise ChartError("jet variable names collide; rename base or fiber variables")
+        clash = sorted(set(names) & set(FUNCTIONS))
+        if clash:
+            raise ChartError(f"variable name '{clash[0]}' is a function name")
         ids = [VarId(n, i) for i, n in enumerate(names)]
         base = tuple(ids[:m])
         fiber = tuple(ids[m:m + k])

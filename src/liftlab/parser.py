@@ -9,6 +9,10 @@
 
 Whitespace is insignificant.  The integer after '^' may carry a sign.
 Identifiers other than the three function names must be declared variables.
+Parentheses (a function call's included), unary minus and the quotients of
+one term, which nest left to right, may nest at most MAX_DEPTH levels
+together; deeper input raises ParseError, so neither the parser nor the
+kernel's own recursion over the tree can run out of stack.
 """
 
 from __future__ import annotations
@@ -18,13 +22,15 @@ from fractions import Fraction
 from typing import Sequence
 
 from .expr import (
-    Call, Const, Expr, ExprError, Pow, Prod, Quot, Sum, Var, VarId, FUNCTIONS,
+    Call, Const, Expr, ExprError, MINUS_ONE, Pow, Prod, Quot, Sum, Var, VarId,
+    FUNCTIONS,
 )
 
-__all__ = ["parse_expr", "ParseError", "UnknownVariableError", "IDENT_RE"]
+__all__ = ["parse_expr", "ParseError", "UnknownVariableError", "IDENT_RE", "MAX_DEPTH"]
 
 IDENT_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*")
 _INT_RE = re.compile(r"[0-9]+")
+MAX_DEPTH = 32
 
 
 class ParseError(ExprError):
@@ -43,6 +49,7 @@ class _Parser:
     def __init__(self, text: str, vars: Sequence[VarId]):
         self.text = text
         self.pos = 0
+        self.depth = 0
         self.by_name = {v.name: v for v in vars}
 
     def skip_ws(self) -> None:
@@ -57,6 +64,12 @@ class _Parser:
         if self.peek() != ch:
             raise ParseError(f"expected '{ch}'", self.pos)
         self.pos += 1
+
+    def nest(self) -> None:
+        """Enter one level of nesting: parentheses, unary minus or a quotient."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", self.pos)
 
     def parse(self) -> Expr:
         e = self.expr()
@@ -74,13 +87,14 @@ class _Parser:
                 terms.append(self.term())
             elif ch == "-":
                 self.pos += 1
-                terms.append(Prod((Const(Fraction(-1)), self.term())))
+                terms.append(Prod((MINUS_ONE, self.term())))
             else:
                 break
         return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
     def term(self) -> Expr:
         out = self.factor()
+        quotients = 0
         while True:
             ch = self.peek()
             if ch == "*":
@@ -88,10 +102,14 @@ class _Parser:
                 rhs = self.factor()
                 out = Prod(out.factors + (rhs,)) if isinstance(out, Prod) else Prod((out, rhs))
             elif ch == "/":
+                # each '/' nests the term one level deeper: ((a/b)/c)/d
                 self.pos += 1
+                self.nest()
+                quotients += 1
                 out = Quot(out, self.factor())
             else:
                 break
+        self.depth -= quotients
         return out
 
     def factor(self) -> Expr:
@@ -119,11 +137,16 @@ class _Parser:
             raise ParseError("unexpected end of input", self.pos)
         if ch == "-":
             self.pos += 1
-            return Prod((Const(Fraction(-1)), self.base()))
+            self.nest()
+            e = Prod((MINUS_ONE, self.base()))
+            self.depth -= 1
+            return e
         if ch == "(":
             self.pos += 1
+            self.nest()
             e = self.expr()
             self.expect(")")
+            self.depth -= 1
             return e
         if ch.isdigit():
             return self.rational()
@@ -135,8 +158,10 @@ class _Parser:
         self.pos = m.end()
         if name in FUNCTIONS:
             self.expect("(")
+            self.nest()
             arg = self.expr()
             self.expect(")")
+            self.depth -= 1
             return Call(name, arg)
         if name not in self.by_name:
             raise UnknownVariableError(name, start)

@@ -4,6 +4,8 @@ A polynomial in ``nvars`` variables is a dict mapping exponent tuples of
 length ``nvars`` to nonzero int coefficients.  The empty dict is the zero
 polynomial.  Monomials are ordered graded-lexicographically: higher total
 degree first, ties broken by lexicographic comparison of exponent tuples.
+Every function returns a fresh dict and leaves its arguments alone:
+canonical expression nodes share the polynomials they store.
 
 This is the engine behind canonical rational forms; it is not a public API.
 """
@@ -11,6 +13,7 @@ This is the engine behind canonical rational forms; it is not a public API.
 from __future__ import annotations
 
 from math import gcd as _int_gcd
+from operator import add as _add
 
 Mono = tuple[int, ...]
 Poly = dict[Mono, int]
@@ -80,10 +83,19 @@ def sub(a: Poly, b: Poly) -> Poly:
 def mul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return {}
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        # one term: scale or shift the other operand; both are injective
+        # on monomials and keep its order, so nothing collides or cancels
+        (mb, cb), = b.items()
+        if not any(mb):
+            return {m: c * cb for m, c in a.items()}
+        return {tuple(map(_add, m, mb)): c * cb for m, c in a.items()}
     out: Poly = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = tuple(x + y for x, y in zip(ma, mb))
+            m = tuple(map(_add, ma, mb))
             s = out.get(m, 0) + ca * cb
             if s:
                 out[m] = s

@@ -111,6 +111,10 @@ def load_config(path: str | Path) -> SimConfig:
     init = raw.get("init", [])
     if not (isinstance(init, list) and all(isinstance(c, str) for c in init)):
         raise ConfigError("config key 'init' must be a list of strings")
+    for key in ("n", "steps", "cadence"):
+        value = raw.get(key, 0)
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ConfigError(f"config key '{key}' must be an integer")
     try:
         return SimConfig(
             model=raw["model"],

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from liftlab.cli import main
+from liftlab.parser import MAX_DEPTH
 
 GOOD_CONFIG = {
     "model": "vlasov-density", "params": {"phi": "cos(q)"},
@@ -35,6 +36,32 @@ class TestLift:
         assert code == 0
         assert "(-y_x*cos(x)) * d/dy_x" in out
 
+    @pytest.mark.parametrize("field", [
+        "-" * MAX_DEPTH + "x",
+        "-(" * (MAX_DEPTH // 2) + "x" + ")" * (MAX_DEPTH // 2),
+        "x" + "/1" * MAX_DEPTH,
+    ], ids=["unary-minus", "minus-and-parentheses", "quotients"])
+    def test_field_at_the_depth_bound_lifts(self, capsys, field):
+        code, out, _ = run(capsys, "lift", f"--field={field}", "--vars", "x")
+        assert code == 0
+        assert "X^c* = (x) * d/dx + (-y_x) * d/dy_x" in out
+
+    @pytest.mark.parametrize("field", [
+        "(" * 3000 + "x" + ")" * 3000,
+        "-" * 3000 + "x",
+        "x" + "/1" * 3000,
+        "-" * MAX_DEPTH + "(x)",
+    ], ids=["parentheses", "unary-minus", "quotients", "one-past-the-bound"])
+    def test_field_nested_too_deep_is_config_error(self, capsys, field):
+        code, _, err = run(capsys, "lift", f"--field={field}", "--vars", "x")
+        assert code == 2
+        assert "nested deeper" in err
+
+    def test_function_name_as_variable_is_config_error(self, capsys):
+        code, _, err = run(capsys, "lift", "--field", "y, y", "--vars", "sin,y")
+        assert code == 2
+        assert "function name" in err
+
 
 class TestBracket:
     def test_jacobi_lie(self, capsys):
@@ -61,6 +88,12 @@ class TestBracket:
                            "--a", "q", "--b", "p", "--vars", "q,p")
         assert code == 0
         assert "{a, b} = 1" in out
+
+    def test_function_name_as_jet_variable_is_config_error(self, capsys):
+        code, _, err = run(capsys, "bracket", "--type", "pro", "--a", "1 ; 0",
+                           "--b", "0 ; 1", "--vars", "x", "--fibers", "exp")
+        assert code == 2
+        assert "function name" in err
 
     def test_unknown_variable_is_config_error(self, capsys):
         code, _, err = run(capsys, "bracket", "--type", "jl",
@@ -209,3 +242,21 @@ class TestSim:
         code, _, err = run(capsys, "sim", "--config", str(path))
         assert code == 2
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("value", [2.9, True], ids=["fractional", "bool"])
+    @pytest.mark.parametrize("key", ["n", "steps", "cadence"])
+    def test_non_integer_count_is_config_error(self, tmp_path, capsys, key, value):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(dict(GOOD_CONFIG, **{key: value})))
+        code, _, err = run(capsys, "sim", "--config", str(path))
+        assert code == 2
+        assert f"config key '{key}' must be an integer" in err
+
+    def test_integral_float_counts_load(self, tmp_path, capsys):
+        cfg = dict(GOOD_CONFIG, n=16.0, steps=2.0, cadence=1.0,
+                   out=str(tmp_path / "t.csv"), diag=str(tmp_path / "d.csv"))
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        code, out, _ = run(capsys, "sim", "--config", str(path))
+        assert code == 0
+        assert "completed 2 steps" in out

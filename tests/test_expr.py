@@ -2,18 +2,21 @@
 
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from liftlab.expr import (
-    Const, EvaluationDomainError, Pow, Prod, Quot, Sum,
+    Call, Const, EvaluationDomainError, Pow, Prod, Quot, Sum,
     UnboundVariableError, UnsupportedClassError, Var, VarId, ZERO, ONE,
     ExprClass, canonicalize, eval_numeric, expr_class, expr_equal, free_vars,
-    partial, substitute,
+    kernel_stats, partial, substitute,
 )
 from liftlab.parser import parse_expr
+from liftlab.verify import run_suite
 
 X, Y, Z, W = (VarId(n, i) for i, n in enumerate("xyzw"))
 VARS = [X, Y, Z, W]
@@ -182,19 +185,21 @@ class TestEvalNumeric:
 # ---------------------------------------------------------------------------
 # randomized structural invariants
 
-def random_expr(rng, depth=3):
+def random_expr(rng, depth=3, variables=VARS):
     roll = rng.random()
     if depth == 0 or roll < 0.35:
         if rng.random() < 0.4:
             return Const(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-        return Var(VARS[rng.randrange(4)])
+        return Var(variables[rng.randrange(len(variables))])
     if roll < 0.6:
-        return random_expr(rng, depth - 1) + random_expr(rng, depth - 1)
+        return (random_expr(rng, depth - 1, variables)
+                + random_expr(rng, depth - 1, variables))
     if roll < 0.8:
-        return random_expr(rng, depth - 1) * random_expr(rng, depth - 1)
+        return (random_expr(rng, depth - 1, variables)
+                * random_expr(rng, depth - 1, variables))
     if roll < 0.9:
-        return random_expr(rng, depth - 1) ** rng.randint(0, 3)
-    return Quot(random_expr(rng, depth - 1),
+        return random_expr(rng, depth - 1, variables) ** rng.randint(0, 3)
+    return Quot(random_expr(rng, depth - 1, variables),
                 Const(Fraction(rng.choice((1, 2, 3, -2)))))
 
 
@@ -259,3 +264,86 @@ def test_leibniz_rule(a, b):
 @given(expr_strategy())
 def test_commuting_partials(e):
     assert expr_equal(partial(partial(e, X), Y), partial(partial(e, Y), X))
+
+
+# ---------------------------------------------------------------------------
+# interned nodes
+
+class TestInterning:
+    def test_equal_structure_is_one_object_across_routes(self):
+        parsed = parse("x*y + 2")
+        assert parsed is Var(X) * Var(Y) + 2
+        assert canonicalize(parse("2 + y*x")) is parsed
+        assert substitute(parse("z*y + 2"), {Z: Var(X)}) is parsed
+        assert parse("x^2 + 3/2*y") is Sum((Pow(Var(X), 2),
+                                            Prod((Const(Fraction(3, 2)), Var(Y)))))
+
+    def test_const_normalizes_to_one_object(self):
+        assert Const(1) is Const(Fraction(1)) is Const(Fraction(2, 2)) is ONE
+        assert Const(Fraction(-4, 6)) is Const(Fraction(-2, 3))
+
+    def test_invalid_call_raises_and_leaves_no_entry(self):
+        arg = Var(VarId("never_called", 0))
+        before = kernel_stats()["nodes"]
+        with pytest.raises(ValueError):
+            Call("tan", arg)
+        assert kernel_stats()["nodes"] == before
+
+    def test_threads_build_identical_objects(self):
+        # more threads than cores, switching often, on variables no other
+        # test uses, so the nodes are new to the table
+        fresh = [VarId(f"thread_{i}", i) for i in range(4)]
+        results = [None] * 4
+        barrier = threading.Barrier(len(results))
+
+        def build(slot):
+            rng = random.Random(4242)
+            barrier.wait()
+            results[slot] = [random_expr(rng, 4, fresh) for _ in range(1000)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(i,))
+                       for i in range(len(results))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        first = results[0]
+        assert len(first) == 1000
+        for other in results[1:]:
+            assert all(a is b for a, b in zip(first, other, strict=True))
+
+    def test_repeated_suite_adds_no_nodes_and_no_canonical_work(self):
+        run_suite("lifts", 2, 3, 77)
+        before = kernel_stats()
+        run_suite("lifts", 2, 3, 77)
+        after = kernel_stats()
+        assert after["nodes"] == before["nodes"]
+        assert after["canonicalize_computed"] == before["canonicalize_computed"]
+        assert after["canonicalize_calls"] > before["canonicalize_calls"]
+
+
+POINTS = st.fixed_dictionaries({
+    v: st.fractions(min_value=-5, max_value=5, max_denominator=7) for v in VARS})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(expr_strategy(), expr_strategy(), POINTS)
+def test_canonical_subtrees_reuse_their_rational_function(a, b, point):
+    # canonical operands make canonicalize re-index their stored
+    # polynomials instead of walking them
+    ca, cb = canonicalize(a), canonicalize(b)
+    assert canonicalize(ca * cb - cb * ca) is ZERO
+    va, vb = exact_eval(a, point), exact_eval(b, point)
+    assert exact_eval(canonicalize(ca + cb), point) == va + vb
+    assert exact_eval(canonicalize(ca * cb), point) == va * vb
+    # and with a denominator, which never vanishes at a rational point
+    den = canonicalize(cb * cb + 1)
+    q = canonicalize(ca / den)
+    assert exact_eval(q, point) == va / (vb * vb + 1)
+    assert canonicalize(q * den - ca) is ZERO

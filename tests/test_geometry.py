@@ -5,12 +5,19 @@ from hypothesis import given, settings, strategies as st
 
 from liftlab.expr import ONE, ZERO, Var, canon, expr_equal, is_zero_expr, partial
 from liftlab.geometry import (
-    Chart, ChartMismatchError, DegreeError, DifferentialForm, VectorField,
+    Chart, ChartError, ChartMismatchError, DegreeError, DifferentialForm, VectorField,
     VolumeForm, divergence, exterior_derivative, interior_product,
     is_exact_candidate, jacobi_lie_bracket, lie_derivative_form, one_form,
     pointwise_pairing, wedge, zero_form,
 )
 from liftlab.samplers import rand_one_form, rand_poly, rand_two_form, rand_vector_field
+
+
+@pytest.mark.parametrize("name", ["sin", "cos", "exp"])
+def test_function_names_are_not_chart_variables(name):
+    # the parser reads these names as functions, never as the variable
+    with pytest.raises(ChartError, match="function name"):
+        Chart.make("x", name)
 
 
 def vf_equal(a, b):

@@ -8,7 +8,7 @@ from liftlab.expr import (
     Call, Const, Pow, Prod, Sum, Var, VarId, ExprClass, expr_class,
     expr_equal, eval_numeric,
 )
-from liftlab.parser import ParseError, UnknownVariableError, parse_expr
+from liftlab.parser import MAX_DEPTH, ParseError, UnknownVariableError, parse_expr
 
 X, Y = VarId("x", 0), VarId("y", 1)
 
@@ -80,3 +80,14 @@ def test_display_round_trips():
             assert expr_equal(e, again)
         else:
             assert str(again) == str(e)
+
+
+@pytest.mark.parametrize("opening, closing, per_level", [
+    ("(", ")", 1), ("-", "", 1), ("sin(", ")", 1), ("", "/y", 1), ("-(", ")", 2),
+], ids=["parentheses", "unary-minus", "calls", "quotients", "minus-and-parentheses"])
+def test_nesting_is_bounded(opening, closing, per_level):
+    levels = MAX_DEPTH // per_level
+    at_bound = opening * levels + "x" + closing * levels
+    parse_expr(at_bound, [X, Y])
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_expr(opening + at_bound + closing, [X, Y])
