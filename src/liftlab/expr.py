@@ -22,7 +22,9 @@ node is made.  Each node memoizes its rationality, its free variables and
 its canonical form in slots.  A canonical node also keeps the reduced
 rational function it was built from, so a canonicalization that meets it
 as a subtree re-indexes the stored polynomials instead of walking the
-tree.  The table and the memos live as long as the process.
+tree, and ``partial`` differentiates those polynomials in the ring and
+memoizes the result on the node.  The table and the memos live as long
+as the process.
 
 Everything here is immutable and safe to share across threads.
 """
@@ -119,11 +121,12 @@ class Expr:
     Nodes are interned: equal structure means the same object, so ``==``
     is identity.  The slots after ``_hash`` are memos filled on first use:
     ``_rat`` (is_rational), ``_fv`` (free_vars), ``_canon`` (the canonical
-    form) and, on a canonical node, ``_rf``, its ``(axes, num, den)``.
+    form) and, on a canonical node, ``_rf``, its ``(axes, num, den)``, and
+    ``_d``, a dict from a ``VarId`` to the node's partial derivative.
     The stored polynomials are shared and must never be mutated.
     """
 
-    __slots__ = ("_hash", "_rat", "_fv", "_canon", "_rf")
+    __slots__ = ("_hash", "_rat", "_fv", "_canon", "_rf", "_d")
 
     def __new__(cls, *fields):
         """The node of class ``cls`` with these fields, in ``__slots__``
@@ -382,14 +385,15 @@ def _reindex(rf: tuple[tuple[VarId, ...], Poly, Poly], axis_of: dict[VarId, int]
 
 
 def _to_ratfunc(e: Expr, axis_of: dict[VarId, int], nvars: int) -> RatFunc:
+    # leaves before the memo: building them is cheaper than re-indexing
+    if isinstance(e, Const):
+        return poly.const(e.value.numerator, nvars), poly.const(e.value.denominator, nvars)
+    if isinstance(e, Var):
+        return poly.variable(axis_of[e.var], nvars), poly.const(1, nvars)
     c = e._canon
     if c is not None:
         return _reindex(c._rf, axis_of, nvars)
     one = poly.const(1, nvars)
-    if isinstance(e, Const):
-        return poly.const(e.value.numerator, nvars), poly.const(e.value.denominator, nvars)
-    if isinstance(e, Var):
-        return poly.variable(axis_of[e.var], nvars), one
     if isinstance(e, Sum):
         acc: RatFunc = ({}, one)
         for t in e.terms:
@@ -443,26 +447,17 @@ def _poly_to_expr(p: Poly, axes: tuple[VarId, ...]) -> Expr:
 _canonicalize_calls = 0
 _canonicalize_computed = 0
 _canonical_forms = 0
+_partial_calls = 0
+_partial_computed = 0
 
 
-def canonicalize(e: Expr) -> Expr:
-    """Unique canonical form of a rational expression.
+def _canonical_node(axes: tuple[VarId, ...], num: Poly, den: Poly) -> Expr:
+    """The canonical node of the reduced ``num/den`` over ``axes``.
 
-    Idempotent; raises UnsupportedClassError on numeric-only input.  The
-    result is memoized on ``e``, and the result keeps its reduced
-    rational function for later canonicalizations that contain it.
+    A node that is new as a canonical form keeps ``(axes, num, den)``,
+    projected onto the axes that are used.
     """
-    global _canonicalize_calls, _canonicalize_computed, _canonical_forms
-    _canonicalize_calls += 1
-    c = e._canon
-    if c is not None:
-        return c
-    if not is_rational(e):
-        raise UnsupportedClassError("canonicalize is defined only for rational expressions")
-    _canonicalize_computed += 1
-    axes = tuple(sorted(free_vars(e), key=lambda v: (v.index, v.name)))
-    axis_of = {v: i for i, v in enumerate(axes)}
-    num, den = _rf_normalize(*_to_ratfunc(e, axis_of, len(axes)))
+    global _canonical_forms
     # drop axes that cancelled away so the tree is support-minimal
     used = [i for i in range(len(axes))
             if any(m[i] for m in num) or any(m[i] for m in den)]
@@ -478,6 +473,27 @@ def canonicalize(e: Expr) -> Expr:
         _set(c, "_rf", (axes, num, den))
         _set(c, "_canon", c)
         _canonical_forms += 1
+    return c
+
+
+def canonicalize(e: Expr) -> Expr:
+    """Unique canonical form of a rational expression.
+
+    Idempotent; raises UnsupportedClassError on numeric-only input.  The
+    result is memoized on ``e``, and the result keeps its reduced
+    rational function for later canonicalizations that contain it.
+    """
+    global _canonicalize_calls, _canonicalize_computed
+    _canonicalize_calls += 1
+    c = e._canon
+    if c is not None:
+        return c
+    if not is_rational(e):
+        raise UnsupportedClassError("canonicalize is defined only for rational expressions")
+    _canonicalize_computed += 1
+    axes = tuple(sorted(free_vars(e), key=lambda v: (v.index, v.name)))
+    axis_of = {v: i for i, v in enumerate(axes)}
+    c = _canonical_node(axes, *_rf_normalize(*_to_ratfunc(e, axis_of, len(axes))))
     _set(e, "_canon", c)
     return c
 
@@ -488,13 +504,17 @@ def kernel_stats() -> dict[str, int]:
     ``nodes`` is the size of the intern table, ``canonical_forms`` the
     number of nodes holding a canonical form, ``canonicalize_calls`` the
     calls of ``canonicalize`` and ``canonicalize_computed`` those that
-    were not answered from a node's memo.  The counts are plain integer
-    increments without a lock: threads canonicalizing at once may lose
-    a few.
+    were not answered from a node's memo.  ``partial_calls`` counts the
+    calls of ``partial`` and ``partial_computed`` the derivatives it
+    computed: rational ones not found in a node's memo, and every
+    numeric-only one.  The counts are plain integer increments without a
+    lock: threads working at once may lose a few.
     """
     return {"nodes": len(_TABLE), "canonical_forms": _canonical_forms,
             "canonicalize_calls": _canonicalize_calls,
-            "canonicalize_computed": _canonicalize_computed}
+            "canonicalize_computed": _canonicalize_computed,
+            "partial_calls": _partial_calls,
+            "partial_computed": _partial_computed}
 
 
 def canon(e: Expr) -> Expr:
@@ -581,8 +601,53 @@ def _fold(e: Expr) -> Expr:
 # calculus
 
 def partial(e: Expr, v: VarId) -> Expr:
-    """Exact partial derivative, canonicalized when rational."""
-    return canon(_partial(e, v))
+    """Exact partial derivative, canonicalized when rational.
+
+    A rational ``e`` is canonicalized first, raising as ``canonicalize``
+    does.  Its derivative is then taken in the polynomial ring from the
+    canonical node's stored ``(axes, num, den)`` and memoized on that
+    node.  A numeric-only ``e`` is differentiated as a tree.
+    """
+    global _partial_calls, _partial_computed
+    _partial_calls += 1
+    c = e._canon
+    if c is None:
+        if not is_rational(e):
+            _partial_computed += 1
+            return canon(_partial(e, v))
+        c = canonicalize(e)
+    axes, num, den = c._rf
+    if v not in axes:
+        return ZERO
+    memo = c._d
+    if memo is None:
+        memo = {}
+        _set(c, "_d", memo)
+    d = memo.get(v)
+    if d is None:
+        _partial_computed += 1
+        i = axes.index(v)
+        if poly.is_const(den):
+            rf = _rf_normalize(_poly_diff(num, i), den)
+        else:
+            # quotient rule: (num' den - num den') / den^2
+            rf = _rf_normalize(
+                poly.sub(poly.mul(_poly_diff(num, i), den),
+                         poly.mul(num, _poly_diff(den, i))),
+                poly.mul(den, den))
+        d = memo[v] = _canonical_node(axes, *rf)
+    return d
+
+
+def _poly_diff(p: Poly, axis: int) -> Poly:
+    """The derivative of ``p`` along ``axis``.  Distinct monomials stay
+    distinct, so no coefficients combine."""
+    out = {}
+    for m, k in p.items():
+        n = m[axis]
+        if n:
+            out[m[:axis] + (n - 1,) + m[axis + 1:]] = k * n
+    return out
 
 
 def _partial(e: Expr, v: VarId) -> Expr:

@@ -134,18 +134,6 @@ def int_content(p: Poly) -> int:
     return g
 
 
-def divide_int(p: Poly, c: int) -> Poly:
-    if c == 1:
-        return dict(p)
-    out = {}
-    for m, k in p.items():
-        q, r = divmod(k, c)
-        if r:
-            raise ArithmeticError("inexact integer division of coefficients")
-        out[m] = q
-    return out
-
-
 def exact_div(f: Poly, g: Poly) -> Poly:
     """Divide f by g assuming the division is exact; raises otherwise."""
     if not g:

@@ -228,13 +228,13 @@ def _vlasov_plans(params: PlasmaParams, density: bool) -> tuple[JetChart, list[E
         pv = Var(jc.base[1])
         phi_q = partial(params.phi, q)
         # the potential lives on q; rebuild it over the jet chart's q
-        phi_q = _rebind(phi_q, {q: Var(jc.base[0])})
+        phi_q = substitute(phi_q, {q: Var(jc.base[0])})
         rate = canon(pv / params.mass * fq * -1 + phi_q * fp * params.charge)
         return jc, [rate]
     jc = JetChart.make(names, ["P1", "P2"])
     qj, pj = Var(jc.base[0]), Var(jc.base[1])
-    phi_q = _rebind(partial(params.phi, q), {q: qj})
-    phi_qq = _rebind(partial(partial(params.phi, q), q), {q: qj})
+    phi_q = substitute(partial(params.phi, q), {q: qj})
+    phi_qq = substitute(partial(partial(params.phi, q), q), {q: qj})
     p1, p2 = Var(jc.fiber[0]), Var(jc.fiber[1])
 
     def x_h(l: int) -> Expr:
@@ -245,10 +245,6 @@ def _vlasov_plans(params: PlasmaParams, density: bool) -> tuple[JetChart, list[E
     rate1 = canon(x_h(0) * -1 + phi_qq * p2 * params.charge)
     rate2 = canon(x_h(1) * -1 - p1 / params.mass)
     return jc, [rate1, rate2]
-
-
-def _rebind(e: Expr, mapping: dict[VarId, Expr]) -> Expr:
-    return substitute(e, mapping)
 
 
 def _parse_params(cfg: SimConfig) -> PlasmaParams:
@@ -303,8 +299,9 @@ def build_model(cfg: SimConfig) -> Model:
                 h_text = parse_expr(cfg.expr, pc.full.vars)
             except ExprError as exc:
                 raise ConfigError(f"bad h: {exc}") from None
-            if (_is_rational_pair(h_text, pc, params)
-                    and not expr_equal(h_text, plasma_hamiltonian(pc, params))):
+            h_params = plasma_hamiltonian(pc, params)
+            if (is_rational(h_text) and is_rational(h_params)
+                    and not expr_equal(h_text, h_params)):
                 raise ConfigError("h does not match the Hamiltonian built from params")
         jc, rates = _vlasov_plans(params, density=cfg.model == "vlasov-density")
         ncomp = 1 if cfg.model == "vlasov-density" else 2
@@ -315,10 +312,6 @@ def build_model(cfg: SimConfig) -> Model:
     rhs = _compile_jet_plan(jc, grid, rates)
     vmax = max(float(np.max(np.abs(v))) for v in vel)
     return Model(cfg.model, grid, ncomp, tuple(jc.base), rhs, vmax)
-
-
-def _is_rational_pair(h_text, pc, params) -> bool:
-    return is_rational(h_text) and is_rational(plasma_hamiltonian(pc, params))
 
 
 def initial_state(cfg: SimConfig, model: Model) -> np.ndarray:

@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from liftlab.expr import (
     Call, Const, EvaluationDomainError, Pow, Prod, Quot, Sum,
-    UnboundVariableError, UnsupportedClassError, Var, VarId, ZERO, ONE,
-    ExprClass, canonicalize, eval_numeric, expr_class, expr_equal, free_vars,
-    kernel_stats, partial, substitute,
+    SymbolicDivisionError, UnboundVariableError, UnsupportedClassError, Var,
+    VarId, ZERO, ONE, ExprClass, _partial, canonicalize, eval_numeric,
+    expr_class, expr_equal, free_vars, kernel_stats, partial, substitute,
 )
 from liftlab.parser import parse_expr
 from liftlab.verify import run_suite
@@ -147,6 +147,21 @@ class TestPartial:
         d_exp = partial(parse("exp(2*x)"), X)
         assert abs(eval_numeric(d_exp, {X: 0.5}) - 2 * math.exp(1.0)) < 1e-14
 
+    def test_undefined_input_raises_for_an_absent_variable(self):
+        # the input is checked before the variable is looked for, also
+        # where its derivative tree folds to 0, as for (1/(x-x))^0
+        for text in ("x/(x-x)", "sin(x)/0", "(1/(x-x))^0"):
+            with pytest.raises(SymbolicDivisionError):
+                partial(parse(text), Y)
+
+    def test_numeric_only_input_folds_as_a_tree(self):
+        assert partial(parse("sin(x)/(x-x)"), Y) is ZERO
+
+    def test_derivative_drops_a_variable_it_no_longer_has(self):
+        d = partial(parse("x*y/(1+z^2)"), X)
+        assert d is canonicalize(parse("y/(z^2+1)"))
+        assert d._rf[0] == (Y, Z)
+
 
 class TestSubstitute:
     def test_rename(self):
@@ -266,6 +281,27 @@ def test_commuting_partials(e):
     assert expr_equal(partial(partial(e, X), Y), partial(partial(e, Y), X))
 
 
+ABSENT = VarId("u", 4)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(expr_strategy(), expr_strategy(),
+       st.sampled_from(["plain", "quotient", "cancelled"]))
+def test_ring_partial_is_the_tree_partial(a, b, shape):
+    if shape == "quotient":
+        # b*b + 1 is never the zero polynomial
+        e = a / (b * b + 1)
+    elif shape == "cancelled":
+        e = a + Var(Y) - Var(Y)
+    else:
+        e = a
+    c = canonicalize(e)
+    for v in (*VARS, ABSENT):
+        d = partial(c, v)
+        assert d is canonicalize(_partial(c, v))
+        assert partial(e, v) is d
+
+
 # ---------------------------------------------------------------------------
 # interned nodes
 
@@ -291,7 +327,7 @@ class TestInterning:
 
     def test_threads_build_identical_objects(self):
         # more threads than cores, switching often, on variables no other
-        # test uses, so the nodes are new to the table
+        # test uses, so the nodes and the derivative memos are new
         fresh = [VarId(f"thread_{i}", i) for i in range(4)]
         results = [None] * 4
         barrier = threading.Barrier(len(results))
@@ -299,7 +335,8 @@ class TestInterning:
         def build(slot):
             rng = random.Random(4242)
             barrier.wait()
-            results[slot] = [random_expr(rng, 4, fresh) for _ in range(1000)]
+            exprs = [random_expr(rng, 4, fresh) for _ in range(1000)]
+            results[slot] = exprs + [partial(e, fresh[0]) for e in exprs[:200]]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -314,7 +351,7 @@ class TestInterning:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         first = results[0]
-        assert len(first) == 1000
+        assert len(first) == 1200
         for other in results[1:]:
             assert all(a is b for a, b in zip(first, other, strict=True))
 
@@ -326,6 +363,14 @@ class TestInterning:
         assert after["nodes"] == before["nodes"]
         assert after["canonicalize_computed"] == before["canonicalize_computed"]
         assert after["canonicalize_calls"] > before["canonicalize_calls"]
+
+    def test_repeated_suite_computes_no_new_derivative(self):
+        run_suite("jets", 2, 3, 77)
+        before = kernel_stats()
+        run_suite("jets", 2, 3, 77)
+        after = kernel_stats()
+        assert after["partial_computed"] == before["partial_computed"]
+        assert after["partial_calls"] > before["partial_calls"]
 
 
 POINTS = st.fixed_dictionaries({
