@@ -591,6 +591,9 @@ def _fold(e: Expr) -> Expr:
                 return num
         if num == ZERO:
             return ZERO
+        # a rational denominator is decided exactly, as canonicalize does
+        if is_rational(den) and is_zero_expr(den):
+            raise SymbolicDivisionError("division by an identically zero expression")
         return Quot(num, den)
     if isinstance(e, Call):
         return Call(e.func, _fold(e.arg))

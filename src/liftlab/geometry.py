@@ -8,13 +8,16 @@ immutable and all operations pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .expr import (
     FUNCTIONS, Expr, ExprError, ONE, Var, VarId, ZERO, canon, is_rational,
     is_zero_expr, partial,
 )
 from .parser import IDENT_RE
+
+# a derivative d(e, v) of e along the coordinate v; ``partial`` is the default
+Derivative = Callable[[Expr, VarId], Expr]
 
 __all__ = [
     "Chart", "VectorField", "DifferentialForm", "VolumeForm",
@@ -94,12 +97,12 @@ class VectorField:
             raise ChartError("component count must equal chart dimension")
         object.__setattr__(self, "components", tuple(canon(c) for c in self.components))
 
-    def apply(self, f: Expr) -> Expr:
-        """Directional derivative X(f)."""
+    def apply(self, f: Expr, d: Derivative = partial) -> Expr:
+        """Directional derivative X(f), X^a d(f, x^a)."""
         out: Expr = ZERO
         for comp, v in zip(self.components, self.chart.vars):
             if comp != ZERO:
-                out = out + comp * partial(f, v)
+                out = out + comp * d(f, v)
         return canon(out)
 
     def __add__(self, other: "VectorField") -> "VectorField":

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .expr import (
     FUNCTIONS, Expr, ExprError, Var, VarId, ZERO, canon, expr_equal, free_vars,
-    partial,
+    is_rational, partial,
 )
 from .geometry import Chart, ChartError, VectorField
 
@@ -184,7 +184,6 @@ class GeneralizedVectorField:
                         zip(self.fiber_components, other.fiber_components)))
 
     def all_rational(self) -> bool:
-        from .expr import is_rational
         return all(is_rational(c) for c in
                    self.base_components + self.fiber_components)
 
@@ -302,35 +301,20 @@ def holonomic_lift(jc: JetChart, X: VectorField) -> GeneralizedVectorField:
 
 @dataclass(frozen=True)
 class JetConnection:
-    """The (1,1) connection tensor, represented by its action on fields."""
+    """The (1,1) connection tensor Gamma_J on one jet chart: the holonomic
+    lift of a field's pushforward."""
 
     jet_chart: JetChart
 
     def __call__(self, xi: GeneralizedVectorField) -> GeneralizedVectorField:
-        jc = self.jet_chart
-        if xi.jet_chart != jc:
+        if xi.jet_chart != self.jet_chart:
             raise ChartError("jet charts differ")
-        fiber = []
-        for l in range(jc.k):
-            comp: Expr = ZERO
-            for a in range(jc.m):
-                comp = comp + xi.base_components[a] * Var(jc.jet(l, a))
-            fiber.append(canon(comp))
-        return GeneralizedVectorField(jc, xi.base_components, tuple(fiber))
+        return holonomic_lift(self.jet_chart, xi.pushforward())
 
 
 def holonomic_part(xi: GeneralizedVectorField) -> GeneralizedVectorField:
-    """H(xi) = (pi_* xi)^hol = Gamma_J xi; both routes computed and compared.
-
-    The route comparison is a symbolic-equality check, so it runs on the
-    rational fragment only; transcendental coefficients skip it.
-    """
-    jc = xi.jet_chart
-    lifted = holonomic_lift(jc, xi.pushforward())
-    via_connection = JetConnection(jc)(xi)
-    if xi.all_rational() and not lifted.equals(via_connection):
-        raise JetConsistencyError("holonomic lift and connection disagree")
-    return lifted
+    """H(xi) = (pi_* xi)^hol = Gamma_J xi."""
+    return holonomic_lift(xi.jet_chart, xi.pushforward())
 
 
 def vertical_representative(xi: GeneralizedVectorField) -> GeneralizedVectorField:

@@ -9,6 +9,12 @@ The canonical right-hand-side path is always the strong coadjoint formula
 The printed Hamiltonian operators are implemented verbatim as well, but
 they are meant for weak-form probing under torus quadrature only; their
 strong forms are not asserted against the coadjoint path.
+
+The formulas that take derivatives of their arguments (``contact_bracket``,
+``contact_density``, ``contact_density_rhs``, ``vlasov_density_rhs`` and
+``vlasov_momentum_rhs``) take the derivative ``d(e, v)`` as a parameter,
+``partial`` by default.  The simulation reads the same formulas on a jet
+chart, with the state as fiber variables and the total derivative for ``d``.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ from .expr import (
     is_rational, is_zero_expr, partial, substitute,
 )
 from .geometry import (
-    Chart, ChartError, ChartMismatchError, DifferentialForm, VectorField,
-    VolumeForm, divergence, exterior_derivative, interior_product,
+    Chart, ChartError, ChartMismatchError, Derivative, DifferentialForm,
+    VectorField, VolumeForm, divergence, exterior_derivative, interior_product,
     lie_derivative_form, one_form, pointwise_pairing, wedge,
 )
 from .lifts import (
@@ -173,7 +179,8 @@ def plasma_dual_ok(pi: PlasmaMomentum) -> bool:
     return not is_zero_expr(plasma_density(pi))
 
 
-def vlasov_momentum_rhs(pi: PlasmaMomentum, params: PlasmaParams) -> PlasmaMomentum:
+def vlasov_momentum_rhs(pi: PlasmaMomentum, params: PlasmaParams,
+                        d: Derivative = partial) -> PlasmaMomentum:
     """Vlasov equations in momentum variables, written exactly as displayed:
 
         Pi_i_dot = -X_h(Pi_i) + e (d2 phi / dq^i dq^j) Pi^j
@@ -185,22 +192,23 @@ def vlasov_momentum_rhs(pi: PlasmaMomentum, params: PlasmaParams) -> PlasmaMomen
     down = []
     up = []
     for i in range(pc.m):
-        rate_down = X_h.apply(pi.down[i]) * -1
+        rate_down = X_h.apply(pi.down[i], d) * -1
         for j in range(pc.m):
-            hess = partial(partial(params.phi, pc.base_var(i)), pc.base_var(j))
+            hess = d(d(params.phi, pc.base_var(i)), pc.base_var(j))
             rate_down = rate_down + hess * pi.up[j] * params.charge
         down.append(canon(rate_down))
-        rate_up = X_h.apply(pi.up[i]) * -1 - pi.down[i] / params.mass
+        rate_up = X_h.apply(pi.up[i], d) * -1 - pi.down[i] / params.mass
         up.append(canon(rate_up))
     return PlasmaMomentum(pc, tuple(down), tuple(up))
 
 
-def vlasov_density_rhs(pc: CotangentChart, f: Expr, params: PlasmaParams) -> Expr:
+def vlasov_density_rhs(pc: CotangentChart, f: Expr, params: PlasmaParams,
+                       d: Derivative = partial) -> Expr:
     """f_dot = -(p_i/m) df/dq^i + e (dphi/dq^i) df/dp_i."""
     out: Expr = ZERO
     for i in range(pc.m):
-        out = out - Var(pc.fiber_var(i)) / params.mass * partial(f, pc.base_var(i))
-        out = out + partial(params.phi, pc.base_var(i)) * partial(f, pc.fiber_var(i)) * params.charge
+        out = out - Var(pc.fiber_var(i)) / params.mass * d(f, pc.base_var(i))
+        out = out + d(params.phi, pc.base_var(i)) * d(f, pc.fiber_var(i)) * params.charge
     return canon(out)
 
 
@@ -262,26 +270,29 @@ def contact_vector_field(cs: ContactStructure, K: Expr) -> VectorField:
     ))
 
 
-def contact_bracket(cs: ContactStructure, L: Expr, K: Expr) -> Expr:
+def contact_bracket(cs: ContactStructure, L: Expr, K: Expr,
+                    d: Derivative = partial) -> Expr:
     """{L,K}_c = L_x K_y - L_y K_x + K_z (L - x L_x) - L_z (K - x K_x)."""
     x = Var(cs.x)
-    lx, ly, lz = (partial(L, v) for v in (cs.x, cs.y, cs.z))
-    kx, ky, kz = (partial(K, v) for v in (cs.x, cs.y, cs.z))
+    lx, ly, lz = (d(L, v) for v in (cs.x, cs.y, cs.z))
+    kx, ky, kz = (d(K, v) for v in (cs.x, cs.y, cs.z))
     return canon(lx * ky - ly * kx + kz * (L - x * lx) - lz * (K - x * kx))
 
 
 def contact_density(cs: ContactStructure, alpha: DifferentialForm,
-                    cross_check: bool = True) -> Expr:
+                    cross_check: bool = True, d: Derivative = partial) -> Expr:
     """L with L dsigma^sigma = d(alpha)^sigma - 2 alpha^dsigma.
 
     Coordinate formula; for rational input the wedge identity is verified.
+    The identity takes partial derivatives, so any other ``d`` needs
+    ``cross_check=False``.
     """
     if alpha.degree != 1 or alpha.chart != cs.chart:
         raise ChartError("contact density takes a one-form on the contact chart")
     ax, ay, az = (alpha.coeff((i,)) for i in range(3))
     x = Var(cs.x)
-    L = canon(partial(ay, cs.x) - partial(ax, cs.y)
-              - x * partial(az, cs.x) + x * partial(ax, cs.z) - az * 2)
+    L = canon(d(ay, cs.x) - d(ax, cs.y)
+              - x * d(az, cs.x) + x * d(ax, cs.z) - az * 2)
     if cross_check and is_rational(L) and all(is_rational(c) for c in (ax, ay, az)):
         dsigma = exterior_derivative(cs.sigma)
         lhs = wedge(exterior_derivative(alpha), cs.sigma) - wedge(alpha, dsigma).scaled(2)
@@ -347,10 +358,11 @@ def contact_momentum_rhs_via_lift(cs: ContactStructure, alpha: DifferentialForm,
     return one_form(cs.chart, tuple(out))
 
 
-def contact_density_rhs(cs: ContactStructure, L: Expr, K: Expr) -> Expr:
+def contact_density_rhs(cs: ContactStructure, L: Expr, K: Expr,
+                        d: Derivative = partial) -> Expr:
     """L_dot = -{L,K}_c - 2 (div X_K) L = -{L,K}_c + 4 K_z L."""
-    kz = partial(K, cs.z)
-    return canon(contact_bracket(cs, L, K) * -1 + kz * L * 4)
+    kz = d(K, cs.z)
+    return canon(contact_bracket(cs, L, K, d) * -1 + kz * L * 4)
 
 
 def hamiltonian_operator_momentum(cs: ContactStructure, alpha: DifferentialForm,

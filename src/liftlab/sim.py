@@ -3,9 +3,12 @@
 Each model compiles its symbolic right-hand side once into a pointwise
 evaluation plan: an expression over (coordinates, state components,
 first-jet variables), where the jet variables are realized as 4th-order
-stencil derivatives of the state.  The contact-momentum plan is generated
-from the vertical representative of the cotangent lift, the same route the
-symbolic layer uses.
+stencil derivatives of the state.  Every plan is a ``kinetics`` formula read
+on a jet chart: the state components are the fiber variables and the total
+derivative D_a stands in for the partial derivative.  The contact-momentum
+plan is the vertical representative of the cotangent lift, the same route
+the symbolic layer uses; the density map of the two-path harness is
+``contact_density`` read the same way.
 
 A model's rates compile together into one DAG (``grid.compile_numeric``)
 with the coordinates fixed to the grid's axis lines.  Every coefficient
@@ -31,16 +34,18 @@ import numpy as np
 from . import __version__
 from .expr import (
     Expr, ExprError, Var, VarId, canon, expr_equal, free_vars, is_rational,
-    partial, substitute,
+    partial,
 )
 from .grid import (
     TWO_PI, Grid, NumericalAbortError, check_periodic, compile_numeric,
     discretize, quadrature, rk4_step, spatial_derivative,
 )
-from .jets import JetChart
+from .geometry import Chart, Derivative, one_form
+from .jets import JetChart, total_derivative
 from .kinetics import (
-    ContactStructure, PlasmaParams, contact_cotangent_chart, plasma_chart,
-    contact_vector_field, plasma_hamiltonian,
+    ContactStructure, PlasmaMomentum, PlasmaParams, contact_cotangent_chart,
+    contact_density, contact_density_rhs, contact_vector_field, plasma_chart,
+    plasma_hamiltonian, vlasov_density_rhs, vlasov_momentum_rhs,
 )
 from .lifts import hamiltonian_vector_field, lift_decomposition
 from .parser import parse_expr
@@ -73,7 +78,6 @@ class SimConfig:
     out: str = "traj.csv"
     diag: str = "diag.csv"
     allow_aperiodic: bool = False
-    seed: int | None = None
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -97,7 +101,7 @@ def load_config(path: str | Path) -> SimConfig:
     if not isinstance(raw, dict):
         raise ConfigError("a config file must hold one JSON object")
     known = {"model", "K", "h", "params", "init", "n", "dt", "steps",
-             "cadence", "out", "diag", "allow_aperiodic", "seed"}
+             "cadence", "out", "diag", "allow_aperiodic"}
     extra = set(raw) - known
     if extra:
         raise ConfigError(f"unknown config keys: {sorted(extra)}")
@@ -128,7 +132,6 @@ def load_config(path: str | Path) -> SimConfig:
             out=raw.get("out", "traj.csv"),
             diag=raw.get("diag", "diag.csv"),
             allow_aperiodic=raw.get("allow_aperiodic", False),
-            seed=raw.get("seed"),
         )
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc}") from None
@@ -196,55 +199,27 @@ def _contact_momentum_plan(cs: ContactStructure, K: Expr) -> tuple[JetChart, lis
     return jc, rates
 
 
-def _contact_density_plan(cs: ContactStructure, K: Expr) -> tuple[JetChart, list[Expr]]:
-    """L_dot = -{L,K}_c + 4 K_z L with state derivatives as jet variables."""
-    jc = JetChart.from_chart(cs.chart, ["L"])
-    state = Var(jc.fiber[0])
-    lx, ly, lz = (Var(jc.jet(0, a)) for a in range(3))
-    x = Var(jc.base[0])
-    kx, ky, kz = (partial(K, v) for v in (cs.x, cs.y, cs.z))
-    bracket = lx * ky - ly * kx + kz * (state - x * lx) - lz * (K - x * kx)
-    return jc, [canon(bracket * -1 + 4 * kz * state)]
+def _jet_plan(base: Chart, fibers: Sequence[str],
+              formula: Callable[[list[Expr], Derivative], Sequence[Expr]]
+              ) -> tuple[JetChart, list[Expr]]:
+    """Read a formula on the jet chart over ``base`` with the given fibers.
+
+    ``formula(state, d)`` gets the fiber variables as the state and the
+    total derivative D_a, addressed by base variable, as ``d``.
+    """
+    jc = JetChart.from_chart(base, fibers)
+    axis = {v: a for a, v in enumerate(jc.base)}
+
+    def d(e: Expr, v: VarId) -> Expr:
+        return total_derivative(jc, e, axis[v])
+
+    return jc, list(formula([Var(u) for u in jc.fiber], d))
 
 
-def contact_density_map_plan(cs: ContactStructure) -> tuple[JetChart, Expr]:
-    """The density map with state derivatives as jet variables."""
-    jc = JetChart.from_chart(cs.chart, ["a_x", "a_y", "a_z"])
-    x = Var(jc.base[0])
-    ax, ay, az = (Var(jc.fiber[l]) for l in range(3))
-    e = (Var(jc.jet(1, 0)) - Var(jc.jet(0, 1))
-         - x * Var(jc.jet(2, 0)) + x * Var(jc.jet(0, 2)) - 2 * az)
-    return jc, canon(e)
-
-
-def _vlasov_plans(params: PlasmaParams, density: bool) -> tuple[JetChart, list[Expr]]:
-    pc = plasma_chart(1)
-    q, p = pc.base_var(0), pc.fiber_var(0)
-    names = [v.name for v in pc.full.vars]
-    if density:
-        jc = JetChart.make(names, ["f"])
-        f = Var(jc.fiber[0])
-        fq, fp = Var(jc.jet(0, 0)), Var(jc.jet(0, 1))
-        pv = Var(jc.base[1])
-        phi_q = partial(params.phi, q)
-        # the potential lives on q; rebuild it over the jet chart's q
-        phi_q = substitute(phi_q, {q: Var(jc.base[0])})
-        rate = canon(pv / params.mass * fq * -1 + phi_q * fp * params.charge)
-        return jc, [rate]
-    jc = JetChart.make(names, ["P1", "P2"])
-    qj, pj = Var(jc.base[0]), Var(jc.base[1])
-    phi_q = substitute(partial(params.phi, q), {q: qj})
-    phi_qq = substitute(partial(partial(params.phi, q), q), {q: qj})
-    p1, p2 = Var(jc.fiber[0]), Var(jc.fiber[1])
-
-    def x_h(l: int) -> Expr:
-        # X_h(g) with g's derivatives as jet variables
-        gq, gp = Var(jc.jet(l, 0)), Var(jc.jet(l, 1))
-        return pj / params.mass * gq - phi_q * gp * params.charge
-
-    rate1 = canon(x_h(0) * -1 + phi_qq * p2 * params.charge)
-    rate2 = canon(x_h(1) * -1 - p1 / params.mass)
-    return jc, [rate1, rate2]
+def _density_map_plan(cs: ContactStructure) -> tuple[JetChart, list[Expr]]:
+    """The contact density map, with the momentum components as fibers."""
+    return _jet_plan(cs.chart, ["a_x", "a_y", "a_z"], lambda a, d: [
+        contact_density(cs, one_form(cs.chart, tuple(a)), cross_check=False, d=d)])
 
 
 def _parse_params(cfg: SimConfig) -> PlasmaParams:
@@ -270,10 +245,10 @@ def _velocity_arrays(grid: Grid, coord_vars: Sequence[VarId],
     return compile_numeric(components, {}, fixed)()
 
 
-def build_model(cfg: SimConfig) -> Model:
-    """Compile the symbolic RHS for cfg into a grid evaluation plan."""
+def _model_plan(cfg: SimConfig) -> tuple[JetChart, list[Expr], tuple[Expr, ...]]:
+    """The jet chart and rates of cfg's model, and the components of the
+    field that carries its state."""
     if cfg.model.startswith("contact"):
-        grid = Grid(3, cfg.n)
         cs = ContactStructure.standard()
         if not cfg.expr:
             raise ConfigError("contact models need the generator K")
@@ -283,35 +258,45 @@ def build_model(cfg: SimConfig) -> Model:
             raise ConfigError(f"bad K: {exc}") from None
         if cfg.model == "contact-momentum":
             jc, rates = _contact_momentum_plan(cs, K)
-            ncomp = 3
         else:
-            jc, rates = _contact_density_plan(cs, K)
-            ncomp = 1
-        vel = _velocity_arrays(grid, cs.chart.vars,
-                               contact_vector_field(cs, K).components)
+            jc, rates = _jet_plan(cs.chart, ["L"], lambda u, d: [
+                contact_density_rhs(cs, u[0], K, d)])
+        return jc, rates, contact_vector_field(cs, K).components
+    params = _parse_params(cfg)
+    pc = plasma_chart(1)
+    if cfg.expr:
+        # an explicit Hamiltonian must match the one the parameters build
+        try:
+            h_text = parse_expr(cfg.expr, pc.full.vars)
+        except ExprError as exc:
+            raise ConfigError(f"bad h: {exc}") from None
+        h_params = plasma_hamiltonian(pc, params)
+        if (is_rational(h_text) and is_rational(h_params)
+                and not expr_equal(h_text, h_params)):
+            raise ConfigError("h does not match the Hamiltonian built from params")
+    if cfg.model == "vlasov-density":
+        jc, rates = _jet_plan(pc.full, ["f"], lambda u, d: [
+            vlasov_density_rhs(pc, u[0], params, d)])
     else:
-        grid = Grid(2, cfg.n)
-        params = _parse_params(cfg)
-        pc = plasma_chart(1)
-        if cfg.expr:
-            # an explicit Hamiltonian must match the one the parameters build
-            try:
-                h_text = parse_expr(cfg.expr, pc.full.vars)
-            except ExprError as exc:
-                raise ConfigError(f"bad h: {exc}") from None
-            h_params = plasma_hamiltonian(pc, params)
-            if (is_rational(h_text) and is_rational(h_params)
-                    and not expr_equal(h_text, h_params)):
-                raise ConfigError("h does not match the Hamiltonian built from params")
-        jc, rates = _vlasov_plans(params, density=cfg.model == "vlasov-density")
-        ncomp = 1 if cfg.model == "vlasov-density" else 2
-        X = hamiltonian_vector_field(pc, plasma_hamiltonian(pc, params))
-        vel = _velocity_arrays(grid, (pc.base_var(0), pc.fiber_var(0)), X.components)
-    if len(cfg.init) != ncomp:
-        raise ConfigError(f"model '{cfg.model}' needs {ncomp} initial component(s), got {len(cfg.init)}")
+        def momentum(u: list[Expr], d: Derivative) -> tuple[Expr, ...]:
+            rate = vlasov_momentum_rhs(PlasmaMomentum(pc, (u[0],), (u[1],)), params, d)
+            return rate.down + rate.up
+
+        jc, rates = _jet_plan(pc.full, ["P1", "P2"], momentum)
+    X = hamiltonian_vector_field(pc, plasma_hamiltonian(pc, params))
+    return jc, rates, X.components
+
+
+def build_model(cfg: SimConfig) -> Model:
+    """Compile the symbolic RHS for cfg into a grid evaluation plan."""
+    grid = Grid(3 if cfg.model.startswith("contact") else 2, cfg.n)
+    jc, rates, velocity = _model_plan(cfg)
+    vel = _velocity_arrays(grid, jc.base, velocity)
+    if len(cfg.init) != jc.k:
+        raise ConfigError(f"model '{cfg.model}' needs {jc.k} initial component(s), got {len(cfg.init)}")
     rhs = _compile_jet_plan(jc, grid, rates)
     vmax = max(float(np.max(np.abs(v))) for v in vel)
-    return Model(cfg.model, grid, ncomp, tuple(jc.base), rhs, vmax)
+    return Model(cfg.model, grid, jc.k, tuple(jc.base), rhs, vmax)
 
 
 def initial_state(cfg: SimConfig, model: Model) -> np.ndarray:
@@ -398,7 +383,6 @@ def run_simulation(cfg: SimConfig) -> RunResult:
             "init": list(cfg.init), "n": cfg.n, "dt": cfg.dt,
             "steps": cfg.steps, "cadence": cfg.cadence, "out": cfg.out,
             "diag": cfg.diag, "allow_aperiodic": cfg.allow_aperiodic,
-            "seed": cfg.seed,
         },
         "version": __version__,
         "grid": {"dim": grid.dim, "n": grid.n, "h": grid.h},
@@ -571,8 +555,8 @@ def discrete_intertwining_error(K_text: str, alpha_init: Sequence[str],
     den = build_model(cfg_d)
     state_m = initial_state(cfg_m, mom)
     state_d = initial_state(cfg_d, den)
-    jc, map_expr = contact_density_map_plan(cs)
-    map_rhs = _compile_jet_plan(jc, mom.grid, [map_expr])
+    map_jc, map_rates = _density_map_plan(cs)
+    map_rhs = _compile_jet_plan(map_jc, mom.grid, map_rates)
     masks = determined_nodes(K_text, n, dt, steps, cadence)
     checked = [float(m.mean()) for m in masks]
     remaining = iter(masks)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .expr import Call, Expr, Var, ZERO, canon, expr_equal, partial
+from .expr import Call, Expr, Var, ZERO, canon, expr_equal, partial, substitute
 from .geometry import (
     Chart, VectorField, VolumeForm, divergence, exterior_derivative,
     interior_product, jacobi_lie_bracket, lie_derivative_form, one_form,
@@ -143,7 +143,6 @@ def _ordinary_bracket_on_jet(jc: JetChart, a: GeneralizedVectorField,
     echart = Chart.make(*[v.name for v in jc.base + jc.fiber])
     rename = {old: Var(new) for old, new in zip(jc.base + jc.fiber, echart.vars)}
     back = {new: Var(old) for old, new in zip(jc.base + jc.fiber, echart.vars)}
-    from .expr import substitute
     X = VectorField(echart, tuple(substitute(c, rename)
                                   for c in a.base_components + a.fiber_components))
     Y = VectorField(echart, tuple(substitute(c, rename)
@@ -351,7 +350,6 @@ def suite_euler_field(trials: int, degree: int, seed: int) -> SuiteReport:
         return None
 
     def euler_composition(rng):
-        from .expr import substitute
         cc = _pick_cot(rng)
         alpha = rand_one_form(rng, cc.base, degree)
         xe = euler_vector_field(cc)
@@ -390,6 +388,18 @@ def _rand_plasma_momentum(rng, pc: CotangentChart, degree: int) -> PlasmaMomentu
         pc,
         tuple(rand_poly(rng, allv, degree, 2) for _ in range(pc.m)),
         tuple(rand_poly(rng, allv, degree, 2) for _ in range(pc.m)))
+
+
+def _plasma_intertwining(rng, degree: int) -> str | None:
+    """The plasma density of the Vlasov momentum rate is the density rate."""
+    pc = _PLASMA_CHARTS[rng.randrange(2)]
+    params = _rand_params(rng, pc, degree)
+    pi = _rand_plasma_momentum(rng, pc, degree)
+    lhs = plasma_density(vlasov_momentum_rhs(pi, params))
+    rhs = vlasov_density_rhs(pc, plasma_density(pi), params)
+    if not expr_equal(lhs, rhs):
+        return f"Pi = {pi.down + pi.up}; params m={params.mass} e={params.charge} phi={params.phi}"
+    return None
 
 
 def suite_plasma(trials: int, degree: int, seed: int) -> SuiteReport:
@@ -431,21 +441,11 @@ def suite_plasma(trials: int, degree: int, seed: int) -> SuiteReport:
                 return f"Pi = {pi.down + pi.up}; params m={params.mass} e={params.charge} phi={params.phi}"
         return None
 
-    def intertwining(rng):
-        pc = pick(rng)
-        params = _rand_params(rng, pc, degree)
-        pi = _rand_plasma_momentum(rng, pc, degree)
-        lhs = plasma_density(vlasov_momentum_rhs(pi, params))
-        rhs = vlasov_density_rhs(pc, plasma_density(pi), params)
-        if not expr_equal(lhs, rhs):
-            return f"Pi = {pi.down + pi.up}; params m={params.mass} e={params.charge} phi={params.phi}"
-        return None
-
     checks = [
         ("poisson-bracket-isomorphism", poisson_isomorphism),
         ("hamiltonian-fields-divergence-free", hamiltonian_div_free),
         ("momentum-rhs-matches-coadjoint", momentum_matches_coadjoint),
-        ("plasma-density-intertwining", intertwining),
+        ("plasma-density-intertwining", lambda rng: _plasma_intertwining(rng, degree)),
     ]
     return _run_checks(report, checks, trials, seed)
 
@@ -454,6 +454,18 @@ def suite_plasma(trials: int, degree: int, seed: int) -> SuiteReport:
 # contact
 
 _CS = ContactStructure.standard()
+
+
+def _contact_intertwining(rng, degree: int) -> str | None:
+    """The contact density of the momentum rate is the density rate."""
+    cs = _CS
+    alpha = rand_one_form(rng, cs.chart, degree)
+    K = rand_poly(rng, cs.chart.vars, degree, 3)
+    lhs = contact_density(cs, contact_momentum_rhs(cs, alpha, K), cross_check=False)
+    rhs = contact_density_rhs(cs, contact_density(cs, alpha, cross_check=False), K)
+    if not expr_equal(lhs, rhs):
+        return f"alpha = {alpha}; K = {K}"
+    return None
 
 
 def suite_contact(trials: int, degree: int, seed: int) -> SuiteReport:
@@ -507,22 +519,13 @@ def suite_contact(trials: int, degree: int, seed: int) -> SuiteReport:
             return f"alpha = {alpha}; K = {K}"
         return None
 
-    def intertwining(rng):
-        alpha = rand_one_form(rng, cs.chart, degree)
-        K = rand_poly(rng, cs.chart.vars, degree, 3)
-        lhs = contact_density(cs, contact_momentum_rhs(cs, alpha, K), cross_check=False)
-        rhs = contact_density_rhs(cs, contact_density(cs, alpha, cross_check=False), K)
-        if not expr_equal(lhs, rhs):
-            return f"alpha = {alpha}; K = {K}"
-        return None
-
     checks = [
         ("contact-field-defining-identities", contact_identities),
         ("contact-divergence-is--2Kz", divergence_formula),
         ("contact-bracket-antihomomorphism", bracket_antihomomorphism),
         ("density-wedge-consistency", density_wedge),
         ("momentum-rhs-dual-path-equality", dual_path),
-        ("contact-density-intertwining", intertwining),
+        ("contact-density-intertwining", lambda rng: _contact_intertwining(rng, degree)),
     ]
     return _run_checks(report, checks, trials, seed)
 
@@ -532,30 +535,11 @@ def suite_contact(trials: int, degree: int, seed: int) -> SuiteReport:
 
 def suite_intertwining(trials: int, degree: int, seed: int) -> SuiteReport:
     report = SuiteReport("intertwining", trials, degree, seed)
-    cs = _CS
-
-    def contact_route(rng):
-        alpha = rand_one_form(rng, cs.chart, degree)
-        K = rand_poly(rng, cs.chart.vars, degree, 3)
-        lhs = contact_density(cs, contact_momentum_rhs(cs, alpha, K), cross_check=False)
-        rhs = contact_density_rhs(cs, contact_density(cs, alpha, cross_check=False), K)
-        if not expr_equal(lhs, rhs):
-            return f"alpha = {alpha}; K = {K}"
-        return None
-
-    def plasma_route(rng):
-        pc = _PLASMA_CHARTS[rng.randrange(2)]
-        params = _rand_params(rng, pc, degree)
-        pi = _rand_plasma_momentum(rng, pc, degree)
-        lhs = plasma_density(vlasov_momentum_rhs(pi, params))
-        rhs = vlasov_density_rhs(pc, plasma_density(pi), params)
-        if not expr_equal(lhs, rhs):
-            return f"Pi = {pi.down + pi.up}"
-        return None
-
     checks = [
-        ("contact-momentum-map-intertwining", contact_route),
-        ("plasma-momentum-map-intertwining", plasma_route),
+        ("contact-momentum-map-intertwining",
+         lambda rng: _contact_intertwining(rng, degree)),
+        ("plasma-momentum-map-intertwining",
+         lambda rng: _plasma_intertwining(rng, degree)),
     ]
     return _run_checks(report, checks, trials, seed)
 

@@ -57,6 +57,13 @@ class TestLift:
         assert code == 2
         assert "nested deeper" in err
 
+    def test_numeric_only_quotient_by_zero_is_config_error(self, capsys):
+        code, out, err = run(capsys, "lift", "--field", "sin(x)/(x-x),y",
+                             "--vars", "x,y")
+        assert code == 2
+        assert out == ""
+        assert "identically zero" in err
+
     def test_function_name_as_variable_is_config_error(self, capsys):
         code, _, err = run(capsys, "lift", "--field", "y, y", "--vars", "sin,y")
         assert code == 2
@@ -188,6 +195,16 @@ class TestSim:
                            "--out", str(tmp_path / "t.csv"),
                            "--diag", str(tmp_path / "d.csv"))
         assert code == 2
+
+    def test_numeric_only_quotient_by_zero_in_K_is_config_error(self, tmp_path, capsys):
+        code, _, err = run(capsys, "sim", "--model", "contact-density",
+                           "--K", "z+sin(x)/(x-x)", "--init", "1", "--n", "16",
+                           "--dt", "1e-3", "--steps", "1",
+                           "--out", str(tmp_path / "t.csv"),
+                           "--diag", str(tmp_path / "d.csv"))
+        assert code == 2
+        assert "identically zero" in err
+        assert not (tmp_path / "t.csv").exists()
 
     def test_aperiodic_init_is_config_error_without_flag(self, tmp_path, capsys):
         code, _, err = run(capsys, "sim", "--model", "contact-density",

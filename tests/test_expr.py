@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from liftlab.expr import (
     Call, Const, EvaluationDomainError, Pow, Prod, Quot, Sum,
     SymbolicDivisionError, UnboundVariableError, UnsupportedClassError, Var,
-    VarId, ZERO, ONE, ExprClass, _partial, canonicalize, eval_numeric,
+    VarId, ZERO, ONE, ExprClass, _partial, canon, canonicalize, eval_numeric,
     expr_class, expr_equal, free_vars, kernel_stats, partial, substitute,
 )
 from liftlab.parser import parse_expr
@@ -156,6 +156,11 @@ class TestPartial:
 
     def test_numeric_only_input_folds_as_a_tree(self):
         assert partial(parse("sin(x)/(x-x)"), Y) is ZERO
+
+    def test_numeric_only_quotient_by_identically_zero_raises(self):
+        for text in ("sin(x)/(x-x)", "x + exp(y)/((x+1)^2 - x^2 - 2*x - 1)"):
+            with pytest.raises(SymbolicDivisionError):
+                canon(parse(text))
 
     def test_derivative_drops_a_variable_it_no_longer_has(self):
         d = partial(parse("x*y/(1+z^2)"), X)

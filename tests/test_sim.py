@@ -3,14 +3,25 @@
 import io
 import json
 import os
+import random
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from liftlab import sim
+from liftlab.expr import ZERO, Var, canon, expr_equal, partial, substitute
+from liftlab.geometry import one_form
 from liftlab.grid import AperiodicDataError, Grid
+from liftlab.kinetics import (
+    ContactStructure, PlasmaMomentum, PlasmaParams, contact_density,
+    contact_density_rhs, contact_momentum_rhs, plasma_chart,
+    vlasov_density_rhs, vlasov_momentum_rhs,
+)
+from liftlab.parser import parse_expr
+from liftlab.samplers import rand_poly
 from liftlab.sim import (
     ConfigError, SimConfig, build_model, determined_nodes,
     discrete_intertwining_error, initial_state, load_config, run_simulation,
@@ -57,11 +68,13 @@ class TestConfig:
         assert cfg.params["phi"] == "cos(q)"
 
     def test_unknown_config_key_rejected(self, tmp_path):
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({"model": "contact-density", "n": 16,
-                                    "dt": 1e-3, "steps": 1, "bogus": 1}))
-        with pytest.raises(ConfigError):
-            load_config(path)
+        # "seed" was accepted and never read; it is unknown like any other
+        for key in ("bogus", "seed"):
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps({"model": "contact-density", "n": 16,
+                                        "dt": 1e-3, "steps": 1, key: 1}))
+            with pytest.raises(ConfigError, match=key):
+                load_config(path)
 
     def test_inconsistent_h_rejected(self):
         cfg = SimConfig(model="vlasov-density", n=16, dt=1e-3, steps=1,
@@ -321,6 +334,109 @@ class TestCompiledPlanAgainstHandWrittenRhs:
         want2 = -X_h(P2) - P1 / m
         assert np.max(np.abs(got[..., 0] - want1)) < 1e-12
         assert np.max(np.abs(got[..., 1] - want2)) < 1e-12
+
+
+def _poly_text(rng: random.Random, names, degree: int) -> str:
+    """A random polynomial of total degree <= degree, as text."""
+    terms = []
+    for _ in range(3):
+        budget = degree
+        factors = [f"({Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2))})"]
+        for name in names:
+            power = rng.randint(0, budget)
+            budget -= power
+            factors.append(f"{name}^{power}")
+        terms.append("*".join(factors))
+    return " + ".join(terms)
+
+
+def _rational_section(rng: random.Random, vars, k: int) -> list:
+    """k random non-zero rational functions of vars whose denominators
+    cannot vanish."""
+    out = []
+    while len(out) < k:
+        num = rand_poly(rng, vars, 2, 2)
+        if num != ZERO:
+            out.append(canon(num / (1 + Var(rng.choice(vars)) ** 2)))
+    return out
+
+
+def _on_section(jc, rates, section) -> list:
+    """Read rates over a jet chart at a section: each fiber variable is a
+    component of the section and each jet variable its partial derivative."""
+    bind = {}
+    for l, comp in enumerate(section):
+        bind[jc.fiber[l]] = comp
+        for a, v in enumerate(jc.base):
+            bind[jc.jet(l, a)] = partial(comp, v)
+    return [canon(substitute(r, bind)) for r in rates]
+
+
+def _all_equal(got, want) -> bool:
+    return len(got) == len(want) and all(expr_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("seed", range(4))
+class TestPlansAreKineticsFormulasOnJets:
+    """Each plan, read at a section, is its kinetics formula applied to that
+    section with the partial derivative."""
+
+    cs = ContactStructure.standard()
+    pc = plasma_chart(1)
+
+    def contact_inputs(self, seed):
+        rng = random.Random(f"plans:{seed}")
+        # a term no random one can cancel keeps K_x and K_z non-zero
+        K_text = _poly_text(rng, ("x", "y", "z"), 2) + " + (1/7)*x*z"
+        return K_text, parse_expr(K_text, self.cs.chart.vars), rng
+
+    def plasma_inputs(self, seed):
+        rng = random.Random(f"plans:{seed}")
+        phi_text = _poly_text(rng, ("q",), 3) + " + (1/7)*q^3"
+        m = Fraction(rng.randint(1, 3), rng.randint(1, 2))
+        e = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2))
+        params = PlasmaParams(m, e, parse_expr(phi_text, [self.pc.base_var(0)]))
+        return {"m": str(m), "e": str(e), "phi": phi_text}, params, rng
+
+    def test_contact_momentum(self, seed):
+        K_text, K, rng = self.contact_inputs(seed)
+        cfg = SimConfig(model="contact-momentum", n=8, dt=1e-3, steps=1, expr=K_text)
+        jc, rates, _ = sim._model_plan(cfg)
+        alpha = _rational_section(rng, self.cs.chart.vars, 3)
+        want = contact_momentum_rhs(self.cs, one_form(self.cs.chart, tuple(alpha)), K)
+        assert _all_equal(_on_section(jc, rates, alpha),
+                          [want.coeff((i,)) for i in range(3)])
+
+    def test_contact_density(self, seed):
+        K_text, K, rng = self.contact_inputs(seed)
+        cfg = SimConfig(model="contact-density", n=8, dt=1e-3, steps=1, expr=K_text)
+        jc, rates, _ = sim._model_plan(cfg)
+        L = _rational_section(rng, self.cs.chart.vars, 1)
+        assert _all_equal(_on_section(jc, rates, L),
+                          [contact_density_rhs(self.cs, L[0], K)])
+
+    def test_density_map(self, seed):
+        rng = random.Random(f"plans:{seed}")
+        jc, rates = sim._density_map_plan(self.cs)
+        alpha = _rational_section(rng, self.cs.chart.vars, 3)
+        want = contact_density(self.cs, one_form(self.cs.chart, tuple(alpha)))
+        assert _all_equal(_on_section(jc, rates, alpha), [want])
+
+    def test_vlasov_density(self, seed):
+        raw, params, rng = self.plasma_inputs(seed)
+        cfg = SimConfig(model="vlasov-density", n=8, dt=1e-3, steps=1, params=raw)
+        jc, rates, _ = sim._model_plan(cfg)
+        f = _rational_section(rng, self.pc.full.vars, 1)
+        assert _all_equal(_on_section(jc, rates, f),
+                          [vlasov_density_rhs(self.pc, f[0], params)])
+
+    def test_vlasov_momentum(self, seed):
+        raw, params, rng = self.plasma_inputs(seed)
+        cfg = SimConfig(model="vlasov-momentum", n=8, dt=1e-3, steps=1, params=raw)
+        jc, rates, _ = sim._model_plan(cfg)
+        pi = _rational_section(rng, self.pc.full.vars, 2)
+        want = vlasov_momentum_rhs(PlasmaMomentum(self.pc, (pi[0],), (pi[1],)), params)
+        assert _all_equal(_on_section(jc, rates, pi), list(want.down + want.up))
 
 
 class TestConvergenceHarnesses:
