@@ -26,6 +26,13 @@ tree, and ``partial`` differentiates those polynomials in the ring and
 memoizes the result on the node.  The table and the memos live as long
 as the process.
 
+Canonicalization evaluates a tree in one pass straight in the polynomial
+ring: a sum adds its terms without a denominator into one coefficient
+dict in place, a product folds its constants, variables and positive
+powers of variables into one monomial, and a denominator of 1 is carried
+as absent.  The pair is reduced once at the end by ``poly.poly_gcd``.
+``kernel_stats()["ratfunc_nodes"]`` counts the nodes this pass visits.
+
 Everything here is immutable and safe to share across threads.
 """
 
@@ -334,17 +341,6 @@ def free_vars(e: Expr) -> frozenset[VarId]:
 RatFunc = tuple[Poly, Poly]
 
 
-def _rf_add(a: RatFunc, b: RatFunc, one: Poly) -> RatFunc:
-    if a[1] == one and b[1] == one:
-        return poly.add(a[0], b[0]), one
-    num = poly.add(poly.mul(a[0], b[1]), poly.mul(b[0], a[1]))
-    return num, poly.mul(a[1], b[1])
-
-
-def _rf_mul(a: RatFunc, b: RatFunc, one: Poly) -> RatFunc:
-    return poly.mul(a[0], b[0]), poly.mul(a[1], b[1])
-
-
 def _rf_normalize(num: Poly, den: Poly) -> RatFunc:
     if poly.is_zero(den):
         raise SymbolicDivisionError("division by an identically zero expression")
@@ -384,42 +380,103 @@ def _reindex(rf: tuple[tuple[VarId, ...], Poly, Poly], axis_of: dict[VarId, int]
     return move(num), move(den)
 
 
-def _to_ratfunc(e: Expr, axis_of: dict[VarId, int], nvars: int) -> RatFunc:
+_ratfunc_nodes = 0
+
+
+def _to_ratfunc(e: Expr, axis_of: dict[VarId, int],
+                nvars: int) -> tuple[Poly, Poly | None]:
+    """``(num, den)`` of a rational ``e`` over the axes, in one pass.
+
+    A denominator of 1 is returned as None.  A canonical subtree answers
+    from its stored polynomials, a sum adds its terms without a
+    denominator into one fresh dict, and a product folds its constants,
+    variables and positive powers of variables into one monomial, so only
+    its other factors are multiplied out.  The result may share a
+    canonical node's polynomials and must not be mutated.
+    """
+    global _ratfunc_nodes
+    _ratfunc_nodes += 1
+    cls = type(e)
     # leaves before the memo: building them is cheaper than re-indexing
-    if isinstance(e, Const):
-        return poly.const(e.value.numerator, nvars), poly.const(e.value.denominator, nvars)
-    if isinstance(e, Var):
-        return poly.variable(axis_of[e.var], nvars), poly.const(1, nvars)
+    if cls is Const:
+        v = e.value
+        return (poly.const(v.numerator, nvars),
+                None if v.denominator == 1 else poly.const(v.denominator, nvars))
+    if cls is Var:
+        return poly.variable(axis_of[e.var], nvars), None
     c = e._canon
     if c is not None:
-        return _reindex(c._rf, axis_of, nvars)
-    one = poly.const(1, nvars)
-    if isinstance(e, Sum):
-        acc: RatFunc = ({}, one)
+        num, den = _reindex(c._rf, axis_of, nvars)
+        return num, (den if type(c) is Quot else None)
+    if cls is Sum:
+        acc: Poly = {}        # the terms without a denominator, in place
+        num = den = None      # the terms with one, cross-multiplied
         for t in e.terms:
-            acc = _rf_add(acc, _to_ratfunc(t, axis_of, nvars), one)
-        return acc
-    if isinstance(e, Prod):
-        acc = (one, one)
+            tn, td = _to_ratfunc(t, axis_of, nvars)
+            if td is None:
+                for m, k in tn.items():
+                    s = acc.get(m, 0) + k
+                    if s:
+                        acc[m] = s
+                    else:
+                        del acc[m]
+            elif num is None:
+                num, den = tn, td
+            else:
+                num = poly.add(poly.mul(num, td), poly.mul(tn, den))
+                den = poly.mul(den, td)
+        if num is None:
+            return acc, None
+        return (poly.add(num, poly.mul(acc, den)) if acc else num), den
+    if cls is Prod:
+        mono = [0] * nvars
+        cn = cd = 1
+        num = den = None      # the product of the other factors
         for f in e.factors:
-            acc = _rf_mul(acc, _to_ratfunc(f, axis_of, nvars), one)
-        return acc
-    if isinstance(e, Pow):
-        bn, bd = _to_ratfunc(e.base, axis_of, nvars)
+            fcls = type(f)
+            if fcls is Const:
+                cn *= f.value.numerator
+                cd *= f.value.denominator
+            elif fcls is Var:
+                mono[axis_of[f.var]] += 1
+            elif fcls is Pow and f.exponent > 0 and type(f.base) is Var:
+                mono[axis_of[f.base.var]] += f.exponent
+            else:
+                fn, fd = _to_ratfunc(f, axis_of, nvars)
+                num = fn if num is None else poly.mul(num, fn)
+                if fd is not None:
+                    den = fd if den is None else poly.mul(den, fd)
+        if not cn or num == {}:     # a zero factor, after every factor was checked
+            return {}, None
+        g = math.gcd(cn, cd)
+        monomial = {tuple(mono): cn // g}
+        num = monomial if num is None else poly.mul(num, monomial)
+        if cd != g:
+            scale = poly.const(cd // g, nvars)
+            den = scale if den is None else poly.mul(den, scale)
+        return num, den
+    if cls is Pow:
         n = e.exponent
+        if n > 0 and type(e.base) is Var:
+            mono = [0] * nvars
+            mono[axis_of[e.base.var]] = n
+            return {tuple(mono): 1}, None
+        bn, bd = _to_ratfunc(e.base, axis_of, nvars)
         if n == 0:
-            return one, one
+            return poly.const(1, nvars), None
         if n > 0:
-            return poly.power(bn, n), poly.power(bd, n)
+            return poly.power(bn, n), (None if bd is None else poly.power(bd, n))
         if poly.is_zero(bn):
             raise SymbolicDivisionError("negative power of an identically zero expression")
-        return poly.power(bd, -n), poly.power(bn, -n)
-    if isinstance(e, Quot):
+        return (poly.const(1, nvars) if bd is None else poly.power(bd, -n),
+                poly.power(bn, -n))
+    if cls is Quot:
         an, ad = _to_ratfunc(e.num, axis_of, nvars)
         bn, bd = _to_ratfunc(e.den, axis_of, nvars)
         if poly.is_zero(bn):
             raise SymbolicDivisionError("division by an identically zero expression")
-        return poly.mul(an, bd), poly.mul(ad, bn)
+        return (an if bd is None else poly.mul(an, bd),
+                bn if ad is None else poly.mul(ad, bn))
     raise UnsupportedClassError("canonicalize is defined only for rational expressions")
 
 
@@ -493,7 +550,13 @@ def canonicalize(e: Expr) -> Expr:
     _canonicalize_computed += 1
     axes = tuple(sorted(free_vars(e), key=lambda v: (v.index, v.name)))
     axis_of = {v: i for i, v in enumerate(axes)}
-    c = _canonical_node(axes, *_rf_normalize(*_to_ratfunc(e, axis_of, len(axes))))
+    nvars = len(axes)
+    num, den = _to_ratfunc(e, axis_of, nvars)
+    if den is None:
+        den = poly.const(1, nvars)
+    else:
+        num, den = _rf_normalize(num, den)
+    c = _canonical_node(axes, num, den)
     _set(e, "_canon", c)
     return c
 
@@ -507,14 +570,19 @@ def kernel_stats() -> dict[str, int]:
     were not answered from a node's memo.  ``partial_calls`` counts the
     calls of ``partial`` and ``partial_computed`` the derivatives it
     computed: rational ones not found in a node's memo, and every
-    numeric-only one.  The counts are plain integer increments without a
-    lock: threads working at once may lose a few.
+    numeric-only one.  ``ratfunc_nodes`` counts the tree nodes the
+    rational-function evaluator behind ``canonicalize`` visits: a
+    canonical subtree counts as one node, and a product's constants,
+    variables and positive powers of variables are folded into it
+    without a visit of their own.  The counts are plain integer
+    increments without a lock: threads working at once may lose a few.
     """
     return {"nodes": len(_TABLE), "canonical_forms": _canonical_forms,
             "canonicalize_calls": _canonicalize_calls,
             "canonicalize_computed": _canonicalize_computed,
             "partial_calls": _partial_calls,
-            "partial_computed": _partial_computed}
+            "partial_computed": _partial_computed,
+            "ratfunc_nodes": _ratfunc_nodes}
 
 
 def canon(e: Expr) -> Expr:

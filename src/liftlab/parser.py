@@ -2,12 +2,14 @@
 
     expr     := term (('+'|'-') term)*
     term     := factor (('*'|'/') factor)*
-    factor   := base ('^' integer)?
-    base     := rational | var | func '(' expr ')' | '(' expr ')' | '-' base
+    factor   := '-' factor | base ('^' integer)?
+    base     := rational | var | func '(' expr ')' | '(' expr ')'
     rational := integer ('/' positive-integer)?
     func     := 'sin' | 'cos' | 'exp'
 
 Whitespace is insignificant.  The integer after '^' may carry a sign.
+A unary minus applies to the whole factor after it, power included, so
+``-x^2`` reads as -(x^2) and ``-3^2`` as -9, as the printer writes them.
 Identifiers other than the three function names must be declared variables.
 Parentheses (a function call's included), unary minus and the quotients of
 one term, which nest left to right, may nest at most MAX_DEPTH levels
@@ -113,6 +115,12 @@ class _Parser:
         return out
 
     def factor(self) -> Expr:
+        if self.peek() == "-":
+            self.pos += 1
+            self.nest()
+            e = Prod((MINUS_ONE, self.factor()))
+            self.depth -= 1
+            return e
         base = self.base()
         if self.peek() == "^":
             self.pos += 1
@@ -135,12 +143,6 @@ class _Parser:
         ch = self.peek()
         if ch == "":
             raise ParseError("unexpected end of input", self.pos)
-        if ch == "-":
-            self.pos += 1
-            self.nest()
-            e = Prod((MINUS_ONE, self.base()))
-            self.depth -= 1
-            return e
         if ch == "(":
             self.pos += 1
             self.nest()

@@ -19,10 +19,6 @@ Mono = tuple[int, ...]
 Poly = dict[Mono, int]
 
 
-def zero() -> Poly:
-    return {}
-
-
 def const(c: int, nvars: int) -> Poly:
     if c == 0:
         return {}
@@ -30,8 +26,7 @@ def const(c: int, nvars: int) -> Poly:
 
 
 def variable(axis: int, nvars: int) -> Poly:
-    mono = tuple(1 if i == axis else 0 for i in range(nvars))
-    return {mono: 1}
+    return {(0,) * axis + (1,) + (0,) * (nvars - axis - 1): 1}
 
 
 def is_zero(p: Poly) -> bool:
@@ -102,12 +97,6 @@ def mul(a: Poly, b: Poly) -> Poly:
             else:
                 out.pop(m, None)
     return out
-
-
-def scale(a: Poly, c: int) -> Poly:
-    if c == 0:
-        return {}
-    return {m: k * c for m, k in a.items()}
 
 
 def power(a: Poly, n: int) -> Poly:
@@ -243,11 +232,31 @@ def _normalize_sign(p: Poly) -> Poly:
     return p
 
 
+def _support(p: Poly) -> set[int]:
+    """The axes that occur in p."""
+    return {i for m in p for i, k in enumerate(m) if k}
+
+
+def _coefficients(p: Poly, axes: list[int]) -> list[Poly]:
+    """The coefficients of p viewed as a polynomial in ``axes``, fewest
+    terms first."""
+    out: dict[Mono, Poly] = {}
+    for m, c in p.items():
+        rest = list(m)
+        for i in axes:
+            rest[i] = 0
+        out.setdefault(tuple(m[i] for i in axes), {})[tuple(rest)] = c
+    return sorted(out.values(), key=len)
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """GCD over Z[x1..xn], sign-normalized to positive leading coefficient.
 
-    Primitive pseudo-remainder sequence; adequate for the small degrees
-    and variable counts this kernel sees.
+    When one operand's variables are a strict subset of the other's, a
+    common factor lives on the smaller set, so the gcd is that of the
+    smaller operand and the larger one's coefficients in the other
+    variables.  Otherwise a primitive pseudo-remainder sequence; adequate
+    for the small degrees and variable counts this kernel sees.
     """
     if not a:
         return _normalize_sign(dict(b))
@@ -257,6 +266,18 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return const(_int_gcd(int_content(a), int_content(b)),
                      len(next(iter(a))))
     nvars = len(next(iter(a)))
+    sa, sb = _support(a), _support(b)
+    if sa < sb or sb < sa:
+        small, big, outside = (a, b, sb - sa) if sa < sb else (b, a, sa - sb)
+        one = const(1, nvars)
+        g = small
+        for c in _coefficients(big, sorted(outside)):
+            g = poly_gcd(g, c)
+            # only the constant 1 ends it: a larger constant may still
+            # lose integer content to a later coefficient
+            if g == one:
+                break
+        return g
     axis = -1
     for i in range(nvars):
         if degree_in(a, i) > 0 and degree_in(b, i) > 0:

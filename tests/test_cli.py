@@ -188,6 +188,16 @@ class TestSim:
         manifest = json.load(open(cfg["out"] + ".manifest.json"))
         assert manifest["config"]["model"] == "vlasov-density"
 
+    def test_contact_momentum_with_rational_K_runs(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "sim", "--model", "contact-momentum",
+                           "--K", "z/(1+x^2)",
+                           "--init", "0;-cos(x)*sin(y)*sin(z);-1",
+                           "--n", "8", "--dt", "1e-3", "--steps", "2",
+                           "--out", str(tmp_path / "t.csv"),
+                           "--diag", str(tmp_path / "d.csv"))
+        assert code == 0
+        assert "completed 2 steps of contact-momentum" in out
+
     def test_steps_zero_is_config_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "sim", "--model", "contact-density",
                            "--K", "z", "--init", "1", "--n", "16",

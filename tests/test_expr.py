@@ -397,3 +397,92 @@ def test_canonical_subtrees_reuse_their_rational_function(a, b, point):
     q = canonicalize(ca / den)
     assert exact_eval(q, point) == va / (vb * vb + 1)
     assert canonicalize(q * den - ca) is ZERO
+
+
+# ---------------------------------------------------------------------------
+# the rational-function evaluator behind canonicalize
+
+@st.composite
+def mixed_tree(draw, depth=3):
+    """A tree built with + - * / ** over canonical nodes, fractional
+    constants and variables, with nested quotients and negative powers."""
+    if depth == 0 or draw(st.integers(0, 4)) == 0:
+        leaf = draw(st.integers(0, 2))
+        if leaf == 0:
+            return Const(Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 4))))
+        if leaf == 1:
+            return Var(draw(st.sampled_from(VARS)))
+        return canonicalize(draw(expr_strategy(depth=2)))
+    a = draw(mixed_tree(depth=depth - 1))
+    op = draw(st.sampled_from("+-*/^"))
+    if op == "^":
+        return a ** draw(st.integers(-2, 3))
+    b = draw(mixed_tree(depth=depth - 1))
+    return {"+": a + b, "-": a - b, "*": a * b, "/": a / b}[op]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mixed_tree(), st.lists(POINTS, min_size=4, max_size=4))
+def test_canonical_form_agrees_with_exact_evaluation(e, points):
+    try:
+        c = canonicalize(e)
+    except SymbolicDivisionError:
+        # only a denominator that vanishes identically may raise, and
+        # then the tree has no value anywhere
+        for point in points:
+            with pytest.raises(ZeroDivisionError):
+                exact_eval(e, point)
+        return
+    for point in points:
+        try:
+            want = exact_eval(e, point)
+        except ZeroDivisionError:
+            continue
+        assert exact_eval(c, point) == want
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(mixed_tree(depth=2), mixed_tree(depth=2), mixed_tree(depth=2))
+def test_canonical_form_is_independent_of_tree_shape(a, b, c):
+    try:
+        left = canonicalize(a + b + c)
+    except SymbolicDivisionError:
+        with pytest.raises(SymbolicDivisionError):
+            canonicalize(a + (b + c))
+        return
+    assert canonicalize(a + (b + c)) is left
+    assert canonicalize(Sum((c, Sum((b, a))))) is left
+    product = canonicalize(a * b * c)
+    assert canonicalize(a * (b * c)) is product
+    assert canonicalize(Prod((c, Prod((b, a))))) is product
+
+
+@pytest.mark.parametrize("text", [
+    "x + 1/(y-y)", "x + (y-y)^-1", "1/(y-y) + 1/x", "x*(y-y)^-1",
+    "0*(1/(y-y))", "0*(y-y)^-1", "x*y/(x + 1/(y-y))", "((y-y)^-1)^0",
+    "(x^2 - y)*(x + (y-y)^-2)",
+])
+def test_sums_and_products_with_a_zero_denominator_raise(text):
+    with pytest.raises(SymbolicDivisionError):
+        canonicalize(parse(text))
+
+
+def test_zero_denominator_beside_canonical_terms_raises():
+    cx = canonicalize(parse("x^2 + 3*y + 1"))
+    bad = Quot(ONE, parse("y-y"))
+    for e in (Sum((cx, bad)), Prod((ZERO, cx, bad)), Sum((cx, Pow(parse("y-y"), -1)))):
+        with pytest.raises(SymbolicDivisionError):
+            canonicalize(e)
+
+
+def test_evaluator_counts_a_canonical_subtree_as_one_node():
+    u, v = VarId("ratfunc_u", 0), VarId("ratfunc_v", 1)
+    a = canonicalize(Var(u) ** 2 + 3 * Var(v) + 1)
+    b = canonicalize(Var(u) * Var(v) - Const(Fraction(1, 2)))
+    before = kernel_stats()["ratfunc_nodes"]
+    canonicalize(Sum((a, b)))
+    assert kernel_stats()["ratfunc_nodes"] - before <= 3
+    # a product of a constant, variables and powers of variables is one node
+    before = kernel_stats()["ratfunc_nodes"]
+    canonicalize(Prod((Const(-5), Var(u), Pow(Var(v), 3), Var(u))))
+    assert kernel_stats()["ratfunc_nodes"] - before == 1

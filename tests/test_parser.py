@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liftlab.expr import (
-    Call, Const, Pow, Prod, Sum, Var, VarId, ExprClass, expr_class,
-    expr_equal, eval_numeric,
+    Call, Const, MINUS_ONE, Pow, Prod, Sum, Var, VarId, ExprClass,
+    canonicalize, expr_class, expr_equal, eval_numeric,
 )
 from liftlab.parser import MAX_DEPTH, ParseError, UnknownVariableError, parse_expr
 
@@ -43,6 +44,15 @@ def test_syntax_error_reports_offset():
 def test_unary_minus_and_parens():
     e = parse_expr("-(x + y) * 2", [X, Y])
     assert eval_numeric(e, {X: 1.0, Y: 2.0}) == -6.0
+
+
+def test_unary_minus_applies_to_the_power():
+    assert parse_expr("-x^2", [X]) is Prod((MINUS_ONE, Pow(Var(X), 2)))
+    assert canonicalize(parse_expr("-3^2", [X])) is Const(-9)
+    assert parse_expr("(-x)^2", [X]) is Pow(Prod((MINUS_ONE, Var(X))), 2)
+    # with no '^' after it, a unary minus builds the tree it always did
+    assert parse_expr("--x*y", [X, Y]) is Prod((MINUS_ONE, Prod((MINUS_ONE, Var(X))), Var(Y)))
+    assert parse_expr("-3/2", [X]) is Prod((MINUS_ONE, Const(Fraction(3, 2))))
 
 
 def test_rational_literals():
@@ -91,3 +101,26 @@ def test_nesting_is_bounded(opening, closing, per_level):
     parse_expr(at_bound, [X, Y])
     with pytest.raises(ParseError, match="nested deeper"):
         parse_expr(opening + at_bound + closing, [X, Y])
+
+
+@st.composite
+def leading_negative_power(draw):
+    """A canonical node whose leading term is a power with a negative
+    coefficient, alone, in a sum or over a denominator."""
+    k = draw(st.integers(2, 4))
+    coeff = -Fraction(draw(st.integers(1, 3)), draw(st.sampled_from((1, 1, 2))))
+    e = Const(coeff) * Var(X) ** k
+    for _ in range(draw(st.integers(0, 3))):
+        # terms of lower degree keep the power in front
+        c = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 2)))
+        a = draw(st.integers(0, k - 1))
+        e = e + Const(c) * Var(X) ** a * Var(Y) ** draw(st.integers(0, k - 1 - a))
+    if draw(st.booleans()):
+        e = e / (Var(Y) ** 2 + draw(st.integers(1, 3)))
+    return canonicalize(e)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(leading_negative_power())
+def test_printed_canonical_form_parses_back_to_itself(c):
+    assert canonicalize(parse_expr(str(c), [X, Y])) is c

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liftlab import poly
 
@@ -110,3 +111,54 @@ def test_classic_difference_of_squares():
     a = {(2, 0): 1, (0, 2): -1}
     b = {(2, 0): 1, (1, 1): 2, (0, 2): 1}
     assert poly.poly_gcd(a, b) == {(1, 0): 1, (0, 1): 1}
+
+
+NVARS = 4
+
+
+@st.composite
+def poly_on(draw, axes, terms=3, degree=2):
+    """A random polynomial whose monomials use only the given axes."""
+    out = {}
+    for _ in range(draw(st.integers(1, terms))):
+        mono = [0] * NVARS
+        budget = degree
+        for i in sorted(axes):
+            mono[i] = draw(st.integers(0, budget))
+            budget -= mono[i]
+        c = draw(st.integers(-6, 6).filter(bool))
+        out[tuple(mono)] = out.get(tuple(mono), 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+@st.composite
+def nested_supports(draw):
+    """Operands whose variable supports nest strictly, often with a
+    planted common factor on the smaller support."""
+    small = draw(st.sets(st.integers(0, NVARS - 1), min_size=1, max_size=2))
+    extra = draw(st.sets(st.integers(0, NVARS - 1), min_size=1, max_size=2)
+                 .filter(lambda s: not s & small))
+    common = draw(poly_on(small))
+    a = poly.mul(draw(poly_on(small)), common)
+    # 1 + (a monomial in every variable of the larger support) puts each
+    # of them into b and shares no factor with a
+    every = tuple(1 if i in small | extra else 0 for i in range(NVARS))
+    b = poly.mul(poly.mul(draw(poly_on(small | extra)), common),
+                 {(0,) * NVARS: 1, every: 1})
+    return a, b, common
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(nested_supports())
+def test_gcd_on_nested_supports(operands):
+    a, b, common = operands
+    if not a or not common:
+        return
+    g = poly.poly_gcd(a, b)
+    assert poly.poly_gcd(b, a) == g
+    assert poly.leading_coeff(g) > 0
+    qa, qb = poly.exact_div(a, g), poly.exact_div(b, g)
+    assert poly.mul(qa, g) == a
+    assert poly.mul(qb, g) == b
+    assert poly.poly_gcd(qa, qb) == poly.const(1, NVARS)
+    assert _divides(common, g)

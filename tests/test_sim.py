@@ -407,6 +407,25 @@ class TestPlansAreKineticsFormulasOnJets:
         assert _all_equal(_on_section(jc, rates, alpha),
                           [want.coeff((i,)) for i in range(3)])
 
+    def test_contact_momentum_rational_K(self, seed):
+        # a non-constant denominator in K: building the plan takes gcds of
+        # operands over nested subsets of the jet chart's twelve variables
+        K_text, _, rng = self.contact_inputs(seed)
+        K_text = f"({K_text})/(1 + x^2)"
+        cfg = SimConfig(model="contact-momentum", n=8, dt=1e-3, steps=1, expr=K_text)
+        jc, rates, _ = sim._model_plan(cfg)
+        # a polynomial section: with a rational one the independent route
+        # can spend more than 30 s in one gcd of two polynomials over x, y, z
+        alpha = []
+        while len(alpha) < 3:
+            comp = canon(rand_poly(rng, self.cs.chart.vars, 2, 2))
+            if comp != ZERO:
+                alpha.append(comp)
+        want = contact_momentum_rhs(self.cs, one_form(self.cs.chart, tuple(alpha)),
+                                    parse_expr(K_text, self.cs.chart.vars))
+        assert _all_equal(_on_section(jc, rates, alpha),
+                          [want.coeff((i,)) for i in range(3)])
+
     def test_contact_density(self, seed):
         K_text, K, rng = self.contact_inputs(seed)
         cfg = SimConfig(model="contact-density", n=8, dt=1e-3, steps=1, expr=K_text)
