@@ -16,8 +16,8 @@ Layers, bottom to top:
 __version__ = "0.1.0"
 
 from .expr import (
-    Const, Expr, ExprClass, Pow, Prod, Quot, Sum, Var, VarId,
-    canonicalize, eval_numeric, expr_class, expr_equal, partial, substitute,
+    Const, Expr, Pow, Prod, Quot, Sum, Var, VarId,
+    canonicalize, eval_numeric, expr_equal, is_rational, partial, substitute,
 )
 from .parser import parse_expr
 from .geometry import (
@@ -26,7 +26,7 @@ from .geometry import (
     lie_derivative_form, divergence, one_form, pointwise_pairing, wedge,
 )
 from .jets import (
-    GeneralizedVectorField, JetChart, JetConnection, holonomic_lift,
+    GeneralizedVectorField, JetChart, holonomic_lift,
     holonomic_part, obstruction_form, prolong1, prolongation_bracket,
     total_derivative, vertical_representative,
 )

@@ -38,7 +38,6 @@ Everything here is immutable and safe to share across threads.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,9 +48,9 @@ from .poly import Poly
 
 __all__ = [
     "VarId", "Expr", "Const", "Var", "Sum", "Prod", "Pow", "Quot", "Call",
-    "ExprClass", "ExprError", "UnsupportedClassError", "UnboundVariableError",
+    "ExprError", "UnsupportedClassError", "UnboundVariableError",
     "EvaluationDomainError", "SymbolicDivisionError",
-    "const", "variable", "expr_class", "is_rational", "free_vars",
+    "is_rational", "free_vars",
     "canonicalize", "canon", "partial", "substitute", "expr_equal",
     "eval_numeric", "is_zero_expr", "kernel_stats", "ZERO", "ONE",
 ]
@@ -90,11 +89,6 @@ class VarId:
 
     def __str__(self) -> str:
         return self.name
-
-
-class ExprClass(enum.Enum):
-    RATIONAL = "rational"
-    NUMERIC_ONLY = "numeric-only"
 
 
 Number = Union[int, Fraction]
@@ -250,14 +244,6 @@ ONE = Const(1)
 MINUS_ONE = Const(-1)
 
 
-def const(value: Number) -> Const:
-    return Const(value)
-
-
-def variable(v: VarId) -> Var:
-    return Var(v)
-
-
 def _coerce(x) -> Expr:
     if isinstance(x, Expr):
         return x
@@ -308,10 +294,6 @@ def is_rational(e: Expr) -> bool:
             r = is_rational(e.num) and is_rational(e.den)
         _set(e, "_rat", r)
     return r
-
-
-def expr_class(e: Expr) -> ExprClass:
-    return ExprClass.RATIONAL if is_rational(e) else ExprClass.NUMERIC_ONLY
 
 
 def free_vars(e: Expr) -> frozenset[VarId]:

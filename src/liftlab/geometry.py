@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .expr import (
-    FUNCTIONS, Expr, ExprError, ONE, Var, VarId, ZERO, canon, is_rational,
+    FUNCTIONS, Expr, ExprError, ONE, VarId, ZERO, canon, is_rational,
     is_zero_expr, partial,
 )
 from .parser import IDENT_RE
@@ -69,12 +69,6 @@ class Chart:
     @property
     def dim(self) -> int:
         return len(self.vars)
-
-    def coord(self, i: int) -> Expr:
-        return Var(self.vars[i])
-
-    def index_of(self, v: VarId) -> int:
-        return self.vars.index(v)
 
     def __str__(self) -> str:
         return "(" + ", ".join(v.name for v in self.vars) + ")"

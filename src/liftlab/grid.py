@@ -5,12 +5,16 @@ Spatial derivatives use the 4th-order central stencil
 torus trapezoid rule h^d * sum, spectrally accurate for smooth periodic
 data.  All reductions run in fixed index order so results are bitwise
 reproducible.
+
+``compile_numeric`` turns expressions into vectorized evaluators in one
+forward pass over their distinct nodes in post-order, with no recursion.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -22,7 +26,7 @@ from .expr import (
 )
 
 __all__ = [
-    "Grid", "GridField", "GridError", "AperiodicDataError",
+    "Grid", "GridError", "AperiodicDataError",
     "NumericalAbortError", "compile_numeric", "discretize",
     "spatial_derivative", "quadrature", "rk4_step",
 ]
@@ -77,25 +81,6 @@ class Grid:
         return np.broadcast_to(self.axis_line(axis), self.shape).copy()
 
 
-@dataclass(frozen=True)
-class GridField:
-    """c-component sample field; data shape = grid.shape + (c,)."""
-
-    grid: Grid
-    data: np.ndarray
-
-    def __post_init__(self):
-        expected = self.grid.shape
-        if self.data.shape[:-1] != expected or self.data.ndim != self.grid.dim + 1:
-            raise GridError(f"data shape {self.data.shape} does not match grid {expected} + (c,)")
-        if not np.isfinite(self.data).all():
-            raise GridError("grid field contains non-finite values")
-
-    @property
-    def components(self) -> int:
-        return self.data.shape[-1]
-
-
 def _check_denominator(den) -> None:
     if np.min(np.abs(den)) < 1e-300:
         raise EvaluationDomainError("division by a value with magnitude < 1e-300")
@@ -111,138 +96,115 @@ def _const(value) -> Callable:
     return lambda args: value
 
 
-class _Compiler:
-    """One DAG for a batch of expressions, value-numbered by node.
+def _children(node: Expr) -> tuple[Expr, ...]:
+    if isinstance(node, Sum):
+        return node.terms
+    if isinstance(node, Prod):
+        return node.factors
+    if isinstance(node, Pow):
+        return (node.base,)
+    if isinstance(node, Quot):
+        return (node.num, node.den)
+    if isinstance(node, Call):
+        return (node.arg,)
+    if isinstance(node, (Const, Var)):
+        return ()
+    raise TypeError(f"not an Expr: {node!r}")
 
-    Expression nodes are interned, so structurally equal subtrees are one
-    object and ``intern`` keys value numbers on the node itself, as in the
-    DAG construction of Aho, Lam, Sethi & Ullman, *Compilers* 6.1; each
-    distinct subtree is walked once.  ``take`` then folds each node whose
-    inputs are all fixed into a value, and compiles every other node once
-    into a closure over the call-time arrays.  A node's result is dropped
-    after its last use, so folded intermediates die while the batch
-    compiles.
+
+def _post_order(roots: Sequence[Expr], inputs: Mapping[VarId, object]) -> list[Expr]:
+    """The distinct nodes under ``roots``, each after its children.
+
+    An explicit stack visits children left to right, so the order is that
+    of a recursive walk, without its recursion.  Nodes are interned, so a
+    node is its own value number (Aho, Lam, Sethi & Ullman, *Compilers*
+    6.1) and each distinct subtree is listed once.
     """
+    seen: set[Expr] = set()
+    order: list[Expr] = []
+    for root in roots:
+        stack = [(root, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                order.append(node)
+            elif node not in seen:
+                if isinstance(node, Var) and node.var not in inputs:
+                    raise GridError(f"variable '{node.var.name}' is not mapped to a grid input")
+                seen.add(node)
+                stack.append((node, True))
+                stack.extend((k, False) for k in reversed(_children(node)))
+    return order
 
-    def __init__(self, var_axes: Mapping[VarId, int],
-                 fixed: Mapping[VarId, np.ndarray]):
-        self.var_axes = var_axes
-        self.fixed = fixed
-        self.nodes: list[tuple[Expr, tuple[int, ...]]] = []
-        self.is_fixed: list[bool] = []
-        self.uses: list[int] = []
-        self._by_node: dict[Expr, int] = {}
-        self._done: dict[int, object] = {}
 
-    def intern(self, node: Expr) -> int:
-        vn = self._by_node.get(node)
-        if vn is not None:
-            return vn
-        if isinstance(node, Const):
-            kids = ()
-        elif isinstance(node, Var):
-            if node.var not in self.fixed and node.var not in self.var_axes:
-                raise GridError(f"variable '{node.var.name}' is not mapped to a grid input")
-            kids = ()
-        elif isinstance(node, (Sum, Prod)):
-            kids = tuple(self.intern(t) for t in
-                         (node.terms if isinstance(node, Sum) else node.factors))
-        elif isinstance(node, Pow):
-            kids = (self.intern(node.base),)
-        elif isinstance(node, Quot):
-            kids = (self.intern(node.num), self.intern(node.den))
-        elif isinstance(node, Call):
-            kids = (self.intern(node.arg),)
+def _emit(node: Expr, kids: list, inputs: Mapping[VarId, object]):
+    """The folded value of ``node``, or its closure over the call-time
+    arrays, from those of its children.
+
+    A folded value is a float or an array and a closure is callable, so a
+    node folds when none of its children is callable.  ``inputs`` holds
+    each variable's fixed array or call-time reader.
+    """
+    if isinstance(node, Const):
+        return float(node.value)
+    if isinstance(node, Var):
+        return inputs[node.var]
+    if isinstance(node, (Sum, Prod)):
+        return _fold_chain(operator.add if isinstance(node, Sum) else operator.mul, kids)
+    if isinstance(node, Pow):
+        n = node.exponent
+        base = kids[0]
+        if not callable(base):
+            return _power(base, n)
+        return lambda args: _power(base(args), n)
+    if isinstance(node, Quot):
+        num, den = kids
+        if not callable(den):
+            _check_denominator(den)
+            if not callable(num):
+                return num / den
+            return lambda args: num(args) / den
+        fn = num if callable(num) else _const(num)
+
+        def run_div(args):
+            d = den(args)
+            _check_denominator(d)
+            return fn(args) / d
+        return run_div
+    op = getattr(np, node.func)
+    arg = kids[0]
+    if not callable(arg):
+        return op(arg)
+    return lambda args: op(arg(args))
+
+
+def _fold_chain(combine: Callable, kids: list):
+    """A sum or product, combined left to right.
+
+    The fixed operands fold, in their order, into one accumulator that
+    stands where the first of them stood.
+    """
+    acc, acc_at, parts = None, -1, []
+    for r in kids:
+        if callable(r):
+            parts.append(r)
+        elif acc_at < 0:
+            acc, acc_at = r, len(parts)
+            parts.append(None)
         else:
-            raise TypeError(f"not an Expr: {node!r}")
-        vn = self._by_node[node] = len(self.nodes)
-        self.nodes.append((node, kids))
-        self.is_fixed.append(node.var in self.fixed if isinstance(node, Var)
-                             else all(self.is_fixed[k] for k in kids))
-        self.uses.append(0)
-        for k in kids:
-            self.uses[k] += 1
-        return vn
+            acc = combine(acc, r)
+    if not any(map(callable, kids)):
+        return acc
+    if acc_at >= 0:
+        parts[acc_at] = _const(acc)
+    first, rest = parts[0], parts[1:]
 
-    def take(self, vn: int):
-        """The folded value or closure of ``vn``, for one of its uses."""
-        try:
-            out = self._done[vn]
-        except KeyError:
-            out = self._done[vn] = self._emit(vn)
-        self.uses[vn] -= 1
-        if not self.uses[vn]:
-            del self._done[vn]
+    def run_chain(args):
+        out = first(args)
+        for f in rest:
+            out = combine(out, f(args))
         return out
-
-    def _emit(self, vn: int):
-        node, kids = self.nodes[vn]
-        fixed = self.is_fixed[vn]
-        if isinstance(node, Const):
-            return float(node.value)
-        if isinstance(node, Var):
-            if fixed:
-                return self.fixed[node.var]
-            idx = self.var_axes[node.var]
-            return lambda args: args[idx]
-        if isinstance(node, (Sum, Prod)):
-            return self._fold_chain(vn)
-        if isinstance(node, Pow):
-            n = node.exponent
-            base = self.take(kids[0])
-            if fixed:
-                return _power(base, n)
-            return lambda args: _power(base(args), n)
-        if isinstance(node, Quot):
-            num, den = self.take(kids[0]), self.take(kids[1])
-            if self.is_fixed[kids[1]]:
-                _check_denominator(den)
-                if fixed:
-                    return num / den
-                return lambda args: num(args) / den
-            fn = num if not self.is_fixed[kids[0]] else _const(num)
-
-            def run_div(args):
-                d = den(args)
-                _check_denominator(d)
-                return fn(args) / d
-            return run_div
-        op = getattr(np, node.func)
-        arg = self.take(kids[0])
-        if fixed:
-            return op(arg)
-        return lambda args: op(arg(args))
-
-    def _fold_chain(self, vn: int):
-        """A sum or product, combined left to right.
-
-        The fixed operands fold, in their order, into one accumulator that
-        stands where the first of them stood.
-        """
-        node, kids = self.nodes[vn]
-        combine = operator.add if isinstance(node, Sum) else operator.mul
-        acc, acc_at, parts = None, -1, []
-        for k in kids:
-            r = self.take(k)
-            if not self.is_fixed[k]:
-                parts.append(r)
-            elif acc_at < 0:
-                acc, acc_at = r, len(parts)
-                parts.append(None)
-            else:
-                acc = combine(acc, r)
-        if self.is_fixed[vn]:
-            return acc
-        if acc_at >= 0:
-            parts[acc_at] = _const(acc)
-        first, rest = parts[0], parts[1:]
-
-        def run_chain(args):
-            out = first(args)
-            for f in rest:
-                out = combine(out, f(args))
-            return out
-        return run_chain
+    return run_chain
 
 
 def compile_numeric(e: Expr | Sequence[Expr], var_axes: Mapping[VarId, int],
@@ -253,9 +215,11 @@ def compile_numeric(e: Expr | Sequence[Expr], var_axes: Mapping[VarId, int],
     ``var_axes`` maps each variable read at call time to an index into the
     array sequence the compiled function receives.  ``fixed`` maps
     variables to arrays known now, typically coordinate lines that
-    broadcast against the grid (``Grid.axis_line``).  Structurally equal
-    subtrees compile once.  Every subtree whose variables are all fixed is
-    evaluated here, once; in a sum or product the fixed operands fold, in
+    broadcast against the grid (``Grid.axis_line``).  The batch's distinct
+    nodes compile once each, in one forward pass in post-order, so each is
+    built from its children's results and nothing recurses.  Every node
+    whose variables are all fixed is evaluated here, once, and dropped
+    after its last use; in a sum or product the fixed operands fold, in
     their order, into one accumulator that stands where the first of them
     stood.  The rest compiles to closures whose intermediates die as they
     return.
@@ -270,14 +234,24 @@ def compile_numeric(e: Expr | Sequence[Expr], var_axes: Mapping[VarId, int],
     """
     single = isinstance(e, Expr)
     roots = [e] if single else list(e)
-    compiler = _Compiler(var_axes, fixed or {})
-    vns = [compiler.intern(r) for r in roots]
-    for vn in vns:
-        compiler.uses[vn] += 1
+    inputs = {v: operator.itemgetter(i) for v, i in var_axes.items()}
+    inputs.update(fixed or {})
+    order = _post_order(roots, inputs)
+    uses = Counter(roots)
+    for node in order:
+        uses.update(_children(node))
+    done: dict[Expr, object] = {}
+    for node in order:
+        kids = _children(node)
+        done[node] = _emit(node, [done[k] for k in kids], inputs)
+        for k in kids:
+            uses[k] -= 1
+            if not uses[k]:
+                del done[k]
     fns = []
-    for vn in vns:
-        out = compiler.take(vn)
-        if compiler.is_fixed[vn]:
+    for root in roots:
+        out = done[root]
+        if not callable(out):
             out = np.asarray(out, dtype=float).view()
             out.flags.writeable = False
             out = _const(out)

@@ -21,7 +21,7 @@ from .expr import (
 from .geometry import Chart, ChartError, VectorField
 
 __all__ = [
-    "JetChart", "GeneralizedVectorField", "JetConnection", "Prolongation",
+    "JetChart", "GeneralizedVectorField", "Prolongation",
     "ProjectabilityError", "JetConsistencyError",
     "total_derivative", "prolong1", "prolongation_bracket",
     "holonomic_lift", "holonomic_part", "vertical_representative",
@@ -297,19 +297,6 @@ def holonomic_lift(jc: JetChart, X: VectorField) -> GeneralizedVectorField:
             comp = comp + X.components[a] * Var(jc.jet(l, a))
         fiber.append(canon(comp))
     return GeneralizedVectorField(jc, X.components, tuple(fiber))
-
-
-@dataclass(frozen=True)
-class JetConnection:
-    """The (1,1) connection tensor Gamma_J on one jet chart: the holonomic
-    lift of a field's pushforward."""
-
-    jet_chart: JetChart
-
-    def __call__(self, xi: GeneralizedVectorField) -> GeneralizedVectorField:
-        if xi.jet_chart != self.jet_chart:
-            raise ChartError("jet charts differ")
-        return holonomic_lift(self.jet_chart, xi.pushforward())
 
 
 def holonomic_part(xi: GeneralizedVectorField) -> GeneralizedVectorField:

@@ -32,10 +32,7 @@ from .geometry import (
     VectorField, VolumeForm, divergence, exterior_derivative, interior_product,
     lie_derivative_form, one_form, pointwise_pairing, wedge,
 )
-from .lifts import (
-    CotangentChart, complete_cotangent_lift, hamiltonian_vector_field,
-    lift_decomposition,
-)
+from .lifts import CotangentChart, hamiltonian_vector_field, lift_decomposition
 
 __all__ = [
     "MomentumDensity", "PlasmaParams", "PlasmaMomentum", "ContactStructure",
@@ -43,11 +40,11 @@ __all__ = [
     "lie_poisson_rhs", "fluid_rhs", "vorticity_rhs",
     "plasma_chart", "plasma_hamiltonian", "plasma_density", "plasma_dual_ok",
     "vlasov_momentum_rhs", "vlasov_density_rhs",
-    "contact_vector_field", "reeb_field", "contact_bracket",
+    "contact_vector_field", "contact_bracket",
     "contact_density", "contact_dual_ok", "contact_momentum_rhs",
     "contact_momentum_rhs_via_lift", "contact_density_rhs",
     "hamiltonian_operator_momentum", "hamiltonian_operator_density",
-    "operator_relation_probe", "contact_lift", "contact_cotangent_chart",
+    "contact_cotangent_chart",
 ]
 
 
@@ -254,11 +251,6 @@ class ContactStructure:
         return self.chart.vars[2]
 
 
-def reeb_field(cs: ContactStructure) -> VectorField:
-    """The unique R with i_R sigma = 1 and i_R dsigma = 0 (here d/dz)."""
-    return cs.reeb
-
-
 def contact_vector_field(cs: ContactStructure, K: Expr) -> VectorField:
     """X_K = (K_y - x K_z) d/dx - K_x d/dy + (-K + x K_x) d/dz."""
     x = Var(cs.x)
@@ -319,17 +311,6 @@ def contact_cotangent_chart(cs: ContactStructure) -> CotangentChart:
     """Induced chart (x, y, z, a_x, a_y, a_z) on T* of the contact manifold."""
     names = [f"a_{v.name}" for v in cs.chart.vars]
     return CotangentChart.make(cs.chart, names)
-
-
-def contact_lift(cs: ContactStructure, K: Expr) -> VectorField:
-    """Complete cotangent lift of X_K on the six-dimensional chart.
-
-    Derived directly from the lift formula applied to X_K; this is the
-    normative construction (the compact operator abbreviations sometimes
-    quoted for it are display shorthand only).
-    """
-    c6 = contact_cotangent_chart(cs)
-    return complete_cotangent_lift(c6, contact_vector_field(cs, K))
 
 
 def contact_momentum_rhs_via_lift(cs: ContactStructure, alpha: DifferentialForm,
@@ -395,25 +376,3 @@ def hamiltonian_operator_density(cs: ContactStructure, L: Expr, K: Expr) -> Expr
     kz = partial(K, cs.z)
     lz = partial(L, cs.z)
     return canon(X_L.apply(K) + (L * 4 + lz) * kz)
-
-
-def operator_relation_probe(cs: ContactStructure, H: Expr, K: Expr,
-                            alpha: DifferentialForm, n: int = 32
-                            ) -> tuple[float, float]:
-    """Torus-quadrature values of the two sides relating the printed
-    operators: (int H J(L) K dmu, -int <X_H, J(alpha) X_K> dmu) with
-    L the density of alpha.  Returned for comparison by the caller; the
-    relation is probed, never asserted.
-    """
-    from .grid import Grid, discretize, quadrature
-    grid = Grid(3, n)
-    var_axes = {v: i for i, v in enumerate(cs.chart.vars)}
-    L = contact_density(cs, alpha, cross_check=False)
-    lhs_integrand = canon(H * hamiltonian_operator_density(cs, L, K))
-    jx = hamiltonian_operator_momentum(cs, alpha, contact_vector_field(cs, K))
-    rhs_integrand = canon(pointwise_pairing(jx, contact_vector_field(cs, H)) * -1)
-    lhs = quadrature(discretize(lhs_integrand, grid, var_axes,
-                                allow_aperiodic=True), grid.h, grid.dim)
-    rhs = quadrature(discretize(rhs_integrand, grid, var_axes,
-                                allow_aperiodic=True), grid.h, grid.dim)
-    return lhs, rhs

@@ -15,7 +15,7 @@ from .geometry import Chart, DifferentialForm, VectorField, one_form
 
 __all__ = [
     "rand_poly", "rand_vector_field", "rand_one_form", "rand_two_form",
-    "rand_trig_poly", "rand_trig_one_form",
+    "rand_trig_poly",
 ]
 
 
@@ -77,9 +77,3 @@ def rand_trig_poly(rng: random.Random, vars: Sequence[VarId],
             term = term * Call(func, canon(arg))
         out = out + term
     return canon(out)
-
-
-def rand_trig_one_form(rng: random.Random, chart: Chart,
-                       terms: int = 2, max_freq: int = 2) -> DifferentialForm:
-    return one_form(chart, tuple(rand_trig_poly(rng, chart.vars, terms, max_freq)
-                                 for _ in range(chart.dim)))

@@ -25,7 +25,7 @@ from .geometry import (
 )
 from .grid import Grid, discretize, quadrature
 from .jets import (
-    GeneralizedVectorField, JetChart, JetConnection, holonomic_part,
+    GeneralizedVectorField, JetChart, holonomic_part,
     obstruction_form, prolongation_bracket, vertical_representative,
 )
 from .kinetics import (
@@ -50,6 +50,8 @@ __all__ = ["SuiteReport", "CheckResult", "run_suite", "SUITES",
            "WEAK_PROBE_TOL"]
 
 WEAK_PROBE_TOL = 1e-6
+# points per axis of the operators-weak quadrature grid
+WEAK_PROBE_N = 48
 
 
 @dataclass
@@ -164,9 +166,8 @@ def suite_jets(trials: int, degree: int, seed: int) -> SuiteReport:
         jc = pick(rng)
         xi = _rand_ordinary_field(rng, jc, degree)
         eta = _rand_ordinary_field(rng, jc, degree)
-        gamma = JetConnection(jc)
-        lhs = gamma(_ordinary_bracket_on_jet(jc, xi, eta))
-        rhs = prolongation_bracket(gamma(xi), gamma(eta))
+        lhs = holonomic_part(_ordinary_bracket_on_jet(jc, xi, eta))
+        rhs = prolongation_bracket(holonomic_part(xi), holonomic_part(eta))
         if not lhs.equals(rhs):
             return f"xi = {xi}; eta = {eta}; " + _gvf_diff_str(lhs, rhs)
         return None
@@ -187,8 +188,7 @@ def suite_jets(trials: int, degree: int, seed: int) -> SuiteReport:
 
     def antisymmetry(rng):
         jc = pick(rng)
-        gamma = JetConnection(jc)
-        picks = (lambda f: f, vertical_representative, gamma)
+        picks = (lambda f: f, vertical_representative, holonomic_part)
         xi = rng.choice(picks)(_rand_ordinary_field(rng, jc, degree))
         eta = rng.choice(picks)(_rand_ordinary_field(rng, jc, degree))
         lhs = prolongation_bracket(xi, eta)
@@ -565,12 +565,11 @@ def _probe_quadrature(cs: ContactStructure, e: Expr, grid: Grid) -> float:
     return quadrature(values, grid.h, grid.dim)
 
 
-def suite_operators_weak(trials: int, degree: int, seed: int,
-                         probe_n: int = 48) -> SuiteReport:
+def suite_operators_weak(trials: int, degree: int, seed: int) -> SuiteReport:
     report = SuiteReport("operators-weak", trials, degree, seed,
                          informational=True)
     cs = _CS
-    grid = Grid(3, probe_n)
+    grid = Grid(3, WEAK_PROBE_N)
     w = _window(cs)
     names = ("pairing-duality", "momentum-operator-weak",
              "momentum-display-sign", "density-operator-weak",

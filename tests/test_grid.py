@@ -1,6 +1,7 @@
 """Periodic grids, stencils, quadrature, RK4."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from liftlab.expr import (
     eval_numeric,
 )
 from liftlab.grid import (
-    AperiodicDataError, Grid, GridError, GridField, NumericalAbortError,
+    AperiodicDataError, Grid, GridError, NumericalAbortError,
     check_periodic, compile_numeric, discretize, quadrature, rk4_step,
     spatial_derivative,
 )
@@ -34,18 +35,6 @@ class TestGrid:
             Grid(1, 6)
         with pytest.raises(GridError):
             Grid(2, 130)
-
-    def test_field_shape_checked(self):
-        g = Grid(2, 8)
-        with pytest.raises(GridError):
-            GridField(g, np.zeros((8, 4, 1)))
-
-    def test_field_rejects_nan(self):
-        g = Grid(1, 8)
-        data = np.zeros((8, 1))
-        data[3, 0] = math.nan
-        with pytest.raises(GridError):
-            GridField(g, data)
 
 
 class TestDiscretize:
@@ -204,6 +193,26 @@ class TestCompileNumeric:
     def test_unmapped_variable_rejected(self):
         with pytest.raises(GridError):
             compile_numeric(parse_expr("x*y", [X, Y]), {X: 0})
+
+    @pytest.mark.parametrize("depth, folded", [(5000, True), (300, False)])
+    def test_deep_chain_compiles_at_default_recursion_limit(self, depth, folded):
+        xs = Grid(1, 8).axis_coordinate(0)
+        e = Var(X)
+        for _ in range(depth):
+            e = Sum((Call("sin", e), Var(X)))
+        want = xs
+        for _ in range(depth):
+            want = np.sin(want) + xs
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            if folded:
+                got = compile_numeric(e, {}, {X: xs})()
+            else:
+                got = compile_numeric(e, {X: 0})([xs])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert np.array_equal(got, want)
 
 
 LEAVES = st.one_of(

@@ -5,7 +5,7 @@ import pytest
 from liftlab.expr import ONE, ZERO, Var, canon, expr_equal
 from liftlab.geometry import Chart, VectorField
 from liftlab.jets import (
-    GeneralizedVectorField, JetChart, JetConnection, JetConsistencyError,
+    GeneralizedVectorField, JetChart, JetConsistencyError,
     ProjectabilityError, holonomic_lift, holonomic_part, obstruction_form,
     prolong1, prolongation_bracket, total_derivative, vertical_representative,
 )
@@ -154,8 +154,6 @@ class TestHolonomicVertical:
             xi = rand_ordinary(rng, jc22)
             h = holonomic_part(xi)
             assert holonomic_part(h).equals(h)
-            gamma = JetConnection(jc22)
-            assert gamma(gamma(xi)).equals(gamma(xi))
 
     def test_vertical_representative_of_translation(self, jc11):
         v = vertical_representative(GeneralizedVectorField(jc11, (ONE,), (ZERO,)))
@@ -204,7 +202,6 @@ class TestHolonomicLiftIsomorphism:
         for base_names, fiber_names in ((["x"], ["u"]), (["x", "y"], ["u", "v"])):
             jc = JetChart.make(base_names, fiber_names)
             echart = Chart.make(*(base_names + fiber_names))
-            gamma = JetConnection(jc)
             for _ in range(3):
                 xi = rand_ordinary(rng, jc)
                 eta = rand_ordinary(rng, jc)
@@ -213,6 +210,6 @@ class TestHolonomicLiftIsomorphism:
                 br = jacobi_lie_bracket(X, Y)
                 as_gvf = GeneralizedVectorField(jc, br.components[:jc.m],
                                                 br.components[jc.m:])
-                lhs = gamma(as_gvf)
-                rhs = prolongation_bracket(gamma(xi), gamma(eta))
+                lhs = holonomic_part(as_gvf)
+                rhs = prolongation_bracket(holonomic_part(xi), holonomic_part(eta))
                 assert lhs.equals(rhs)
