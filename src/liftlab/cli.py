@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .expr import ExprError, is_rational
+from .expr import ExprError
 from .geometry import Chart, VectorField, one_form
 from .jets import GeneralizedVectorField, JetChart, prolongation_bracket
 from .kinetics import (
@@ -113,8 +113,7 @@ def cmd_density(args) -> int:
         if len(comps) != 3:
             raise ConfigError("--contact-alpha needs 'ax;ay;az'")
         alpha = one_form(cs.chart, tuple(comps))
-        rational = all(is_rational(c) for c in comps)
-        L = contact_density(cs, alpha, cross_check=rational)
+        L = contact_density(cs, alpha)
         print(f"L = {L}")
         return EXIT_OK
     if args.plasma_pi:

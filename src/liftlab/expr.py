@@ -18,13 +18,14 @@ Nodes are hash-consed (Filliâtre & Conchon, *Type-safe modular
 hash-consing*, ML Workshop 2006): every constructor looks its class name
 and fields up in one module-level table, so one structure is one object.
 Equality is identity, and the hash is structural, computed once when the
-node is made.  Each node memoizes its rationality, its free variables and
-its canonical form in slots.  A canonical node also keeps the reduced
-rational function it was built from, so a canonicalization that meets it
-as a subtree re-indexes the stored polynomials instead of walking the
-tree, and ``partial`` differentiates those polynomials in the ring and
-memoizes the result on the node.  The table and the memos live as long
-as the process.
+node is made.  Its rationality and free variables are set from its
+children when it is interned; its canonical form is memoized in a slot
+on first use.  A canonical node also keeps the reduced rational function
+it was built from, so a canonicalization that meets it as a subtree
+re-indexes the stored polynomials instead of walking the tree, and
+``partial`` differentiates those polynomials in the ring and memoizes
+the result on the node.  The table and the memos live as long as the
+process.
 
 Canonicalization evaluates a tree in one pass straight in the polynomial
 ring: a sum adds its terms without a denominator into one coefficient
@@ -32,6 +33,13 @@ dict in place, a product folds its constants, variables and positive
 powers of variables into one monomial, and a denominator of 1 is carried
 as absent.  The pair is reduced once at the end by ``poly.poly_gcd``.
 ``kernel_stats()["ratfunc_nodes"]`` counts the nodes this pass visits.
+It recurses, one frame per tree level, and the parser bounds the depth.
+
+Every other walk (folding, differentiation as a tree, substitution,
+numeric evaluation, display and ``grid.compile_numeric``) is a rule that
+builds a node's result from its children's, run by one loop over
+``post_order``: an explicit stack, so no recursion, over distinct nodes,
+so a shared subtree is walked once.
 
 Everything here is immutable and safe to share across threads.
 """
@@ -41,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from . import poly
 from .poly import Poly
@@ -50,7 +58,7 @@ __all__ = [
     "VarId", "Expr", "Const", "Var", "Sum", "Prod", "Pow", "Quot", "Call",
     "ExprError", "UnsupportedClassError", "UnboundVariableError",
     "EvaluationDomainError", "SymbolicDivisionError",
-    "is_rational", "free_vars",
+    "is_rational", "free_vars", "children", "post_order",
     "canonicalize", "canon", "partial", "substitute", "expr_equal",
     "eval_numeric", "is_zero_expr", "kernel_stats", "ZERO", "ONE",
 ]
@@ -108,7 +116,19 @@ def _intern(cls: type, key: tuple, fields: tuple) -> "Expr":
             _set(node, name, value)
         # the hash the frozen dataclasses had, so set and dict orders stay
         _set(node, "_hash", hash(fields))
-        for name in Expr.__slots__[1:]:
+        # rationality and free variables from the children, which exist
+        # already; a child's set is shared when it covers the others'
+        if cls is Var:
+            rat, fv = True, frozenset(fields)
+        else:
+            rat, fv = cls is not Call, frozenset()
+            for k in children(node):
+                rat = rat and k._rat
+                if not k._fv <= fv:
+                    fv = k._fv if fv <= k._fv else fv | k._fv
+        _set(node, "_rat", rat)
+        _set(node, "_fv", fv)
+        for name in Expr.__slots__[3:]:
             _set(node, name, None)
         # setdefault: of two threads making one structure, both get the
         # node that entered the table first
@@ -120,11 +140,12 @@ class Expr:
     """Base node.  Subclasses: Const, Var, Sum, Prod, Pow, Quot, Call.
 
     Nodes are interned: equal structure means the same object, so ``==``
-    is identity.  The slots after ``_hash`` are memos filled on first use:
-    ``_rat`` (is_rational), ``_fv`` (free_vars), ``_canon`` (the canonical
-    form) and, on a canonical node, ``_rf``, its ``(axes, num, den)``, and
-    ``_d``, a dict from a ``VarId`` to the node's partial derivative.
-    The stored polynomials are shared and must never be mutated.
+    is identity.  ``_rat`` (is_rational) and ``_fv`` (free_vars) are set
+    from the children when the node is interned.  The later slots are
+    memos filled on first use: ``_canon`` (the canonical form) and, on a
+    canonical node, ``_rf``, its ``(axes, num, den)``, and ``_d``, a dict
+    from a ``VarId`` to the node's partial derivative.  The stored
+    polynomials are shared and must never be mutated.
     """
 
     __slots__ = ("_hash", "_rat", "_fv", "_canon", "_rf", "_d")
@@ -239,6 +260,56 @@ class Call(Expr):
         return _intern(cls, ("Call", func, arg), (func, arg))
 
 
+def children(e: Expr) -> tuple[Expr, ...]:
+    """The operands of ``e``, left to right; a leaf has none."""
+    cls = type(e)
+    if cls is Sum:
+        return e.terms
+    if cls is Prod:
+        return e.factors
+    if cls is Pow:
+        return (e.base,)
+    if cls is Quot:
+        return (e.num, e.den)
+    if cls is Call:
+        return (e.arg,)
+    if cls is Const or cls is Var:
+        return ()
+    raise TypeError(f"not an Expr: {e!r}")
+
+
+def post_order(roots: Iterable[Expr]) -> list[Expr]:
+    """The distinct nodes under ``roots``, each after its children.
+
+    An explicit stack visits children left to right, so the order is that
+    of a recursive walk, without its recursion.  Nodes are interned, so a
+    node is its own value number (Aho, Lam, Sethi & Ullman, *Compilers*
+    6.1) and each distinct subtree is listed once.
+    """
+    seen: set[Expr] = set()
+    order: list[Expr] = []
+    for root in roots:
+        stack: list = [root]
+        while stack:
+            node = stack.pop()
+            if type(node) is tuple:     # (node,): its children are done
+                order.append(node[0])
+            elif node not in seen:
+                seen.add(node)
+                stack.append((node,))
+                stack.extend(reversed(children(node)))
+    return order
+
+
+def _walk(e: Expr, rule: Callable, *args):
+    """``rule(node, results of its children, *args)`` for each distinct
+    node under ``e``, children first; the result at ``e``."""
+    done: dict[Expr, object] = {}
+    for node in post_order((e,)):
+        done[node] = rule(node, [done[k] for k in children(node)], *args)
+    return done[e]
+
+
 ZERO = Const(0)
 ONE = Const(1)
 MINUS_ONE = Const(-1)
@@ -275,46 +346,11 @@ def _prod2(a: Expr, b: Expr) -> Expr:
 
 def is_rational(e: Expr) -> bool:
     """True when the expression contains no transcendental leaf."""
-    r = e._rat
-    if r is None:
-        if isinstance(e, (Const, Var)):
-            r = True
-        elif isinstance(e, Call):
-            r = False
-        elif isinstance(e, (Sum, Prod)):
-            # a plain loop: one stack frame per tree level
-            r = True
-            for t in (e.terms if isinstance(e, Sum) else e.factors):
-                if not is_rational(t):
-                    r = False
-                    break
-        elif isinstance(e, Pow):
-            r = is_rational(e.base)
-        else:
-            r = is_rational(e.num) and is_rational(e.den)
-        _set(e, "_rat", r)
-    return r
+    return e._rat
 
 
 def free_vars(e: Expr) -> frozenset[VarId]:
-    fv = e._fv
-    if fv is None:
-        if isinstance(e, Const):
-            fv = frozenset()
-        elif isinstance(e, Var):
-            fv = frozenset((e.var,))
-        elif isinstance(e, (Sum, Prod)):
-            fv = frozenset()
-            for t in (e.terms if isinstance(e, Sum) else e.factors):
-                fv |= free_vars(t)
-        elif isinstance(e, Pow):
-            fv = free_vars(e.base)
-        elif isinstance(e, Quot):
-            fv = free_vars(e.num) | free_vars(e.den)
-        else:
-            fv = free_vars(e.arg)
-        _set(e, "_fv", fv)
-    return fv
+    return e._fv
 
 
 # ---------------------------------------------------------------------------
@@ -589,13 +625,14 @@ def expr_equal(a: Expr, b: Expr) -> bool:
 # light structural folding for numeric-only results (no trig identities)
 
 def _fold(e: Expr) -> Expr:
-    if isinstance(e, (Const, Var)):
-        return e
+    return _walk(e, _fold_node)
+
+
+def _fold_node(e: Expr, kids: list[Expr]) -> Expr:
     if isinstance(e, Sum):
         acc = Fraction(0)
         terms: list[Expr] = []
-        for t in e.terms:
-            t = _fold(t)
+        for t in kids:
             if isinstance(t, Const):
                 acc += t.value
             elif isinstance(t, Sum):
@@ -608,8 +645,7 @@ def _fold(e: Expr) -> Expr:
     if isinstance(e, Prod):
         acc = Fraction(1)
         factors: list[Expr] = []
-        for f in e.factors:
-            f = _fold(f)
+        for f in kids:
             if isinstance(f, Const):
                 acc *= f.value
             elif isinstance(f, Prod):
@@ -622,7 +658,7 @@ def _fold(e: Expr) -> Expr:
             factors.insert(0, Const(acc))
         return factors[0] if len(factors) == 1 else Prod(tuple(factors))
     if isinstance(e, Pow):
-        base = _fold(e.base)
+        base = kids[0]
         if e.exponent == 0:
             return ONE
         if e.exponent == 1:
@@ -631,7 +667,7 @@ def _fold(e: Expr) -> Expr:
             return Const(base.value ** e.exponent)
         return Pow(base, e.exponent)
     if isinstance(e, Quot):
-        num, den = _fold(e.num), _fold(e.den)
+        num, den = kids
         if isinstance(den, Const):
             if den.value == 0:
                 raise SymbolicDivisionError("division by zero constant")
@@ -646,8 +682,8 @@ def _fold(e: Expr) -> Expr:
             raise SymbolicDivisionError("division by an identically zero expression")
         return Quot(num, den)
     if isinstance(e, Call):
-        return Call(e.func, _fold(e.arg))
-    raise TypeError(f"not an Expr: {e!r}")
+        return Call(e.func, kids[0])
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -704,35 +740,29 @@ def _poly_diff(p: Poly, axis: int) -> Poly:
 
 
 def _partial(e: Expr, v: VarId) -> Expr:
-    if isinstance(e, Const):
-        return ZERO
+    """The derivative of ``e`` along ``v`` as a tree, not folded."""
+    return _walk(e, _partial_node, v)
+
+
+def _partial_node(e: Expr, ds: list[Expr], v: VarId) -> Expr:
     if isinstance(e, Var):
         return ONE if e.var == v else ZERO
     if isinstance(e, Sum):
-        return Sum(tuple(_partial(t, v) for t in e.terms))
+        return Sum(tuple(ds))
     if isinstance(e, Prod):
-        terms = []
-        for i, f in enumerate(e.factors):
-            df = _partial(f, v)
-            if df == ZERO:
-                continue
-            rest = e.factors[:i] + (df,) + e.factors[i + 1:]
-            terms.append(Prod(rest))
+        terms = [Prod(e.factors[:i] + (df,) + e.factors[i + 1:])
+                 for i, df in enumerate(ds) if df != ZERO]
         return Sum(tuple(terms)) if terms else ZERO
     if isinstance(e, Pow):
-        if e.exponent == 0:
+        if e.exponent == 0 or ds[0] == ZERO:
             return ZERO
-        db = _partial(e.base, v)
-        if db == ZERO:
-            return ZERO
-        return Prod((Const(e.exponent), Pow(e.base, e.exponent - 1), db))
+        return Prod((Const(e.exponent), Pow(e.base, e.exponent - 1), ds[0]))
     if isinstance(e, Quot):
-        dn, dd = _partial(e.num, v), _partial(e.den, v)
+        dn, dd = ds
         num = Sum((Prod((dn, e.den)), Prod((MINUS_ONE, e.num, dd))))
         return Quot(num, Pow(e.den, 2))
     if isinstance(e, Call):
-        da = _partial(e.arg, v)
-        if da == ZERO:
+        if ds[0] == ZERO:
             return ZERO
         if e.func == "sin":
             outer: Expr = Call("cos", e.arg)
@@ -740,35 +770,40 @@ def _partial(e: Expr, v: VarId) -> Expr:
             outer = Prod((MINUS_ONE, Call("sin", e.arg)))
         else:
             outer = Call("exp", e.arg)
-        return Prod((outer, da))
-    raise TypeError(f"not an Expr: {e!r}")
+        return Prod((outer, ds[0]))
+    return ZERO
 
 
 def substitute(e: Expr, bindings: Mapping[VarId, Expr]) -> Expr:
     """Simultaneous substitution, then canonicalization when rational."""
-    return canon(_substitute(e, bindings))
+    return canon(_walk(e, _substitute_node, bindings))
 
 
-def _substitute(e: Expr, bindings: Mapping[VarId, Expr]) -> Expr:
-    if isinstance(e, Const):
-        return e
+def _substitute_node(e: Expr, kids: list[Expr], bindings: Mapping[VarId, Expr]) -> Expr:
     if isinstance(e, Var):
         return bindings.get(e.var, e)
     if isinstance(e, Sum):
-        return Sum(tuple(_substitute(t, bindings) for t in e.terms))
+        return Sum(tuple(kids))
     if isinstance(e, Prod):
-        return Prod(tuple(_substitute(f, bindings) for f in e.factors))
+        return Prod(tuple(kids))
     if isinstance(e, Pow):
-        return Pow(_substitute(e.base, bindings), e.exponent)
+        return Pow(kids[0], e.exponent)
     if isinstance(e, Quot):
-        return Quot(_substitute(e.num, bindings), _substitute(e.den, bindings))
+        return Quot(*kids)
     if isinstance(e, Call):
-        return Call(e.func, _substitute(e.arg, bindings))
-    raise TypeError(f"not an Expr: {e!r}")
+        return Call(e.func, kids[0])
+    return e
 
 
 def eval_numeric(e: Expr, point: Mapping[VarId, float]) -> float:
     """IEEE-double evaluation with every variable bound."""
+    return _walk(e, _eval_node, point)
+
+
+_MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
+
+
+def _eval_node(e: Expr, vals: list[float], point: Mapping[VarId, float]) -> float:
     if isinstance(e, Const):
         return float(e.value)
     if isinstance(e, Var):
@@ -777,26 +812,22 @@ def eval_numeric(e: Expr, point: Mapping[VarId, float]) -> float:
         except KeyError:
             raise UnboundVariableError(e.var) from None
     if isinstance(e, Sum):
-        return math.fsum(eval_numeric(t, point) for t in e.terms)
+        return math.fsum(vals)
     if isinstance(e, Prod):
         out = 1.0
-        for f in e.factors:
-            out *= eval_numeric(f, point)
+        for f in vals:
+            out *= f
         return out
     if isinstance(e, Pow):
-        base = eval_numeric(e.base, point)
-        if e.exponent < 0 and abs(base) < 1e-300:
+        if e.exponent < 0 and abs(vals[0]) < 1e-300:
             raise EvaluationDomainError("negative power of a value too close to zero")
-        return base ** e.exponent
+        return vals[0] ** e.exponent
     if isinstance(e, Quot):
-        den = eval_numeric(e.den, point)
+        num, den = vals
         if abs(den) < 1e-300:
             raise EvaluationDomainError("division by a value with magnitude < 1e-300")
-        return eval_numeric(e.num, point) / den
-    if isinstance(e, Call):
-        arg = eval_numeric(e.arg, point)
-        return {"sin": math.sin, "cos": math.cos, "exp": math.exp}[e.func](arg)
-    raise TypeError(f"not an Expr: {e!r}")
+        return num / den
+    return _MATH[e.func](vals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -816,14 +847,17 @@ def _needs_parens_in_product(e: Expr) -> bool:
 
 def format_expr(e: Expr) -> str:
     """Deterministic display; re-parseable with the module grammar."""
+    return _walk(e, _format_node)
+
+
+def _format_node(e: Expr, strs: list[str]) -> str:
     if isinstance(e, Const):
         return _frac_str(e.value)
     if isinstance(e, Var):
         return e.var.name
     if isinstance(e, Sum):
         out = ""
-        for i, t in enumerate(e.terms):
-            s = format_expr(t)
+        for i, s in enumerate(strs):
             if i == 0:
                 out = s
             elif s.startswith("-"):
@@ -832,20 +866,19 @@ def format_expr(e: Expr) -> str:
                 out += " + " + s
         return out if out else "0"
     if isinstance(e, Prod):
-        factors = list(e.factors)
+        factors = e.factors
         sign = ""
         if factors and isinstance(factors[0], Const) and factors[0].value == -1 and len(factors) > 1:
             sign = "-"
-            factors = factors[1:]
+            factors, strs = factors[1:], strs[1:]
         parts = []
-        for f in factors:
-            s = format_expr(f)
+        for f, s in zip(factors, strs):
             if _needs_parens_in_product(f) and len(factors) > 1:
                 s = f"({s})"
             parts.append(s)
         return sign + "*".join(parts)
     if isinstance(e, Pow):
-        base = format_expr(e.base)
+        base = strs[0]
         plain = isinstance(e.base, Var) or (
             isinstance(e.base, Const)
             and e.base.value >= 0 and e.base.value.denominator == 1)
@@ -853,7 +886,7 @@ def format_expr(e: Expr) -> str:
             base = f"({base})"
         return f"{base}^{e.exponent}"
     if isinstance(e, Quot):
-        num, den = format_expr(e.num), format_expr(e.den)
+        num, den = strs
         if not isinstance(e.num, (Var, Const, Call)) or num.startswith("-"):
             num = f"({num})"
         den_plain = isinstance(e.den, (Var, Call)) or (
@@ -862,6 +895,4 @@ def format_expr(e: Expr) -> str:
         if not den_plain:
             den = f"({den})"
         return f"{num}/{den}"
-    if isinstance(e, Call):
-        return f"{e.func}({format_expr(e.arg)})"
-    raise TypeError(f"not an Expr: {e!r}")
+    return f"{e.func}({strs[0]})"

@@ -7,7 +7,8 @@ data.  All reductions run in fixed index order so results are bitwise
 reproducible.
 
 ``compile_numeric`` turns expressions into vectorized evaluators in one
-forward pass over their distinct nodes in post-order, with no recursion.
+forward pass over their distinct nodes in ``expr.post_order``, with no
+recursion.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .expr import (
-    Call, Const, EvaluationDomainError, Expr, ExprError, Pow, Prod, Quot,
-    Sum, Var, VarId,
+    Const, EvaluationDomainError, Expr, ExprError, Pow, Prod, Quot, Sum, Var,
+    VarId, children, post_order,
 )
 
 __all__ = [
@@ -94,47 +95,6 @@ def _power(base, n: int):
 
 def _const(value) -> Callable:
     return lambda args: value
-
-
-def _children(node: Expr) -> tuple[Expr, ...]:
-    if isinstance(node, Sum):
-        return node.terms
-    if isinstance(node, Prod):
-        return node.factors
-    if isinstance(node, Pow):
-        return (node.base,)
-    if isinstance(node, Quot):
-        return (node.num, node.den)
-    if isinstance(node, Call):
-        return (node.arg,)
-    if isinstance(node, (Const, Var)):
-        return ()
-    raise TypeError(f"not an Expr: {node!r}")
-
-
-def _post_order(roots: Sequence[Expr], inputs: Mapping[VarId, object]) -> list[Expr]:
-    """The distinct nodes under ``roots``, each after its children.
-
-    An explicit stack visits children left to right, so the order is that
-    of a recursive walk, without its recursion.  Nodes are interned, so a
-    node is its own value number (Aho, Lam, Sethi & Ullman, *Compilers*
-    6.1) and each distinct subtree is listed once.
-    """
-    seen: set[Expr] = set()
-    order: list[Expr] = []
-    for root in roots:
-        stack = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-            elif node not in seen:
-                if isinstance(node, Var) and node.var not in inputs:
-                    raise GridError(f"variable '{node.var.name}' is not mapped to a grid input")
-                seen.add(node)
-                stack.append((node, True))
-                stack.extend((k, False) for k in reversed(_children(node)))
-    return order
 
 
 def _emit(node: Expr, kids: list, inputs: Mapping[VarId, object]):
@@ -236,13 +196,15 @@ def compile_numeric(e: Expr | Sequence[Expr], var_axes: Mapping[VarId, int],
     roots = [e] if single else list(e)
     inputs = {v: operator.itemgetter(i) for v, i in var_axes.items()}
     inputs.update(fixed or {})
-    order = _post_order(roots, inputs)
+    order = post_order(roots)
     uses = Counter(roots)
     for node in order:
-        uses.update(_children(node))
+        if isinstance(node, Var) and node.var not in inputs:
+            raise GridError(f"variable '{node.var.name}' is not mapped to a grid input")
+        uses.update(children(node))
     done: dict[Expr, object] = {}
     for node in order:
-        kids = _children(node)
+        kids = children(node)
         done[node] = _emit(node, [done[k] for k in kids], inputs)
         for k in kids:
             uses[k] -= 1

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .expr import (
     Expr, ExprError, Var, VarId, ZERO, ONE, canon, expr_equal, free_vars,
@@ -222,10 +221,8 @@ class ContactStructure:
     vol: VolumeForm
 
     @classmethod
-    def standard(cls, names: Sequence[str] = ("x", "y", "z")) -> "ContactStructure":
-        if len(names) != 3:
-            raise ChartError("contact chart is three dimensional")
-        chart = Chart.make(*names)
+    def standard(cls) -> "ContactStructure":
+        chart = Chart.make("x", "y", "z")
         x = Var(chart.vars[0])
         sigma = one_form(chart, (ZERO, x, ONE))
         reeb = VectorField(chart, (ZERO, ZERO, ONE))

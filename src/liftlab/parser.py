@@ -13,8 +13,9 @@ A unary minus applies to the whole factor after it, power included, so
 Identifiers other than the three function names must be declared variables.
 Parentheses (a function call's included), unary minus and the quotients of
 one term, which nest left to right, may nest at most MAX_DEPTH levels
-together; deeper input raises ParseError, so neither the parser nor the
-kernel's own recursion over the tree can run out of stack.
+together; deeper input raises ParseError, so neither the parser nor
+``expr._to_ratfunc``, the kernel's one recursive walk, can run out of
+stack.
 """
 
 from __future__ import annotations

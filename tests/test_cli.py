@@ -1,6 +1,8 @@
 """Command-line surface: subcommands, formats, exit codes."""
 
+import inspect
 import json
+import sys
 
 import pytest
 
@@ -115,6 +117,11 @@ class TestDensity:
         assert code == 0
         assert "L = -2" in out
 
+    def test_numeric_only_contact_density(self, capsys):
+        code, out, _ = run(capsys, "density", "--contact-alpha", "sin(y);0;1")
+        assert code == 0
+        assert out == "L = -cos(y) - 2\n"
+
     def test_plasma_density(self, capsys):
         code, out, _ = run(capsys, "density", "--plasma-pi", "p;0")
         assert code == 0
@@ -197,6 +204,21 @@ class TestSim:
                            "--diag", str(tmp_path / "d.csv"))
         assert code == 0
         assert "completed 2 steps of contact-momentum" in out
+
+    def test_deepest_K_runs_at_a_low_recursion_limit(self, tmp_path, capsys):
+        # the kernel's walks over the differentiated K use explicit stacks,
+        # so 100 frames above the caller's depth are enough
+        K = "z" + "/exp(y)" * (MAX_DEPTH - 1)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            code, out, _ = run(capsys, "sim", "--model", "contact-momentum",
+                               "--K", K, "--init", "1;1;1", "--n", "8",
+                               "--steps", "1", "--out", str(tmp_path / "t.csv"),
+                               "--diag", str(tmp_path / "d.csv"))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 0
 
     def test_steps_zero_is_config_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "sim", "--model", "contact-density",

@@ -486,3 +486,43 @@ def test_evaluator_counts_a_canonical_subtree_as_one_node():
     before = kernel_stats()["ratfunc_nodes"]
     canonicalize(Prod((Const(-5), Var(u), Pow(Var(v), 3), Var(u))))
     assert kernel_stats()["ratfunc_nodes"] - before == 1
+
+
+# ---------------------------------------------------------------------------
+# walks over deep and shared trees
+
+def test_deep_numeric_chain_needs_no_recursion():
+    e = Var(X)
+    for _ in range(5000):
+        e = Sum((Call("sin", e), Var(X)))
+    v, dv = 0.3, 1.0
+    for _ in range(5000):
+        v, dv = math.sin(v) + 0.3, math.cos(v) * dv + 1.0
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert not is_rational(e)
+        assert free_vars(e) == frozenset({X})
+        assert canon(e) is e
+        assert eval_numeric(e, {X: 0.3}) == v
+        assert eval_numeric(partial(e, X), {X: 0.3}) == dv
+        renamed = substitute(e, {X: Var(Y)})
+        assert free_vars(renamed) == frozenset({Y})
+        assert substitute(renamed, {Y: Var(X)}) is e
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_shared_chain_is_walked_once_per_distinct_node():
+    # 60 levels of e = sin(e)*cos(e): 2^60 leaves as a tree, 181 distinct nodes
+    e = Var(X)
+    for _ in range(60):
+        e = Prod((Call("sin", e), Call("cos", e)))
+    v, dv = 0.3, 1.0
+    for _ in range(60):
+        s, c = math.sin(v), math.cos(v)
+        v, dv = s * c, (c * c - s * s) * dv
+    assert canon(e) is e
+    assert eval_numeric(e, {X: 0.3}) == v
+    assert math.isclose(eval_numeric(partial(e, X), {X: 0.3}), dv, rel_tol=1e-12)
+    assert substitute(substitute(e, {X: Var(Y)}), {Y: Var(X)}) is e
