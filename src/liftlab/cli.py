@@ -7,6 +7,7 @@ Subcommands: lift, bracket, density, verify, sim.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .expr import ExprError
@@ -129,6 +130,23 @@ def cmd_density(args) -> int:
     raise ConfigError("density needs --contact-alpha or --plasma-pi")
 
 
+def _report_json(report) -> str:
+    """The suite report as JSON, with each check's wall time and the change
+    of ``expr.kernel_stats()`` while it ran."""
+    checks = []
+    for r in report.results:
+        check = {"name": r.name, "trials": r.trials, "passed": r.passed,
+                 "seconds": r.seconds, "kernel": r.kernel,
+                 "counterexample": r.counterexample}
+        if r.residuals:
+            check.update(max_residual=max(r.residuals), flagged=r.flagged)
+        checks.append(check)
+    return json.dumps({"suite": report.suite, "trials": report.trials,
+                       "degree": report.degree, "seed": report.seed,
+                       "result": report.verdict, "seconds": report.seconds,
+                       "kernel": report.kernel, "checks": checks}, indent=2)
+
+
 def cmd_verify(args) -> int:
     try:
         report = run_suite(args.suite, trials=args.trials,
@@ -136,7 +154,7 @@ def cmd_verify(args) -> int:
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    print(report.render())
+    print(_report_json(report) if args.json else report.render())
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILURE
 
 
@@ -207,6 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--json", action="store_true",
+                   help="print the report as JSON, with each check's wall time "
+                        "and the change of the kernel counters while it ran")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("sim", help="method-of-lines simulation run")

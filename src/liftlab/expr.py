@@ -19,13 +19,23 @@ hash-consing*, ML Workshop 2006): every constructor looks its class name
 and fields up in one module-level table, so one structure is one object.
 Equality is identity, and the hash is structural, computed once when the
 node is made.  Its rationality and free variables are set from its
-children when it is interned; its canonical form is memoized in a slot
-on first use.  A canonical node also keeps the reduced rational function
-it was built from, so a canonicalization that meets it as a subtree
-re-indexes the stored polynomials instead of walking the tree, and
-``partial`` differentiates those polynomials in the ring and memoizes
-the result on the node.  The table and the memos live as long as the
-process.
+operands when it is interned; its canonical form is memoized in a slot
+on first use.  The table and the memos live as long as the process.
+
+A canonical form is a constant, a variable or a power of one variable,
+kept as the plain node, or else a canonical node of its own: a
+``CanonicalSum``, ``CanonicalProd`` or ``CanonicalQuot``, interned on
+its reduced ``(axes, num, den)``.  A canonicalization that meets it as
+an operand re-indexes the stored polynomials, and ``partial``
+differentiates them in the ring and memoizes the result on the node, so
+neither builds a tree.  A canonical node is a subclass of the plain
+class its tree has, and builds that tree only when something reads it:
+its fields, ``children`` and every walk over ``post_order``.  The
+operators ``+`` and ``*`` keep a canonical operand whole, and
+``children`` reads a canonical sum in a sum (a canonical product in a
+product) as its terms (factors) in its place: the tree the operators
+build from the plain trees.  So a printed, evaluated or compiled
+expression is the same with canonical operands as with their trees.
 
 Canonicalization evaluates a tree in one pass straight in the polynomial
 ring: a sum adds its terms without a denominator into one coefficient
@@ -39,7 +49,8 @@ Every other walk (folding, differentiation as a tree, substitution,
 numeric evaluation, display and ``grid.compile_numeric``) is a rule that
 builds a node's result from its children's, run by one loop over
 ``post_order``: an explicit stack, so no recursion, over distinct nodes,
-so a shared subtree is walked once.
+so a shared subtree is walked once.  No walk iterates a set of nodes, so
+no output depends on their hashes.
 
 Everything here is immutable and safe to share across threads.
 """
@@ -116,13 +127,16 @@ def _intern(cls: type, key: tuple, fields: tuple) -> "Expr":
             _set(node, name, value)
         # the hash the frozen dataclasses had, so set and dict orders stay
         _set(node, "_hash", hash(fields))
-        # rationality and free variables from the children, which exist
-        # already; a child's set is shared when it covers the others'
+        # rationality and free variables from the operands, which exist
+        # already; an operand's set is shared when it covers the others'
         if cls is Var:
             rat, fv = True, frozenset(fields)
         else:
             rat, fv = cls is not Call, frozenset()
-            for k in children(node):
+            operands = fields[0] if cls is Sum or cls is Prod else fields
+            for k in operands:
+                if not isinstance(k, Expr):
+                    continue
                 rat = rat and k._rat
                 if not k._fv <= fv:
                     fv = k._fv if fv <= k._fv else fv | k._fv
@@ -137,14 +151,15 @@ def _intern(cls: type, key: tuple, fields: tuple) -> "Expr":
 
 
 class Expr:
-    """Base node.  Subclasses: Const, Var, Sum, Prod, Pow, Quot, Call.
+    """Base node.  Subclasses: Const, Var, Sum, Prod, Pow, Quot, Call,
+    and the canonical nodes CanonicalSum, CanonicalProd and CanonicalQuot.
 
     Nodes are interned: equal structure means the same object, so ``==``
     is identity.  ``_rat`` (is_rational) and ``_fv`` (free_vars) are set
-    from the children when the node is interned.  The later slots are
-    memos filled on first use: ``_canon`` (the canonical form) and, on a
-    canonical node, ``_rf``, its ``(axes, num, den)``, and ``_d``, a dict
-    from a ``VarId`` to the node's partial derivative.  The stored
+    from the operands when the node is interned.  ``_canon`` is the
+    canonical form, memoized on first use.  A canonical form keeps
+    ``_rf``, its ``(axes, num, den)``, and ``_d``, a dict from a ``VarId``
+    to its partial derivative, filled on first use.  The stored
     polynomials are shared and must never be mutated.
     """
 
@@ -260,54 +275,113 @@ class Call(Expr):
         return _intern(cls, ("Call", func, arg), (func, arg))
 
 
+class _Canonical:
+    """A canonical form other than a constant, a variable or a power of
+    one variable, interned on its reduced ``(axes, num, den)`` in ``_rf``.
+    Its fields read the tree of the form, which ``_tree_of`` builds on
+    first read and keeps in ``_tree``."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return _canonical_node, self._rf
+
+
+class CanonicalSum(_Canonical, Sum):
+    __slots__ = ("_tree",)
+    terms = property(lambda self: _tree_of(self).terms)
+
+
+class CanonicalProd(_Canonical, Prod):
+    __slots__ = ("_tree",)
+    factors = property(lambda self: _tree_of(self).factors)
+
+
+class CanonicalQuot(_Canonical, Quot):
+    __slots__ = ("_tree",)
+    num = property(lambda self: _tree_of(self).num)
+    den = property(lambda self: _tree_of(self).den)
+
+
+_CANONICAL = (CanonicalSum, CanonicalProd, CanonicalQuot)
+
+
 def children(e: Expr) -> tuple[Expr, ...]:
-    """The operands of ``e``, left to right; a leaf has none."""
+    """The operands of ``e`` as its tree reads them, left to right; a leaf
+    has none.
+
+    A canonical node reads as its tree.  Below a plain node a canonical
+    operand reads as its tree too, and in a sum the terms of a canonical
+    sum (in a product the factors of a canonical product) stand in its
+    place, as the operators flatten a plain operand.  So no walk meets a
+    canonical node below its root.
+    """
     cls = type(e)
     if cls is Sum:
-        return e.terms
-    if cls is Prod:
-        return e.factors
-    if cls is Pow:
-        return (e.base,)
-    if cls is Quot:
-        return (e.num, e.den)
-    if cls is Call:
-        return (e.arg,)
-    if cls is Const or cls is Var:
+        kids = e.terms
+    elif cls is Prod:
+        kids = e.factors
+    elif cls is Const or cls is Var:
         return ()
-    raise TypeError(f"not an Expr: {e!r}")
+    elif cls is Pow:
+        kids = (e.base,)
+    elif cls is Quot:
+        kids = (e.num, e.den)
+    elif cls is Call:
+        kids = (e.arg,)
+    elif cls in _CANONICAL:
+        return children(_tree_of(e))
+    else:
+        raise TypeError(f"not an Expr: {e!r}")
+    for k in kids:
+        if type(k) in _CANONICAL:
+            break
+    else:
+        return kids
+    out: list[Expr] = []
+    for k in kids:
+        if type(k) in _CANONICAL:
+            k = _tree_of(k)
+            if type(k) is cls and cls is not Quot:
+                out.extend(children(k))
+                continue
+        out.append(k)
+    return tuple(out)
 
 
-def post_order(roots: Iterable[Expr]) -> list[Expr]:
-    """The distinct nodes under ``roots``, each after its children.
+def post_order(roots: Iterable[Expr]) -> list[tuple[Expr, tuple[Expr, ...]]]:
+    """The distinct nodes under ``roots`` with their ``children``, each
+    after its children.
 
     An explicit stack visits children left to right, so the order is that
     of a recursive walk, without its recursion.  Nodes are interned, so a
     node is its own value number (Aho, Lam, Sethi & Ullman, *Compilers*
-    6.1) and each distinct subtree is listed once.
+    6.1) and each distinct subtree is listed once; the seen set holds ids,
+    which stand for the nodes while the intern table keeps them.
     """
-    seen: set[Expr] = set()
-    order: list[Expr] = []
+    seen: set[int] = set()
+    order: list[tuple[Expr, tuple[Expr, ...]]] = []
     for root in roots:
         stack: list = [root]
         while stack:
             node = stack.pop()
-            if type(node) is tuple:     # (node,): its children are done
-                order.append(node[0])
-            elif node not in seen:
-                seen.add(node)
-                stack.append((node,))
-                stack.extend(reversed(children(node)))
+            if type(node) is tuple:     # (node, children): the children are done
+                order.append(node)
+            elif id(node) not in seen:
+                seen.add(id(node))
+                kids = children(node)
+                stack.append((node, kids))
+                stack.extend(reversed(kids))
     return order
 
 
 def _walk(e: Expr, rule: Callable, *args):
-    """``rule(node, results of its children, *args)`` for each distinct
-    node under ``e``, children first; the result at ``e``."""
-    done: dict[Expr, object] = {}
-    for node in post_order((e,)):
-        done[node] = rule(node, [done[k] for k in children(node)], *args)
-    return done[e]
+    """``rule(node, its children, their results, *args)`` for each
+    distinct node under ``e``, children first; the result at ``e``."""
+    done: dict[int, object] = {}
+    for node, kids in post_order((e,)):
+        done[id(node)] = rule(node, kids, [done[id(k)] for k in kids], *args)
+    return done[id(e)]
 
 
 ZERO = Const(0)
@@ -324,10 +398,11 @@ def _coerce(x) -> Expr:
 
 
 def _sum2(a: Expr, b: Expr) -> Expr:
-    # flatten one level so that long chains of + stay shallow
+    # flatten one level so that long chains of + stay shallow; a canonical
+    # operand stays whole, and ``children`` flattens it when read
     terms: list[Expr] = []
     for e in (a, b):
-        if isinstance(e, Sum):
+        if type(e) is Sum:
             terms.extend(e.terms)
         else:
             terms.append(e)
@@ -337,7 +412,7 @@ def _sum2(a: Expr, b: Expr) -> Expr:
 def _prod2(a: Expr, b: Expr) -> Expr:
     factors: list[Expr] = []
     for e in (a, b):
-        if isinstance(e, Prod):
+        if type(e) is Prod:
             factors.extend(e.factors)
         else:
             factors.append(e)
@@ -425,7 +500,7 @@ def _to_ratfunc(e: Expr, axis_of: dict[VarId, int],
     c = e._canon
     if c is not None:
         num, den = _reindex(c._rf, axis_of, nvars)
-        return num, (den if type(c) is Quot else None)
+        return num, (den if type(c) is CanonicalQuot else None)
     if cls is Sum:
         acc: Poly = {}        # the terms without a denominator, in place
         num = den = None      # the terms with one, cross-multiplied
@@ -522,18 +597,21 @@ def _poly_to_expr(p: Poly, axes: tuple[VarId, ...]) -> Expr:
 _canonicalize_calls = 0
 _canonicalize_computed = 0
 _canonical_forms = 0
+_canonical_trees = 0
 _partial_calls = 0
 _partial_computed = 0
 
 
 def _canonical_node(axes: tuple[VarId, ...], num: Poly, den: Poly) -> Expr:
-    """The canonical node of the reduced ``num/den`` over ``axes``.
+    """The canonical form of the reduced ``num/den`` over ``axes``.
 
-    A node that is new as a canonical form keeps ``(axes, num, den)``,
-    projected onto the axes that are used.
+    The polynomials are projected onto the axes that are used.  A
+    constant, a variable or a power of one variable is the plain node,
+    which keeps ``(axes, num, den)`` when it is new as a canonical form;
+    any other form is the canonical node interned on them, with no tree.
     """
     global _canonical_forms
-    # drop axes that cancelled away so the tree is support-minimal
+    # drop axes that cancelled away so the form is support-minimal
     used = [i for i in range(len(axes))
             if any(m[i] for m in num) or any(m[i] for m in den)]
     if len(used) != len(axes):
@@ -541,14 +619,54 @@ def _canonical_node(axes: tuple[VarId, ...], num: Poly, den: Poly) -> Expr:
             return {tuple(m[i] for i in used): k for m, k in p.items()}
         num, den = project(num), project(den)
         axes = tuple(axes[i] for i in used)
-    c = _poly_to_expr(num, axes)
     if not (poly.is_const(den) and poly.const_value(den) == 1):
-        c = Quot(c, _poly_to_expr(den, axes))
-    if c._canon is None:
-        _set(c, "_rf", (axes, num, den))
+        cls = CanonicalQuot
+    elif len(num) > 1:
+        cls = CanonicalSum
+    else:
+        # one term: a product when it has a coefficient and a variable, or
+        # two variables
+        mono, k = next(iter(num.items()), ((), 0))
+        nvar = len(mono) - mono.count(0)
+        cls = CanonicalProd if nvar > 1 or (nvar and k != 1) else None
+    if cls is None:
+        c = _poly_to_expr(num, axes)
+        if c._canon is None:
+            _set(c, "_rf", (axes, num, den))
+            _set(c, "_canon", c)
+            _canonical_forms += 1
+        return c
+    key = ("canonical", axes, frozenset(num.items()), frozenset(den.items()))
+    c = _TABLE.get(key)
+    if c is None:
+        c = object.__new__(cls)
+        for name, value in (("_hash", hash(key)), ("_rat", True),
+                            ("_fv", frozenset(axes)), ("_rf", (axes, num, den)),
+                            ("_d", None), ("_tree", None)):
+            _set(c, name, value)
         _set(c, "_canon", c)
-        _canonical_forms += 1
+        node = _TABLE.setdefault(key, c)
+        if node is c:
+            _canonical_forms += 1
+        c = node
     return c
+
+
+def _tree_of(c: Expr) -> Expr:
+    """The plain tree of canonical node ``c``, built on first read.  The
+    tree's canonical form is ``c``."""
+    global _canonical_trees
+    t = c._tree
+    if t is None:
+        axes, num, den = c._rf
+        t = _poly_to_expr(num, axes)
+        if type(c) is CanonicalQuot:
+            t = Quot(t, _poly_to_expr(den, axes))
+        if t._canon is None:
+            _set(t, "_canon", c)
+        _set(c, "_tree", t)
+        _canonical_trees += 1
+    return t
 
 
 def canonicalize(e: Expr) -> Expr:
@@ -583,7 +701,9 @@ def kernel_stats() -> dict[str, int]:
     """Work counters of the kernel since the process started.
 
     ``nodes`` is the size of the intern table, ``canonical_forms`` the
-    number of nodes holding a canonical form, ``canonicalize_calls`` the
+    number of nodes holding a canonical form, ``canonical_trees`` the
+    number of canonical nodes whose tree was built because something read
+    it (each is built once), ``canonicalize_calls`` the
     calls of ``canonicalize`` and ``canonicalize_computed`` those that
     were not answered from a node's memo.  ``partial_calls`` counts the
     calls of ``partial`` and ``partial_computed`` the derivatives it
@@ -596,6 +716,7 @@ def kernel_stats() -> dict[str, int]:
     increments without a lock: threads working at once may lose a few.
     """
     return {"nodes": len(_TABLE), "canonical_forms": _canonical_forms,
+            "canonical_trees": _canonical_trees,
             "canonicalize_calls": _canonicalize_calls,
             "canonicalize_computed": _canonicalize_computed,
             "partial_calls": _partial_calls,
@@ -628,11 +749,11 @@ def _fold(e: Expr) -> Expr:
     return _walk(e, _fold_node)
 
 
-def _fold_node(e: Expr, kids: list[Expr]) -> Expr:
+def _fold_node(e: Expr, _kids: tuple[Expr, ...], folded: list[Expr]) -> Expr:
     if isinstance(e, Sum):
         acc = Fraction(0)
         terms: list[Expr] = []
-        for t in kids:
+        for t in folded:
             if isinstance(t, Const):
                 acc += t.value
             elif isinstance(t, Sum):
@@ -645,7 +766,7 @@ def _fold_node(e: Expr, kids: list[Expr]) -> Expr:
     if isinstance(e, Prod):
         acc = Fraction(1)
         factors: list[Expr] = []
-        for f in kids:
+        for f in folded:
             if isinstance(f, Const):
                 acc *= f.value
             elif isinstance(f, Prod):
@@ -658,7 +779,7 @@ def _fold_node(e: Expr, kids: list[Expr]) -> Expr:
             factors.insert(0, Const(acc))
         return factors[0] if len(factors) == 1 else Prod(tuple(factors))
     if isinstance(e, Pow):
-        base = kids[0]
+        base = folded[0]
         if e.exponent == 0:
             return ONE
         if e.exponent == 1:
@@ -667,7 +788,7 @@ def _fold_node(e: Expr, kids: list[Expr]) -> Expr:
             return Const(base.value ** e.exponent)
         return Pow(base, e.exponent)
     if isinstance(e, Quot):
-        num, den = kids
+        num, den = folded
         if isinstance(den, Const):
             if den.value == 0:
                 raise SymbolicDivisionError("division by zero constant")
@@ -682,7 +803,7 @@ def _fold_node(e: Expr, kids: list[Expr]) -> Expr:
             raise SymbolicDivisionError("division by an identically zero expression")
         return Quot(num, den)
     if isinstance(e, Call):
-        return Call(e.func, kids[0])
+        return Call(e.func, folded[0])
     return e
 
 
@@ -744,32 +865,32 @@ def _partial(e: Expr, v: VarId) -> Expr:
     return _walk(e, _partial_node, v)
 
 
-def _partial_node(e: Expr, ds: list[Expr], v: VarId) -> Expr:
+def _partial_node(e: Expr, kids: tuple[Expr, ...], ds: list[Expr], v: VarId) -> Expr:
     if isinstance(e, Var):
         return ONE if e.var == v else ZERO
     if isinstance(e, Sum):
         return Sum(tuple(ds))
     if isinstance(e, Prod):
-        terms = [Prod(e.factors[:i] + (df,) + e.factors[i + 1:])
+        terms = [Prod(kids[:i] + (df,) + kids[i + 1:])
                  for i, df in enumerate(ds) if df != ZERO]
         return Sum(tuple(terms)) if terms else ZERO
     if isinstance(e, Pow):
         if e.exponent == 0 or ds[0] == ZERO:
             return ZERO
-        return Prod((Const(e.exponent), Pow(e.base, e.exponent - 1), ds[0]))
+        return Prod((Const(e.exponent), Pow(kids[0], e.exponent - 1), ds[0]))
     if isinstance(e, Quot):
-        dn, dd = ds
-        num = Sum((Prod((dn, e.den)), Prod((MINUS_ONE, e.num, dd))))
-        return Quot(num, Pow(e.den, 2))
+        (n, d), (dn, dd) = kids, ds
+        return Quot(Sum((Prod((dn, d)), Prod((MINUS_ONE, n, dd)))), Pow(d, 2))
     if isinstance(e, Call):
         if ds[0] == ZERO:
             return ZERO
+        arg = kids[0]
         if e.func == "sin":
-            outer: Expr = Call("cos", e.arg)
+            outer: Expr = Call("cos", arg)
         elif e.func == "cos":
-            outer = Prod((MINUS_ONE, Call("sin", e.arg)))
+            outer = Prod((MINUS_ONE, Call("sin", arg)))
         else:
-            outer = Call("exp", e.arg)
+            outer = Call("exp", arg)
         return Prod((outer, ds[0]))
     return ZERO
 
@@ -779,19 +900,23 @@ def substitute(e: Expr, bindings: Mapping[VarId, Expr]) -> Expr:
     return canon(_walk(e, _substitute_node, bindings))
 
 
-def _substitute_node(e: Expr, kids: list[Expr], bindings: Mapping[VarId, Expr]) -> Expr:
+def _substitute_node(e: Expr, _kids: tuple[Expr, ...], subs: list[Expr],
+                     bindings: Mapping[VarId, Expr]) -> Expr:
     if isinstance(e, Var):
-        return bindings.get(e.var, e)
+        # a canonical value goes in as its tree, so that a sum or product
+        # built around it here nests it where children would flatten it
+        b = bindings.get(e.var, e)
+        return _tree_of(b) if type(b) in _CANONICAL else b
     if isinstance(e, Sum):
-        return Sum(tuple(kids))
+        return Sum(tuple(subs))
     if isinstance(e, Prod):
-        return Prod(tuple(kids))
+        return Prod(tuple(subs))
     if isinstance(e, Pow):
-        return Pow(kids[0], e.exponent)
+        return Pow(subs[0], e.exponent)
     if isinstance(e, Quot):
-        return Quot(*kids)
+        return Quot(*subs)
     if isinstance(e, Call):
-        return Call(e.func, kids[0])
+        return Call(e.func, subs[0])
     return e
 
 
@@ -803,7 +928,8 @@ def eval_numeric(e: Expr, point: Mapping[VarId, float]) -> float:
 _MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
 
 
-def _eval_node(e: Expr, vals: list[float], point: Mapping[VarId, float]) -> float:
+def _eval_node(e: Expr, _kids: tuple[Expr, ...], vals: list[float],
+               point: Mapping[VarId, float]) -> float:
     if isinstance(e, Const):
         return float(e.value)
     if isinstance(e, Var):
@@ -850,7 +976,7 @@ def format_expr(e: Expr) -> str:
     return _walk(e, _format_node)
 
 
-def _format_node(e: Expr, strs: list[str]) -> str:
+def _format_node(e: Expr, kids: tuple[Expr, ...], strs: list[str]) -> str:
     if isinstance(e, Const):
         return _frac_str(e.value)
     if isinstance(e, Var):
@@ -866,7 +992,7 @@ def _format_node(e: Expr, strs: list[str]) -> str:
                 out += " + " + s
         return out if out else "0"
     if isinstance(e, Prod):
-        factors = e.factors
+        factors = kids
         sign = ""
         if factors and isinstance(factors[0], Const) and factors[0].value == -1 and len(factors) > 1:
             sign = "-"
@@ -878,20 +1004,18 @@ def _format_node(e: Expr, strs: list[str]) -> str:
             parts.append(s)
         return sign + "*".join(parts)
     if isinstance(e, Pow):
-        base = strs[0]
-        plain = isinstance(e.base, Var) or (
-            isinstance(e.base, Const)
-            and e.base.value >= 0 and e.base.value.denominator == 1)
+        base, (b,) = strs[0], kids
+        plain = isinstance(b, Var) or (
+            isinstance(b, Const) and b.value >= 0 and b.value.denominator == 1)
         if not plain:
             base = f"({base})"
         return f"{base}^{e.exponent}"
     if isinstance(e, Quot):
-        num, den = strs
-        if not isinstance(e.num, (Var, Const, Call)) or num.startswith("-"):
+        (num, den), (n, d) = strs, kids
+        if not isinstance(n, (Var, Const, Call)) or num.startswith("-"):
             num = f"({num})"
-        den_plain = isinstance(e.den, (Var, Call)) or (
-            isinstance(e.den, Const)
-            and e.den.value > 0 and e.den.value.denominator == 1)
+        den_plain = isinstance(d, (Var, Call)) or (
+            isinstance(d, Const) and d.value > 0 and d.value.denominator == 1)
         if not den_plain:
             den = f"({den})"
         return f"{num}/{den}"

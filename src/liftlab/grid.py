@@ -23,7 +23,7 @@ import numpy as np
 
 from .expr import (
     Const, EvaluationDomainError, Expr, ExprError, Pow, Prod, Quot, Sum, Var,
-    VarId, children, post_order,
+    VarId, post_order,
 )
 
 __all__ = [
@@ -198,13 +198,12 @@ def compile_numeric(e: Expr | Sequence[Expr], var_axes: Mapping[VarId, int],
     inputs.update(fixed or {})
     order = post_order(roots)
     uses = Counter(roots)
-    for node in order:
+    for node, kids in order:
         if isinstance(node, Var) and node.var not in inputs:
             raise GridError(f"variable '{node.var.name}' is not mapped to a grid input")
-        uses.update(children(node))
+        uses.update(kids)
     done: dict[Expr, object] = {}
-    for node in order:
-        kids = children(node)
+    for node, kids in order:
         done[node] = _emit(node, [done[k] for k in kids], inputs)
         for k in kids:
             uses[k] -= 1

@@ -37,10 +37,10 @@ __all__ = [
     "MomentumDensity", "PlasmaParams", "PlasmaMomentum", "ContactStructure",
     "NonDivergenceFreeError",
     "lie_poisson_rhs", "fluid_rhs", "vorticity_rhs",
-    "plasma_chart", "plasma_hamiltonian", "plasma_density", "plasma_dual_ok",
+    "plasma_chart", "plasma_hamiltonian", "plasma_density",
     "vlasov_momentum_rhs", "vlasov_density_rhs",
     "contact_vector_field", "contact_bracket",
-    "contact_density", "contact_dual_ok", "contact_momentum_rhs",
+    "contact_density", "contact_momentum_rhs",
     "contact_momentum_rhs_via_lift", "contact_density_rhs",
     "hamiltonian_operator_momentum", "hamiltonian_operator_density",
     "contact_cotangent_chart",
@@ -170,11 +170,6 @@ def plasma_density(pi: PlasmaMomentum) -> Expr:
     return canon(out)
 
 
-def plasma_dual_ok(pi: PlasmaMomentum) -> bool:
-    """Admissibility: the induced density is not identically zero."""
-    return not is_zero_expr(plasma_density(pi))
-
-
 def vlasov_momentum_rhs(pi: PlasmaMomentum, params: PlasmaParams,
                         d: Derivative = partial) -> PlasmaMomentum:
     """Vlasov equations in momentum variables, written exactly as displayed:
@@ -289,11 +284,6 @@ def contact_density(cs: ContactStructure, alpha: DifferentialForm,
         if not expr_equal(canon(coeff / cs.vol.coefficient), L):
             raise ExprError("contact density formula disagrees with the wedge identity")
     return L
-
-
-def contact_dual_ok(cs: ContactStructure, alpha: DifferentialForm) -> bool:
-    """Admissibility: d(alpha)^sigma - 2 alpha^dsigma is not identically zero."""
-    return not is_zero_expr(contact_density(cs, alpha))
 
 
 def contact_momentum_rhs(cs: ContactStructure, alpha: DifferentialForm,

@@ -13,11 +13,14 @@ artifact.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .expr import Call, Expr, Var, ZERO, canon, expr_equal, partial, substitute
+from .expr import (
+    Call, Expr, Var, ZERO, canon, expr_equal, kernel_stats, partial, substitute,
+)
 from .geometry import (
     Chart, VectorField, VolumeForm, divergence, exterior_derivative,
     interior_product, jacobi_lie_bracket, lie_derivative_form, one_form,
@@ -56,6 +59,10 @@ WEAK_PROBE_N = 48
 
 @dataclass
 class CheckResult:
+    """One check's outcome.  ``seconds`` and ``kernel``, the change of
+    ``expr.kernel_stats()`` while it ran, are set where the check runs on
+    its own; the operators-weak checks share one loop and leave them unset."""
+
     name: str
     trials: int
     passed: bool
@@ -63,6 +70,8 @@ class CheckResult:
     residuals: list[float] = field(default_factory=list)
     flagged: bool = False
     note: str | None = None
+    seconds: float | None = None
+    kernel: dict[str, int] | None = None
 
 
 @dataclass
@@ -73,10 +82,16 @@ class SuiteReport:
     seed: int
     results: list[CheckResult] = field(default_factory=list)
     informational: bool = False
+    seconds: float | None = None
+    kernel: dict[str, int] | None = None
 
     @property
     def ok(self) -> bool:
         return self.informational or all(r.passed for r in self.results)
+
+    @property
+    def verdict(self) -> str:
+        return "REPORTED" if self.informational else ("PASS" if self.ok else "FAIL")
 
     def render(self) -> str:
         lines = [f"suite: {self.suite}  trials={self.trials} "
@@ -97,8 +112,7 @@ class SuiteReport:
                 lines.append(f"  [{tag}] {r.name} ({r.trials} trials)")
                 if r.counterexample:
                     lines.append(f"         counterexample: {r.counterexample}")
-        verdict = "REPORTED" if self.informational else ("PASS" if self.ok else "FAIL")
-        lines.append(f"RESULT: {verdict}")
+        lines.append(f"RESULT: {self.verdict}")
         return "\n".join(lines)
 
 
@@ -109,13 +123,20 @@ def _run_checks(report: SuiteReport,
         rng = random.Random(f"{seed}:{name}")
         failure = None
         done = 0
+        start, stats = time.perf_counter(), kernel_stats()
         for t in range(trials):
             failure = check(rng)
             done += 1
             if failure:
                 break
-        report.results.append(CheckResult(name, done, failure is None, failure))
+        report.results.append(CheckResult(
+            name, done, failure is None, failure,
+            seconds=time.perf_counter() - start, kernel=_kernel_delta(stats)))
     return report
+
+
+def _kernel_delta(before: dict[str, int]) -> dict[str, int]:
+    return {k: v - before[k] for k, v in kernel_stats().items()}
 
 
 def _gvf_diff_str(a: GeneralizedVectorField, b: GeneralizedVectorField) -> str:
@@ -646,4 +667,8 @@ def run_suite(name: str, trials: int = 20, degree: int = 3,
               seed: int = 0) -> SuiteReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite '{name}'; choose from {sorted(SUITES)}")
-    return SUITES[name](trials, degree, seed)
+    start, stats = time.perf_counter(), kernel_stats()
+    report = SUITES[name](trials, degree, seed)
+    report.seconds = time.perf_counter() - start
+    report.kernel = _kernel_delta(stats)
+    return report

@@ -166,6 +166,43 @@ class TestVerify:
         assert code == 1
         assert "RESULT: FAIL" in out
         assert "counterexample: X = x" in out
+        code, out, _ = run(capsys, "verify", "--suite", "lifts", "--json")
+        assert code == 1
+        report = json.loads(out)
+        assert report["result"] == "FAIL"
+        assert report["checks"][0]["counterexample"] == "X = x"
+
+    def test_json_report_times_each_check(self, capsys):
+        argv = ("verify", "--suite", "lifts", "--trials", "2", "--seed", "4")
+        code, text, _ = run(capsys, *argv)
+        assert code == 0
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert (report["suite"], report["trials"], report["degree"], report["seed"],
+                report["result"]) == ("lifts", 2, 3, 4, "PASS")
+        lines = [f"  [{'PASS' if c['passed'] else 'FAIL'}] {c['name']} ({c['trials']} trials)"
+                 for c in report["checks"]]
+        assert text.splitlines()[1:-1] == lines
+        for check in report["checks"]:
+            assert check["seconds"] >= 0 and check["counterexample"] is None
+            assert check["kernel"]["canonicalize_calls"] > 0
+        assert report["seconds"] >= sum(c["seconds"] for c in report["checks"])
+        assert report["kernel"]["canonicalize_calls"] == sum(
+            c["kernel"]["canonicalize_calls"] for c in report["checks"])
+
+    def test_json_report_of_the_weak_suite_times_the_suite(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "operators-weak",
+                           "--trials", "1", "--seed", "3", "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["result"] == "REPORTED" and report["seconds"] > 0
+        assert all(c["seconds"] is None and c["max_residual"] >= 0
+                   for c in report["checks"])
+
+    def test_json_report_of_an_unknown_suite_is_config_error(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "nope", "--json")
+        assert code == 2 and out == ""
 
 
 class TestSim:

@@ -1,11 +1,14 @@
 """Expression kernel: canonical forms, calculus, numeric evaluation."""
 
+import copy
 import math
+import pickle
 import random
 import sys
 import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,8 +16,10 @@ from liftlab.expr import (
     Call, Const, EvaluationDomainError, Pow, Prod, Quot, Sum,
     SymbolicDivisionError, UnboundVariableError, UnsupportedClassError, Var,
     VarId, ZERO, ONE, _partial, canon, canonicalize, eval_numeric,
-    expr_equal, free_vars, is_rational, kernel_stats, partial, substitute,
+    expr_equal, free_vars, is_rational, is_zero_expr, kernel_stats, partial,
+    substitute,
 )
+from liftlab.grid import compile_numeric
 from liftlab.parser import parse_expr
 from liftlab.verify import run_suite
 
@@ -314,8 +319,11 @@ class TestInterning:
     def test_equal_structure_is_one_object_across_routes(self):
         parsed = parse("x*y + 2")
         assert parsed is Var(X) * Var(Y) + 2
-        assert canonicalize(parse("2 + y*x")) is parsed
-        assert substitute(parse("z*y + 2"), {Z: Var(X)}) is parsed
+        # a canonical form is its own node, not the parsed sum
+        canonical = canonicalize(parsed)
+        assert canonicalize(parse("2 + y*x")) is canonical
+        assert substitute(parse("z*y + 2"), {Z: Var(X)}) is canonical
+        assert str(canonical) == str(canonicalize(parse("2 + y*x"))) == "x*y + 2"
         assert parse("x^2 + 3/2*y") is Sum((Pow(Var(X), 2),
                                             Prod((Const(Fraction(3, 2)), Var(Y)))))
 
@@ -526,3 +534,217 @@ def test_shared_chain_is_walked_once_per_distinct_node():
     assert eval_numeric(e, {X: 0.3}) == v
     assert math.isclose(eval_numeric(partial(e, X), {X: 0.3}), dv, rel_tol=1e-12)
     assert substitute(substitute(e, {X: Var(Y)}), {Y: Var(X)}) is e
+
+
+# ---------------------------------------------------------------------------
+# trees that mix canonical operands with variables, constants and calls
+
+_A = canonicalize(parse("x^2 + 3*y + 1"))
+_P = canonicalize(parse("-2*x*y"))
+_Q = canonicalize(parse("(x+1)/(y^2+2)"))
+_N = canonicalize(parse("-x"))
+_H = canonicalize(Const(Fraction(1, 2)))
+_S = canonicalize(parse("x - y"))
+
+
+def _mixed(name):
+    x, y, a, p, q, n, h, s = Var(X), Var(Y), _A, _P, _Q, _N, _H, _S
+    return {
+        "y*n": y * n, "n*y": n * y,
+        "a+y": a + y, "y+a": y + a, "a+a": a + a,
+        "a+s": a + s, "s-a": s - a,
+        "a*y": a * y, "y*a": y * a,
+        "p*y": p * y, "y*p": y * p, "p*a": p * a, "a*p": a * p,
+        "-a": -a, "-p": -p, "-q": -q, "y-a": y - a, "a-p": a - p,
+        "q+x": q + x, "x+q": x + q, "q*a": q * a,
+        "a/q": a / q, "q/a": q / a, "p/s": p / s,
+        "sin(a)*p": Call("sin", a) * p, "p*sin(a)": p * Call("sin", a),
+        "cos(q)+a": Call("cos", q) + a, "a+sin(p)*s": a + Call("sin", p) * s,
+        "a^2": a ** 2, "p^2": p ** 2, "q^-1": q ** -1, "s^3*y": s ** 3 * y,
+        "2*a": 2 * a, "a*1/2": a * Fraction(1, 2), "a-1": a - 1, "1-a": 1 - a,
+        "n*n": n * n, "n+n": n + n, "h*x": h * x, "x/h": x / h,
+        "h+a": h + a, "(a+y)*(p-x)": (a + y) * (p - x), "(y+a)+(s+x)": (y + a) + (s + x),
+        "exp(s)*(q+p)": Call("exp", s) * (q + p),
+    }[name]
+
+
+# (case, str(), compile_numeric and eval_numeric at _POINTS as float.hex)
+_MIXED = [
+    ("y*n", "y*(-1)*x",
+     ["-0x1.51eb851eb851fp-2", "0x1.87ae147ae147bp-1", "0x1.9851eb851eb85p+2"],
+     ["-0x1.51eb851eb851fp-2", "0x1.87ae147ae147bp-1", "0x1.9851eb851eb85p+2"]),
+    ("n*y", "-x*y",
+     ["-0x1.51eb851eb851fp-2", "0x1.87ae147ae147bp-1", "0x1.9851eb851eb85p+2"],
+     ["-0x1.51eb851eb851fp-2", "0x1.87ae147ae147bp-1", "0x1.9851eb851eb85p+2"]),
+    ("a+y", "x^2 + 3*y + 1 + y",
+     ["0x1.5f5c28f5c28f6p+2", "0x1.6c28f5c28f5c3p+2", "0x1.3851eb851eb80p-1"],
+     ["0x1.5f5c28f5c28f6p+2", "0x1.6c28f5c28f5c2p+2", "0x1.3851eb851eb80p-1"]),
+    ("y+a", "y + x^2 + 3*y + 1",
+     ["0x1.5f5c28f5c28f6p+2", "0x1.6c28f5c28f5c2p+2", "0x1.3851eb851eb80p-1"],
+     ["0x1.5f5c28f5c28f6p+2", "0x1.6c28f5c28f5c2p+2", "0x1.3851eb851eb80p-1"]),
+    ("a+a", "x^2 + 3*y + 1 + x^2 + 3*y + 1",
+     ["0x1.18f5c28f5c290p+3", "0x1.4f5c28f5c28f5p+3", "0x1.67ae147ae1479p+2"],
+     ["0x1.18f5c28f5c290p+3", "0x1.4f5c28f5c28f6p+3", "0x1.67ae147ae147ap+2"]),
+    ("a+s", "x^2 + 3*y + 1 + x - y",
+     ["0x1.cb851eb851eb9p+1", "0x1.8b851eb851eb8p+1", "0x1.fa3d70a3d70a3p+2"],
+     ["0x1.cb851eb851eb9p+1", "0x1.8b851eb851eb8p+1", "0x1.fa3d70a3d70a4p+2"]),
+    ("s-a", "x - y - x^2 + 3*y + 1",
+     ["-0x1.4c28f5c28f5c3p+2", "-0x1.d8f5c28f5c290p+2", "0x1.251eb851eb852p+1"],
+     ["-0x1.4c28f5c28f5c3p+2", "-0x1.d8f5c28f5c290p+2", "0x1.251eb851eb853p+1"]),
+    ("a*y", "(x^2 + 3*y + 1)*y",
+     ["0x1.350e560418938p+2", "0x1.2dd2f1a9fbe77p+1", "-0x1.8ba5e353f7cedp+2"],
+     ["0x1.350e560418938p+2", "0x1.2dd2f1a9fbe77p+1", "-0x1.8ba5e353f7cedp+2"]),
+    ("y*a", "y*(x^2 + 3*y + 1)",
+     ["0x1.350e560418938p+2", "0x1.2dd2f1a9fbe77p+1", "-0x1.8ba5e353f7cedp+2"],
+     ["0x1.350e560418938p+2", "0x1.2dd2f1a9fbe77p+1", "-0x1.8ba5e353f7cedp+2"]),
+    ("p*y", "(-2)*x*y*y",
+     ["-0x1.73b645a1cac09p-1", "0x1.6083126e978d5p-1", "-0x1.c126e978d4fe0p+4"],
+     ["-0x1.73b645a1cac09p-1", "0x1.6083126e978d5p-1", "-0x1.c126e978d4fe0p+4"]),
+    ("y*p", "y*(-2)*x*y",
+     ["-0x1.73b645a1cac09p-1", "0x1.6083126e978d5p-1", "-0x1.c126e978d4fe0p+4"],
+     ["-0x1.73b645a1cac09p-1", "0x1.6083126e978d5p-1", "-0x1.c126e978d4fe0p+4"]),
+    ("p*a", "(-2)*x*y*(x^2 + 3*y + 1)",
+     ["-0x1.72de00d1b7177p+1", "0x1.008ce703afb7fp+3", "0x1.1ed844d013a92p+5"],
+     ["-0x1.72de00d1b7177p+1", "0x1.008ce703afb7fp+3", "0x1.1ed844d013a92p+5"]),
+    ("a*p", "(x^2 + 3*y + 1)*(-2)*x*y",
+     ["-0x1.72de00d1b7177p+1", "0x1.008ce703afb7ep+3", "0x1.1ed844d013a93p+5"],
+     ["-0x1.72de00d1b7177p+1", "0x1.008ce703afb7ep+3", "0x1.1ed844d013a93p+5"]),
+    ("-a", "-x^2 + 3*y + 1",
+     ["-0x1.18f5c28f5c290p+2", "-0x1.4f5c28f5c28f6p+2", "-0x1.67ae147ae147ap+1"],
+     ["-0x1.18f5c28f5c290p+2", "-0x1.4f5c28f5c28f6p+2", "-0x1.67ae147ae147ap+1"]),
+    ("-p", "-(-2)*x*y",
+     ["0x1.51eb851eb851fp-1", "-0x1.87ae147ae147bp+0", "-0x1.9851eb851eb85p+3"],
+     ["0x1.51eb851eb851fp-1", "-0x1.87ae147ae147bp+0", "-0x1.9851eb851eb85p+3"]),
+    ("-q", "-(x + 1)/(y^2 + 2)",
+     ["-0x1.9eb43c9c4fc04p-2", "0x1.4572c7564d4b3p-2", "-0x1.23ee08fb823edp-1"],
+     ["-0x1.9eb43c9c4fc04p-2", "0x1.4572c7564d4b3p-2", "-0x1.23ee08fb823edp-1"]),
+    ("y-a", "y - x^2 + 3*y + 1",
+     ["-0x1.a51eb851eb853p+1", "-0x1.328f5c28f5c29p+2", "-0x1.40a3d70a3d70ap+2"],
+     ["-0x1.a51eb851eb853p+1", "-0x1.328f5c28f5c29p+2", "-0x1.40a3d70a3d70ap+2"]),
+    ("a-p", "x^2 + 3*y + 1 - (-2)*x*y",
+     ["0x1.4333333333334p+2", "0x1.dae147ae147aep+1", "-0x1.3e66666666666p+3"],
+     ["0x1.4333333333334p+2", "0x1.dae147ae147aep+1", "-0x1.3e66666666666p+3"]),
+    ("q+x", "(x + 1)/(y^2 + 2) + x",
+     ["0x1.68f3b7e7c179cp-1", "-0x1.0247f28463430p+1", "0x1.bc2eb57213c2ep+1"],
+     ["0x1.68f3b7e7c179cp-1", "-0x1.0247f28463430p+1", "0x1.bc2eb57213c2ep+1"]),
+    ("x+q", "x + (x + 1)/(y^2 + 2)",
+     ["0x1.68f3b7e7c179cp-1", "-0x1.0247f28463430p+1", "0x1.bc2eb57213c2ep+1"],
+     ["0x1.68f3b7e7c179cp-1", "-0x1.0247f28463430p+1", "0x1.bc2eb57213c2ep+1"]),
+    ("q*a", "((x + 1)/(y^2 + 2))*(x^2 + 3*y + 1)",
+     ["0x1.c7233ff5caba2p+0", "-0x1.aa565c2bef7ebp+0", "0x1.9a2951bd87a27p+0"],
+     ["0x1.c7233ff5caba2p+0", "-0x1.aa565c2bef7ebp+0", "0x1.9a2951bd87a27p+0"]),
+    ("a/q", "(x^2 + 3*y + 1)/((x + 1)/(y^2 + 2))",
+     ["0x1.5ae0a65c514a3p+3", "-0x1.07cbec1aeaa48p+4", "0x1.3b6964aac58dap+2"],
+     ["0x1.5ae0a65c514a3p+3", "-0x1.07cbec1aeaa48p+4", "0x1.3b6964aac58dap+2"]),
+    ("q/a", "((x + 1)/(y^2 + 2))/(x^2 + 3*y + 1)",
+     ["0x1.79dcca2d9f8dep-4", "-0x1.f0de22a6ef2a7p-5", "0x1.9f8ef7d52a5efp-3"],
+     ["0x1.79dcca2d9f8dep-4", "-0x1.f0de22a6ef2a7p-5", "0x1.9f8ef7d52a5efp-3"]),
+    ("p/s", "((-2)*x*y)/(x - y)",
+     ["0x1.a666666666666p-1", "-0x1.6c5a7e36c5a7fp-1", "0x1.4040404040404p+1"],
+     ["0x1.a666666666666p-1", "-0x1.6c5a7e36c5a7fp-1", "0x1.4040404040404p+1"]),
+    ("sin(a)*p", "sin(x^2 + 3*y + 1)*(-2)*x*y",
+     ["0x1.4082c200bb9c4p-1", "-0x1.526a95873f091p+0", "0x1.09db4ab28294bp+2"],
+     ["0x1.4082c200bb9c4p-1", "-0x1.526a95873f091p+0", "0x1.09db4ab28294bp+2"]),
+    ("p*sin(a)", "(-2)*x*y*sin(x^2 + 3*y + 1)",
+     ["0x1.4082c200bb9c5p-1", "-0x1.526a95873f091p+0", "0x1.09db4ab28294ap+2"],
+     ["0x1.4082c200bb9c5p-1", "-0x1.526a95873f091p+0", "0x1.09db4ab28294ap+2"]),
+    ("cos(q)+a", "cos((x + 1)/(y^2 + 2)) + x^2 + 3*y + 1",
+     ["0x1.53c86f298f633p+2", "0x1.8c27a0cf8664dp+2", "0x1.d36e637542beap+1"],
+     ["0x1.53c86f298f633p+2", "0x1.8c27a0cf8664dp+2", "0x1.d36e637542be8p+1"]),
+    ("a+sin(p)*s", "x^2 + 3*y + 1 + sin((-2)*x*y)*(x - y)",
+     ["0x1.385a0154ee33ap+2", "0x1.8bbfbd3fc18cdp+1", "0x1.e54afb37da803p+1"],
+     ["0x1.385a0154ee339p+2", "0x1.8bbfbd3fc18ccp+1", "0x1.e54afb37da803p+1"]),
+    ("a^2", "(x^2 + 3*y + 1)^2",
+     ["0x1.345a858793ddbp+4", "0x1.b7525460aa64dp+4", "0x1.f959b3d07c849p+2"],
+     ["0x1.345a858793ddbp+4", "0x1.b7525460aa64dp+4", "0x1.f959b3d07c849p+2"]),
+    ("p^2", "((-2)*x*y)^2",
+     ["0x1.be0ded288ce71p-2", "0x1.2ba29c779a6b5p+1", "0x1.45a29c779a6b5p+7"],
+     ["0x1.be0ded288ce71p-2", "0x1.2ba29c779a6b5p+1", "0x1.45a29c779a6b5p+7"]),
+    ("q^-1", "((x + 1)/(y^2 + 2))^-1",
+     ["0x1.3c0fc0fc0fc0fp+1", "-0x1.92be2be2be2c0p+1", "0x1.c0fc0fc0fc0fep+0"],
+     ["0x1.3c0fc0fc0fc0fp+1", "-0x1.92be2be2be2c0p+1", "0x1.c0fc0fc0fc0fep+0"]),
+    ("s^3*y", "(x - y)^3*y",
+     ["-0x1.205bc01a36e30p-1", "-0x1.1e39a6b50b0f2p+2", "-0x1.23d50b0f27bb3p+8"],
+     ["-0x1.205bc01a36e30p-1", "-0x1.1e39a6b50b0f2p+2", "-0x1.23d50b0f27bb3p+8"]),
+    ("2*a", "2*(x^2 + 3*y + 1)",
+     ["0x1.18f5c28f5c290p+3", "0x1.4f5c28f5c28f6p+3", "0x1.67ae147ae147ap+2"],
+     ["0x1.18f5c28f5c290p+3", "0x1.4f5c28f5c28f6p+3", "0x1.67ae147ae147ap+2"]),
+    ("a*1/2", "(x^2 + 3*y + 1)*(1/2)",
+     ["0x1.18f5c28f5c290p+1", "0x1.4f5c28f5c28f6p+1", "0x1.67ae147ae147ap+0"],
+     ["0x1.18f5c28f5c290p+1", "0x1.4f5c28f5c28f6p+1", "0x1.67ae147ae147ap+0"]),
+    ("a-1", "x^2 + 3*y + 1 - 1",
+     ["0x1.b1eb851eb851fp+1", "0x1.0f5c28f5c28f6p+2", "0x1.cf5c28f5c28f4p+0"],
+     ["0x1.b1eb851eb851fp+1", "0x1.0f5c28f5c28f6p+2", "0x1.cf5c28f5c28f4p+0"]),
+    ("1-a", "1 - x^2 + 3*y + 1",
+     ["-0x1.b1eb851eb8520p+1", "-0x1.0f5c28f5c28f6p+2", "-0x1.cf5c28f5c28f4p+0"],
+     ["-0x1.b1eb851eb8520p+1", "-0x1.0f5c28f5c28f6p+2", "-0x1.cf5c28f5c28f4p+0"]),
+    ("n*n", "-x*(-1)*x",
+     ["0x1.70a3d70a3d70ap-4", "0x1.71eb851eb851ep+1", "0x1.0d1eb851eb852p+3"],
+     ["0x1.70a3d70a3d70ap-4", "0x1.71eb851eb851ep+1", "0x1.0d1eb851eb852p+3"]),
+    ("n+n", "-x - x",
+     ["-0x1.3333333333333p-1", "0x1.b333333333333p+1", "-0x1.7333333333333p+2"],
+     ["-0x1.3333333333333p-1", "0x1.b333333333333p+1", "-0x1.7333333333333p+2"]),
+    ("h*x", "(1/2)*x",
+     ["0x1.3333333333333p-3", "-0x1.b333333333333p-1", "0x1.7333333333333p+0"],
+     ["0x1.3333333333333p-3", "-0x1.b333333333333p-1", "0x1.7333333333333p+0"]),
+    ("x/h", "x/(1/2)",
+     ["0x1.3333333333333p-1", "-0x1.b333333333333p+1", "0x1.7333333333333p+2"],
+     ["0x1.3333333333333p-1", "-0x1.b333333333333p+1", "0x1.7333333333333p+2"]),
+    ("h+a", "1/2 + x^2 + 3*y + 1",
+     ["0x1.38f5c28f5c290p+2", "0x1.6f5c28f5c28f6p+2", "0x1.a7ae147ae147ap+1"],
+     ["0x1.38f5c28f5c290p+2", "0x1.6f5c28f5c28f6p+2", "0x1.a7ae147ae147ap+1"]),
+    ("(a+y)*(p-x)", "(x^2 + 3*y + 1 + y)*((-2)*x*y - x)",
+     ["-0x1.514e3bcd35a86p+2", "0x1.260f27bb2fec6p+4", "0x1.80ef34d6a1618p+2"],
+     ["-0x1.514e3bcd35a86p+2", "0x1.260f27bb2fec5p+4", "0x1.80ef34d6a1618p+2"]),
+    ("(y+a)+(s+x)", "y + x^2 + 3*y + 1 + x - y + x",
+     ["0x1.3f5c28f5c28f5p+2", "0x1.d70a3d70a3d6dp+0", "0x1.13851eb851eb8p+3"],
+     ["0x1.3f5c28f5c28f6p+2", "0x1.d70a3d70a3d70p+0", "0x1.13851eb851eb8p+3"]),
+    ("exp(s)*(q+p)", "exp(x - y)*((x + 1)/(y^2 + 2) + (-2)*x*y)",
+     ["-0x1.d5580238e623fp-4", "0x1.212d4d8b29d7ap-3", "0x1.114e1b08c5715p+11"],
+     ["-0x1.d5580238e623fp-4", "0x1.212d4d8b29d7ap-3", "0x1.114e1b08c5715p+11"]),
+]
+_POINTS = ([0.3, -1.7, 2.9], [1.1, 0.45, -2.2])
+
+
+@pytest.mark.parametrize("name, text, compiled, evaluated", _MIXED,
+                         ids=[case[0] for case in _MIXED])
+def test_mixed_canonical_trees_print_and_evaluate_as_pinned(name, text, compiled, evaluated):
+    e = _mixed(name)
+    assert str(e) == text
+    xs, ys = (np.array(p) for p in _POINTS)
+    got = np.broadcast_to(compile_numeric(e, {X: 0, Y: 1})([xs, ys]), xs.shape)
+    assert [float(v).hex() for v in got] == compiled
+    assert [eval_numeric(e, {X: u, Y: v}).hex() for u, v in zip(*_POINTS)] == evaluated
+
+
+@pytest.mark.parametrize("c", [_A, _P, _Q, _N, _H, _S], ids="APQNHS")
+def test_canonical_node_survives_copy_and_pickle(c):
+    assert copy.deepcopy(c) is c
+    assert copy.copy(c) is c
+    assert pickle.loads(pickle.dumps(c)) is c
+    assert canonicalize(pickle.loads(pickle.dumps(c))) is c
+    mixed = Var(Y) * c + Call("sin", c)
+    assert pickle.loads(pickle.dumps(mixed)) is mixed
+
+
+def test_canonical_operands_decide_identities_without_trees():
+    u, v = VarId("tree_u", 0), VarId("tree_v", 1)
+    a = canonicalize(Var(u) ** 2 + 3 * Var(v) + 1)
+    b = canonicalize(Var(u) * Var(v) - Const(Fraction(1, 2)))
+    before = kernel_stats()["canonical_trees"]
+    assert is_zero_expr(a * b - b * a)
+    assert partial(a * b, u) is canonicalize(partial(a, u) * b + a * partial(b, u))
+    assert kernel_stats()["canonical_trees"] == before
+
+
+def test_canonical_tree_is_built_once_when_read():
+    u, v = VarId("tree_w", 0), VarId("tree_z", 1)
+    c = canonicalize((Var(u) + 2 * Var(v)) / (Var(v) ** 2 + 1))
+    before = kernel_stats()["canonical_trees"]
+    assert str(c) == "(tree_w + 2*tree_z)/(tree_z^2 + 1)"
+    assert kernel_stats()["canonical_trees"] == before + 1
+    assert str(c) == "(tree_w + 2*tree_z)/(tree_z^2 + 1)"
+    assert kernel_stats()["canonical_trees"] == before + 1
+    # the tree is a plain node whose canonical form is the canonical node
+    assert isinstance(c, Quot) and type(c.num) is Sum
+    assert canonicalize(Quot(c.num, c.den)) is c
