@@ -999,7 +999,9 @@ def _format_node(e: Expr, kids: tuple[Expr, ...], strs: list[str]) -> str:
             factors, strs = factors[1:], strs[1:]
         parts = []
         for f, s in zip(factors, strs):
-            if _needs_parens_in_product(f) and len(factors) > 1:
+            # after a stripped -1, a lone sum needs them too: -(x + y)
+            if (_needs_parens_in_product(f) and len(factors) > 1) or (
+                    sign and isinstance(f, Sum)):
                 s = f"({s})"
             parts.append(s)
         return sign + "*".join(parts)

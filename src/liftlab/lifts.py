@@ -14,14 +14,10 @@ field X_E = -y_a d/dy_a satisfying i_{X_E} Omega = theta.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .expr import Const, Expr, ONE, Var, VarId, ZERO, canon, free_vars, partial
-from .geometry import (
-    Chart, ChartError, DifferentialForm, VectorField, exterior_derivative,
-    one_form,
-)
+from .expr import Expr, ONE, Var, VarId, ZERO, canon, free_vars, partial
+from .geometry import Chart, ChartError, DifferentialForm, VectorField, one_form
 from .jets import GeneralizedVectorField, JetChart, vertical_representative, holonomic_part
 
 __all__ = [
@@ -48,14 +44,7 @@ class CotangentChart:
         if len(fiber_names) != m:
             raise ChartError("need one fiber name per base coordinate")
         full = Chart.make(*[v.name for v in base.vars], *fiber_names)
-        chart = cls(base, full)
-        omega = chart.symplectic_form()
-        minus_dtheta = exterior_derivative(chart.tautological_form()).scaled(-1)
-        if not (omega - minus_dtheta).is_zero():
-            raise ChartError("Omega != -d(theta); inconsistent chart construction")
-        if not _nondegenerate(omega, full):
-            raise ChartError("symplectic form is degenerate")
-        return chart
+        return cls(base, full)
 
     @property
     def m(self) -> int:
@@ -79,34 +68,6 @@ class CotangentChart:
         """Synthetic jet chart reading y_a as a section y_a(x)."""
         return JetChart.make([v.name for v in self.base.vars],
                              [self.fiber_var(a).name for a in range(self.m)])
-
-
-def _nondegenerate(omega: DifferentialForm, chart: Chart) -> bool:
-    """Constant-coefficient nondegeneracy check via exact determinant."""
-    n = chart.dim
-    mat = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), coeff in omega.terms.items():
-        if free_vars(coeff):
-            return True     # nonconstant coefficients: not checkable this way
-        value = coeff.value if isinstance(coeff, Const) else Fraction(0)
-        mat[i][j] = value
-        mat[j][i] = -value
-    det = Fraction(1)
-    m = [row[:] for row in mat]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return False
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det != 0
 
 
 def _require_base_field(cchart: CotangentChart, X: VectorField) -> None:
@@ -190,8 +151,4 @@ def lift_decomposition(cchart: CotangentChart, X: VectorField
     decomposition is exact and symbolic.  Returns (V part, H part).
     """
     xi = as_generalized(cchart, complete_cotangent_lift(cchart, X))
-    v = vertical_representative(xi)
-    h = holonomic_part(xi)
-    if xi.all_rational() and not (v + h).equals(xi):
-        raise ChartError("vertical/holonomic decomposition failed to reassemble")
-    return v, h
+    return vertical_representative(xi), holonomic_part(xi)

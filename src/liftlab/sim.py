@@ -88,6 +88,12 @@ class SimConfig:
             raise ConfigError("steps must be >= 1")
         if self.cadence < 1:
             raise ConfigError("cadence must be >= 1")
+        if self.model.startswith("contact") and self.params:
+            raise ConfigError(
+                f"model '{self.model}' takes no params, got {sorted(self.params)}")
+        extra = set(self.params) - {"m", "e", "phi"}
+        if extra:
+            raise ConfigError(f"unknown params: {sorted(extra)}; choose from m, e, phi")
 
 
 def load_config(path: str | Path) -> SimConfig:
@@ -219,7 +225,7 @@ def _jet_plan(base: Chart, fibers: Sequence[str],
 def _density_map_plan(cs: ContactStructure) -> tuple[JetChart, list[Expr]]:
     """The contact density map, with the momentum components as fibers."""
     return _jet_plan(cs.chart, ["a_x", "a_y", "a_z"], lambda a, d: [
-        contact_density(cs, one_form(cs.chart, tuple(a)), cross_check=False, d=d)])
+        contact_density(cs, one_form(cs.chart, tuple(a)), d=d)])
 
 
 def _parse_params(cfg: SimConfig) -> PlasmaParams:

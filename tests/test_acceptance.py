@@ -77,7 +77,7 @@ def test_criterion_02_vertical_representative_suite():
         Y = rand_vector_field(rng, cc.base, 3)
         xi = as_generalized(cc, complete_cotangent_lift(cc, X))
         eta = as_generalized(cc, complete_cotangent_lift(cc, Y))
-        assert obstruction_form(xi, eta, cross_check=False).is_zero()
+        assert obstruction_form(xi, eta).is_zero()
         vxy, _ = lift_decomposition(cc, jacobi_lie_bracket(X, Y))
         vx, _ = lift_decomposition(cc, X)
         vy, _ = lift_decomposition(cc, Y)
@@ -172,10 +172,8 @@ def test_criterion_06_intertwining_suite_symbolic():
     for _ in range(TRIALS):
         alpha = rand_one_form(rng, cs.chart, 3)
         K = rand_poly(rng, cs.chart.vars, 3)
-        lhs = contact_density(cs, contact_momentum_rhs(cs, alpha, K),
-                              cross_check=False)
-        rhs = contact_density_rhs(cs, contact_density(cs, alpha,
-                                                      cross_check=False), K)
+        lhs = contact_density(cs, contact_momentum_rhs(cs, alpha, K))
+        rhs = contact_density_rhs(cs, contact_density(cs, alpha), K)
         assert expr_equal(lhs, rhs)
     for _ in range(TRIALS):
         pc = plasma_chart(rng.choice((1, 2)))

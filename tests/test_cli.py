@@ -346,3 +346,18 @@ class TestSim:
         code, out, _ = run(capsys, "sim", "--config", str(path))
         assert code == 0
         assert "completed 2 steps" in out
+
+    def test_unknown_param_in_config_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(dict(GOOD_CONFIG, params={"mass": 2})))
+        code, _, err = run(capsys, "sim", "--config", str(path))
+        assert code == 2
+        assert "unknown params: ['mass']" in err
+
+    def test_plasma_param_for_contact_model_is_config_error(self, tmp_path, capsys):
+        code, _, err = run(capsys, "sim", "--model", "contact-density",
+                           "--K", "z", "--m", "5", "--init", "1", "--n", "16",
+                           "--steps", "1", "--out", str(tmp_path / "t.csv"),
+                           "--diag", str(tmp_path / "d.csv"))
+        assert code == 2
+        assert "model 'contact-density' takes no params" in err

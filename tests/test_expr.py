@@ -588,7 +588,7 @@ _MIXED = [
     ("a+s", "x^2 + 3*y + 1 + x - y",
      ["0x1.cb851eb851eb9p+1", "0x1.8b851eb851eb8p+1", "0x1.fa3d70a3d70a3p+2"],
      ["0x1.cb851eb851eb9p+1", "0x1.8b851eb851eb8p+1", "0x1.fa3d70a3d70a4p+2"]),
-    ("s-a", "x - y - x^2 + 3*y + 1",
+    ("s-a", "x - y - (x^2 + 3*y + 1)",
      ["-0x1.4c28f5c28f5c3p+2", "-0x1.d8f5c28f5c290p+2", "0x1.251eb851eb852p+1"],
      ["-0x1.4c28f5c28f5c3p+2", "-0x1.d8f5c28f5c290p+2", "0x1.251eb851eb853p+1"]),
     ("a*y", "(x^2 + 3*y + 1)*y",
@@ -609,7 +609,7 @@ _MIXED = [
     ("a*p", "(x^2 + 3*y + 1)*(-2)*x*y",
      ["-0x1.72de00d1b7177p+1", "0x1.008ce703afb7ep+3", "0x1.1ed844d013a93p+5"],
      ["-0x1.72de00d1b7177p+1", "0x1.008ce703afb7ep+3", "0x1.1ed844d013a93p+5"]),
-    ("-a", "-x^2 + 3*y + 1",
+    ("-a", "-(x^2 + 3*y + 1)",
      ["-0x1.18f5c28f5c290p+2", "-0x1.4f5c28f5c28f6p+2", "-0x1.67ae147ae147ap+1"],
      ["-0x1.18f5c28f5c290p+2", "-0x1.4f5c28f5c28f6p+2", "-0x1.67ae147ae147ap+1"]),
     ("-p", "-(-2)*x*y",
@@ -618,7 +618,7 @@ _MIXED = [
     ("-q", "-(x + 1)/(y^2 + 2)",
      ["-0x1.9eb43c9c4fc04p-2", "0x1.4572c7564d4b3p-2", "-0x1.23ee08fb823edp-1"],
      ["-0x1.9eb43c9c4fc04p-2", "0x1.4572c7564d4b3p-2", "-0x1.23ee08fb823edp-1"]),
-    ("y-a", "y - x^2 + 3*y + 1",
+    ("y-a", "y - (x^2 + 3*y + 1)",
      ["-0x1.a51eb851eb853p+1", "-0x1.328f5c28f5c29p+2", "-0x1.40a3d70a3d70ap+2"],
      ["-0x1.a51eb851eb853p+1", "-0x1.328f5c28f5c29p+2", "-0x1.40a3d70a3d70ap+2"]),
     ("a-p", "x^2 + 3*y + 1 - (-2)*x*y",
@@ -675,7 +675,7 @@ _MIXED = [
     ("a-1", "x^2 + 3*y + 1 - 1",
      ["0x1.b1eb851eb851fp+1", "0x1.0f5c28f5c28f6p+2", "0x1.cf5c28f5c28f4p+0"],
      ["0x1.b1eb851eb851fp+1", "0x1.0f5c28f5c28f6p+2", "0x1.cf5c28f5c28f4p+0"]),
-    ("1-a", "1 - x^2 + 3*y + 1",
+    ("1-a", "1 - (x^2 + 3*y + 1)",
      ["-0x1.b1eb851eb8520p+1", "-0x1.0f5c28f5c28f6p+2", "-0x1.cf5c28f5c28f4p+0"],
      ["-0x1.b1eb851eb8520p+1", "-0x1.0f5c28f5c28f6p+2", "-0x1.cf5c28f5c28f4p+0"]),
     ("n*n", "-x*(-1)*x",

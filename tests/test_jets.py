@@ -175,11 +175,11 @@ class TestObstructionForm:
         xi = rand_ordinary(rng, jc22)
         assert obstruction_form(xi, xi).is_zero()
 
-    def test_defining_identity_cross_check(self, jc11):
-        # B(d/dx, x d/du) computed both ways inside obstruction_form
+    def test_defining_identity_both_routes(self, jc11):
+        # B(d/dx, x d/du) against [V d/dx, V x d/du] - V[d/dx, x d/du]
         dx = GeneralizedVectorField(jc11, (ONE,), (ZERO,))
         xdu = GeneralizedVectorField(jc11, (ZERO,), (Var(jc11.base[0]),))
-        b = obstruction_form(dx, xdu, cross_check=True)
+        b = obstruction_form(dx, xdu)
         alt = prolongation_bracket(vertical_representative(dx),
                                    vertical_representative(xdu)) - \
             vertical_representative(prolongation_bracket(dx, xdu))
@@ -192,7 +192,7 @@ class TestObstructionForm:
             lhs = prolongation_bracket(vertical_representative(xi),
                                        vertical_representative(eta))
             rhs = vertical_representative(prolongation_bracket(xi, eta)) + \
-                obstruction_form(xi, eta, cross_check=False)
+                obstruction_form(xi, eta)
             assert lhs.equals(rhs)
 
 

@@ -281,7 +281,7 @@ class TestContactDensity:
         dsigma = exterior_derivative(cs.sigma)
         for _ in range(5):
             alpha = rand_one_form(rng, cs.chart, 3)
-            L = contact_density(cs, alpha)   # cross-checks internally too
+            L = contact_density(cs, alpha)
             lhs = wedge(exterior_derivative(alpha), cs.sigma) - \
                 wedge(alpha, dsigma).scaled(2)
             assert expr_equal(lhs.coeff((0, 1, 2)), L)
@@ -336,8 +336,7 @@ class TestContactDensityRhs:
         for _ in range(5):
             alpha = rand_one_form(rng, cs.chart, 3)
             K = rand_poly(rng, cs.chart.vars, 3)
-            lhs = contact_density(cs, contact_momentum_rhs(cs, alpha, K),
-                                  cross_check=False)
+            lhs = contact_density(cs, contact_momentum_rhs(cs, alpha, K))
             rhs = contact_density_rhs(cs, contact_density(cs, alpha), K)
             assert expr_equal(lhs, rhs)
 

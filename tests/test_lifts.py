@@ -38,6 +38,12 @@ class TestCotangentChart:
         dtheta = exterior_derivative(cc2.tautological_form())
         assert (omega + dtheta).is_zero()
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_omega_is_darboux(self, m):
+        # {(a, m+a): 1} pairs each x^a with y_a alone, so Omega is nondegenerate
+        cc = CotangentChart.make(Chart.make(*"abcd"[:m]))
+        assert cc.symplectic_form().terms == {(a, m + a): ONE for a in range(m)}
+
     def test_dimension_cap(self):
         with pytest.raises(ChartError):
             CotangentChart.make(Chart.make("a", "b", "c", "d", "e"))

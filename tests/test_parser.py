@@ -55,6 +55,12 @@ def test_unary_minus_applies_to_the_power():
     assert parse_expr("-3/2", [X]) is Prod((MINUS_ONE, Const(Fraction(3, 2))))
 
 
+def test_negated_sum_prints_in_parentheses():
+    e = parse_expr("sin(x)-(x+y)", [X, Y])
+    assert str(e) == "sin(x) - (x + y)"
+    assert parse_expr(str(e), [X, Y]) is e
+
+
 def test_rational_literals():
     assert parse_expr("3/2", [X]) == Const(Fraction(3, 2))
     assert eval_numeric(parse_expr("1/2 + 1/2", [X]), {}) == 1.0
