@@ -8,7 +8,7 @@ immutable and all operations pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .expr import (
     FUNCTIONS, Expr, ExprError, ONE, VarId, ZERO, canon, is_rational,
@@ -24,7 +24,7 @@ __all__ = [
     "ChartError", "ChartMismatchError", "DegreeError",
     "one_form", "jacobi_lie_bracket", "exterior_derivative", "wedge",
     "interior_product", "lie_derivative_form", "divergence",
-    "pointwise_pairing", "is_exact_candidate",
+    "pointwise_pairing", "is_exact_candidate", "directional_derivative",
 ]
 
 MAX_DIM = 8
@@ -74,6 +74,19 @@ class Chart:
         return "(" + ", ".join(v.name for v in self.vars) + ")"
 
 
+def directional_derivative(f: Expr, pairs: Iterable[tuple[VarId, Expr]],
+                           d: Derivative = partial) -> Expr:
+    """The sum of c * d(f, v) over the ``(v, c)`` pairs, canonicalized;
+    terms with c = 0 or d(f, v) = 0 are left out."""
+    out: Expr = ZERO
+    for v, c in pairs:
+        if c != ZERO:
+            df = d(f, v)
+            if df != ZERO:
+                out = out + c * df
+    return canon(out)
+
+
 def _require_same_chart(a, b) -> None:
     if a.chart != b.chart:
         raise ChartMismatchError(f"charts differ: {a.chart} vs {b.chart}")
@@ -93,11 +106,7 @@ class VectorField:
 
     def apply(self, f: Expr, d: Derivative = partial) -> Expr:
         """Directional derivative X(f), X^a d(f, x^a)."""
-        out: Expr = ZERO
-        for comp, v in zip(self.components, self.chart.vars):
-            if comp != ZERO:
-                out = out + comp * d(f, v)
-        return canon(out)
+        return directional_derivative(f, zip(self.chart.vars, self.components), d)
 
     def __add__(self, other: "VectorField") -> "VectorField":
         _require_same_chart(self, other)

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .expr import (
-    FUNCTIONS, Expr, ExprError, Var, VarId, ZERO, canon, expr_equal, free_vars,
-    partial,
+    FUNCTIONS, Expr, ExprError, ONE, Var, VarId, ZERO, canon, expr_equal,
+    free_vars,
 )
-from .geometry import Chart, ChartError, VectorField
+from .geometry import Chart, ChartError, VectorField, directional_derivative
 
 __all__ = [
     "JetChart", "GeneralizedVectorField", "Prolongation",
@@ -202,16 +202,11 @@ def total_derivative(jc: JetChart, e: Expr, a: int) -> Expr:
     bad = free_vars(e) & jc.second_jet_vars
     if bad:
         raise JetConsistencyError("total derivative input already has second-jet variables")
-    out = partial(e, jc.base[a])
+    pairs = [(jc.base[a], ONE)]
     for l in range(jc.k):
-        d = partial(e, jc.fiber[l])
-        if d != ZERO:
-            out = out + Var(jc.jet(l, a)) * d
-        for b in range(jc.m):
-            d2 = partial(e, jc.jet(l, b))
-            if d2 != ZERO:
-                out = out + Var(jc.jet2_var(l, a, b)) * d2
-    return canon(out)
+        pairs.append((jc.fiber[l], Var(jc.jet(l, a))))
+        pairs += [(jc.jet(l, b), Var(jc.jet2_var(l, a, b))) for b in range(jc.m)]
+    return directional_derivative(e, pairs)
 
 
 @dataclass(frozen=True)
@@ -223,35 +218,23 @@ class Prolongation:
 
     def apply(self, f: Expr) -> Expr:
         """Action on a function of (x, u, u_a)."""
-        jc = self.field.jet_chart
-        out: Expr = ZERO
-        for a, comp in enumerate(self.field.base_components):
-            d = partial(f, jc.base[a])
-            if comp != ZERO and d != ZERO:
-                out = out + comp * d
-        for l, comp in enumerate(self.field.fiber_components):
-            d = partial(f, jc.fiber[l])
-            if comp != ZERO and d != ZERO:
-                out = out + comp * d
-        for l in range(jc.k):
-            for a in range(jc.m):
-                d = partial(f, jc.jet(l, a))
-                if d != ZERO:
-                    out = out + self.jet_components[l][a] * d
-        return canon(out)
+        xi, jc = self.field, self.field.jet_chart
+        pairs = [*zip(jc.base, xi.base_components), *zip(jc.fiber, xi.fiber_components)]
+        pairs += [(jc.jet(l, a), self.jet_components[l][a])
+                  for l in range(jc.k) for a in range(jc.m)]
+        return directional_derivative(f, pairs)
 
 
 def prolong1(xi: GeneralizedVectorField) -> Prolongation:
-    """First prolongation: Phi^l_a = D_a(xi^l - xi^b u^l_b) + xi^b u^l_{ba}."""
+    """First prolongation: Phi^l_a = D_a Q^l + xi^b u^l_{ba}, where the
+    characteristic Q^l = xi^l - xi^b u^l_b is the fiber part of V(xi)."""
     jc = xi.jet_chart
+    characteristic = vertical_representative(xi).fiber_components
     phi: list[tuple[Expr, ...]] = []
     for l in range(jc.k):
-        characteristic = xi.fiber_components[l]
-        for b in range(jc.m):
-            characteristic = characteristic - xi.base_components[b] * Var(jc.jet(l, b))
         row = []
         for a in range(jc.m):
-            comp = total_derivative(jc, canon(characteristic), a)
+            comp = total_derivative(jc, characteristic[l], a)
             for b in range(jc.m):
                 comp = comp + xi.base_components[b] * Var(jc.jet2_var(l, b, a))
             row.append(canon(comp))

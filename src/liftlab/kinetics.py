@@ -11,10 +11,12 @@ they are meant for weak-form probing under torus quadrature only; their
 strong forms are not asserted against the coadjoint path.
 
 The formulas that take derivatives of their arguments (``contact_bracket``,
-``contact_density``, ``contact_density_rhs``, ``vlasov_density_rhs`` and
+``contact_density``, ``contact_density_rhs``,
+``contact_momentum_rhs_via_lift``, ``vlasov_density_rhs`` and
 ``vlasov_momentum_rhs``) take the derivative ``d(e, v)`` as a parameter,
-``partial`` by default.  The simulation reads the same formulas on a jet
-chart, with the state as fiber variables and the total derivative for ``d``.
+``partial`` by default.  Every simulation plan is one of these formulas
+called on a jet chart, with the state as fiber variables and the total
+derivative D_a for ``d``.
 
 The functions here check their inputs, not their own output.  Identities of
 the output, such as the contact density's wedge formula or the Reeb field's
@@ -293,11 +295,14 @@ def contact_cotangent_chart(cs: ContactStructure) -> CotangentChart:
 
 
 def contact_momentum_rhs_via_lift(cs: ContactStructure, alpha: DifferentialForm,
-                                  K: Expr) -> DifferentialForm:
-    """Lift path: alpha_dot = V(X_K^{c*})(alpha) - (div X_K) alpha.
+                                  K: Expr, d: Derivative = partial) -> DifferentialForm:
+    """Lift path: alpha_dot = V(X_K^{c*})(alpha) - (div X_K) alpha
+    = V(X_K^{c*})(alpha) + 2 K_z alpha.
 
     The vertical representative lives on the synthetic jet chart; reading
-    alpha as a section substitutes the fiber and first-jet variables.
+    alpha as a section binds each fiber variable to a component alpha_l and
+    each first-jet variable to d(alpha_l, x^a).  The divergence enters as
+    -2 K_z, which the verify check ``contact-divergence-is--2Kz`` decides.
     """
     if alpha.degree != 1 or alpha.chart != cs.chart:
         raise ChartError("expected a one-form on the contact chart")
@@ -309,12 +314,12 @@ def contact_momentum_rhs_via_lift(cs: ContactStructure, alpha: DifferentialForm,
     for l in range(3):
         bindings[jc.fiber[l]] = comps[l]
         for a in range(3):
-            bindings[jc.jet(l, a)] = partial(comps[l], cs.chart.vars[a])
-    div = divergence(contact_vector_field(cs, K), cs.vol)
+            bindings[jc.jet(l, a)] = d(comps[l], cs.chart.vars[a])
+    kz = d(K, cs.z)
     out = []
     for l in range(3):
         rate = substitute(v_part.fiber_components[l], bindings)
-        out.append(canon(rate - div * comps[l]))
+        out.append(canon(rate + 2 * kz * comps[l]))
     return one_form(cs.chart, tuple(out))
 
 

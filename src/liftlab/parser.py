@@ -185,8 +185,7 @@ class _Parser:
             m2 = _INT_RE.match(self.text, self.pos)
             if m2 and int(m2.group(0)) > 0:
                 self.pos = m2.end()
-                # guard against 1/2^3 which must parse as 1/(2^3)? No:
-                # factor binds '^' tighter, so fall back when '^' follows.
+                # '^' binds tighter than '/', so 1/2^3 reads 1 here and leaves /2^3 to the term
                 if self.peek() == "^":
                     self.pos = save
                     return Const(Fraction(num))

@@ -3,12 +3,13 @@
 Each model compiles its symbolic right-hand side once into a pointwise
 evaluation plan: an expression over (coordinates, state components,
 first-jet variables), where the jet variables are realized as 4th-order
-stencil derivatives of the state.  Every plan is a ``kinetics`` formula read
-on a jet chart: the state components are the fiber variables and the total
-derivative D_a stands in for the partial derivative.  The contact-momentum
-plan is the vertical representative of the cotangent lift, the same route
-the symbolic layer uses; the density map of the two-path harness is
-``contact_density`` read the same way.
+stencil derivatives of the state.  Every plan, contact-momentum included,
+is a ``kinetics`` formula called on a jet chart: the state components are
+the fiber variables and the total derivative D_a is the formula's
+derivative ``d``.  The contact-momentum plan is
+``contact_momentum_rhs_via_lift``, the vertical representative of the
+cotangent lift read at the state; the density map of the two-path harness
+is ``contact_density`` called the same way.
 
 A model's rates compile together into one DAG (``grid.compile_numeric``)
 with the coordinates fixed to the grid's axis lines.  Every coefficient
@@ -32,10 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .expr import (
-    Expr, ExprError, Var, VarId, canon, expr_equal, free_vars, is_rational,
-    partial,
-)
+from .expr import Expr, ExprError, Var, VarId, free_vars
 from .grid import (
     TWO_PI, Grid, NumericalAbortError, check_periodic, compile_numeric,
     discretize, quadrature, rk4_step, spatial_derivative,
@@ -43,11 +41,11 @@ from .grid import (
 from .geometry import Chart, Derivative, one_form
 from .jets import JetChart, total_derivative
 from .kinetics import (
-    ContactStructure, PlasmaMomentum, PlasmaParams, contact_cotangent_chart,
-    contact_density, contact_density_rhs, contact_vector_field, plasma_chart,
-    plasma_hamiltonian, vlasov_density_rhs, vlasov_momentum_rhs,
+    ContactStructure, PlasmaMomentum, PlasmaParams, contact_density,
+    contact_density_rhs, contact_momentum_rhs_via_lift, contact_vector_field,
+    plasma_chart, plasma_hamiltonian, vlasov_density_rhs, vlasov_momentum_rhs,
 )
-from .lifts import hamiltonian_vector_field, lift_decomposition
+from .lifts import hamiltonian_vector_field
 from .parser import parse_expr
 
 __all__ = [
@@ -91,6 +89,9 @@ class SimConfig:
         if self.model.startswith("contact") and self.params:
             raise ConfigError(
                 f"model '{self.model}' takes no params, got {sorted(self.params)}")
+        if self.model.startswith("vlasov") and self.expr:
+            raise ConfigError(
+                f"model '{self.model}' takes no K; its Hamiltonian comes from params")
         extra = set(self.params) - {"m", "e", "phi"}
         if extra:
             raise ConfigError(f"unknown params: {sorted(extra)}; choose from m, e, phi")
@@ -106,12 +107,12 @@ def load_config(path: str | Path) -> SimConfig:
         raise ConfigError(f"malformed config file: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("a config file must hold one JSON object")
-    known = {"model", "K", "h", "params", "init", "n", "dt", "steps",
+    known = {"model", "K", "params", "init", "n", "dt", "steps",
              "cadence", "out", "diag", "allow_aperiodic"}
     extra = set(raw) - known
     if extra:
         raise ConfigError(f"unknown config keys: {sorted(extra)}")
-    for key in ("model", "K", "h", "out", "diag"):
+    for key in ("model", "K", "out", "diag"):
         if not isinstance(raw.get(key, ""), str):
             raise ConfigError(f"config key '{key}' must be a string")
     if not isinstance(raw.get("params", {}), dict):
@@ -128,7 +129,7 @@ def load_config(path: str | Path) -> SimConfig:
     try:
         return SimConfig(
             model=raw["model"],
-            expr=raw.get("K", raw.get("h", "")),
+            expr=raw.get("K", ""),
             params=raw.get("params", {}),
             init=tuple(init),
             n=int(raw["n"]),
@@ -193,18 +194,6 @@ def _compile_jet_plan(jc: JetChart, grid: Grid, rate_exprs: Sequence[Expr]
     return rhs
 
 
-def _contact_momentum_plan(cs: ContactStructure, K: Expr) -> tuple[JetChart, list[Expr]]:
-    """Rate expressions from V(X_K^{c*}) plus the divergence term."""
-    c6 = contact_cotangent_chart(cs)
-    v_part, _ = lift_decomposition(c6, contact_vector_field(cs, K))
-    jc = v_part.jet_chart
-    kz = partial(K, cs.z)
-    rates = []
-    for l in range(3):
-        rates.append(canon(v_part.fiber_components[l] + 2 * kz * Var(jc.fiber[l])))
-    return jc, rates
-
-
 def _jet_plan(base: Chart, fibers: Sequence[str],
               formula: Callable[[list[Expr], Derivative], Sequence[Expr]]
               ) -> tuple[JetChart, list[Expr]]:
@@ -263,23 +252,17 @@ def _model_plan(cfg: SimConfig) -> tuple[JetChart, list[Expr], tuple[Expr, ...]]
         except ExprError as exc:
             raise ConfigError(f"bad K: {exc}") from None
         if cfg.model == "contact-momentum":
-            jc, rates = _contact_momentum_plan(cs, K)
+            def momentum(a: list[Expr], d: Derivative) -> list[Expr]:
+                rate = contact_momentum_rhs_via_lift(cs, one_form(cs.chart, a), K, d)
+                return [rate.coeff((i,)) for i in range(3)]
+
+            jc, rates = _jet_plan(cs.chart, ["a_x", "a_y", "a_z"], momentum)
         else:
             jc, rates = _jet_plan(cs.chart, ["L"], lambda u, d: [
                 contact_density_rhs(cs, u[0], K, d)])
         return jc, rates, contact_vector_field(cs, K).components
     params = _parse_params(cfg)
     pc = plasma_chart(1)
-    if cfg.expr:
-        # an explicit Hamiltonian must match the one the parameters build
-        try:
-            h_text = parse_expr(cfg.expr, pc.full.vars)
-        except ExprError as exc:
-            raise ConfigError(f"bad h: {exc}") from None
-        h_params = plasma_hamiltonian(pc, params)
-        if (is_rational(h_text) and is_rational(h_params)
-                and not expr_equal(h_text, h_params)):
-            raise ConfigError("h does not match the Hamiltonian built from params")
     if cfg.model == "vlasov-density":
         jc, rates = _jet_plan(pc.full, ["f"], lambda u, d: [
             vlasov_density_rhs(pc, u[0], params, d)])

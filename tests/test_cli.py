@@ -354,6 +354,18 @@ class TestSim:
         assert code == 2
         assert "unknown params: ['mass']" in err
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"model": "contact-density", "h": "z", "params": {}}, "unknown config keys: ['h']"),
+        ({"K": "1/2*p^2"}, "model 'vlasov-density' takes no K"),
+    ], ids=["contact-with-h", "vlasov-with-K"])
+    def test_generator_key_of_the_other_family_is_config_error(
+            self, tmp_path, capsys, extra, message):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(dict(GOOD_CONFIG, **extra)))
+        code, _, err = run(capsys, "sim", "--config", str(path))
+        assert code == 2
+        assert message in err
+
     def test_plasma_param_for_contact_model_is_config_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "sim", "--model", "contact-density",
                            "--K", "z", "--m", "5", "--init", "1", "--n", "16",

@@ -12,13 +12,15 @@ import numpy as np
 import pytest
 
 from liftlab import sim
-from liftlab.expr import ZERO, Var, canon, expr_equal, partial, substitute
-from liftlab.geometry import one_form
+from liftlab.expr import (
+    ZERO, Var, canon, eval_numeric, expr_equal, partial, substitute,
+)
+from liftlab.geometry import divergence, one_form
 from liftlab.grid import AperiodicDataError, Grid
 from liftlab.kinetics import (
     ContactStructure, PlasmaMomentum, PlasmaParams, contact_density,
-    contact_density_rhs, contact_momentum_rhs, plasma_chart,
-    vlasov_density_rhs, vlasov_momentum_rhs,
+    contact_density_rhs, contact_momentum_rhs, contact_vector_field,
+    plasma_chart, vlasov_density_rhs, vlasov_momentum_rhs,
 )
 from liftlab.parser import parse_expr
 from liftlab.samplers import rand_poly
@@ -54,7 +56,7 @@ class TestConfig:
 
     def test_json_round_trip(self, tmp_path):
         payload = {
-            "model": "vlasov-density", "h": "",
+            "model": "vlasov-density",
             "params": {"m": "1", "e": "1", "phi": "cos(q)"},
             "init": ["1 + 3/10*sin(q)*sin(p)"],
             "n": 16, "dt": 1e-3, "steps": 5, "cadence": 5,
@@ -77,17 +79,11 @@ class TestConfig:
                 load_config(path)
 
     def test_inconsistent_h_rejected(self):
-        cfg = SimConfig(model="vlasov-density", n=16, dt=1e-3, steps=1,
-                        expr="p^2 + q", params={"m": "1", "e": "1", "phi": "0"},
-                        init=("1",))
-        with pytest.raises(ConfigError):
-            build_model(cfg)
-
-    def test_consistent_h_accepted(self):
-        cfg = SimConfig(model="vlasov-density", n=16, dt=1e-3, steps=1,
-                        expr="1/2*p^2", params={"m": "1", "e": "1", "phi": "0"},
-                        init=("1",))
-        build_model(cfg)
+        # a Vlasov Hamiltonian comes from params alone, so any K or h is refused
+        with pytest.raises(ConfigError, match="takes no K"):
+            SimConfig(model="vlasov-density", n=16, dt=1e-3, steps=1,
+                      expr="p^2 + q", params={"m": "1", "e": "1", "phi": "0"},
+                      init=("1",))
 
 
 class TestCompiledRates:
@@ -456,6 +452,43 @@ class TestPlansAreKineticsFormulasOnJets:
         pi = _rational_section(rng, self.pc.full.vars, 2)
         want = vlasov_momentum_rhs(PlasmaMomentum(self.pc, (pi[0],), (pi[1],)), params)
         assert _all_equal(_on_section(jc, rates, pi), list(want.down + want.up))
+
+
+@pytest.mark.parametrize("K_text", ["cos(x)*sin(y) + z", "sin(x)*z + y"])
+class TestContactMomentumPlanNumericOnlyK:
+    """With a numeric-only K the plan and the coadjoint formula are folded
+    trees, not canonical forms, so they are compared by value at random
+    points.  The plan's divergence term is +2 K_z alpha; the coadjoint
+    formula's is -div(X_K) alpha, which folding leaves uncancelled."""
+
+    cs = ContactStructure.standard()
+    section = ("sin(x)*cos(z) + y", "cos(x + y)*z", "exp(sin(y)) - x*z")
+
+    def points(self, K_text):
+        rng = random.Random(f"numeric-only K:{K_text}")
+        return [{v: rng.uniform(0.0, 6.3) for v in self.cs.chart.vars}
+                for _ in range(20)]
+
+    def test_plan_on_trig_section_matches_coadjoint_formula(self, K_text):
+        cs = self.cs
+        K = parse_expr(K_text, cs.chart.vars)
+        cfg = SimConfig(model="contact-momentum", n=8, dt=1e-3, steps=1, expr=K_text)
+        jc, rates, _ = sim._model_plan(cfg)
+        alpha = [parse_expr(t, cs.chart.vars) for t in self.section]
+        got = _on_section(jc, rates, alpha)
+        want = contact_momentum_rhs(cs, one_form(cs.chart, tuple(alpha)), K)
+        for point in self.points(K_text):
+            for l in range(3):
+                w = eval_numeric(want.coeff((l,)), point)
+                assert abs(eval_numeric(got[l], point) - w) <= 1e-12 * (1 + abs(w))
+
+    def test_divergence_is_minus_two_Kz(self, K_text):
+        cs = self.cs
+        K = parse_expr(K_text, cs.chart.vars)
+        div = divergence(contact_vector_field(cs, K), cs.vol)
+        kz = partial(K, cs.z)
+        for point in self.points(K_text):
+            assert abs(eval_numeric(div, point) + 2 * eval_numeric(kz, point)) <= 1e-12
 
 
 class TestConvergenceHarnesses:
