@@ -148,6 +148,10 @@ def _report_json(report) -> str:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
+    if args.degree < 0:
+        raise ConfigError(f"--degree must be at least 0, got {args.degree}")
     try:
         report = run_suite(args.suite, trials=args.trials,
                            degree=args.degree, seed=args.seed)

@@ -17,6 +17,11 @@ that depends on the coordinates alone, such as K and its derivatives, is
 folded into an array when the model is built, on as many points as its
 coordinates span.  An RHS call computes only the stencils the rates read
 and the state-dependent rest of the plan.
+
+The state is component-major: one C-contiguous array of shape
+(k, n, ..., n), so each component is contiguous and its stencils are flat
+shifts of it (``grid.spatial_derivative``).  ``initial_state`` returns
+and ``Model.rhs`` takes and returns this layout.
 """
 
 from __future__ import annotations
@@ -167,9 +172,10 @@ def _compile_jet_plan(jc: JetChart, grid: Grid, rate_exprs: Sequence[Expr]
 
     Base variables are fixed to the grid's coordinate lines, so every
     coefficient that depends on the coordinates alone is computed here,
-    once.  Fiber variables read the state's components; a jet variable
-    u^l_a reads the stencil derivative of component l along axis a, and
-    only the stencils of the jet variables the rates read are computed.
+    once.  Fiber variables read the state's components, ``state[l]``; a
+    jet variable u^l_a reads the stencil derivative of component l along
+    axis a, and only the stencils of the jet variables the rates read are
+    computed.  The rates come back component-major, like the state.
     """
     var_axes = {v: l for l, v in enumerate(jc.fiber)}
     read = frozenset().union(*(free_vars(e) for e in rate_exprs))
@@ -184,11 +190,11 @@ def _compile_jet_plan(jc: JetChart, grid: Grid, rate_exprs: Sequence[Expr]
     h = grid.h
 
     def rhs(state: np.ndarray) -> np.ndarray:
-        comps = [state[..., l] for l in range(jc.k)]
+        comps = list(state)
         inputs = comps + [spatial_derivative(comps[l], a, h) for l, a in stencils]
-        out = np.empty(state.shape[:-1] + (len(rate_exprs),))
+        out = np.empty((len(rate_exprs),) + state.shape[1:])
         for l, val in enumerate(plan(inputs)):
-            out[..., l] = val
+            out[l] = val
         return out
 
     return rhs
@@ -289,6 +295,7 @@ def build_model(cfg: SimConfig) -> Model:
 
 
 def initial_state(cfg: SimConfig, model: Model) -> np.ndarray:
+    """The sampled initial data, component-major: shape (k, n, ..., n)."""
     var_axes = {v: i for i, v in enumerate(model.coord_vars)}
     comps = []
     for text in cfg.init:
@@ -298,7 +305,7 @@ def initial_state(cfg: SimConfig, model: Model) -> np.ndarray:
             raise ConfigError(f"bad initial data '{text}': {exc}") from None
         comps.append(discretize(e, model.grid, var_axes,
                                 allow_aperiodic=cfg.allow_aperiodic))
-    return np.stack(comps, axis=-1)
+    return np.stack(comps, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +324,8 @@ class RunResult:
 def _diag_row(t: float, state: np.ndarray, grid: Grid
               ) -> tuple[float, float, float, float, float]:
     # mass: sum of per-component torus integrals
-    mass = sum(quadrature(state[..., l], grid.h, grid.dim)
-               for l in range(state.shape[-1]))
-    l2 = math.sqrt(quadrature(np.sum(state * state, axis=-1), grid.h, grid.dim))
+    mass = sum(quadrature(comp, grid.h, grid.dim) for comp in state)
+    l2 = math.sqrt(quadrature(np.sum(state * state, axis=0), grid.h, grid.dim))
     return (t, mass, l2, float(state.min()), float(state.max()))
 
 
@@ -339,12 +345,12 @@ def _write_traj_snapshot(f, t: float, state: np.ndarray, tails: list[str]) -> in
     """Write one snapshot, one slab of fixed i per ``f.write``; returns the
     number of characters written.  Every value is ``repr`` of a Python
     float, so the text reads back to the same doubles."""
-    ncomp = state.shape[-1]
+    ncomp = state.shape[0]
     values = ",".join(["{!r}"] * ncomp)
     written = 0
-    for i, slab in enumerate(state):
+    for i in range(state.shape[1]):
         fmt = f"{t!r},{i},{{}}{values}\n".format
-        columns = slab.reshape(-1, ncomp).T.tolist()
+        columns = state[:, i].reshape(ncomp, -1).tolist()
         written += f.write("".join(map(fmt, tails, *columns)))
     return written
 
@@ -467,7 +473,7 @@ def spatial_operator_order(make_cfg: Callable[[int], SimConfig],
         err = 0.0
         for l, e in enumerate(exact_rate):
             exact = discretize(e, model.grid, var_axes, allow_aperiodic=True)
-            err = max(err, float(np.max(np.abs(rate[..., l] - exact))))
+            err = max(err, float(np.max(np.abs(rate[l] - exact))))
         errs.append(err)
     orders = [math.log2(e1 / e2) / math.log2(ns[i + 1] / ns[i])
               for i, (e1, e2) in enumerate(zip(errs, errs[1:]))]
@@ -551,7 +557,7 @@ def discrete_intertwining_error(K_text: str, alpha_init: Sequence[str],
     remaining = iter(masks)
 
     def compare(sm: np.ndarray, sd: np.ndarray) -> tuple[float, float]:
-        gap = np.abs(map_rhs(sm)[..., 0] - sd[..., 0])
+        gap = np.abs(map_rhs(sm)[0] - sd[0])
         return float(gap.max()), float(gap[next(remaining)].max(initial=0.0))
 
     worst, worst_determined = compare(state_m, state_d)

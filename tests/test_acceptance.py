@@ -267,10 +267,10 @@ def test_criterion_10_vlasov_conservation():
     model = build_model(cfg)
     state = initial_state(cfg, model)
     h, d = model.grid.h, model.grid.dim
-    mass0 = quadrature(state[..., 0], h, d)
+    mass0 = quadrature(state[0], h, d)
     for step in range(1, 101):
         state = rk4_step(state, model.rhs, cfg.dt, step)
-    drift = abs(quadrature(state[..., 0], h, d) - mass0) / abs(mass0)
+    drift = abs(quadrature(state[0], h, d) - mass0) / abs(mass0)
     elapsed = time.time() - t0
     assert drift <= 1e-8, f"mass drift {drift:.3e}"
     assert elapsed < 60

@@ -204,6 +204,15 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "nope", "--json")
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize("suite, flag, value, message", [
+        ("operators-weak", "--trials", "0", "--trials must be at least 1, got 0"),
+        ("jets", "--trials", "-1", "--trials must be at least 1, got -1"),
+        ("contact", "--degree", "-1", "--degree must be at least 0, got -1"),
+    ])
+    def test_out_of_range_count_is_config_error(self, capsys, suite, flag, value, message):
+        code, out, err = run(capsys, "verify", "--suite", suite, flag, value)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestSim:
     def test_flag_run(self, tmp_path, capsys):

@@ -87,16 +87,31 @@ class TestSpatialDerivative:
 
     @pytest.mark.parametrize("n", [8, 32, 64])
     def test_matches_roll_formula_bitwise(self, n):
-        # strided component views, as the models pass them
-        g = Grid(3, n)
-        state = np.random.default_rng(n).standard_normal(g.shape + (3,))
-        for l in range(3):
-            u = state[..., l]
-            for axis in range(3):
+        # contiguous components of component-major states in 3-D and 2-D
+        # (Vlasov), as the models pass them, and strided component views
+        rng = np.random.default_rng(n)
+        major3 = rng.standard_normal((3,) + Grid(3, n).shape)
+        major2 = rng.standard_normal((2,) + Grid(2, n).shape)
+        last3 = rng.standard_normal(Grid(3, n).shape + (3,))
+        comps = [*major3, *major2, *(last3[..., l] for l in range(3))]
+        assert [u.flags.c_contiguous for u in comps] == [True] * 5 + [False] * 3
+        h = 2 * math.pi / n
+        for u in comps:
+            for axis in range(u.ndim):
                 d1 = np.roll(u, -1, axis=axis) - np.roll(u, 1, axis=axis)
                 d2 = np.roll(u, -2, axis=axis) - np.roll(u, 2, axis=axis)
-                want = (8.0 * d1 - d2) / (12.0 * g.h)
-                assert np.array_equal(spatial_derivative(u, axis, g.h), want)
+                want = (8.0 * d1 - d2) / (12.0 * h)
+                assert np.array_equal(spatial_derivative(u, axis, h), want)
+
+    def test_needs_four_points_along_the_axis(self):
+        # the flat shifts by two planes wrap correctly from 4 points on
+        rng = np.random.default_rng(0)
+        with pytest.raises(GridError, match="at least 4 points"):
+            spatial_derivative(rng.standard_normal((5, 3)), 1, 0.5)
+        u = rng.standard_normal((5, 4))
+        d1 = np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)
+        d2 = np.roll(u, -2, axis=1) - np.roll(u, 2, axis=1)
+        assert np.array_equal(spatial_derivative(u, 1, 0.5), (8.0 * d1 - d2) / (12.0 * 0.5))
 
 
 class TestQuadrature:

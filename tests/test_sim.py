@@ -107,9 +107,26 @@ class TestCompiledRates:
                         expr="z", init=("0", "0", "1"))
         model = build_model(cfg)
         rate = model.rhs(initial_state(cfg, model))
-        assert np.allclose(rate[..., 0], 0.0, atol=1e-13)
-        assert np.allclose(rate[..., 1], 0.0, atol=1e-13)
-        assert np.allclose(rate[..., 2], 3.0, atol=1e-12)
+        assert np.allclose(rate[0], 0.0, atol=1e-13)
+        assert np.allclose(rate[1], 0.0, atol=1e-13)
+        assert np.allclose(rate[2], 3.0, atol=1e-12)
+
+    @pytest.mark.parametrize("cfg, shape", [
+        (SimConfig(model="contact-momentum", n=8, dt=1e-3, steps=1, expr="z",
+                   init=("sin(x)", "cos(y)", "sin(z)")), (3, 8, 8, 8)),
+        (SimConfig(model="contact-density", n=8, dt=1e-3, steps=1, expr="z",
+                   init=(L0,)), (1, 8, 8, 8)),
+        (SimConfig(model="vlasov-momentum", n=8, dt=1e-3, steps=1,
+                   params={"phi": "cos(q)"}, init=("sin(q)*sin(p)", "cos(q)")), (2, 8, 8)),
+        (SimConfig(model="vlasov-density", n=8, dt=1e-3, steps=1,
+                   params={"phi": "cos(q)"}, init=("1",)), (1, 8, 8)),
+    ], ids=["contact-momentum", "contact-density", "vlasov-momentum", "vlasov-density"])
+    def test_state_and_rates_are_component_major(self, cfg, shape):
+        model = build_model(cfg)
+        state = initial_state(cfg, model)
+        rate = model.rhs(state)
+        for a in (state, rate):
+            assert a.shape == shape and a.flags.c_contiguous
 
     @pytest.mark.parametrize("cfg, stencils", [
         (SimConfig(model="contact-momentum", n=8, dt=1e-3, steps=1, expr="z",
@@ -215,12 +232,13 @@ EDGE_VALUES = (-0.0, 2.0, 1e16, 1e-5, 5e-324, 1.5e300)
 
 
 def reference_snapshot(t, state, grid):
-    """One line per node in C order of (i, j, k), each value repr(float)."""
+    """One line per node in C order of (i, j, k), each value repr(float),
+    from a component-major state of shape (ncomp,) + grid.shape."""
     lines = []
     for idx in np.ndindex(grid.shape):
-        ijk = list(idx) + [0] * (3 - grid.dim)
-        vals = ",".join(repr(float(v)) for v in state[idx])
-        lines.append(f"{t!r},{ijk[0]},{ijk[1]},{ijk[2]},{vals}\n")
+        i, j, k = list(idx) + [0] * (3 - grid.dim)
+        vals = ",".join(repr(float(c[idx])) for c in state)
+        lines.append(f"{t!r},{i},{j},{k},{vals}\n")
     return "".join(lines)
 
 
@@ -236,7 +254,7 @@ class TestTrajectoryWriter:
     def test_bytes_match_reference_formatter(self, dim, ncomp, n):
         grid = Grid(dim, n)
         rng = np.random.default_rng(100 * dim + 10 * ncomp + n)
-        state = rng.standard_normal(grid.shape + (ncomp,))
+        state = rng.standard_normal((ncomp,) + grid.shape)
         flat = state.reshape(-1)
         flat[:len(EDGE_VALUES)] = EDGE_VALUES
         flat[-len(EDGE_VALUES):] = [-v for v in EDGE_VALUES]
@@ -255,14 +273,14 @@ class TestTrajectoryWriter:
         final = sim._integrate(model, initial_state(cfg, model), cfg.dt, cfg.steps)
         rows = [line.split(",") for line in open(cfg.out).read().splitlines()[1:]]
         last = [r for r in rows if float(r[0]) == cfg.steps * cfg.dt]
-        assert [tuple(map(int, r[1:4])) for r in last] == list(np.ndindex(final.shape[:-1]))
+        assert [tuple(map(int, r[1:4])) for r in last] == list(np.ndindex(final.shape[1:]))
         got = np.array([[float(v) for v in r[4:]] for r in last])
-        want = final.reshape(-1, 3)
+        want = final.reshape(3, -1).T
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_memory_is_bounded_by_one_slab(self):
         grid = Grid(3, 64)
-        state = np.random.default_rng(0).standard_normal(grid.shape + (3,))
+        state = np.random.default_rng(0).standard_normal((3,) + grid.shape)
         tails = sim._row_tails(grid)
         sink = DiscardingSink()
         tracemalloc.start()
@@ -284,14 +302,14 @@ class TestCompiledPlanAgainstHandWrittenRhs:
                         expr="z", init=(L0,))
         model = build_model(cfg)
         state = initial_state(cfg, model)
-        got = model.rhs(state)[..., 0]
+        got = model.rhs(state)[0]
 
         n = 16
         h = 2 * np.pi / n
         line = np.arange(n) * h
         x = line[:, None, None]
         z = line[None, None, :]
-        L = state[..., 0]
+        L = state[0]
 
         def d(u, axis):
             return (8 * (np.roll(u, -1, axis) - np.roll(u, 1, axis))
@@ -317,7 +335,7 @@ class TestCompiledPlanAgainstHandWrittenRhs:
         m, e = 2.0, 3.0
         phi_q = -np.sin(q)          # phi = cos q
         phi_qq = -np.cos(q)
-        P1, P2 = state[..., 0], state[..., 1]
+        P1, P2 = state[0], state[1]
 
         def d(u, axis):
             return (8 * (np.roll(u, -1, axis) - np.roll(u, 1, axis))
@@ -328,8 +346,8 @@ class TestCompiledPlanAgainstHandWrittenRhs:
 
         want1 = -X_h(P1) + e * phi_qq * P2
         want2 = -X_h(P2) - P1 / m
-        assert np.max(np.abs(got[..., 0] - want1)) < 1e-12
-        assert np.max(np.abs(got[..., 1] - want2)) < 1e-12
+        assert np.max(np.abs(got[0] - want1)) < 1e-12
+        assert np.max(np.abs(got[1] - want2)) < 1e-12
 
 
 def _poly_text(rng: random.Random, names, degree: int) -> str:
