@@ -754,12 +754,12 @@ def _fold_node(e: Expr, _kids: tuple[Expr, ...], folded: list[Expr]) -> Expr:
         acc = Fraction(0)
         terms: list[Expr] = []
         for t in folded:
-            if isinstance(t, Const):
-                acc += t.value
-            elif isinstance(t, Sum):
-                terms.extend(t.terms)
-            else:
-                terms.append(t)
+            # a folded sum's own constant joins the running constant
+            for u in t.terms if isinstance(t, Sum) else (t,):
+                if isinstance(u, Const):
+                    acc += u.value
+                else:
+                    terms.append(u)
         if acc != 0 or not terms:
             terms.append(Const(acc))
         return terms[0] if len(terms) == 1 else Sum(tuple(terms))
@@ -767,12 +767,11 @@ def _fold_node(e: Expr, _kids: tuple[Expr, ...], folded: list[Expr]) -> Expr:
         acc = Fraction(1)
         factors: list[Expr] = []
         for f in folded:
-            if isinstance(f, Const):
-                acc *= f.value
-            elif isinstance(f, Prod):
-                factors.extend(f.factors)
-            else:
-                factors.append(f)
+            for u in f.factors if isinstance(f, Prod) else (f,):
+                if isinstance(u, Const):
+                    acc *= u.value
+                else:
+                    factors.append(u)
         if acc == 0:
             return ZERO
         if acc != 1 or not factors:

@@ -4,8 +4,11 @@ A polynomial in ``nvars`` variables is a dict mapping exponent tuples of
 length ``nvars`` to nonzero int coefficients.  The empty dict is the zero
 polynomial.  Monomials are ordered graded-lexicographically: higher total
 degree first, ties broken by lexicographic comparison of exponent tuples.
-Every function returns a fresh dict and leaves its arguments alone:
-canonical expression nodes share the polynomials they store.
+This is the only representation: where the gcd reads a polynomial as one
+in a single variable with polynomial coefficients, it lists those
+coefficients from the flat dict instead of converting.  Every function
+returns a fresh dict and leaves its arguments alone: canonical expression
+nodes share the polynomials they store.
 
 This is the engine behind canonical rational forms; it is not a public API.
 """
@@ -13,7 +16,7 @@ This is the engine behind canonical rational forms; it is not a public API.
 from __future__ import annotations
 
 from math import gcd as _int_gcd
-from operator import add as _add
+from operator import add as _add, sub as _sub
 
 Mono = tuple[int, ...]
 Poly = dict[Mono, int]
@@ -124,106 +127,33 @@ def int_content(p: Poly) -> int:
 
 
 def exact_div(f: Poly, g: Poly) -> Poly:
-    """Divide f by g assuming the division is exact; raises otherwise."""
+    """Divide f by g assuming the division is exact; raises otherwise.
+
+    Divides along the lexicographic order, whose leading monomial is a
+    plain ``max``; any monomial order gives the same exact quotient."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    if not f:
-        return {}
-    lm_g = leading_monomial(g)
+    lm_g = max(g)
     lc_g = g[lm_g]
     q: Poly = {}
     r = dict(f)
     while r:
-        lm_r = leading_monomial(r)
-        mono = tuple(a - b for a, b in zip(lm_r, lm_g))
+        lm_r = max(r)
+        mono = tuple(map(_sub, lm_r, lm_g))
         if any(e < 0 for e in mono):
             raise ArithmeticError("inexact polynomial division")
         cq, rem = divmod(r[lm_r], lc_g)
         if rem:
             raise ArithmeticError("inexact polynomial division")
-        q[mono] = q.get(mono, 0) + cq
-        r = sub(r, mul(g, {mono: cq}))
+        q[mono] = cq
+        for m, c in g.items():
+            m = tuple(map(_add, m, mono))
+            s = r.get(m, 0) - c * cq
+            if s:
+                r[m] = s
+            else:
+                del r[m]
     return q
-
-
-def degree_in(p: Poly, axis: int) -> int:
-    if not p:
-        return -1
-    return max(m[axis] for m in p)
-
-
-def _to_univariate(p: Poly, axis: int) -> dict[int, Poly]:
-    """View p as univariate in ``axis`` with polynomial coefficients."""
-    out: dict[int, Poly] = {}
-    for m, c in p.items():
-        d = m[axis]
-        rest = tuple(e if i != axis else 0 for i, e in enumerate(m))
-        coeff = out.setdefault(d, {})
-        s = coeff.get(rest, 0) + c
-        if s:
-            coeff[rest] = s
-        else:
-            coeff.pop(rest, None)
-    return {d: c for d, c in out.items() if c}
-
-
-def _from_univariate(u: dict[int, Poly], axis: int) -> Poly:
-    out: Poly = {}
-    for d, coeff in u.items():
-        for m, c in coeff.items():
-            mono = tuple(e if i != axis else d for i, e in enumerate(m))
-            out[mono] = c
-    return out
-
-
-def _uni_deg(u: dict[int, Poly]) -> int:
-    return max(u) if u else -1
-
-
-def _uni_scale(u: dict[int, Poly], f: Poly) -> dict[int, Poly]:
-    return {d: mul(c, f) for d, c in u.items()}
-
-
-def _uni_sub(a: dict[int, Poly], b: dict[int, Poly]) -> dict[int, Poly]:
-    out = {d: dict(c) for d, c in a.items()}
-    for d, c in b.items():
-        s = sub(out.get(d, {}), c)
-        if s:
-            out[d] = s
-        else:
-            out.pop(d, None)
-    return out
-
-
-def _uni_shift_mul(u: dict[int, Poly], shift: int, f: Poly) -> dict[int, Poly]:
-    return {d + shift: mul(c, f) for d, c in u.items()}
-
-
-def _pseudo_rem(a: dict[int, Poly], b: dict[int, Poly]) -> dict[int, Poly]:
-    """Pseudo-remainder of univariate polynomials with Poly coefficients."""
-    db = _uni_deg(b)
-    lb = b[db]
-    r = {d: dict(c) for d, c in a.items()}
-    while r and _uni_deg(r) >= db:
-        dr = _uni_deg(r)
-        lr = r[dr]
-        r = _uni_sub(_uni_scale(r, lb), _uni_shift_mul(b, dr - db, lr))
-    return r
-
-
-def _uni_content(u: dict[int, Poly]) -> Poly:
-    g: Poly = {}
-    for c in u.values():
-        g = poly_gcd(g, c)
-    return g
-
-
-def _uni_primitive(u: dict[int, Poly]) -> dict[int, Poly]:
-    cont = _uni_content(u)
-    if is_const(cont) and abs(const_value(cont)) == 1:
-        if const_value(cont) == 1:
-            return u
-    return {d: exact_div(c, cont) for d, c in u.items()}
 
 
 def _normalize_sign(p: Poly) -> Poly:
@@ -249,14 +179,49 @@ def _coefficients(p: Poly, axes: list[int]) -> list[Poly]:
     return sorted(out.values(), key=len)
 
 
+def _leading_in(p: Poly, axis: int) -> tuple[int, Poly]:
+    """The degree of p in the variable ``axis`` and its coefficient there,
+    a polynomial free of that variable."""
+    d = max(m[axis] for m in p)
+    return d, {m[:axis] + (0,) + m[axis + 1:]: c for m, c in p.items() if m[axis] == d}
+
+
+def _primitive(p: Poly, axis: int) -> tuple[Poly, Poly]:
+    """Content and primitive part of p as a polynomial in ``axis``; the
+    content is the sign-normalized gcd of the coefficients."""
+    one = const(1, len(next(iter(p))))
+    cont: Poly = {}
+    for c in _coefficients(p, [axis]):
+        cont = poly_gcd(cont, c)
+        if cont == one:
+            return cont, p
+    return cont, exact_div(p, cont)
+
+
+def _pseudo_rem(a: Poly, b: Poly, axis: int) -> Poly:
+    """Pseudo-remainder of a by b as polynomials in ``axis``."""
+    db, lb = _leading_in(b, axis)
+    nvars = len(next(iter(b)))
+    r = a
+    while r:
+        dr, lr = _leading_in(r, axis)
+        if dr < db:
+            break
+        shift = tuple(dr - db if i == axis else 0 for i in range(nvars))
+        r = sub(mul(r, lb), mul(b, mul(lr, {shift: 1})))
+    return r
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """GCD over Z[x1..xn], sign-normalized to positive leading coefficient.
 
     When one operand's variables are a strict subset of the other's, a
     common factor lives on the smaller set, so the gcd is that of the
     smaller operand and the larger one's coefficients in the other
-    variables.  Otherwise a primitive pseudo-remainder sequence; adequate
-    for the small degrees and variable counts this kernel sees.
+    variables.  Otherwise a primitive pseudo-remainder sequence along the
+    first variable both operands share, run on the flat polynomials with
+    coefficients in the remaining variables; adequate for the small
+    degrees and variable counts this kernel sees.
     """
     if not a:
         return _normalize_sign(dict(b))
@@ -278,23 +243,15 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
             if g == one:
                 break
         return g
-    axis = -1
-    for i in range(nvars):
-        if degree_in(a, i) > 0 and degree_in(b, i) > 0:
-            axis = i
-            break
-    if axis < 0:
+    if not sa & sb:
         # disjoint variable supports: only an integer gcd is shared
         return const(_int_gcd(int_content(a), int_content(b)), nvars)
-    ua, ub = _to_univariate(a, axis), _to_univariate(b, axis)
-    cont_a, cont_b = _uni_content(ua), _uni_content(ub)
-    g_cont = poly_gcd(cont_a, cont_b)
-    pa = {d: exact_div(c, cont_a) for d, c in ua.items()}
-    pb = {d: exact_div(c, cont_b) for d, c in ub.items()}
-    if _uni_deg(pa) < _uni_deg(pb):
+    axis = min(sa & sb)
+    cont_a, pa = _primitive(a, axis)
+    cont_b, pb = _primitive(b, axis)
+    if _leading_in(pa, axis)[0] < _leading_in(pb, axis)[0]:
         pa, pb = pb, pa
     while pb:
-        r = _pseudo_rem(pa, pb)
-        pa, pb = pb, _uni_primitive(r) if r else {}
-    g = mul(g_cont, _from_univariate(_uni_primitive(pa), axis))
-    return _normalize_sign(g)
+        r = _pseudo_rem(pa, pb, axis)
+        pa, pb = pb, _primitive(r, axis)[1] if r else {}
+    return _normalize_sign(mul(poly_gcd(cont_a, cont_b), pa))

@@ -127,10 +127,12 @@ def load_config(path: str | Path) -> SimConfig:
     init = raw.get("init", [])
     if not (isinstance(init, list) and all(isinstance(c, str) for c in init)):
         raise ConfigError("config key 'init' must be a list of strings")
-    for key in ("n", "steps", "cadence"):
+    for key in ("n", "steps", "cadence", "dt"):
         value = raw.get(key, 0)
-        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-            raise ConfigError(f"config key '{key}' must be an integer")
+        kind = "a number" if key == "dt" else "an integer"
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+                key != "dt" and isinstance(value, float) and not value.is_integer()):
+            raise ConfigError(f"config key '{key}' must be {kind}")
     try:
         return SimConfig(
             model=raw["model"],
@@ -158,7 +160,6 @@ def load_config(path: str | Path) -> SimConfig:
 class Model:
     """A compiled pointwise evaluation plan for one kinetic model."""
 
-    name: str
     grid: Grid
     ncomp: int
     coord_vars: tuple[VarId, ...]
@@ -291,7 +292,7 @@ def build_model(cfg: SimConfig) -> Model:
         raise ConfigError(f"model '{cfg.model}' needs {jc.k} initial component(s), got {len(cfg.init)}")
     rhs = _compile_jet_plan(jc, grid, rates)
     vmax = max(float(np.max(np.abs(v))) for v in vel)
-    return Model(cfg.model, grid, jc.k, tuple(jc.base), rhs, vmax)
+    return Model(grid, jc.k, tuple(jc.base), rhs, vmax)
 
 
 def initial_state(cfg: SimConfig, model: Model) -> np.ndarray:
@@ -313,12 +314,10 @@ def initial_state(cfg: SimConfig, model: Model) -> np.ndarray:
 
 @dataclass
 class RunResult:
-    times: list[float]
     diagnostics: list[tuple[float, float, float, float, float]]
     out_path: str
     diag_path: str
     manifest_path: str
-    aborted_at: int | None = None
 
 
 def _diag_row(t: float, state: np.ndarray, grid: Grid
@@ -385,7 +384,7 @@ def run_simulation(cfg: SimConfig) -> RunResult:
         "timings": timings,
         "counters": counters,
     }
-    result = RunResult([], [], cfg.out, cfg.diag, manifest_path)
+    result = RunResult([], cfg.out, cfg.diag, manifest_path)
     aborted: NumericalAbortError | None = None
     with open(cfg.out, "w") as traj, open(cfg.diag, "w") as diag:
         counters["traj_bytes"] = _write_traj_header(traj, model.ncomp)
@@ -398,7 +397,6 @@ def run_simulation(cfg: SimConfig) -> RunResult:
             row = _diag_row(t, s, grid)
             diag.write(",".join(repr(v) if isinstance(v, float) else str(v)
                                 for v in row) + "\n")
-            result.times.append(t)
             result.diagnostics.append(row)
             counters["snapshots"] += 1
             timings["io_s"] += clock() - start
@@ -416,10 +414,9 @@ def run_simulation(cfg: SimConfig) -> RunResult:
         except NumericalAbortError as exc:
             timings["integrate_s"] += clock() - start
             aborted = exc
-            result.aborted_at = exc.step
             traj.flush()
             diag.flush()
-    manifest["aborted_at_step"] = result.aborted_at
+    manifest["aborted_at_step"] = None if aborted is None else aborted.step
     with open(manifest_path, "w") as mf:
         json.dump(manifest, mf, indent=2, sort_keys=True)
         mf.write("\n")
@@ -525,8 +522,7 @@ def determined_nodes(K_text: str, n: int, dt: float, steps: int,
 
 def discrete_intertwining_error(K_text: str, alpha_init: Sequence[str],
                                 density_init: str, n: int, dt: float,
-                                steps: int, cadence: int,
-                                allow_aperiodic: bool = True
+                                steps: int, cadence: int
                                 ) -> tuple[float, float, list[float]]:
     """Max-norm gap between (evolve alpha, map to density) and (evolve density).
 
@@ -541,11 +537,9 @@ def discrete_intertwining_error(K_text: str, alpha_init: Sequence[str],
     """
     cs = ContactStructure.standard()
     cfg_m = SimConfig(model="contact-momentum", n=n, dt=dt, steps=steps,
-                      expr=K_text, init=tuple(alpha_init),
-                      allow_aperiodic=allow_aperiodic)
+                      expr=K_text, init=tuple(alpha_init), allow_aperiodic=True)
     cfg_d = SimConfig(model="contact-density", n=n, dt=dt, steps=steps,
-                      expr=K_text, init=(density_init,),
-                      allow_aperiodic=allow_aperiodic)
+                      expr=K_text, init=(density_init,), allow_aperiodic=True)
     mom = build_model(cfg_m)
     den = build_model(cfg_d)
     state_m = initial_state(cfg_m, mom)

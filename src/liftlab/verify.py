@@ -139,10 +139,6 @@ def _kernel_delta(before: dict[str, int]) -> dict[str, int]:
     return {k: v - before[k] for k, v in kernel_stats().items()}
 
 
-def _gvf_diff_str(a: GeneralizedVectorField, b: GeneralizedVectorField) -> str:
-    return f"lhs = {a}; rhs = {b}"
-
-
 # ---------------------------------------------------------------------------
 # jets
 
@@ -175,23 +171,20 @@ def suite_jets(trials: int, degree: int, seed: int) -> SuiteReport:
     shapes = (("x",), ("u",)), (("x", "y"), ("u", "v"))
     charts = [JetChart.make(b, f) for b, f in shapes]
 
-    def pick(rng) -> JetChart:
-        return charts[rng.randrange(len(charts))]
-
     def holonomic_iso(rng):
-        jc = pick(rng)
+        jc = rng.choice(charts)
         xi = _rand_ordinary_field(rng, jc, degree)
         eta = _rand_ordinary_field(rng, jc, degree)
         lhs = holonomic_part(_ordinary_bracket_on_jet(jc, xi, eta))
         rhs = prolongation_bracket(holonomic_part(xi), holonomic_part(eta))
         if not lhs.equals(rhs):
-            return f"xi = {xi}; eta = {eta}; " + _gvf_diff_str(lhs, rhs)
+            return f"xi = {xi}; eta = {eta}; lhs = {lhs}; rhs = {rhs}"
         return None
 
     def bracket_identity(rng):
         # stated for projectable fields on E; their V images are jet-linear,
         # the class on which the bracket closes at first order
-        jc = pick(rng)
+        jc = rng.choice(charts)
         xi = _rand_ordinary_field(rng, jc, degree)
         eta = _rand_ordinary_field(rng, jc, degree)
         lhs = prolongation_bracket(vertical_representative(xi),
@@ -203,7 +196,7 @@ def suite_jets(trials: int, degree: int, seed: int) -> SuiteReport:
         return None
 
     def antisymmetry(rng):
-        jc = pick(rng)
+        jc = rng.choice(charts)
         picks = (lambda f: f, vertical_representative, holonomic_part)
         xi = rng.choice(picks)(_rand_ordinary_field(rng, jc, degree))
         eta = rng.choice(picks)(_rand_ordinary_field(rng, jc, degree))
@@ -214,7 +207,7 @@ def suite_jets(trials: int, degree: int, seed: int) -> SuiteReport:
         return None
 
     def reduces_to_jl(rng):
-        jc = pick(rng)
+        jc = rng.choice(charts)
         xi = _rand_ordinary_field(rng, jc, degree)
         eta = _rand_ordinary_field(rng, jc, degree)
         lhs = prolongation_bracket(xi, eta)
@@ -224,7 +217,7 @@ def suite_jets(trials: int, degree: int, seed: int) -> SuiteReport:
         return None
 
     def decomposition(rng):
-        jc = pick(rng)
+        jc = rng.choice(charts)
         xi = _rand_generalized_field(rng, jc, degree)
         v, h = vertical_representative(xi), holonomic_part(xi)
         if not (v + h).equals(xi):
@@ -252,10 +245,6 @@ _BASE_CHARTS = [Chart.make("x"), Chart.make("x", "y"), Chart.make("x", "y", "z")
 _COT_CHARTS = [CotangentChart.make(c) for c in _BASE_CHARTS]
 
 
-def _pick_cot(rng) -> CotangentChart:
-    return _COT_CHARTS[rng.randrange(len(_COT_CHARTS))]
-
-
 def _vf_equal(a: VectorField, b: VectorField) -> bool:
     return all(expr_equal(p, q) for p, q in zip(a.components, b.components))
 
@@ -264,7 +253,7 @@ def suite_lifts(trials: int, degree: int, seed: int) -> SuiteReport:
     report = SuiteReport("lifts", trials, degree, seed)
 
     def bracket_homomorphism(rng):
-        cc = _pick_cot(rng)
+        cc = rng.choice(_COT_CHARTS)
         X = rand_vector_field(rng, cc.base, degree)
         Y = rand_vector_field(rng, cc.base, degree)
         lhs = complete_cotangent_lift(cc, jacobi_lie_bracket(X, Y))
@@ -275,7 +264,7 @@ def suite_lifts(trials: int, degree: int, seed: int) -> SuiteReport:
         return None
 
     def vertical_homomorphism(rng):
-        cc = _pick_cot(rng)
+        cc = rng.choice(_COT_CHARTS)
         X = rand_vector_field(rng, cc.base, degree)
         Y = rand_vector_field(rng, cc.base, degree)
         vxy, _ = lift_decomposition(cc, jacobi_lie_bracket(X, Y))
@@ -286,7 +275,7 @@ def suite_lifts(trials: int, degree: int, seed: int) -> SuiteReport:
         return None
 
     def obstruction_vanishing(rng):
-        cc = _pick_cot(rng)
+        cc = rng.choice(_COT_CHARTS)
         X = rand_vector_field(rng, cc.base, degree)
         Y = rand_vector_field(rng, cc.base, degree)
         xi = as_generalized(cc, complete_cotangent_lift(cc, X))
@@ -297,7 +286,7 @@ def suite_lifts(trials: int, degree: int, seed: int) -> SuiteReport:
         return None
 
     def momentum_generates(rng):
-        cc = _pick_cot(rng)
+        cc = rng.choice(_COT_CHARTS)
         X = rand_vector_field(rng, cc.base, degree)
         lhs = hamiltonian_vector_field(cc, momentum_function(cc, X))
         rhs = complete_cotangent_lift(cc, X)
@@ -306,7 +295,7 @@ def suite_lifts(trials: int, degree: int, seed: int) -> SuiteReport:
         return None
 
     def preserves_theta(rng):
-        cc = _pick_cot(rng)
+        cc = rng.choice(_COT_CHARTS)
         X = rand_vector_field(rng, cc.base, degree)
         lied = lie_derivative_form(complete_cotangent_lift(cc, X),
                                    cc.tautological_form())
@@ -315,7 +304,7 @@ def suite_lifts(trials: int, degree: int, seed: int) -> SuiteReport:
         return None
 
     def projection_compatible(rng):
-        cc = _pick_cot(rng)
+        cc = rng.choice(_COT_CHARTS)
         X = rand_vector_field(rng, cc.base, degree)
         lift = complete_cotangent_lift(cc, X)
         for a in range(cc.m):
@@ -341,7 +330,7 @@ def suite_euler_field(trials: int, degree: int, seed: int) -> SuiteReport:
     report = SuiteReport("euler-field", trials, degree, seed)
 
     def dilation_identities(rng):
-        cc = _pick_cot(rng)
+        cc = rng.choice(_COT_CHARTS)
         xe = euler_vector_field(cc)
         omega, theta = cc.symplectic_form(), cc.tautological_form()
         if not (interior_product(xe, omega) - theta).is_zero():
@@ -355,7 +344,7 @@ def suite_euler_field(trials: int, degree: int, seed: int) -> SuiteReport:
         return None
 
     def lift_bracket_vertical(rng):
-        cc = _pick_cot(rng)
+        cc = rng.choice(_COT_CHARTS)
         X = rand_vector_field(rng, cc.base, degree)
         alpha = rand_one_form(rng, cc.base, degree)
         lhs = jacobi_lie_bracket(complete_cotangent_lift(cc, X),
@@ -366,7 +355,7 @@ def suite_euler_field(trials: int, degree: int, seed: int) -> SuiteReport:
         return None
 
     def euler_composition(rng):
-        cc = _pick_cot(rng)
+        cc = rng.choice(_COT_CHARTS)
         alpha = rand_one_form(rng, cc.base, degree)
         xe = euler_vector_field(cc)
         bind = {cc.fiber_var(a): alpha.coeff((a,)) for a in range(cc.m)}
@@ -408,7 +397,7 @@ def _rand_plasma_momentum(rng, pc: CotangentChart, degree: int) -> PlasmaMomentu
 
 def _plasma_intertwining(rng, degree: int) -> str | None:
     """The plasma density of the Vlasov momentum rate is the density rate."""
-    pc = _PLASMA_CHARTS[rng.randrange(2)]
+    pc = rng.choice(_PLASMA_CHARTS)
     params = _rand_params(rng, pc, degree)
     pi = _rand_plasma_momentum(rng, pc, degree)
     lhs = plasma_density(vlasov_momentum_rhs(pi, params))
@@ -421,11 +410,8 @@ def _plasma_intertwining(rng, degree: int) -> str | None:
 def suite_plasma(trials: int, degree: int, seed: int) -> SuiteReport:
     report = SuiteReport("plasma", trials, degree, seed)
 
-    def pick(rng):
-        return _PLASMA_CHARTS[rng.randrange(2)]
-
     def poisson_isomorphism(rng):
-        pc = pick(rng)
+        pc = rng.choice(_PLASMA_CHARTS)
         h = rand_poly(rng, pc.full.vars, degree, 3)
         f = rand_poly(rng, pc.full.vars, degree, 3)
         lhs = jacobi_lie_bracket(hamiltonian_vector_field(pc, h),
@@ -436,7 +422,7 @@ def suite_plasma(trials: int, degree: int, seed: int) -> SuiteReport:
         return None
 
     def hamiltonian_div_free(rng):
-        pc = pick(rng)
+        pc = rng.choice(_PLASMA_CHARTS)
         h = rand_poly(rng, pc.full.vars, degree, 3)
         div = divergence(hamiltonian_vector_field(pc, h), VolumeForm.standard(pc.full))
         if not expr_equal(div, ZERO):
@@ -444,7 +430,7 @@ def suite_plasma(trials: int, degree: int, seed: int) -> SuiteReport:
         return None
 
     def momentum_matches_coadjoint(rng):
-        pc = pick(rng)
+        pc = rng.choice(_PLASMA_CHARTS)
         params = _rand_params(rng, pc, degree)
         pi = _rand_plasma_momentum(rng, pc, degree)
         rate = vlasov_momentum_rhs(pi, params)

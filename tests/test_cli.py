@@ -319,6 +319,8 @@ class TestSim:
         json.dumps(dict(GOOD_CONFIG, n="abc")),
         json.dumps(dict(GOOD_CONFIG, n=1e400)),
         json.dumps(dict(GOOD_CONFIG, dt=[1])),
+        json.dumps(dict(GOOD_CONFIG, dt="0.001")),
+        json.dumps(dict(GOOD_CONFIG, dt=True)),
         json.dumps(dict(GOOD_CONFIG, params=[1])),
         json.dumps(dict(GOOD_CONFIG, init=[1])),
         json.dumps(dict(GOOD_CONFIG, out=5)),
@@ -327,7 +329,8 @@ class TestSim:
         '{"model": "vlasov-density", "n": 16,',
         "[" * 100000 + "]" * 100000,
         "\xff",
-    ], ids=["n-not-a-number", "n-overflows", "dt-a-list", "params-a-list",
+    ], ids=["n-not-a-number", "n-overflows", "dt-a-list", "dt-a-string",
+            "dt-a-bool", "params-a-list",
             "init-not-strings", "out-not-a-string", "aperiodic-a-string",
             "top-level-a-list", "malformed-json", "nested-too-deep",
             "not-utf8"])
@@ -338,7 +341,8 @@ class TestSim:
         assert code == 2
         assert err.startswith("error: ")
 
-    @pytest.mark.parametrize("value", [2.9, True], ids=["fractional", "bool"])
+    @pytest.mark.parametrize("value", [2.9, True, "8"],
+                             ids=["fractional", "bool", "string"])
     @pytest.mark.parametrize("key", ["n", "steps", "cadence"])
     def test_non_integer_count_is_config_error(self, tmp_path, capsys, key, value):
         path = tmp_path / "run.json"

@@ -1,8 +1,10 @@
-"""Package surface: every exported name resolves, and every import is read."""
+"""Package surface: every exported name resolves, every import is read,
+and every private helper has a caller."""
 
 import ast
 import importlib
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import liftlab
@@ -41,3 +43,25 @@ def test_no_orphaned_imports():
     orphans = [o for path in sorted(src.glob("*.py")) if path.name != "__init__.py"
                for o in _orphaned_imports(path)]
     assert not orphans
+
+
+def _unreferenced_private_defs(path: Path) -> list[str]:
+    """Module-level ``_name`` functions and classes of ``path`` that no
+    code outside their own body reads."""
+    tree = ast.parse(path.read_text())
+
+    def reads(node: ast.AST) -> Counter:
+        return Counter(n.id for n in ast.walk(node) if isinstance(n, ast.Name))
+
+    everywhere = reads(tree)
+    return [f"{path.name}:{node.lineno} {node.name}" for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and everywhere[node.name] == reads(node)[node.name]]
+
+
+def test_no_dead_private_helpers():
+    src = Path(liftlab.__file__).parent
+    dead = [d for path in sorted(src.glob("*.py"))
+            for d in _unreferenced_private_defs(path)]
+    assert not dead

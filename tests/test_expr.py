@@ -84,6 +84,17 @@ class TestCanonicalize:
         assert free_vars(canonicalize(parse("x + y - y"))) == frozenset({X})
 
 
+class TestNumericFold:
+    def test_nested_sum_constant_joins_the_running_constant(self):
+        assert str(canon(ONE * parse("cos(x) + 3") + 2)) == "cos(x) + 5"
+        assert str(canon(ONE * parse("cos(x) + 3") + (-3))) == "cos(x)"
+
+    def test_nested_product_constant_joins_the_running_constant(self):
+        assert str(canon(parse("2*(3*cos(x))"))) == "6*cos(x)"
+        assert str(canon(parse("(1/2)*(2*cos(x))"))) == "cos(x)"
+        assert canon(parse("2*(0*cos(x))")) is ZERO
+
+
 class TestExprEqual:
     def test_square_expansion(self):
         assert expr_equal(parse("(x+1)^2"), parse("x^2+2*x+1"))

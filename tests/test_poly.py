@@ -162,3 +162,30 @@ def test_gcd_on_nested_supports(operands):
     assert poly.mul(qb, g) == b
     assert poly.poly_gcd(qa, qb) == poly.const(1, NVARS)
     assert _divides(common, g)
+
+
+@st.composite
+def shared_support(draw):
+    """Operands a, b and a factor g over one variable set; a and b hold a
+    monomial in every variable of it, so a·g and b·g have equal supports
+    and their gcd takes the pseudo-remainder sequence."""
+    axes = draw(st.sets(st.integers(0, NVARS - 1), min_size=1, max_size=3))
+    every = tuple(1 if i in axes else 0 for i in range(NVARS))
+    a, b = draw(poly_on(axes)), draw(poly_on(axes))
+    a[every] = draw(st.integers(-6, 6).filter(bool))
+    b[every] = draw(st.integers(-6, 6).filter(bool))
+    return a, b, draw(poly_on(axes))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(shared_support())
+def test_gcd_on_shared_support_scales_by_common_factor(operands):
+    a, b, g = operands
+    if not g:
+        return
+    want = poly.mul(g, poly.poly_gcd(a, b))
+    if poly.leading_coeff(want) < 0:
+        want = poly.neg(want)
+    ag, bg = poly.mul(a, g), poly.mul(b, g)
+    assert poly.poly_gcd(ag, bg) == want
+    assert poly.poly_gcd(bg, ag) == want

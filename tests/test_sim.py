@@ -203,7 +203,7 @@ class TestRunSimulation:
         assert all(v >= 0 for v in (*timings.values(), *counters.values()))
         assert counters["steps"] == cfg.steps
         assert counters["rhs_calls"] == 4 * cfg.steps
-        assert counters["snapshots"] == len(result.times) == 2
+        assert counters["snapshots"] == len(result.diagnostics) == 2
         assert counters["traj_bytes"] == os.path.getsize(cfg.out)
 
     def test_cfl_advisory_warns_but_runs(self, tmp_path):
