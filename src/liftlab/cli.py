@@ -156,8 +156,7 @@ def cmd_verify(args) -> int:
         report = run_suite(args.suite, trials=args.trials,
                            degree=args.degree, seed=args.seed)
     except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        raise ConfigError(exc.args[0]) from None
     print(_report_json(report) if args.json else report.render())
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILURE
 

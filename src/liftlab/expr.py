@@ -10,7 +10,10 @@ fragment.
 sin/cos/exp are opaque numeric leaves: differentiation produces the usual
 closed forms but no symbolic identities are applied to them, and
 expressions containing them cannot be canonicalized or compared
-symbolically.  Canonicalization cancels common polynomial factors
+symbolically.  ``canon`` folds such an expression as a tree whose every
+rational part is canonicalized: an idempotent normal form, not a
+canonical one (Moses, *Algebraic simplification: a guide for the
+perplexed*, CACM 1971).  Canonicalization cancels common polynomial factors
 (x/x -> 1), which enlarges the domain by a measure-zero set; this is the
 usual computer-algebra convention and is relied on throughout.
 
@@ -92,7 +95,7 @@ class UnboundVariableError(ExprError):
 
 
 class EvaluationDomainError(ExprError):
-    """Numeric evaluation hit a division with |denominator| < 1e-300."""
+    """Numeric evaluation hit |denominator| < 1e-300 or a value past the doubles."""
 
 
 class SymbolicDivisionError(ExprError):
@@ -725,10 +728,10 @@ def kernel_stats() -> dict[str, int]:
 
 
 def canon(e: Expr) -> Expr:
-    """Canonicalize when rational, light constant folding otherwise."""
+    """Canonicalize when rational, else fold with every rational part canonical."""
     if is_rational(e):
         return canonicalize(e)
-    return _fold(e)
+    return _walk(e, _fold_node)
 
 
 def is_zero_expr(e: Expr) -> bool:
@@ -743,67 +746,42 @@ def expr_equal(a: Expr, b: Expr) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# light structural folding for numeric-only results (no trig identities)
-
-def _fold(e: Expr) -> Expr:
-    return _walk(e, _fold_node)
-
+# folding of numeric-only expressions: every rational part canonicalized
 
 def _fold_node(e: Expr, _kids: tuple[Expr, ...], folded: list[Expr]) -> Expr:
-    if isinstance(e, Sum):
-        acc = Fraction(0)
-        terms: list[Expr] = []
-        for t in folded:
-            # a folded sum's own constant joins the running constant
-            for u in t.terms if isinstance(t, Sum) else (t,):
-                if isinstance(u, Const):
-                    acc += u.value
-                else:
-                    terms.append(u)
-        if acc != 0 or not terms:
-            terms.append(Const(acc))
-        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
-    if isinstance(e, Prod):
-        acc = Fraction(1)
-        factors: list[Expr] = []
+    # a rational node stays whole for the nearest non-rational node above
+    # it, which canonicalizes its rational operands
+    if is_rational(e):
+        return e
+    cls = type(e)
+    if cls is Pow and e.exponent == 0:
+        return ONE
+    if cls is Sum or cls is Prod:
+        rational, rest = [], []
         for f in folded:
-            for u in f.factors if isinstance(f, Prod) else (f,):
-                if isinstance(u, Const):
-                    acc *= u.value
-                else:
-                    factors.append(u)
-        if acc == 0:
-            return ZERO
-        if acc != 1 or not factors:
-            factors.insert(0, Const(acc))
-        return factors[0] if len(factors) == 1 else Prod(tuple(factors))
-    if isinstance(e, Pow):
-        base = folded[0]
-        if e.exponent == 0:
-            return ONE
-        if e.exponent == 1:
-            return base
-        if isinstance(base, Const) and e.exponent > 0:
-            return Const(base.value ** e.exponent)
-        return Pow(base, e.exponent)
-    if isinstance(e, Quot):
-        num, den = folded
-        if isinstance(den, Const):
-            if den.value == 0:
-                raise SymbolicDivisionError("division by zero constant")
-            if isinstance(num, Const):
-                return Const(num.value / den.value)
-            if den.value == 1:
-                return num
-        if num == ZERO:
-            return ZERO
-        # a rational denominator is decided exactly, as canonicalize does
-        if is_rational(den) and is_zero_expr(den):
-            raise SymbolicDivisionError("division by an identically zero expression")
-        return Quot(num, den)
-    if isinstance(e, Call):
-        return Call(e.func, folded[0])
-    return e
+            # a folded sum's terms (product's factors) join this one's
+            for u in (f.terms if cls is Sum else f.factors) if type(f) is cls else (f,):
+                (rational if is_rational(u) else rest).append(u)
+        r = canonicalize(cls(tuple(rational)))
+        if not rest or (r is ZERO and cls is Prod):
+            return r
+        # the rational part is a sum's last term and a product's first factor
+        parts = rest if r is (ZERO if cls is Sum else ONE) else (
+            rest + [r] if cls is Sum else [r] + rest)
+        return parts[0] if len(parts) == 1 else cls(tuple(parts))
+    kids = [canonicalize(k) if is_rational(k) else k for k in folded]
+    if cls is Call:
+        return Call(e.func, kids[0])
+    if all(map(is_rational, kids)):
+        return canonicalize(Quot(*kids) if cls is Quot else Pow(kids[0], e.exponent))
+    if cls is Pow:
+        return kids[0] if e.exponent == 1 else Pow(kids[0], e.exponent)
+    num, den = kids
+    if den is ZERO:
+        raise SymbolicDivisionError("division by an identically zero expression")
+    if num is ZERO:
+        return ZERO
+    return num if den is ONE else Quot(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -815,7 +793,7 @@ def partial(e: Expr, v: VarId) -> Expr:
     A rational ``e`` is canonicalized first, raising as ``canonicalize``
     does.  Its derivative is then taken in the polynomial ring from the
     canonical node's stored ``(axes, num, den)`` and memoized on that
-    node.  A numeric-only ``e`` is differentiated as a tree.
+    node.  A numeric-only ``e`` is differentiated as a tree, folded by ``canon``.
     """
     global _partial_calls, _partial_computed
     _partial_calls += 1
@@ -921,7 +899,10 @@ def _substitute_node(e: Expr, _kids: tuple[Expr, ...], subs: list[Expr],
 
 def eval_numeric(e: Expr, point: Mapping[VarId, float]) -> float:
     """IEEE-double evaluation with every variable bound."""
-    return _walk(e, _eval_node, point)
+    try:
+        return _walk(e, _eval_node, point)
+    except OverflowError:       # a constant, power, exp or sum past the doubles
+        raise EvaluationDomainError("a value too large for a double") from None
 
 
 _MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
@@ -959,7 +940,10 @@ def _eval_node(e: Expr, _kids: tuple[Expr, ...], vals: list[float],
 # display
 
 def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    try:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    except ValueError:      # more digits than int -> str allows
+        raise ExprError("a constant too long to print") from None
 
 
 def _needs_parens_in_product(e: Expr) -> bool:

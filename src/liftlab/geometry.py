@@ -156,16 +156,6 @@ class DifferentialForm:
     def coeff(self, idx: tuple[int, ...]) -> Expr:
         return self.terms.get(tuple(idx), ZERO)
 
-    def coeff_signed(self, idx: Sequence[int]) -> Expr:
-        """Coefficient for an arbitrary index tuple, antisymmetrized."""
-        idx = tuple(idx)
-        if len(set(idx)) != len(idx):
-            return ZERO
-        order = tuple(sorted(idx))
-        sign = _perm_sign(idx)
-        c = self.terms.get(order, ZERO)
-        return c if sign == 1 else canon(c * -1)
-
     def __add__(self, other: "DifferentialForm") -> "DifferentialForm":
         _require_same_chart(self, other)
         if self.degree != other.degree:

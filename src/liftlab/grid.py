@@ -46,8 +46,8 @@ class AperiodicDataError(GridError):
 
 
 class NumericalAbortError(GridError):
-    def __init__(self, step: int, detail: str = "non-finite values"):
-        super().__init__(f"numerical abort at step {step}: {detail}")
+    def __init__(self, step: int):
+        super().__init__(f"numerical abort at step {step}: non-finite values")
         self.step = step
 
 
@@ -206,7 +206,10 @@ def compile_numeric(e: Expr | Sequence[Expr], var_axes: Mapping[VarId, int],
         uses.update(kids)
     done: dict[Expr, object] = {}
     for node, kids in order:
-        done[node] = _emit(node, [done[k] for k in kids], inputs)
+        try:
+            done[node] = _emit(node, [done[k] for k in kids], inputs)
+        except OverflowError:   # a folded constant or power past the doubles
+            raise EvaluationDomainError("a value too large for a double") from None
         for k in kids:
             uses[k] -= 1
             if not uses[k]:
@@ -228,10 +231,11 @@ def compile_numeric(e: Expr | Sequence[Expr], var_axes: Mapping[VarId, int],
 
 
 _PROBE_FRACTIONS = (0.0, 0.17, 0.391, 0.553, 0.742, 0.918)
+PERIODIC_TOL = 1e-9
 
 
 def check_periodic(e: Expr, grid: Grid, var_axes: Mapping[VarId, int],
-                   tol: float = 1e-9, axes: Sequence[int] | None = None) -> bool:
+                   axes: Sequence[int] | None = None) -> bool:
     """True when e evaluates 2pi-periodically along each of ``axes``.
 
     ``axes`` defaults to every grid axis.
@@ -247,7 +251,7 @@ def check_periodic(e: Expr, grid: Grid, var_axes: Mapping[VarId, int],
     for axis in range(grid.dim) if axes is None else axes:
         shifted = [a.copy() for a in args]
         shifted[axis] = shifted[axis] + TWO_PI
-        if np.max(np.abs(fn(shifted) - ref)) > tol * scale:
+        if np.max(np.abs(fn(shifted) - ref)) > PERIODIC_TOL * scale:
             return False
     return True
 

@@ -100,6 +100,12 @@ class SimConfig:
         extra = set(self.params) - {"m", "e", "phi"}
         if extra:
             raise ConfigError(f"unknown params: {sorted(extra)}; choose from m, e, phi")
+        try:
+            paths = {Path(p).resolve() for p in (self.out, self.diag, self.out + ".manifest.json")}
+        except ValueError as exc:       # an embedded NUL
+            raise ConfigError(f"bad output path: {exc}") from None
+        if len(paths) < 3:
+            raise ConfigError("out, diag and out + '.manifest.json' must be three different files")
 
 
 def load_config(path: str | Path) -> SimConfig:

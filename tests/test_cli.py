@@ -386,3 +386,62 @@ class TestSim:
                            "--diag", str(tmp_path / "d.csv"))
         assert code == 2
         assert "model 'contact-density' takes no params" in err
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over a fixed table of hostile inputs
+
+_SIM = ("sim", "--n", "8", "--steps", "1", "--out", "{tmp}/t.csv", "--diag", "{tmp}/d.csv")
+HOSTILE = {
+    "huge-constant-printed": ("lift", "--field", "2^20000,y", "--vars", "x,y"),
+    "huge-constant-in-K": (*_SIM, "--model", "contact-density", "--K", "2^2000*z",
+                           "--init", "2+sin(x)"),
+    "huge-power-in-init": (*_SIM, "--model", "contact-density", "--K", "z",
+                           "--init", "2+10^5000*sin(x)"),
+    "huge-constant-in-phi": (*_SIM, "--model", "vlasov-density", "--phi", "10^400*cos(q)",
+                             "--init", "2+sin(q)"),
+    "out-is-diag": ("sim", "--model", "contact-density", "--K", "z", "--init", "2+sin(x)",
+                    "--n", "8", "--steps", "4", "--cadence", "2",
+                    "--out", "{tmp}/same.csv", "--diag", "{tmp}/same.csv"),
+    "diag-is-manifest": (*_SIM[:-1], "{tmp}/t.csv.manifest.json", "--model",
+                         "contact-density", "--K", "z", "--init", "2+sin(x)"),
+    "nul-in-out": (*_SIM[:6], "{tmp}/a\0b", *_SIM[7:], "--model", "contact-density",
+                   "--K", "z", "--init", "2+sin(x)"),
+    "numeric-quotient-by-zero": ("lift", "--field", "sin(x)/(x-x),y", "--vars", "x,y"),
+    "numeric-power-of-zero": ("lift", "--field", "(sin(x)^0-1)^-1,y", "--vars", "x,y"),
+    "empty-field": ("lift", "--field", "", "--vars", "x"),
+    "repeated-variable": ("lift", "--field", "x,x", "--vars", "x,x"),
+    "unbalanced": ("bracket", "--type", "jl", "--a", "(x", "--b", "x", "--vars", "x"),
+    "contact-zero-denominator": ("bracket", "--type", "contact", "--a", "1/(z-z)",
+                                 "--b", "x"),
+    "pro-without-fibers": ("bracket", "--type", "pro", "--a", "x;", "--b", "x;",
+                           "--vars", "x"),
+    "unknown-bracket": ("bracket", "--type", "lie", "--a", "x", "--b", "x"),
+    "density-of-nothing": ("density",),
+    "unknown-suite": ("verify", "--suite", "nope"),
+    "no-trials": ("verify", "--suite", "jets", "--trials", "0"),
+    "unknown-model": (*_SIM, "--model", "heat"),
+    "odd-n": ("sim", "--model", "contact-density", "--K", "z", "--init", "1",
+              "--n", "7", "--steps", "1", "--out", "{tmp}/t.csv", "--diag", "{tmp}/d.csv"),
+    "nan-dt": (*_SIM, "--model", "contact-density", "--K", "z", "--init", "1",
+               "--dt", "nan"),
+    "missing-config": ("sim", "--config", "{tmp}/missing.json"),
+    "blow-up": (*_SIM, "--model", "contact-density", "--K", "z",
+                "--init", "2+sin(x)", "--dt", "1e300"),
+    "no-subcommand": (),
+    "unknown-flag": ("lift", "--fields", "x"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv", HOSTILE.values(), ids=HOSTILE.keys())
+def test_hostile_input_keeps_the_exit_code_contract(tmp_path, capsys, argv):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:       # argparse's usage errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    assert code == 0 or err.startswith(("error: ", "usage: "))

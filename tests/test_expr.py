@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liftlab.expr import (
-    Call, Const, EvaluationDomainError, Pow, Prod, Quot, Sum,
+    Call, Const, EvaluationDomainError, ExprError, Pow, Prod, Quot, Sum,
     SymbolicDivisionError, UnboundVariableError, UnsupportedClassError, Var,
     VarId, ZERO, ONE, _partial, canon, canonicalize, eval_numeric,
     expr_equal, free_vars, is_rational, is_zero_expr, kernel_stats, partial,
@@ -94,6 +94,52 @@ class TestNumericFold:
         assert str(canon(parse("(1/2)*(2*cos(x))"))) == "cos(x)"
         assert canon(parse("2*(0*cos(x))")) is ZERO
 
+    def test_rational_parts_are_canonicalized(self):
+        x = Var(X)
+        assert canon(x * Pow(Call("sin", Var(Y)), 0) - x) is ZERO
+        assert canon(x + Pow(Call("sin", x), 0)) is canonicalize(x + 1)
+        assert canon(parse("sin(x) + x*y - x*y")) is Call("sin", x)
+        assert str(canon(parse("sin(x)*y"))) == "y*sin(x)"
+
+    def test_numeric_only_power_of_zero_raises(self):
+        with pytest.raises(SymbolicDivisionError):
+            canon(parse("(sin(x)^0 - 1)^-1"))
+
+
+def _numeric_branches(children):
+    return st.one_of(
+        st.lists(children, min_size=2, max_size=4).map(lambda ts: Sum(tuple(ts))),
+        st.lists(children, min_size=2, max_size=3).map(lambda fs: Prod(tuple(fs))),
+        st.tuples(st.sampled_from(["sin", "cos"]), children).map(lambda t: Call(*t)),
+        st.tuples(children, children).map(lambda t: Quot(*t)),
+        st.tuples(children, st.integers(-2, 3)).map(lambda t: Pow(*t)),
+    )
+
+
+NUMERIC_TREES = st.recursive(
+    st.one_of(st.sampled_from([Var(X), Var(Y)]),
+              st.fractions(min_value=-3, max_value=3, max_denominator=4).map(Const)),
+    _numeric_branches, max_leaves=12)
+FOLD_POINTS = [(0.7316, -1.2043), (-0.4129, 0.3391), (1.8874, 1.0537), (-1.5562, -0.0815)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(NUMERIC_TREES)
+def test_numeric_fold_is_idempotent_and_keeps_the_value(e):
+    # the unfolded tree against the folded one
+    try:
+        c = canon(e)
+    except SymbolicDivisionError:
+        return
+    assert canon(c) is c
+    for x, y in FOLD_POINTS:
+        try:
+            want = eval_numeric(e, {X: x, Y: y})
+            got = eval_numeric(c, {X: x, Y: y})
+        except EvaluationDomainError:
+            continue
+        assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9)
+
 
 class TestExprEqual:
     def test_square_expansion(self):
@@ -171,7 +217,9 @@ class TestPartial:
                 partial(parse(text), Y)
 
     def test_numeric_only_input_folds_as_a_tree(self):
-        assert partial(parse("sin(x)/(x-x)"), Y) is ZERO
+        # the fold decides the rational denominator, as canon does
+        with pytest.raises(SymbolicDivisionError):
+            partial(parse("sin(x)/(x-x)"), Y)
 
     def test_numeric_only_quotient_by_identically_zero_raises(self):
         for text in ("sin(x)/(x-x)", "x + exp(y)/((x+1)^2 - x^2 - 2*x - 1)"):
@@ -216,6 +264,12 @@ class TestEvalNumeric:
     def test_division_domain_guard(self):
         with pytest.raises(EvaluationDomainError):
             eval_numeric(parse("1/x"), {X: 0.0})
+
+
+def test_constant_too_long_to_print_is_an_expression_error():
+    assert str(Const(10 ** 4000)) == "1" + "0" * 4000
+    with pytest.raises(ExprError, match="too long to print"):
+        str(Const(10 ** 5000) * Var(X))
 
 
 # ---------------------------------------------------------------------------

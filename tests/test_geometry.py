@@ -143,6 +143,14 @@ class TestInteriorProduct:
                              zero_form(chart2, ONE))
 
 
+def coeff_signed(omega, idx):
+    """The coefficient of ``omega`` at any index tuple, antisymmetrized."""
+    if len(set(idx)) != len(idx):
+        return ZERO
+    inversions = sum(a > b for i, a in enumerate(idx) for b in idx[i + 1:])
+    return omega.coeff(tuple(sorted(idx))) * (-1) ** inversions
+
+
 def lie_derivative_componentwise(X, omega):
     """Oracle: (L_X w)_I = X^j d_j w_I + sum_k w_{I with I_k -> j} d_{I_k} X^j."""
     chart = X.chart
@@ -152,7 +160,7 @@ def lie_derivative_componentwise(X, omega):
         for slot in range(len(idx)):
             for j in range(chart.dim):
                 replaced = idx[:slot] + (j,) + idx[slot + 1:]
-                coeff = coeff + omega.coeff_signed(replaced) * \
+                coeff = coeff + coeff_signed(omega, replaced) * \
                     partial(X.components[j], chart.vars[idx[slot]])
         out[idx] = canon(coeff)
     return DifferentialForm(chart, omega.degree, out)

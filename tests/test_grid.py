@@ -173,6 +173,18 @@ class TestCompileNumeric:
         with pytest.raises(EvaluationDomainError):
             fn([np.array([1.0, 0.0])])
 
+    @pytest.mark.parametrize("e", [
+        Prod((Const(2 ** 2000), Var(X))),
+        Sum((Const(2), Prod((Pow(Const(10), 5000), Call("sin", Var(X)))))),
+    ], ids=["constant", "power"])
+    def test_overflow_is_a_domain_error_as_in_scalar_evaluation(self, e):
+        with pytest.raises(EvaluationDomainError):
+            eval_numeric(e, {X: 0.5})
+        with pytest.raises(EvaluationDomainError):
+            compile_numeric(e, {X: 0})
+        with pytest.raises(EvaluationDomainError):
+            discretize(e, Grid(1, 8), {X: 0})
+
     def test_folded_guards_raise_when_compiled(self):
         # x = 0 is a grid node, where sin(x) vanishes
         line = {X: Grid(1, 8).axis_line(0)}

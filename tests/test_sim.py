@@ -78,6 +78,16 @@ class TestConfig:
             with pytest.raises(ConfigError, match=key):
                 load_config(path)
 
+    @pytest.mark.parametrize("out, diag", [
+        ("same.csv", "same.csv"),
+        ("traj.csv", "./traj.csv.manifest.json"),
+        ("run/../traj.csv", "traj.csv"),
+    ])
+    def test_outputs_naming_one_file_rejected(self, tmp_path, out, diag):
+        (tmp_path / "run").mkdir()
+        with pytest.raises(ConfigError, match="three different files"):
+            contact_cfg(tmp_path, out=str(tmp_path / out), diag=str(tmp_path / diag))
+
     def test_inconsistent_h_rejected(self):
         # a Vlasov Hamiltonian comes from params alone, so any K or h is refused
         with pytest.raises(ConfigError, match="takes no K"):
