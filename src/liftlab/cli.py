@@ -14,7 +14,7 @@ from .expr import ExprError
 from .geometry import Chart, VectorField, one_form
 from .jets import GeneralizedVectorField, JetChart, prolongation_bracket
 from .kinetics import (
-    ContactStructure, PlasmaMomentum, contact_bracket, contact_density,
+    ContactStructure, contact_bracket, contact_density,
     plasma_chart, plasma_density,
 )
 from .lifts import (
@@ -51,11 +51,9 @@ def cmd_lift(args) -> int:
     X = VectorField(base, tuple(_parse_components(args.field, base)))
     lifted = complete_cotangent_lift(cchart, X)
     v, h = lift_decomposition(cchart, X)
-    print(f"chart: base {base}, fibers "
-          f"({', '.join(cchart.fiber_var(a).name for a in range(cchart.m))})")
-    print(f"X^c* = {lifted}")
-    print(f"V X^c* = {v}")
-    print(f"H X^c* = {h}")
+    fibers = ", ".join(cchart.fiber_var(a).name for a in range(cchart.m))
+    print(f"chart: base {base}, fibers ({fibers})\nX^c* = {lifted}\n"
+          f"V X^c* = {v}\nH X^c* = {h}")
     return EXIT_OK
 
 
@@ -124,8 +122,7 @@ def cmd_density(args) -> int:
         n = len(parts) // 2
         pc = plasma_chart(n)
         comps = [parse_expr(p, pc.full.vars) for p in parts]
-        pi = PlasmaMomentum(pc, tuple(comps[:n]), tuple(comps[n:]))
-        print(f"f = {plasma_density(pi)}")
+        print(f"f = {plasma_density(pc, one_form(pc.full, comps))}")
         return EXIT_OK
     raise ConfigError("density needs --contact-alpha or --plasma-pi")
 

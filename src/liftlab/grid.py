@@ -189,6 +189,7 @@ def compile_numeric(e: Expr | Sequence[Expr], var_axes: Mapping[VarId, int],
     Division and negative powers raise ``EvaluationDomainError`` on
     magnitudes below 1e-300, matching scalar evaluation: once, here, for a
     folded operand, and on every call for one that is read at call time.
+    A folded value that overflows or turns invalid raises it here too.
 
     The evaluator returns a float array for one expression and a list of
     them for a sequence.  A folded result keeps the broadcast shape of its
@@ -205,15 +206,16 @@ def compile_numeric(e: Expr | Sequence[Expr], var_axes: Mapping[VarId, int],
             raise GridError(f"variable '{node.var.name}' is not mapped to a grid input")
         uses.update(kids)
     done: dict[Expr, object] = {}
-    for node, kids in order:
-        try:
-            done[node] = _emit(node, [done[k] for k in kids], inputs)
-        except OverflowError:   # a folded constant or power past the doubles
-            raise EvaluationDomainError("a value too large for a double") from None
-        for k in kids:
-            uses[k] -= 1
-            if not uses[k]:
-                del done[k]
+    with np.errstate(over="raise", invalid="raise"):
+        for node, kids in order:
+            try:
+                done[node] = _emit(node, [done[k] for k in kids], inputs)
+            except (OverflowError, FloatingPointError):   # a folded value overflowed or is NaN
+                raise EvaluationDomainError("a value too large for a double") from None
+            for k in kids:
+                uses[k] -= 1
+                if not uses[k]:
+                    del done[k]
     fns = []
     for root in roots:
         out = done[root]
@@ -246,13 +248,14 @@ def check_periodic(e: Expr, grid: Grid, var_axes: Mapping[VarId, int],
     coords = [base_points[a] for a in range(grid.dim)]
     mesh = np.meshgrid(*coords, indexing="ij")
     args = [mesh[a].ravel() for a in range(grid.dim)]
-    ref = fn(args)
-    scale = 1.0 + float(np.max(np.abs(ref)))
-    for axis in range(grid.dim) if axes is None else axes:
-        shifted = [a.copy() for a in args]
-        shifted[axis] = shifted[axis] + TWO_PI
-        if np.max(np.abs(fn(shifted) - ref)) > PERIODIC_TOL * scale:
-            return False
+    with np.errstate(over="ignore", invalid="ignore"):   # discretize's fold reports it
+        ref = fn(args)
+        scale = 1.0 + float(np.max(np.abs(ref)))
+        for axis in range(grid.dim) if axes is None else axes:
+            shifted = [a.copy() for a in args]
+            shifted[axis] = shifted[axis] + TWO_PI
+            if np.max(np.abs(fn(shifted) - ref)) > PERIODIC_TOL * scale:
+                return False
     return True
 
 
@@ -326,11 +329,12 @@ def rk4_step(state: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray],
     """One classical Runge-Kutta step; aborts on non-finite output."""
     if dt <= 0:
         raise GridError("dt must be positive")
-    k1 = rhs(state)
-    k2 = rhs(state + 0.5 * dt * k1)
-    k3 = rhs(state + 0.5 * dt * k2)
-    k4 = rhs(state + dt * k3)
-    out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    with np.errstate(over="ignore", invalid="ignore"):   # the abort reports it once
+        k1 = rhs(state)
+        k2 = rhs(state + 0.5 * dt * k1)
+        k3 = rhs(state + 0.5 * dt * k2)
+        k4 = rhs(state + dt * k3)
+        out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.isfinite(out).all():
         raise NumericalAbortError(step_index)
     return out

@@ -2,7 +2,10 @@
 ideal fluid (symbolic only), Vlasov plasma on T*Q, and contact particles
 in Darboux coordinates.
 
-The canonical right-hand-side path is always the strong coadjoint formula
+Every momentum is a one-form: alpha on the contact chart, and
+Pi = Pi_i dq^i + Pi^i dp_i on the full chart of T*Q, passed with the chart it
+must live on.  The canonical right-hand-side path is always the strong
+coadjoint formula on the density alpha (x) dmu,
 
     alpha_dot = -L_X alpha - (div_dmu X) alpha.
 
@@ -41,7 +44,7 @@ from .geometry import (
 from .lifts import CotangentChart, hamiltonian_vector_field, lift_decomposition
 
 __all__ = [
-    "MomentumDensity", "PlasmaParams", "PlasmaMomentum", "ContactStructure",
+    "PlasmaParams", "ContactStructure",
     "NonDivergenceFreeError",
     "lie_poisson_rhs", "fluid_rhs", "vorticity_rhs",
     "plasma_chart", "plasma_hamiltonian", "plasma_density",
@@ -61,26 +64,15 @@ class NonDivergenceFreeError(ExprError):
 # ---------------------------------------------------------------------------
 # coadjoint flow on one-form densities
 
-@dataclass(frozen=True)
-class MomentumDensity:
-    """alpha (x) dmu: a one-form density against a fixed volume form."""
-
-    alpha: DifferentialForm
-    vol: VolumeForm
-
-    def __post_init__(self):
-        if self.alpha.degree != 1:
-            raise ChartError("momentum density needs a one-form")
-        if self.alpha.chart != self.vol.chart:
-            raise ChartMismatchError("one-form and volume form live on different charts")
-
-
-def lie_poisson_rhs(X: VectorField, md: MomentumDensity) -> DifferentialForm:
-    """alpha_dot = -L_X alpha - (div_dmu X) alpha."""
-    if X.chart != md.alpha.chart:
-        raise ChartMismatchError("field and momentum density live on different charts")
-    div = divergence(X, md.vol)
-    return lie_derivative_form(X, md.alpha).scaled(-1) - md.alpha.scaled(div)
+def lie_poisson_rhs(X: VectorField, alpha: DifferentialForm,
+                    vol: VolumeForm) -> DifferentialForm:
+    """alpha_dot = -L_X alpha - (div_vol X) alpha for the density alpha (x) vol."""
+    if alpha.degree != 1:
+        raise ChartError("momentum density needs a one-form")
+    if not X.chart == alpha.chart == vol.chart:
+        raise ChartMismatchError("field, one-form and volume form live on different charts")
+    div = divergence(X, vol)
+    return lie_derivative_form(X, alpha).scaled(-1) - alpha.scaled(div)
 
 
 def _require_div_free(X: VectorField, vol: VolumeForm) -> None:
@@ -150,54 +142,42 @@ def plasma_hamiltonian(pc: CotangentChart, params: PlasmaParams) -> Expr:
     return canon(kinetic * Fraction(1, 2) / params.mass + params.phi * params.charge)
 
 
-@dataclass(frozen=True)
-class PlasmaMomentum:
-    """Pi = Pi_i dq^i + Pi^i dp_i on a plasma chart."""
-
-    chart: CotangentChart
-    down: tuple[Expr, ...]   # coefficients of dq^i
-    up: tuple[Expr, ...]     # coefficients of dp_i
-
-    def __post_init__(self):
-        if len(self.down) != self.chart.m or len(self.up) != self.chart.m:
-            raise ChartError("component counts must match the chart dimension")
-        object.__setattr__(self, "down", tuple(canon(c) for c in self.down))
-        object.__setattr__(self, "up", tuple(canon(c) for c in self.up))
-
-    def as_one_form(self) -> DifferentialForm:
-        return one_form(self.chart.full, self.down + self.up)
+def _plasma_components(pc: CotangentChart, pi: DifferentialForm
+                       ) -> tuple[list[Expr], list[Expr]]:
+    """The coefficients (Pi_i, Pi^i) of dq^i and dp_i in Pi."""
+    if pi.degree != 1 or pi.chart != pc.full:
+        raise ChartError("plasma momentum is a one-form on the plasma chart")
+    comps = [pi.coeff((a,)) for a in range(2 * pc.m)]
+    return comps[:pc.m], comps[pc.m:]
 
 
-def plasma_density(pi: PlasmaMomentum) -> Expr:
-    """f = dPi^i/dq^i - dPi_i/dp_i, the momentum map to densities."""
-    pc = pi.chart
+def plasma_density(pc: CotangentChart, pi: DifferentialForm) -> Expr:
+    """f = dPi^i/dq^i - dPi_i/dp_i, the momentum map to densities, for
+    Pi = Pi_i dq^i + Pi^i dp_i on ``pc.full``."""
+    down, up = _plasma_components(pc, pi)
     out: Expr = ZERO
     for i in range(pc.m):
-        out = out + partial(pi.up[i], pc.base_var(i)) - partial(pi.down[i], pc.fiber_var(i))
+        out = out + partial(up[i], pc.base_var(i)) - partial(down[i], pc.fiber_var(i))
     return canon(out)
 
 
-def vlasov_momentum_rhs(pi: PlasmaMomentum, params: PlasmaParams,
-                        d: Derivative = partial) -> PlasmaMomentum:
-    """Vlasov equations in momentum variables, written exactly as displayed:
+def vlasov_momentum_rhs(pc: CotangentChart, pi: DifferentialForm, params: PlasmaParams,
+                        d: Derivative = partial) -> DifferentialForm:
+    """Vlasov equations in momentum variables, written exactly as displayed,
+    for Pi = Pi_i dq^i + Pi^i dp_i; the rate is a one-form on ``pc.full``:
 
         Pi_i_dot = -X_h(Pi_i) + e (d2 phi / dq^i dq^j) Pi^j
         Pi^i_dot = -X_h(Pi^i) - (1/m) delta^{ij} Pi_j
     """
-    pc = pi.chart
-    h = plasma_hamiltonian(pc, params)
-    X_h = hamiltonian_vector_field(pc, h)
-    down = []
-    up = []
+    down, up = _plasma_components(pc, pi)
+    X_h = hamiltonian_vector_field(pc, plasma_hamiltonian(pc, params))
+    rates = [X_h.apply(c, d) * -1 for c in down + up]
     for i in range(pc.m):
-        rate_down = X_h.apply(pi.down[i], d) * -1
         for j in range(pc.m):
             hess = d(d(params.phi, pc.base_var(i)), pc.base_var(j))
-            rate_down = rate_down + hess * pi.up[j] * params.charge
-        down.append(canon(rate_down))
-        rate_up = X_h.apply(pi.up[i], d) * -1 - pi.down[i] / params.mass
-        up.append(canon(rate_up))
-    return PlasmaMomentum(pc, tuple(down), tuple(up))
+            rates[i] = rates[i] + hess * up[j] * params.charge
+        rates[pc.m + i] = rates[pc.m + i] - down[i] / params.mass
+    return one_form(pc.full, rates)
 
 
 def vlasov_density_rhs(pc: CotangentChart, f: Expr, params: PlasmaParams,
@@ -283,9 +263,7 @@ def contact_density(cs: ContactStructure, alpha: DifferentialForm,
 def contact_momentum_rhs(cs: ContactStructure, alpha: DifferentialForm,
                          K: Expr) -> DifferentialForm:
     """Coadjoint path: alpha_dot = -L_{X_K} alpha - (div X_K) alpha."""
-    X = contact_vector_field(cs, K)
-    md = MomentumDensity(alpha, cs.vol)
-    return lie_poisson_rhs(X, md)
+    return lie_poisson_rhs(contact_vector_field(cs, K), alpha, cs.vol)
 
 
 def contact_cotangent_chart(cs: ContactStructure) -> CotangentChart:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import resource
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -46,7 +47,7 @@ from .grid import (
 from .geometry import Chart, Derivative, one_form
 from .jets import JetChart, total_derivative
 from .kinetics import (
-    ContactStructure, PlasmaMomentum, PlasmaParams, contact_density,
+    ContactStructure, PlasmaParams, contact_density,
     contact_density_rhs, contact_momentum_rhs_via_lift, contact_vector_field,
     plasma_chart, plasma_hamiltonian, vlasov_density_rhs, vlasov_momentum_rhs,
 )
@@ -280,9 +281,9 @@ def _model_plan(cfg: SimConfig) -> tuple[JetChart, list[Expr], tuple[Expr, ...]]
         jc, rates = _jet_plan(pc.full, ["f"], lambda u, d: [
             vlasov_density_rhs(pc, u[0], params, d)])
     else:
-        def momentum(u: list[Expr], d: Derivative) -> tuple[Expr, ...]:
-            rate = vlasov_momentum_rhs(PlasmaMomentum(pc, (u[0],), (u[1],)), params, d)
-            return rate.down + rate.up
+        def momentum(u: list[Expr], d: Derivative) -> list[Expr]:
+            rate = vlasov_momentum_rhs(pc, one_form(pc.full, u), params, d)
+            return [rate.coeff((i,)) for i in range(2)]
 
         jc, rates = _jet_plan(pc.full, ["P1", "P2"], momentum)
     X = hamiltonian_vector_field(pc, plasma_hamiltonian(pc, params))
@@ -363,8 +364,10 @@ def _write_traj_snapshot(f, t: float, state: np.ndarray, tails: list[str]) -> in
 def run_simulation(cfg: SimConfig) -> RunResult:
     """Integrate the configured model, writing trajectory, diagnostics and
     a manifest.  The trajectory and diagnostics are deterministic for a
-    fixed config; the manifest also records per-phase timings and counters."""
+    fixed config; the manifest also records per-phase timings and counters,
+    with the run's minor page faults and the process's peak RSS."""
     clock = time.perf_counter
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = clock()
     model = build_model(cfg)
     t1 = clock()
@@ -423,6 +426,8 @@ def run_simulation(cfg: SimConfig) -> RunResult:
             traj.flush()
             diag.flush()
     manifest["aborted_at_step"] = None if aborted is None else aborted.step
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    counters.update(minor_faults=usage.ru_minflt - faults, peak_rss_mb=usage.ru_maxrss / 1024)
     with open(manifest_path, "w") as mf:
         json.dump(manifest, mf, indent=2, sort_keys=True)
         mf.write("\n")

@@ -22,7 +22,7 @@ from liftlab.jets import (
     JetChart, holonomic_part, obstruction_form, prolongation_bracket,
 )
 from liftlab.kinetics import (
-    ContactStructure, PlasmaMomentum, PlasmaParams, contact_bracket,
+    ContactStructure, PlasmaParams, contact_bracket,
     contact_density, contact_density_rhs, contact_momentum_rhs,
     contact_momentum_rhs_via_lift, contact_vector_field, plasma_chart,
     plasma_density, vlasov_density_rhs, vlasov_momentum_rhs,
@@ -180,11 +180,9 @@ def test_criterion_06_intertwining_suite_symbolic():
         params = PlasmaParams(Fraction(rng.choice((1, 2, 3)), rng.choice((1, 2))),
                               Fraction(rng.choice((-1, 0, 1, 2))),
                               rand_poly(rng, pc.base.vars, 3))
-        pi = PlasmaMomentum(
-            pc, tuple(rand_poly(rng, pc.full.vars, 3) for _ in range(pc.m)),
-            tuple(rand_poly(rng, pc.full.vars, 3) for _ in range(pc.m)))
-        lhs = plasma_density(vlasov_momentum_rhs(pi, params))
-        rhs = vlasov_density_rhs(pc, plasma_density(pi), params)
+        pi = rand_one_form(rng, pc.full, 3, terms=3)
+        lhs = plasma_density(pc, vlasov_momentum_rhs(pc, pi, params))
+        rhs = vlasov_density_rhs(pc, plasma_density(pc, pi), params)
         assert expr_equal(lhs, rhs)
     elapsed = time.time() - t0
     assert elapsed < 30

@@ -398,6 +398,8 @@ HOSTILE = {
                            "--init", "2+sin(x)"),
     "huge-power-in-init": (*_SIM, "--model", "contact-density", "--K", "z",
                            "--init", "2+10^5000*sin(x)"),
+    "overflowing-exp-in-K": (*_SIM, "--model", "contact-density", "--K", "exp(1000)*z",
+                             "--init", "2+sin(x)"),
     "huge-constant-in-phi": (*_SIM, "--model", "vlasov-density", "--phi", "10^400*cos(q)",
                              "--init", "2+sin(q)"),
     "out-is-diag": ("sim", "--model", "contact-density", "--K", "z", "--init", "2+sin(x)",
@@ -433,15 +435,33 @@ HOSTILE = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("argv", HOSTILE.values(), ids=HOSTILE.keys())
-def test_hostile_input_keeps_the_exit_code_contract(tmp_path, capsys, argv):
-    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+# rows whose exit code is pinned, not just inside the contract
+HOSTILE_CODE = {"overflowing-exp-in-K": 2, "blow-up": 3}
+
+
+def _run_hostile(tmp_path, name):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in HOSTILE[name]]
     try:
-        code = main(argv)
+        return main(argv)
     except SystemExit as exc:       # argparse's usage errors
-        code = exc.code
-    err = capsys.readouterr().err
+        return exc.code
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", HOSTILE)
+def test_hostile_input_keeps_the_exit_code_contract(tmp_path, capsys, name):
+    code = _run_hostile(tmp_path, name)
+    out, err = capsys.readouterr()
     assert code in (0, 2, 3)
+    assert code == HOSTILE_CODE.get(name, code)
     assert "Traceback" not in err
     assert code == 0 or err.startswith(("error: ", "usage: "))
+    assert code == 0 or out == ""
+
+
+def test_blow_up_warns_only_of_the_cfl_advisory(tmp_path, capsys):
+    with pytest.warns(RuntimeWarning) as record:
+        assert _run_hostile(tmp_path, "blow-up") == 3
+    assert len(record) == 1
+    assert str(record[0].message).startswith("dt=1e+300 exceeds the CFL advisory")
+    assert capsys.readouterr().err.count("error: ") == 1

@@ -361,11 +361,14 @@ ABSENT = VarId("u", 4)
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(expr_strategy(), expr_strategy(),
-       st.sampled_from(["plain", "quotient", "cancelled"]))
+       st.sampled_from(["plain", "quotient", "repeated", "cancelled"]))
 def test_ring_partial_is_the_tree_partial(a, b, shape):
     if shape == "quotient":
         # b*b + 1 is never the zero polynomial
         e = a / (b * b + 1)
+    elif shape == "repeated":
+        # repeated factors, so gcd(d, dd/dv) != 1, and one free of x
+        e = a / ((Var(X) * Var(X) + 1) ** 2 * (Var(Y) + 1) ** 3)
     elif shape == "cancelled":
         e = a + Var(Y) - Var(Y)
     else:

@@ -176,7 +176,8 @@ class TestCompileNumeric:
     @pytest.mark.parametrize("e", [
         Prod((Const(2 ** 2000), Var(X))),
         Sum((Const(2), Prod((Pow(Const(10), 5000), Call("sin", Var(X)))))),
-    ], ids=["constant", "power"])
+        Prod((Call("exp", Const(1000)), Var(X))),
+    ], ids=["constant", "power", "exp"])
     def test_overflow_is_a_domain_error_as_in_scalar_evaluation(self, e):
         with pytest.raises(EvaluationDomainError):
             eval_numeric(e, {X: 0.5})
@@ -184,6 +185,12 @@ class TestCompileNumeric:
             compile_numeric(e, {X: 0})
         with pytest.raises(EvaluationDomainError):
             discretize(e, Grid(1, 8), {X: 0})
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_initial_data_raises_without_numpy_warnings(self):
+        # the periodicity probes overflow too, quietly; the fold raises
+        with pytest.raises(EvaluationDomainError):
+            discretize(parse_expr("exp(1000*sin(x))", [X]), Grid(1, 8), {X: 0})
 
     def test_folded_guards_raise_when_compiled(self):
         # x = 0 is a grid node, where sin(x) vanishes

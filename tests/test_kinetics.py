@@ -8,14 +8,13 @@ from liftlab.expr import (
     ONE, ZERO, Var, canon, expr_equal, is_zero_expr, partial, substitute,
 )
 from liftlab.geometry import (
-    ChartMismatchError, DifferentialForm, VectorField, VolumeForm,
+    ChartError, ChartMismatchError, DifferentialForm, VectorField, VolumeForm,
     divergence, exterior_derivative, interior_product, is_exact_candidate,
     jacobi_lie_bracket, lie_derivative_form, one_form, pointwise_pairing,
     wedge, zero_form,
 )
 from liftlab.kinetics import (
-    ContactStructure, MomentumDensity, NonDivergenceFreeError, PlasmaMomentum,
-    PlasmaParams, contact_bracket, contact_density, contact_density_rhs,
+    ContactStructure, NonDivergenceFreeError, PlasmaParams, contact_bracket, contact_density, contact_density_rhs,
     contact_cotangent_chart, contact_momentum_rhs,
     contact_momentum_rhs_via_lift, contact_vector_field, fluid_rhs,
     hamiltonian_operator_density, hamiltonian_operator_momentum,
@@ -41,19 +40,29 @@ def div_free_field(rng, chart):
 class TestLiePoissonRhs:
     def test_translation_of_x_dy(self, chart2):
         x = Var(chart2.vars[0])
-        md = MomentumDensity(one_form(chart2, (ZERO, x)), VolumeForm.standard(chart2))
-        rate = lie_poisson_rhs(VectorField(chart2, (ONE, ZERO)), md)
+        rate = lie_poisson_rhs(VectorField(chart2, (ONE, ZERO)),
+                               one_form(chart2, (ZERO, x)), VolumeForm.standard(chart2))
         assert (rate + one_form(chart2, (ZERO, ONE))).is_zero()
 
     def test_zero_field_gives_zero_rate(self, rng, chart2):
-        md = MomentumDensity(rand_one_form(rng, chart2, 3), VolumeForm.standard(chart2))
-        assert lie_poisson_rhs(VectorField(chart2, (ZERO, ZERO)), md).is_zero()
+        rate = lie_poisson_rhs(VectorField(chart2, (ZERO, ZERO)),
+                               rand_one_form(rng, chart2, 3), VolumeForm.standard(chart2))
+        assert rate.is_zero()
 
     def test_chart_mismatch(self, chart2, chart3):
-        md = MomentumDensity(one_form(chart3, (ONE, ZERO, ZERO)),
-                             VolumeForm.standard(chart3))
         with pytest.raises(ChartMismatchError):
-            lie_poisson_rhs(VectorField(chart2, (ONE, ZERO)), md)
+            lie_poisson_rhs(VectorField(chart2, (ONE, ZERO)),
+                            one_form(chart3, (ONE, ZERO, ZERO)), VolumeForm.standard(chart3))
+
+    def test_volume_form_on_another_chart(self, chart2, chart3):
+        with pytest.raises(ChartMismatchError):
+            lie_poisson_rhs(VectorField(chart2, (ONE, ZERO)),
+                            one_form(chart2, (ONE, ZERO)), VolumeForm.standard(chart3))
+
+    def test_rejects_a_two_form(self, chart2):
+        w = DifferentialForm(chart2, 2, {(0, 1): ONE})
+        with pytest.raises(ChartError, match="one-form"):
+            lie_poisson_rhs(VectorField(chart2, (ONE, ZERO)), w, VolumeForm.standard(chart2))
 
     def test_divergence_free_rate_is_vertical_lift_part(self, rng, chart2):
         # for div-free X the rate read on a section equals the fiber part of
@@ -62,8 +71,7 @@ class TestLiePoissonRhs:
         for _ in range(5):
             X = div_free_field(rng, chart2)
             comps = tuple(rand_poly(rng, chart2.vars, 3) for _ in range(2))
-            md = MomentumDensity(one_form(chart2, comps), VolumeForm.standard(chart2))
-            rate = lie_poisson_rhs(X, md)
+            rate = lie_poisson_rhs(X, one_form(chart2, comps), VolumeForm.standard(chart2))
             v, _ = lift_decomposition(cc, X)
             jc = v.jet_chart
             bind = {}
@@ -120,27 +128,38 @@ class TestPlasmaDensity:
         self.q = Var(self.pc.base_var(0))
         self.p = Var(self.pc.fiber_var(0))
 
+    def pi(self, down, up):
+        return one_form(self.pc.full, (down, up))
+
     def test_p_dq(self):
-        pi = PlasmaMomentum(self.pc, (self.p,), (ZERO,))
-        assert expr_equal(plasma_density(pi), canon(ONE * -1))
-        assert not is_zero_expr(plasma_density(pi))
+        pi = self.pi(self.p, ZERO)
+        assert expr_equal(plasma_density(self.pc, pi), canon(ONE * -1))
+        assert not is_zero_expr(plasma_density(self.pc, pi))
 
     def test_q_dp(self):
-        pi = PlasmaMomentum(self.pc, (ZERO,), (self.q,))
-        assert expr_equal(plasma_density(pi), ONE)
+        assert expr_equal(plasma_density(self.pc, self.pi(ZERO, self.q)), ONE)
 
     def test_exact_momentum_has_zero_density(self, rng):
         f = rand_poly(rng, self.pc.full.vars, 4)
-        pi = PlasmaMomentum(self.pc, (partial(f, self.pc.base_var(0)),),
-                            (partial(f, self.pc.fiber_var(0)),))
-        assert is_zero_expr(plasma_density(pi))
+        pi = self.pi(partial(f, self.pc.base_var(0)), partial(f, self.pc.fiber_var(0)))
+        assert is_zero_expr(plasma_density(self.pc, pi))
 
     def test_dq_not_admissible(self):
-        assert is_zero_expr(plasma_density(PlasmaMomentum(self.pc, (ONE,), (ZERO,))))
+        assert is_zero_expr(plasma_density(self.pc, self.pi(ONE, ZERO)))
 
     def test_canceling_combination(self):
-        pi = PlasmaMomentum(self.pc, (self.p,), (self.q,))
-        assert is_zero_expr(plasma_density(pi))
+        assert is_zero_expr(plasma_density(self.pc, self.pi(self.p, self.q)))
+
+    def test_rejects_a_form_off_the_plasma_chart(self, chart2):
+        with pytest.raises(ChartError, match="plasma chart"):
+            plasma_density(self.pc, one_form(chart2, (ONE, ZERO)))
+        with pytest.raises(ChartError, match="plasma chart"):
+            plasma_density(plasma_chart(2), self.pi(self.p, self.q))
+
+    def test_rejects_a_two_form(self):
+        w = DifferentialForm(self.pc.full, 2, {(0, 1): ONE})
+        with pytest.raises(ChartError, match="one-form"):
+            plasma_density(self.pc, w)
 
 
 class TestVlasov:
@@ -151,32 +170,35 @@ class TestVlasov:
         self.free = PlasmaParams(Fraction(1), Fraction(0), ZERO)
 
     def test_free_streaming_momentum(self):
-        pi = PlasmaMomentum(self.pc, (self.p,), (ZERO,))
-        rate = vlasov_momentum_rhs(pi, self.free)
-        assert rate.down[0] == ZERO
-        assert expr_equal(rate.up[0], canon(self.p * -1))
+        pi = one_form(self.pc.full, (self.p, ZERO))
+        rate = vlasov_momentum_rhs(self.pc, pi, self.free)
+        assert rate.chart == self.pc.full and rate.degree == 1
+        assert rate.coeff((0,)) == ZERO
+        assert expr_equal(rate.coeff((1,)), canon(self.p * -1))
 
     def test_zero_momentum(self):
-        pi = PlasmaMomentum(self.pc, (ZERO,), (ZERO,))
-        rate = vlasov_momentum_rhs(pi, self.free)
-        assert rate.down[0] == ZERO and rate.up[0] == ZERO
+        pi = one_form(self.pc.full, (ZERO, ZERO))
+        assert vlasov_momentum_rhs(self.pc, pi, self.free).is_zero()
+
+    def test_rejects_a_form_off_the_plasma_chart(self, chart2):
+        with pytest.raises(ChartError, match="plasma chart"):
+            vlasov_momentum_rhs(self.pc, one_form(chart2, (self.p, ZERO)), self.free)
+        w = DifferentialForm(self.pc.full, 2, {(0, 1): ONE})
+        with pytest.raises(ChartError, match="one-form"):
+            vlasov_momentum_rhs(self.pc, w, self.free)
 
     def test_matches_coadjoint_path(self, rng):
         for n in (1, 2):
             pc = plasma_chart(n)
             params = PlasmaParams(Fraction(2), Fraction(1),
                                   rand_poly(rng, pc.base.vars, 3))
-            pi = PlasmaMomentum(
-                pc, tuple(rand_poly(rng, pc.full.vars, 2) for _ in range(n)),
-                tuple(rand_poly(rng, pc.full.vars, 2) for _ in range(n)))
+            pi = rand_one_form(rng, pc.full, 2, terms=3)
             from liftlab.kinetics import plasma_hamiltonian
             from liftlab.lifts import hamiltonian_vector_field
             X = hamiltonian_vector_field(pc, plasma_hamiltonian(pc, params))
-            coad = lie_poisson_rhs(X, MomentumDensity(pi.as_one_form(),
-                                                      VolumeForm.standard(pc.full)))
-            rate = vlasov_momentum_rhs(pi, params)
-            got = rate.down + rate.up
-            assert all(expr_equal(got[a], coad.coeff((a,))) for a in range(2 * n))
+            coad = lie_poisson_rhs(X, pi, VolumeForm.standard(pc.full))
+            rate = vlasov_momentum_rhs(pc, pi, params)
+            assert all(expr_equal(rate.coeff((a,)), coad.coeff((a,))) for a in range(2 * n))
 
     def test_density_rates(self):
         assert vlasov_density_rhs(self.pc, canon(ONE * 4), self.free) == ZERO
@@ -187,11 +209,9 @@ class TestVlasov:
     def test_intertwining(self, rng):
         params = PlasmaParams(Fraction(1, 2), Fraction(2),
                               rand_poly(rng, self.pc.base.vars, 3))
-        pi = PlasmaMomentum(self.pc,
-                            (rand_poly(rng, self.pc.full.vars, 3),),
-                            (rand_poly(rng, self.pc.full.vars, 3),))
-        lhs = plasma_density(vlasov_momentum_rhs(pi, params))
-        rhs = vlasov_density_rhs(self.pc, plasma_density(pi), params)
+        pi = rand_one_form(rng, self.pc.full, 3, terms=3)
+        lhs = plasma_density(self.pc, vlasov_momentum_rhs(self.pc, pi, params))
+        rhs = vlasov_density_rhs(self.pc, plasma_density(self.pc, pi), params)
         assert expr_equal(lhs, rhs)
 
 

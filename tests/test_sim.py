@@ -18,7 +18,7 @@ from liftlab.expr import (
 from liftlab.geometry import divergence, one_form
 from liftlab.grid import AperiodicDataError, Grid
 from liftlab.kinetics import (
-    ContactStructure, PlasmaMomentum, PlasmaParams, contact_density,
+    ContactStructure, PlasmaParams, contact_density,
     contact_density_rhs, contact_momentum_rhs, contact_vector_field,
     plasma_chart, vlasov_density_rhs, vlasov_momentum_rhs,
 )
@@ -209,7 +209,8 @@ class TestRunSimulation:
         assert manifest["aborted_at_step"] is None
         timings, counters = manifest["timings"], manifest["counters"]
         assert set(timings) == {"build_s", "init_s", "integrate_s", "io_s"}
-        assert set(counters) == {"steps", "rhs_calls", "snapshots", "traj_bytes"}
+        assert set(counters) == {"steps", "rhs_calls", "snapshots", "traj_bytes",
+                                 "minor_faults", "peak_rss_mb"}
         assert all(v >= 0 for v in (*timings.values(), *counters.values()))
         assert counters["steps"] == cfg.steps
         assert counters["rhs_calls"] == 4 * cfg.steps
@@ -478,8 +479,8 @@ class TestPlansAreKineticsFormulasOnJets:
         cfg = SimConfig(model="vlasov-momentum", n=8, dt=1e-3, steps=1, params=raw)
         jc, rates, _ = sim._model_plan(cfg)
         pi = _rational_section(rng, self.pc.full.vars, 2)
-        want = vlasov_momentum_rhs(PlasmaMomentum(self.pc, (pi[0],), (pi[1],)), params)
-        assert _all_equal(_on_section(jc, rates, pi), list(want.down + want.up))
+        want = vlasov_momentum_rhs(self.pc, one_form(self.pc.full, pi), params)
+        assert _all_equal(_on_section(jc, rates, pi), [want.coeff((i,)) for i in range(2)])
 
 
 @pytest.mark.parametrize("K_text", ["cos(x)*sin(y) + z", "sin(x)*z + y"])
