@@ -242,9 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="traj.csv")
     p.add_argument("--diag", default="diag.csv")
     p.add_argument("--allow-aperiodic", action="store_true")
-    p.add_argument("--m", default=None, help="plasma particle mass (rational)")
-    p.add_argument("--e", default=None, help="plasma charge (rational)")
-    p.add_argument("--phi", default=None, help="plasma potential phi(q)")
+    p.add_argument("--m", default=None,
+                   help="plasma particle mass (rational); write a negative value as --m=-1/2")
+    p.add_argument("--e", default=None,
+                   help="plasma charge (rational); write a negative value as --e=-1/2")
+    p.add_argument("--phi", default=None,
+                   help="plasma potential phi(q); write one with a leading minus as --phi=-cos(q)")
     p.set_defaults(fn=cmd_sim)
     return ap
 

@@ -10,7 +10,10 @@ reproducible.
 
 ``compile_numeric`` turns expressions into vectorized evaluators in one
 forward pass over their distinct nodes in ``expr.post_order``, with no
-recursion.
+recursion; an evaluator is one list of numpy ufunc calls that write into
+slots it owns.  ``spatial_derivative`` and ``rk4_step`` write into buffers
+their caller passes, so a method-of-lines step whose caller keeps its
+buffers allocates no whole-grid array.
 """
 
 from __future__ import annotations
@@ -84,89 +87,161 @@ class Grid:
         return np.broadcast_to(self.axis_line(axis), self.shape).copy()
 
 
-def _check_denominator(den) -> None:
-    if np.min(np.abs(den)) < 1e-300:
+def _check_denominator(den, out=None) -> None:
+    """Raise unless every value of ``den`` has magnitude >= 1e-300;
+    ``out``, if given, receives the magnitudes."""
+    if np.min(np.abs(den, out=out)) < 1e-300:
         raise EvaluationDomainError("division by a value with magnitude < 1e-300")
 
 
-def _power(base, n: int):
-    if n < 0 and np.min(np.abs(base)) < 1e-300:
+def _check_power_base(base, out=None) -> None:
+    """The same check for the base of a negative power."""
+    if np.min(np.abs(base, out=out)) < 1e-300:
         raise EvaluationDomainError("negative power of a value too close to zero")
+
+
+def _power(base, n: int):
+    if n < 0:
+        _check_power_base(base)
     return base ** n
 
 
-def _const(value) -> Callable:
-    return lambda args: value
+def _copy(src, out) -> None:
+    np.copyto(out, src)
 
 
-def _emit(node: Expr, kids: list, inputs: Mapping[VarId, object]):
-    """The folded value of ``node``, or its closure over the call-time
-    arrays, from those of its children.
-
-    A folded value is a float or an array and a closure is callable, so a
-    node folds when none of its children is callable.  ``inputs`` holds
-    each variable's fixed array or call-time reader.
-    """
-    if isinstance(node, Const):
-        return float(node.value)
-    if isinstance(node, Var):
-        return inputs[node.var]
-    if isinstance(node, (Sum, Prod)):
-        return _fold_chain(operator.add if isinstance(node, Sum) else operator.mul, kids)
-    if isinstance(node, Pow):
-        n = node.exponent
-        base = kids[0]
-        if not callable(base):
-            return _power(base, n)
-        return lambda args: _power(base(args), n)
-    if isinstance(node, Quot):
-        num, den = kids
-        if not callable(den):
-            _check_denominator(den)
-            if not callable(num):
-                return num / den
-            return lambda args: num(args) / den
-        fn = num if callable(num) else _const(num)
-
-        def run_div(args):
-            d = den(args)
-            _check_denominator(d)
-            return fn(args) / d
-        return run_div
-    op = getattr(np, node.func)
-    arg = kids[0]
-    if not callable(arg):
-        return op(arg)
-    return lambda args: op(arg(args))
+def _dynamic(value) -> bool:
+    """True for a register read at call time, False for a folded value."""
+    return isinstance(value, tuple)
 
 
-def _fold_chain(combine: Callable, kids: list):
-    """A sum or product, combined left to right.
-
-    The fixed operands fold, in their order, into one accumulator that
-    stands where the first of them stood.
+def _chain_operands(combine: Callable, kids: list) -> list:
+    """The operands of a sum or product, in their order, with the folded
+    ones combined left to right into one that stands where the first of
+    them stood.  With no call-time operand this is the folded value alone.
     """
     acc, acc_at, parts = None, -1, []
     for r in kids:
-        if callable(r):
+        if _dynamic(r):
             parts.append(r)
         elif acc_at < 0:
             acc, acc_at = r, len(parts)
             parts.append(None)
         else:
             acc = combine(acc, r)
-    if not any(map(callable, kids)):
-        return acc
     if acc_at >= 0:
-        parts[acc_at] = _const(acc)
-    first, rest = parts[0], parts[1:]
+        parts[acc_at] = acc
+    return parts
 
-    def run_chain(args):
-        out = first(args)
-        for f in rest:
-            out = combine(out, f(args))
+
+class _Program:
+    """Instructions in post-order over registers: the folded operands, the
+    slots, one output per root, and the call-time inputs.
+
+    ``emit`` appends one ufunc call writing into its destination.  A
+    node's destination is its root's output when it is a root, and
+    otherwise a slot from the free list, taken before its children's
+    slots go back to the list, so no instruction writes over an operand
+    it still has to read.
+    """
+
+    def __init__(self, roots: list[Expr]):
+        self.root_of: dict[Expr, int] = {}
+        for l, r in enumerate(roots):
+            self.root_of.setdefault(r, l)
+        self.consts: list = []
+        self.code: list = []
+        self.free: list[int] = []
+        self.nslots = 0
+
+    def dest(self, node: Expr) -> tuple[str, int]:
+        if node in self.root_of:
+            return ("root", self.root_of[node])
+        if self.free:
+            return ("slot", self.free.pop())
+        self.nslots += 1
+        return ("slot", self.nslots - 1)
+
+    def release(self, value) -> None:
+        if _dynamic(value) and value[0] == "slot":
+            self.free.append(value[1])
+
+    def operand(self, value) -> tuple[str, int]:
+        if _dynamic(value):
+            return value
+        self.consts.append(value)
+        return ("const", len(self.consts) - 1)
+
+    def emit(self, fn: Callable, ins, out: tuple[str, int]) -> None:
+        self.code.append((fn, [self.operand(v) for v in ins], out))
+
+    def registers(self, nroots: int) -> tuple[dict[str, int], list]:
+        """The offset of each register kind, and the code on flat indices."""
+        at = {"const": 0, "slot": len(self.consts)}
+        at["root"] = at["slot"] + self.nslots
+        at["arg"] = at["root"] + nroots
+        code = [(fn, tuple(at[k] + i for k, i in ins), at[out[0]] + out[1])
+                for fn, ins, out in self.code]
+        return at, code
+
+
+def _emit(node: Expr, kids: list, inputs: Mapping[VarId, object], prog: _Program):
+    """The folded value of ``node``, or the register its instructions
+    write, from those of its children.
+
+    A folded value is a float or an array and a register is a tuple, so a
+    node folds when none of its children is a register.  ``inputs`` holds
+    each variable's fixed array or call-time register.
+    """
+    if isinstance(node, Const):
+        return float(node.value)
+    if isinstance(node, Var):
+        return inputs[node.var]
+    dynamic = any(map(_dynamic, kids))
+    if isinstance(node, (Sum, Prod)):
+        combine = operator.add if isinstance(node, Sum) else operator.mul
+        parts = _chain_operands(combine, kids)
+        if not dynamic:
+            return parts[0]
+        out = prog.dest(node)
+        if len(parts) == 1:
+            prog.emit(_copy, parts, out)
+        ufunc = np.add if isinstance(node, Sum) else np.multiply
+        for i in range(1, len(parts)):
+            prog.emit(ufunc, (parts[0] if i == 1 else out, parts[i]), out)
         return out
-    return run_chain
+    if isinstance(node, Pow):
+        n = node.exponent
+        if not dynamic:
+            return _power(kids[0], n)
+        out = prog.dest(node)
+        if n < 0:
+            prog.emit(_check_power_base, kids, out)
+        # the ufuncs that ndarray ** n calls, for the same bits
+        if n == 2:
+            prog.emit(np.square, kids, out)
+        elif n == -1:
+            prog.emit(np.reciprocal, kids, out)
+        else:
+            prog.emit(np.power, (kids[0], n), out)
+        return out
+    if isinstance(node, Quot):
+        num, den = kids
+        if not _dynamic(den):
+            _check_denominator(den)
+            if not dynamic:
+                return num / den
+        out = prog.dest(node)
+        if _dynamic(den):
+            prog.emit(_check_denominator, (den,), out)
+        prog.emit(np.true_divide, kids, out)
+        return out
+    op = getattr(np, node.func)
+    if not dynamic:
+        return op(kids[0])
+    out = prog.dest(node)
+    prog.emit(op, kids, out)
+    return out
 
 
 def compile_numeric(e: Expr | Sequence[Expr], var_axes: Mapping[VarId, int],
@@ -183,21 +258,31 @@ def compile_numeric(e: Expr | Sequence[Expr], var_axes: Mapping[VarId, int],
     whose variables are all fixed is evaluated here, once, and dropped
     after its last use; in a sum or product the fixed operands fold, in
     their order, into one accumulator that stands where the first of them
-    stood.  The rest compiles to closures whose intermediates die as they
-    return.
+    stood.  The rest compiles to one list of numpy ufunc calls in
+    post-order, each writing with ``out=`` into a slot that the evaluator
+    owns: a slot is taken from a free list and goes back to it after the
+    last use of its node, so a call allocates no intermediate array.
 
     Division and negative powers raise ``EvaluationDomainError`` on
     magnitudes below 1e-300, matching scalar evaluation: once, here, for a
     folded operand, and on every call for one that is read at call time.
     A folded value that overflows or turns invalid raises it here too.
 
-    The evaluator returns a float array for one expression and a list of
-    them for a sequence.  A folded result keeps the broadcast shape of its
-    fixed inputs and is the same read-only array on every call.
+    The evaluator takes the call-time arrays and an optional ``out``: an
+    array for one expression, a sequence of them (or one array indexed by
+    root) for a batch.  Every computed root writes straight into its
+    ``out``, and a root that is folded or a bare input is copied there.
+    Without ``out`` a computed root is a fresh array, a bare input is
+    returned as given, and a folded root keeps the broadcast shape of its
+    fixed inputs and is the same read-only array on every call.  The
+    evaluator returns one array for one expression and a list for a
+    sequence.  The slots have the broadcast shape of every input and
+    output, and are reallocated when that shape changes; as they are
+    shared by the calls, one evaluator serves one caller at a time.
     """
     single = isinstance(e, Expr)
     roots = [e] if single else list(e)
-    inputs = {v: operator.itemgetter(i) for v, i in var_axes.items()}
+    inputs = {v: ("arg", i) for v, i in var_axes.items()}
     inputs.update(fixed or {})
     order = post_order(roots)
     uses = Counter(roots)
@@ -205,29 +290,59 @@ def compile_numeric(e: Expr | Sequence[Expr], var_axes: Mapping[VarId, int],
         if isinstance(node, Var) and node.var not in inputs:
             raise GridError(f"variable '{node.var.name}' is not mapped to a grid input")
         uses.update(kids)
+    prog = _Program(roots)
     done: dict[Expr, object] = {}
     with np.errstate(over="raise", invalid="raise"):
         for node, kids in order:
+            operands = [done[k] for k in kids]
             try:
-                done[node] = _emit(node, [done[k] for k in kids], inputs)
+                done[node] = _emit(node, operands, inputs, prog)
             except (OverflowError, FloatingPointError):   # a folded value overflowed or is NaN
                 raise EvaluationDomainError("a value too large for a double") from None
-            for k in kids:
+            for k, value in zip(kids, operands):
                 uses[k] -= 1
                 if not uses[k]:
                     del done[k]
-    fns = []
-    for root in roots:
-        out = done[root]
-        if not callable(out):
-            out = np.asarray(out, dtype=float).view()
-            out.flags.writeable = False
-            out = _const(out)
-        fns.append(out)
+                    prog.release(value)
+    # each root not computed in place is copied from a register
+    copies = []
+    for l, root in enumerate(roots):
+        value = done[root]
+        if not _dynamic(value):
+            value = np.asarray(value, dtype=float).view()
+            value.flags.writeable = False
+        elif value == ("root", l):
+            continue
+        copies.append((l, prog.operand(value)))
+    at, code = prog.registers(len(roots))
+    copies = [(l, at[k] + i) for l, (k, i) in copies]
+    computed = sorted(set(range(len(roots))) - {l for l, _ in copies})
+    consts = prog.consts
+    const_shape = np.broadcast_shapes(*map(np.shape, consts))
+    slot_shape, slots = None, []
 
-    def evaluate(args: Sequence[np.ndarray] = ()):
-        outs = [np.asarray(f(args), dtype=float) for f in fns]
-        return outs[0] if single else outs
+    def evaluate(args: Sequence[np.ndarray] = (), out=None):
+        nonlocal slot_shape, slots
+        shapes = [const_shape, *map(np.shape, args)]
+        if out is not None:
+            dests = [out] if single else list(out)
+            shapes += [d.shape for d in dests]
+        shape = np.broadcast_shapes(*shapes)
+        if shape != slot_shape:
+            slot_shape, slots = shape, [np.empty(shape) for _ in range(prog.nslots)]
+        if out is None:
+            dests = [None] * len(roots)
+            for l in computed:
+                dests[l] = np.empty(shape)
+        regs = [*consts, *slots, *dests, *args]
+        for fn, ins, o in code:
+            fn(*[regs[i] for i in ins], out=regs[o])
+        for l, src in copies:
+            if out is None:
+                dests[l] = np.asarray(regs[src], dtype=float)
+            else:
+                np.copyto(dests[l], regs[src])
+        return dests[0] if single else dests
 
     return evaluate
 
@@ -282,12 +397,16 @@ def discretize(e: Expr, grid: Grid, var_axes: Mapping[VarId, int],
     return out
 
 
-def spatial_derivative(u: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """4th-order periodic central difference along ``axis``.
+def spatial_derivative(u: np.ndarray, axis: int, h: float, *,
+                       out: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """4th-order periodic central difference along ``axis``, written into
+    ``out[0]`` and returned.
 
-    The neighbour differences u_{j+1} - u_{j-1} and u_{j+2} - u_{j-2} are
-    each one subtraction of two shifts of the flattened C-ordered ``u``, by
-    one and two planes along ``axis``.  A flat shift crosses into the next
+    ``out`` is a pair of C-contiguous float arrays of ``u``'s size: the
+    derivative d1, and a scratch array d2 for the wide difference.  The
+    neighbour differences u_{j+1} - u_{j-1} and u_{j+2} - u_{j-2} are each
+    one subtraction of two shifts of the flattened C-ordered ``u``, by one
+    and two planes along ``axis``.  A flat shift crosses into the next
     line where the stencil wraps, so the planes it gets wrong (0 and n-1,
     and also 1 and n-2 for the wide difference) are then recomputed from
     their periodic neighbours.  A contiguous ``u``, such as a component of
@@ -299,11 +418,11 @@ def spatial_derivative(u: np.ndarray, axis: int, h: float) -> np.ndarray:
     n = u.shape[axis]
     if n < 4:
         raise GridError(f"a derivative needs at least 4 points along its axis, got {n}")
+    if not all(b.flags.c_contiguous and b.size == u.size for b in out):
+        raise GridError("a derivative needs two C-contiguous out arrays of its input's size")
     f = u.ravel()
     N, s = f.size, math.prod(u.shape[axis + 1:])
-    # scratch d2 below the returned d1: freed, it is reused by the next
-    # call rather than trimmed from the top of the heap and faulted in again
-    d2, d1 = np.empty_like(f), np.empty_like(f)
+    d1, d2 = (b.reshape(-1) for b in out)
     np.subtract(f[2 * s:], f[:N - 2 * s], out=d1[s:N - s])
     np.subtract(f[4 * s:], f[:N - 4 * s], out=d2[2 * s:N - 2 * s])
     # as (lines before, axis, points after), the wrapped planes are [:, j]
@@ -312,11 +431,11 @@ def spatial_derivative(u: np.ndarray, axis: int, h: float) -> np.ndarray:
     np.subtract(g[:, 0], g[:, n - 2], out=w1[:, n - 1])
     np.subtract(g[:, 2:4], g[:, n - 2:], out=w2[:, :2])
     np.subtract(g[:, :2], g[:, n - 4:n - 2], out=w2[:, n - 2:])
-    # (8 d1 - d2) / (12 h), in place in the fresh array d1
+    # (8 d1 - d2) / (12 h), in place in d1
     d1 *= 8.0
     d1 -= d2
     d1 /= 12.0 * h
-    return d1.reshape(u.shape)
+    return out[0]
 
 
 def quadrature(u: np.ndarray, h: float, dim: int) -> float:
@@ -324,17 +443,43 @@ def quadrature(u: np.ndarray, h: float, dim: int) -> float:
     return float(h ** dim * np.sum(u, dtype=np.float64))
 
 
-def rk4_step(state: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray],
-             dt: float, step_index: int = 0) -> np.ndarray:
-    """One classical Runge-Kutta step; aborts on non-finite output."""
+def rk4_step(state: np.ndarray, rhs: Callable[[np.ndarray, np.ndarray], object],
+             dt: float, step_index: int = 0, *, out: np.ndarray,
+             work: Sequence[np.ndarray]) -> np.ndarray:
+    """One classical Runge-Kutta step from ``state``, written into ``out``
+    and returned; aborts on non-finite output.
+
+    ``rhs(u, k)`` writes the rate at ``u`` into ``k``.  ``work`` holds two
+    arrays of the state's shape, neither of them ``state`` or ``out``: the
+    weighted sum of the rates and the current rate.  ``out`` holds each
+    stage input, state + (dt/2) k1, state + (dt/2) k2 and state + dt k3,
+    until it receives state + (dt/6) ((k1 + 2 k2 + 2 k3) + k4), summed in
+    that order, so the values are bitwise those of the same expression on
+    fresh arrays.  The caller swaps ``state`` and ``out`` for the next step.
+    """
     if dt <= 0:
         raise GridError("dt must be positive")
+    acc, k = work
+    stage = out
     with np.errstate(over="ignore", invalid="ignore"):   # the abort reports it once
-        k1 = rhs(state)
-        k2 = rhs(state + 0.5 * dt * k1)
-        k3 = rhs(state + 0.5 * dt * k2)
-        k4 = rhs(state + dt * k3)
-        out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.isfinite(out).all():
+        rhs(state, acc)                          # k1
+        np.multiply(acc, 0.5 * dt, out=stage)
+        stage += state
+        rhs(stage, k)                            # k2
+        np.multiply(k, 2.0, out=stage)
+        acc += stage
+        np.multiply(k, 0.5 * dt, out=stage)
+        stage += state
+        rhs(stage, k)                            # k3
+        np.multiply(k, 2.0, out=stage)
+        acc += stage
+        np.multiply(k, dt, out=stage)
+        stage += state
+        rhs(stage, k)                            # k4
+        acc += k
+        np.multiply(acc, dt / 6.0, out=out)
+        out += state
+    # min and max propagate NaN and hold any infinity, and allocate nothing
+    if not (np.isfinite(out.min()) and np.isfinite(out.max())):
         raise NumericalAbortError(step_index)
     return out

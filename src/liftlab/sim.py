@@ -21,7 +21,15 @@ and the state-dependent rest of the plan.
 The state is component-major: one C-contiguous array of shape
 (k, n, ..., n), so each component is contiguous and its stencils are flat
 shifts of it (``grid.spatial_derivative``).  ``initial_state`` returns
-and ``Model.rhs`` takes and returns this layout.
+this layout, and ``Model.rhs(state, out)`` reads it and writes the rates
+into ``out`` in it.
+
+A model owns the buffers of a step: one array per stencil its rates read
+and a scratch one, the plan's slots, and the two work arrays that
+``grid.rk4_step`` takes.  Its caller holds the state and one more array
+of its shape, and swaps the two after each step, so a step allocates no
+whole-grid array.  The buffers are shared by every call, so one run uses
+a model at a time.
 """
 
 from __future__ import annotations
@@ -165,25 +173,32 @@ def load_config(path: str | Path) -> SimConfig:
 
 @dataclass(frozen=True)
 class Model:
-    """A compiled pointwise evaluation plan for one kinetic model."""
+    """A compiled pointwise evaluation plan for one kinetic model.
+
+    ``rhs(state, out)`` writes the rates at ``state`` into ``out`` and
+    returns it; ``work`` is the ``grid.rk4_step`` work of a state.
+    """
 
     grid: Grid
     ncomp: int
     coord_vars: tuple[VarId, ...]
-    rhs: Callable[[np.ndarray], np.ndarray]
+    rhs: Callable[[np.ndarray, np.ndarray], np.ndarray]
     velocity_max: float
+    work: np.ndarray
 
 
 def _compile_jet_plan(jc: JetChart, grid: Grid, rate_exprs: Sequence[Expr]
-                      ) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile rates over a jet chart into a state -> rates function.
+                      ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Compile rates over a jet chart into a function (state, out) that
+    writes the rates into ``out`` and returns it.
 
     Base variables are fixed to the grid's coordinate lines, so every
     coefficient that depends on the coordinates alone is computed here,
     once.  Fiber variables read the state's components, ``state[l]``; a
     jet variable u^l_a reads the stencil derivative of component l along
     axis a, and only the stencils of the jet variables the rates read are
-    computed.  The rates come back component-major, like the state.
+    computed, each into a buffer the function keeps.  The rates are
+    component-major, like the state.
     """
     var_axes = {v: l for l, v in enumerate(jc.fiber)}
     read = frozenset().union(*(free_vars(e) for e in rate_exprs))
@@ -196,13 +211,14 @@ def _compile_jet_plan(jc: JetChart, grid: Grid, rate_exprs: Sequence[Expr]
     fixed = {v: grid.axis_line(a) for a, v in enumerate(jc.base)}
     plan = compile_numeric(rate_exprs, var_axes, fixed)
     h = grid.h
+    jets = list(np.empty((len(stencils),) + grid.shape))
+    scratch = np.empty(grid.shape)
 
-    def rhs(state: np.ndarray) -> np.ndarray:
+    def rhs(state: np.ndarray, out: np.ndarray) -> np.ndarray:
         comps = list(state)
-        inputs = comps + [spatial_derivative(comps[l], a, h) for l, a in stencils]
-        out = np.empty((len(rate_exprs),) + state.shape[1:])
-        for l, val in enumerate(plan(inputs)):
-            out[l] = val
+        for (l, a), d1 in zip(stencils, jets):
+            spatial_derivative(comps[l], a, h, out=(d1, scratch))
+        plan(comps + jets, out)
         return out
 
     return rhs
@@ -299,7 +315,7 @@ def build_model(cfg: SimConfig) -> Model:
         raise ConfigError(f"model '{cfg.model}' needs {jc.k} initial component(s), got {len(cfg.init)}")
     rhs = _compile_jet_plan(jc, grid, rates)
     vmax = max(float(np.max(np.abs(v))) for v in vel)
-    return Model(grid, jc.k, tuple(jc.base), rhs, vmax)
+    return Model(grid, jc.k, tuple(jc.base), rhs, vmax, np.empty((2, jc.k) + grid.shape))
 
 
 def initial_state(cfg: SimConfig, model: Model) -> np.ndarray:
@@ -349,32 +365,41 @@ def _row_tails(grid: Grid) -> list[str]:
 
 def _write_traj_snapshot(f, t: float, state: np.ndarray, tails: list[str]) -> int:
     """Write one snapshot, one slab of fixed i per ``f.write``; returns the
-    number of characters written.  Every value is ``repr`` of a Python
-    float, so the text reads back to the same doubles."""
+    number of characters written.  A slab is one ``%`` template applied to
+    its values in row order.  Every value is ``%r``, the ``repr`` of a
+    Python float, so the text reads back to the same doubles."""
     ncomp = state.shape[0]
-    values = ",".join(["{!r}"] * ncomp)
+    values = ",".join(["%r"] * ncomp) + "\n"
     written = 0
     for i in range(state.shape[1]):
-        fmt = f"{t!r},{i},{{}}{values}\n".format
-        columns = state[:, i].reshape(ncomp, -1).tolist()
-        written += f.write("".join(map(fmt, tails, *columns)))
+        lead = f"{t!r},{i},"
+        template = lead + (values + lead).join(tails) + values
+        row_major = state[:, i].reshape(ncomp, -1).T.ravel().tolist()
+        written += f.write(template % tuple(row_major))
     return written
+
+
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def run_simulation(cfg: SimConfig) -> RunResult:
     """Integrate the configured model, writing trajectory, diagnostics and
-    a manifest.  The trajectory and diagnostics are deterministic for a
+    a manifest.  Output is written at t = 0, every ``cadence`` steps, and
+    the last step.  The trajectory and diagnostics are deterministic for a
     fixed config; the manifest also records per-phase timings and counters,
-    with the run's minor page faults and the process's peak RSS."""
+    with the minor page faults of the run and of its steps and the
+    process's peak RSS."""
     clock = time.perf_counter
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    faults = _minor_faults()
     t0 = clock()
     model = build_model(cfg)
     t1 = clock()
     state = initial_state(cfg, model)
     timings = {"build_s": t1 - t0, "init_s": clock() - t1,
                "integrate_s": 0.0, "io_s": 0.0}
-    counters = {"steps": 0, "rhs_calls": 0, "snapshots": 0, "traj_bytes": 0}
+    counters = {"steps": 0, "rhs_calls": 0, "snapshots": 0, "traj_bytes": 0,
+                "integrate_minor_faults": 0}
     grid = model.grid
     cfl = grid.h / (4.0 * model.velocity_max) if model.velocity_max > 0 else math.inf
     if cfg.dt > cfl:
@@ -411,17 +436,24 @@ def run_simulation(cfg: SimConfig) -> RunResult:
             timings["io_s"] += clock() - start
 
         emit(0.0, state)
+        nxt = np.empty_like(state)
+
+        def integrated(start: float, start_faults: int) -> None:
+            timings["integrate_s"] += clock() - start
+            counters["integrate_minor_faults"] += _minor_faults() - start_faults
+
         try:
             for step in range(1, cfg.steps + 1):
-                start = clock()
+                start, start_faults = clock(), _minor_faults()
                 counters["rhs_calls"] += 4
-                state = rk4_step(state, model.rhs, cfg.dt, step)
+                state, nxt = rk4_step(state, model.rhs, cfg.dt, step,
+                                      out=nxt, work=model.work), state
                 counters["steps"] = step
-                timings["integrate_s"] += clock() - start
-                if step % cfg.cadence == 0:
+                integrated(start, start_faults)
+                if step % cfg.cadence == 0 or step == cfg.steps:
                     emit(step * cfg.dt, state)
         except NumericalAbortError as exc:
-            timings["integrate_s"] += clock() - start
+            integrated(start, start_faults)
             aborted = exc
             traj.flush()
             diag.flush()
@@ -440,8 +472,10 @@ def run_simulation(cfg: SimConfig) -> RunResult:
 # convergence harnesses
 
 def _integrate(model: Model, state: np.ndarray, dt: float, steps: int) -> np.ndarray:
+    """The state after ``steps`` steps: ``state`` itself or one new array."""
+    nxt = np.empty_like(state)
     for step in range(1, steps + 1):
-        state = rk4_step(state, model.rhs, dt, step)
+        state, nxt = rk4_step(state, model.rhs, dt, step, out=nxt, work=model.work), state
     return state
 
 
@@ -476,7 +510,7 @@ def spatial_operator_order(make_cfg: Callable[[int], SimConfig],
         cfg = make_cfg(n)
         model = build_model(cfg)
         state = initial_state(cfg, model)
-        rate = model.rhs(state)
+        rate = model.rhs(state, np.empty_like(state))
         var_axes = {v: i for i, v in enumerate(model.coord_vars)}
         err = 0.0
         for l, e in enumerate(exact_rate):
@@ -514,16 +548,18 @@ def determined_nodes(K_text: str, n: int, dt: float, steps: int,
         check_periodic(c, grid, var_axes, axes=(a,)) for c in X)]
     field = compile_numeric(X, var_axes)
 
-    def backward(p: np.ndarray) -> np.ndarray:
-        return -np.stack([np.broadcast_to(v, p.shape[1:]) for v in field(p)])
+    def backward(p: np.ndarray, out: np.ndarray) -> None:
+        field(p, out)
+        np.negative(out, out=out)
 
     margin = 4 * grid.h
     pos = np.stack([grid.axis_coordinate(a) for a in range(3)])
+    nxt, work = np.empty_like(pos), np.empty((2,) + pos.shape)
     ok = np.ones(grid.shape, dtype=bool)
     masks = []
     for step in range(steps + 1):
         if step:
-            pos = rk4_step(pos, backward, dt, step)
+            pos, nxt = rk4_step(pos, backward, dt, step, out=nxt, work=work), pos
         for a in seams:
             ok &= (pos[a] >= margin) & (pos[a] <= TWO_PI - margin)
         if step == 0 or step % cadence == 0 or step == steps:
@@ -557,18 +593,20 @@ def discrete_intertwining_error(K_text: str, alpha_init: Sequence[str],
     state_d = initial_state(cfg_d, den)
     map_jc, map_rates = _density_map_plan(cs)
     map_rhs = _compile_jet_plan(map_jc, mom.grid, map_rates)
+    mapped = np.empty_like(state_d)
     masks = determined_nodes(K_text, n, dt, steps, cadence)
     checked = [float(m.mean()) for m in masks]
     remaining = iter(masks)
 
     def compare(sm: np.ndarray, sd: np.ndarray) -> tuple[float, float]:
-        gap = np.abs(map_rhs(sm)[0] - sd[0])
+        gap = np.abs(map_rhs(sm, mapped)[0] - sd[0])
         return float(gap.max()), float(gap[next(remaining)].max(initial=0.0))
 
     worst, worst_determined = compare(state_m, state_d)
+    nxt_m, nxt_d = np.empty_like(state_m), np.empty_like(state_d)
     for step in range(1, steps + 1):
-        state_m = rk4_step(state_m, mom.rhs, dt, step)
-        state_d = rk4_step(state_d, den.rhs, dt, step)
+        state_m, nxt_m = rk4_step(state_m, mom.rhs, dt, step, out=nxt_m, work=mom.work), state_m
+        state_d, nxt_d = rk4_step(state_d, den.rhs, dt, step, out=nxt_d, work=den.work), state_d
         if step % cadence == 0 or step == steps:
             g, gd = compare(state_m, state_d)
             worst, worst_determined = max(worst, g), max(worst_determined, gd)

@@ -226,6 +226,28 @@ class TestSim:
         assert "completed 10 steps" in out
         assert open(diag_csv).readline().strip() == "t,mass,l2,min,max"
 
+    def test_last_step_is_output_when_cadence_does_not_divide_steps(self, tmp_path, capsys):
+        diag_csv = str(tmp_path / "d.csv")
+        code, out, _ = run(capsys, "sim", "--model", "contact-density", "--K", "z",
+                           "--init", "2+sin(x)", "--n", "8", "--steps", "12",
+                           "--cadence", "5", "--dt", "0.01",
+                           "--out", str(tmp_path / "t.csv"), "--diag", diag_csv)
+        assert code == 0
+        assert "completed 12 steps of contact-density; final t=0.12 " in out
+        times = [line.split(",")[0] for line in open(diag_csv).read().splitlines()[1:]]
+        assert times == ["0.0", "0.05", "0.1", "0.12"]
+
+    def test_negative_charge_runs_in_equals_form(self, tmp_path, capsys):
+        # "--e -1/2" reads -1/2 as an option: see the hostile-input table
+        code, out, _ = run(capsys, "sim", "--model", "vlasov-density", "--e=-1/2",
+                           "--phi", "cos(q)", "--init", "1 + 3/10*sin(q)*sin(p)",
+                           "--n", "8", "--steps", "2", "--out", str(tmp_path / "t.csv"),
+                           "--diag", str(tmp_path / "d.csv"))
+        assert code == 0
+        assert "completed 2 steps of vlasov-density" in out
+        manifest = json.load(open(str(tmp_path / "t.csv") + ".manifest.json"))
+        assert manifest["config"]["params"]["e"] == "-1/2"
+
     def test_config_run(self, tmp_path, capsys):
         cfg = {
             "model": "vlasov-density",
@@ -430,13 +452,15 @@ HOSTILE = {
     "missing-config": ("sim", "--config", "{tmp}/missing.json"),
     "blow-up": (*_SIM, "--model", "contact-density", "--K", "z",
                 "--init", "2+sin(x)", "--dt", "1e300"),
+    "negative-charge-as-its-own-word": (*_SIM, "--model", "vlasov-density", "--phi", "cos(q)",
+                                        "--init", "2+sin(q)", "--e", "-1/2"),
     "no-subcommand": (),
     "unknown-flag": ("lift", "--fields", "x"),
 }
 
 
 # rows whose exit code is pinned, not just inside the contract
-HOSTILE_CODE = {"overflowing-exp-in-K": 2, "blow-up": 3}
+HOSTILE_CODE = {"overflowing-exp-in-K": 2, "blow-up": 3, "negative-charge-as-its-own-word": 2}
 
 
 def _run_hostile(tmp_path, name):

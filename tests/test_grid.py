@@ -21,6 +21,19 @@ from liftlab.parser import parse_expr
 X, Y, Z = (VarId(n, i) for i, n in enumerate("xyz"))
 
 
+def deriv(u, axis, h):
+    """``spatial_derivative`` into fresh buffers."""
+    return spatial_derivative(u, axis, h, out=(np.empty(u.shape), np.empty(u.shape)))
+
+
+def step(state, rate, dt, step_index=0):
+    """``rk4_step`` into fresh buffers, for a ``rate(u)`` that returns the rate."""
+    def rhs(u, k):
+        k[...] = rate(u)
+    return rk4_step(state, rhs, dt, step_index, out=np.empty_like(state),
+                    work=np.empty((2,) + state.shape))
+
+
 class TestGrid:
     def test_spacing_closes_the_circle(self):
         g = Grid(1, 8)
@@ -66,19 +79,19 @@ class TestSpatialDerivative:
     def test_sine_derivative_accuracy(self):
         g = Grid(1, 32)
         x = np.arange(32) * g.h
-        d = spatial_derivative(np.sin(x), 0, g.h)
+        d = deriv(np.sin(x), 0, g.h)
         assert np.max(np.abs(d - np.cos(x))) < 2e-4
 
     def test_constant_derivative_exact_zero(self):
         g = Grid(1, 16)
-        assert np.all(spatial_derivative(np.full(16, 3.7), 0, g.h) == 0.0)
+        assert np.all(deriv(np.full(16, 3.7), 0, g.h) == 0.0)
 
     def test_fourth_order_refinement(self):
         errs = []
         for n in (16, 32, 64):
             g = Grid(1, n)
             x = np.arange(n) * g.h
-            d = spatial_derivative(np.sin(x), 0, g.h)
+            d = deriv(np.sin(x), 0, g.h)
             errs.append(np.max(np.abs(d - np.cos(x))))
         rate = math.log2(errs[0] / errs[1])
         assert rate > 3.8
@@ -101,17 +114,26 @@ class TestSpatialDerivative:
                 d1 = np.roll(u, -1, axis=axis) - np.roll(u, 1, axis=axis)
                 d2 = np.roll(u, -2, axis=axis) - np.roll(u, 2, axis=axis)
                 want = (8.0 * d1 - d2) / (12.0 * h)
-                assert np.array_equal(spatial_derivative(u, axis, h), want)
+                assert np.array_equal(deriv(u, axis, h), want)
 
     def test_needs_four_points_along_the_axis(self):
         # the flat shifts by two planes wrap correctly from 4 points on
         rng = np.random.default_rng(0)
         with pytest.raises(GridError, match="at least 4 points"):
-            spatial_derivative(rng.standard_normal((5, 3)), 1, 0.5)
+            deriv(rng.standard_normal((5, 3)), 1, 0.5)
         u = rng.standard_normal((5, 4))
         d1 = np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)
         d2 = np.roll(u, -2, axis=1) - np.roll(u, 2, axis=1)
-        assert np.array_equal(spatial_derivative(u, 1, 0.5), (8.0 * d1 - d2) / (12.0 * 0.5))
+        assert np.array_equal(deriv(u, 1, 0.5), (8.0 * d1 - d2) / (12.0 * 0.5))
+
+    def test_writes_into_the_first_out_array(self):
+        u = np.random.default_rng(1).standard_normal((8, 8))
+        out = (np.empty((8, 8)), np.empty(64))
+        assert spatial_derivative(u, 0, 0.5, out=out) is out[0]
+        assert np.array_equal(out[0], deriv(u, 0, 0.5))
+        for bad in ((np.empty((8, 16))[:, ::2], out[1]), (out[0], np.empty(63))):
+            with pytest.raises(GridError, match="C-contiguous"):
+                spatial_derivative(u, 0, 0.5, out=bad)
 
 
 class TestQuadrature:
@@ -136,25 +158,34 @@ class TestRk4:
     def test_linear_mode_matches_exponential(self):
         # one step on u' = 3u has error O(dt^5)
         for dt in (1e-2, 5e-3):
-            out = rk4_step(np.array([1.0]), lambda u: 3.0 * u, dt)
+            out = step(np.array([1.0]), lambda u: 3.0 * u, dt)
             err = abs(out[0] - math.exp(3 * dt))
             assert err < (3 * dt) ** 5 / 60
 
     def test_zero_rhs_keeps_state(self):
         state = np.arange(12.0).reshape(3, 4)
-        out = rk4_step(state, lambda u: np.zeros_like(u), 0.1)
+        out = step(state, lambda u: np.zeros_like(u), 0.1)
         assert np.array_equal(out, state)
 
     def test_nan_detected(self):
         def blowup(u):
             return u * math.inf
         with pytest.raises(NumericalAbortError) as err:
-            rk4_step(np.ones(4), blowup, 0.1, step_index=7)
+            step(np.ones(4), blowup, 0.1, step_index=7)
         assert err.value.step == 7
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_one_non_finite_value_detected(self, bad):
+        def rate(u):
+            k = np.zeros_like(u)
+            k[2] = bad
+            return k
+        with pytest.raises(NumericalAbortError):
+            step(np.ones(4), rate, 0.1)
 
     def test_positive_dt_required(self):
         with pytest.raises(GridError):
-            rk4_step(np.ones(2), lambda u: u, 0.0)
+            step(np.ones(2), lambda u: u, 0.0)
 
 
 class TestCompileNumeric:
@@ -223,6 +254,28 @@ class TestCompileNumeric:
         assert got[2] is ys
         with pytest.raises(ValueError):
             got[1][0, 0] = 0.0
+
+    def test_computed_nodes_match_numpy_bitwise(self):
+        # powers 2, 3 and -1, a quotient, and a subtree shared by a root
+        # and four nodes, all read at call time
+        rng = np.random.default_rng(3)
+        xs, ys = rng.uniform(0.5, 2.0, (2, 6, 6))
+        shared = Sum((Call("sin", Var(X)), Var(Y)))
+        fn = compile_numeric([Pow(shared, 2), Pow(shared, 3), Pow(shared, -1),
+                              Quot(Call("cos", Var(Y)), shared), shared], {X: 0, Y: 1})
+        s = np.sin(xs) + ys
+        want = [s ** 2, s ** 3, s ** -1, np.cos(ys) / s, s]
+        out = np.empty((5, 6, 6))
+        fresh = fn([xs, ys])
+        for got in (fresh, fn([xs, ys], out), list(out)):
+            for g, w in zip(got, want):
+                assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+        assert not any(np.shares_memory(f, o) for f in fresh for o in out)
+        assert np.array_equal(fn([xs[0], ys[0]])[0], want[0][0])
+        xs[2, 3], ys[2, 3] = 0.0, 0.0
+        for args in (([xs, ys],), ([xs, ys], out)):
+            with pytest.raises(EvaluationDomainError):
+                fn(*args)
 
     def test_unmapped_variable_rejected(self):
         with pytest.raises(GridError):

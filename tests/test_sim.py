@@ -1,6 +1,7 @@
 """Simulation configs, compiled models, the run loop, and its outputs."""
 
 import io
+import itertools
 import json
 import os
 import random
@@ -11,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from liftlab import sim
+from liftlab import grid, sim
 from liftlab.expr import (
     ZERO, Var, canon, eval_numeric, expr_equal, partial, substitute,
 )
@@ -31,6 +32,23 @@ from liftlab.sim import (
 )
 
 L0 = "2 + sin(x)*sin(y)*sin(z)"
+
+# one small config of each model
+MODEL_CFGS = {
+    "contact-momentum": SimConfig(model="contact-momentum", n=8, dt=1e-3, steps=1, expr="z",
+                                  init=("sin(x)", "cos(y)", "sin(z)")),
+    "contact-density": SimConfig(model="contact-density", n=8, dt=1e-3, steps=1, expr="z",
+                                 init=(L0,)),
+    "vlasov-momentum": SimConfig(model="vlasov-momentum", n=8, dt=1e-3, steps=1,
+                                 params={"phi": "cos(q)"}, init=("sin(q)*sin(p)", "cos(q)")),
+    "vlasov-density": SimConfig(model="vlasov-density", n=8, dt=1e-3, steps=1,
+                                params={"phi": "cos(q)"}, init=("1 + 3/10*sin(q)*sin(p)",)),
+}
+
+
+def rates(model, state):
+    """The model's rates at state, in a fresh array."""
+    return model.rhs(state, np.empty_like(state))
 
 
 def contact_cfg(tmp_path, **kw):
@@ -102,39 +120,35 @@ class TestCompiledRates:
         cfg = SimConfig(model="contact-density", n=16, dt=1e-3, steps=1,
                         expr="z", init=("1",))
         model = build_model(cfg)
-        rate = model.rhs(initial_state(cfg, model))
+        rate = rates(model, initial_state(cfg, model))
         assert np.allclose(rate, 3.0, atol=1e-12)
 
     def test_vlasov_density_constant_state(self):
         cfg = SimConfig(model="vlasov-density", n=16, dt=1e-3, steps=1,
                         params={"m": "1", "e": "1", "phi": "cos(q)"}, init=("1",))
         model = build_model(cfg)
-        rate = model.rhs(initial_state(cfg, model))
+        rate = rates(model, initial_state(cfg, model))
         assert np.max(np.abs(rate)) == 0.0
 
     def test_contact_momentum_dz_state(self):
         cfg = SimConfig(model="contact-momentum", n=16, dt=1e-3, steps=1,
                         expr="z", init=("0", "0", "1"))
         model = build_model(cfg)
-        rate = model.rhs(initial_state(cfg, model))
+        rate = rates(model, initial_state(cfg, model))
         assert np.allclose(rate[0], 0.0, atol=1e-13)
         assert np.allclose(rate[1], 0.0, atol=1e-13)
         assert np.allclose(rate[2], 3.0, atol=1e-12)
 
     @pytest.mark.parametrize("cfg, shape", [
-        (SimConfig(model="contact-momentum", n=8, dt=1e-3, steps=1, expr="z",
-                   init=("sin(x)", "cos(y)", "sin(z)")), (3, 8, 8, 8)),
-        (SimConfig(model="contact-density", n=8, dt=1e-3, steps=1, expr="z",
-                   init=(L0,)), (1, 8, 8, 8)),
-        (SimConfig(model="vlasov-momentum", n=8, dt=1e-3, steps=1,
-                   params={"phi": "cos(q)"}, init=("sin(q)*sin(p)", "cos(q)")), (2, 8, 8)),
-        (SimConfig(model="vlasov-density", n=8, dt=1e-3, steps=1,
-                   params={"phi": "cos(q)"}, init=("1",)), (1, 8, 8)),
-    ], ids=["contact-momentum", "contact-density", "vlasov-momentum", "vlasov-density"])
+        (MODEL_CFGS["contact-momentum"], (3, 8, 8, 8)),
+        (MODEL_CFGS["contact-density"], (1, 8, 8, 8)),
+        (MODEL_CFGS["vlasov-momentum"], (2, 8, 8)),
+        (MODEL_CFGS["vlasov-density"], (1, 8, 8)),
+    ], ids=list(MODEL_CFGS))
     def test_state_and_rates_are_component_major(self, cfg, shape):
         model = build_model(cfg)
         state = initial_state(cfg, model)
-        rate = model.rhs(state)
+        rate = rates(model, state)
         for a in (state, rate):
             assert a.shape == shape and a.flags.c_contiguous
 
@@ -149,12 +163,12 @@ class TestCompiledRates:
     def test_rhs_computes_only_the_stencils_it_reads(self, monkeypatch, cfg, stencils):
         model = build_model(cfg)
         state = initial_state(cfg, model)
-        want = model.rhs(state)
+        want = rates(model, state)
         calls = []
         real = sim.spatial_derivative
         monkeypatch.setattr(sim, "spatial_derivative",
-                            lambda u, axis, h: calls.append(axis) or real(u, axis, h))
-        got = model.rhs(state)
+                            lambda u, axis, h, out: calls.append(axis) or real(u, axis, h, out=out))
+        got = rates(model, state)
         assert len(calls) == stencils
         assert np.array_equal(got, want)
 
@@ -210,7 +224,7 @@ class TestRunSimulation:
         timings, counters = manifest["timings"], manifest["counters"]
         assert set(timings) == {"build_s", "init_s", "integrate_s", "io_s"}
         assert set(counters) == {"steps", "rhs_calls", "snapshots", "traj_bytes",
-                                 "minor_faults", "peak_rss_mb"}
+                                 "minor_faults", "integrate_minor_faults", "peak_rss_mb"}
         assert all(v >= 0 for v in (*timings.values(), *counters.values()))
         assert counters["steps"] == cfg.steps
         assert counters["rhs_calls"] == 4 * cfg.steps
@@ -237,6 +251,66 @@ class TestRunSimulation:
         assert manifest["counters"]["rhs_calls"] == 4 * step
         assert manifest["counters"]["traj_bytes"] == os.path.getsize(cfg.out)
         assert os.path.getsize(cfg.diag) > 0
+
+
+def allocating_rk4(state, rhs, dt):
+    """Classical RK4 on fresh arrays, for a ``rhs(u, out)`` that writes the rate."""
+    def rate(u):
+        return rhs(u, np.empty_like(u))
+    k1 = rate(state)
+    k2 = rate(state + 0.5 * dt * k1)
+    k3 = rate(state + 0.5 * dt * k2)
+    k4 = rate(state + dt * k3)
+    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+class TestBufferedStep:
+    @pytest.mark.parametrize("cfg", MODEL_CFGS.values(), ids=list(MODEL_CFGS))
+    def test_matches_an_allocating_rk4_bitwise(self, cfg):
+        model = build_model(cfg)
+        state = initial_state(cfg, model)
+        want, nxt = state.copy(), np.empty_like(state)
+        for step in range(1, 4):
+            state, nxt = grid.rk4_step(state, model.rhs, 1e-2, step,
+                                       out=nxt, work=model.work), state
+            want = allocating_rk4(want, model.rhs, 1e-2)
+        assert np.array_equal(state.view(np.uint64), want.view(np.uint64))
+
+    def test_rhs_calls_into_two_outs_do_not_alias(self):
+        cfg = MODEL_CFGS["contact-momentum"]
+        model = build_model(cfg)
+        state = initial_state(cfg, model)
+        a, b = np.empty_like(state), np.empty_like(state)
+        assert model.rhs(state, a) is a
+        first = a.copy()
+        assert model.rhs(2.0 * state, b) is b
+        assert np.array_equal(a, first)
+        assert np.array_equal(b, 2.0 * a)
+
+    def test_temporal_order_finals_are_distinct_arrays(self, monkeypatch):
+        finals = []
+        real = sim._integrate
+        monkeypatch.setattr(sim, "_integrate", lambda *a: finals.append(real(*a)) or finals[-1])
+        temporal_order(MODEL_CFGS["contact-density"], (4e-3, 2e-3, 1e-3), t_end=8e-3)
+        assert len(finals) == 3
+        assert not any(np.shares_memory(f, g) for f, g in itertools.combinations(finals, 2))
+
+    def test_a_warmed_up_step_allocates_less_than_half_a_grid_array(self):
+        cfg = SimConfig(model="contact-momentum", n=32, dt=1e-3, steps=1,
+                        expr="cos(x)*sin(y) + z", init=("sin(x)", "cos(y)", "sin(z)"))
+        model = build_model(cfg)
+        state = initial_state(cfg, model)
+        nxt = np.empty_like(state)
+        for step in range(1, 3):    # the plan's slots are made by its first call
+            state, nxt = grid.rk4_step(state, model.rhs, cfg.dt, step,
+                                       out=nxt, work=model.work), state
+        tracemalloc.start()
+        try:
+            grid.rk4_step(state, model.rhs, cfg.dt, 3, out=nxt, work=model.work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * state[0].nbytes
 
 
 EDGE_VALUES = (-0.0, 2.0, 1e16, 1e-5, 5e-324, 1.5e300)
@@ -313,7 +387,7 @@ class TestCompiledPlanAgainstHandWrittenRhs:
                         expr="z", init=(L0,))
         model = build_model(cfg)
         state = initial_state(cfg, model)
-        got = model.rhs(state)[0]
+        got = rates(model, state)[0]
 
         n = 16
         h = 2 * np.pi / n
@@ -336,7 +410,7 @@ class TestCompiledPlanAgainstHandWrittenRhs:
                         init=("sin(q)*sin(p)", "cos(q)"))
         model = build_model(cfg)
         state = initial_state(cfg, model)
-        got = model.rhs(state)
+        got = rates(model, state)
 
         n = 16
         h = 2 * np.pi / n
