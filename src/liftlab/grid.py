@@ -11,9 +11,10 @@ reproducible.
 ``compile_numeric`` turns expressions into vectorized evaluators in one
 forward pass over their distinct nodes in ``expr.post_order``, with no
 recursion; an evaluator is one list of numpy ufunc calls that write into
-slots it owns.  ``spatial_derivative`` and ``rk4_step`` write into buffers
-their caller passes, so a method-of-lines step whose caller keeps its
-buffers allocates no whole-grid array.
+slots it owns and the ``out`` arrays its caller passes.
+``spatial_derivative`` and ``rk4_step`` write into buffers their caller
+passes, and ``march`` steps a state with RK4 in buffers it allocates
+once, so a method-of-lines step allocates no whole-grid array.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .expr import (
 __all__ = [
     "Grid", "GridError", "AperiodicDataError",
     "NumericalAbortError", "compile_numeric", "discretize",
-    "spatial_derivative", "quadrature", "rk4_step",
+    "spatial_derivative", "quadrature", "rk4_step", "march",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -268,17 +269,14 @@ def compile_numeric(e: Expr | Sequence[Expr], var_axes: Mapping[VarId, int],
     folded operand, and on every call for one that is read at call time.
     A folded value that overflows or turns invalid raises it here too.
 
-    The evaluator takes the call-time arrays and an optional ``out``: an
-    array for one expression, a sequence of them (or one array indexed by
-    root) for a batch.  Every computed root writes straight into its
-    ``out``, and a root that is folded or a bare input is copied there.
-    Without ``out`` a computed root is a fresh array, a bare input is
-    returned as given, and a folded root keeps the broadcast shape of its
-    fixed inputs and is the same read-only array on every call.  The
-    evaluator returns one array for one expression and a list for a
-    sequence.  The slots have the broadcast shape of every input and
-    output, and are reallocated when that shape changes; as they are
-    shared by the calls, one evaluator serves one caller at a time.
+    The evaluator ``evaluate(args, out)`` takes the call-time arrays and
+    the arrays to write: one for one expression, a sequence of them (or
+    one array indexed by root) for a batch.  Every computed root writes
+    straight into its ``out``, and a root that is folded or a bare input
+    is copied there, broadcast to its shape.  It returns ``out``.  The
+    slots have the broadcast shape of every input and output, and are
+    reallocated when that shape changes; as they are shared by the calls,
+    one evaluator serves one caller at a time.
     """
     single = isinstance(e, Expr)
     roots = [e] if single else list(e)
@@ -305,44 +303,27 @@ def compile_numeric(e: Expr | Sequence[Expr], var_axes: Mapping[VarId, int],
                     del done[k]
                     prog.release(value)
     # each root not computed in place is copied from a register
-    copies = []
-    for l, root in enumerate(roots):
-        value = done[root]
-        if not _dynamic(value):
-            value = np.asarray(value, dtype=float).view()
-            value.flags.writeable = False
-        elif value == ("root", l):
-            continue
-        copies.append((l, prog.operand(value)))
+    copies = [(l, prog.operand(value)) for l, value in enumerate(map(done.get, roots))
+              if not _dynamic(value) or value != ("root", l)]
     at, code = prog.registers(len(roots))
     copies = [(l, at[k] + i) for l, (k, i) in copies]
-    computed = sorted(set(range(len(roots))) - {l for l, _ in copies})
     consts = prog.consts
     const_shape = np.broadcast_shapes(*map(np.shape, consts))
     slot_shape, slots = None, []
 
-    def evaluate(args: Sequence[np.ndarray] = (), out=None):
+    def evaluate(args: Sequence[np.ndarray], out):
         nonlocal slot_shape, slots
-        shapes = [const_shape, *map(np.shape, args)]
-        if out is not None:
-            dests = [out] if single else list(out)
-            shapes += [d.shape for d in dests]
-        shape = np.broadcast_shapes(*shapes)
+        dests = [out] if single else list(out)
+        shape = np.broadcast_shapes(const_shape, *map(np.shape, args),
+                                    *(d.shape for d in dests))
         if shape != slot_shape:
             slot_shape, slots = shape, [np.empty(shape) for _ in range(prog.nslots)]
-        if out is None:
-            dests = [None] * len(roots)
-            for l in computed:
-                dests[l] = np.empty(shape)
         regs = [*consts, *slots, *dests, *args]
         for fn, ins, o in code:
             fn(*[regs[i] for i in ins], out=regs[o])
         for l, src in copies:
-            if out is None:
-                dests[l] = np.asarray(regs[src], dtype=float)
-            else:
-                np.copyto(dests[l], regs[src])
-        return dests[0] if single else dests
+            np.copyto(dests[l], regs[src])
+        return out
 
     return evaluate
 
@@ -363,13 +344,14 @@ def check_periodic(e: Expr, grid: Grid, var_axes: Mapping[VarId, int],
     coords = [base_points[a] for a in range(grid.dim)]
     mesh = np.meshgrid(*coords, indexing="ij")
     args = [mesh[a].ravel() for a in range(grid.dim)]
+    ref, value = np.empty(args[0].shape), np.empty(args[0].shape)
     with np.errstate(over="ignore", invalid="ignore"):   # discretize's fold reports it
-        ref = fn(args)
+        fn(args, ref)
         scale = 1.0 + float(np.max(np.abs(ref)))
         for axis in range(grid.dim) if axes is None else axes:
             shifted = [a.copy() for a in args]
             shifted[axis] = shifted[axis] + TWO_PI
-            if np.max(np.abs(fn(shifted) - ref)) > PERIODIC_TOL * scale:
+            if np.max(np.abs(fn(shifted, value) - ref)) > PERIODIC_TOL * scale:
                 return False
     return True
 
@@ -390,7 +372,7 @@ def discretize(e: Expr, grid: Grid, var_axes: Mapping[VarId, int],
         raise AperiodicDataError(
             "non-periodic data on a periodic grid (pass allow_aperiodic to override)")
     fixed = {v: grid.axis_line(axis) for v, axis in var_axes.items()}
-    out = np.broadcast_to(compile_numeric(e, {}, fixed)(), grid.shape).copy()
+    out = compile_numeric(e, {}, fixed)((), np.empty(grid.shape))
     if not np.isfinite(out).all():
         bad = np.argwhere(~np.isfinite(out))[0]
         raise EvaluationDomainError(f"evaluation failed at node {tuple(int(i) for i in bad)}")
@@ -455,7 +437,7 @@ def rk4_step(state: np.ndarray, rhs: Callable[[np.ndarray, np.ndarray], object],
     stage input, state + (dt/2) k1, state + (dt/2) k2 and state + dt k3,
     until it receives state + (dt/6) ((k1 + 2 k2 + 2 k3) + k4), summed in
     that order, so the values are bitwise those of the same expression on
-    fresh arrays.  The caller swaps ``state`` and ``out`` for the next step.
+    fresh arrays.  ``march`` swaps ``state`` and ``out`` for the next step.
     """
     if dt <= 0:
         raise GridError("dt must be positive")
@@ -483,3 +465,20 @@ def rk4_step(state: np.ndarray, rhs: Callable[[np.ndarray, np.ndarray], object],
     if not (np.isfinite(out.min()) and np.isfinite(out.max())):
         raise NumericalAbortError(step_index)
     return out
+
+
+def march(state: np.ndarray, rhs: Callable[[np.ndarray, np.ndarray], object],
+          dt: float, steps: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Take ``steps`` RK4 steps from ``state``, yielding ``(step, state)``
+    after each, for step = 1, ..., ``steps``; ``steps = 0`` yields nothing.
+
+    The spare state and ``rk4_step``'s two work arrays are allocated once.
+    Each step writes into the array the step before it read, so the
+    yielded states alternate between ``state`` itself and the spare, and
+    each is overwritten two steps later: read a state before taking the
+    next one.  A non-finite step raises ``NumericalAbortError``.
+    """
+    spare, work = np.empty_like(state), np.empty((2,) + state.shape)
+    for step in range(1, steps + 1):
+        state, spare = rk4_step(state, rhs, dt, step, out=spare, work=work), state
+        yield step, state

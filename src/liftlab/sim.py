@@ -24,16 +24,19 @@ shifts of it (``grid.spatial_derivative``).  ``initial_state`` returns
 this layout, and ``Model.rhs(state, out)`` reads it and writes the rates
 into ``out`` in it.
 
-A model owns the buffers of a step: one array per stencil its rates read
-and a scratch one, the plan's slots, and the two work arrays that
-``grid.rk4_step`` takes.  Its caller holds the state and one more array
-of its shape, and swaps the two after each step, so a step allocates no
-whole-grid array.  The buffers are shared by every call, so one run uses
-a model at a time.
+A model owns the buffers of its RHS: one array per stencil its rates
+read and a scratch one, and the plan's slots.  Every loop over steps is
+one ``grid.march``, which owns the rest of a step's buffers, the spare
+state and the two work arrays of ``grid.rk4_step``, so a step allocates
+no whole-grid array.  The buffers are shared by every call, so one run
+uses a model at a time.  Output is written at t = 0, every ``cadence``
+steps and the last step (``_is_output``), by the run loop and the
+two-path harness alike.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import resource
@@ -50,7 +53,7 @@ from . import __version__
 from .expr import Expr, ExprError, Var, VarId, free_vars
 from .grid import (
     TWO_PI, Grid, NumericalAbortError, check_periodic, compile_numeric,
-    discretize, quadrature, rk4_step, spatial_derivative,
+    discretize, march, quadrature, spatial_derivative,
 )
 from .geometry import Chart, Derivative, one_form
 from .jets import JetChart, total_derivative
@@ -176,7 +179,7 @@ class Model:
     """A compiled pointwise evaluation plan for one kinetic model.
 
     ``rhs(state, out)`` writes the rates at ``state`` into ``out`` and
-    returns it; ``work`` is the ``grid.rk4_step`` work of a state.
+    returns it.
     """
 
     grid: Grid
@@ -184,7 +187,6 @@ class Model:
     coord_vars: tuple[VarId, ...]
     rhs: Callable[[np.ndarray, np.ndarray], np.ndarray]
     velocity_max: float
-    work: np.ndarray
 
 
 def _compile_jet_plan(jc: JetChart, grid: Grid, rate_exprs: Sequence[Expr]
@@ -263,13 +265,6 @@ def _parse_params(cfg: SimConfig) -> PlasmaParams:
     return PlasmaParams(mass, charge, phi)
 
 
-def _velocity_arrays(grid: Grid, coord_vars: Sequence[VarId],
-                     components: Sequence[Expr]) -> list[np.ndarray]:
-    """The components of a field on the grid, in their broadcast shapes."""
-    fixed = {v: grid.axis_line(a) for a, v in enumerate(coord_vars)}
-    return compile_numeric(components, {}, fixed)()
-
-
 def _model_plan(cfg: SimConfig) -> tuple[JetChart, list[Expr], tuple[Expr, ...]]:
     """The jet chart and rates of cfg's model, and the components of the
     field that carries its state."""
@@ -310,12 +305,12 @@ def build_model(cfg: SimConfig) -> Model:
     """Compile the symbolic RHS for cfg into a grid evaluation plan."""
     grid = Grid(3 if cfg.model.startswith("contact") else 2, cfg.n)
     jc, rates, velocity = _model_plan(cfg)
-    vel = _velocity_arrays(grid, jc.base, velocity)
+    fixed = {v: grid.axis_line(a) for a, v in enumerate(jc.base)}
+    vel = compile_numeric(velocity, {}, fixed)((), np.empty((len(velocity),) + grid.shape))
     if len(cfg.init) != jc.k:
         raise ConfigError(f"model '{cfg.model}' needs {jc.k} initial component(s), got {len(cfg.init)}")
     rhs = _compile_jet_plan(jc, grid, rates)
-    vmax = max(float(np.max(np.abs(v))) for v in vel)
-    return Model(grid, jc.k, tuple(jc.base), rhs, vmax, np.empty((2, jc.k) + grid.shape))
+    return Model(grid, jc.k, tuple(jc.base), rhs, float(np.max(np.abs(vel))))
 
 
 def initial_state(cfg: SimConfig, model: Model) -> np.ndarray:
@@ -345,9 +340,10 @@ class RunResult:
 
 def _diag_row(t: float, state: np.ndarray, grid: Grid
               ) -> tuple[float, float, float, float, float]:
-    # mass: sum of per-component torus integrals
-    mass = sum(quadrature(comp, grid.h, grid.dim) for comp in state)
-    l2 = math.sqrt(quadrature(np.sum(state * state, axis=0), grid.h, grid.dim))
+    # a finite state past 1e154 squares to inf, which l2 records quietly
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass = sum(quadrature(comp, grid.h, grid.dim) for comp in state)   # per component
+        l2 = math.sqrt(quadrature(np.sum(state * state, axis=0), grid.h, grid.dim))
     return (t, mass, l2, float(state.min()), float(state.max()))
 
 
@@ -377,6 +373,12 @@ def _write_traj_snapshot(f, t: float, state: np.ndarray, tails: list[str]) -> in
         row_major = state[:, i].reshape(ncomp, -1).T.ravel().tolist()
         written += f.write(template % tuple(row_major))
     return written
+
+
+def _is_output(step: int, cadence: int, steps: int) -> bool:
+    """Whether step ``step`` of ``steps`` is an output time: t = 0, every
+    ``cadence`` steps, and the last step."""
+    return step % cadence == 0 or step == steps
 
 
 def _minor_faults() -> int:
@@ -436,24 +438,22 @@ def run_simulation(cfg: SimConfig) -> RunResult:
             timings["io_s"] += clock() - start
 
         emit(0.0, state)
-        nxt = np.empty_like(state)
 
         def integrated(start: float, start_faults: int) -> None:
             timings["integrate_s"] += clock() - start
             counters["integrate_minor_faults"] += _minor_faults() - start_faults
 
+        start, start_faults = clock(), _minor_faults()
         try:
-            for step in range(1, cfg.steps + 1):
-                start, start_faults = clock(), _minor_faults()
-                counters["rhs_calls"] += 4
-                state, nxt = rk4_step(state, model.rhs, cfg.dt, step,
-                                      out=nxt, work=model.work), state
-                counters["steps"] = step
+            for step, state in march(state, model.rhs, cfg.dt, cfg.steps):
                 integrated(start, start_faults)
-                if step % cfg.cadence == 0 or step == cfg.steps:
+                counters.update(steps=step, rhs_calls=4 * step)
+                if _is_output(step, cfg.cadence, cfg.steps):
                     emit(step * cfg.dt, state)
+                start, start_faults = clock(), _minor_faults()
         except NumericalAbortError as exc:
             integrated(start, start_faults)
+            counters["rhs_calls"] = 4 * exc.step
             aborted = exc
             traj.flush()
             diag.flush()
@@ -471,14 +471,6 @@ def run_simulation(cfg: SimConfig) -> RunResult:
 # ---------------------------------------------------------------------------
 # convergence harnesses
 
-def _integrate(model: Model, state: np.ndarray, dt: float, steps: int) -> np.ndarray:
-    """The state after ``steps`` steps: ``state`` itself or one new array."""
-    nxt = np.empty_like(state)
-    for step in range(1, steps + 1):
-        state, nxt = rk4_step(state, model.rhs, dt, step, out=nxt, work=model.work), state
-    return state
-
-
 def temporal_order(cfg: SimConfig, dts: Sequence[float], t_end: float
                    ) -> tuple[float, list[float]]:
     """Richardson order in dt on a fixed grid: all runs share the spatial
@@ -490,7 +482,10 @@ def temporal_order(cfg: SimConfig, dts: Sequence[float], t_end: float
         steps = round(t_end / dt)
         if abs(steps * dt - t_end) > 1e-12:
             raise ConfigError(f"t_end {t_end} is not a multiple of dt {dt}")
-        finals.append(_integrate(model, state0.copy(), dt, steps))
+        final = state0.copy()
+        for _, final in march(final, model.rhs, dt, steps):
+            pass
+        finals.append(final)
     diffs = [float(np.max(np.abs(a - b))) for a, b in zip(finals, finals[1:])]
     orders = [math.log2(d1 / d2) / math.log2(dts[i] / dts[i + 1])
               for i, (d1, d2) in enumerate(zip(diffs, diffs[1:]))]
@@ -554,15 +549,12 @@ def determined_nodes(K_text: str, n: int, dt: float, steps: int,
 
     margin = 4 * grid.h
     pos = np.stack([grid.axis_coordinate(a) for a in range(3)])
-    nxt, work = np.empty_like(pos), np.empty((2,) + pos.shape)
     ok = np.ones(grid.shape, dtype=bool)
     masks = []
-    for step in range(steps + 1):
-        if step:
-            pos, nxt = rk4_step(pos, backward, dt, step, out=nxt, work=work), pos
+    for step, p in itertools.chain([(0, pos)], march(pos, backward, dt, steps)):
         for a in seams:
-            ok &= (pos[a] >= margin) & (pos[a] <= TWO_PI - margin)
-        if step == 0 or step % cadence == 0 or step == steps:
+            ok &= (p[a] >= margin) & (p[a] <= TWO_PI - margin)
+        if _is_output(step, cadence, steps):
             masks.append(ok.copy())
     return masks
 
@@ -603,11 +595,9 @@ def discrete_intertwining_error(K_text: str, alpha_init: Sequence[str],
         return float(gap.max()), float(gap[next(remaining)].max(initial=0.0))
 
     worst, worst_determined = compare(state_m, state_d)
-    nxt_m, nxt_d = np.empty_like(state_m), np.empty_like(state_d)
-    for step in range(1, steps + 1):
-        state_m, nxt_m = rk4_step(state_m, mom.rhs, dt, step, out=nxt_m, work=mom.work), state_m
-        state_d, nxt_d = rk4_step(state_d, den.rhs, dt, step, out=nxt_d, work=den.work), state_d
-        if step % cadence == 0 or step == steps:
-            g, gd = compare(state_m, state_d)
+    for (step, sm), (_, sd) in zip(march(state_m, mom.rhs, dt, steps),
+                                   march(state_d, den.rhs, dt, steps)):
+        if _is_output(step, cadence, steps):
+            g, gd = compare(sm, sd)
             worst, worst_determined = max(worst, g), max(worst_determined, gd)
     return worst, worst_determined, checked

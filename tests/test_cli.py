@@ -452,6 +452,10 @@ HOSTILE = {
     "missing-config": ("sim", "--config", "{tmp}/missing.json"),
     "blow-up": (*_SIM, "--model", "contact-density", "--K", "z",
                 "--init", "2+sin(x)", "--dt", "1e300"),
+    # finite but past 1e154 before it aborts at step 65: l2 squares to inf
+    "slow-blow-up": ("sim", "--model", "contact-density", "--K", "z", "--init", "2+sin(x)",
+                     "--n", "8", "--steps", "400", "--cadence", "1", "--dt", "5",
+                     "--out", "{tmp}/t.csv", "--diag", "{tmp}/d.csv"),
     "negative-charge-as-its-own-word": (*_SIM, "--model", "vlasov-density", "--phi", "cos(q)",
                                         "--init", "2+sin(q)", "--e", "-1/2"),
     "no-subcommand": (),
@@ -460,7 +464,8 @@ HOSTILE = {
 
 
 # rows whose exit code is pinned, not just inside the contract
-HOSTILE_CODE = {"overflowing-exp-in-K": 2, "blow-up": 3, "negative-charge-as-its-own-word": 2}
+HOSTILE_CODE = {"overflowing-exp-in-K": 2, "blow-up": 3, "slow-blow-up": 3,
+                "negative-charge-as-its-own-word": 2}
 
 
 def _run_hostile(tmp_path, name):
@@ -483,9 +488,12 @@ def test_hostile_input_keeps_the_exit_code_contract(tmp_path, capsys, name):
     assert code == 0 or out == ""
 
 
-def test_blow_up_warns_only_of_the_cfl_advisory(tmp_path, capsys):
+@pytest.mark.parametrize("name", ["blow-up", "slow-blow-up"])
+def test_blow_up_warns_only_of_the_cfl_advisory(tmp_path, capsys, name):
+    argv = HOSTILE[name]
+    dt = float(argv[argv.index("--dt") + 1])
     with pytest.warns(RuntimeWarning) as record:
-        assert _run_hostile(tmp_path, "blow-up") == 3
+        assert _run_hostile(tmp_path, name) == 3
     assert len(record) == 1
-    assert str(record[0].message).startswith("dt=1e+300 exceeds the CFL advisory")
+    assert str(record[0].message).startswith(f"dt={dt} exceeds the CFL advisory")
     assert capsys.readouterr().err.count("error: ") == 1

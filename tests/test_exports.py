@@ -65,3 +65,23 @@ def test_no_dead_private_helpers():
     dead = [d for path in sorted(src.glob("*.py"))
             for d in _unreferenced_private_defs(path)]
     assert not dead
+
+
+def _callers(path: Path, name: str) -> set[str]:
+    """``module.function`` for each module-level function or class of
+    ``path`` that calls ``name``, directly or by attribute, anywhere in its
+    body; a call outside them counts as ``module.<module>``."""
+    callers = set()
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and name in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return callers
+
+
+def test_rk4_step_is_called_only_by_march():
+    # one loop owns the spare state and the RK4 work; no caller swaps by hand
+    src = Path(liftlab.__file__).parent
+    assert set().union(*(_callers(path, "rk4_step") for path in src.glob("*.py"))) \
+        == {"grid.march"}

@@ -780,7 +780,7 @@ def test_mixed_canonical_trees_print_and_evaluate_as_pinned(name, text, compiled
     e = _mixed(name)
     assert str(e) == text
     xs, ys = (np.array(p) for p in _POINTS)
-    got = np.broadcast_to(compile_numeric(e, {X: 0, Y: 1})([xs, ys]), xs.shape)
+    got = compile_numeric(e, {X: 0, Y: 1})([xs, ys], np.empty(xs.shape))
     assert [float(v).hex() for v in got] == compiled
     assert [eval_numeric(e, {X: u, Y: v}).hex() for u, v in zip(*_POINTS)] == evaluated
 

@@ -13,7 +13,7 @@ from liftlab.expr import (
 )
 from liftlab.grid import (
     AperiodicDataError, Grid, GridError, NumericalAbortError,
-    check_periodic, compile_numeric, discretize, quadrature, rk4_step,
+    check_periodic, compile_numeric, discretize, march, quadrature, rk4_step,
     spatial_derivative,
 )
 from liftlab.parser import parse_expr
@@ -188,6 +188,58 @@ class TestRk4:
             step(np.ones(2), lambda u: u, 0.0)
 
 
+def decay(u, k):
+    np.multiply(u, -1.0, out=k)
+
+
+class TestMarch:
+    def test_yields_each_step_in_order_as_rk4_step_does(self):
+        state = np.linspace(1.0, 2.0, 6).reshape(2, 3)
+        want = state.copy()
+        got = []
+        for i, s in march(state, decay, 0.1, 5):
+            want = step(want, lambda u: -u, 0.1, i)
+            got.append(i)
+            assert np.array_equal(s, want)
+        assert got == [1, 2, 3, 4, 5]
+
+    def test_states_alternate_between_the_input_and_one_spare(self):
+        state = np.ones(4)
+        yielded = [s for _, s in march(state, decay, 0.1, 6)]
+        assert all(s is state for s in yielded[1::2])
+        spare = yielded[0]
+        assert spare is not state and not np.shares_memory(spare, state)
+        assert all(s is spare for s in yielded[0::2])
+
+    def test_zero_steps_yield_nothing(self):
+        assert list(march(np.ones(4), decay, 0.1, 0)) == []
+
+    def test_abort_carries_its_step(self):
+        # u' = 1e40 u grows about 4e158-fold a step: the second step overflows
+        def grow(u, k):
+            np.multiply(u, 1e40, out=k)
+        done = []
+        with pytest.raises(NumericalAbortError) as err:
+            for i, _ in march(np.ones(4), grow, 1.0, 10):
+                done.append(i)
+        assert done == [1]
+        assert err.value.step == 2
+
+    def test_steps_through_the_module_rk4_step(self, monkeypatch):
+        from liftlab import grid
+        seen = []
+        real = grid.rk4_step
+
+        def counting(state, rhs, dt, step_index, **kw):
+            seen.append((step_index, rhs))
+            return real(state, rhs, dt, step_index, **kw)
+
+        monkeypatch.setattr(grid, "rk4_step", counting)
+        for _ in march(np.ones(4), decay, 0.1, 3):
+            pass
+        assert seen == [(1, decay), (2, decay), (3, decay)]
+
+
 class TestCompileNumeric:
     def test_matches_scalar_evaluation(self):
         from liftlab.expr import eval_numeric
@@ -195,14 +247,14 @@ class TestCompileNumeric:
         fn = compile_numeric(e, {X: 0, Y: 1})
         xs = np.linspace(0.0, 1.0, 5)
         ys = np.linspace(-1.0, 1.0, 5)
-        got = fn([xs, ys])
+        got = fn([xs, ys], np.empty(5))
         want = [eval_numeric(e, {X: float(a), Y: float(b)}) for a, b in zip(xs, ys)]
         assert np.allclose(got, want, rtol=1e-15)
 
     def test_division_guard(self):
         fn = compile_numeric(parse_expr("1/x", [X]), {X: 0})
         with pytest.raises(EvaluationDomainError):
-            fn([np.array([1.0, 0.0])])
+            fn([np.array([1.0, 0.0])], np.empty(2))
 
     @pytest.mark.parametrize("e", [
         Prod((Const(2 ** 2000), Var(X))),
@@ -230,7 +282,7 @@ class TestCompileNumeric:
             with pytest.raises(EvaluationDomainError):
                 compile_numeric(parse_expr(text, [X, Y]), {Y: 0}, line)
         fn = compile_numeric(parse_expr("1/(2 + sin(x))", [X]), {}, line)
-        assert fn().shape == (8,)
+        assert np.isfinite(fn((), np.empty(8))).all()
 
     def test_structurally_equal_subtrees_fold_once(self, monkeypatch):
         terms = tuple(parse_expr("sin(x)", [X]) for _ in range(200))
@@ -241,19 +293,19 @@ class TestCompileNumeric:
         xs = Grid(1, 8).axis_line(0)
         fn = compile_numeric(Sum(terms), {}, {X: xs})
         assert len(calls) == 1
-        assert np.array_equal(fn(), fn())
+        assert np.array_equal(fn((), np.empty(8)), fn((), np.empty(8)))
         assert len(calls) == 1
 
-    def test_batch_shares_one_dag_and_folds_read_only(self):
+    def test_batch_shares_one_dag_and_folds_into_out(self):
         rates = [parse_expr(t, [X, Y]) for t in ("cos(x)*y", "cos(x) + 1", "y")]
         xs = Grid(2, 8).axis_line(0)
         ys = np.arange(64.0).reshape(8, 8)
-        got = compile_numeric(rates, {Y: 0}, {X: xs})([ys])
-        assert [a.shape for a in got] == [(8, 8), (8, 1), (8, 8)]
-        assert np.array_equal(got[0], np.cos(xs) * ys)
-        assert got[2] is ys
-        with pytest.raises(ValueError):
-            got[1][0, 0] = 0.0
+        out = np.empty((3, 8, 8))
+        assert compile_numeric(rates, {Y: 0}, {X: xs})([ys], out) is out
+        assert np.array_equal(out[0], np.cos(xs) * ys)
+        assert np.array_equal(out[1], np.broadcast_to(np.cos(xs) + 1, (8, 8)))
+        assert np.array_equal(out[2], ys)
+        assert not np.shares_memory(out, ys)
 
     def test_computed_nodes_match_numpy_bitwise(self):
         # powers 2, 3 and -1, a quotient, and a subtree shared by a root
@@ -265,17 +317,14 @@ class TestCompileNumeric:
                               Quot(Call("cos", Var(Y)), shared), shared], {X: 0, Y: 1})
         s = np.sin(xs) + ys
         want = [s ** 2, s ** 3, s ** -1, np.cos(ys) / s, s]
-        out = np.empty((5, 6, 6))
-        fresh = fn([xs, ys])
-        for got in (fresh, fn([xs, ys], out), list(out)):
+        out, rows = np.empty((5, 6, 6)), list(np.empty((5, 6, 6)))
+        for got in (fn([xs, ys], out), fn([xs, ys], rows)):
             for g, w in zip(got, want):
                 assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
-        assert not any(np.shares_memory(f, o) for f in fresh for o in out)
-        assert np.array_equal(fn([xs[0], ys[0]])[0], want[0][0])
+        assert np.array_equal(fn([xs[0], ys[0]], np.empty((5, 6)))[0], want[0][0])
         xs[2, 3], ys[2, 3] = 0.0, 0.0
-        for args in (([xs, ys],), ([xs, ys], out)):
-            with pytest.raises(EvaluationDomainError):
-                fn(*args)
+        with pytest.raises(EvaluationDomainError):
+            fn([xs, ys], out)
 
     def test_unmapped_variable_rejected(self):
         with pytest.raises(GridError):
@@ -294,9 +343,9 @@ class TestCompileNumeric:
         sys.setrecursionlimit(1000)
         try:
             if folded:
-                got = compile_numeric(e, {}, {X: xs})()
+                got = compile_numeric(e, {}, {X: xs})((), np.empty(8))
             else:
-                got = compile_numeric(e, {X: 0})([xs])
+                got = compile_numeric(e, {X: 0})([xs], np.empty(8))
         finally:
             sys.setrecursionlimit(limit)
         assert np.array_equal(got, want)
@@ -332,9 +381,9 @@ def test_compiled_matches_scalar_evaluation(e):
     xs, ys = g.axis_line(0), g.axis_line(1)
     want = np.array([[eval_numeric(e, {X: float(a), Y: float(b)})
                       for b in ys[0]] for a in xs[:, 0]])
-    at_call = compile_numeric(e, {X: 0, Y: 1})([g.axis_coordinate(0), g.axis_coordinate(1)])
-    folded = compile_numeric(e, {}, {X: xs, Y: ys})()
-    mixed = compile_numeric(e, {Y: 0}, {X: xs})([ys])
+    at_call = compile_numeric(e, {X: 0, Y: 1})([g.axis_coordinate(0), g.axis_coordinate(1)],
+                                               np.empty(g.shape))
+    folded = compile_numeric(e, {}, {X: xs, Y: ys})((), np.empty(g.shape))
+    mixed = compile_numeric(e, {Y: 0}, {X: xs})([ys], np.empty(g.shape))
     for got in (at_call, folded, mixed):
-        np.testing.assert_allclose(np.broadcast_to(got, g.shape), want,
-                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)

@@ -269,10 +269,8 @@ class TestBufferedStep:
     def test_matches_an_allocating_rk4_bitwise(self, cfg):
         model = build_model(cfg)
         state = initial_state(cfg, model)
-        want, nxt = state.copy(), np.empty_like(state)
-        for step in range(1, 4):
-            state, nxt = grid.rk4_step(state, model.rhs, 1e-2, step,
-                                       out=nxt, work=model.work), state
+        want = state.copy()
+        for _, state in grid.march(state, model.rhs, 1e-2, 3):
             want = allocating_rk4(want, model.rhs, 1e-2)
         assert np.array_equal(state.view(np.uint64), want.view(np.uint64))
 
@@ -289,8 +287,14 @@ class TestBufferedStep:
 
     def test_temporal_order_finals_are_distinct_arrays(self, monkeypatch):
         finals = []
-        real = sim._integrate
-        monkeypatch.setattr(sim, "_integrate", lambda *a: finals.append(real(*a)) or finals[-1])
+        real = sim.march
+
+        def spying(state, *args):
+            for step, state in real(state, *args):
+                yield step, state
+            finals.append(state)
+
+        monkeypatch.setattr(sim, "march", spying)
         temporal_order(MODEL_CFGS["contact-density"], (4e-3, 2e-3, 1e-3), t_end=8e-3)
         assert len(finals) == 3
         assert not any(np.shares_memory(f, g) for f, g in itertools.combinations(finals, 2))
@@ -300,13 +304,12 @@ class TestBufferedStep:
                         expr="cos(x)*sin(y) + z", init=("sin(x)", "cos(y)", "sin(z)"))
         model = build_model(cfg)
         state = initial_state(cfg, model)
-        nxt = np.empty_like(state)
-        for step in range(1, 3):    # the plan's slots are made by its first call
-            state, nxt = grid.rk4_step(state, model.rhs, cfg.dt, step,
-                                       out=nxt, work=model.work), state
+        steps = grid.march(state, model.rhs, cfg.dt, 3)
+        next(steps)     # the spare, the work and the plan's slots are made here
+        next(steps)
         tracemalloc.start()
         try:
-            grid.rk4_step(state, model.rhs, cfg.dt, 3, out=nxt, work=model.work)
+            next(steps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -355,7 +358,8 @@ class TestTrajectoryWriter:
                           cadence=3, init=("sin(x)", "cos(y)", "1/3*sin(z)"))
         run_simulation(cfg)
         model = build_model(cfg)
-        final = sim._integrate(model, initial_state(cfg, model), cfg.dt, cfg.steps)
+        for _, final in grid.march(initial_state(cfg, model), model.rhs, cfg.dt, cfg.steps):
+            pass
         rows = [line.split(",") for line in open(cfg.out).read().splitlines()[1:]]
         last = [r for r in rows if float(r[0]) == cfg.steps * cfg.dt]
         assert [tuple(map(int, r[1:4])) for r in last] == list(np.ndindex(final.shape[1:]))
@@ -636,6 +640,18 @@ class TestConvergenceHarnesses:
         for mask in masks:
             assert (mask == mask[:, :, :1]).all()
             assert not mask.all()
+
+    def test_output_times_agree_when_cadence_does_not_divide_steps(self, tmp_path):
+        # t = 0, steps 5 and 10, and the last step 12, in all three loops
+        steps, cadence, dt = 12, 5, 1e-3
+        result = run_simulation(contact_cfg(tmp_path, n=8, dt=dt, steps=steps, cadence=cadence))
+        assert [round(row[0] / dt) for row in result.diagnostics] == [0, 5, 10, 12]
+        assert len(open(result.diag_path).read().splitlines()) == 1 + 4
+        assert len(determined_nodes("z", 8, dt, steps, cadence)) == 4
+        _, _, checked = discrete_intertwining_error(
+            "z", ("0", "-cos(x)*sin(y)*sin(z)", "-1"), L0,
+            n=8, dt=dt, steps=steps, cadence=cadence)
+        assert len(checked) == 4
 
     def test_intertwining_harness_runs(self):
         err, interior, checked = discrete_intertwining_error(
