@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .expr import (
-    FUNCTIONS, Expr, ExprError, ONE, VarId, ZERO, canon, is_rational,
+    FUNCTIONS, Expr, ExprError, ONE, Sum, VarId, ZERO, canon, is_rational,
     is_zero_expr, partial,
 )
 from .parser import IDENT_RE
@@ -77,14 +77,15 @@ class Chart:
 def directional_derivative(f: Expr, pairs: Iterable[tuple[VarId, Expr]],
                            d: Derivative = partial) -> Expr:
     """The sum of c * d(f, v) over the ``(v, c)`` pairs, canonicalized;
-    terms with c = 0 or d(f, v) = 0 are left out."""
-    out: Expr = ZERO
+    terms with c = 0 or d(f, v) = 0 are left out.  The terms make one
+    ``Sum`` after a leading zero, the node ``0 + t1 + t2 + ...`` builds."""
+    terms = []
     for v, c in pairs:
         if c != ZERO:
             df = d(f, v)
             if df != ZERO:
-                out = out + c * df
-    return canon(out)
+                terms.append(c * df)
+    return canon(Sum((ZERO, *terms)) if terms else ZERO)
 
 
 def _require_same_chart(a, b) -> None:

@@ -10,8 +10,9 @@ reproducible.
 
 ``compile_numeric`` turns expressions into vectorized evaluators in one
 forward pass over their distinct nodes in ``expr.post_order``, with no
-recursion; an evaluator is one list of numpy ufunc calls that write into
-slots it owns and the ``out`` arrays its caller passes.
+recursion; an evaluator is one list of numpy ufunc calls, and calls of
+the functions that compute a variable from an input (a stencil, say),
+that write into slots it owns and the ``out`` arrays its caller passes.
 ``spatial_derivative`` and ``rk4_step`` write into buffers their caller
 passes, and ``march`` steps a state with RK4 in buffers it allocates
 once, so a method-of-lines step allocates no whole-grid array.
@@ -111,6 +112,14 @@ def _copy(src, out) -> None:
     np.copyto(out, src)
 
 
+@dataclass(frozen=True)
+class _Computed:
+    """A variable computed at call time by ``fn(args[arg], out=...)``."""
+
+    fn: Callable
+    arg: tuple[str, int]
+
+
 def _dynamic(value) -> bool:
     """True for a register read at call time, False for a folded value."""
     return isinstance(value, tuple)
@@ -192,12 +201,18 @@ def _emit(node: Expr, kids: list, inputs: Mapping[VarId, object], prog: _Program
 
     A folded value is a float or an array and a register is a tuple, so a
     node folds when none of its children is a register.  ``inputs`` holds
-    each variable's fixed array or call-time register.
+    each variable's fixed array, call-time register or ``_Computed``
+    binding; a computed variable is emitted here, at its first use.
     """
     if isinstance(node, Const):
         return float(node.value)
     if isinstance(node, Var):
-        return inputs[node.var]
+        value = inputs[node.var]
+        if not isinstance(value, _Computed):
+            return value
+        out = prog.dest(node)
+        prog.emit(value.fn, (value.arg,), out)
+        return out
     dynamic = any(map(_dynamic, kids))
     if isinstance(node, (Sum, Prod)):
         combine = operator.add if isinstance(node, Sum) else operator.mul
@@ -246,23 +261,31 @@ def _emit(node: Expr, kids: list, inputs: Mapping[VarId, object], prog: _Program
 
 
 def compile_numeric(e: Expr | Sequence[Expr], var_axes: Mapping[VarId, int],
-                    fixed: Mapping[VarId, np.ndarray] | None = None) -> Callable:
+                    fixed: Mapping[VarId, np.ndarray] | None = None,
+                    computed: Mapping[VarId, tuple[int, Callable]] | None = None
+                    ) -> Callable:
     """Compile an expression, or a batch of them sharing one DAG, into a
     vectorized evaluator.
 
     ``var_axes`` maps each variable read at call time to an index into the
     array sequence the compiled function receives.  ``fixed`` maps
     variables to arrays known now, typically coordinate lines that
-    broadcast against the grid (``Grid.axis_line``).  The batch's distinct
-    nodes compile once each, in one forward pass in post-order, so each is
-    built from its children's results and nothing recurses.  Every node
+    broadcast against the grid (``Grid.axis_line``).  ``computed`` maps
+    variables computed at call time to pairs ``(i, fn)``: the value is
+    what ``fn(args[i], out=...)`` writes into ``out``, such as a stencil
+    derivative of a call-time input.  The batch's distinct nodes compile
+    once each, in one forward pass in post-order, so each is built from
+    its children's results and nothing recurses.  Every node
     whose variables are all fixed is evaluated here, once, and dropped
     after its last use; in a sum or product the fixed operands fold, in
     their order, into one accumulator that stands where the first of them
     stood.  The rest compiles to one list of numpy ufunc calls in
     post-order, each writing with ``out=`` into a slot that the evaluator
     owns: a slot is taken from a free list and goes back to it after the
-    last use of its node, so a call allocates no intermediate array.
+    last use of its node, so a call allocates no intermediate array.  A
+    computed variable is one more such instruction, emitted at its first
+    use: ``fn`` writes into a free slot, or into its root's ``out`` when
+    the variable is a root, and the slot goes back after its last use.
 
     Division and negative powers raise ``EvaluationDomainError`` on
     magnitudes below 1e-300, matching scalar evaluation: once, here, for a
@@ -282,6 +305,7 @@ def compile_numeric(e: Expr | Sequence[Expr], var_axes: Mapping[VarId, int],
     roots = [e] if single else list(e)
     inputs = {v: ("arg", i) for v, i in var_axes.items()}
     inputs.update(fixed or {})
+    inputs.update({v: _Computed(fn, ("arg", i)) for v, (i, fn) in (computed or {}).items()})
     order = post_order(roots)
     uses = Counter(roots)
     for node, kids in order:

@@ -24,9 +24,11 @@ shifts of it (``grid.spatial_derivative``).  ``initial_state`` returns
 this layout, and ``Model.rhs(state, out)`` reads it and writes the rates
 into ``out`` in it.
 
-A model owns the buffers of its RHS: one array per stencil its rates
-read and a scratch one, and the plan's slots.  Every loop over steps is
-one ``grid.march``, which owns the rest of a step's buffers, the spare
+A model owns the buffers of its RHS: the plan's slots and one scratch
+array.  Each stencil is an instruction of the plan, computed into a free
+slot at its jet variable's first use and released after its last, so a
+model keeps no array per stencil.  Every loop over steps is one
+``grid.march``, which owns the rest of a step's buffers, the spare
 state and the two work arrays of ``grid.rk4_step``, so a step allocates
 no whole-grid array.  The buffers are shared by every call, so one run
 uses a model at a time.  Output is written at t = 0, every ``cadence``
@@ -50,7 +52,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .expr import Expr, ExprError, Var, VarId, free_vars
+from .expr import Expr, ExprError, Var, VarId
 from .grid import (
     TWO_PI, Grid, NumericalAbortError, check_periodic, compile_numeric,
     discretize, march, quadrature, spatial_derivative,
@@ -197,33 +199,24 @@ def _compile_jet_plan(jc: JetChart, grid: Grid, rate_exprs: Sequence[Expr]
     Base variables are fixed to the grid's coordinate lines, so every
     coefficient that depends on the coordinates alone is computed here,
     once.  Fiber variables read the state's components, ``state[l]``; a
-    jet variable u^l_a reads the stencil derivative of component l along
-    axis a, and only the stencils of the jet variables the rates read are
-    computed, each into a buffer the function keeps.  The rates are
+    jet variable u^l_a is an instruction of the plan that writes the
+    stencil derivative of component l along axis a into a plan slot at
+    its first use (``compile_numeric``'s ``computed``), so only the
+    stencils the rates read are computed, and each holds a slot only
+    while the plan still reads it.  The function keeps the plan's slots
+    and one scratch array for the stencils.  The rates are
     component-major, like the state.
     """
-    var_axes = {v: l for l, v in enumerate(jc.fiber)}
-    read = frozenset().union(*(free_vars(e) for e in rate_exprs))
-    stencils = []
-    for l in range(jc.k):
-        for a in range(jc.m):
-            if jc.jet(l, a) in read:
-                var_axes[jc.jet(l, a)] = jc.k + len(stencils)
-                stencils.append((l, a))
-    fixed = {v: grid.axis_line(a) for a, v in enumerate(jc.base)}
-    plan = compile_numeric(rate_exprs, var_axes, fixed)
     h = grid.h
-    jets = list(np.empty((len(stencils),) + grid.shape))
     scratch = np.empty(grid.shape)
 
-    def rhs(state: np.ndarray, out: np.ndarray) -> np.ndarray:
-        comps = list(state)
-        for (l, a), d1 in zip(stencils, jets):
-            spatial_derivative(comps[l], a, h, out=(d1, scratch))
-        plan(comps + jets, out)
-        return out
+    def stencil(a: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        return lambda u, out: spatial_derivative(u, a, h, out=(out, scratch))
 
-    return rhs
+    var_axes = {v: l for l, v in enumerate(jc.fiber)}
+    computed = {jc.jet(l, a): (l, stencil(a)) for l in range(jc.k) for a in range(jc.m)}
+    fixed = {v: grid.axis_line(a) for a, v in enumerate(jc.base)}
+    return compile_numeric(rate_exprs, var_axes, fixed, computed)
 
 
 def _jet_plan(base: Chart, fibers: Sequence[str],
@@ -343,7 +336,11 @@ def _diag_row(t: float, state: np.ndarray, grid: Grid
     # a finite state past 1e154 squares to inf, which l2 records quietly
     with np.errstate(over="ignore", invalid="ignore"):
         mass = sum(quadrature(comp, grid.h, grid.dim) for comp in state)   # per component
-        l2 = math.sqrt(quadrature(np.sum(state * state, axis=0), grid.h, grid.dim))
+        # squared component by component, so no squared copy of the state is made
+        sq = np.square(state[0])
+        for comp in state[1:]:
+            sq += np.square(comp)
+        l2 = math.sqrt(quadrature(sq, grid.h, grid.dim))
     return (t, mass, l2, float(state.min()), float(state.max()))
 
 
@@ -591,8 +588,10 @@ def discrete_intertwining_error(K_text: str, alpha_init: Sequence[str],
     remaining = iter(masks)
 
     def compare(sm: np.ndarray, sd: np.ndarray) -> tuple[float, float]:
-        gap = np.abs(map_rhs(sm, mapped)[0] - sd[0])
-        return float(gap.max()), float(gap[next(remaining)].max(initial=0.0))
+        gap = map_rhs(sm, mapped)[0]     # |map(alpha) - L|, in place
+        np.subtract(gap, sd[0], out=gap)
+        np.abs(gap, out=gap)
+        return float(gap.max()), float(np.max(gap, where=next(remaining), initial=0.0))
 
     worst, worst_determined = compare(state_m, state_d)
     for (step, sm), (_, sd) in zip(march(state_m, mom.rhs, dt, steps),

@@ -326,6 +326,27 @@ class TestCompileNumeric:
         with pytest.raises(EvaluationDomainError):
             fn([xs, ys], out)
 
+    def test_computed_variable_runs_once_per_call_into_a_slot_or_its_root(self):
+        # D = 2 x at call time: a bare root, read by two more roots; E is unused
+        D, E = VarId("D", 3), VarId("E", 4)
+        calls = []
+
+        def double(u, out):
+            calls.append(out)
+            return np.multiply(u, 2.0, out=out)
+
+        fn = compile_numeric([Var(D), Prod((Var(D), Var(Y))), Call("sin", Var(D))],
+                             {Y: 1}, computed={D: (0, double), E: (0, double)})
+        rng = np.random.default_rng(5)
+        xs, ys = rng.uniform(-1.0, 1.0, (2, 6, 6))
+        out = np.empty((3, 6, 6))
+        for _ in range(2):
+            fn([xs, ys], out)
+        d = 2.0 * xs
+        for got, want in zip(out, (d, d * ys, np.sin(d))):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert len(calls) == 2 and all(np.shares_memory(o, out[0]) for o in calls)
+
     def test_unmapped_variable_rejected(self):
         with pytest.raises(GridError):
             compile_numeric(parse_expr("x*y", [X, Y]), {X: 0})

@@ -3,6 +3,7 @@
 import io
 import itertools
 import json
+import math
 import os
 import random
 import tracemalloc
@@ -314,6 +315,96 @@ class TestBufferedStep:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * state[0].nbytes
+
+
+def plan_over_jets(jc, g, rate_exprs):
+    """The rates compiled with every jet variable as a call-time input,
+    after the fibers, in (l, a) order."""
+    var_axes = {v: l for l, v in enumerate(jc.fiber)}
+    for l, a in itertools.product(range(jc.k), range(jc.m)):
+        var_axes[jc.jet(l, a)] = jc.k + jc.m * l + a
+    fixed = {v: g.axis_line(a) for a, v in enumerate(jc.base)}
+    return grid.compile_numeric(rate_exprs, var_axes, fixed)
+
+
+def stencils_then_plan(jc, g, rate_exprs, state):
+    """The rates by a second route: every stencil of the jet chart into
+    fresh arrays by ``grid.spatial_derivative``, then ``plan_over_jets``."""
+    jets = [grid.spatial_derivative(state[l], a, g.h, out=(np.empty(g.shape), np.empty(g.shape)))
+            for l, a in itertools.product(range(jc.k), range(jc.m))]
+    plan = plan_over_jets(jc, g, rate_exprs)
+    return plan([*state, *jets], np.empty((len(rate_exprs),) + g.shape))
+
+
+def numpy_bytes() -> int:
+    """The bytes of numpy array data that tracemalloc sees alive."""
+    numpy_data = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+    return sum(t.size for t in tracemalloc.take_snapshot().filter_traces([numpy_data]).traces)
+
+
+class TestStencilsAsPlanInstructions:
+    @pytest.mark.parametrize("cfg", MODEL_CFGS.values(), ids=list(MODEL_CFGS))
+    def test_model_rhs_is_stencils_then_plan_bitwise(self, cfg):
+        model = build_model(cfg)
+        state = initial_state(cfg, model)
+        jc, rate_exprs, _ = sim._model_plan(cfg)
+        want = stencils_then_plan(jc, model.grid, rate_exprs, state)
+        assert np.array_equal(rates(model, state).view(np.uint64), want.view(np.uint64))
+
+    def test_density_map_and_shared_and_bare_jets_bitwise(self):
+        cfg = MODEL_CFGS["contact-momentum"]
+        state = initial_state(cfg, build_model(cfg))
+        g = Grid(3, cfg.n)
+        jc, map_rates = sim._density_map_plan(ContactStructure.standard())
+        # a rate that is a bare jet variable, twice, and a jet that two rates read
+        a_y, c_x = Var(jc.jet(0, 1)), Var(jc.jet(2, 0))
+        odd_rates = [a_y, a_y * Var(jc.fiber[1]) + c_x, canon(c_x * Var(jc.base[2])), a_y]
+        for rate_exprs in (map_rates, odd_rates):
+            got = np.empty((len(rate_exprs),) + g.shape)
+            sim._compile_jet_plan(jc, g, rate_exprs)(state, got)
+            want = stencils_then_plan(jc, g, rate_exprs, state)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_a_model_holds_no_array_per_stencil(self):
+        # the trig plan reads 9 stencils; the model may hold its plan's
+        # slots, one scratch array and the folded coefficients, which is
+        # what the same rates compiled over the jets as inputs hold, plus
+        # the scratch array
+        cfg = SimConfig(model="contact-momentum", n=16, dt=1e-3, steps=1,
+                        expr="cos(x)*sin(y) + z", init=("sin(x)", "cos(y)", "sin(z)"))
+        state = initial_state(cfg, build_model(cfg))
+        g = Grid(3, cfg.n)
+        jc, rate_exprs, _ = sim._model_plan(cfg)
+        jets = [np.zeros(g.shape) for _ in range(jc.k * jc.m)]
+        out = np.empty_like(state)
+        tracemalloc.start()
+        try:
+            base = numpy_bytes()
+            model = build_model(cfg)
+            model.rhs(state, out)
+            held = numpy_bytes() - base
+            base = numpy_bytes()
+            plan = plan_over_jets(jc, g, rate_exprs)
+            plan([*state, *jets], out)
+            plan_held = numpy_bytes() - base
+        finally:
+            tracemalloc.stop()
+        assert plan_held >= 7 * state[0].nbytes
+        assert held <= plan_held + state[0].nbytes
+
+    @pytest.mark.parametrize("ncomp", [1, 2, 3])
+    def test_diag_l2_is_the_sum_of_squares_bitwise_in_two_component_arrays(self, ncomp):
+        g = Grid(3, 16)
+        state = np.random.default_rng(ncomp).standard_normal((ncomp,) + g.shape)
+        want = math.sqrt(grid.quadrature(np.sum(state * state, axis=0), g.h, g.dim))
+        tracemalloc.start()
+        try:
+            row = sim._diag_row(0.25, state, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row[2].hex() == want.hex()
+        assert peak < 2.5 * state[0].nbytes
 
 
 EDGE_VALUES = (-0.0, 2.0, 1e16, 1e-5, 5e-324, 1.5e300)
