@@ -51,12 +51,8 @@ def grlex_key(mono: Mono) -> tuple[int, Mono]:
     return (sum(mono), mono)
 
 
-def leading_monomial(p: Poly) -> Mono:
-    return max(p, key=grlex_key)
-
-
 def leading_coeff(p: Poly) -> int:
-    return p[leading_monomial(p)]
+    return p[max(p, key=grlex_key)]
 
 
 def add(a: Poly, b: Poly) -> Poly:

@@ -1,13 +1,17 @@
 """Seeded randomized verification suites behind `liftlab verify`.
 
-Exact suites check symbolic identities and fail loudly with the first
-counterexample.  The operators-weak suite evaluates quadrature probes of
-the printed Hamiltonian operators and only *reports* residuals: the probes
-window all data in x by ((1-cos x)/2)^4 so that every integration-by-parts
-boundary term at the x-seam vanishes (the Darboux coefficient x is not
-periodic on the torus); with the window in place a residual above the
-probe tolerance indicates an operator-level discrepancy, not a seam
-artifact.
+An exact suite is a row of ``CHECKS``: named checks ``check(rng, degree)``
+that each draw an instance of a symbolic identity and return a
+counterexample, or None when it holds.  Each check runs on its own rng
+until its first counterexample; a check that raises an ``ExprError``
+fails with the error as its counterexample.
+
+The operators-weak suite evaluates quadrature probes of the printed
+Hamiltonian operators and only *reports* residuals: the probes window all
+data in x by ((1-cos x)/2)^4 so that every integration-by-parts boundary
+term at the x-seam vanishes (the Darboux coefficient x is not periodic on
+the torus); with the window in place a residual above the probe tolerance
+indicates an operator-level discrepancy, not a seam artifact.
 """
 
 from __future__ import annotations
@@ -16,10 +20,11 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .expr import (
-    Call, Expr, Var, ZERO, canon, expr_equal, kernel_stats, partial, substitute,
+    Call, Expr, ExprError, Var, ZERO, canon, expr_equal, kernel_stats, partial,
+    substitute,
 )
 from .geometry import (
     Chart, VectorField, VolumeForm, divergence, exterior_derivative,
@@ -55,6 +60,8 @@ __all__ = ["SuiteReport", "CheckResult", "run_suite", "SUITES",
 WEAK_PROBE_TOL = 1e-6
 # points per axis of the operators-weak quadrature grid
 WEAK_PROBE_N = 48
+
+Check = Callable[[random.Random, int], "str | None"]
 
 
 @dataclass
@@ -116,21 +123,23 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _run_checks(report: SuiteReport,
-                checks: Sequence[tuple[str, Callable[[random.Random], str | None]]],
-                trials: int, seed: int) -> SuiteReport:
-    for name, check in checks:
-        rng = random.Random(f"{seed}:{name}")
+def _run_checks(name: str, trials: int, degree: int, seed: int) -> SuiteReport:
+    report = SuiteReport(name, trials, degree, seed)
+    for check_name, check in CHECKS[name]:
+        rng = random.Random(f"{seed}:{check_name}")
         failure = None
         done = 0
         start, stats = time.perf_counter(), kernel_stats()
-        for t in range(trials):
-            failure = check(rng)
+        for _ in range(trials):
             done += 1
+            try:
+                failure = check(rng, degree)
+            except ExprError as exc:
+                failure = f"{type(exc).__name__}: {exc}"
             if failure:
                 break
         report.results.append(CheckResult(
-            name, done, failure is None, failure,
+            check_name, done, failure is None, failure,
             seconds=time.perf_counter() - start, kernel=_kernel_delta(stats)))
     return report
 
@@ -141,6 +150,9 @@ def _kernel_delta(before: dict[str, int]) -> dict[str, int]:
 
 # ---------------------------------------------------------------------------
 # jets
+
+_JET_CHARTS = [JetChart.make(("x",), ("u",)), JetChart.make(("x", "y"), ("u", "v"))]
+
 
 def _rand_ordinary_field(rng, jc: JetChart, degree: int) -> GeneralizedVectorField:
     """Projectable field on E: base comps in x, fiber comps in (x, u)."""
@@ -166,76 +178,66 @@ def _ordinary_bracket_on_jet(jc: JetChart, a: GeneralizedVectorField,
     return GeneralizedVectorField(jc, comps[:jc.m], comps[jc.m:])
 
 
-def suite_jets(trials: int, degree: int, seed: int) -> SuiteReport:
-    report = SuiteReport("jets", trials, degree, seed)
-    shapes = (("x",), ("u",)), (("x", "y"), ("u", "v"))
-    charts = [JetChart.make(b, f) for b, f in shapes]
+def _holonomic_iso(rng, degree: int) -> str | None:
+    jc = rng.choice(_JET_CHARTS)
+    xi = _rand_ordinary_field(rng, jc, degree)
+    eta = _rand_ordinary_field(rng, jc, degree)
+    lhs = holonomic_part(_ordinary_bracket_on_jet(jc, xi, eta))
+    rhs = prolongation_bracket(holonomic_part(xi), holonomic_part(eta))
+    if not lhs.equals(rhs):
+        return f"xi = {xi}; eta = {eta}; lhs = {lhs}; rhs = {rhs}"
+    return None
 
-    def holonomic_iso(rng):
-        jc = rng.choice(charts)
-        xi = _rand_ordinary_field(rng, jc, degree)
-        eta = _rand_ordinary_field(rng, jc, degree)
-        lhs = holonomic_part(_ordinary_bracket_on_jet(jc, xi, eta))
-        rhs = prolongation_bracket(holonomic_part(xi), holonomic_part(eta))
-        if not lhs.equals(rhs):
-            return f"xi = {xi}; eta = {eta}; lhs = {lhs}; rhs = {rhs}"
-        return None
 
-    def bracket_identity(rng):
-        # stated for projectable fields on E; their V images are jet-linear,
-        # the class on which the bracket closes at first order
-        jc = rng.choice(charts)
-        xi = _rand_ordinary_field(rng, jc, degree)
-        eta = _rand_ordinary_field(rng, jc, degree)
-        lhs = prolongation_bracket(vertical_representative(xi),
-                                   vertical_representative(eta))
-        rhs = vertical_representative(prolongation_bracket(xi, eta)) + \
-            obstruction_form(xi, eta)
-        if not lhs.equals(rhs):
-            return f"xi = {xi}; eta = {eta}"
-        return None
+def _bracket_identity(rng, degree: int) -> str | None:
+    # stated for projectable fields on E; their V images are jet-linear,
+    # the class on which the bracket closes at first order
+    jc = rng.choice(_JET_CHARTS)
+    xi = _rand_ordinary_field(rng, jc, degree)
+    eta = _rand_ordinary_field(rng, jc, degree)
+    lhs = prolongation_bracket(vertical_representative(xi),
+                               vertical_representative(eta))
+    rhs = vertical_representative(prolongation_bracket(xi, eta)) + \
+        obstruction_form(xi, eta)
+    if not lhs.equals(rhs):
+        return f"xi = {xi}; eta = {eta}"
+    return None
 
-    def antisymmetry(rng):
-        jc = rng.choice(charts)
-        picks = (lambda f: f, vertical_representative, holonomic_part)
-        xi = rng.choice(picks)(_rand_ordinary_field(rng, jc, degree))
-        eta = rng.choice(picks)(_rand_ordinary_field(rng, jc, degree))
-        lhs = prolongation_bracket(xi, eta)
-        rhs = prolongation_bracket(eta, xi)
-        if not (lhs + rhs).is_zero():
-            return f"xi = {xi}; eta = {eta}"
-        return None
 
-    def reduces_to_jl(rng):
-        jc = rng.choice(charts)
-        xi = _rand_ordinary_field(rng, jc, degree)
-        eta = _rand_ordinary_field(rng, jc, degree)
-        lhs = prolongation_bracket(xi, eta)
-        rhs = _ordinary_bracket_on_jet(jc, xi, eta)
-        if not lhs.equals(rhs):
-            return f"xi = {xi}; eta = {eta}"
-        return None
+def _antisymmetry(rng, degree: int) -> str | None:
+    jc = rng.choice(_JET_CHARTS)
+    picks = (lambda f: f, vertical_representative, holonomic_part)
+    xi = rng.choice(picks)(_rand_ordinary_field(rng, jc, degree))
+    eta = rng.choice(picks)(_rand_ordinary_field(rng, jc, degree))
+    lhs = prolongation_bracket(xi, eta)
+    rhs = prolongation_bracket(eta, xi)
+    if not (lhs + rhs).is_zero():
+        return f"xi = {xi}; eta = {eta}"
+    return None
 
-    def decomposition(rng):
-        jc = rng.choice(charts)
-        xi = _rand_generalized_field(rng, jc, degree)
-        v, h = vertical_representative(xi), holonomic_part(xi)
-        if not (v + h).equals(xi):
-            return f"xi = {xi}"
-        if not v.is_vertical():
-            return f"V not vertical: {v}"
-        if not holonomic_part(h).equals(h):
-            return f"H not a projector on {xi}"
-        return None
 
-    checks = [
-        ("holonomic-lift-isomorphism", holonomic_iso),
-        ("vertical-bracket-identity", bracket_identity),
-        ("prolongation-bracket-antisymmetry", antisymmetry),
-        ("reduces-to-jacobi-lie", reduces_to_jl),
-        ("holonomic-vertical-decomposition", decomposition),
-    ]
-    return _run_checks(report, checks, trials, seed)
+def _reduces_to_jl(rng, degree: int) -> str | None:
+    jc = rng.choice(_JET_CHARTS)
+    xi = _rand_ordinary_field(rng, jc, degree)
+    eta = _rand_ordinary_field(rng, jc, degree)
+    lhs = prolongation_bracket(xi, eta)
+    rhs = _ordinary_bracket_on_jet(jc, xi, eta)
+    if not lhs.equals(rhs):
+        return f"xi = {xi}; eta = {eta}"
+    return None
+
+
+def _decomposition(rng, degree: int) -> str | None:
+    jc = rng.choice(_JET_CHARTS)
+    xi = _rand_generalized_field(rng, jc, degree)
+    v, h = vertical_representative(xi), holonomic_part(xi)
+    if not (v + h).equals(xi):
+        return f"xi = {xi}"
+    if not v.is_vertical():
+        return f"V not vertical: {v}"
+    if not holonomic_part(h).equals(h):
+        return f"H not a projector on {xi}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -249,129 +251,113 @@ def _vf_equal(a: VectorField, b: VectorField) -> bool:
     return all(expr_equal(p, q) for p, q in zip(a.components, b.components))
 
 
-def suite_lifts(trials: int, degree: int, seed: int) -> SuiteReport:
-    report = SuiteReport("lifts", trials, degree, seed)
+def _bracket_homomorphism(rng, degree: int) -> str | None:
+    cc = rng.choice(_COT_CHARTS)
+    X = rand_vector_field(rng, cc.base, degree)
+    Y = rand_vector_field(rng, cc.base, degree)
+    lhs = complete_cotangent_lift(cc, jacobi_lie_bracket(X, Y))
+    rhs = jacobi_lie_bracket(complete_cotangent_lift(cc, X),
+                             complete_cotangent_lift(cc, Y))
+    if not _vf_equal(lhs, rhs):
+        return f"X = {X}; Y = {Y}"
+    return None
 
-    def bracket_homomorphism(rng):
-        cc = rng.choice(_COT_CHARTS)
-        X = rand_vector_field(rng, cc.base, degree)
-        Y = rand_vector_field(rng, cc.base, degree)
-        lhs = complete_cotangent_lift(cc, jacobi_lie_bracket(X, Y))
-        rhs = jacobi_lie_bracket(complete_cotangent_lift(cc, X),
-                                 complete_cotangent_lift(cc, Y))
-        if not _vf_equal(lhs, rhs):
-            return f"X = {X}; Y = {Y}"
-        return None
 
-    def vertical_homomorphism(rng):
-        cc = rng.choice(_COT_CHARTS)
-        X = rand_vector_field(rng, cc.base, degree)
-        Y = rand_vector_field(rng, cc.base, degree)
-        vxy, _ = lift_decomposition(cc, jacobi_lie_bracket(X, Y))
-        vx, _ = lift_decomposition(cc, X)
-        vy, _ = lift_decomposition(cc, Y)
-        if not prolongation_bracket(vx, vy).equals(vxy):
-            return f"X = {X}; Y = {Y}"
-        return None
+def _vertical_homomorphism(rng, degree: int) -> str | None:
+    cc = rng.choice(_COT_CHARTS)
+    X = rand_vector_field(rng, cc.base, degree)
+    Y = rand_vector_field(rng, cc.base, degree)
+    vxy, _ = lift_decomposition(cc, jacobi_lie_bracket(X, Y))
+    vx, _ = lift_decomposition(cc, X)
+    vy, _ = lift_decomposition(cc, Y)
+    if not prolongation_bracket(vx, vy).equals(vxy):
+        return f"X = {X}; Y = {Y}"
+    return None
 
-    def obstruction_vanishing(rng):
-        cc = rng.choice(_COT_CHARTS)
-        X = rand_vector_field(rng, cc.base, degree)
-        Y = rand_vector_field(rng, cc.base, degree)
-        xi = as_generalized(cc, complete_cotangent_lift(cc, X))
-        eta = as_generalized(cc, complete_cotangent_lift(cc, Y))
-        b = obstruction_form(xi, eta)
-        if not b.is_zero():
-            return f"X = {X}; Y = {Y}; B = {b}"
-        return None
 
-    def momentum_generates(rng):
-        cc = rng.choice(_COT_CHARTS)
-        X = rand_vector_field(rng, cc.base, degree)
-        lhs = hamiltonian_vector_field(cc, momentum_function(cc, X))
-        rhs = complete_cotangent_lift(cc, X)
-        if not _vf_equal(lhs, rhs):
+def _obstruction_vanishing(rng, degree: int) -> str | None:
+    cc = rng.choice(_COT_CHARTS)
+    X = rand_vector_field(rng, cc.base, degree)
+    Y = rand_vector_field(rng, cc.base, degree)
+    xi = as_generalized(cc, complete_cotangent_lift(cc, X))
+    eta = as_generalized(cc, complete_cotangent_lift(cc, Y))
+    b = obstruction_form(xi, eta)
+    if not b.is_zero():
+        return f"X = {X}; Y = {Y}; B = {b}"
+    return None
+
+
+def _momentum_generates(rng, degree: int) -> str | None:
+    cc = rng.choice(_COT_CHARTS)
+    X = rand_vector_field(rng, cc.base, degree)
+    lhs = hamiltonian_vector_field(cc, momentum_function(cc, X))
+    rhs = complete_cotangent_lift(cc, X)
+    if not _vf_equal(lhs, rhs):
+        return f"X = {X}"
+    return None
+
+
+def _preserves_theta(rng, degree: int) -> str | None:
+    cc = rng.choice(_COT_CHARTS)
+    X = rand_vector_field(rng, cc.base, degree)
+    lied = lie_derivative_form(complete_cotangent_lift(cc, X),
+                               cc.tautological_form())
+    if not lied.is_zero():
+        return f"X = {X}; L theta = {lied}"
+    return None
+
+
+def _projection_compatible(rng, degree: int) -> str | None:
+    cc = rng.choice(_COT_CHARTS)
+    X = rand_vector_field(rng, cc.base, degree)
+    lift = complete_cotangent_lift(cc, X)
+    for a in range(cc.m):
+        if not expr_equal(lift.components[a], X.components[a]):
             return f"X = {X}"
-        return None
-
-    def preserves_theta(rng):
-        cc = rng.choice(_COT_CHARTS)
-        X = rand_vector_field(rng, cc.base, degree)
-        lied = lie_derivative_form(complete_cotangent_lift(cc, X),
-                                   cc.tautological_form())
-        if not lied.is_zero():
-            return f"X = {X}; L theta = {lied}"
-        return None
-
-    def projection_compatible(rng):
-        cc = rng.choice(_COT_CHARTS)
-        X = rand_vector_field(rng, cc.base, degree)
-        lift = complete_cotangent_lift(cc, X)
-        for a in range(cc.m):
-            if not expr_equal(lift.components[a], X.components[a]):
-                return f"X = {X}"
-        return None
-
-    checks = [
-        ("cotangent-bracket-homomorphism", bracket_homomorphism),
-        ("vertical-lift-homomorphism", vertical_homomorphism),
-        ("obstruction-vanishing-on-lifts", obstruction_vanishing),
-        ("momentum-function-generates-lift", momentum_generates),
-        ("lift-preserves-tautological-form", preserves_theta),
-        ("projection-compatibility", projection_compatible),
-    ]
-    return _run_checks(report, checks, trials, seed)
+    return None
 
 
 # ---------------------------------------------------------------------------
 # Euler vector field
 
-def suite_euler_field(trials: int, degree: int, seed: int) -> SuiteReport:
-    report = SuiteReport("euler-field", trials, degree, seed)
+def _dilation_identities(rng, degree: int) -> str | None:
+    cc = rng.choice(_COT_CHARTS)
+    xe = euler_vector_field(cc)
+    omega, theta = cc.symplectic_form(), cc.tautological_form()
+    if not (interior_product(xe, omega) - theta).is_zero():
+        return "i_{X_E} Omega != theta"
+    if not (lie_derivative_form(xe, omega) + omega).is_zero():
+        return "L_{X_E} Omega != -Omega"
+    if not (lie_derivative_form(xe, theta) + theta).is_zero():
+        return "L_{X_E} theta != -theta"
+    if any(c != ZERO for c in xe.components[:cc.m]):
+        return "X_E is not vertical"
+    return None
 
-    def dilation_identities(rng):
-        cc = rng.choice(_COT_CHARTS)
-        xe = euler_vector_field(cc)
-        omega, theta = cc.symplectic_form(), cc.tautological_form()
-        if not (interior_product(xe, omega) - theta).is_zero():
-            return "i_{X_E} Omega != theta"
-        if not (lie_derivative_form(xe, omega) + omega).is_zero():
-            return "L_{X_E} Omega != -Omega"
-        if not (lie_derivative_form(xe, theta) + theta).is_zero():
-            return "L_{X_E} theta != -theta"
-        if any(c != ZERO for c in xe.components[:cc.m]):
-            return "X_E is not vertical"
-        return None
 
-    def lift_bracket_vertical(rng):
-        cc = rng.choice(_COT_CHARTS)
-        X = rand_vector_field(rng, cc.base, degree)
-        alpha = rand_one_form(rng, cc.base, degree)
-        lhs = jacobi_lie_bracket(complete_cotangent_lift(cc, X),
-                                 vertical_lift(cc, alpha))
-        rhs = vertical_lift(cc, lie_derivative_form(X, alpha))
-        if not _vf_equal(lhs, rhs):
-            return f"X = {X}; alpha = {alpha}"
-        return None
+def _lift_bracket_vertical(rng, degree: int) -> str | None:
+    cc = rng.choice(_COT_CHARTS)
+    X = rand_vector_field(rng, cc.base, degree)
+    alpha = rand_one_form(rng, cc.base, degree)
+    lhs = jacobi_lie_bracket(complete_cotangent_lift(cc, X),
+                             vertical_lift(cc, alpha))
+    rhs = vertical_lift(cc, lie_derivative_form(X, alpha))
+    if not _vf_equal(lhs, rhs):
+        return f"X = {X}; alpha = {alpha}"
+    return None
 
-    def euler_composition(rng):
-        cc = rng.choice(_COT_CHARTS)
-        alpha = rand_one_form(rng, cc.base, degree)
-        xe = euler_vector_field(cc)
-        bind = {cc.fiber_var(a): alpha.coeff((a,)) for a in range(cc.m)}
-        composed = [substitute(c, bind) for c in xe.components]
-        lifted = vertical_lift(cc, alpha)
-        for got, want in zip(composed, lifted.components):
-            if not expr_equal(got, want):
-                return f"alpha = {alpha}"
-        return None
 
-    checks = [
-        ("euler-field-defining-identities", dilation_identities),
-        ("lift-bracket-with-vertical-lift", lift_bracket_vertical),
-        ("vertical-lift-via-euler-field", euler_composition),
-    ]
-    return _run_checks(report, checks, trials, seed)
+def _euler_composition(rng, degree: int) -> str | None:
+    cc = rng.choice(_COT_CHARTS)
+    alpha = rand_one_form(rng, cc.base, degree)
+    xe = euler_vector_field(cc)
+    bind = {cc.fiber_var(a): alpha.coeff((a,)) for a in range(cc.m)}
+    composed = [substitute(c, bind) for c in xe.components]
+    lifted = vertical_lift(cc, alpha)
+    for got, want in zip(composed, lifted.components):
+        if not expr_equal(got, want):
+            return f"alpha = {alpha}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +373,40 @@ def _rand_params(rng, pc: CotangentChart, degree: int) -> PlasmaParams:
     return PlasmaParams(mass, charge, rand_poly(rng, qvars, degree, 2))
 
 
+def _poisson_isomorphism(rng, degree: int) -> str | None:
+    pc = rng.choice(_PLASMA_CHARTS)
+    h = rand_poly(rng, pc.full.vars, degree, 3)
+    f = rand_poly(rng, pc.full.vars, degree, 3)
+    lhs = jacobi_lie_bracket(hamiltonian_vector_field(pc, h),
+                             hamiltonian_vector_field(pc, f))
+    rhs = hamiltonian_vector_field(pc, canonical_poisson(pc, h, f)).scaled(-1)
+    if not _vf_equal(lhs, rhs):
+        return f"h = {h}; f = {f}"
+    return None
+
+
+def _hamiltonian_div_free(rng, degree: int) -> str | None:
+    pc = rng.choice(_PLASMA_CHARTS)
+    h = rand_poly(rng, pc.full.vars, degree, 3)
+    div = divergence(hamiltonian_vector_field(pc, h), VolumeForm.standard(pc.full))
+    if not expr_equal(div, ZERO):
+        return f"h = {h}; div = {div}"
+    return None
+
+
+def _momentum_matches_coadjoint(rng, degree: int) -> str | None:
+    pc = rng.choice(_PLASMA_CHARTS)
+    params = _rand_params(rng, pc, degree)
+    pi = rand_one_form(rng, pc.full, degree)
+    rate = vlasov_momentum_rhs(pc, pi, params)
+    X_h = hamiltonian_vector_field(pc, plasma_hamiltonian(pc, params))
+    coad = lie_poisson_rhs(X_h, pi, VolumeForm.standard(pc.full))
+    for a in range(2 * pc.m):
+        if not expr_equal(rate.coeff((a,)), coad.coeff((a,))):
+            return f"Pi = {pi}; params m={params.mass} e={params.charge} phi={params.phi}"
+    return None
+
+
 def _plasma_intertwining(rng, degree: int) -> str | None:
     """The plasma density of the Vlasov momentum rate is the density rate."""
     pc = rng.choice(_PLASMA_CHARTS)
@@ -399,141 +419,119 @@ def _plasma_intertwining(rng, degree: int) -> str | None:
     return None
 
 
-def suite_plasma(trials: int, degree: int, seed: int) -> SuiteReport:
-    report = SuiteReport("plasma", trials, degree, seed)
-
-    def poisson_isomorphism(rng):
-        pc = rng.choice(_PLASMA_CHARTS)
-        h = rand_poly(rng, pc.full.vars, degree, 3)
-        f = rand_poly(rng, pc.full.vars, degree, 3)
-        lhs = jacobi_lie_bracket(hamiltonian_vector_field(pc, h),
-                                 hamiltonian_vector_field(pc, f))
-        rhs = hamiltonian_vector_field(pc, canonical_poisson(pc, h, f)).scaled(-1)
-        if not _vf_equal(lhs, rhs):
-            return f"h = {h}; f = {f}"
-        return None
-
-    def hamiltonian_div_free(rng):
-        pc = rng.choice(_PLASMA_CHARTS)
-        h = rand_poly(rng, pc.full.vars, degree, 3)
-        div = divergence(hamiltonian_vector_field(pc, h), VolumeForm.standard(pc.full))
-        if not expr_equal(div, ZERO):
-            return f"h = {h}; div = {div}"
-        return None
-
-    def momentum_matches_coadjoint(rng):
-        pc = rng.choice(_PLASMA_CHARTS)
-        params = _rand_params(rng, pc, degree)
-        pi = rand_one_form(rng, pc.full, degree)
-        rate = vlasov_momentum_rhs(pc, pi, params)
-        X_h = hamiltonian_vector_field(pc, plasma_hamiltonian(pc, params))
-        coad = lie_poisson_rhs(X_h, pi, VolumeForm.standard(pc.full))
-        for a in range(2 * pc.m):
-            if not expr_equal(rate.coeff((a,)), coad.coeff((a,))):
-                return f"Pi = {pi}; params m={params.mass} e={params.charge} phi={params.phi}"
-        return None
-
-    checks = [
-        ("poisson-bracket-isomorphism", poisson_isomorphism),
-        ("hamiltonian-fields-divergence-free", hamiltonian_div_free),
-        ("momentum-rhs-matches-coadjoint", momentum_matches_coadjoint),
-        ("plasma-density-intertwining", lambda rng: _plasma_intertwining(rng, degree)),
-    ]
-    return _run_checks(report, checks, trials, seed)
-
-
 # ---------------------------------------------------------------------------
 # contact
 
 _CS = ContactStructure.standard()
+_DSIGMA = exterior_derivative(_CS.sigma)
+
+
+def _contact_identities(rng, degree: int) -> str | None:
+    K = rand_poly(rng, _CS.chart.vars, degree, 3)
+    X = contact_vector_field(_CS, K)
+    if not expr_equal(pointwise_pairing(_CS.sigma, X), canon(K * -1)):
+        return f"K = {K}: i_X sigma != -K"
+    want = one_form(_CS.chart, tuple(partial(K, v) for v in _CS.chart.vars)) \
+        - _CS.sigma.scaled(partial(K, _CS.z))
+    if not (interior_product(X, _DSIGMA) - want).is_zero():
+        return f"K = {K}: i_X dsigma != dK - (R K) sigma"
+    return None
+
+
+def _divergence_formula(rng, degree: int) -> str | None:
+    K = rand_poly(rng, _CS.chart.vars, degree, 3)
+    div = divergence(contact_vector_field(_CS, K), _CS.vol)
+    if not expr_equal(div, canon(partial(K, _CS.z) * -2)):
+        return f"K = {K}; div = {div}"
+    return None
+
+
+def _bracket_antihomomorphism(rng, degree: int) -> str | None:
+    K = rand_poly(rng, _CS.chart.vars, degree, 3)
+    L = rand_poly(rng, _CS.chart.vars, degree, 3)
+    lhs = jacobi_lie_bracket(contact_vector_field(_CS, K),
+                             contact_vector_field(_CS, L))
+    rhs = contact_vector_field(_CS, contact_bracket(_CS, K, L)).scaled(-1)
+    if not _vf_equal(lhs, rhs):
+        return f"K = {K}; L = {L}"
+    return None
+
+
+def _density_wedge(rng, degree: int) -> str | None:
+    alpha = rand_one_form(rng, _CS.chart, degree)
+    L = contact_density(_CS, alpha)
+    lhs = wedge(exterior_derivative(alpha), _CS.sigma) - \
+        wedge(alpha, _DSIGMA).scaled(2)
+    if not expr_equal(lhs.coeff((0, 1, 2)), L):
+        return f"alpha = {alpha}"
+    return None
+
+
+def _dual_path(rng, degree: int) -> str | None:
+    alpha = rand_one_form(rng, _CS.chart, degree)
+    K = rand_poly(rng, _CS.chart.vars, degree, 3)
+    a = contact_momentum_rhs(_CS, alpha, K)
+    b = contact_momentum_rhs_via_lift(_CS, alpha, K)
+    if not (a - b).is_zero():
+        return f"alpha = {alpha}; K = {K}"
+    return None
 
 
 def _contact_intertwining(rng, degree: int) -> str | None:
     """The contact density of the momentum rate is the density rate."""
-    cs = _CS
-    alpha = rand_one_form(rng, cs.chart, degree)
-    K = rand_poly(rng, cs.chart.vars, degree, 3)
-    lhs = contact_density(cs, contact_momentum_rhs(cs, alpha, K))
-    rhs = contact_density_rhs(cs, contact_density(cs, alpha), K)
+    alpha = rand_one_form(rng, _CS.chart, degree)
+    K = rand_poly(rng, _CS.chart.vars, degree, 3)
+    lhs = contact_density(_CS, contact_momentum_rhs(_CS, alpha, K))
+    rhs = contact_density_rhs(_CS, contact_density(_CS, alpha), K)
     if not expr_equal(lhs, rhs):
         return f"alpha = {alpha}; K = {K}"
     return None
 
 
-def suite_contact(trials: int, degree: int, seed: int) -> SuiteReport:
-    report = SuiteReport("contact", trials, degree, seed)
-    cs = _CS
-    dsigma = exterior_derivative(cs.sigma)
-
-    def contact_identities(rng):
-        K = rand_poly(rng, cs.chart.vars, degree, 3)
-        X = contact_vector_field(cs, K)
-        if not expr_equal(pointwise_pairing(cs.sigma, X), canon(K * -1)):
-            return f"K = {K}: i_X sigma != -K"
-        want = one_form(cs.chart, tuple(partial(K, v) for v in cs.chart.vars)) \
-            - cs.sigma.scaled(partial(K, cs.z))
-        if not (interior_product(X, dsigma) - want).is_zero():
-            return f"K = {K}: i_X dsigma != dK - (R K) sigma"
-        return None
-
-    def divergence_formula(rng):
-        K = rand_poly(rng, cs.chart.vars, degree, 3)
-        div = divergence(contact_vector_field(cs, K), cs.vol)
-        if not expr_equal(div, canon(partial(K, cs.z) * -2)):
-            return f"K = {K}; div = {div}"
-        return None
-
-    def bracket_antihomomorphism(rng):
-        K = rand_poly(rng, cs.chart.vars, degree, 3)
-        L = rand_poly(rng, cs.chart.vars, degree, 3)
-        lhs = jacobi_lie_bracket(contact_vector_field(cs, K),
-                                 contact_vector_field(cs, L))
-        rhs = contact_vector_field(cs, contact_bracket(cs, K, L)).scaled(-1)
-        if not _vf_equal(lhs, rhs):
-            return f"K = {K}; L = {L}"
-        return None
-
-    def density_wedge(rng):
-        alpha = rand_one_form(rng, cs.chart, degree)
-        L = contact_density(cs, alpha)
-        lhs = wedge(exterior_derivative(alpha), cs.sigma) - \
-            wedge(alpha, dsigma).scaled(2)
-        if not expr_equal(lhs.coeff((0, 1, 2)), L):
-            return f"alpha = {alpha}"
-        return None
-
-    def dual_path(rng):
-        alpha = rand_one_form(rng, cs.chart, degree)
-        K = rand_poly(rng, cs.chart.vars, degree, 3)
-        a = contact_momentum_rhs(cs, alpha, K)
-        b = contact_momentum_rhs_via_lift(cs, alpha, K)
-        if not (a - b).is_zero():
-            return f"alpha = {alpha}; K = {K}"
-        return None
-
-    checks = [
-        ("contact-field-defining-identities", contact_identities),
-        ("contact-divergence-is--2Kz", divergence_formula),
-        ("contact-bracket-antihomomorphism", bracket_antihomomorphism),
-        ("density-wedge-consistency", density_wedge),
-        ("momentum-rhs-dual-path-equality", dual_path),
-        ("contact-density-intertwining", lambda rng: _contact_intertwining(rng, degree)),
-    ]
-    return _run_checks(report, checks, trials, seed)
-
-
 # ---------------------------------------------------------------------------
-# intertwining (both momentum maps, heavier sampling)
+# the exact suites: each a row of named checks, in report order
 
-def suite_intertwining(trials: int, degree: int, seed: int) -> SuiteReport:
-    report = SuiteReport("intertwining", trials, degree, seed)
-    checks = [
-        ("contact-momentum-map-intertwining",
-         lambda rng: _contact_intertwining(rng, degree)),
-        ("plasma-momentum-map-intertwining",
-         lambda rng: _plasma_intertwining(rng, degree)),
-    ]
-    return _run_checks(report, checks, trials, seed)
+CHECKS: dict[str, tuple[tuple[str, Check], ...]] = {
+    "jets": (
+        ("holonomic-lift-isomorphism", _holonomic_iso),
+        ("vertical-bracket-identity", _bracket_identity),
+        ("prolongation-bracket-antisymmetry", _antisymmetry),
+        ("reduces-to-jacobi-lie", _reduces_to_jl),
+        ("holonomic-vertical-decomposition", _decomposition),
+    ),
+    "lifts": (
+        ("cotangent-bracket-homomorphism", _bracket_homomorphism),
+        ("vertical-lift-homomorphism", _vertical_homomorphism),
+        ("obstruction-vanishing-on-lifts", _obstruction_vanishing),
+        ("momentum-function-generates-lift", _momentum_generates),
+        ("lift-preserves-tautological-form", _preserves_theta),
+        ("projection-compatibility", _projection_compatible),
+    ),
+    "euler-field": (
+        ("euler-field-defining-identities", _dilation_identities),
+        ("lift-bracket-with-vertical-lift", _lift_bracket_vertical),
+        ("vertical-lift-via-euler-field", _euler_composition),
+    ),
+    "plasma": (
+        ("poisson-bracket-isomorphism", _poisson_isomorphism),
+        ("hamiltonian-fields-divergence-free", _hamiltonian_div_free),
+        ("momentum-rhs-matches-coadjoint", _momentum_matches_coadjoint),
+        ("plasma-density-intertwining", _plasma_intertwining),
+    ),
+    "contact": (
+        ("contact-field-defining-identities", _contact_identities),
+        ("contact-divergence-is--2Kz", _divergence_formula),
+        ("contact-bracket-antihomomorphism", _bracket_antihomomorphism),
+        ("density-wedge-consistency", _density_wedge),
+        ("momentum-rhs-dual-path-equality", _dual_path),
+        ("contact-density-intertwining", _contact_intertwining),
+    ),
+    # both momentum maps, heavier sampling
+    "intertwining": (
+        ("contact-momentum-map-intertwining", _contact_intertwining),
+        ("plasma-momentum-map-intertwining", _plasma_intertwining),
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -620,15 +618,7 @@ def suite_operators_weak(trials: int, degree: int, seed: int) -> SuiteReport:
     return report
 
 
-SUITES: dict[str, Callable[[int, int, int], SuiteReport]] = {
-    "jets": suite_jets,
-    "lifts": suite_lifts,
-    "euler-field": suite_euler_field,
-    "plasma": suite_plasma,
-    "contact": suite_contact,
-    "intertwining": suite_intertwining,
-    "operators-weak": suite_operators_weak,
-}
+SUITES: tuple[str, ...] = (*CHECKS, "operators-weak")
 
 
 def run_suite(name: str, trials: int = 20, degree: int = 3,
@@ -636,7 +626,10 @@ def run_suite(name: str, trials: int = 20, degree: int = 3,
     if name not in SUITES:
         raise KeyError(f"unknown suite '{name}'; choose from {sorted(SUITES)}")
     start, stats = time.perf_counter(), kernel_stats()
-    report = SUITES[name](trials, degree, seed)
+    if name in CHECKS:
+        report = _run_checks(name, trials, degree, seed)
+    else:
+        report = suite_operators_weak(trials, degree, seed)
     report.seconds = time.perf_counter() - start
     report.kernel = _kernel_delta(stats)
     return report

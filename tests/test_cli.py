@@ -172,6 +172,35 @@ class TestVerify:
         assert report["result"] == "FAIL"
         assert report["checks"][0]["counterexample"] == "X = x"
 
+    def test_library_fault_inside_a_check_is_a_verify_failure(self, capsys, monkeypatch):
+        # a fault that makes a check raise an ExprError fails that check;
+        # it is not a config error and prints no traceback
+        from liftlab import jets, verify
+        from liftlab.expr import canon
+
+        vertical_representative = jets.vertical_representative
+
+        def doubled(xi):
+            v = vertical_representative(xi)
+            return jets.GeneralizedVectorField(
+                v.jet_chart, v.base_components,
+                tuple(canon(c * 2) for c in v.fiber_components))
+
+        for module in (jets, verify):
+            monkeypatch.setattr(module, "vertical_representative", doubled)
+        argv = ("verify", "--suite", "jets", "--trials", "2")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, "")
+        assert ("  [FAIL] vertical-bracket-identity (1 trials)\n"
+                "         counterexample: JetConsistencyError: second-jet "
+                "variables did not cancel in the bracket: u_xx, u_xy, u_yy\n") in out
+        assert out.endswith("RESULT: FAIL\n")
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        assert report["result"] == "FAIL"
+        assert report["checks"][1]["counterexample"].startswith("JetConsistencyError: ")
+
     def test_json_report_times_each_check(self, capsys):
         argv = ("verify", "--suite", "lifts", "--trials", "2", "--seed", "4")
         code, text, _ = run(capsys, *argv)
@@ -207,6 +236,7 @@ class TestVerify:
     @pytest.mark.parametrize("suite, flag, value, message", [
         ("operators-weak", "--trials", "0", "--trials must be at least 1, got 0"),
         ("jets", "--trials", "-1", "--trials must be at least 1, got -1"),
+        ("jets", "--trials", "0", "--trials must be at least 1, got 0"),
         ("contact", "--degree", "-1", "--degree must be at least 0, got -1"),
     ])
     def test_out_of_range_count_is_config_error(self, capsys, suite, flag, value, message):
