@@ -23,7 +23,9 @@ and fields up in one module-level table, so one structure is one object.
 Equality is identity, and the hash is structural, computed once when the
 node is made.  Its rationality and free variables are set from its
 operands when it is interned; its canonical form is memoized in a slot
-on first use.  The table and the memos live as long as the process.
+on first use.  The table and the memos live as long as the process,
+except inside a ``scope``: on exit it undoes the memo writes made on
+older nodes and drops the nodes interned since it was entered.
 
 A canonical form is a constant, a variable or a power of one variable,
 kept as the plain node, or else a canonical node of its own: a
@@ -55,12 +57,14 @@ builds a node's result from its children's, run by one loop over
 so a shared subtree is walked once.  No walk iterates a set of nodes, so
 no output depends on their hashes.
 
-Everything here is immutable and safe to share across threads.
+Everything here is immutable and safe to share across threads, except
+``scope``, which is single-threaded.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
@@ -120,9 +124,54 @@ Number = Union[int, Fraction]
 # structure.  A Const is keyed by its numerator and denominator.
 _TABLE: dict[tuple, "Expr"] = {}
 _set = object.__setattr__
+_nodes_interned = 0
+
+# The trail of the innermost ``scope``: (node, slot, old value) for each
+# memo slot written, and (memo dict, key, None) for each entry added to a
+# ``_d`` dict; None outside every scope.
+_TRAIL: list | None = None
+
+
+def _memo(node: "Expr", name: str, value) -> None:
+    """Write memo slot ``name`` of ``node``, logged on the trail in a scope."""
+    if _TRAIL is not None:
+        _TRAIL.append((node, name, getattr(node, name)))
+    _set(node, name, value)
+
+
+@contextmanager
+def scope():
+    """A region of the intern table: on exit, every memo written on a node
+    inside it is undone, in reverse, and the table is popped back to its
+    size on entry.  That is exact because nothing deletes from the table
+    and a dict pops in reverse insertion order.
+
+    A node made inside the scope must not be used after it: it is no
+    longer the interned node, so ``==`` is False against a rebuilt equal
+    one.  Scopes nest.  The trail is one module-level list, so a scope is
+    single-threaded: no other thread may use the kernel while it is open.
+    The trail is the one of Warren's abstract machine (Aït-Kaci, *Warren's
+    Abstract Machine*, 1991); the scope is a region (Tofte & Talpin,
+    *Region-based memory management*, Inf. Comput. 132, 1997).
+    """
+    global _TRAIL
+    mark, outer = len(_TABLE), _TRAIL
+    _TRAIL = trail = []
+    try:
+        yield
+    finally:
+        _TRAIL = outer
+        for target, name, old in reversed(trail):
+            if type(target) is dict:
+                del target[name]
+            else:
+                _set(target, name, old)
+        while len(_TABLE) > mark:
+            _TABLE.popitem()
 
 
 def _intern(cls: type, key: tuple, fields: tuple) -> "Expr":
+    global _nodes_interned
     node = _TABLE.get(key)
     if node is None:
         node = object.__new__(cls)
@@ -149,7 +198,9 @@ def _intern(cls: type, key: tuple, fields: tuple) -> "Expr":
             _set(node, name, None)
         # setdefault: of two threads making one structure, both get the
         # node that entered the table first
-        node = _TABLE.setdefault(key, node)
+        new, node = node, _TABLE.setdefault(key, node)
+        if node is new:
+            _nodes_interned += 1
     return node
 
 
@@ -163,7 +214,9 @@ class Expr:
     canonical form, memoized on first use.  A canonical form keeps
     ``_rf``, its ``(axes, num, den)``, and ``_d``, a dict from a ``VarId``
     to its partial derivative, filled on first use.  The stored
-    polynomials are shared and must never be mutated.
+    polynomials are shared and must never be mutated.  Every memo write
+    goes through ``_memo`` (and every ``_d`` entry added is logged), so a
+    ``scope`` can undo the writes made inside it.
     """
 
     __slots__ = ("_hash", "_rat", "_fv", "_canon", "_rf", "_d")
@@ -613,7 +666,7 @@ def _canonical_node(axes: tuple[VarId, ...], num: Poly, den: Poly) -> Expr:
     which keeps ``(axes, num, den)`` when it is new as a canonical form;
     any other form is the canonical node interned on them, with no tree.
     """
-    global _canonical_forms
+    global _canonical_forms, _nodes_interned
     # drop axes that cancelled away so the form is support-minimal
     used = [i for i in range(len(axes))
             if any(m[i] for m in num) or any(m[i] for m in den)]
@@ -635,8 +688,8 @@ def _canonical_node(axes: tuple[VarId, ...], num: Poly, den: Poly) -> Expr:
     if cls is None:
         c = _poly_to_expr(num, axes)
         if c._canon is None:
-            _set(c, "_rf", (axes, num, den))
-            _set(c, "_canon", c)
+            _memo(c, "_rf", (axes, num, den))
+            _memo(c, "_canon", c)
             _canonical_forms += 1
         return c
     key = ("canonical", axes, frozenset(num.items()), frozenset(den.items()))
@@ -651,6 +704,7 @@ def _canonical_node(axes: tuple[VarId, ...], num: Poly, den: Poly) -> Expr:
         node = _TABLE.setdefault(key, c)
         if node is c:
             _canonical_forms += 1
+            _nodes_interned += 1
         c = node
     return c
 
@@ -666,8 +720,8 @@ def _tree_of(c: Expr) -> Expr:
         if type(c) is CanonicalQuot:
             t = Quot(t, _poly_to_expr(den, axes))
         if t._canon is None:
-            _set(t, "_canon", c)
-        _set(c, "_tree", t)
+            _memo(t, "_canon", c)
+        _memo(c, "_tree", t)
         _canonical_trees += 1
     return t
 
@@ -696,29 +750,31 @@ def canonicalize(e: Expr) -> Expr:
     else:
         num, den = _rf_normalize(num, den)
     c = _canonical_node(axes, num, den)
-    _set(e, "_canon", c)
+    _memo(e, "_canon", c)
     return c
 
 
 def kernel_stats() -> dict[str, int]:
     """Work counters of the kernel since the process started.
 
-    ``nodes`` is the size of the intern table, ``canonical_forms`` the
-    number of nodes holding a canonical form, ``canonical_trees`` the
-    number of canonical nodes whose tree was built because something read
-    it (each is built once), ``canonicalize_calls`` the
-    calls of ``canonicalize`` and ``canonicalize_computed`` those that
-    were not answered from a node's memo.  ``partial_calls`` counts the
-    calls of ``partial`` and ``partial_computed`` the derivatives it
-    computed: rational ones not found in a node's memo, and every
-    numeric-only one.  ``ratfunc_nodes`` counts the tree nodes the
+    ``nodes`` counts the nodes interned, ``canonical_forms`` the nodes
+    that came to hold a canonical form, ``canonical_trees`` the trees of
+    canonical nodes built because something read them,
+    ``canonicalize_calls`` the calls of ``canonicalize`` and
+    ``canonicalize_computed`` those that were not answered from a node's
+    memo.  ``partial_calls`` counts the calls of ``partial`` and
+    ``partial_computed`` the derivatives it computed: rational ones not
+    found in a node's memo, and every numeric-only one.  A ``scope`` gives
+    back nodes and memos but no count, so every count only grows, and
+    work that a scope undid counts again when it is redone.
+    ``ratfunc_nodes`` counts the tree nodes the
     rational-function evaluator behind ``canonicalize`` visits: a
     canonical subtree counts as one node, and a product's constants,
     variables and positive powers of variables are folded into it
     without a visit of their own.  The counts are plain integer
     increments without a lock: threads working at once may lose a few.
     """
-    return {"nodes": len(_TABLE), "canonical_forms": _canonical_forms,
+    return {"nodes": _nodes_interned, "canonical_forms": _canonical_forms,
             "canonical_trees": _canonical_trees,
             "canonicalize_calls": _canonicalize_calls,
             "canonicalize_computed": _canonicalize_computed,
@@ -809,7 +865,7 @@ def partial(e: Expr, v: VarId) -> Expr:
     memo = c._d
     if memo is None:
         memo = {}
-        _set(c, "_d", memo)
+        _memo(c, "_d", memo)
     d = memo.get(v)
     if d is None:
         _partial_computed += 1
@@ -823,6 +879,8 @@ def partial(e: Expr, v: VarId) -> Expr:
                          poly.mul(num, _poly_diff(den, i))),
                 poly.mul(den, den))
         d = memo[v] = _canonical_node(axes, *rf)
+        if _TRAIL is not None:
+            _TRAIL.append((memo, v, None))
     return d
 
 

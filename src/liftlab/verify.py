@@ -24,7 +24,7 @@ from typing import Callable
 
 from .expr import (
     Call, Expr, ExprError, Var, ZERO, canon, expr_equal, kernel_stats, partial,
-    substitute,
+    scope, substitute,
 )
 from .geometry import (
     Chart, VectorField, VolumeForm, divergence, exterior_derivative,
@@ -132,10 +132,13 @@ def _run_checks(name: str, trials: int, degree: int, seed: int) -> SuiteReport:
         start, stats = time.perf_counter(), kernel_stats()
         for _ in range(trials):
             done += 1
-            try:
-                failure = check(rng, degree)
-            except ExprError as exc:
-                failure = f"{type(exc).__name__}: {exc}"
+            # a trial gives back the nodes it made: it returns only text,
+            # and an error is formatted before the scope drops its nodes
+            with scope():
+                try:
+                    failure = check(rng, degree)
+                except ExprError as exc:
+                    failure = f"{type(exc).__name__}: {exc}"
             if failure:
                 break
         report.results.append(CheckResult(
@@ -537,10 +540,9 @@ CHECKS: dict[str, tuple[tuple[str, Check], ...]] = {
 # ---------------------------------------------------------------------------
 # weak operator probes under torus quadrature
 
-def _window(cs: ContactStructure) -> Expr:
-    """((1 - cos x)/2)^4: kills x-seam boundary terms to high order."""
-    x = Var(cs.x)
-    return ((1 - Call("cos", x)) / 2) ** 4
+# ((1 - cos x)/2)^4: kills x-seam boundary terms to high order; built
+# once, outside every trial's scope
+_WINDOW = ((1 - Call("cos", Var(_CS.x))) / 2) ** 4
 
 
 def _windowed_trig(rng, cs: ContactStructure, window: Expr) -> Expr:
@@ -560,7 +562,7 @@ def suite_operators_weak(trials: int, degree: int, seed: int) -> SuiteReport:
                          informational=True)
     cs = _CS
     grid = Grid(3, WEAK_PROBE_N)
-    w = _window(cs)
+    w = _WINDOW
     names = ("pairing-duality", "momentum-operator-weak",
              "momentum-display-sign", "density-operator-weak",
              "operator-relation")
@@ -573,36 +575,37 @@ def suite_operators_weak(trials: int, degree: int, seed: int) -> SuiteReport:
         return abs(a - b) / (1.0 + max(abs(a), abs(b)))
 
     for _ in range(trials):
-        H = _windowed_trig(rng, cs, w)
-        K = _windowed_trig(rng, cs, w)
-        alpha = one_form(cs.chart, tuple(_windowed_trig(rng, cs, w) for _ in range(3)))
-        L = contact_density(cs, alpha)
-        X_H = contact_vector_field(cs, H)
-        X_K = contact_vector_field(cs, K)
+        with scope():       # the trial keeps only floats
+            H = _windowed_trig(rng, cs, w)
+            K = _windowed_trig(rng, cs, w)
+            alpha = one_form(cs.chart, tuple(_windowed_trig(rng, cs, w) for _ in range(3)))
+            L = contact_density(cs, alpha)
+            X_H = contact_vector_field(cs, H)
+            X_K = contact_vector_field(cs, K)
 
-        # <alpha, X_K> integrates to K against the density
-        i1 = _probe_quadrature(cs, pointwise_pairing(alpha, X_K), grid)
-        i2 = _probe_quadrature(cs, canon(K * L), grid)
-        pairs["pairing-duality"].append((i1, i2))
+            # <alpha, X_K> integrates to K against the density
+            i1 = _probe_quadrature(cs, pointwise_pairing(alpha, X_K), grid)
+            i2 = _probe_quadrature(cs, canon(K * L), grid)
+            pairs["pairing-duality"].append((i1, i2))
 
-        # momentum-layer operator: int <X_H, J(alpha) X_K> against the
-        # Lie-Poisson bracket -int <alpha, [X_H, X_K]>
-        jx = hamiltonian_operator_momentum(cs, alpha, X_K)
-        pair_j = _probe_quadrature(cs, pointwise_pairing(jx, X_H), grid)
-        pair_br = _probe_quadrature(
-            cs, pointwise_pairing(alpha, jacobi_lie_bracket(X_H, X_K)), grid)
-        pairs["momentum-operator-weak"].append((pair_j, -pair_br))
-        # the defining display writes a minus in front of both integrals;
-        # taken verbatim the two sides differ by exactly that overall sign
-        pairs["momentum-display-sign"].append((-pair_j, -pair_br))
+            # momentum-layer operator: int <X_H, J(alpha) X_K> against the
+            # Lie-Poisson bracket -int <alpha, [X_H, X_K]>
+            jx = hamiltonian_operator_momentum(cs, alpha, X_K)
+            pair_j = _probe_quadrature(cs, pointwise_pairing(jx, X_H), grid)
+            pair_br = _probe_quadrature(
+                cs, pointwise_pairing(alpha, jacobi_lie_bracket(X_H, X_K)), grid)
+            pairs["momentum-operator-weak"].append((pair_j, -pair_br))
+            # the defining display writes a minus in front of both integrals;
+            # taken verbatim the two sides differ by exactly that overall sign
+            pairs["momentum-display-sign"].append((-pair_j, -pair_br))
 
-        # density-layer operator against the density Lie-Poisson bracket
-        d1 = _probe_quadrature(cs, canon(H * hamiltonian_operator_density(cs, L, K)), grid)
-        d2 = _probe_quadrature(cs, canon(L * contact_bracket(cs, H, K)), grid)
-        pairs["density-operator-weak"].append((d1, d2))
+            # density-layer operator against the density Lie-Poisson bracket
+            d1 = _probe_quadrature(cs, canon(H * hamiltonian_operator_density(cs, L, K)), grid)
+            d2 = _probe_quadrature(cs, canon(L * contact_bracket(cs, H, K)), grid)
+            pairs["density-operator-weak"].append((d1, d2))
 
-        # relation between the two printed operators
-        pairs["operator-relation"].append((d1, -pair_j))
+            # relation between the two printed operators
+            pairs["operator-relation"].append((d1, -pair_j))
 
     for name in names:
         rs = [rel(a, b) for a, b in pairs[name]]

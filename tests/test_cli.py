@@ -220,6 +220,15 @@ class TestVerify:
         assert report["kernel"]["canonicalize_calls"] == sum(
             c["kernel"]["canonicalize_calls"] for c in report["checks"])
 
+    def test_json_report_counts_the_nodes_each_check_interned(self, capsys):
+        # each trial gives its nodes back, but the count of nodes interned
+        # only grows, so a check that builds expressions shows a delta
+        code, out, _ = run(capsys, "verify", "--suite", "jets", "--trials", "1", "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert all(c["kernel"]["nodes"] > 0 for c in report["checks"])
+        assert report["kernel"]["nodes"] >= sum(c["kernel"]["nodes"] for c in report["checks"])
+
     def test_json_report_of_the_weak_suite_times_the_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "operators-weak",
                            "--trials", "1", "--seed", "3", "--json")
@@ -438,6 +447,105 @@ class TestSim:
                            "--diag", str(tmp_path / "d.csv"))
         assert code == 2
         assert "model 'contact-density' takes no params" in err
+
+
+# ---------------------------------------------------------------------------
+# the exact stdout of lift, bracket and density: rows with a rational field
+# take the canonical route, rows with sin/cos/exp the folded numeric-only one
+
+PINNED = {
+    "lift-polynomial": (("lift", "--field", "x^2-y,x*y", "--vars", "x,y"),
+        "chart: base (x, y), fibers (y_x, y_y)\n"
+        "X^c* = (x^2 - y) * d/dx + (x*y) * d/dy + ((-2)*x*y_x - y*y_y) * d/dy_x + "
+        "(-x*y_y + y_x) * d/dy_y\n"
+        "V X^c* = (-x^2*y_x_x - x*y*y_x_y + (-2)*x*y_x - y*y_y + y*y_x_x) * d/dy_x + "
+        "(-x^2*y_y_x - x*y*y_y_y - x*y_y + y*y_y_x + y_x) * d/dy_y\n"
+        "H X^c* = (x^2 - y) * d/dx + (x*y) * d/dy + (x^2*y_x_x + x*y*y_x_y - y*y_x_x) * "
+        "d/dy_x + (x^2*y_y_x + x*y*y_y_y - y*y_y_x) * d/dy_y\n"),
+    "lift-rational": (("lift", "--field", "x/(1+y^2),x*y", "--vars", "x,y"),
+        "chart: base (x, y), fibers (y_x, y_y)\n"
+        "X^c* = (x/(y^2 + 1)) * d/dx + (x*y) * d/dy + ((-y^3*y_y - y*y_y - y_x)/(y^2 + "
+        "1)) * d/dy_x + ((-x*y^4*y_y + (-2)*x*y^2*y_y + 2*x*y*y_x - x*y_y)/(y^4 + 2*y^2 "
+        "+ 1)) * d/dy_y\n"
+        "V X^c* = ((-x*y^3*y_x_y - y^3*y_y - x*y*y_x_y - x*y_x_x - y*y_y - y_x)/(y^2 + "
+        "1)) * d/dy_x + ((-x*y^5*y_y_y - x*y^4*y_y + (-2)*x*y^3*y_y_y + (-2)*x*y^2*y_y - "
+        "x*y^2*y_y_x + 2*x*y*y_x - x*y*y_y_y - x*y_y - x*y_y_x)/(y^4 + 2*y^2 + 1)) * "
+        "d/dy_y\n"
+        "H X^c* = (x/(y^2 + 1)) * d/dx + (x*y) * d/dy + ((x*y^3*y_x_y + x*y*y_x_y + "
+        "x*y_x_x)/(y^2 + 1)) * d/dy_x + ((x*y^3*y_y_y + x*y*y_y_y + x*y_y_x)/(y^2 + 1)) "
+        "* d/dy_y\n"),
+    "lift-three-axes": (("lift", "--field", "y*z,x*z,x*y", "--vars", "x,y,z"),
+        "chart: base (x, y, z), fibers (y_x, y_y, y_z)\n"
+        "X^c* = (y*z) * d/dx + (x*z) * d/dy + (x*y) * d/dz + (-y*y_z - z*y_y) * d/dy_x + "
+        "(-x*y_z - z*y_x) * d/dy_y + (-x*y_y - y*y_x) * d/dy_z\n"
+        "V X^c* = (-x*y*y_x_z - x*z*y_x_y - y*z*y_x_x - y*y_z - z*y_y) * d/dy_x + "
+        "(-x*y*y_y_z - x*z*y_y_y - y*z*y_y_x - x*y_z - z*y_x) * d/dy_y + (-x*y*y_z_z - "
+        "x*z*y_z_y - y*z*y_z_x - x*y_y - y*y_x) * d/dy_z\n"
+        "H X^c* = (y*z) * d/dx + (x*z) * d/dy + (x*y) * d/dz + (x*y*y_x_z + x*z*y_x_y + "
+        "y*z*y_x_x) * d/dy_x + (x*y*y_y_z + x*z*y_y_y + y*z*y_y_x) * d/dy_y + (x*y*y_z_z "
+        "+ x*z*y_z_y + y*z*y_z_x) * d/dy_z\n"),
+    "lift-trig": (("lift", "--field", "sin(x)*y,cos(y)", "--vars", "x,y"),
+        "chart: base (x, y), fibers (y_x, y_y)\n"
+        "X^c* = (y*sin(x)) * d/dx + (cos(y)) * d/dy + (-y*y_x*cos(x)) * d/dy_x + "
+        "(-y_x*sin(x) + y_y*sin(y)) * d/dy_y\n"
+        "V X^c* = (-y*y_x*cos(x) - y*y_x_x*sin(x) - y_x_y*cos(y)) * d/dy_x + "
+        "(-y_x*sin(x) + y_y*sin(y) - y*y_y_x*sin(x) - y_y_y*cos(y)) * d/dy_y\n"
+        "H X^c* = (y*sin(x)) * d/dx + (cos(y)) * d/dy + (y*y_x_x*sin(x) + y_x_y*cos(y)) "
+        "* d/dy_x + (y*y_y_x*sin(x) + y_y_y*cos(y)) * d/dy_y\n"),
+    "lift-exp-over-rational": (("lift", "--field", "exp(x)/(1+x^2)", "--vars", "x"),
+        "chart: base (x), fibers (y_x)\n"
+        "X^c* = (exp(x)/(x^2 + 1)) * d/dx + (-y_x*(((x^2 + 1)*exp(x) + "
+        "(-2)*x*exp(x))/(x^4 + 2*x^2 + 1))) * d/dy_x\n"
+        "V X^c* = (-y_x*(((x^2 + 1)*exp(x) + (-2)*x*exp(x))/(x^4 + 2*x^2 + 1)) - "
+        "y_x_x*(exp(x)/(x^2 + 1))) * d/dy_x\n"
+        "H X^c* = (exp(x)/(x^2 + 1)) * d/dx + (y_x_x*(exp(x)/(x^2 + 1))) * d/dy_x\n"),
+    "jl-rational": (("bracket", "--type", "jl", "--a", "x/(1+y),y^2", "--b", "y,x^2",
+                     "--vars", "x,y"),
+        "[a, b] = ((y^4 + x^3 + 2*y^3 - y)/(y^2 + 2*y + 1)) * d/dx + (((-2)*x^2*y^2 + "
+        "(-2)*x^2*y + 2*x^2)/(y + 1)) * d/dy\n"),
+    "jl-trig": (("bracket", "--type", "jl", "--a", "sin(y),0", "--b", "0,cos(x)", "--vars",
+                 "x,y"),
+        "[a, b] = (-cos(x)*cos(y)) * d/dx + (-sin(y)*sin(x)) * d/dy\n"),
+    "pro-rational": (("bracket", "--type", "pro", "--a", "x ; u*u_x", "--b",
+                      "1 ; u^2/(1+x^2)", "--vars", "x", "--fibers", "u"),
+        "[a, b]_pro = (-1) * d/dx + ((-x^2*u^2*u_x + (-2)*x^2*u^2 + 2*x*u^3 - "
+        "u^2*u_x)/(x^4 + 2*x^2 + 1)) * d/du\n"),
+    "pro-two-fibers": (("bracket", "--type", "pro", "--a", "x*y, y ; u*v, x+v", "--b",
+                        "1, x ; v^2, u*y", "--vars", "x,y", "--fibers", "u,v"),
+        "[a, b]_pro = (-x^2 - y) * d/dx + (x*y - x) * d/dy + (-y*u^2 - v^3 + 2*x*v + "
+        "2*v^2) * d/du + (y*u*v - 1) * d/dv\n"),
+    "pro-trig": (("bracket", "--type", "pro", "--a", "sin(x) ; u*cos(u_x)", "--b",
+                  "1 ; exp(u)", "--vars", "x", "--fibers", "u"),
+        "[a, b]_pro = (-cos(x)) * d/dx + (u*cos(u_x)*exp(u) - (exp(u)*cos(u_x) - "
+        "u*u_x*exp(u)*sin(u_x))) * d/du\n"),
+    "contact-rational": (("bracket", "--type", "contact", "--a", "x*y/(1+z^2)", "--b",
+                          "z-x^2"),
+        "{a, b}_c = (2*x^3*y*z + 2*x^2*z^2 + 2*x*y*z^2 + 2*x^2)/(z^4 + 2*z^2 + 1)\n"),
+    "contact-trig": (("bracket", "--type", "contact", "--a", "sin(x)*z", "--b", "exp(y)"),
+        "{a, b}_c = z*cos(x)*exp(y) - sin(x)*exp(y)\n"),
+    "canonical-rational": (("bracket", "--type", "canonical", "--a", "q1*p2/(1+q2^2)",
+                            "--b", "p1^2+q1*p2", "--vars", "q1,q2,p1,p2"),
+        "{a, b} = ((-2)*q1^2*q2*p2 + 2*q2^2*p1*p2 + 2*p1*p2)/(q2^4 + 2*q2^2 + 1)\n"),
+    "canonical-trig": (("bracket", "--type", "canonical", "--a", "cos(q)*p", "--b",
+                        "sin(p)", "--vars", "q,p"),
+        "{a, b} = -p*sin(q)*cos(p)\n"),
+    "contact-alpha-rational": (("density", "--contact-alpha", "y/(1+x^2);x*z;1+y"),
+        "L = ((-2)*x^2*y + x^2*z + (-2)*x^2 + (-2)*y + z - 3)/(x^2 + 1)\n"),
+    "contact-alpha-trig": (("density", "--contact-alpha", "sin(y);cos(x);exp(z)"),
+        "L = -sin(x) - cos(y) + (-2)*exp(z)\n"),
+    "plasma-pi-rational": (("density", "--plasma-pi", "p^2;q/(1+p^2)"),
+        "f = ((-2)*p^3 + (-2)*p + 1)/(p^2 + 1)\n"),
+    "plasma-pi-trig": (("density", "--plasma-pi", "p*cos(q);q*sin(p)"),
+        "f = sin(p) - cos(q)\n"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_pinned_output(capsys, name):
+    argv, expected = PINNED[name]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == expected
 
 
 # ---------------------------------------------------------------------------

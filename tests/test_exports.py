@@ -85,3 +85,11 @@ def test_rk4_step_is_called_only_by_march():
     src = Path(liftlab.__file__).parent
     assert set().union(*(_callers(path, "rk4_step") for path in src.glob("*.py"))) \
         == {"grid.march"}
+
+
+def test_scope_is_entered_only_by_verify_trials():
+    # a node made in a scope is dropped on exit, so only callers that keep
+    # no node past it may open one
+    src = Path(liftlab.__file__).parent
+    assert set().union(*(_callers(path, "scope") for path in src.glob("*.py"))) \
+        == {"verify._run_checks", "verify.suite_operators_weak"}

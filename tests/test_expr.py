@@ -1,6 +1,7 @@
 """Expression kernel: canonical forms, calculus, numeric evaluation."""
 
 import copy
+import gc
 import math
 import pickle
 import random
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liftlab import expr
 from liftlab.expr import (
     Call, Const, EvaluationDomainError, ExprError, Pow, Prod, Quot, Sum,
     SymbolicDivisionError, UnboundVariableError, UnsupportedClassError, Var,
@@ -21,7 +23,7 @@ from liftlab.expr import (
 )
 from liftlab.grid import compile_numeric
 from liftlab.parser import parse_expr
-from liftlab.verify import run_suite
+from liftlab.verify import CHECKS, SUITES, run_suite
 
 X, Y, Z, W = (VarId(n, i) for i, n in enumerate("xyzw"))
 VARS = [X, Y, Z, W]
@@ -436,22 +438,112 @@ class TestInterning:
         for other in results[1:]:
             assert all(a is b for a, b in zip(first, other, strict=True))
 
-    def test_repeated_suite_adds_no_nodes_and_no_canonical_work(self):
-        run_suite("lifts", 2, 3, 77)
-        before = kernel_stats()
-        run_suite("lifts", 2, 3, 77)
-        after = kernel_stats()
-        assert after["nodes"] == before["nodes"]
-        assert after["canonicalize_computed"] == before["canonicalize_computed"]
-        assert after["canonicalize_calls"] > before["canonicalize_calls"]
+    @pytest.mark.parametrize("suite", ["jets", "lifts"])
+    def test_repeated_work_in_one_scope_adds_no_node_and_no_work(self, suite):
+        def work():
+            for check_name, check in CHECKS[suite]:
+                check(random.Random(f"77:{check_name}"), 3)
 
-    def test_repeated_suite_computes_no_new_derivative(self):
-        run_suite("jets", 2, 3, 77)
-        before = kernel_stats()
-        run_suite("jets", 2, 3, 77)
-        after = kernel_stats()
-        assert after["partial_computed"] == before["partial_computed"]
+        size = len(expr._TABLE)
+        with expr.scope():
+            work()
+            before, first = kernel_stats(), len(expr._TABLE)
+            work()
+            after, second = kernel_stats(), len(expr._TABLE)
+        assert second == first and len(expr._TABLE) == size
+        for counter in ("nodes", "canonicalize_computed", "partial_computed"):
+            assert after[counter] == before[counter]
+        assert after["canonicalize_calls"] > before["canonicalize_calls"]
         assert after["partial_calls"] > before["partial_calls"]
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_run_suite_leaves_the_table_as_it_found_it(self, suite):
+        size = len(expr._TABLE)
+        run_suite(suite, 1, 3, 77)
+        assert len(expr._TABLE) == size
+
+
+def _memos(node):
+    """Every memo slot of ``node``, with a copy of its ``_d`` entries."""
+    tree = node._tree if type(node) in expr._CANONICAL else None
+    return node._canon, node._rf, tree, node._d is None, dict(node._d or {})
+
+
+class TestScope:
+    """``expr.scope`` pops the table to its size on entry and undoes the
+    memo writes made inside it on older nodes."""
+
+    def test_memos_of_older_nodes_are_restored(self):
+        a, b, c = (VarId(f"scope_memo_{i}", i) for i in range(3))
+        plain = Var(a) + Var(b)                 # no canonical form yet
+        lone = Var(c)                           # not a canonical form yet
+        fresh = canonicalize(Var(a) * Var(b) + Var(c))  # _d and _tree unset
+        known = canonicalize(Var(a) * Var(b) + 1)
+        known_da = partial(known, a)            # one _d entry
+        older = [plain, lone, fresh, known]
+        before = [_memos(n) for n in older]
+        size = len(expr._TABLE)
+        with expr.scope():
+            canonicalize(plain)
+            canonicalize(lone)
+            partial(fresh, a)
+            partial(known, b)
+            fresh.terms
+            known.terms
+            assert len(expr._TABLE) > size
+        assert len(expr._TABLE) == size
+        assert [_memos(n) for n in older] == before
+        assert plain._canon is None and lone._canon is lone._rf is None
+        assert fresh._d is None and fresh._tree is None and known._tree is None
+        assert known._d == {a: known_da}
+
+    def test_an_error_inside_restores_table_and_memos(self):
+        a, b = VarId("scope_error_a", 0), VarId("scope_error_b", 1)
+        node = canonicalize(Var(a) * Var(b) + Var(a))
+        size, before = len(expr._TABLE), _memos(node)
+        with pytest.raises(SymbolicDivisionError):
+            with expr.scope():
+                partial(node, a)
+                canonicalize(node / (Var(b) - Var(b)))
+        assert len(expr._TABLE) == size
+        assert _memos(node) == before
+
+    def test_nested_scopes_restore_in_order(self):
+        a, b = VarId("scope_nest_a", 0), VarId("scope_nest_b", 1)
+        node = canonicalize(Var(a) * Var(b) + Var(b))
+        size, before = len(expr._TABLE), _memos(node)
+        with expr.scope():
+            d_a = partial(node, a)
+            outer_size, outer = len(expr._TABLE), _memos(node)
+            with expr.scope():
+                partial(node, b)
+                node.terms
+                assert partial(node, a) is d_a
+                canonicalize(Var(a) * Var(b) * Var(b) + 1)
+                assert len(expr._TABLE) > outer_size
+            assert len(expr._TABLE) == outer_size
+            assert _memos(node) == outer and node._d == {a: d_a}
+        assert len(expr._TABLE) == size
+        assert _memos(node) == before
+
+
+def _interned_key(node):
+    """The intern-table key of ``node``."""
+    if type(node) in expr._CANONICAL:
+        axes, num, den = node._rf
+        return ("canonical", axes, frozenset(num.items()), frozenset(den.items()))
+    if type(node) is Const:
+        return ("Const", node.value.numerator, node.value.denominator)
+    return (type(node).__name__, *(getattr(node, s) for s in type(node).__slots__))
+
+
+def test_no_node_escapes_a_verify_trial():
+    for suite in SUITES:
+        run_suite(suite, 2, 3, 0)
+    gc.collect()
+    strays = [o for o in gc.get_objects()
+              if isinstance(o, expr.Expr) and expr._TABLE.get(_interned_key(o)) is not o]
+    assert strays == []
 
 
 POINTS = st.fixed_dictionaries({
