@@ -25,7 +25,7 @@ def main() -> None:
     args = ap.parse_args()
 
     cfg = SimConfig(model="contact-density", n=args.n, dt=1e-3, steps=1,
-                    expr="z", init=(L0,))
+                    K="z", init=(L0,))
     dts = (2e-3, 1e-3, 5e-4)
     t_order, diffs = temporal_order(cfg, dts, t_end=args.t_end)
     print(f"temporal study at n={args.n}, t_end={args.t_end}")
@@ -39,7 +39,7 @@ def main() -> None:
 
     def mk(n):
         return SimConfig(model="contact-density", n=n, dt=1e-4, steps=1,
-                         expr="z", init=(L0,))
+                         K="z", init=(L0,))
 
     ns = (16, 32, 64)
     s_order, errs = spatial_operator_order(mk, exact, ns)

@@ -164,22 +164,11 @@ def cmd_sim(args) -> int:
     else:
         if not args.model:
             raise ConfigError("sim needs --config or --model")
-        params = {}
-        if args.m is not None:
-            params["m"] = args.m
-        if args.e is not None:
-            params["e"] = args.e
-        if args.phi is not None:
-            params["phi"] = args.phi
-        cfg = SimConfig(
-            model=args.model,
-            expr=args.K or "",
-            params=params,
-            init=tuple(_split(args.init, ";")) if args.init else (),
-            n=args.n, dt=args.dt, steps=args.steps, cadence=args.cadence,
-            out=args.out, diag=args.diag,
-            allow_aperiodic=args.allow_aperiodic,
-        )
+        params = {k: getattr(args, k) for k in ("m", "e", "phi") if getattr(args, k) is not None}
+        cfg = SimConfig(model=args.model, K=args.K, params=params,
+                        init=_split(args.init, ";"), n=args.n, dt=args.dt,
+                        steps=args.steps, cadence=args.cadence, out=args.out,
+                        diag=args.diag, allow_aperiodic=args.allow_aperiodic)
     result = run_simulation(cfg)
     last = result.diagnostics[-1]
     print(f"completed {cfg.steps} steps of {cfg.model}; "
@@ -233,14 +222,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sim", help="method-of-lines simulation run")
     p.add_argument("--config", default="", help="run.json path")
     p.add_argument("--model", default="")
-    p.add_argument("--K", default="", help="contact generator expression")
+    p.add_argument("--K", default=SimConfig.K, help="contact generator expression")
     p.add_argument("--init", default="", help="semicolon-separated initial components")
     p.add_argument("--n", type=int, default=32)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--cadence", type=int, default=10)
-    p.add_argument("--out", default="traj.csv")
-    p.add_argument("--diag", default="diag.csv")
+    p.add_argument("--cadence", type=int, default=SimConfig.cadence)
+    p.add_argument("--out", default=SimConfig.out)
+    p.add_argument("--diag", default=SimConfig.diag)
     p.add_argument("--allow-aperiodic", action="store_true")
     p.add_argument("--m", default=None,
                    help="plasma particle mass (rational); write a negative value as --m=-1/2")

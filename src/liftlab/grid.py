@@ -450,7 +450,7 @@ def quadrature(u: np.ndarray, h: float, dim: int) -> float:
 
 
 def rk4_step(state: np.ndarray, rhs: Callable[[np.ndarray, np.ndarray], object],
-             dt: float, step_index: int = 0, *, out: np.ndarray,
+             dt: float, step_index: int, *, out: np.ndarray,
              work: Sequence[np.ndarray]) -> np.ndarray:
     """One classical Runge-Kutta step from ``state``, written into ``out``
     and returned; aborts on non-finite output.

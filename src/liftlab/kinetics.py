@@ -75,14 +75,13 @@ def lie_poisson_rhs(X: VectorField, alpha: DifferentialForm,
     return lie_derivative_form(X, alpha).scaled(-1) - alpha.scaled(div)
 
 
-def _require_div_free(X: VectorField, vol: VolumeForm) -> None:
-    div = divergence(X, vol)
+def _require_div_free(X: VectorField) -> None:
+    div = divergence(X, VolumeForm.standard(X.chart))
     if not is_rational(div) or not is_zero_expr(div):
         raise NonDivergenceFreeError(f"field has divergence {div}, expected 0")
 
 
-def fluid_rhs(upsilon: DifferentialForm, X: VectorField,
-              vol: VolumeForm | None = None) -> DifferentialForm:
+def fluid_rhs(upsilon: DifferentialForm, X: VectorField) -> DifferentialForm:
     """d[Upsilon]/dt = -L_X Upsilon for divergence-free X.
 
     The physical state is the class [Upsilon] modulo exact one-forms;
@@ -91,18 +90,15 @@ def fluid_rhs(upsilon: DifferentialForm, X: VectorField,
     """
     if upsilon.degree != 1:
         raise ChartError("fluid momentum is a one-form")
-    vol = vol or VolumeForm.standard(X.chart)
-    _require_div_free(X, vol)
+    _require_div_free(X)
     return lie_derivative_form(X, upsilon).scaled(-1)
 
 
-def vorticity_rhs(omega: DifferentialForm, X: VectorField,
-                  vol: VolumeForm | None = None) -> DifferentialForm:
+def vorticity_rhs(omega: DifferentialForm, X: VectorField) -> DifferentialForm:
     """omega_dot = -L_X omega on two-forms; d o fluid_rhs = vorticity_rhs o d."""
     if omega.degree != 2:
         raise ChartError("vorticity is a two-form")
-    vol = vol or VolumeForm.standard(X.chart)
-    _require_div_free(X, vol)
+    _require_div_free(X)
     return lie_derivative_form(X, omega).scaled(-1)
 
 

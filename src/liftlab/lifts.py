@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .expr import Expr, ONE, Var, VarId, ZERO, canon, free_vars, partial
-from .geometry import Chart, ChartError, DifferentialForm, VectorField, one_form
+from .geometry import MAX_DIM, Chart, ChartError, DifferentialForm, VectorField, one_form
 from .jets import GeneralizedVectorField, JetChart, vertical_representative, holonomic_part
 
 __all__ = [
@@ -37,7 +37,7 @@ class CotangentChart:
     @classmethod
     def make(cls, base: Chart, fiber_names: Sequence[str] | None = None) -> "CotangentChart":
         m = base.dim
-        if 2 * m > 8:
+        if 2 * m > MAX_DIM:
             raise ChartError("cotangent chart dimension would exceed the chart cap")
         if fiber_names is None:
             fiber_names = [f"y_{v.name}" for v in base.vars]

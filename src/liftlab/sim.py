@@ -44,7 +44,7 @@ import math
 import resource
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, InitVar, asdict, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
@@ -82,21 +82,49 @@ class ConfigError(ExprError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Full description of one simulation run."""
+    """Full description of one simulation run, and its one schema: the
+    fields are the keys of a run.json and of a manifest's ``config`` block.
+    Every config passes the checks here, from flags, a run.json or a
+    library call; an integral float count becomes an ``int`` and a list
+    ``init`` a tuple.  ``expr`` is the former name of ``K``."""
 
     model: str
     n: int
     dt: float
     steps: int
-    expr: str = ""                     # K for contact models
+    K: str = ""                        # the generator, for contact models
     params: dict = field(default_factory=dict)   # m, e, phi for vlasov models
     init: tuple[str, ...] = ()
     cadence: int = 10
     out: str = "traj.csv"
     diag: str = "diag.csv"
     allow_aperiodic: bool = False
+    expr: InitVar[str | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, expr: str | None):
+        if expr is not None:
+            object.__setattr__(self, "K", expr)
+        for key in ("model", "K", "out", "diag"):
+            if not isinstance(getattr(self, key), str):
+                raise ConfigError(f"config key '{key}' must be a string")
+        if not isinstance(self.params, dict):
+            raise ConfigError("config key 'params' must be an object")
+        if not isinstance(self.allow_aperiodic, bool):
+            raise ConfigError("config key 'allow_aperiodic' must be true or false")
+        if not (isinstance(self.init, (list, tuple))
+                and all(isinstance(c, str) for c in self.init)):
+            raise ConfigError("config key 'init' must be a list of strings")
+        object.__setattr__(self, "init", tuple(self.init))
+        for key in ("n", "steps", "cadence", "dt"):
+            value = getattr(self, key)
+            kind = "a number" if key == "dt" else "an integer"
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+                    key != "dt" and isinstance(value, float) and not value.is_integer()):
+                raise ConfigError(f"config key '{key}' must be {kind}")
+            try:
+                object.__setattr__(self, key, float(value) if key == "dt" else int(value))
+            except OverflowError as exc:
+                raise ConfigError(f"bad numeric config value: {exc}") from None
         if self.model not in MODELS:
             raise ConfigError(f"unknown model '{self.model}'; choose one of {MODELS}")
         if not (math.isfinite(self.dt) and self.dt > 0):
@@ -108,7 +136,7 @@ class SimConfig:
         if self.model.startswith("contact") and self.params:
             raise ConfigError(
                 f"model '{self.model}' takes no params, got {sorted(self.params)}")
-        if self.model.startswith("vlasov") and self.expr:
+        if self.model.startswith("vlasov") and self.K:
             raise ConfigError(
                 f"model '{self.model}' takes no K; its Hamiltonian comes from params")
         extra = set(self.params) - {"m", "e", "phi"}
@@ -123,8 +151,10 @@ class SimConfig:
 
 
 def load_config(path: str | Path) -> SimConfig:
-    """Read a run.json file into a SimConfig.  A file that does not hold a
-    valid config raises ConfigError."""
+    """Read a run.json file into a SimConfig.  Its keys are SimConfig's
+    fields, and those without a default are required, so a manifest's
+    ``config`` block is itself a valid run.json.  A file that does not
+    hold a valid config raises ConfigError."""
     try:
         with open(path) as f:
             raw = json.load(f)
@@ -132,45 +162,14 @@ def load_config(path: str | Path) -> SimConfig:
         raise ConfigError(f"malformed config file: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("a config file must hold one JSON object")
-    known = {"model", "K", "params", "init", "n", "dt", "steps",
-             "cadence", "out", "diag", "allow_aperiodic"}
-    extra = set(raw) - known
+    keys = fields(SimConfig)
+    extra = set(raw) - {f.name for f in keys}
     if extra:
         raise ConfigError(f"unknown config keys: {sorted(extra)}")
-    for key in ("model", "K", "out", "diag"):
-        if not isinstance(raw.get(key, ""), str):
-            raise ConfigError(f"config key '{key}' must be a string")
-    if not isinstance(raw.get("params", {}), dict):
-        raise ConfigError("config key 'params' must be an object")
-    if not isinstance(raw.get("allow_aperiodic", False), bool):
-        raise ConfigError("config key 'allow_aperiodic' must be true or false")
-    init = raw.get("init", [])
-    if not (isinstance(init, list) and all(isinstance(c, str) for c in init)):
-        raise ConfigError("config key 'init' must be a list of strings")
-    for key in ("n", "steps", "cadence", "dt"):
-        value = raw.get(key, 0)
-        kind = "a number" if key == "dt" else "an integer"
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-                key != "dt" and isinstance(value, float) and not value.is_integer()):
-            raise ConfigError(f"config key '{key}' must be {kind}")
-    try:
-        return SimConfig(
-            model=raw["model"],
-            expr=raw.get("K", ""),
-            params=raw.get("params", {}),
-            init=tuple(init),
-            n=int(raw["n"]),
-            dt=float(raw["dt"]),
-            steps=int(raw["steps"]),
-            cadence=int(raw.get("cadence", 10)),
-            out=raw.get("out", "traj.csv"),
-            diag=raw.get("diag", "diag.csv"),
-            allow_aperiodic=raw.get("allow_aperiodic", False),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"missing config key: {exc}") from None
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"bad numeric config value: {exc}") from None
+    for f in keys:
+        if f.name not in raw and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing config key: {f.name!r}")
+    return SimConfig(**raw)
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +241,17 @@ def _density_map_plan(cs: ContactStructure) -> tuple[JetChart, list[Expr]]:
         contact_density(cs, one_form(cs.chart, tuple(a)), d=d)])
 
 
+def _rational_param(params: dict, key: str) -> Fraction:
+    text = str(params.get(key, "1"))
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"bad rational parameter {key}={text!r}") from None
+
+
 def _parse_params(cfg: SimConfig) -> PlasmaParams:
     p = cfg.params
-    try:
-        mass = Fraction(str(p.get("m", "1")))
-        charge = Fraction(str(p.get("e", "1")))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad rational parameter: {exc}") from None
+    mass, charge = _rational_param(p, "m"), _rational_param(p, "e")
     pc = plasma_chart(1)
     phi_text = str(p.get("phi", "0"))
     try:
@@ -263,10 +266,10 @@ def _model_plan(cfg: SimConfig) -> tuple[JetChart, list[Expr], tuple[Expr, ...]]
     field that carries its state."""
     if cfg.model.startswith("contact"):
         cs = ContactStructure.standard()
-        if not cfg.expr:
+        if not cfg.K:
             raise ConfigError("contact models need the generator K")
         try:
-            K = parse_expr(cfg.expr, cs.chart.vars)
+            K = parse_expr(cfg.K, cs.chart.vars)
         except ExprError as exc:
             raise ConfigError(f"bad K: {exc}") from None
         if cfg.model == "contact-momentum":
@@ -405,12 +408,7 @@ def run_simulation(cfg: SimConfig) -> RunResult:
         warnings.warn(f"dt={cfg.dt} exceeds the CFL advisory {cfl:.3e}", RuntimeWarning)
     manifest_path = cfg.out + ".manifest.json"
     manifest = {
-        "config": {
-            "model": cfg.model, "K": cfg.expr, "params": cfg.params,
-            "init": list(cfg.init), "n": cfg.n, "dt": cfg.dt,
-            "steps": cfg.steps, "cadence": cfg.cadence, "out": cfg.out,
-            "diag": cfg.diag, "allow_aperiodic": cfg.allow_aperiodic,
-        },
+        "config": asdict(cfg),
         "version": __version__,
         "grid": {"dim": grid.dim, "n": grid.n, "h": grid.h},
         "cfl_advisory_dt": None if math.isinf(cfl) else cfl,
@@ -573,9 +571,9 @@ def discrete_intertwining_error(K_text: str, alpha_init: Sequence[str],
     """
     cs = ContactStructure.standard()
     cfg_m = SimConfig(model="contact-momentum", n=n, dt=dt, steps=steps,
-                      expr=K_text, init=tuple(alpha_init), allow_aperiodic=True)
+                      K=K_text, init=tuple(alpha_init), allow_aperiodic=True)
     cfg_d = SimConfig(model="contact-density", n=n, dt=dt, steps=steps,
-                      expr=K_text, init=(density_init,), allow_aperiodic=True)
+                      K=K_text, init=(density_init,), allow_aperiodic=True)
     mom = build_model(cfg_m)
     den = build_model(cfg_d)
     state_m = initial_state(cfg_m, mom)

@@ -529,7 +529,7 @@ CHECKS: dict[str, tuple[tuple[str, Check], ...]] = {
         ("momentum-rhs-dual-path-equality", _dual_path),
         ("contact-density-intertwining", _contact_intertwining),
     ),
-    # both momentum maps, heavier sampling
+    # both momentum maps
     "intertwining": (
         ("contact-momentum-map-intertwining", _contact_intertwining),
         ("plasma-momentum-map-intertwining", _plasma_intertwining),

@@ -214,7 +214,7 @@ def test_criterion_08_numerical_convergence():
     from liftlab.parser import parse_expr
     t0 = time.time()
     cfg = SimConfig(model="contact-density", n=32, dt=1e-3, steps=1,
-                    expr="z", init=(L0_TEXT,))
+                    K="z", init=(L0_TEXT,))
     t_order, diffs = temporal_order(cfg, (2e-3, 1e-3, 5e-4), t_end=0.04)
     assert t_order >= 3.8, f"temporal order {t_order:.2f} (diffs {diffs})"
 
@@ -224,7 +224,7 @@ def test_criterion_08_numerical_convergence():
 
     def mk(n):
         return SimConfig(model="contact-density", n=n, dt=1e-4, steps=1,
-                         expr="z", init=(L0_TEXT,))
+                         K="z", init=(L0_TEXT,))
 
     # stencil spatial order measured on the manufactured field: the compiled
     # semi-discrete operator against the exact symbolic rate (solution-level

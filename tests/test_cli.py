@@ -2,12 +2,17 @@
 
 import inspect
 import json
+import re
 import sys
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liftlab.cli import main
 from liftlab.parser import MAX_DEPTH
+from liftlab.sim import ConfigError, SimConfig, load_config
 
 GOOD_CONFIG = {
     "model": "vlasov-density", "params": {"phi": "cos(q)"},
@@ -596,6 +601,10 @@ HOSTILE = {
                      "--out", "{tmp}/t.csv", "--diag", "{tmp}/d.csv"),
     "negative-charge-as-its-own-word": (*_SIM, "--model", "vlasov-density", "--phi", "cos(q)",
                                         "--init", "2+sin(q)", "--e", "-1/2"),
+    "zero-denominator-mass": (*_SIM, "--model", "vlasov-density", "--init", "2+sin(q)",
+                              "--m=1/0"),
+    "malformed-charge": (*_SIM, "--model", "vlasov-density", "--init", "2+sin(q)",
+                         "--e=foo"),
     "no-subcommand": (),
     "unknown-flag": ("lift", "--fields", "x"),
 }
@@ -603,7 +612,8 @@ HOSTILE = {
 
 # rows whose exit code is pinned, not just inside the contract
 HOSTILE_CODE = {"overflowing-exp-in-K": 2, "blow-up": 3, "slow-blow-up": 3,
-                "negative-charge-as-its-own-word": 2}
+                "negative-charge-as-its-own-word": 2, "zero-denominator-mass": 2,
+                "malformed-charge": 2}
 
 
 def _run_hostile(tmp_path, name):
@@ -635,3 +645,50 @@ def test_blow_up_warns_only_of_the_cfl_advisory(tmp_path, capsys, name):
     assert len(record) == 1
     assert str(record[0].message).startswith(f"dt={dt} exceeds the CFL advisory")
     assert capsys.readouterr().err.count("error: ") == 1
+
+
+@pytest.mark.parametrize("name, named", [("zero-denominator-mass", "m='1/0'"),
+                                         ("malformed-charge", "e='foo'")])
+def test_bad_plasma_parameter_names_itself(tmp_path, capsys, name, named):
+    assert _run_hostile(tmp_path, name) == 2
+    assert f"error: bad rational parameter {named}" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the run.json boundary: SimConfig's fields are its keys
+
+_DROP = object()
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**500, 10**500) | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+_EDITS = st.dictionaries(st.sampled_from([f.name for f in fields(SimConfig)] + ["h"]),
+                         st.just(_DROP) | _JSON, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edits=_EDITS)
+def test_edited_run_json_loads_or_is_config_error(tmp_path_factory, edits):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-run.json"
+    raw = {k: v for k, v in dict(GOOD_CONFIG, **edits).items() if v is not _DROP}
+    path.write_text(json.dumps(raw))
+    try:
+        cfg = load_config(path)
+    except ConfigError:
+        return
+    block = json.dumps(asdict(cfg))       # the manifest's config block
+    path.write_text(block)
+    # compared as JSON text: a NaN inside params is never == itself
+    assert json.dumps(asdict(load_config(path))) == block
+
+
+def test_readme_run_json_example_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = re.search(r"`run\.json` schema:.*?```json\n(.*?)```", readme, re.S).group(1)
+    raw = dict(json.loads(example), out=str(tmp_path / "traj.csv"),
+               diag=str(tmp_path / "diag.csv"))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(raw))
+    load_config(path)       # a ConfigError if the documented schema has drifted

@@ -36,9 +36,9 @@ L0 = "2 + sin(x)*sin(y)*sin(z)"
 
 # one small config of each model
 MODEL_CFGS = {
-    "contact-momentum": SimConfig(model="contact-momentum", n=8, dt=1e-3, steps=1, expr="z",
+    "contact-momentum": SimConfig(model="contact-momentum", n=8, dt=1e-3, steps=1, K="z",
                                   init=("sin(x)", "cos(y)", "sin(z)")),
-    "contact-density": SimConfig(model="contact-density", n=8, dt=1e-3, steps=1, expr="z",
+    "contact-density": SimConfig(model="contact-density", n=8, dt=1e-3, steps=1, K="z",
                                  init=(L0,)),
     "vlasov-momentum": SimConfig(model="vlasov-momentum", n=8, dt=1e-3, steps=1,
                                  params={"phi": "cos(q)"}, init=("sin(q)*sin(p)", "cos(q)")),
@@ -54,7 +54,7 @@ def rates(model, state):
 
 def contact_cfg(tmp_path, **kw):
     base = dict(model="contact-density", n=16, dt=1e-3, steps=20, cadence=10,
-                expr="z", init=(L0,),
+                K="z", init=(L0,),
                 out=str(tmp_path / "traj.csv"), diag=str(tmp_path / "diag.csv"))
     base.update(kw)
     return SimConfig(**base)
@@ -107,11 +107,42 @@ class TestConfig:
         with pytest.raises(ConfigError, match="three different files"):
             contact_cfg(tmp_path, out=str(tmp_path / out), diag=str(tmp_path / diag))
 
+    @pytest.mark.parametrize("key", ["model", "n", "dt", "steps"])
+    def test_missing_required_key_rejected(self, tmp_path, key):
+        payload = {"model": "contact-density", "n": 16, "dt": 1e-3, "steps": 1}
+        del payload[key]
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match=f"missing config key: '{key}'"):
+            load_config(path)
+
+    def test_library_configs_pass_the_run_json_checks(self):
+        cfg = SimConfig(model="contact-density", n=16.0, dt=1, steps=2.0, K="z", init=["1"])
+        assert (cfg.n, cfg.steps, cfg.dt, cfg.init) == (16, 2, 1.0, ("1",))
+        assert type(cfg.n) is int and type(cfg.dt) is float
+        with pytest.raises(ConfigError, match="config key 'n' must be an integer"):
+            SimConfig(model="contact-density", n=16.5, dt=1e-3, steps=1)
+        with pytest.raises(ConfigError, match="config key 'K' must be a string"):
+            SimConfig(model="contact-density", n=16, dt=1e-3, steps=1, K=None)
+
+    def test_expr_is_the_former_name_of_K(self):
+        # perfbench/cycle.py's set-up still builds its configs with expr=
+        cfg = SimConfig(model="contact-density", n=8, dt=1e-3, steps=1, expr="z")
+        assert cfg == SimConfig(model="contact-density", n=8, dt=1e-3, steps=1, K="z")
+
+    def test_manifest_config_block_loads_back_to_the_run_config(self, tmp_path):
+        cfg = contact_cfg(tmp_path, n=8, steps=1)
+        result = run_simulation(cfg)
+        block = json.load(open(result.manifest_path))["config"]
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(block))
+        assert load_config(path) == cfg
+
     def test_inconsistent_h_rejected(self):
         # a Vlasov Hamiltonian comes from params alone, so any K or h is refused
         with pytest.raises(ConfigError, match="takes no K"):
             SimConfig(model="vlasov-density", n=16, dt=1e-3, steps=1,
-                      expr="p^2 + q", params={"m": "1", "e": "1", "phi": "0"},
+                      K="p^2 + q", params={"m": "1", "e": "1", "phi": "0"},
                       init=("1",))
 
 
@@ -119,7 +150,7 @@ class TestCompiledRates:
     def test_contact_density_constant_state(self):
         # K = z on a constant state: rate is 3 L everywhere
         cfg = SimConfig(model="contact-density", n=16, dt=1e-3, steps=1,
-                        expr="z", init=("1",))
+                        K="z", init=("1",))
         model = build_model(cfg)
         rate = rates(model, initial_state(cfg, model))
         assert np.allclose(rate, 3.0, atol=1e-12)
@@ -133,7 +164,7 @@ class TestCompiledRates:
 
     def test_contact_momentum_dz_state(self):
         cfg = SimConfig(model="contact-momentum", n=16, dt=1e-3, steps=1,
-                        expr="z", init=("0", "0", "1"))
+                        K="z", init=("0", "0", "1"))
         model = build_model(cfg)
         rate = rates(model, initial_state(cfg, model))
         assert np.allclose(rate[0], 0.0, atol=1e-13)
@@ -154,10 +185,10 @@ class TestCompiledRates:
             assert a.shape == shape and a.flags.c_contiguous
 
     @pytest.mark.parametrize("cfg, stencils", [
-        (SimConfig(model="contact-momentum", n=8, dt=1e-3, steps=1, expr="z",
+        (SimConfig(model="contact-momentum", n=8, dt=1e-3, steps=1, K="z",
                    init=("sin(x)", "cos(y)", "sin(z)")), 6),
         (SimConfig(model="contact-momentum", n=8, dt=1e-3, steps=1,
-                   expr="cos(x)*sin(y) + z", init=("sin(x)", "cos(y)", "sin(z)")), 9),
+                   K="cos(x)*sin(y) + z", init=("sin(x)", "cos(y)", "sin(z)")), 9),
         (SimConfig(model="vlasov-density", n=8, dt=1e-3, steps=1,
                    params={"phi": "cos(q)"}, init=("1 + 3/10*sin(q)*sin(p)",)), 2),
     ], ids=["contact-momentum-z", "contact-momentum-trig", "vlasov-density"])
@@ -176,16 +207,16 @@ class TestCompiledRates:
     def test_component_count_enforced(self):
         with pytest.raises(ConfigError):
             build_model(SimConfig(model="contact-momentum", n=16, dt=1e-3,
-                                  steps=1, expr="z", init=("0", "0")))
+                                  steps=1, K="z", init=("0", "0")))
 
     def test_aperiodic_init_needs_override(self):
         cfg = SimConfig(model="contact-density", n=16, dt=1e-3, steps=1,
-                        expr="z", init=("x",))
+                        K="z", init=("x",))
         model = build_model(cfg)
         with pytest.raises(AperiodicDataError):
             initial_state(cfg, model)
         cfg2 = SimConfig(model="contact-density", n=16, dt=1e-3, steps=1,
-                         expr="z", init=("x",), allow_aperiodic=True)
+                         K="z", init=("x",), allow_aperiodic=True)
         initial_state(cfg2, build_model(cfg2))
 
 
@@ -302,7 +333,7 @@ class TestBufferedStep:
 
     def test_a_warmed_up_step_allocates_less_than_half_a_grid_array(self):
         cfg = SimConfig(model="contact-momentum", n=32, dt=1e-3, steps=1,
-                        expr="cos(x)*sin(y) + z", init=("sin(x)", "cos(y)", "sin(z)"))
+                        K="cos(x)*sin(y) + z", init=("sin(x)", "cos(y)", "sin(z)"))
         model = build_model(cfg)
         state = initial_state(cfg, model)
         steps = grid.march(state, model.rhs, cfg.dt, 3)
@@ -371,7 +402,7 @@ class TestStencilsAsPlanInstructions:
         # what the same rates compiled over the jets as inputs hold, plus
         # the scratch array
         cfg = SimConfig(model="contact-momentum", n=16, dt=1e-3, steps=1,
-                        expr="cos(x)*sin(y) + z", init=("sin(x)", "cos(y)", "sin(z)"))
+                        K="cos(x)*sin(y) + z", init=("sin(x)", "cos(y)", "sin(z)"))
         state = initial_state(cfg, build_model(cfg))
         g = Grid(3, cfg.n)
         jc, rate_exprs, _ = sim._model_plan(cfg)
@@ -479,7 +510,7 @@ class TestCompiledPlanAgainstHandWrittenRhs:
         # L_dot = 3 L + x L_x + z L_z, with its own stencil code
         import numpy as np
         cfg = SimConfig(model="contact-density", n=16, dt=1e-3, steps=1,
-                        expr="z", init=(L0,))
+                        K="z", init=(L0,))
         model = build_model(cfg)
         state = initial_state(cfg, model)
         got = rates(model, state)[0]
@@ -594,7 +625,7 @@ class TestPlansAreKineticsFormulasOnJets:
 
     def test_contact_momentum(self, seed):
         K_text, K, rng = self.contact_inputs(seed)
-        cfg = SimConfig(model="contact-momentum", n=8, dt=1e-3, steps=1, expr=K_text)
+        cfg = SimConfig(model="contact-momentum", n=8, dt=1e-3, steps=1, K=K_text)
         jc, rates, _ = sim._model_plan(cfg)
         alpha = _rational_section(rng, self.cs.chart.vars, 3)
         want = contact_momentum_rhs(self.cs, one_form(self.cs.chart, tuple(alpha)), K)
@@ -606,7 +637,7 @@ class TestPlansAreKineticsFormulasOnJets:
         # operands over nested subsets of the jet chart's twelve variables
         K_text, _, rng = self.contact_inputs(seed)
         K_text = f"({K_text})/(1 + x^2)"
-        cfg = SimConfig(model="contact-momentum", n=8, dt=1e-3, steps=1, expr=K_text)
+        cfg = SimConfig(model="contact-momentum", n=8, dt=1e-3, steps=1, K=K_text)
         jc, rates, _ = sim._model_plan(cfg)
         # a polynomial section: with a rational one the independent route
         # can spend more than 30 s in one gcd of two polynomials over x, y, z
@@ -622,7 +653,7 @@ class TestPlansAreKineticsFormulasOnJets:
 
     def test_contact_density(self, seed):
         K_text, K, rng = self.contact_inputs(seed)
-        cfg = SimConfig(model="contact-density", n=8, dt=1e-3, steps=1, expr=K_text)
+        cfg = SimConfig(model="contact-density", n=8, dt=1e-3, steps=1, K=K_text)
         jc, rates, _ = sim._model_plan(cfg)
         L = _rational_section(rng, self.cs.chart.vars, 1)
         assert _all_equal(_on_section(jc, rates, L),
@@ -670,7 +701,7 @@ class TestContactMomentumPlanNumericOnlyK:
     def test_plan_on_trig_section_matches_coadjoint_formula(self, K_text):
         cs = self.cs
         K = parse_expr(K_text, cs.chart.vars)
-        cfg = SimConfig(model="contact-momentum", n=8, dt=1e-3, steps=1, expr=K_text)
+        cfg = SimConfig(model="contact-momentum", n=8, dt=1e-3, steps=1, K=K_text)
         jc, rates, _ = sim._model_plan(cfg)
         alpha = [parse_expr(t, cs.chart.vars) for t in self.section]
         got = _on_section(jc, rates, alpha)
@@ -692,7 +723,7 @@ class TestContactMomentumPlanNumericOnlyK:
 class TestConvergenceHarnesses:
     def test_temporal_order_is_fourth(self):
         cfg = SimConfig(model="contact-density", n=16, dt=1e-3, steps=1,
-                        expr="z", init=(L0,))
+                        K="z", init=(L0,))
         order, diffs = temporal_order(cfg, (4e-3, 2e-3, 1e-3), t_end=0.04)
         assert order > 3.7
         assert diffs[0] > diffs[1]
@@ -706,7 +737,7 @@ class TestConvergenceHarnesses:
 
         def mk(n):
             return SimConfig(model="contact-density", n=n, dt=1e-4, steps=1,
-                             expr="z", init=(L0,))
+                             K="z", init=(L0,))
         order, errs = spatial_operator_order(mk, exact, (8, 16, 32))
         assert order > 3.5
         assert errs[0] > errs[-1]
