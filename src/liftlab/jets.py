@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .expr import (
-    FUNCTIONS, Expr, ExprError, ONE, Var, VarId, ZERO, canon, expr_equal,
-    free_vars,
+    Expr, ExprError, ONE, Var, VarId, ZERO, canon, expr_equal, free_vars,
 )
 from .geometry import Chart, ChartError, VectorField, directional_derivative
 
@@ -41,7 +40,8 @@ class JetConsistencyError(ExprError):
 
 @dataclass(frozen=True)
 class JetChart:
-    """Coordinates (x^a, u^l, u^l_a, u^l_{ab}) with u^l_{ab} = u^l_{ba}."""
+    """Coordinates (x^a, u^l, u^l_a, u^l_{ab}) with u^l_{ab} = u^l_{ba}; the
+    base and fiber names together name the chart of E, which ``Chart`` checks."""
 
     base: tuple[VarId, ...]
     fiber: tuple[VarId, ...]
@@ -53,6 +53,7 @@ class JetChart:
         m, k = len(base_names), len(fiber_names)
         if m < 1 or k < 1:
             raise ChartError("jet chart needs at least one base and one fiber variable")
+        Chart.make(*base_names, *fiber_names)
         names: list[str] = list(base_names) + list(fiber_names)
         for u in fiber_names:
             for x in base_names:
@@ -63,9 +64,6 @@ class JetChart:
                     names.append(f"{u}_{base_names[a]}{base_names[b]}")
         if len(set(names)) != len(names):
             raise ChartError("jet variable names collide; rename base or fiber variables")
-        clash = sorted(set(names) & set(FUNCTIONS))
-        if clash:
-            raise ChartError(f"variable name '{clash[0]}' is a function name")
         ids = [VarId(n, i) for i, n in enumerate(names)]
         base = tuple(ids[:m])
         fiber = tuple(ids[m:m + k])

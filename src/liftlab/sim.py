@@ -3,13 +3,16 @@
 Each model compiles its symbolic right-hand side once into a pointwise
 evaluation plan: an expression over (coordinates, state components,
 first-jet variables), where the jet variables are realized as 4th-order
-stencil derivatives of the state.  Every plan, contact-momentum included,
-is a ``kinetics`` formula called on a jet chart: the state components are
-the fiber variables and the total derivative D_a is the formula's
-derivative ``d``.  The contact-momentum plan is
-``contact_momentum_rhs_via_lift``, the vertical representative of the
-cotangent lift read at the state; the density map of the two-path harness
-is ``contact_density`` called the same way.
+stencil derivatives of the state.  The models are the rows of one table,
+``_RATES``: each row names the model's fibers, one per state component,
+and its ``kinetics`` formula: ``contact_momentum_rhs_via_lift`` (the
+vertical representative of the cotangent lift read at the state),
+``contact_density_rhs``, ``vlasov_momentum_rhs`` or
+``vlasov_density_rhs``.  A plan is the row's formula called on the jet
+chart of its fibers, with the total derivative D_a as the formula's
+derivative ``d``; the grid's dimension is that chart's base dimension.
+The density map of the two-path harness is ``contact_density`` called the
+same way on the contact-momentum row's fibers.
 
 A model's rates compile together into one DAG (``grid.compile_numeric``)
 with the coordinates fixed to the grid's axis lines.  Every coefficient
@@ -41,7 +44,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 import resource
+import sys
 import time
 import warnings
 from dataclasses import MISSING, InitVar, asdict, dataclass, field, fields
@@ -57,7 +62,7 @@ from .grid import (
     TWO_PI, Grid, NumericalAbortError, check_periodic, compile_numeric,
     discretize, march, quadrature, spatial_derivative,
 )
-from .geometry import Chart, Derivative, one_form
+from .geometry import Chart, DifferentialForm, one_form
 from .jets import JetChart, total_derivative
 from .kinetics import (
     ContactStructure, PlasmaParams, contact_density,
@@ -73,7 +78,15 @@ __all__ = [
     "determined_nodes", "discrete_intertwining_error", "MODELS",
 ]
 
-MODELS = ("contact-momentum", "contact-density", "vlasov-momentum", "vlasov-density")
+# one row per model: its fibers, one per state component, and its kinetics
+# formula f(structure, state, K or params, d)
+_RATES = {
+    "contact-momentum": (("a_x", "a_y", "a_z"), contact_momentum_rhs_via_lift),
+    "contact-density": (("L",), contact_density_rhs),
+    "vlasov-momentum": (("P1", "P2"), vlasov_momentum_rhs),
+    "vlasov-density": (("f",), vlasov_density_rhs),
+}
+MODELS = tuple(_RATES)
 
 
 class ConfigError(ExprError):
@@ -219,12 +232,13 @@ def _compile_jet_plan(jc: JetChart, grid: Grid, rate_exprs: Sequence[Expr]
 
 
 def _jet_plan(base: Chart, fibers: Sequence[str],
-              formula: Callable[[list[Expr], Derivative], Sequence[Expr]]
-              ) -> tuple[JetChart, list[Expr]]:
+              rate: Callable[..., Expr | DifferentialForm]) -> tuple[JetChart, list[Expr]]:
     """Read a formula on the jet chart over ``base`` with the given fibers.
 
-    ``formula(state, d)`` gets the fiber variables as the state and the
-    total derivative D_a, addressed by base variable, as ``d``.
+    ``rate(state, d)`` gets the one-form of the fiber variables as the
+    state when there is one fiber per coordinate of ``base``, and the one
+    fiber variable otherwise, and the total derivative D_a, addressed by
+    base variable, as ``d``.  A one-form rate is read as its coefficients.
     """
     jc = JetChart.from_chart(base, fibers)
     axis = {v: a for a, v in enumerate(jc.base)}
@@ -232,75 +246,57 @@ def _jet_plan(base: Chart, fibers: Sequence[str],
     def d(e: Expr, v: VarId) -> Expr:
         return total_derivative(jc, e, axis[v])
 
-    return jc, list(formula([Var(u) for u in jc.fiber], d))
-
-
-def _density_map_plan(cs: ContactStructure) -> tuple[JetChart, list[Expr]]:
-    """The contact density map, with the momentum components as fibers."""
-    return _jet_plan(cs.chart, ["a_x", "a_y", "a_z"], lambda a, d: [
-        contact_density(cs, one_form(cs.chart, tuple(a)), d=d)])
+    u = [Var(f) for f in jc.fiber]
+    out = rate(one_form(base, u) if jc.k == jc.m else u[0], d)
+    if isinstance(out, DifferentialForm):
+        return jc, [out.coeff((a,)) for a in range(jc.m)]
+    return jc, [out]
 
 
 def _rational_param(params: dict, key: str) -> Fraction:
+    """A rational m or e.  Fraction expands a decimal exponent exactly, so
+    its exponent is bounded as Python bounds the digits of an int."""
     text = str(params.get(key, "1"))
+    exponent = re.search(r"e([-+]?[\d_]+)\s*$", text, re.I)
+    limit = sys.get_int_max_str_digits()
     try:
+        if exponent and limit and abs(int(exponent[1])) > limit:
+            raise ValueError
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"bad rational parameter {key}={text!r}") from None
 
 
-def _parse_params(cfg: SimConfig) -> PlasmaParams:
-    p = cfg.params
-    mass, charge = _rational_param(p, "m"), _rational_param(p, "e")
-    pc = plasma_chart(1)
-    phi_text = str(p.get("phi", "0"))
-    try:
-        phi = parse_expr(phi_text, [pc.base_var(0)])
-    except ExprError as exc:
-        raise ConfigError(f"bad potential phi: {exc}") from None
-    return PlasmaParams(mass, charge, phi)
-
-
 def _model_plan(cfg: SimConfig) -> tuple[JetChart, list[Expr], tuple[Expr, ...]]:
-    """The jet chart and rates of cfg's model, and the components of the
-    field that carries its state."""
+    """The jet chart and rates of cfg's model, from its row of ``_RATES``,
+    and the components of the field that carries its state."""
+    fibers, formula = _RATES[cfg.model]
     if cfg.model.startswith("contact"):
-        cs = ContactStructure.standard()
+        structure = ContactStructure.standard()
         if not cfg.K:
             raise ConfigError("contact models need the generator K")
         try:
-            K = parse_expr(cfg.K, cs.chart.vars)
+            data = parse_expr(cfg.K, structure.chart.vars)
         except ExprError as exc:
             raise ConfigError(f"bad K: {exc}") from None
-        if cfg.model == "contact-momentum":
-            def momentum(a: list[Expr], d: Derivative) -> list[Expr]:
-                rate = contact_momentum_rhs_via_lift(cs, one_form(cs.chart, a), K, d)
-                return [rate.coeff((i,)) for i in range(3)]
-
-            jc, rates = _jet_plan(cs.chart, ["a_x", "a_y", "a_z"], momentum)
-        else:
-            jc, rates = _jet_plan(cs.chart, ["L"], lambda u, d: [
-                contact_density_rhs(cs, u[0], K, d)])
-        return jc, rates, contact_vector_field(cs, K).components
-    params = _parse_params(cfg)
-    pc = plasma_chart(1)
-    if cfg.model == "vlasov-density":
-        jc, rates = _jet_plan(pc.full, ["f"], lambda u, d: [
-            vlasov_density_rhs(pc, u[0], params, d)])
+        base, carrier = structure.chart, contact_vector_field(structure, data)
     else:
-        def momentum(u: list[Expr], d: Derivative) -> list[Expr]:
-            rate = vlasov_momentum_rhs(pc, one_form(pc.full, u), params, d)
-            return [rate.coeff((i,)) for i in range(2)]
-
-        jc, rates = _jet_plan(pc.full, ["P1", "P2"], momentum)
-    X = hamiltonian_vector_field(pc, plasma_hamiltonian(pc, params))
-    return jc, rates, X.components
+        structure, p = plasma_chart(1), cfg.params
+        mass, charge = _rational_param(p, "m"), _rational_param(p, "e")
+        try:
+            phi = parse_expr(str(p.get("phi", "0")), [structure.base_var(0)])
+        except ExprError as exc:
+            raise ConfigError(f"bad potential phi: {exc}") from None
+        base, data = structure.full, PlasmaParams(mass, charge, phi)
+        carrier = hamiltonian_vector_field(structure, plasma_hamiltonian(structure, data))
+    jc, rates = _jet_plan(base, fibers, lambda s, d: formula(structure, s, data, d))
+    return jc, rates, carrier.components
 
 
 def build_model(cfg: SimConfig) -> Model:
     """Compile the symbolic RHS for cfg into a grid evaluation plan."""
-    grid = Grid(3 if cfg.model.startswith("contact") else 2, cfg.n)
     jc, rates, velocity = _model_plan(cfg)
+    grid = Grid(jc.m, cfg.n)
     fixed = {v: grid.axis_line(a) for a, v in enumerate(jc.base)}
     vel = compile_numeric(velocity, {}, fixed)((), np.empty((len(velocity),) + grid.shape))
     if len(cfg.init) != jc.k:
@@ -578,7 +574,8 @@ def discrete_intertwining_error(K_text: str, alpha_init: Sequence[str],
     den = build_model(cfg_d)
     state_m = initial_state(cfg_m, mom)
     state_d = initial_state(cfg_d, den)
-    map_jc, map_rates = _density_map_plan(cs)
+    map_jc, map_rates = _jet_plan(cs.chart, _RATES["contact-momentum"][0],
+                                  lambda a, d: contact_density(cs, a, d))
     map_rhs = _compile_jet_plan(map_jc, mom.grid, map_rates)
     mapped = np.empty_like(state_d)
     masks = determined_nodes(K_text, n, dt, steps, cadence)

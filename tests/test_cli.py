@@ -1,14 +1,20 @@
 """Command-line surface: subcommands, formats, exit codes."""
 
+import contextlib
 import inspect
+import io
 import json
+import os
 import re
 import sys
+import tempfile
+import time
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from liftlab.cli import main
 from liftlab.parser import MAX_DEPTH
@@ -583,6 +589,8 @@ HOSTILE = {
                                  "--b", "x"),
     "pro-without-fibers": ("bracket", "--type", "pro", "--a", "x;", "--b", "x;",
                            "--vars", "x"),
+    "pro-bad-name": ("bracket", "--type", "pro", "--vars", "1x", "--fibers", "u",
+                     "--a", "1;u", "--b", "1;u"),
     "unknown-bracket": ("bracket", "--type", "lie", "--a", "x", "--b", "x"),
     "density-of-nothing": ("density",),
     "unknown-suite": ("verify", "--suite", "nope"),
@@ -605,6 +613,13 @@ HOSTILE = {
                               "--m=1/0"),
     "malformed-charge": (*_SIM, "--model", "vlasov-density", "--init", "2+sin(q)",
                          "--e=foo"),
+    # Fraction would expand these exponents exactly
+    "mass-past-the-exponent-bound": (*_SIM, "--model", "vlasov-density",
+                                     "--init", "2+sin(q)", "--m=1e1000000"),
+    "charge-past-the-exponent-bound": (*_SIM, "--model", "vlasov-density",
+                                       "--init", "2+sin(q)", "--e=-1e-1000000"),
+    "mass-with-a-huge-exponent": (*_SIM, "--model", "vlasov-density",
+                                  "--init", "2+sin(q)", "--m=1e100000000"),
     "no-subcommand": (),
     "unknown-flag": ("lift", "--fields", "x"),
 }
@@ -613,7 +628,9 @@ HOSTILE = {
 # rows whose exit code is pinned, not just inside the contract
 HOSTILE_CODE = {"overflowing-exp-in-K": 2, "blow-up": 3, "slow-blow-up": 3,
                 "negative-charge-as-its-own-word": 2, "zero-denominator-mass": 2,
-                "malformed-charge": 2}
+                "malformed-charge": 2, "pro-bad-name": 2,
+                "mass-past-the-exponent-bound": 2, "charge-past-the-exponent-bound": 2,
+                "mass-with-a-huge-exponent": 2}
 
 
 def _run_hostile(tmp_path, name):
@@ -647,11 +664,63 @@ def test_blow_up_warns_only_of_the_cfl_advisory(tmp_path, capsys, name):
     assert capsys.readouterr().err.count("error: ") == 1
 
 
-@pytest.mark.parametrize("name, named", [("zero-denominator-mass", "m='1/0'"),
-                                         ("malformed-charge", "e='foo'")])
+@pytest.mark.parametrize("name, named", [
+    ("zero-denominator-mass", "m='1/0'"), ("malformed-charge", "e='foo'"),
+    ("mass-past-the-exponent-bound", "m='1e1000000'"),
+    ("charge-past-the-exponent-bound", "e='-1e-1000000'"),
+    ("mass-with-a-huge-exponent", "m='1e100000000'")])
 def test_bad_plasma_parameter_names_itself(tmp_path, capsys, name, named):
+    start = time.perf_counter()
     assert _run_hostile(tmp_path, name) == 2
+    assert time.perf_counter() - start < 1.0
     assert f"error: bad rational parameter {named}" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over argument vectors edited from the tables above
+
+_ARGVS = [argv for argv in [*HOSTILE.values(), *(argv for argv, _ in PINNED.values())]
+          if argv]
+_TOKENS = sorted({token for argv in _ARGVS for token in argv})
+# no "/": an edited path stays inside the example's directory
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="/"),
+                max_size=6)
+# the most of a count an example may ask for: it must run in milliseconds
+_COUNT_LIMITS = {"--steps": 4, "--n": 16, "--trials": 4}
+
+
+def _too_costly(argv: list[str]) -> bool:
+    for i, token in enumerate(argv):
+        flag, _, value = token.partition("=")
+        if flag in _COUNT_LIMITS:
+            value = value or (argv[i + 1] if i + 1 < len(argv) else "")
+            if value.isdecimal() and int(value) > _COUNT_LIMITS[flag]:
+                return True
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), argv=st.sampled_from(_ARGVS))
+def test_edited_argv_keeps_the_exit_code_contract(data, argv):
+    i = data.draw(st.integers(0, len(argv) - 1))
+    edited = [*argv[:i], data.draw(st.sampled_from(_TOKENS) | _TEXT), *argv[i + 1:]]
+    assume(not _too_costly(edited))
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("ignore")
+        os.chdir(tmp)
+        try:
+            code = main([a.replace("{tmp}", tmp) for a in edited])
+        except SystemExit as exc:       # argparse's usage errors and --help
+            code = exc.code
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert code != 1 or edited[0] == "verify"
+    assert code in (0, 1) or out.getvalue() == ""
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import pytest
 
 from liftlab.expr import ONE, ZERO, Var, canon, expr_equal
-from liftlab.geometry import Chart, VectorField
+from liftlab.geometry import MAX_DIM, Chart, ChartError, VectorField
 from liftlab.jets import (
     GeneralizedVectorField, JetChart, JetConsistencyError,
     ProjectabilityError, holonomic_lift, holonomic_part, obstruction_form,
@@ -37,6 +37,16 @@ class TestJetChart:
     def test_name_collision_rejected(self):
         with pytest.raises(Exception):
             JetChart.make(["x"], ["u", "u_x"])
+
+    def test_base_and_fibers_are_a_chart(self):
+        # the chart of E bounds the names before any jet variable is made
+        assert MAX_DIM == 8
+        with pytest.raises(ChartError, match="got 9"):
+            JetChart.make(["a", "b", "c", "d", "e"], ["u", "v", "w", "s"])
+        with pytest.raises(ChartError, match="invalid variable name '1x'"):
+            JetChart.make(["1x"], ["u"])
+        with pytest.raises(ChartError, match="function name"):
+            JetChart.make(["x"], ["sin"])
 
 
 class TestTotalDerivative:

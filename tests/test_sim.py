@@ -47,6 +47,14 @@ MODEL_CFGS = {
 }
 
 
+def density_map_plan():
+    """The two-path harness's density map: ``contact_density`` on the jet
+    chart of the contact-momentum row's fibers."""
+    cs = ContactStructure.standard()
+    return sim._jet_plan(cs.chart, sim._RATES["contact-momentum"][0],
+                         lambda a, d: contact_density(cs, a, d))
+
+
 def rates(model, state):
     """The model's rates at state, in a fresh array."""
     return model.rhs(state, np.empty_like(state))
@@ -386,7 +394,7 @@ class TestStencilsAsPlanInstructions:
         cfg = MODEL_CFGS["contact-momentum"]
         state = initial_state(cfg, build_model(cfg))
         g = Grid(3, cfg.n)
-        jc, map_rates = sim._density_map_plan(ContactStructure.standard())
+        jc, map_rates = density_map_plan()
         # a rate that is a bare jet variable, twice, and a jet that two rates read
         a_y, c_x = Var(jc.jet(0, 1)), Var(jc.jet(2, 0))
         odd_rates = [a_y, a_y * Var(jc.fiber[1]) + c_x, canon(c_x * Var(jc.base[2])), a_y]
@@ -561,6 +569,36 @@ class TestCompiledPlanAgainstHandWrittenRhs:
         assert np.max(np.abs(got[1] - want2)) < 1e-12
 
 
+# The exact plans of MODEL_CFGS (K = z, phi = cos(q)) and of the density
+# map: their jet chart, rates and carrying field.  The benchmark's gate
+# checks trajectories only to 1e-9; this table pins each plan's form.
+PINNED_PLANS = {
+    "contact-momentum": ("(x, y, z; a_x, a_y, a_z)",
+                         ["x*a_x_x + z*a_x_z + 3*a_x", "x*a_y_x + z*a_y_z + 2*a_y",
+                          "x*a_z_x + z*a_z_z + 3*a_z"],
+                         ["-x", "0", "-z"]),
+    "contact-density": ("(x, y, z; L)", ["x*L_x + z*L_z + 3*L"], ["-x", "0", "-z"]),
+    "vlasov-momentum": ("(q, p; P1, P2)",
+                        ["-(P1_p*sin(q) + p*P1_q) - P2*cos(q)",
+                         "-(P2_p*sin(q) + p*P2_q) - P1"],
+                        ["p", "sin(q)"]),
+    "vlasov-density": ("(q, p; f)", ["-f_p*sin(q) - p*f_q"], ["p", "sin(q)"]),
+    "density-map": ("(x, y, z; a_x, a_y, a_z)",
+                    ["x*a_x_z - x*a_z_x + (-2)*a_z - a_x_y + a_y_x"], None),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_PLANS)
+def test_plan_is_pinned(name):
+    if name == "density-map":
+        jc, rate_exprs = density_map_plan()
+        carrier = None
+    else:
+        jc, rate_exprs, carrier = sim._model_plan(MODEL_CFGS[name])
+        carrier = [str(c) for c in carrier]
+    assert (str(jc), [str(r) for r in rate_exprs], carrier) == PINNED_PLANS[name]
+
+
 def _poly_text(rng: random.Random, names, degree: int) -> str:
     """A random polynomial of total degree <= degree, as text."""
     terms = []
@@ -661,7 +699,7 @@ class TestPlansAreKineticsFormulasOnJets:
 
     def test_density_map(self, seed):
         rng = random.Random(f"plans:{seed}")
-        jc, rates = sim._density_map_plan(self.cs)
+        jc, rates = density_map_plan()
         alpha = _rational_section(rng, self.cs.chart.vars, 3)
         want = contact_density(self.cs, one_form(self.cs.chart, tuple(alpha)))
         assert _all_equal(_on_section(jc, rates, alpha), [want])

@@ -2,6 +2,10 @@
 
 import pytest
 
+from liftlab import verify
+from liftlab.expr import ZERO, Var, canon, partial
+from liftlab.geometry import VectorField
+from liftlab.lifts import hamiltonian_vector_field
 from liftlab.verify import SUITES, WEAK_PROBE_TOL, run_suite
 
 
@@ -92,3 +96,39 @@ RESULT: REPORTED""",
 @pytest.mark.parametrize("name", PINNED_REPORTS)
 def test_report_is_pinned(name):
     assert run_suite(name, trials=2, degree=3, seed=0).render() == PINNED_REPORTS[name]
+
+
+# ---------------------------------------------------------------------------
+# planted faults: each row replaces one function where verify reads it and
+# names the checks that must then fail
+
+def _plus_first_base_coordinate(pc, h):
+    """X_h + q^1 d/dq^1, whose divergence is 1."""
+    X = hamiltonian_vector_field(pc, h)
+    return VectorField(X.chart, (X.components[0] + Var(pc.base_var(0)), *X.components[1:]))
+
+
+def _without_fiber_term(pc, pi):
+    """The plasma density dPi^i/dq^i without its -dPi_i/dp_i term."""
+    return canon(sum((partial(pi.coeff((pc.m + i,)), pc.base_var(i)) for i in range(pc.m)),
+                     ZERO))
+
+
+PLANTED_FAULTS = {
+    "divergent-hamiltonian-field": ("hamiltonian_vector_field", _plus_first_base_coordinate,
+                                    {"hamiltonian-fields-divergence-free"}),
+    "plasma-density-without-fiber-term": ("plasma_density", _without_fiber_term,
+                                          {"plasma-density-intertwining",
+                                           "plasma-momentum-map-intertwining"}),
+}
+
+
+@pytest.mark.parametrize("fault", PLANTED_FAULTS)
+def test_planted_fault_fails_its_checks(monkeypatch, fault):
+    name, faulty, checks = PLANTED_FAULTS[fault]
+    monkeypatch.setattr(verify, name, faulty)
+    suites = {suite for suite, rows in verify.CHECKS.items()
+              if checks & {check for check, _ in rows}}
+    failed = {r.name for suite in sorted(suites)
+              for r in run_suite(suite, trials=2, seed=0).results if not r.passed}
+    assert checks <= failed
