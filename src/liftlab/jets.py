@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .expr import (
-    Expr, ExprError, ONE, Var, VarId, ZERO, canon, expr_equal, free_vars,
+    Expr, ExprError, ONE, Var, VarId, ZERO, canon, free_vars,
 )
 from .geometry import Chart, ChartError, VectorField, directional_derivative
 
@@ -173,15 +173,6 @@ class GeneralizedVectorField:
             self.jet_chart,
             tuple(a + b for a, b in zip(self.base_components, other.base_components)),
             tuple(a + b for a, b in zip(self.fiber_components, other.fiber_components)))
-
-    def equals(self, other: "GeneralizedVectorField") -> bool:
-        """Exact equality; defined on the rational fragment only."""
-        if self.jet_chart != other.jet_chart:
-            return False
-        return (all(expr_equal(a, b) for a, b in
-                    zip(self.base_components, other.base_components))
-                and all(expr_equal(a, b) for a, b in
-                        zip(self.fiber_components, other.fiber_components)))
 
     def __str__(self) -> str:
         jc = self.jet_chart

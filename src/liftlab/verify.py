@@ -1,10 +1,13 @@
 """Seeded randomized verification suites behind `liftlab verify`.
 
 An exact suite is a row of ``CHECKS``: named checks ``check(rng, degree)``
-that each draw an instance of a symbolic identity and return a
-counterexample, or None when it holds.  Each check runs on its own rng
-until its first counterexample; a check that raises an ``ExprError``
-fails with the error as its counterexample.
+that draw an instance of a symbolic identity and return ``(drawn, lhs,
+rhs)``: what they drew, by name, and the two sides of the identity (tuples
+when it has parts).  The runner alone decides, by ``lhs == rhs``: nodes are
+interned and every field, form and returned expression is canonical, so a
+side left uncanonical can fail a check but never pass a false one.  A check
+runs on its own rng until its first failure, which lists what it drew; one
+that raises an ``ExprError`` fails with the error.
 
 The operators-weak suite evaluates quadrature probes of the printed
 Hamiltonian operators and only *reports* residuals: the probes window all
@@ -23,13 +26,13 @@ from fractions import Fraction
 from typing import Callable
 
 from .expr import (
-    Call, Expr, ExprError, Var, ZERO, canon, expr_equal, kernel_stats, partial,
-    scope, substitute,
+    Call, Expr, ExprError, Var, ZERO, canon, kernel_stats, partial, scope,
+    substitute,
 )
 from .geometry import (
-    Chart, VectorField, VolumeForm, divergence, exterior_derivative,
-    interior_product, jacobi_lie_bracket, lie_derivative_form, one_form,
-    pointwise_pairing, wedge,
+    Chart, DifferentialForm, VectorField, VolumeForm, divergence,
+    exterior_derivative, interior_product, jacobi_lie_bracket,
+    lie_derivative_form, one_form, pointwise_pairing, wedge,
 )
 from .grid import Grid, discretize, quadrature
 from .jets import (
@@ -61,7 +64,8 @@ WEAK_PROBE_TOL = 1e-6
 # points per axis of the operators-weak quadrature grid
 WEAK_PROBE_N = 48
 
-Check = Callable[[random.Random, int], "str | None"]
+Instance = tuple[dict[str, object], object, object]     # (drawn, lhs, rhs)
+Check = Callable[[random.Random, int], Instance]
 
 
 @dataclass
@@ -132,11 +136,13 @@ def _run_checks(name: str, trials: int, degree: int, seed: int) -> SuiteReport:
         start, stats = time.perf_counter(), kernel_stats()
         for _ in range(trials):
             done += 1
-            # a trial gives back the nodes it made: it returns only text,
-            # and an error is formatted before the scope drops its nodes
+            # a trial gives back the nodes it made: it keeps only text, and
+            # a failure is formatted before the scope drops its nodes
             with scope():
                 try:
-                    failure = check(rng, degree)
+                    drawn, lhs, rhs = check(rng, degree)
+                    if lhs != rhs:
+                        failure = "; ".join(f"{k} = {v}" for k, v in drawn.items())
                 except ExprError as exc:
                     failure = f"{type(exc).__name__}: {exc}"
             if failure:
@@ -181,66 +187,51 @@ def _ordinary_bracket_on_jet(jc: JetChart, a: GeneralizedVectorField,
     return GeneralizedVectorField(jc, comps[:jc.m], comps[jc.m:])
 
 
-def _holonomic_iso(rng, degree: int) -> str | None:
+def _holonomic_iso(rng, degree: int) -> Instance:
     jc = rng.choice(_JET_CHARTS)
     xi = _rand_ordinary_field(rng, jc, degree)
     eta = _rand_ordinary_field(rng, jc, degree)
-    lhs = holonomic_part(_ordinary_bracket_on_jet(jc, xi, eta))
-    rhs = prolongation_bracket(holonomic_part(xi), holonomic_part(eta))
-    if not lhs.equals(rhs):
-        return f"xi = {xi}; eta = {eta}; lhs = {lhs}; rhs = {rhs}"
-    return None
+    H = holonomic_part
+    return ({"xi": xi, "eta": eta}, H(_ordinary_bracket_on_jet(jc, xi, eta)),
+            prolongation_bracket(H(xi), H(eta)))
 
 
-def _bracket_identity(rng, degree: int) -> str | None:
+def _bracket_identity(rng, degree: int) -> Instance:
     # stated for projectable fields on E; their V images are jet-linear,
     # the class on which the bracket closes at first order
     jc = rng.choice(_JET_CHARTS)
     xi = _rand_ordinary_field(rng, jc, degree)
     eta = _rand_ordinary_field(rng, jc, degree)
-    lhs = prolongation_bracket(vertical_representative(xi),
-                               vertical_representative(eta))
-    rhs = vertical_representative(prolongation_bracket(xi, eta)) + \
-        obstruction_form(xi, eta)
-    if not lhs.equals(rhs):
-        return f"xi = {xi}; eta = {eta}"
-    return None
+    V = vertical_representative
+    return ({"xi": xi, "eta": eta}, prolongation_bracket(V(xi), V(eta)),
+            V(prolongation_bracket(xi, eta)) + obstruction_form(xi, eta))
 
 
-def _antisymmetry(rng, degree: int) -> str | None:
+def _antisymmetry(rng, degree: int) -> Instance:
     jc = rng.choice(_JET_CHARTS)
     picks = (lambda f: f, vertical_representative, holonomic_part)
     xi = rng.choice(picks)(_rand_ordinary_field(rng, jc, degree))
     eta = rng.choice(picks)(_rand_ordinary_field(rng, jc, degree))
-    lhs = prolongation_bracket(xi, eta)
-    rhs = prolongation_bracket(eta, xi)
-    if not (lhs + rhs).is_zero():
-        return f"xi = {xi}; eta = {eta}"
-    return None
+    return ({"xi": xi, "eta": eta},
+            prolongation_bracket(xi, eta) + prolongation_bracket(eta, xi),
+            GeneralizedVectorField(jc, (ZERO,) * jc.m, (ZERO,) * jc.k))
 
 
-def _reduces_to_jl(rng, degree: int) -> str | None:
+def _reduces_to_jl(rng, degree: int) -> Instance:
     jc = rng.choice(_JET_CHARTS)
     xi = _rand_ordinary_field(rng, jc, degree)
     eta = _rand_ordinary_field(rng, jc, degree)
-    lhs = prolongation_bracket(xi, eta)
-    rhs = _ordinary_bracket_on_jet(jc, xi, eta)
-    if not lhs.equals(rhs):
-        return f"xi = {xi}; eta = {eta}"
-    return None
+    return ({"xi": xi, "eta": eta}, prolongation_bracket(xi, eta),
+            _ordinary_bracket_on_jet(jc, xi, eta))
 
 
-def _decomposition(rng, degree: int) -> str | None:
+def _decomposition(rng, degree: int) -> Instance:
+    """xi = V xi + H xi, with V xi vertical and H a projector."""
     jc = rng.choice(_JET_CHARTS)
     xi = _rand_generalized_field(rng, jc, degree)
     v, h = vertical_representative(xi), holonomic_part(xi)
-    if not (v + h).equals(xi):
-        return f"xi = {xi}"
-    if not v.is_vertical():
-        return f"V not vertical: {v}"
-    if not holonomic_part(h).equals(h):
-        return f"H not a projector on {xi}"
-    return None
+    return ({"xi": xi}, (v + h, v.base_components, holonomic_part(h)),
+            (xi, (ZERO,) * jc.m, h))
 
 
 # ---------------------------------------------------------------------------
@@ -250,117 +241,84 @@ _BASE_CHARTS = [Chart.make("x"), Chart.make("x", "y"), Chart.make("x", "y", "z")
 _COT_CHARTS = [CotangentChart.make(c) for c in _BASE_CHARTS]
 
 
-def _vf_equal(a: VectorField, b: VectorField) -> bool:
-    return all(expr_equal(p, q) for p, q in zip(a.components, b.components))
-
-
-def _bracket_homomorphism(rng, degree: int) -> str | None:
+def _bracket_homomorphism(rng, degree: int) -> Instance:
     cc = rng.choice(_COT_CHARTS)
     X = rand_vector_field(rng, cc.base, degree)
     Y = rand_vector_field(rng, cc.base, degree)
-    lhs = complete_cotangent_lift(cc, jacobi_lie_bracket(X, Y))
-    rhs = jacobi_lie_bracket(complete_cotangent_lift(cc, X),
-                             complete_cotangent_lift(cc, Y))
-    if not _vf_equal(lhs, rhs):
-        return f"X = {X}; Y = {Y}"
-    return None
+    return ({"X": X, "Y": Y},
+            complete_cotangent_lift(cc, jacobi_lie_bracket(X, Y)),
+            jacobi_lie_bracket(complete_cotangent_lift(cc, X),
+                               complete_cotangent_lift(cc, Y)))
 
 
-def _vertical_homomorphism(rng, degree: int) -> str | None:
+def _vertical_homomorphism(rng, degree: int) -> Instance:
     cc = rng.choice(_COT_CHARTS)
     X = rand_vector_field(rng, cc.base, degree)
     Y = rand_vector_field(rng, cc.base, degree)
-    vxy, _ = lift_decomposition(cc, jacobi_lie_bracket(X, Y))
-    vx, _ = lift_decomposition(cc, X)
-    vy, _ = lift_decomposition(cc, Y)
-    if not prolongation_bracket(vx, vy).equals(vxy):
-        return f"X = {X}; Y = {Y}"
-    return None
+    vxy, vx, vy = (lift_decomposition(cc, F)[0] for F in (jacobi_lie_bracket(X, Y), X, Y))
+    return {"X": X, "Y": Y}, prolongation_bracket(vx, vy), vxy
 
 
-def _obstruction_vanishing(rng, degree: int) -> str | None:
+def _obstruction_vanishing(rng, degree: int) -> Instance:
     cc = rng.choice(_COT_CHARTS)
     X = rand_vector_field(rng, cc.base, degree)
     Y = rand_vector_field(rng, cc.base, degree)
-    xi = as_generalized(cc, complete_cotangent_lift(cc, X))
-    eta = as_generalized(cc, complete_cotangent_lift(cc, Y))
-    b = obstruction_form(xi, eta)
-    if not b.is_zero():
-        return f"X = {X}; Y = {Y}; B = {b}"
-    return None
+    xi, eta = (as_generalized(cc, complete_cotangent_lift(cc, F)) for F in (X, Y))
+    jc = xi.jet_chart
+    return ({"X": X, "Y": Y}, obstruction_form(xi, eta),
+            GeneralizedVectorField(jc, (ZERO,) * jc.m, (ZERO,) * jc.k))
 
 
-def _momentum_generates(rng, degree: int) -> str | None:
+def _momentum_generates(rng, degree: int) -> Instance:
     cc = rng.choice(_COT_CHARTS)
     X = rand_vector_field(rng, cc.base, degree)
-    lhs = hamiltonian_vector_field(cc, momentum_function(cc, X))
-    rhs = complete_cotangent_lift(cc, X)
-    if not _vf_equal(lhs, rhs):
-        return f"X = {X}"
-    return None
+    return ({"X": X}, hamiltonian_vector_field(cc, momentum_function(cc, X)),
+            complete_cotangent_lift(cc, X))
 
 
-def _preserves_theta(rng, degree: int) -> str | None:
+def _preserves_theta(rng, degree: int) -> Instance:
     cc = rng.choice(_COT_CHARTS)
     X = rand_vector_field(rng, cc.base, degree)
-    lied = lie_derivative_form(complete_cotangent_lift(cc, X),
-                               cc.tautological_form())
-    if not lied.is_zero():
-        return f"X = {X}; L theta = {lied}"
-    return None
+    return ({"X": X},
+            lie_derivative_form(complete_cotangent_lift(cc, X), cc.tautological_form()),
+            DifferentialForm(cc.full, 1))
 
 
-def _projection_compatible(rng, degree: int) -> str | None:
+def _projection_compatible(rng, degree: int) -> Instance:
     cc = rng.choice(_COT_CHARTS)
     X = rand_vector_field(rng, cc.base, degree)
-    lift = complete_cotangent_lift(cc, X)
-    for a in range(cc.m):
-        if not expr_equal(lift.components[a], X.components[a]):
-            return f"X = {X}"
-    return None
+    return {"X": X}, complete_cotangent_lift(cc, X).components[:cc.m], X.components
 
 
 # ---------------------------------------------------------------------------
 # Euler vector field
 
-def _dilation_identities(rng, degree: int) -> str | None:
+def _dilation_identities(rng, degree: int) -> Instance:
+    """i_{X_E} Omega = theta, L_{X_E} Omega = -Omega, L_{X_E} theta = -theta."""
     cc = rng.choice(_COT_CHARTS)
     xe = euler_vector_field(cc)
     omega, theta = cc.symplectic_form(), cc.tautological_form()
-    if not (interior_product(xe, omega) - theta).is_zero():
-        return "i_{X_E} Omega != theta"
-    if not (lie_derivative_form(xe, omega) + omega).is_zero():
-        return "L_{X_E} Omega != -Omega"
-    if not (lie_derivative_form(xe, theta) + theta).is_zero():
-        return "L_{X_E} theta != -theta"
-    if any(c != ZERO for c in xe.components[:cc.m]):
-        return "X_E is not vertical"
-    return None
+    return ({"chart": cc.full},
+            (interior_product(xe, omega), lie_derivative_form(xe, omega),
+             lie_derivative_form(xe, theta), xe.components[:cc.m]),   # X_E vertical
+            (theta, omega.scaled(-1), theta.scaled(-1), (ZERO,) * cc.m))
 
 
-def _lift_bracket_vertical(rng, degree: int) -> str | None:
+def _lift_bracket_vertical(rng, degree: int) -> Instance:
     cc = rng.choice(_COT_CHARTS)
     X = rand_vector_field(rng, cc.base, degree)
     alpha = rand_one_form(rng, cc.base, degree)
-    lhs = jacobi_lie_bracket(complete_cotangent_lift(cc, X),
-                             vertical_lift(cc, alpha))
-    rhs = vertical_lift(cc, lie_derivative_form(X, alpha))
-    if not _vf_equal(lhs, rhs):
-        return f"X = {X}; alpha = {alpha}"
-    return None
+    return ({"X": X, "alpha": alpha},
+            jacobi_lie_bracket(complete_cotangent_lift(cc, X), vertical_lift(cc, alpha)),
+            vertical_lift(cc, lie_derivative_form(X, alpha)))
 
 
-def _euler_composition(rng, degree: int) -> str | None:
+def _euler_composition(rng, degree: int) -> Instance:
     cc = rng.choice(_COT_CHARTS)
     alpha = rand_one_form(rng, cc.base, degree)
-    xe = euler_vector_field(cc)
     bind = {cc.fiber_var(a): alpha.coeff((a,)) for a in range(cc.m)}
-    composed = [substitute(c, bind) for c in xe.components]
-    lifted = vertical_lift(cc, alpha)
-    for got, want in zip(composed, lifted.components):
-        if not expr_equal(got, want):
-            return f"alpha = {alpha}"
-    return None
+    composed = tuple(substitute(c, bind) for c in euler_vector_field(cc).components)
+    return {"alpha": alpha}, composed, vertical_lift(cc, alpha).components
 
 
 # ---------------------------------------------------------------------------
@@ -369,57 +327,44 @@ def _euler_composition(rng, degree: int) -> str | None:
 _PLASMA_CHARTS = [plasma_chart(1), plasma_chart(2)]
 
 
-def _rand_params(rng, pc: CotangentChart, degree: int) -> PlasmaParams:
+def _rand_plasma(rng, degree: int) -> tuple:
+    """(chart, params, Pi, drawn): a plasma chart, parameters and momentum."""
+    pc = rng.choice(_PLASMA_CHARTS)
     mass = Fraction(rng.choice((1, 2, 3)), rng.choice((1, 2)))
     charge = Fraction(rng.choice((-2, -1, 0, 1, 2)))
-    qvars = [pc.base_var(i) for i in range(pc.m)]
-    return PlasmaParams(mass, charge, rand_poly(rng, qvars, degree, 2))
+    params = PlasmaParams(mass, charge, rand_poly(rng, pc.full.vars[:pc.m], degree, 2))
+    pi = rand_one_form(rng, pc.full, degree)
+    return pc, params, pi, {"Pi": pi, "m": mass, "e": charge, "phi": params.phi}
 
 
-def _poisson_isomorphism(rng, degree: int) -> str | None:
+def _poisson_isomorphism(rng, degree: int) -> Instance:
     pc = rng.choice(_PLASMA_CHARTS)
     h = rand_poly(rng, pc.full.vars, degree, 3)
     f = rand_poly(rng, pc.full.vars, degree, 3)
-    lhs = jacobi_lie_bracket(hamiltonian_vector_field(pc, h),
-                             hamiltonian_vector_field(pc, f))
-    rhs = hamiltonian_vector_field(pc, canonical_poisson(pc, h, f)).scaled(-1)
-    if not _vf_equal(lhs, rhs):
-        return f"h = {h}; f = {f}"
-    return None
+    X_h, X_f = hamiltonian_vector_field(pc, h), hamiltonian_vector_field(pc, f)
+    return ({"h": h, "f": f}, jacobi_lie_bracket(X_h, X_f),
+            hamiltonian_vector_field(pc, canonical_poisson(pc, h, f)).scaled(-1))
 
 
-def _hamiltonian_div_free(rng, degree: int) -> str | None:
+def _hamiltonian_div_free(rng, degree: int) -> Instance:
     pc = rng.choice(_PLASMA_CHARTS)
     h = rand_poly(rng, pc.full.vars, degree, 3)
-    div = divergence(hamiltonian_vector_field(pc, h), VolumeForm.standard(pc.full))
-    if not expr_equal(div, ZERO):
-        return f"h = {h}; div = {div}"
-    return None
+    X_h = hamiltonian_vector_field(pc, h)
+    return {"h": h}, divergence(X_h, VolumeForm.standard(pc.full)), ZERO
 
 
-def _momentum_matches_coadjoint(rng, degree: int) -> str | None:
-    pc = rng.choice(_PLASMA_CHARTS)
-    params = _rand_params(rng, pc, degree)
-    pi = rand_one_form(rng, pc.full, degree)
-    rate = vlasov_momentum_rhs(pc, pi, params)
+def _momentum_matches_coadjoint(rng, degree: int) -> Instance:
+    pc, params, pi, drawn = _rand_plasma(rng, degree)
     X_h = hamiltonian_vector_field(pc, plasma_hamiltonian(pc, params))
-    coad = lie_poisson_rhs(X_h, pi, VolumeForm.standard(pc.full))
-    for a in range(2 * pc.m):
-        if not expr_equal(rate.coeff((a,)), coad.coeff((a,))):
-            return f"Pi = {pi}; params m={params.mass} e={params.charge} phi={params.phi}"
-    return None
+    return (drawn, vlasov_momentum_rhs(pc, pi, params),
+            lie_poisson_rhs(X_h, pi, VolumeForm.standard(pc.full)))
 
 
-def _plasma_intertwining(rng, degree: int) -> str | None:
+def _plasma_intertwining(rng, degree: int) -> Instance:
     """The plasma density of the Vlasov momentum rate is the density rate."""
-    pc = rng.choice(_PLASMA_CHARTS)
-    params = _rand_params(rng, pc, degree)
-    pi = rand_one_form(rng, pc.full, degree)
-    lhs = plasma_density(pc, vlasov_momentum_rhs(pc, pi, params))
-    rhs = vlasov_density_rhs(pc, plasma_density(pc, pi), params)
-    if not expr_equal(lhs, rhs):
-        return f"Pi = {pi}; params m={params.mass} e={params.charge} phi={params.phi}"
-    return None
+    pc, params, pi, drawn = _rand_plasma(rng, degree)
+    return (drawn, plasma_density(pc, vlasov_momentum_rhs(pc, pi, params)),
+            vlasov_density_rhs(pc, plasma_density(pc, pi), params))
 
 
 # ---------------------------------------------------------------------------
@@ -429,66 +374,52 @@ _CS = ContactStructure.standard()
 _DSIGMA = exterior_derivative(_CS.sigma)
 
 
-def _contact_identities(rng, degree: int) -> str | None:
+def _contact_identities(rng, degree: int) -> Instance:
+    """i_X sigma = -K and i_X dsigma = dK - (R K) sigma."""
     K = rand_poly(rng, _CS.chart.vars, degree, 3)
     X = contact_vector_field(_CS, K)
-    if not expr_equal(pointwise_pairing(_CS.sigma, X), canon(K * -1)):
-        return f"K = {K}: i_X sigma != -K"
-    want = one_form(_CS.chart, tuple(partial(K, v) for v in _CS.chart.vars)) \
-        - _CS.sigma.scaled(partial(K, _CS.z))
-    if not (interior_product(X, _DSIGMA) - want).is_zero():
-        return f"K = {K}: i_X dsigma != dK - (R K) sigma"
-    return None
+    dK = one_form(_CS.chart, tuple(partial(K, v) for v in _CS.chart.vars))
+    return ({"K": K},
+            (pointwise_pairing(_CS.sigma, X), interior_product(X, _DSIGMA)),
+            (canon(K * -1), dK - _CS.sigma.scaled(partial(K, _CS.z))))
 
 
-def _divergence_formula(rng, degree: int) -> str | None:
+def _divergence_formula(rng, degree: int) -> Instance:
     K = rand_poly(rng, _CS.chart.vars, degree, 3)
-    div = divergence(contact_vector_field(_CS, K), _CS.vol)
-    if not expr_equal(div, canon(partial(K, _CS.z) * -2)):
-        return f"K = {K}; div = {div}"
-    return None
+    return ({"K": K}, divergence(contact_vector_field(_CS, K), _CS.vol),
+            canon(partial(K, _CS.z) * -2))
 
 
-def _bracket_antihomomorphism(rng, degree: int) -> str | None:
+def _bracket_antihomomorphism(rng, degree: int) -> Instance:
     K = rand_poly(rng, _CS.chart.vars, degree, 3)
     L = rand_poly(rng, _CS.chart.vars, degree, 3)
-    lhs = jacobi_lie_bracket(contact_vector_field(_CS, K),
-                             contact_vector_field(_CS, L))
-    rhs = contact_vector_field(_CS, contact_bracket(_CS, K, L)).scaled(-1)
-    if not _vf_equal(lhs, rhs):
-        return f"K = {K}; L = {L}"
-    return None
+    return ({"K": K, "L": L},
+            jacobi_lie_bracket(contact_vector_field(_CS, K), contact_vector_field(_CS, L)),
+            contact_vector_field(_CS, contact_bracket(_CS, K, L)).scaled(-1))
 
 
-def _density_wedge(rng, degree: int) -> str | None:
+def _density_wedge(rng, degree: int) -> Instance:
     alpha = rand_one_form(rng, _CS.chart, degree)
     L = contact_density(_CS, alpha)
     lhs = wedge(exterior_derivative(alpha), _CS.sigma) - \
         wedge(alpha, _DSIGMA).scaled(2)
-    if not expr_equal(lhs.coeff((0, 1, 2)), L):
-        return f"alpha = {alpha}"
-    return None
+    return {"alpha": alpha}, lhs.coeff((0, 1, 2)), L
 
 
-def _dual_path(rng, degree: int) -> str | None:
+def _dual_path(rng, degree: int) -> Instance:
     alpha = rand_one_form(rng, _CS.chart, degree)
     K = rand_poly(rng, _CS.chart.vars, degree, 3)
-    a = contact_momentum_rhs(_CS, alpha, K)
-    b = contact_momentum_rhs_via_lift(_CS, alpha, K)
-    if not (a - b).is_zero():
-        return f"alpha = {alpha}; K = {K}"
-    return None
+    return ({"alpha": alpha, "K": K}, contact_momentum_rhs(_CS, alpha, K),
+            contact_momentum_rhs_via_lift(_CS, alpha, K))
 
 
-def _contact_intertwining(rng, degree: int) -> str | None:
+def _contact_intertwining(rng, degree: int) -> Instance:
     """The contact density of the momentum rate is the density rate."""
     alpha = rand_one_form(rng, _CS.chart, degree)
     K = rand_poly(rng, _CS.chart.vars, degree, 3)
-    lhs = contact_density(_CS, contact_momentum_rhs(_CS, alpha, K))
-    rhs = contact_density_rhs(_CS, contact_density(_CS, alpha), K)
-    if not expr_equal(lhs, rhs):
-        return f"alpha = {alpha}; K = {K}"
-    return None
+    return ({"alpha": alpha, "K": K},
+            contact_density(_CS, contact_momentum_rhs(_CS, alpha, K)),
+            contact_density_rhs(_CS, contact_density(_CS, alpha), K))
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ def test_criterion_02_vertical_representative_suite():
         vxy, _ = lift_decomposition(cc, jacobi_lie_bracket(X, Y))
         vx, _ = lift_decomposition(cc, X)
         vy, _ = lift_decomposition(cc, Y)
-        assert prolongation_bracket(vx, vy).equals(vxy)
+        assert prolongation_bracket(vx, vy) == vxy
     elapsed = time.time() - t0
     assert elapsed < 20
     announce(2, "vertical-representative-suite",
@@ -109,8 +109,8 @@ def test_criterion_03_holonomic_lift_suite():
         Y = VectorField(echart, eta.base_components + eta.fiber_components)
         br = jacobi_lie_bracket(X, Y)
         as_gvf = GeneralizedVectorField(jc, br.components[:jc.m], br.components[jc.m:])
-        assert holonomic_part(as_gvf).equals(
-            prolongation_bracket(holonomic_part(xi), holonomic_part(eta)))
+        assert holonomic_part(as_gvf) == prolongation_bracket(
+            holonomic_part(xi), holonomic_part(eta))
     elapsed = time.time() - t0
     assert elapsed < 20
     announce(3, "holonomic-lift-suite", f"{TRIALS} projectable pairs on (1,1),(2,2)",

@@ -622,6 +622,19 @@ HOSTILE = {
                                   "--init", "2+sin(q)", "--m=1e100000000"),
     "no-subcommand": (),
     "unknown-flag": ("lift", "--fields", "x"),
+    "contact-without-K": (*_SIM, "--model", "contact-density", "--init", "2+sin(x)"),
+    "unparsable-phi": (*_SIM, "--model", "vlasov-density", "--phi", "cos(",
+                       "--init", "2+sin(q)"),
+    "unparsable-init": (*_SIM, "--model", "contact-density", "--K", "z", "--init", "sin("),
+    "zero-cadence": (*_SIM, "--model", "contact-density", "--K", "z", "--init", "2+sin(x)",
+                     "--cadence", "0"),
+    "sim-without-model": _SIM,
+    "contact-alpha-of-two": ("density", "--contact-alpha", "x;y"),
+    "pro-extra-base-component": ("bracket", "--type", "pro", "--vars", "x", "--fibers", "u",
+                                 "--a", "1,1;u", "--b", "1;u"),
+    # a folded constant past the doubles, though its value would fit
+    "overflowing-fold-in-init": (*_SIM, "--model", "contact-density", "--K", "z",
+                                 "--init", "10^308*10 + sin(x)"),
 }
 
 
@@ -630,7 +643,22 @@ HOSTILE_CODE = {"overflowing-exp-in-K": 2, "blow-up": 3, "slow-blow-up": 3,
                 "negative-charge-as-its-own-word": 2, "zero-denominator-mass": 2,
                 "malformed-charge": 2, "pro-bad-name": 2,
                 "mass-past-the-exponent-bound": 2, "charge-past-the-exponent-bound": 2,
-                "mass-with-a-huge-exponent": 2}
+                "mass-with-a-huge-exponent": 2, "contact-without-K": 2, "unparsable-phi": 2,
+                "unparsable-init": 2, "zero-cadence": 2, "sim-without-model": 2,
+                "contact-alpha-of-two": 2, "pro-extra-base-component": 2,
+                "overflowing-fold-in-init": 2}
+
+# the cause that the error line of a pinned row names
+HOSTILE_MESSAGE = {
+    "contact-without-K": "contact models need the generator K",
+    "unparsable-phi": "bad potential phi",
+    "unparsable-init": "bad initial data 'sin('",
+    "zero-cadence": "cadence must be >= 1",
+    "sim-without-model": "sim needs --config or --model",
+    "contact-alpha-of-two": "--contact-alpha needs 'ax;ay;az'",
+    "pro-extra-base-component": "expected 1 base and 1 fiber components",
+    "overflowing-fold-in-init": "a value too large for a double",
+}
 
 
 def _run_hostile(tmp_path, name):
@@ -651,6 +679,13 @@ def test_hostile_input_keeps_the_exit_code_contract(tmp_path, capsys, name):
     assert "Traceback" not in err
     assert code == 0 or err.startswith(("error: ", "usage: "))
     assert code == 0 or out == ""
+
+
+@pytest.mark.parametrize("name", HOSTILE_MESSAGE)
+def test_hostile_config_error_names_its_cause(tmp_path, capsys, name):
+    assert _run_hostile(tmp_path, name) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and HOSTILE_MESSAGE[name] in err.splitlines()[0]
 
 
 @pytest.mark.parametrize("name", ["blow-up", "slow-blow-up"])

@@ -269,6 +269,20 @@ class TestCompileNumeric:
         with pytest.raises(EvaluationDomainError):
             discretize(e, Grid(1, 8), {X: 0})
 
+    @pytest.mark.parametrize("text", ["10^308*10*x", "(10^308 + 10^308)*0 + x",
+                                      "sin(x)/(10^308*10)"])
+    def test_folded_constants_overflow_as_doubles(self, text):
+        # Python floats would fold these to inf or nan without a word
+        with pytest.raises(EvaluationDomainError, match="too large for a double"):
+            compile_numeric(parse_expr(text, [X]), {X: 0})
+
+    @pytest.mark.parametrize("node", [Sum((Var(X),)), Prod((Var(X),))], ids=["sum", "prod"])
+    def test_lone_call_time_operand_is_copied_bitwise(self, node):
+        xs = np.array([1.5, -0.0, np.nan, 5e-324])
+        got = compile_numeric(node, {X: 0})([xs], np.empty(4))
+        assert np.array_equal(got.view(np.uint64), xs.view(np.uint64))
+        assert not np.shares_memory(got, xs)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_initial_data_raises_without_numpy_warnings(self):
         # the periodicity probes overflow too, quietly; the fold raises

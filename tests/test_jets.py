@@ -163,7 +163,7 @@ class TestHolonomicVertical:
         for _ in range(5):
             xi = rand_ordinary(rng, jc22)
             h = holonomic_part(xi)
-            assert holonomic_part(h).equals(h)
+            assert holonomic_part(h) == h
 
     def test_vertical_representative_of_translation(self, jc11):
         v = vertical_representative(GeneralizedVectorField(jc11, (ONE,), (ZERO,)))
@@ -172,12 +172,12 @@ class TestHolonomicVertical:
 
     def test_vertical_field_is_its_own_representative(self, jc11):
         xi = GeneralizedVectorField(jc11, (ZERO,), (Var(jc11.fiber[0]),))
-        assert vertical_representative(xi).equals(xi)
+        assert vertical_representative(xi) == xi
 
     def test_decomposition_reassembles(self, rng, jc22):
         for _ in range(5):
             xi = rand_ordinary(rng, jc22)
-            assert (vertical_representative(xi) + holonomic_part(xi)).equals(xi)
+            assert (vertical_representative(xi) + holonomic_part(xi)) == xi
 
 
 class TestObstructionForm:
@@ -193,7 +193,7 @@ class TestObstructionForm:
         alt = prolongation_bracket(vertical_representative(dx),
                                    vertical_representative(xdu)) - \
             vertical_representative(prolongation_bracket(dx, xdu))
-        assert b.equals(alt)
+        assert b == alt
 
     def test_identity_on_random_ordinary_fields(self, rng, jc22):
         for _ in range(3):
@@ -203,7 +203,7 @@ class TestObstructionForm:
                                        vertical_representative(eta))
             rhs = vertical_representative(prolongation_bracket(xi, eta)) + \
                 obstruction_form(xi, eta)
-            assert lhs.equals(rhs)
+            assert lhs == rhs
 
 
 class TestHolonomicLiftIsomorphism:
@@ -222,4 +222,4 @@ class TestHolonomicLiftIsomorphism:
                                                 br.components[jc.m:])
                 lhs = holonomic_part(as_gvf)
                 rhs = prolongation_bracket(holonomic_part(xi), holonomic_part(eta))
-                assert lhs.equals(rhs)
+                assert lhs == rhs

@@ -220,7 +220,7 @@ class TestLiftDecomposition:
             X = rand_vector_field(rng, cc2.base, 3)
             v, h = lift_decomposition(cc2, X)
             xi = as_generalized(cc2, complete_cotangent_lift(cc2, X))
-            assert (v + h).equals(xi)
+            assert (v + h) == xi
 
     def test_vertical_homomorphism(self, rng, cc2):
         # V[X,Y]^{c*} = [V X^{c*}, V Y^{c*}]_pro
@@ -230,7 +230,7 @@ class TestLiftDecomposition:
             vxy, _ = lift_decomposition(cc2, jacobi_lie_bracket(X, Y))
             vx, _ = lift_decomposition(cc2, X)
             vy, _ = lift_decomposition(cc2, Y)
-            assert prolongation_bracket(vx, vy).equals(vxy)
+            assert prolongation_bracket(vx, vy) == vxy
 
     def test_transcendental_coefficients_decompose(self, cc1):
         # trig fields skip the symbolic route checks but still split

@@ -1,11 +1,20 @@
 """Verification-suite machinery and reports."""
 
+import random
+import re
+
 import pytest
 
 from liftlab import verify
-from liftlab.expr import ZERO, Var, canon, partial
-from liftlab.geometry import VectorField
-from liftlab.lifts import hamiltonian_vector_field
+from liftlab.expr import ZERO, Expr, Var, canon, canonicalize, partial, scope
+from liftlab.geometry import DifferentialForm, VectorField, jacobi_lie_bracket
+from liftlab.jets import (
+    GeneralizedVectorField, prolong1, prolongation_bracket, vertical_representative,
+)
+from liftlab.kinetics import (
+    contact_density, contact_momentum_rhs, contact_vector_field, vlasov_momentum_rhs,
+)
+from liftlab.lifts import complete_cotangent_lift, euler_vector_field, hamiltonian_vector_field
 from liftlab.verify import SUITES, WEAK_PROBE_TOL, run_suite
 
 
@@ -114,12 +123,95 @@ def _without_fiber_term(pc, pi):
                      ZERO))
 
 
+def _times(c, f):
+    """``f`` with its result, a field, form or expression, multiplied by c."""
+    def faulty(*args):
+        out = f(*args)
+        if isinstance(out, Expr):
+            return canon(out * c)
+        if isinstance(out, GeneralizedVectorField):
+            return GeneralizedVectorField(out.jet_chart,
+                                          tuple(x * c for x in out.base_components),
+                                          tuple(x * c for x in out.fiber_components))
+        return out.scaled(c)
+    return faulty
+
+
+def _fiber_negated_lift(cc, X):
+    """X^{c*} with the sign of its fiber components flipped."""
+    lift = complete_cotangent_lift(cc, X)
+    return VectorField(lift.chart, (*lift.components[:cc.m],
+                                    *(c * -1 for c in lift.components[cc.m:])))
+
+
+def _obstruction_without_holonomic_parts(xi, eta):
+    """[eta, V xi] - [xi, V eta]: B with the holonomic projection dropped."""
+    return prolongation_bracket(eta, vertical_representative(xi)) - \
+        prolongation_bracket(xi, vertical_representative(eta))
+
+
+def _bracket_reading_pr1_xi_twice(xi, eta):
+    """The prolongation bracket with pr1(xi) read where pr1(eta) belongs."""
+    p = prolong1(xi)
+    return GeneralizedVectorField(
+        xi.jet_chart,
+        tuple(p.apply(b) - p.apply(a) for a, b in zip(xi.base_components, eta.base_components)),
+        tuple(p.apply(b) - p.apply(a) for a, b in zip(xi.fiber_components, eta.fiber_components)))
+
+
 PLANTED_FAULTS = {
     "divergent-hamiltonian-field": ("hamiltonian_vector_field", _plus_first_base_coordinate,
                                     {"hamiltonian-fields-divergence-free"}),
     "plasma-density-without-fiber-term": ("plasma_density", _without_fiber_term,
                                           {"plasma-density-intertwining",
                                            "plasma-momentum-map-intertwining"}),
+    "negated-jacobi-lie-bracket": ("jacobi_lie_bracket", _times(-1, jacobi_lie_bracket),
+                                   {"contact-bracket-antihomomorphism",
+                                    "holonomic-lift-isomorphism",
+                                    "lift-bracket-with-vertical-lift",
+                                    "poisson-bracket-isomorphism", "reduces-to-jacobi-lie",
+                                    "vertical-lift-homomorphism"}),
+    "negated-contact-field": ("contact_vector_field", _times(-1, contact_vector_field),
+                              {"contact-bracket-antihomomorphism",
+                               "contact-divergence-is--2Kz",
+                               "contact-field-defining-identities"}),
+    "negated-contact-momentum-rate": ("contact_momentum_rhs",
+                                      _times(-1, contact_momentum_rhs),
+                                      {"contact-density-intertwining",
+                                       "contact-momentum-map-intertwining",
+                                       "momentum-rhs-dual-path-equality"}),
+    "negated-vlasov-momentum-rate": ("vlasov_momentum_rhs", _times(-1, vlasov_momentum_rhs),
+                                     {"momentum-rhs-matches-coadjoint",
+                                      "plasma-density-intertwining",
+                                      "plasma-momentum-map-intertwining"}),
+    "doubled-cotangent-lift": ("complete_cotangent_lift", _times(2, complete_cotangent_lift),
+                               {"cotangent-bracket-homomorphism",
+                                "lift-bracket-with-vertical-lift",
+                                "momentum-function-generates-lift",
+                                "projection-compatibility"}),
+    "fiber-negated-cotangent-lift": ("complete_cotangent_lift", _fiber_negated_lift,
+                                     {"cotangent-bracket-homomorphism",
+                                      "lift-bracket-with-vertical-lift",
+                                      "lift-preserves-tautological-form",
+                                      "momentum-function-generates-lift"}),
+    "negated-euler-field": ("euler_vector_field", _times(-1, euler_vector_field),
+                            {"euler-field-defining-identities",
+                             "vertical-lift-via-euler-field"}),
+    "negated-vertical-representative": ("vertical_representative",
+                                        _times(-1, vertical_representative),
+                                        {"holonomic-vertical-decomposition",
+                                         "vertical-bracket-identity"}),
+    "negated-contact-density": ("contact_density", _times(-1, contact_density),
+                                {"density-wedge-consistency"}),
+    "obstruction-without-holonomic-parts": ("obstruction_form",
+                                            _obstruction_without_holonomic_parts,
+                                            {"obstruction-vanishing-on-lifts",
+                                             "vertical-bracket-identity"}),
+    "bracket-reading-pr1-xi-twice": ("prolongation_bracket", _bracket_reading_pr1_xi_twice,
+                                     {"holonomic-lift-isomorphism",
+                                      "prolongation-bracket-antisymmetry",
+                                      "reduces-to-jacobi-lie", "vertical-bracket-identity",
+                                      "vertical-lift-homomorphism"}),
 }
 
 
@@ -132,3 +224,46 @@ def test_planted_fault_fails_its_checks(monkeypatch, fault):
     failed = {r.name for suite in sorted(suites)
               for r in run_suite(suite, trials=2, seed=0).results if not r.passed}
     assert checks <= failed
+
+
+# every exact check, by name
+EXACT_CHECKS = dict(row for rows in verify.CHECKS.values() for row in rows)
+
+
+def test_planted_faults_cover_every_exact_check():
+    covered = set().union(*(checks for _, _, checks in PLANTED_FAULTS.values()))
+    assert set(EXACT_CHECKS) <= covered
+
+
+# ---------------------------------------------------------------------------
+# the runner decides by ==, which is exact only between canonical sides
+
+def _exprs(value):
+    """The expressions in one side of a check: bare, in tuples, or the
+    components and terms of fields and forms."""
+    if isinstance(value, Expr):
+        return [value]
+    if isinstance(value, tuple):
+        return [e for v in value for e in _exprs(v)]
+    if isinstance(value, VectorField):
+        return list(value.components)
+    if isinstance(value, GeneralizedVectorField):
+        return [*value.base_components, *value.fiber_components]
+    if isinstance(value, DifferentialForm):
+        return list(value.terms.values())
+    raise TypeError(f"a check side of unknown type {type(value).__name__}")
+
+
+@pytest.mark.parametrize("name", EXACT_CHECKS)
+def test_check_sides_are_canonical(name):
+    with scope():
+        _, lhs, rhs = EXACT_CHECKS[name](random.Random(f"0:{name}"), 3)
+        assert all(canonicalize(e) is e for e in _exprs(lhs) + _exprs(rhs))
+
+
+def test_counterexample_lists_what_the_check_drew(monkeypatch):
+    monkeypatch.setattr(verify, "vlasov_momentum_rhs", _times(-1, vlasov_momentum_rhs))
+    result = run_suite("plasma", trials=1, seed=0).results[2]
+    assert (result.name, result.passed) == ("momentum-rhs-matches-coadjoint", False)
+    assert re.fullmatch(r"Pi = .+ \* dq1.*; m = \d+(/\d+)?; e = -?\d+; phi = .+",
+                        result.counterexample)
