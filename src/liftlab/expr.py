@@ -959,7 +959,7 @@ def eval_numeric(e: Expr, point: Mapping[VarId, float]) -> float:
     """IEEE-double evaluation with every variable bound."""
     try:
         return _walk(e, _eval_node, point)
-    except OverflowError:       # a constant, power, exp or sum past the doubles
+    except OverflowError:       # a constant, power, exp, sum, product or quotient past the doubles
         raise EvaluationDomainError("a value too large for a double") from None
 
 
@@ -977,21 +977,21 @@ def _eval_node(e: Expr, _kids: tuple[Expr, ...], vals: list[float],
             raise UnboundVariableError(e.var) from None
     if isinstance(e, Sum):
         return math.fsum(vals)
-    if isinstance(e, Prod):
-        out = 1.0
-        for f in vals:
-            out *= f
-        return out
     if isinstance(e, Pow):
         if e.exponent < 0 and abs(vals[0]) < 1e-300:
             raise EvaluationDomainError("negative power of a value too close to zero")
         return vals[0] ** e.exponent
-    if isinstance(e, Quot):
-        num, den = vals
-        if abs(den) < 1e-300:
+    if isinstance(e, Prod):
+        out = math.prod(vals, start=1.0)
+    elif isinstance(e, Quot):
+        if abs(vals[1]) < 1e-300:
             raise EvaluationDomainError("division by a value with magnitude < 1e-300")
-        return num / den
-    return _MATH[e.func](vals[0])
+        out = vals[0] / vals[1]
+    else:
+        return _MATH[e.func](vals[0])
+    if not math.isfinite(out):
+        raise OverflowError
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -36,17 +36,24 @@ state and the two work arrays of ``grid.rk4_step``, so a step allocates
 no whole-grid array.  The buffers are shared by every call, so one run
 uses a model at a time.  Output is written at t = 0, every ``cadence``
 steps and the last step (``_is_output``), by the run loop and the
-two-path harness alike.
+two-path harness alike.  The run loop writes each trajectory snapshot in
+a child forked at it (``_fork_writer``), which sees the state as it was
+at the fork, while the next steps integrate; one writer at a time, or
+the parent itself when it cannot fork.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
+import os
 import re
 import resource
+import signal
 import sys
+import threading
 import time
 import warnings
 from dataclasses import MISSING, InitVar, asdict, dataclass, field, fields
@@ -142,10 +149,9 @@ class SimConfig:
             raise ConfigError(f"unknown model '{self.model}'; choose one of {MODELS}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ConfigError("dt must be finite and positive")
-        if self.steps < 1:
-            raise ConfigError("steps must be >= 1")
-        if self.cadence < 1:
-            raise ConfigError("cadence must be >= 1")
+        for key in ("steps", "cadence"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
         if self.model.startswith("contact") and self.params:
             raise ConfigError(
                 f"model '{self.model}' takes no params, got {sorted(self.params)}")
@@ -343,11 +349,6 @@ def _diag_row(t: float, state: np.ndarray, grid: Grid
     return (t, mass, l2, float(state.min()), float(state.max()))
 
 
-def _write_traj_header(f, ncomp: int) -> int:
-    comps = ",".join(f"comp{i}" for i in range(ncomp))
-    return f.write(f"t,i,j,k,{comps}\n")
-
-
 def _row_tails(grid: Grid) -> list[str]:
     """The ``"j,k,"`` index columns of the rows of one slab of fixed i, in
     C order; unused indices are zero below three dimensions."""
@@ -381,13 +382,42 @@ def _minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
+def _fork_writer(report: int, f, t: float, state: np.ndarray, tails: list[str]) -> int | None:
+    """Write a snapshot to ``f`` in a forked child and return its pid, or None
+    when a fork is impossible or unsafe (another thread is alive).  The child
+    sends the count written or its error's args to ``report`` as JSON."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        return None
+    if pid:
+        return pid
+    msg: object = ["trajectory writer failed"]
+    try:
+        gc.disable()
+        signal.signal(signal.SIGINT, signal.SIG_IGN)    # after ^C the parent waits for this write
+        msg = _write_traj_snapshot(f, t, state, tails)
+        f.flush()
+    except BaseException as exc:    # reported; never unwound into the parent's frames
+        msg = exc.args if isinstance(exc, OSError) else [f"trajectory writer failed: {exc!r}"[:999]]
+    finally:
+        try:
+            os.write(report, json.dumps(msg, default=str).encode())
+        finally:
+            os._exit(0 if isinstance(msg, int) else 1)
+
+
 def run_simulation(cfg: SimConfig) -> RunResult:
     """Integrate the configured model, writing trajectory, diagnostics and
     a manifest.  Output is written at t = 0, every ``cadence`` steps, and
     the last step.  The trajectory and diagnostics are deterministic for a
     fixed config; the manifest also records per-phase timings and counters,
     with the minor page faults of the run and of its steps and the
-    process's peak RSS."""
+    process's peak RSS: ``io_s`` is the parent's time in output, of which
+    ``writer_wait_s`` it spent reaping snapshot writers, and
+    ``writer_peak_rss_mb`` is the largest writer's peak RSS."""
     clock = time.perf_counter
     faults = _minor_faults()
     t0 = clock()
@@ -395,47 +425,69 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     t1 = clock()
     state = initial_state(cfg, model)
     timings = {"build_s": t1 - t0, "init_s": clock() - t1,
-               "integrate_s": 0.0, "io_s": 0.0}
+               "integrate_s": 0.0, "io_s": 0.0, "writer_wait_s": 0.0}
     counters = {"steps": 0, "rhs_calls": 0, "snapshots": 0, "traj_bytes": 0,
-                "integrate_minor_faults": 0}
+                "integrate_minor_faults": 0, "writer_peak_rss_mb": 0.0}
     grid = model.grid
     cfl = grid.h / (4.0 * model.velocity_max) if model.velocity_max > 0 else math.inf
     if cfg.dt > cfl:
         warnings.warn(f"dt={cfg.dt} exceeds the CFL advisory {cfl:.3e}", RuntimeWarning)
     manifest_path = cfg.out + ".manifest.json"
-    manifest = {
-        "config": asdict(cfg),
-        "version": __version__,
-        "grid": {"dim": grid.dim, "n": grid.n, "h": grid.h},
-        "cfl_advisory_dt": None if math.isinf(cfl) else cfl,
-        "timings": timings,
-        "counters": counters,
-    }
+    manifest = {"config": asdict(cfg), "version": __version__,
+                "grid": {"dim": grid.dim, "n": grid.n, "h": grid.h},
+                "cfl_advisory_dt": None if math.isinf(cfl) else cfl,
+                "timings": timings, "counters": counters}
     result = RunResult([], cfg.out, cfg.diag, manifest_path)
     aborted: NumericalAbortError | None = None
-    with open(cfg.out, "w") as traj, open(cfg.diag, "w") as diag:
-        counters["traj_bytes"] = _write_traj_header(traj, model.ncomp)
-        diag.write("t,mass,l2,min,max\n")
-        tails = _row_tails(grid)
+    writer: int | None = None
+    report_r, report_w = os.pipe()
+    os.set_blocking(report_r, False)
 
-        def emit(t: float, s: np.ndarray) -> None:
-            start = clock()
-            counters["traj_bytes"] += _write_traj_snapshot(traj, t, s, tails)
-            row = _diag_row(t, s, grid)
-            diag.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                                for v in row) + "\n")
-            result.diagnostics.append(row)
-            counters["snapshots"] += 1
-            timings["io_s"] += clock() - start
-
-        emit(0.0, state)
-
-        def integrated(start: float, start_faults: int) -> None:
-            timings["integrate_s"] += clock() - start
-            counters["integrate_minor_faults"] += _minor_faults() - start_faults
-
-        start, start_faults = clock(), _minor_faults()
+    def reap() -> None:
+        nonlocal writer
+        if writer is None:
+            return
+        start = clock()
+        _, status, usage = os.wait4(writer, 0)
+        writer = None
+        timings["writer_wait_s"] += (waited := clock() - start)
+        timings["io_s"] += waited
+        counters["writer_peak_rss_mb"] = max(counters["writer_peak_rss_mb"], usage.ru_maxrss / 1024)
         try:
+            written = json.loads(os.read(report_r, 4096))
+        except (BlockingIOError, ValueError):    # no word from the child
+            written = [f"trajectory writer ended with wait status {status}"]
+        if not isinstance(written, int):
+            raise OSError(*written)
+        counters["traj_bytes"] += written
+
+    def emit(t: float, s: np.ndarray) -> None:
+        nonlocal writer
+        reap()
+        start = clock()
+        traj.flush()
+        writer = _fork_writer(report_w, traj, t, s, tails)
+        if writer is None:
+            counters["traj_bytes"] += _write_traj_snapshot(traj, t, s, tails)
+        row = _diag_row(t, s, grid)
+        diag.write(",".join(map(repr, row)) + "\n")
+        result.diagnostics.append(row)
+        counters["snapshots"] += 1
+        timings["io_s"] += clock() - start
+
+    def integrated(start: float, start_faults: int) -> None:
+        timings["integrate_s"] += clock() - start
+        counters["integrate_minor_faults"] += _minor_faults() - start_faults
+
+    tails = _row_tails(grid)
+    with open(report_r, "rb", 0), open(report_w, "wb", 0), \
+            open(cfg.out, "w") as traj, open(cfg.diag, "w") as diag:
+        counters["traj_bytes"] = traj.write(
+            "t,i,j,k," + ",".join(f"comp{i}" for i in range(model.ncomp)) + "\n")
+        diag.write("t,mass,l2,min,max\n")
+        try:
+            emit(0.0, state)
+            start, start_faults = clock(), _minor_faults()
             for step, state in march(state, model.rhs, cfg.dt, cfg.steps):
                 integrated(start, start_faults)
                 counters.update(steps=step, rhs_calls=4 * step)
@@ -446,8 +498,8 @@ def run_simulation(cfg: SimConfig) -> RunResult:
             integrated(start, start_faults)
             counters["rhs_calls"] = 4 * exc.step
             aborted = exc
-            traj.flush()
-            diag.flush()
+        finally:    # on every path, so no writer outlives the run
+            reap()
     manifest["aborted_at_step"] = None if aborted is None else aborted.step
     usage = resource.getrusage(resource.RUSAGE_SELF)
     counters.update(minor_faults=usage.ru_minflt - faults, peak_rss_mb=usage.ru_maxrss / 1024)

@@ -272,9 +272,13 @@ class TestCompileNumeric:
     @pytest.mark.parametrize("text", ["10^308*10*x", "(10^308 + 10^308)*0 + x",
                                       "sin(x)/(10^308*10)"])
     def test_folded_constants_overflow_as_doubles(self, text):
-        # Python floats would fold these to inf or nan without a word
+        # Python floats would fold these to inf or nan without a word; the
+        # scalar route and the compiled route raise alike
+        e = parse_expr(text, [X])
         with pytest.raises(EvaluationDomainError, match="too large for a double"):
-            compile_numeric(parse_expr(text, [X]), {X: 0})
+            compile_numeric(e, {X: 0})
+        with pytest.raises(EvaluationDomainError, match="too large for a double"):
+            eval_numeric(e, {X: 1.0})
 
     @pytest.mark.parametrize("node", [Sum((Var(X),)), Prod((Var(X),))], ids=["sum", "prod"])
     def test_lone_call_time_operand_is_copied_bitwise(self, node):

@@ -1,19 +1,25 @@
 """Simulation configs, compiled models, the run loop, and its outputs."""
 
+import contextlib
+import dataclasses
+import errno
 import io
 import itertools
 import json
 import math
 import os
 import random
+import signal
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from liftlab import grid, sim
+from liftlab import cli, grid, sim
 from liftlab.expr import (
     ZERO, Var, canon, eval_numeric, expr_equal, partial, substitute,
 )
@@ -262,10 +268,12 @@ class TestRunSimulation:
         assert manifest["grid"]["n"] == 16
         assert manifest["aborted_at_step"] is None
         timings, counters = manifest["timings"], manifest["counters"]
-        assert set(timings) == {"build_s", "init_s", "integrate_s", "io_s"}
+        assert set(timings) == {"build_s", "init_s", "integrate_s", "io_s", "writer_wait_s"}
         assert set(counters) == {"steps", "rhs_calls", "snapshots", "traj_bytes",
-                                 "minor_faults", "integrate_minor_faults", "peak_rss_mb"}
+                                 "minor_faults", "integrate_minor_faults", "peak_rss_mb",
+                                 "writer_peak_rss_mb"}
         assert all(v >= 0 for v in (*timings.values(), *counters.values()))
+        assert timings["writer_wait_s"] <= timings["io_s"]
         assert counters["steps"] == cfg.steps
         assert counters["rhs_calls"] == 4 * cfg.steps
         assert counters["snapshots"] == len(result.diagnostics) == 2
@@ -291,6 +299,125 @@ class TestRunSimulation:
         assert manifest["counters"]["rhs_calls"] == 4 * step
         assert manifest["counters"]["traj_bytes"] == os.path.getsize(cfg.out)
         assert os.path.getsize(cfg.diag) > 0
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def writer_route(monkeypatch, route):
+    """Run the block with snapshots written by ``route``: "forked", the
+    default, or one of the three conditions under which ``run_simulation``
+    writes them itself ("no-fork", "fork-fails", "thread-alive")."""
+    if route == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    elif route == "fork-fails":
+        def fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        monkeypatch.setattr(os, "fork", fork)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    if route == "thread-alive":
+        thread.start()
+    try:
+        yield
+    finally:
+        done.set()
+        if thread.is_alive():
+            thread.join(timeout=10)
+        monkeypatch.undo()
+
+
+def writer_sim_argv(tmp_path, out):
+    return ["sim", "--model", "contact-density", "--K", "z", "--init", L0, "--n", "8",
+            "--steps", "3", "--cadence", "1", "--out", out, "--diag", str(tmp_path / "d.csv")]
+
+
+class TestForkedWriter:
+    @pytest.mark.parametrize("route", ["no-fork", "fork-fails", "thread-alive"])
+    @pytest.mark.parametrize("name", list(MODEL_CFGS))
+    def test_forked_and_in_process_writers_write_the_same_bytes(
+            self, tmp_path, monkeypatch, name, route):
+        # at cadence 1 every step is a snapshot, so the next step overwrites
+        # the buffer that a forked writer reads
+        def run(tag):
+            cfg = dataclasses.replace(MODEL_CFGS[name], steps=4, cadence=1,
+                                      out=str(tmp_path / f"{tag}.csv"),
+                                      diag=str(tmp_path / f"{tag}-diag.csv"))
+            run_simulation(cfg)
+            counters = json.loads(Path(cfg.out + ".manifest.json").read_text())["counters"]
+            assert counters["traj_bytes"] == os.path.getsize(cfg.out)
+            return Path(cfg.out).read_bytes(), Path(cfg.diag).read_bytes(), counters
+
+        forked = run("forked")
+        with writer_route(monkeypatch, route):
+            direct = run("direct")
+        assert forked[2]["writer_peak_rss_mb"] > 0
+        assert direct[2]["writer_peak_rss_mb"] == 0
+        assert forked[:2] == direct[:2]
+        assert_no_child_left()
+
+    def test_a_writer_failure_exits_2_with_the_in_process_error_line(
+            self, tmp_path, monkeypatch, capsys):
+        real, real_fork, forks = sim._write_traj_snapshot, os.fork, []
+
+        def full_at_second_snapshot(f, t, state, tails):
+            if t > 0:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real(f, t, state, tails)
+
+        def fork():
+            forks.append(1)
+            return real_fork()
+
+        argv = writer_sim_argv(tmp_path, str(tmp_path / "t.csv"))
+        errors = []
+        for route in ("forked", "no-fork"):
+            with writer_route(monkeypatch, route):
+                monkeypatch.setattr(sim, "_write_traj_snapshot", full_at_second_snapshot)
+                if route == "forked":
+                    monkeypatch.setattr(os, "fork", fork)
+                assert cli.main(argv) == 2
+            errors.append(capsys.readouterr().err)
+            assert_no_child_left()
+        assert forks
+        assert errors == ["error: [Errno 28] No space left on device\n"] * 2
+
+    @pytest.mark.parametrize("fault, error", [
+        (lambda: [][0], "error: trajectory writer failed: IndexError('list index out of range')\n"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "error: trajectory writer ended with wait status 9\n"),
+    ], ids=["exception", "killed"])
+    def test_any_writer_failure_is_an_error_line(self, tmp_path, monkeypatch, capsys, fault, error):
+        real = sim._write_traj_snapshot
+        monkeypatch.setattr(sim, "_write_traj_snapshot",
+                            lambda f, t, *rest: fault() if t > 0 else real(f, t, *rest))
+        assert cli.main(writer_sim_argv(tmp_path, str(tmp_path / "t.csv"))) == 2
+        assert capsys.readouterr().err == error
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_out_to_a_full_device_exits_2(self, tmp_path, capsys):
+        assert cli.main(writer_sim_argv(tmp_path, "/dev/full")) == 2
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert_no_child_left()
+
+    def test_no_writer_outlives_a_return_or_an_abort(self, tmp_path):
+        cfg = contact_cfg(tmp_path, steps=3, cadence=1)
+        run_simulation(cfg)
+        assert_no_child_left()
+        cfg = contact_cfg(tmp_path, dt=5.0, steps=400, cadence=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(grid.NumericalAbortError):
+                run_simulation(cfg)
+        assert_no_child_left()
+        counters = json.loads(Path(cfg.out + ".manifest.json").read_text())["counters"]
+        # every snapshot, the last one too, is complete on disk
+        with open(cfg.out) as f:
+            assert sum(1 for _ in f) == 1 + counters["snapshots"] * 16 ** 3
+        assert counters["writer_peak_rss_mb"] > 0
 
 
 def allocating_rk4(state, rhs, dt):
