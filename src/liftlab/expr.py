@@ -531,6 +531,21 @@ def _reindex(rf: tuple[tuple[VarId, ...], Poly, Poly], axis_of: dict[VarId, int]
 
 _ratfunc_nodes = 0
 
+# The most terms a power of a sum may expand to.  No test and no verify
+# suite comes near it (at most 78 terms); (1+x+y)^200 would have 20,301
+# terms, with coefficients of up to 95 digits.
+MAX_POWER_TERMS = 10_000
+
+
+def _power(p: Poly, n: int) -> Poly:
+    """p**n, refused when it may pass MAX_POWER_TERMS: the power n of a
+    polynomial of t terms has at most C(n + t - 1, t - 1) terms."""
+    t = len(p)
+    if t > 1 and (n >= MAX_POWER_TERMS or math.comb(n + t - 1, t - 1) > MAX_POWER_TERMS):
+        raise ExprError(f"power {n} of a sum of {t} terms is too large to expand: "
+                        f"it may have more than {MAX_POWER_TERMS} terms")
+    return poly.power(p, n)
+
 
 def _to_ratfunc(e: Expr, axis_of: dict[VarId, int],
                 nvars: int) -> tuple[Poly, Poly | None]:
@@ -614,11 +629,11 @@ def _to_ratfunc(e: Expr, axis_of: dict[VarId, int],
         if n == 0:
             return poly.const(1, nvars), None
         if n > 0:
-            return poly.power(bn, n), (None if bd is None else poly.power(bd, n))
+            return _power(bn, n), (None if bd is None else _power(bd, n))
         if poly.is_zero(bn):
             raise SymbolicDivisionError("negative power of an identically zero expression")
-        return (poly.const(1, nvars) if bd is None else poly.power(bd, -n),
-                poly.power(bn, -n))
+        return (poly.const(1, nvars) if bd is None else _power(bd, -n),
+                _power(bn, -n))
     if cls is Quot:
         an, ad = _to_ratfunc(e.num, axis_of, nvars)
         bn, bd = _to_ratfunc(e.den, axis_of, nvars)

@@ -36,24 +36,22 @@ state and the two work arrays of ``grid.rk4_step``, so a step allocates
 no whole-grid array.  The buffers are shared by every call, so one run
 uses a model at a time.  Output is written at t = 0, every ``cadence``
 steps and the last step (``_is_output``), by the run loop and the
-two-path harness alike.  The run loop writes each trajectory snapshot in
-a child forked at it (``_fork_writer``), which sees the state as it was
-at the fork, while the next steps integrate; one writer at a time, or
-the parent itself when it cannot fork.
+two-path harness alike.  The run loop writes each trajectory snapshot
+itself, one slab of fixed i at a time: every value is written as the
+bytes of ``repr(float(v))``, found for the whole slab at once with numpy
+(``_repr_block``), and the few values that the vectorized method cannot
+decide exactly are formatted by ``repr`` itself.
 """
 
 from __future__ import annotations
 
-import gc
+import functools
 import itertools
 import json
 import math
-import os
 import re
 import resource
-import signal
 import sys
-import threading
 import time
 import warnings
 from dataclasses import MISSING, InitVar, asdict, dataclass, field, fields
@@ -349,27 +347,259 @@ def _diag_row(t: float, state: np.ndarray, grid: Grid
     return (t, mass, l2, float(state.min()), float(state.max()))
 
 
-def _row_tails(grid: Grid) -> list[str]:
+def _row_tails(grid: Grid) -> np.ndarray:
     """The ``"j,k,"`` index columns of the rows of one slab of fixed i, in
-    C order; unused indices are zero below three dimensions."""
+    C order, as ASCII rows padded with zero bytes; unused indices are zero
+    below three dimensions."""
     rest = [range(n) for n in grid.shape[1:]] + [range(1)] * (3 - grid.dim)
-    return [f"{j},{k}," for j in rest[0] for k in rest[1]]
+    tails = [f"{j},{k}," for j in rest[0] for k in rest[1]]
+    width = len(tails[-1])
+    text = "".join(tail.ljust(width, "\0") for tail in tails)
+    return np.frombuffer(text.encode(), np.uint8).reshape(len(tails), width)
 
 
-def _write_traj_snapshot(f, t: float, state: np.ndarray, tails: list[str]) -> int:
+# Shortest round-trip digits of doubles, vectorized (Grisu3's method:
+# Loitsch, PLDI 2010, with Dekker's exact product, Numer. Math. 18, 1971).
+# A finite x with 1e-4 <= |x| < 1e16, the range that repr writes without an
+# exponent, is scaled by 10**k, k = 16 - floor(log10 |x|), into the exact
+# sum V = D + f of an integer D of 17 digits and a fraction |f| <= 1/2.  The
+# decimals that read back to x lie within half the gap to its neighbours,
+# in the same units hw above V and hw_lo below it (hw_lo = hw/2 for a power
+# of two, whose lower neighbour is nearer); the bounds themselves read back
+# to x when its significand is even.  repr writes the shortest such
+# decimal, and of two the nearer, a tie going to the even last digit: the
+# nearest multiple of 10**(17 - p) in the interval, for the least p that
+# has one.  Every comparison is exact in doubles or int64.  A value outside
+# the range, or whose V falls outside [1e16, 1e17) through a rounded log10,
+# is written by repr itself.
+_SPLIT = 134217729.0                                 # 2**27 + 1
+_E16 = 10 ** 16
+_ANY17 = 0.30000000000000004                         # stands in for the others
+
+
+@functools.cache
+def _scales() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """10**k for k = 0..20, exact doubles, with the high and low halves of
+    each, and the place 10**(17 - p) of the last of p digits.  This table
+    and ``_text_tables`` are built at the first snapshot, so that commands
+    that write none do not pay for them."""
+    pow10 = 10.0 ** np.arange(21)
+    high = pow10 * _SPLIT - (pow10 * _SPLIT - pow10)
+    return pow10, high, pow10 - high, 10 ** (17 - np.arange(18, dtype=np.int64))
+
+
+@functools.cache
+def _text_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII digits of 0..9999, four little-endian bytes to a word,
+    and for each (sign, decimal point position, number of fraction digits)
+    three 24-byte masks as three words each: the integer digits, the
+    fraction digits, and the constant bytes ``-``, ``.`` and leading
+    zeros.  The text of a positive value whose digits are d, with the
+    point after position ``decpt`` of d, is ``d[:decpt] + "." + d[decpt:]``,
+    or ``"0." + "0" * -decpt + d`` when ``decpt <= 0``.  The masks of a
+    value are at ``(neg * 20 + decpt + 3) * 21 + nfrac``."""
+    n = np.arange(10_000, dtype=np.uint16)
+    digits = np.stack([n // 10 ** e % 10 + 48 for e in (3, 2, 1, 0)], axis=1)
+    words = digits.astype(np.uint8).view("<u4").ravel().astype(np.uint64)
+    neg, decpt, nfrac, byte = np.ix_(*(np.arange(a, b, dtype=np.int8)
+                                       for a, b in ((0, 2), (-3, 17), (0, 21), (0, 24))))
+    point = np.maximum(decpt, 1)
+    zeros = np.maximum(1 - decpt, 0)     # of the digits "0" * zeros + d
+    at = byte - neg
+    ints = (at >= 0) & (at < point)
+    fracs = (at > point) & (at <= point + nfrac)
+    zero_chars = ((at >= 0) & (at < zeros) & (at < point)) | ((at > point) & (at <= zeros))
+    consts = zero_chars * np.uint8(48) + (at == point) * np.uint8(46) \
+        + ((byte == 0) & (neg == 1)) * np.uint8(45)
+    shape = (2, 20, 21, 24)
+    layout = np.concatenate([np.broadcast_to(m, shape).astype(np.uint8)
+                             for m in (ints * np.uint8(255), fracs * np.uint8(255), consts)], axis=-1)
+    layout = layout.reshape(-1, 72).view("<u8").astype(np.uint64)
+    return words, np.ascontiguousarray(layout.T)     # word by word, by layout code
+
+
+def _int_within(gap: np.ndarray, closed: np.ndarray) -> np.ndarray:
+    """The largest integers below the positive ``gap``, or at most it where
+    ``closed``."""
+    n = gap.astype(np.int64)
+    n -= ~closed & (n == gap)
+    return n
+
+
+def _shortest_digits(v: np.ndarray, skip: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The digits of repr for the values of the flat float64 array v that
+    are zero or have 1e-4 <= |v| < 1e16, outside ``skip``: a 17-digit
+    integer C whose first p digits are repr's, the position of the decimal
+    point after C's first digit (``decpt``), and the mask of the values
+    whose V fell outside its decade.  Arrays are dropped as soon as they
+    are used, so that one slab's work stays small."""
+    x = np.abs(v)
+    zero = x == 0
+    x[zero | skip] = _ANY17
+    e2 = np.frexp(x)[1]
+    k = np.log10(x)
+    np.floor(k, out=k)
+    k = (16 - k).astype(np.intp)
+    # Dekker: x * 10**k == hi + lo exactly
+    pow10, pow10_hi, pow10_lo, place = _scales()
+    hi = x * pow10[k]
+    xh = x * _SPLIT
+    xh -= xh - x
+    x -= xh
+    lo = xh * pow10_hi[k]
+    lo -= hi
+    lo += xh * pow10_lo[k]
+    lo += x * pow10_hi[k]
+    lo += x * pow10_lo[k]
+    del x, xh
+    D = hi.astype(np.int64)
+    del hi
+    f = np.rint(lo)
+    D += f.astype(np.int64)
+    np.subtract(lo, f, out=f)
+    del lo
+    low_half = f == -0.5                   # so that f is in (-1/2, 1/2]
+    if low_half.any():
+        D -= low_half
+        f[low_half] = 0.5
+    hw = np.ldexp(pow10[k], e2 - 54)
+    del e2
+    bits = v.view(np.uint64)
+    pow2 = (bits & (2 ** 52 - 1)) == 0
+    hw_lo = np.where(pow2, hw * 0.5, hw) if pow2.any() else hw
+    # The multiple D - r of M below V is in when r <= A, and D - r + M
+    # above it when M - r <= B: A and B are the largest integers short of
+    # the gaps below and above V, or at them for an even significand.
+    even = (bits & 1) == 0
+    A = _int_within(hw_lo - f, even)
+    B = _int_within(hw + f, even)
+    del hw, hw_lo, even
+    # one of the two is in when (D + B) mod M <= A + B
+    DB, AB = D + B, A + B
+    del A, B
+    slow = (D - _E16).view(np.uint64) >= 9 * _E16
+    p = np.full(v.size, 17, np.int8)
+    live, DBl, ABl = np.arange(v.size), DB, AB
+    for digits in range(16, 0, -1):
+        keep = np.flatnonzero(DBl % place[digits] <= ABl)
+        if not keep.size:
+            break
+        live, DBl, ABl = live[keep], DBl[keep], ABl[keep]
+        p[live] = digits
+    del live, DBl, ABl
+    tie = f == 0.5
+    if tie.any():                          # at 17 digits, to the even neighbour
+        D += tie & (p == 17) & (D % 2 == 1)
+    short = np.flatnonzero(p < 17)
+    if short.size:
+        # the nearer of the multiples of M on each side that are in; a tie
+        # goes to the even last digit
+        Ds, fs, M = D[short], f[short], place[p[short]]
+        B = DB[short] - Ds
+        A = AB[short] - B
+        q = Ds // M
+        r = Ds - q * M
+        w = M - 2 * r
+        up = (M - r <= B) & ((r > A) | (2 * fs > w) | ((2 * fs == w) & (q % 2 == 1)))
+        D[short] = (q + up) * M
+        slow[short] |= D[short] >= 10 * _E16
+    decpt = np.subtract(17, k, out=k)
+    if zero.any():
+        D[zero], p[zero], decpt[zero] = 0, 1, 1
+        slow &= ~zero
+    decpt[slow] = 1          # any position in the layout table will do
+    return D, p, decpt, slow
+
+
+def _repr_block(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """The bytes of ``repr(float(x))`` for each x of the flat float64 array
+    v, one row of 24 zero-padded bytes each, and the number of values that
+    repr itself formatted."""
+    a = np.abs(v)
+    slow = ~(((a >= 1e-4) & (a < 1e16)) | (a == 0))
+    del a
+    if slow.all():
+        text = np.empty((v.size, 24), np.uint8)
+    else:
+        text, misfit = _digits_text(v, slow)
+        slow |= misfit
+    fallbacks = np.flatnonzero(slow)
+    if fallbacks.size:
+        text[fallbacks] = np.array(list(map(repr, v[fallbacks].tolist())), "S24").view(np.uint8).reshape(-1, 24)
+    return text, int(fallbacks.size)
+
+
+def _digits_text(v: np.ndarray, skip: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The text of the values of v as rows of 24 zero-padded bytes, and
+    the mask of the values that ``_shortest_digits`` could not place; rows
+    where ``skip`` holds are left to the caller."""
+    C, p, decpt, slow = _shortest_digits(v, skip)
+    digits4, layout = _text_tables()
+    neg = np.signbit(v)
+    code = (neg * 20 + decpt + 3) * 21 + np.maximum(p - decpt, 1)
+    # C's digits go to little-endian bytes 7..23 of three words, then are
+    # shifted down so that the first digit lands after the sign and the
+    # zeros of "0.00"
+    down = ((7 - np.maximum(1 - decpt, 0) - neg) * 8).astype(np.uint64)
+    del p, decpt, neg
+    a = C // 10 ** 8
+    C -= a * 10 ** 8
+    b = a // 10 ** 4
+    a -= b * 10 ** 4
+    d = b // 10 ** 4
+    b -= d * 10 ** 4
+    x1 = digits4[b] | (digits4[a] << np.uint64(32))
+    x0 = (d.astype(np.uint64) + np.uint64(48)) << np.uint64(56)
+    b = C // 10 ** 4
+    C -= b * 10 ** 4
+    x2 = digits4[b] | (digits4[C] << np.uint64(32))
+    del a, b, d, C
+    up = np.uint64(64) - down
+    e2 = x2 >> down
+    e1 = (x1 >> down) | (x2 << up)
+    del x2
+    e0 = (x0 >> down) | (x1 << up)
+    del x0, x1, down, up
+    # a word of the text: the integer digits, the fraction digits one byte
+    # up, past the point, and the constant bytes
+    u8, u56 = np.uint64(8), np.uint64(56)
+    out = np.empty((v.size, 3), np.uint64)
+    for w, (e, below) in enumerate(((e0, None), (e1, e0), (e2, e1))):
+        shifted = e << u8
+        if below is not None:
+            shifted |= below >> u56
+        shifted &= layout[w + 3][code]
+        shifted |= layout[w + 6][code]
+        shifted |= e & layout[w][code]
+        out[:, w] = shifted
+    return out.astype("<u8", copy=False).view(np.uint8), slow
+
+
+def _write_traj_snapshot(f, t: float, state: np.ndarray, tails: np.ndarray) -> tuple[int, int]:
     """Write one snapshot, one slab of fixed i per ``f.write``; returns the
-    number of characters written.  A slab is one ``%`` template applied to
-    its values in row order.  Every value is ``%r``, the ``repr`` of a
-    Python float, so the text reads back to the same doubles."""
-    ncomp = state.shape[0]
-    values = ",".join(["%r"] * ncomp) + "\n"
-    written = 0
-    for i in range(state.shape[1]):
-        lead = f"{t!r},{i},"
-        template = lead + (values + lead).join(tails) + values
-        row_major = state[:, i].reshape(ncomp, -1).T.ravel().tolist()
-        written += f.write(template % tuple(row_major))
-    return written
+    number of characters written and of values that ``repr`` formatted.
+    Each value is written as the ``repr`` of a Python float, so the text
+    reads back to the same doubles.  A slab's rows are assembled in one
+    byte matrix with zero bytes as padding, which the write drops."""
+    ncomp, n = state.shape[:2]
+    rows, tail_width = tails.shape
+    lead_width = len(f"{t!r},{n - 1},")
+    buf = bytearray(rows * (lead_width + tail_width + 25 * ncomp))
+    row = np.frombuffer(buf, np.uint8).reshape(rows, -1)
+    row[:, lead_width:lead_width + tail_width] = tails
+    fields = row[:, lead_width + tail_width:].reshape(rows, ncomp, 25)
+    fields[:, :, 24] = ord(",")
+    fields[:, -1, 24] = ord("\n")
+    written = fallbacks = 0
+    for i in range(n):
+        row[:, :lead_width] = np.frombuffer(f"{t!r},{i},".ljust(lead_width, "\0").encode(), np.uint8)
+        text, by_repr = _repr_block(state[:, i].reshape(ncomp, -1).T.ravel())
+        fields[:, :, :24] = text.reshape(rows, ncomp, 24)
+        del text
+        fallbacks += by_repr
+        written += f.write(buf.translate(None, b"\0").decode("ascii"))
+    return written, fallbacks
 
 
 def _is_output(step: int, cadence: int, steps: int) -> bool:
@@ -382,42 +612,14 @@ def _minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def _fork_writer(report: int, f, t: float, state: np.ndarray, tails: list[str]) -> int | None:
-    """Write a snapshot to ``f`` in a forked child and return its pid, or None
-    when a fork is impossible or unsafe (another thread is alive).  The child
-    sends the count written or its error's args to ``report`` as JSON."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        return None
-    if pid:
-        return pid
-    msg: object = ["trajectory writer failed"]
-    try:
-        gc.disable()
-        signal.signal(signal.SIGINT, signal.SIG_IGN)    # after ^C the parent waits for this write
-        msg = _write_traj_snapshot(f, t, state, tails)
-        f.flush()
-    except BaseException as exc:    # reported; never unwound into the parent's frames
-        msg = exc.args if isinstance(exc, OSError) else [f"trajectory writer failed: {exc!r}"[:999]]
-    finally:
-        try:
-            os.write(report, json.dumps(msg, default=str).encode())
-        finally:
-            os._exit(0 if isinstance(msg, int) else 1)
-
-
 def run_simulation(cfg: SimConfig) -> RunResult:
     """Integrate the configured model, writing trajectory, diagnostics and
     a manifest.  Output is written at t = 0, every ``cadence`` steps, and
     the last step.  The trajectory and diagnostics are deterministic for a
     fixed config; the manifest also records per-phase timings and counters,
-    with the minor page faults of the run and of its steps and the
-    process's peak RSS: ``io_s`` is the parent's time in output, of which
-    ``writer_wait_s`` it spent reaping snapshot writers, and
-    ``writer_peak_rss_mb`` is the largest writer's peak RSS."""
+    with the minor page faults of the run and of its steps, the process's
+    peak RSS, and ``traj_repr_fallbacks``, the number of trajectory values
+    that ``repr`` formatted instead of the vectorized formatter."""
     clock = time.perf_counter
     faults = _minor_faults()
     t0 = clock()
@@ -425,9 +627,9 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     t1 = clock()
     state = initial_state(cfg, model)
     timings = {"build_s": t1 - t0, "init_s": clock() - t1,
-               "integrate_s": 0.0, "io_s": 0.0, "writer_wait_s": 0.0}
+               "integrate_s": 0.0, "io_s": 0.0}
     counters = {"steps": 0, "rhs_calls": 0, "snapshots": 0, "traj_bytes": 0,
-                "integrate_minor_faults": 0, "writer_peak_rss_mb": 0.0}
+                "traj_repr_fallbacks": 0, "integrate_minor_faults": 0}
     grid = model.grid
     cfl = grid.h / (4.0 * model.velocity_max) if model.velocity_max > 0 else math.inf
     if cfg.dt > cfl:
@@ -439,36 +641,13 @@ def run_simulation(cfg: SimConfig) -> RunResult:
                 "timings": timings, "counters": counters}
     result = RunResult([], cfg.out, cfg.diag, manifest_path)
     aborted: NumericalAbortError | None = None
-    writer: int | None = None
-    report_r, report_w = os.pipe()
-    os.set_blocking(report_r, False)
-
-    def reap() -> None:
-        nonlocal writer
-        if writer is None:
-            return
-        start = clock()
-        _, status, usage = os.wait4(writer, 0)
-        writer = None
-        timings["writer_wait_s"] += (waited := clock() - start)
-        timings["io_s"] += waited
-        counters["writer_peak_rss_mb"] = max(counters["writer_peak_rss_mb"], usage.ru_maxrss / 1024)
-        try:
-            written = json.loads(os.read(report_r, 4096))
-        except (BlockingIOError, ValueError):    # no word from the child
-            written = [f"trajectory writer ended with wait status {status}"]
-        if not isinstance(written, int):
-            raise OSError(*written)
-        counters["traj_bytes"] += written
+    tails = _row_tails(grid)
 
     def emit(t: float, s: np.ndarray) -> None:
-        nonlocal writer
-        reap()
         start = clock()
-        traj.flush()
-        writer = _fork_writer(report_w, traj, t, s, tails)
-        if writer is None:
-            counters["traj_bytes"] += _write_traj_snapshot(traj, t, s, tails)
+        written, fallbacks = _write_traj_snapshot(traj, t, s, tails)
+        counters["traj_bytes"] += written
+        counters["traj_repr_fallbacks"] += fallbacks
         row = _diag_row(t, s, grid)
         diag.write(",".join(map(repr, row)) + "\n")
         result.diagnostics.append(row)
@@ -479,15 +658,13 @@ def run_simulation(cfg: SimConfig) -> RunResult:
         timings["integrate_s"] += clock() - start
         counters["integrate_minor_faults"] += _minor_faults() - start_faults
 
-    tails = _row_tails(grid)
-    with open(report_r, "rb", 0), open(report_w, "wb", 0), \
-            open(cfg.out, "w") as traj, open(cfg.diag, "w") as diag:
+    with open(cfg.out, "w") as traj, open(cfg.diag, "w") as diag:
         counters["traj_bytes"] = traj.write(
             "t,i,j,k," + ",".join(f"comp{i}" for i in range(model.ncomp)) + "\n")
         diag.write("t,mass,l2,min,max\n")
+        emit(0.0, state)
+        start, start_faults = clock(), _minor_faults()
         try:
-            emit(0.0, state)
-            start, start_faults = clock(), _minor_faults()
             for step, state in march(state, model.rhs, cfg.dt, cfg.steps):
                 integrated(start, start_faults)
                 counters.update(steps=step, rhs_calls=4 * step)
@@ -498,8 +675,6 @@ def run_simulation(cfg: SimConfig) -> RunResult:
             integrated(start, start_faults)
             counters["rhs_calls"] = 4 * exc.step
             aborted = exc
-        finally:    # on every path, so no writer outlives the run
-            reap()
     manifest["aborted_at_step"] = None if aborted is None else aborted.step
     usage = resource.getrusage(resource.RUSAGE_SELF)
     counters.update(minor_faults=usage.ru_minflt - faults, peak_rss_mb=usage.ru_maxrss / 1024)

@@ -82,6 +82,15 @@ class TestLift:
         assert code == 2
         assert "function name" in err
 
+    def test_power_too_large_to_expand_is_config_error(self, capsys):
+        # (1+x+y)^200 would expand to 20,301 terms
+        start = time.perf_counter()
+        code, out, err = run(capsys, "lift", "--field", "(1+x+y)^200,y", "--vars", "x,y")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == ("error: power 200 of a sum of 3 terms is too large to expand: "
+                       "it may have more than 10000 terms\n")
+
 
 class TestBracket:
     def test_jacobi_lie(self, capsys):

@@ -274,6 +274,22 @@ def test_constant_too_long_to_print_is_an_expression_error():
         str(Const(10 ** 5000) * Var(X))
 
 
+@pytest.mark.parametrize("text, terms", [("(1+x)^9", 10), ("(1+x+y)^3", 10), ("x^500*y", 1),
+                                         ("1/(x+y)^9", 10)])
+def test_power_of_a_sum_expands_up_to_the_bound(monkeypatch, text, terms):
+    # the bound is on the terms C(n + t - 1, t - 1) a power may have
+    monkeypatch.setattr(expr, "MAX_POWER_TERMS", 10)
+    _, num, den = canon(parse(text))._rf
+    assert max(len(num), len(den)) == terms
+
+
+@pytest.mark.parametrize("text", ["(1+x)^10", "(1+x+y)^4", "1/(x+y)^10", "(x+y)^" + "9" * 30])
+def test_power_of_a_sum_past_the_bound_is_an_expression_error(monkeypatch, text):
+    monkeypatch.setattr(expr, "MAX_POWER_TERMS", 10)
+    with pytest.raises(ExprError, match="too large to expand"):
+        canonicalize(parse(text))
+
+
 # ---------------------------------------------------------------------------
 # randomized structural invariants
 

@@ -1,16 +1,14 @@
 """Simulation configs, compiled models, the run loop, and its outputs."""
 
-import contextlib
 import dataclasses
 import errno
+import hashlib
 import io
 import itertools
 import json
 import math
 import os
 import random
-import signal
-import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -18,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liftlab import cli, grid, sim
 from liftlab.expr import (
@@ -268,12 +267,11 @@ class TestRunSimulation:
         assert manifest["grid"]["n"] == 16
         assert manifest["aborted_at_step"] is None
         timings, counters = manifest["timings"], manifest["counters"]
-        assert set(timings) == {"build_s", "init_s", "integrate_s", "io_s", "writer_wait_s"}
+        assert set(timings) == {"build_s", "init_s", "integrate_s", "io_s"}
         assert set(counters) == {"steps", "rhs_calls", "snapshots", "traj_bytes",
-                                 "minor_faults", "integrate_minor_faults", "peak_rss_mb",
-                                 "writer_peak_rss_mb"}
+                                 "traj_repr_fallbacks", "minor_faults",
+                                 "integrate_minor_faults", "peak_rss_mb"}
         assert all(v >= 0 for v in (*timings.values(), *counters.values()))
-        assert timings["writer_wait_s"] <= timings["io_s"]
         assert counters["steps"] == cfg.steps
         assert counters["rhs_calls"] == 4 * cfg.steps
         assert counters["snapshots"] == len(result.diagnostics) == 2
@@ -301,123 +299,73 @@ class TestRunSimulation:
         assert os.path.getsize(cfg.diag) > 0
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@contextlib.contextmanager
-def writer_route(monkeypatch, route):
-    """Run the block with snapshots written by ``route``: "forked", the
-    default, or one of the three conditions under which ``run_simulation``
-    writes them itself ("no-fork", "fork-fails", "thread-alive")."""
-    if route == "no-fork":
-        monkeypatch.delattr(os, "fork")
-    elif route == "fork-fails":
-        def fork():
-            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-        monkeypatch.setattr(os, "fork", fork)
-    done = threading.Event()
-    thread = threading.Thread(target=done.wait)
-    if route == "thread-alive":
-        thread.start()
-    try:
-        yield
-    finally:
-        done.set()
-        if thread.is_alive():
-            thread.join(timeout=10)
-        monkeypatch.undo()
-
-
 def writer_sim_argv(tmp_path, out):
     return ["sim", "--model", "contact-density", "--K", "z", "--init", L0, "--n", "8",
             "--steps", "3", "--cadence", "1", "--out", out, "--diag", str(tmp_path / "d.csv")]
 
 
-class TestForkedWriter:
-    @pytest.mark.parametrize("route", ["no-fork", "fork-fails", "thread-alive"])
-    @pytest.mark.parametrize("name", list(MODEL_CFGS))
-    def test_forked_and_in_process_writers_write_the_same_bytes(
-            self, tmp_path, monkeypatch, name, route):
-        # at cadence 1 every step is a snapshot, so the next step overwrites
-        # the buffer that a forked writer reads
-        def run(tag):
-            cfg = dataclasses.replace(MODEL_CFGS[name], steps=4, cadence=1,
-                                      out=str(tmp_path / f"{tag}.csv"),
-                                      diag=str(tmp_path / f"{tag}-diag.csv"))
-            run_simulation(cfg)
-            counters = json.loads(Path(cfg.out + ".manifest.json").read_text())["counters"]
-            assert counters["traj_bytes"] == os.path.getsize(cfg.out)
-            return Path(cfg.out).read_bytes(), Path(cfg.diag).read_bytes(), counters
+# sha256 prefixes of traj.csv and diag.csv of each MODEL_CFGS model run for 4
+# steps at cadence 1, as written by the forked writer of the commit before
+# snapshots were formatted in numpy
+FORKED_WRITER_DIGESTS = {
+    "contact-momentum": ("385b3692d4d8e14a", "2c56feeb13b901b8"),
+    "contact-density": ("191ae81d466eedd0", "b73626904c08d99e"),
+    "vlasov-momentum": ("8a1d4f6b4ab24b77", "58d964c10cccbf0f"),
+    "vlasov-density": ("bde1f7a7acae95d3", "d09434a1b6e31277"),
+}
 
-        forked = run("forked")
-        with writer_route(monkeypatch, route):
-            direct = run("direct")
-        assert forked[2]["writer_peak_rss_mb"] > 0
-        assert direct[2]["writer_peak_rss_mb"] == 0
-        assert forked[:2] == direct[:2]
-        assert_no_child_left()
+
+class TestForkedWriter:
+    """The in-process writer that replaced the forked one: the same bytes,
+    and the same exit codes and error lines when a write fails."""
+
+    @pytest.mark.parametrize("name", list(MODEL_CFGS))
+    def test_writes_the_bytes_of_the_forked_writer(self, tmp_path, name):
+        # at cadence 1 every step is a snapshot
+        cfg = dataclasses.replace(MODEL_CFGS[name], steps=4, cadence=1,
+                                  out=str(tmp_path / "t.csv"), diag=str(tmp_path / "d.csv"))
+        run_simulation(cfg)
+        digests = tuple(hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
+                        for path in (cfg.out, cfg.diag))
+        assert digests == FORKED_WRITER_DIGESTS[name]
+        counters = json.loads(Path(cfg.out + ".manifest.json").read_text())["counters"]
+        assert counters["traj_bytes"] == os.path.getsize(cfg.out)
 
     def test_a_writer_failure_exits_2_with_the_in_process_error_line(
             self, tmp_path, monkeypatch, capsys):
-        real, real_fork, forks = sim._write_traj_snapshot, os.fork, []
+        real = sim._write_traj_snapshot
 
         def full_at_second_snapshot(f, t, state, tails):
             if t > 0:
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
             return real(f, t, state, tails)
 
-        def fork():
-            forks.append(1)
-            return real_fork()
-
-        argv = writer_sim_argv(tmp_path, str(tmp_path / "t.csv"))
-        errors = []
-        for route in ("forked", "no-fork"):
-            with writer_route(monkeypatch, route):
-                monkeypatch.setattr(sim, "_write_traj_snapshot", full_at_second_snapshot)
-                if route == "forked":
-                    monkeypatch.setattr(os, "fork", fork)
-                assert cli.main(argv) == 2
-            errors.append(capsys.readouterr().err)
-            assert_no_child_left()
-        assert forks
-        assert errors == ["error: [Errno 28] No space left on device\n"] * 2
-
-    @pytest.mark.parametrize("fault, error", [
-        (lambda: [][0], "error: trajectory writer failed: IndexError('list index out of range')\n"),
-        (lambda: os.kill(os.getpid(), signal.SIGKILL), "error: trajectory writer ended with wait status 9\n"),
-    ], ids=["exception", "killed"])
-    def test_any_writer_failure_is_an_error_line(self, tmp_path, monkeypatch, capsys, fault, error):
-        real = sim._write_traj_snapshot
-        monkeypatch.setattr(sim, "_write_traj_snapshot",
-                            lambda f, t, *rest: fault() if t > 0 else real(f, t, *rest))
+        monkeypatch.setattr(sim, "_write_traj_snapshot", full_at_second_snapshot)
         assert cli.main(writer_sim_argv(tmp_path, str(tmp_path / "t.csv"))) == 2
-        assert capsys.readouterr().err == error
-        assert_no_child_left()
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_out_to_a_full_device_exits_2(self, tmp_path, capsys):
         assert cli.main(writer_sim_argv(tmp_path, "/dev/full")) == 2
         assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
-        assert_no_child_left()
 
     def test_no_writer_outlives_a_return_or_an_abort(self, tmp_path):
-        cfg = contact_cfg(tmp_path, steps=3, cadence=1)
-        run_simulation(cfg)
-        assert_no_child_left()
-        cfg = contact_cfg(tmp_path, dt=5.0, steps=400, cadence=1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
+            cfg = contact_cfg(tmp_path, steps=3, cadence=1)
+            run_simulation(cfg)
+            self.assert_snapshots_complete(cfg)
+            cfg = contact_cfg(tmp_path, dt=5.0, steps=400, cadence=1)
             with pytest.raises(grid.NumericalAbortError):
                 run_simulation(cfg)
-        assert_no_child_left()
-        counters = json.loads(Path(cfg.out + ".manifest.json").read_text())["counters"]
+            self.assert_snapshots_complete(cfg)
+
+    @staticmethod
+    def assert_snapshots_complete(cfg):
         # every snapshot, the last one too, is complete on disk
+        counters = json.loads(Path(cfg.out + ".manifest.json").read_text())["counters"]
         with open(cfg.out) as f:
             assert sum(1 for _ in f) == 1 + counters["snapshots"] * 16 ** 3
-        assert counters["writer_peak_rss_mb"] > 0
 
 
 def allocating_rk4(state, rhs, dt):
@@ -573,7 +521,13 @@ class TestStencilsAsPlanInstructions:
         assert peak < 2.5 * state[0].nbytes
 
 
-EDGE_VALUES = (-0.0, 2.0, 1e16, 1e-5, 5e-324, 1.5e300)
+# the edges of repr's two forms and of the formatter's exact range
+EDGE_VALUES = (
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.0 ** -1022, 1.5e300,
+    1e-5, 1e-4, math.nextafter(1e-4, 0), 1e16, 9999999999999998.0, 0.043,
+    *(math.nextafter(10.0 ** k, to) for k in range(-4, 17) for to in (0, math.inf)),
+    *(2.0 ** e for e in range(-14, 54)),
+)
 
 
 def reference_snapshot(t, state, grid):
@@ -601,11 +555,11 @@ class TestTrajectoryWriter:
         rng = np.random.default_rng(100 * dim + 10 * ncomp + n)
         state = rng.standard_normal((ncomp,) + grid.shape)
         flat = state.reshape(-1)
-        flat[:len(EDGE_VALUES)] = EDGE_VALUES
-        flat[-len(EDGE_VALUES):] = [-v for v in EDGE_VALUES]
+        edges = EDGE_VALUES + tuple(-v for v in EDGE_VALUES)
+        flat[:len(edges)] = edges[:flat.size]
         for t in (0.0, 0.1 * 3, 1e-3 * 7):
             f = io.StringIO()
-            written = sim._write_traj_snapshot(f, t, state, sim._row_tails(grid))
+            written, _ = sim._write_traj_snapshot(f, t, state, sim._row_tails(grid))
             want = reference_snapshot(t, state, grid)
             assert f.getvalue() == want
             assert written == len(want)
@@ -631,12 +585,38 @@ class TestTrajectoryWriter:
         sink = DiscardingSink()
         tracemalloc.start()
         try:
-            written = sim._write_traj_snapshot(sink, 0.5, state, tails)
+            written, _ = sim._write_traj_snapshot(sink, 0.5, state, tails)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert written > 64 ** 3 * 60
         assert peak < 2 * 2 ** 20
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(
+        st.integers(0, 2 ** 64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
+        st.floats(),
+        st.floats(1e-4, 1e16, exclude_max=True).flatmap(lambda x: st.sampled_from((x, -x))),
+    ), min_size=1, max_size=64))
+    def test_block_formatter_writes_repr(self, values):
+        text, _ = sim._repr_block(np.array(values))
+        assert [row.tobytes().rstrip(b"\0").decode() for row in text] == list(map(repr, values))
+
+    def test_block_formatter_writes_repr_at_the_edges(self):
+        values = EDGE_VALUES + tuple(-v for v in EDGE_VALUES)
+        text, fallbacks = sim._repr_block(np.array(values))
+        assert [row.tobytes().rstrip(b"\0").decode() for row in text] == list(map(repr, values))
+        # the values outside 1e-4 <= |x| < 1e16 other than zero take repr's route
+        assert fallbacks >= sum(not (1e-4 <= abs(v) < 1e16) for v in values if v != 0)
+
+    def test_manifest_counts_the_values_repr_formatted(self, tmp_path):
+        counts = []
+        for init in (L0, f"1/10^6*({L0})"):     # every value of the second below 1e-4
+            cfg = contact_cfg(tmp_path, steps=2, cadence=1, init=(init,))
+            run_simulation(cfg)
+            counts.append(json.loads(Path(cfg.out + ".manifest.json").read_text())
+                          ["counters"]["traj_repr_fallbacks"])
+        assert counts == [0, 3 * 16 ** 3]
 
 
 class TestCompiledPlanAgainstHandWrittenRhs:
