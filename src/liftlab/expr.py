@@ -531,9 +531,10 @@ def _reindex(rf: tuple[tuple[VarId, ...], Poly, Poly], axis_of: dict[VarId, int]
 
 _ratfunc_nodes = 0
 
-# The most terms a power of a sum may expand to.  No test and no verify
-# suite comes near it (at most 78 terms); (1+x+y)^200 would have 20,301
-# terms, with coefficients of up to 95 digits.
+# The most terms a power or a product of sums may expand to.  No test and
+# no verify suite comes near it (at most 78 terms in a power, 582 in a
+# product); (1+x+y)^200 would have 20,301 terms, with coefficients of up
+# to 95 digits.
 MAX_POWER_TERMS = 10_000
 
 
@@ -545,6 +546,16 @@ def _power(p: Poly, n: int) -> Poly:
         raise ExprError(f"power {n} of a sum of {t} terms is too large to expand: "
                         f"it may have more than {MAX_POWER_TERMS} terms")
     return poly.power(p, n)
+
+
+def _mul(a: Poly, b: Poly) -> Poly:
+    """a*b, refused when it may pass MAX_POWER_TERMS: the product of
+    polynomials of s and t terms has at most s*t terms, and at most s
+    when t = 1."""
+    if min(len(a), len(b)) > 1 and len(a) * len(b) > MAX_POWER_TERMS:
+        raise ExprError(f"product of sums of {len(a)} and {len(b)} terms is too large to "
+                        f"expand: it may have more than {MAX_POWER_TERMS} terms")
+    return poly.mul(a, b)
 
 
 def _to_ratfunc(e: Expr, axis_of: dict[VarId, int],
@@ -587,11 +598,11 @@ def _to_ratfunc(e: Expr, axis_of: dict[VarId, int],
             elif num is None:
                 num, den = tn, td
             else:
-                num = poly.add(poly.mul(num, td), poly.mul(tn, den))
-                den = poly.mul(den, td)
+                num = poly.add(_mul(num, td), _mul(tn, den))
+                den = _mul(den, td)
         if num is None:
             return acc, None
-        return (poly.add(num, poly.mul(acc, den)) if acc else num), den
+        return (poly.add(num, _mul(acc, den)) if acc else num), den
     if cls is Prod:
         mono = [0] * nvars
         cn = cd = 1
@@ -607,17 +618,17 @@ def _to_ratfunc(e: Expr, axis_of: dict[VarId, int],
                 mono[axis_of[f.base.var]] += f.exponent
             else:
                 fn, fd = _to_ratfunc(f, axis_of, nvars)
-                num = fn if num is None else poly.mul(num, fn)
+                num = fn if num is None else _mul(num, fn)
                 if fd is not None:
-                    den = fd if den is None else poly.mul(den, fd)
+                    den = fd if den is None else _mul(den, fd)
         if not cn or num == {}:     # a zero factor, after every factor was checked
             return {}, None
         g = math.gcd(cn, cd)
         monomial = {tuple(mono): cn // g}
-        num = monomial if num is None else poly.mul(num, monomial)
+        num = monomial if num is None else _mul(num, monomial)
         if cd != g:
             scale = poly.const(cd // g, nvars)
-            den = scale if den is None else poly.mul(den, scale)
+            den = scale if den is None else _mul(den, scale)
         return num, den
     if cls is Pow:
         n = e.exponent
@@ -639,8 +650,8 @@ def _to_ratfunc(e: Expr, axis_of: dict[VarId, int],
         bn, bd = _to_ratfunc(e.den, axis_of, nvars)
         if poly.is_zero(bn):
             raise SymbolicDivisionError("division by an identically zero expression")
-        return (an if bd is None else poly.mul(an, bd),
-                bn if ad is None else poly.mul(ad, bn))
+        return (an if bd is None else _mul(an, bd),
+                bn if ad is None else _mul(ad, bn))
     raise UnsupportedClassError("canonicalize is defined only for rational expressions")
 
 

@@ -10,12 +10,13 @@ reproducible.
 
 ``compile_numeric`` turns expressions into vectorized evaluators in one
 forward pass over their distinct nodes in ``expr.post_order``, with no
-recursion; an evaluator is one list of numpy ufunc calls, and calls of
-the functions that compute a variable from an input (a stencil, say),
-that write into slots it owns and the ``out`` arrays its caller passes.
-``spatial_derivative`` and ``rk4_step`` write into buffers their caller
-passes, and ``march`` steps a state with RK4 in buffers it allocates
-once, so a method-of-lines step allocates no whole-grid array.
+recursion; an evaluator is one list of numpy ufunc calls, with the calls
+that compute a variable from an input (``stencil_calls``, say), bound
+once per pair of input and output arrays to views of them and of the
+slots it owns.  ``spatial_derivative`` and ``rk4_step`` write into
+buffers their caller passes, and ``march`` steps a state with RK4 in
+buffers it allocates once, so a method-of-lines step allocates no
+whole-grid array and builds no view.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .expr import (
 __all__ = [
     "Grid", "GridError", "AperiodicDataError",
     "NumericalAbortError", "compile_numeric", "discretize",
-    "spatial_derivative", "quadrature", "rk4_step", "march",
+    "spatial_derivative", "stencil_calls", "quadrature", "rk4_step", "march",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -114,7 +115,8 @@ def _copy(src, out) -> None:
 
 @dataclass(frozen=True)
 class _Computed:
-    """A variable computed at call time by ``fn(args[arg], out=...)``."""
+    """A variable computed at call time by the calls that
+    ``fn(args[arg], out)`` returns, as ``stencil_calls`` returns them."""
 
     fn: Callable
     arg: tuple[str, int]
@@ -212,7 +214,7 @@ def _emit(node: Expr, kids: list, inputs: Mapping[VarId, object], prog: _Program
         if not isinstance(value, _Computed):
             return value
         out = prog.dest(node)
-        prog.emit(value.fn, (value.arg,), out)
+        prog.emit(value, (value.arg,), out)
         return out
     dynamic = any(map(_dynamic, kids))
     if isinstance(node, (Sum, Prod)):
@@ -273,8 +275,8 @@ def compile_numeric(e: Expr | Sequence[Expr], var_axes: Mapping[VarId, int],
     variables to arrays known now, typically coordinate lines that
     broadcast against the grid (``Grid.axis_line``).  ``computed`` maps
     variables computed at call time to pairs ``(i, fn)``: the value is
-    what ``fn(args[i], out=...)`` writes into ``out``, such as a stencil
-    derivative of a call-time input.  The batch's distinct nodes compile
+    what the calls that ``fn(args[i], out)`` returns write into ``out``,
+    such as the ``stencil_calls`` of a call-time input.  The batch's distinct nodes compile
     once each, in one forward pass in post-order, so each is built from
     its children's results and nothing recurses.  Every node
     whose variables are all fixed is evaluated here, once, and dropped
@@ -285,7 +287,7 @@ def compile_numeric(e: Expr | Sequence[Expr], var_axes: Mapping[VarId, int],
     owns: a slot is taken from a free list and goes back to it after the
     last use of its node, so a call allocates no intermediate array.  A
     computed variable is one more such instruction, emitted at its first
-    use: ``fn`` writes into a free slot, or into its root's ``out`` when
+    use: its calls write into a free slot, or into its root's ``out`` when
     the variable is a root, and the slot goes back after its last use.
 
     Division and negative powers raise ``EvaluationDomainError`` on
@@ -298,9 +300,12 @@ def compile_numeric(e: Expr | Sequence[Expr], var_axes: Mapping[VarId, int],
     one array indexed by root) for a batch.  Every computed root writes
     straight into its ``out``, and a root that is folded or a bare input
     is copied there, broadcast to its shape.  It returns ``out``.  The
-    slots have the broadcast shape of every input and output, and are
-    reallocated when that shape changes; as they are shared by the calls,
-    one evaluator serves one caller at a time.
+    evaluator binds the code to each (args, out) pair as one flat list of
+    calls on views, and keeps the lists of the last four (``_Evaluator``),
+    so pass the same arrays, not new views of them.  The slots have the
+    broadcast shape of every input and output, and are reallocated when
+    that shape changes; as they are shared by the calls, one evaluator
+    serves one caller at a time.
     """
     single = isinstance(e, Expr)
     roots = [e] if single else list(e)
@@ -331,26 +336,57 @@ def compile_numeric(e: Expr | Sequence[Expr], var_axes: Mapping[VarId, int],
     copies = [(l, prog.operand(value)) for l, value in enumerate(map(done.get, roots))
               if not _dynamic(value) or value != ("root", l)]
     at, code = prog.registers(len(roots))
-    copies = [(l, at[k] + i) for l, (k, i) in copies]
-    consts = prog.consts
-    const_shape = np.broadcast_shapes(*map(np.shape, consts))
-    slot_shape, slots = None, []
+    code += [(_copy, (at[k] + i,), at["root"] + l) for l, (k, i) in copies]
+    return _Evaluator(single, prog.consts, prog.nslots, code)
 
-    def evaluate(args: Sequence[np.ndarray], out):
-        nonlocal slot_shape, slots
-        dests = [out] if single else list(out)
-        shape = np.broadcast_shapes(const_shape, *map(np.shape, args),
+
+def _ids(x) -> int | tuple[int, ...]:
+    """The identity of an array, or of each item of a sequence."""
+    return id(x) if isinstance(x, np.ndarray) else tuple(map(id, x))
+
+
+class _Evaluator:
+    """A compiled plan, called as ``evaluate(args, out)``.  It keeps the
+    bound calls of the last four (args, out) pairs, the four of one
+    ``march``, keyed on the identity of ``args`` and ``out``, or of each
+    item of one that is not an array.  An entry holds what it is keyed
+    on, so no id is reused while it lives.  ``binds`` counts the binds."""
+
+    def __init__(self, single: bool, consts: list, nslots: int, code: list):
+        self.single, self.consts, self.nslots, self.code = single, consts, nslots, code
+        self.const_shape = np.broadcast_shapes(*map(np.shape, consts))
+        self.slot_shape, self.slots, self.bound, self.binds = None, [], {}, 0
+
+    def bind(self, args, out) -> list[tuple]:
+        """The calls of one evaluation from ``args`` into ``out``, with
+        those that each computed variable adds, as ``(fn, (*operands,
+        out))``: a positional ``out`` costs less to pass than a keyword."""
+        dests = [out] if self.single else list(out)
+        shape = np.broadcast_shapes(self.const_shape, *map(np.shape, args),
                                     *(d.shape for d in dests))
-        if shape != slot_shape:
-            slot_shape, slots = shape, [np.empty(shape) for _ in range(prog.nslots)]
-        regs = [*consts, *slots, *dests, *args]
-        for fn, ins, o in code:
-            fn(*[regs[i] for i in ins], out=regs[o])
-        for l, src in copies:
-            np.copyto(dests[l], regs[src])
-        return out
+        if shape != self.slot_shape:
+            self.slot_shape, self.slots = shape, [np.empty(shape) for _ in range(self.nslots)]
+        regs = [*self.consts, *self.slots, *dests, *args]
+        calls = []
+        for fn, ins, o in self.code:
+            operands = [regs[i] for i in ins]
+            calls += fn.fn(*operands, regs[o]) if isinstance(fn, _Computed) \
+                else [(fn, operands, regs[o])]
+        self.binds += 1
+        return [(fn, (*operands, dest)) for fn, operands, dest in calls]
 
-    return evaluate
+    def __call__(self, args: Sequence[np.ndarray], out):
+        key = (_ids(args), _ids(out))
+        entry = self.bound.pop(key, None)
+        if entry is None:
+            held = [x if isinstance(x, np.ndarray) else tuple(x) for x in (args, out)]
+            entry = held, self.bind(args, out)
+            if len(self.bound) == 4:
+                del self.bound[next(iter(self.bound))]
+        self.bound[key] = entry
+        for fn, operands in entry[1]:
+            fn(*operands)
+        return out
 
 
 _PROBE_FRACTIONS = (0.0, 0.17, 0.391, 0.553, 0.742, 0.918)
@@ -400,10 +436,43 @@ def discretize(e: Expr, grid: Grid, var_axes: Mapping[VarId, int],
     return compile_numeric(e, {}, fixed)((), np.empty(grid.shape))
 
 
+def stencil_calls(u: np.ndarray, axis: int, h: float,
+                  out: tuple[np.ndarray, np.ndarray]) -> list[tuple]:
+    """The calls ``fn(*operands, out=out)`` of ``spatial_derivative``, as
+    ``(fn, operands, out)`` on views of ``u`` and ``out``."""
+    n = u.shape[axis]
+    if n < 4:
+        raise GridError(f"a derivative needs at least 4 points along its axis, got {n}")
+    if not all(b.flags.c_contiguous and b.size == u.size for b in out):
+        raise GridError("a derivative needs two C-contiguous out arrays of its input's size")
+    calls = []
+    if not u.flags.c_contiguous:
+        copy = np.empty(u.shape, u.dtype)
+        calls.append((_copy, (u,), copy))
+        u = copy
+    f = u.reshape(-1)
+    N, s = f.size, math.prod(u.shape[axis + 1:])
+    d1, d2 = (b.reshape(-1) for b in out)
+    # as (lines before, axis, points after), the wrapped planes are [:, j]
+    g, w1, w2 = f.reshape(-1, n, s), d1.reshape(-1, n, s), d2.reshape(-1, n, s)
+    return calls + [
+        (np.subtract, (f[2 * s:], f[:N - 2 * s]), d1[s:N - s]),
+        (np.subtract, (f[4 * s:], f[:N - 4 * s]), d2[2 * s:N - 2 * s]),
+        (np.subtract, (g[:, 1], g[:, n - 1]), w1[:, 0]),
+        (np.subtract, (g[:, 0], g[:, n - 2]), w1[:, n - 1]),
+        (np.subtract, (g[:, 2:4], g[:, n - 2:]), w2[:, :2]),
+        (np.subtract, (g[:, :2], g[:, n - 4:n - 2]), w2[:, n - 2:]),
+        # (8 d1 - d2) / (12 h), in place in d1
+        (np.multiply, (d1, 8.0), d1),
+        (np.subtract, (d1, d2), d1),
+        (np.true_divide, (d1, 12.0 * h), d1),
+    ]
+
+
 def spatial_derivative(u: np.ndarray, axis: int, h: float, *,
                        out: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """4th-order periodic central difference along ``axis``, written into
-    ``out[0]`` and returned.
+    ``out[0]`` and returned: the calls of ``stencil_calls``, run once.
 
     ``out`` is a pair of C-contiguous float arrays of ``u``'s size: the
     derivative d1, and a scratch array d2 for the wide difference.  The
@@ -414,30 +483,12 @@ def spatial_derivative(u: np.ndarray, axis: int, h: float, *,
     and also 1 and n-2 for the wide difference) are then recomputed from
     their periodic neighbours.  A contiguous ``u``, such as a component of
     a component-major state, is read without a copy; any other is copied
-    first.  Needs at least 4 points along ``axis``.  Grouped as
-    differences so constant fields differentiate to exact zero, and
-    bitwise equal to the same formula on ``np.roll`` shifts.
+    first, by the first call.  Needs at least 4 points along ``axis``.
+    Grouped as differences so constant fields differentiate to exact zero,
+    and bitwise equal to the same formula on ``np.roll`` shifts.
     """
-    n = u.shape[axis]
-    if n < 4:
-        raise GridError(f"a derivative needs at least 4 points along its axis, got {n}")
-    if not all(b.flags.c_contiguous and b.size == u.size for b in out):
-        raise GridError("a derivative needs two C-contiguous out arrays of its input's size")
-    f = u.ravel()
-    N, s = f.size, math.prod(u.shape[axis + 1:])
-    d1, d2 = (b.reshape(-1) for b in out)
-    np.subtract(f[2 * s:], f[:N - 2 * s], out=d1[s:N - s])
-    np.subtract(f[4 * s:], f[:N - 4 * s], out=d2[2 * s:N - 2 * s])
-    # as (lines before, axis, points after), the wrapped planes are [:, j]
-    g, w1, w2 = f.reshape(-1, n, s), d1.reshape(-1, n, s), d2.reshape(-1, n, s)
-    np.subtract(g[:, 1], g[:, n - 1], out=w1[:, 0])
-    np.subtract(g[:, 0], g[:, n - 2], out=w1[:, n - 1])
-    np.subtract(g[:, 2:4], g[:, n - 2:], out=w2[:, :2])
-    np.subtract(g[:, :2], g[:, n - 4:n - 2], out=w2[:, n - 2:])
-    # (8 d1 - d2) / (12 h), in place in d1
-    d1 *= 8.0
-    d1 -= d2
-    d1 /= 12.0 * h
+    for fn, operands, dest in stencil_calls(u, axis, h, out):
+        fn(*operands, out=dest)
     return out[0]
 
 
@@ -454,7 +505,9 @@ def rk4_step(state: np.ndarray, rhs: Callable[[np.ndarray, np.ndarray], object],
 
     ``rhs(u, k)`` writes the rate at ``u`` into ``k``.  ``work`` holds two
     arrays of the state's shape, neither of them ``state`` or ``out``: the
-    weighted sum of the rates and the current rate.  ``out`` holds each
+    weighted sum of the rates and the current rate: two arrays, not views
+    made anew, so a bound ``rhs`` (``compile_numeric``) meets the same
+    ones on every step.  ``out`` holds each
     stage input, state + (dt/2) k1, state + (dt/2) k2 and state + dt k3,
     until it receives state + (dt/6) ((k1 + 2 k2 + 2 k3) + k4), summed in
     that order, so the values are bitwise those of the same expression on
@@ -493,13 +546,14 @@ def march(state: np.ndarray, rhs: Callable[[np.ndarray, np.ndarray], object],
     """Take ``steps`` RK4 steps from ``state``, yielding ``(step, state)``
     after each, for step = 1, ..., ``steps``; ``steps = 0`` yields nothing.
 
-    The spare state and ``rk4_step``'s two work arrays are allocated once.
+    The spare state and ``rk4_step``'s two work arrays are allocated once,
+    so ``rhs`` sees four (state, rate) pairs in all.
     Each step writes into the array the step before it read, so the
     yielded states alternate between ``state`` itself and the spare, and
     each is overwritten two steps later: read a state before taking the
     next one.  A non-finite step raises ``NumericalAbortError``.
     """
-    spare, work = np.empty_like(state), np.empty((2,) + state.shape)
+    spare, work = np.empty_like(state), (np.empty(state.shape), np.empty(state.shape))
     for step in range(1, steps + 1):
         state, spare = rk4_step(state, rhs, dt, step, out=spare, work=work), state
         yield step, state

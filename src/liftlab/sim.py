@@ -23,7 +23,7 @@ and the state-dependent rest of the plan.
 
 The state is component-major: one C-contiguous array of shape
 (k, n, ..., n), so each component is contiguous and its stencils are flat
-shifts of it (``grid.spatial_derivative``).  ``initial_state`` returns
+shifts of it (``grid.stencil_calls``).  ``initial_state`` returns
 this layout, and ``Model.rhs(state, out)`` reads it and writes the rates
 into ``out`` in it.
 
@@ -33,14 +33,15 @@ slot at its jet variable's first use and released after its last, so a
 model keeps no array per stencil.  Every loop over steps is one
 ``grid.march``, which owns the rest of a step's buffers, the spare
 state and the two work arrays of ``grid.rk4_step``, so a step allocates
-no whole-grid array.  The buffers are shared by every call, so one run
-uses a model at a time.  Output is written at t = 0, every ``cadence``
-steps and the last step (``_is_output``), by the run loop and the
-two-path harness alike.  The run loop writes each trajectory snapshot
-itself, one slab of fixed i at a time: every value is written as the
-bytes of ``repr(float(v))``, found for the whole slab at once with numpy
-(``_repr_block``), and the few values that the vectorized method cannot
-decide exactly are formatted by ``repr`` itself.
+no whole-grid array, and the plan is bound once to each (state, rate)
+pair of ``march``, so a step builds no view.  The buffers are shared by
+every call, so one run uses a model at a time.  Output is written at
+t = 0, every ``cadence`` steps and the last step (``_is_output``), by the
+run loop and the two-path harness alike.  The run loop writes each
+trajectory snapshot itself, one slab of fixed i at a time: every value is
+written as the bytes of ``repr(float(v))``, found for a block of slabs at
+once with numpy (``_repr_block``), and the few values that the
+vectorized method cannot decide exactly are formatted by ``repr`` itself.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from . import __version__
 from .expr import Expr, ExprError, Var, VarId
 from .grid import (
     TWO_PI, Grid, NumericalAbortError, check_periodic, compile_numeric,
-    discretize, march, quadrature, spatial_derivative,
+    discretize, march, quadrature, stencil_calls,
 )
 from .geometry import Chart, DifferentialForm, one_form
 from .jets import JetChart, total_derivative
@@ -226,8 +227,8 @@ def _compile_jet_plan(jc: JetChart, grid: Grid, rate_exprs: Sequence[Expr]
     h = grid.h
     scratch = np.empty(grid.shape)
 
-    def stencil(a: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        return lambda u, out: spatial_derivative(u, a, h, out=(out, scratch))
+    def stencil(a: int) -> Callable[[np.ndarray, np.ndarray], list]:
+        return lambda u, out: stencil_calls(u, a, h, (out, scratch))
 
     var_axes = {v: l for l, v in enumerate(jc.fiber)}
     computed = {jc.jet(l, a): (l, stencil(a)) for l in range(jc.k) for a in range(jc.m)}
@@ -576,12 +577,18 @@ def _digits_text(v: np.ndarray, skip: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return out.astype("<u8", copy=False).view(np.uint8), slow
 
 
+# the most values formatted by one ``_repr_block`` call, unless one slab has more
+_BLOCK_VALUES = 8192
+
+
 def _write_traj_snapshot(f, t: float, state: np.ndarray, tails: np.ndarray) -> tuple[int, int]:
     """Write one snapshot, one slab of fixed i per ``f.write``; returns the
     number of characters written and of values that ``repr`` formatted.
     Each value is written as the ``repr`` of a Python float, so the text
-    reads back to the same doubles.  A slab's rows are assembled in one
-    byte matrix with zero bytes as padding, which the write drops."""
+    reads back to the same doubles, formatted for as many slabs at once as
+    fit in ``_BLOCK_VALUES`` values, one at least.  A slab's rows are
+    assembled in one byte matrix with zero bytes as padding, which the
+    write drops."""
     ncomp, n = state.shape[:2]
     rows, tail_width = tails.shape
     lead_width = len(f"{t!r},{n - 1},")
@@ -592,13 +599,16 @@ def _write_traj_snapshot(f, t: float, state: np.ndarray, tails: np.ndarray) -> t
     fields[:, :, 24] = ord(",")
     fields[:, -1, 24] = ord("\n")
     written = fallbacks = 0
-    for i in range(n):
-        row[:, :lead_width] = np.frombuffer(f"{t!r},{i},".ljust(lead_width, "\0").encode(), np.uint8)
-        text, by_repr = _repr_block(state[:, i].reshape(ncomp, -1).T.ravel())
-        fields[:, :, :24] = text.reshape(rows, ncomp, 24)
-        del text
+    per_block = max(1, _BLOCK_VALUES // (rows * ncomp))
+    for start in range(0, n, per_block):
+        block = state[:, start:start + per_block]
+        text, by_repr = _repr_block(block.reshape(ncomp, -1).T.ravel())
         fallbacks += by_repr
-        written += f.write(buf.translate(None, b"\0").decode("ascii"))
+        for i, slab in enumerate(text.reshape(-1, rows, ncomp, 24), start):
+            row[:, :lead_width] = np.frombuffer(f"{t!r},{i},".ljust(lead_width, "\0").encode(), np.uint8)
+            fields[:, :, :24] = slab
+            written += f.write(buf.translate(None, b"\0").decode("ascii"))
+        del text, slab
     return written, fallbacks
 
 
@@ -618,8 +628,9 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     the last step.  The trajectory and diagnostics are deterministic for a
     fixed config; the manifest also records per-phase timings and counters,
     with the minor page faults of the run and of its steps, the process's
-    peak RSS, and ``traj_repr_fallbacks``, the number of trajectory values
-    that ``repr`` formatted instead of the vectorized formatter."""
+    peak RSS, ``traj_repr_fallbacks``, the number of trajectory values
+    that ``repr`` formatted instead of the vectorized formatter, and
+    ``plan_binds``, the binds of the model's plan (four at most)."""
     clock = time.perf_counter
     faults = _minor_faults()
     t0 = clock()
@@ -677,7 +688,8 @@ def run_simulation(cfg: SimConfig) -> RunResult:
             aborted = exc
     manifest["aborted_at_step"] = None if aborted is None else aborted.step
     usage = resource.getrusage(resource.RUSAGE_SELF)
-    counters.update(minor_faults=usage.ru_minflt - faults, peak_rss_mb=usage.ru_maxrss / 1024)
+    counters.update(minor_faults=usage.ru_minflt - faults, peak_rss_mb=usage.ru_maxrss / 1024,
+                    plan_binds=model.rhs.binds)
     with open(manifest_path, "w") as mf:
         json.dump(manifest, mf, indent=2, sort_keys=True)
         mf.write("\n")

@@ -91,6 +91,19 @@ class TestLift:
         assert err == ("error: power 200 of a sum of 3 terms is too large to expand: "
                        "it may have more than 10000 terms\n")
 
+    def test_product_too_large_to_expand_is_config_error(self, capsys):
+        # each factor expands to 5,151 terms, within the bound, and their
+        # product could have 26.5 million: expanding it took tens of seconds
+        # and printed 18 MB.  What is left is the factors' time (CPU time,
+        # which the load of other processes does not move)
+        start = time.process_time()
+        code, out, err = run(capsys, "lift", "--field", "(1+x+y)^100*(1+x+y)^100,y",
+                             "--vars", "x,y")
+        assert time.process_time() - start < 10.0
+        assert (code, out) == (2, "")
+        assert err == ("error: product of sums of 5151 and 5151 terms is too large to "
+                       "expand: it may have more than 10000 terms\n")
+
 
 class TestBracket:
     def test_jacobi_lie(self, capsys):

@@ -1,7 +1,9 @@
 """Periodic grids, stencils, quadrature, RK4."""
 
+import gc
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from liftlab.expr import (
 from liftlab.grid import (
     AperiodicDataError, Grid, GridError, NumericalAbortError,
     check_periodic, compile_numeric, discretize, march, quadrature, rk4_step,
-    spatial_derivative,
+    spatial_derivative, stencil_calls,
 )
 from liftlab.parser import parse_expr
 
@@ -240,6 +242,58 @@ class TestMarch:
         assert seen == [(1, decay), (2, decay), (3, decay)]
 
 
+def stencil_plan(g: Grid):
+    """u*u_x + sin(x)*v and u^2/(1 + v^2) over (u, v), with u_x a stencil:
+    slots, a computed variable, a folded coefficient and a division."""
+    U, V, D = VarId("u", 3), VarId("v", 4), VarId("ux", 5)
+    scratch = np.empty(g.shape)
+    rates = [parse_expr(t, [X, Y, U, V, D]) for t in ("u*ux + sin(x)*v", "u^2/(1 + v^2)")]
+    return compile_numeric(rates, {U: 0, V: 1}, {X: g.axis_line(0), Y: g.axis_line(1)},
+                           {D: (0, lambda u, out: stencil_calls(u, 0, g.h, (out, scratch)))})
+
+
+class TestBoundPrograms:
+    def test_more_pairs_than_kept_stay_bitwise_equal_to_a_fresh_evaluator(self):
+        g = Grid(2, 8)
+        rng = np.random.default_rng(3)
+        arrays = [np.empty((2,) + g.shape) for _ in range(6)]
+        plan = stencil_plan(g)
+        # six distinct pairs, roles swapped, and returns to evicted pairs
+        pairs = [(0, 1), (2, 3), (0, 3), (2, 1), (4, 5), (1, 0), (3, 2), (0, 1), (5, 4),
+                 (2, 3), (0, 1), (0, 1)]
+        for i, o in pairs:
+            arrays[i][...] = rng.uniform(-1.0, 1.0, arrays[i].shape)
+            arrays[o][...] = np.nan
+            want = stencil_plan(g)(arrays[i].copy(), np.empty_like(arrays[o]))
+            assert plan(arrays[i], arrays[o]) is arrays[o]
+            assert np.array_equal(arrays[o].view(np.uint64), want.view(np.uint64))
+            assert len(plan.bound) <= 4
+        assert plan.binds == 10        # the last two calls find (0, 1) kept
+
+    def test_a_list_changed_in_place_reads_its_new_arrays(self):
+        fn = compile_numeric(parse_expr("x*y + sin(x)", [X, Y]), {X: 0, Y: 1})
+        rng = np.random.default_rng(4)
+        args, out = [rng.standard_normal(5), rng.standard_normal(5)], np.empty(5)
+        for change in (lambda: None, lambda: args.__setitem__(0, rng.standard_normal(5)),
+                       args.reverse, lambda: args[1].__setitem__(..., 2.0)):
+            change()
+            want = args[0] * args[1] + np.sin(args[0])
+            assert np.array_equal(fn(args, out).view(np.uint64), want.view(np.uint64))
+
+    def test_arrays_of_evicted_pairs_are_collected(self):
+        g = Grid(2, 8)
+        plan = stencil_plan(g)
+        refs = []
+        for _ in range(7):
+            pair = np.zeros((2,) + g.shape), np.empty((2,) + g.shape)
+            plan(*pair)
+            refs.append([weakref.ref(a) for a in pair])
+            del pair
+        gc.collect()
+        alive = [[r() is not None for r in pair] for pair in refs]
+        assert alive == [[False, False]] * 3 + [[True, True]] * 4
+
+
 class TestCompileNumeric:
     def test_matches_scalar_evaluation(self):
         from liftlab.expr import eval_numeric
@@ -349,9 +403,12 @@ class TestCompileNumeric:
         D, E = VarId("D", 3), VarId("E", 4)
         calls = []
 
-        def double(u, out):
+        def doubling(u, out):
             calls.append(out)
-            return np.multiply(u, 2.0, out=out)
+            np.multiply(u, 2.0, out=out)
+
+        def double(u, out):     # lowered once per binding, run on every call
+            return [(doubling, (u,), out)]
 
         fn = compile_numeric([Var(D), Prod((Var(D), Var(Y))), Call("sin", Var(D))],
                              {Y: 1}, computed={D: (0, double), E: (0, double)})

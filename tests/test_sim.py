@@ -206,15 +206,16 @@ class TestCompiledRates:
                    params={"phi": "cos(q)"}, init=("1 + 3/10*sin(q)*sin(p)",)), 2),
     ], ids=["contact-momentum-z", "contact-momentum-trig", "vlasov-density"])
     def test_rhs_computes_only_the_stencils_it_reads(self, monkeypatch, cfg, stencils):
+        # counts the stencils lowered into the program bound for one pair
         model = build_model(cfg)
         state = initial_state(cfg, model)
         want = rates(model, state)
-        calls = []
-        real = sim.spatial_derivative
-        monkeypatch.setattr(sim, "spatial_derivative",
-                            lambda u, axis, h, out: calls.append(axis) or real(u, axis, h, out=out))
+        lowered = []
+        real = sim.stencil_calls
+        monkeypatch.setattr(sim, "stencil_calls",
+                            lambda u, axis, h, out: lowered.append(axis) or real(u, axis, h, out))
         got = rates(model, state)
-        assert len(calls) == stencils
+        assert len(lowered) == stencils
         assert np.array_equal(got, want)
 
     def test_component_count_enforced(self):
@@ -270,12 +271,19 @@ class TestRunSimulation:
         assert set(timings) == {"build_s", "init_s", "integrate_s", "io_s"}
         assert set(counters) == {"steps", "rhs_calls", "snapshots", "traj_bytes",
                                  "traj_repr_fallbacks", "minor_faults",
-                                 "integrate_minor_faults", "peak_rss_mb"}
+                                 "integrate_minor_faults", "peak_rss_mb", "plan_binds"}
         assert all(v >= 0 for v in (*timings.values(), *counters.values()))
         assert counters["steps"] == cfg.steps
         assert counters["rhs_calls"] == 4 * cfg.steps
         assert counters["snapshots"] == len(result.diagnostics) == 2
         assert counters["traj_bytes"] == os.path.getsize(cfg.out)
+
+    @pytest.mark.parametrize("steps", [1, 30])
+    def test_plan_is_bound_to_at_most_the_four_pairs_of_march(self, tmp_path, steps):
+        cfg = contact_cfg(tmp_path, n=8, steps=steps, cadence=10)
+        run_simulation(cfg)
+        binds = json.loads(Path(cfg.out + ".manifest.json").read_text())["counters"]["plan_binds"]
+        assert 1 <= binds <= 4
 
     def test_cfl_advisory_warns_but_runs(self, tmp_path):
         cfg = contact_cfg(tmp_path, dt=0.05, steps=1)
@@ -547,7 +555,9 @@ class DiscardingSink:
 
 
 class TestTrajectoryWriter:
-    @pytest.mark.parametrize("n", [8, 32])
+    # at n = 20 in three dimensions with three components, the last block
+    # of slabs is a partial one (six slabs to a block)
+    @pytest.mark.parametrize("n", [8, 20, 32])
     @pytest.mark.parametrize("ncomp", [1, 2, 3])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_bytes_match_reference_formatter(self, dim, ncomp, n):
@@ -693,6 +703,23 @@ PINNED_PLANS = {
     "density-map": ("(x, y, z; a_x, a_y, a_z)",
                     ["x*a_x_z - x*a_z_x + (-2)*a_z - a_x_y + a_y_x"], None),
 }
+
+
+# The number of calls in the bound RHS of each MODEL_CFGS model: nine per
+# stencil it reads, and the plan's own.  A change that adds passes shows here.
+PINNED_CALLS = {
+    "contact-momentum": 6 * 9 + 15,
+    "contact-density": 2 * 9 + 5,
+    "vlasov-momentum": 4 * 9 + 12,
+    "vlasov-density": 2 * 9 + 3,
+}
+
+
+@pytest.mark.parametrize("name", PINNED_CALLS)
+def test_bound_calls_are_pinned(name):
+    model = build_model(MODEL_CFGS[name])
+    state = initial_state(MODEL_CFGS[name], model)
+    assert len(model.rhs.bind(state, np.empty_like(state))) == PINNED_CALLS[name]
 
 
 @pytest.mark.parametrize("name", PINNED_PLANS)
