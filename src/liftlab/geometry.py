@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .expr import (
-    FUNCTIONS, Expr, ExprError, ONE, Sum, VarId, ZERO, canon, is_rational,
+    FUNCTIONS, Expr, ExprError, ONE, Sum, Var, VarId, ZERO, canon, is_rational,
     is_zero_expr, partial,
 )
 from .parser import IDENT_RE
@@ -25,6 +25,7 @@ __all__ = [
     "one_form", "jacobi_lie_bracket", "exterior_derivative", "wedge",
     "interior_product", "lie_derivative_form", "divergence",
     "pointwise_pairing", "is_exact_candidate", "directional_derivative",
+    "formal_adjoint",
 ]
 
 MAX_DIM = 8
@@ -344,3 +345,40 @@ def is_exact_candidate(alpha: DifferentialForm) -> bool:
         if not is_zero_expr(coeff):
             return False
     return True
+
+
+def formal_adjoint(chart: Chart, D: Callable[[Expr], Expr]) -> Expr:
+    """D*(1): the density E with the integral of D[H] equal to that of H E
+    for every compactly supported H, for a linear differential operator D
+    of order at most 2 in the chart's coordinates.
+
+    With D = c + c^a d_a + sum over a <= b of c^ab d_a d_b, E is
+    c - d_a c^a + d_a d_b c^ab: integration by parts with no boundary term
+    (Olver, *Applications of Lie Groups to Differential Equations*, GTM
+    107, ch. 4-5).  The coefficients are read from D applied to 1, x^a and
+    x^a x^b.  The adjoint of D at L is ``formal_adjoint`` of H -> L D[H].
+
+    Raises ``ExprError`` unless D applied to l^3, for the weighted linear
+    form l = sum (a + 1) x^a, is what those coefficients predict: an
+    operator of order 3 differs there, along d_x^3 and d_x d_y d_z alike.
+    """
+    v = chart.vars
+    xs = [Var(u) for u in v]
+    c = D(ONE)
+    first = [canon(D(x) - x * c) for x in xs]
+    second = {}
+    for a in range(chart.dim):
+        for b in range(a, chart.dim):
+            xa, xb = xs[a], xs[b]
+            s = D(xa * xb) - xa * first[b] - xb * first[a] - xa * xb * c
+            second[a, b] = canon(s if a < b else s / 2)
+    lin = canon(sum((x * (a + 1) for a, x in enumerate(xs)), ZERO))
+    predicted = canon(c * lin ** 3
+                      + sum((3 * lin ** 2 * (a + 1) * ca for a, ca in enumerate(first)), ZERO)
+                      + sum((6 * lin * (a + 1) * (b + 1) * cab
+                             for (a, b), cab in second.items()), ZERO))
+    if canon(D(lin ** 3)) != predicted:
+        raise ExprError("formal adjoint of an operator of order above 2")
+    out = c - sum((partial(ca, v[a]) for a, ca in enumerate(first)), ZERO)
+    out = out + sum((partial(partial(cab, v[a]), v[b]) for (a, b), cab in second.items()), ZERO)
+    return canon(out)

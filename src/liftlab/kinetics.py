@@ -9,9 +9,9 @@ coadjoint formula on the density alpha (x) dmu,
 
     alpha_dot = -L_X alpha - (div_dmu X) alpha.
 
-The printed Hamiltonian operators are implemented verbatim as well, but
-they are meant for weak-form probing under torus quadrature only; their
-strong forms are not asserted against the coadjoint path.
+The printed Hamiltonian operators are implemented verbatim as well.  The
+operators-weak suite of ``liftlab verify`` decides them in weak form, by
+formal adjoints, together with the exact defects of the printed displays.
 
 The formulas that take derivatives of their arguments (``contact_bracket``,
 ``contact_density``, ``contact_density_rhs``,
@@ -309,7 +309,11 @@ def hamiltonian_operator_momentum(cs: ContactStructure, alpha: DifferentialForm,
     """The printed 3x3 momentum-layer Hamiltonian operator applied to X.
 
     Row i, column j is  alpha_j d/dx^i + d/dx^j . alpha_i  with an overall
-    minus sign; exposed for weak-form probing under quadrature only.
+    minus sign.  Weakly, the integral of <J(alpha) X_K, X_H> is that of
+    -<alpha, [X_H, X_K]>, so the printed display, which sets their
+    negatives equal, holds only up to an overall minus.  The formal
+    adjoint of H -> <J(alpha) X_K, X_H> is ``contact_density_rhs(L, K)``
+    for L the contact density of alpha.
     """
     if alpha.degree != 1 or alpha.chart != cs.chart or X.chart != cs.chart:
         raise ChartError("operator arguments must live on the contact chart")
@@ -327,8 +331,9 @@ def hamiltonian_operator_momentum(cs: ContactStructure, alpha: DifferentialForm,
 def hamiltonian_operator_density(cs: ContactStructure, L: Expr, K: Expr) -> Expr:
     """The printed density-layer operator: J(L) K = X_L(K) + (4L + L_z) K_z.
 
-    Exposed for weak-form probing only; its strong form is not asserted
-    against the coadjoint equation (known zeroth- vs first-order mismatch).
+    It is not the formal adjoint in H of L {H, K}_c, the operator the
+    density bracket gives: it exceeds that adjoint by exactly
+    L_z (K_z - K), since it has L_z K_z where L_z K is consistent.
     """
     X_L = contact_vector_field(cs, L)
     kz = partial(K, cs.z)

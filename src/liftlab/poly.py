@@ -99,16 +99,18 @@ def mul(a: Poly, b: Poly) -> Poly:
 
 
 def power(a: Poly, n: int) -> Poly:
+    """a**n.  A base of at most one term is raised in closed form; any
+    other is multiplied in n - 1 times, which for a sum of few terms costs
+    less than repeated squaring (``expr._power`` bounds n for sums)."""
     if n < 0:
         raise ValueError("negative power of a polynomial")
-    nvars = len(next(iter(a))) if a else 0
-    out = const(1, nvars)
-    base = a
-    while n:
-        if n & 1:
-            out = mul(out, base)
-        base = mul(base, base) if n > 1 else base
-        n >>= 1
+    if n == 0:
+        return const(1, len(next(iter(a))) if a else 0)
+    if len(a) <= 1:
+        return {tuple(k * n for k in m): c ** n for m, c in a.items()}
+    out = dict(a)
+    for _ in range(n - 1):
+        out = mul(out, a)
     return out
 
 

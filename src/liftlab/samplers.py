@@ -1,4 +1,4 @@
-"""Seeded random generators for polynomials, fields, forms and trig data.
+"""Seeded random generators for polynomials, fields and forms.
 
 Everything is driven by a caller-supplied random.Random so suites are
 reproducible from a single seed.
@@ -10,12 +10,11 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .expr import Call, Const, Expr, Var, VarId, ZERO, canon
+from .expr import Const, Expr, Var, VarId, ZERO, canon
 from .geometry import Chart, DifferentialForm, VectorField, one_form
 
 __all__ = [
     "rand_poly", "rand_vector_field", "rand_one_form", "rand_two_form",
-    "rand_trig_poly",
 ]
 
 
@@ -62,18 +61,3 @@ def rand_two_form(rng: random.Random, chart: Chart, degree: int,
     return DifferentialForm(chart, 2, {
         k: rand_poly(rng, chart.vars, degree, terms) for k in keys})
 
-
-def rand_trig_poly(rng: random.Random, vars: Sequence[VarId],
-                   terms: int = 2, max_freq: int = 2) -> Expr:
-    """Random trigonometric polynomial: periodic on [0, 2pi)^d by construction."""
-    out: Expr = Const(Fraction(rng.randint(-2, 2)))
-    for _ in range(terms):
-        term: Expr = _rand_coeff(rng)
-        picked = rng.sample(list(vars), rng.randint(1, len(vars)))
-        for v in picked:
-            freq = rng.randint(1, max_freq)
-            func = rng.choice(("sin", "cos"))
-            arg: Expr = Var(v) if freq == 1 else Const(Fraction(freq)) * Var(v)
-            term = term * Call(func, canon(arg))
-        out = out + term
-    return canon(out)

@@ -1,6 +1,6 @@
 """Seeded randomized verification suites behind `liftlab verify`.
 
-An exact suite is a row of ``CHECKS``: named checks ``check(rng, degree)``
+Every suite is a row of ``CHECKS``: named checks ``check(rng, degree)``
 that draw an instance of a symbolic identity and return ``(drawn, lhs,
 rhs)``: what they drew, by name, and the two sides of the identity (tuples
 when it has parts).  The runner alone decides, by ``lhs == rhs``: nodes are
@@ -9,12 +9,11 @@ side left uncanonical can fail a check but never pass a false one.  A check
 runs on its own rng until its first failure, which lists what it drew; one
 that raises an ``ExprError`` fails with the error.
 
-The operators-weak suite evaluates quadrature probes of the printed
-Hamiltonian operators and only *reports* residuals: the probes window all
-data in x by ((1-cos x)/2)^4 so that every integration-by-parts boundary
-term at the x-seam vanishes (the Darboux coefficient x is not periodic on
-the torus); with the window in place a residual above the probe tolerance
-indicates an operator-level discrepancy, not a seam artifact.
+The operators-weak suite decides the printed Hamiltonian operators in weak
+form: the integrals of A[H] and B[H] agree for every compactly supported
+test function H exactly when the formal adjoints of A and B agree
+pointwise, and ``geometry.formal_adjoint`` computes those exactly, with no
+quadrature and no boundary term.
 """
 
 from __future__ import annotations
@@ -26,15 +25,14 @@ from fractions import Fraction
 from typing import Callable
 
 from .expr import (
-    Call, Expr, ExprError, Var, ZERO, canon, kernel_stats, partial, scope,
-    substitute,
+    Expr, ExprError, ZERO, canon, kernel_stats, partial, scope, substitute,
 )
 from .geometry import (
     Chart, DifferentialForm, VectorField, VolumeForm, divergence,
-    exterior_derivative, interior_product, jacobi_lie_bracket,
-    lie_derivative_form, one_form, pointwise_pairing, wedge,
+    exterior_derivative, formal_adjoint, interior_product,
+    jacobi_lie_bracket, lie_derivative_form, one_form, pointwise_pairing,
+    wedge,
 )
-from .grid import Grid, discretize, quadrature
 from .jets import (
     GeneralizedVectorField, JetChart, holonomic_part,
     obstruction_form, prolongation_bracket, vertical_representative,
@@ -53,16 +51,9 @@ from .lifts import (
     complete_cotangent_lift, euler_vector_field, hamiltonian_vector_field,
     lift_decomposition, momentum_function, vertical_lift,
 )
-from .samplers import (
-    rand_one_form, rand_poly, rand_trig_poly, rand_vector_field,
-)
+from .samplers import rand_one_form, rand_poly, rand_vector_field
 
-__all__ = ["SuiteReport", "CheckResult", "run_suite", "SUITES",
-           "WEAK_PROBE_TOL"]
-
-WEAK_PROBE_TOL = 1e-6
-# points per axis of the operators-weak quadrature grid
-WEAK_PROBE_N = 48
+__all__ = ["SuiteReport", "CheckResult", "run_suite", "SUITES"]
 
 Instance = tuple[dict[str, object], object, object]     # (drawn, lhs, rhs)
 Check = Callable[[random.Random, int], Instance]
@@ -70,17 +61,15 @@ Check = Callable[[random.Random, int], Instance]
 
 @dataclass
 class CheckResult:
-    """One check's outcome.  ``seconds`` and ``kernel``, the change of
-    ``expr.kernel_stats()`` while it ran, are set where the check runs on
-    its own; the operators-weak checks share one loop and leave them unset."""
+    """One check's outcome: the trials it ran, whether ``lhs == rhs`` held
+    in all of them, and else what the first failing trial drew.  The runner
+    sets ``seconds`` and ``kernel``, the change of ``expr.kernel_stats()``
+    while the check ran."""
 
     name: str
     trials: int
     passed: bool
     counterexample: str | None = None
-    residuals: list[float] = field(default_factory=list)
-    flagged: bool = False
-    note: str | None = None
     seconds: float | None = None
     kernel: dict[str, int] | None = None
 
@@ -92,37 +81,25 @@ class SuiteReport:
     degree: int
     seed: int
     results: list[CheckResult] = field(default_factory=list)
-    informational: bool = False
     seconds: float | None = None
     kernel: dict[str, int] | None = None
 
     @property
     def ok(self) -> bool:
-        return self.informational or all(r.passed for r in self.results)
+        return all(r.passed for r in self.results)
 
     @property
     def verdict(self) -> str:
-        return "REPORTED" if self.informational else ("PASS" if self.ok else "FAIL")
+        return "PASS" if self.ok else "FAIL"
 
     def render(self) -> str:
         lines = [f"suite: {self.suite}  trials={self.trials} "
                  f"degree={self.degree} seed={self.seed}"]
         for r in self.results:
-            if r.residuals:
-                worst = max(r.residuals)
-                tag = "FLAG" if r.flagged else "ok  "
-                lines.append(f"  [{tag}] {r.name}: max residual {worst:.3e} "
-                             f"(tol {WEAK_PROBE_TOL:.0e}, {len(r.residuals)} probes)")
-                if r.flagged:
-                    lines.append("         residual exceeds tolerance: documented "
-                                 "operator discrepancy, reported not asserted")
-                if r.note:
-                    lines.append(f"         {r.note}")
-            else:
-                tag = "PASS" if r.passed else "FAIL"
-                lines.append(f"  [{tag}] {r.name} ({r.trials} trials)")
-                if r.counterexample:
-                    lines.append(f"         counterexample: {r.counterexample}")
+            tag = "PASS" if r.passed else "FAIL"
+            lines.append(f"  [{tag}] {r.name} ({r.trials} trials)")
+            if r.counterexample:
+                lines.append(f"         counterexample: {r.counterexample}")
         lines.append(f"RESULT: {self.verdict}")
         return "\n".join(lines)
 
@@ -423,7 +400,73 @@ def _contact_intertwining(rng, degree: int) -> Instance:
 
 
 # ---------------------------------------------------------------------------
-# the exact suites: each a row of named checks, in report order
+# the printed Hamiltonian operators in weak form: an integral identity for
+# every test function H is an equality of formal adjoints in H
+
+def _adjoint(D: Callable[[Expr], Expr]) -> Expr:
+    return formal_adjoint(_CS.chart, D)
+
+
+def _pairing_duality(rng, degree: int) -> Instance:
+    """<alpha, X_K> integrates to K against the contact density."""
+    alpha = rand_one_form(rng, _CS.chart, degree)
+    return ({"alpha": alpha},
+            _adjoint(lambda K: pointwise_pairing(alpha, contact_vector_field(_CS, K))),
+            contact_density(_CS, alpha))
+
+
+def _momentum_pairings(alpha: DifferentialForm, K: Expr) -> tuple:
+    """The two sides of the printed momentum display as operators on H:
+    H -> <J(alpha) X_K, X_H> for the printed operator J, and the
+    Lie-Poisson side H -> -<alpha, [X_H, X_K]>."""
+    X_K = contact_vector_field(_CS, K)
+    J = hamiltonian_operator_momentum(_CS, alpha, X_K)
+    return (lambda H: pointwise_pairing(J, contact_vector_field(_CS, H)),
+            lambda H: canon(pointwise_pairing(
+                alpha, jacobi_lie_bracket(contact_vector_field(_CS, H), X_K)) * -1))
+
+
+def _momentum_operator_weak(rng, degree: int) -> Instance:
+    alpha = rand_one_form(rng, _CS.chart, degree)
+    K = rand_poly(rng, _CS.chart.vars, degree, 3)
+    operator, bracket = _momentum_pairings(alpha, K)
+    return {"alpha": alpha, "K": K}, _adjoint(operator), _adjoint(bracket)
+
+
+def _momentum_display_sign(rng, degree: int) -> Instance:
+    """The display as printed, with a minus in front of both integrals,
+    holds up to an overall minus."""
+    alpha = rand_one_form(rng, _CS.chart, degree)
+    K = rand_poly(rng, _CS.chart.vars, degree, 3)
+    operator, bracket = _momentum_pairings(alpha, K)
+    return ({"alpha": alpha, "K": K}, _adjoint(lambda H: canon(operator(H) * -1)),
+            canon(_adjoint(bracket) * -1))
+
+
+def _density_operator_weak(rng, degree: int) -> Instance:
+    """The printed density operator less the adjoint of H -> L {H, K} is
+    L_z (K_z - K): the printed L_z K_z where L_z K is consistent."""
+    alpha = rand_one_form(rng, _CS.chart, degree)
+    K = rand_poly(rng, _CS.chart.vars, degree, 3)
+    L = contact_density(_CS, alpha)
+    weak = _adjoint(lambda H: canon(L * contact_bracket(_CS, H, K)))
+    return ({"alpha": alpha, "K": K},
+            canon(hamiltonian_operator_density(_CS, L, K) - weak),
+            canon(partial(L, _CS.z) * (partial(K, _CS.z) - K)))
+
+
+def _operator_relation(rng, degree: int) -> Instance:
+    """The consistent density operator meets the momentum operator, with
+    the sign of the printed display flipped."""
+    alpha = rand_one_form(rng, _CS.chart, degree)
+    K = rand_poly(rng, _CS.chart.vars, degree, 3)
+    operator, _ = _momentum_pairings(alpha, K)
+    return ({"alpha": alpha, "K": K},
+            contact_density_rhs(_CS, contact_density(_CS, alpha), K), _adjoint(operator))
+
+
+# ---------------------------------------------------------------------------
+# the suites: each a row of named checks, in report order
 
 CHECKS: dict[str, tuple[tuple[str, Check], ...]] = {
     "jets": (
@@ -465,94 +508,17 @@ CHECKS: dict[str, tuple[tuple[str, Check], ...]] = {
         ("contact-momentum-map-intertwining", _contact_intertwining),
         ("plasma-momentum-map-intertwining", _plasma_intertwining),
     ),
+    "operators-weak": (
+        ("pairing-duality", _pairing_duality),
+        ("momentum-operator-weak", _momentum_operator_weak),
+        ("momentum-display-sign", _momentum_display_sign),
+        ("density-operator-weak", _density_operator_weak),
+        ("operator-relation", _operator_relation),
+    ),
 }
 
 
-# ---------------------------------------------------------------------------
-# weak operator probes under torus quadrature
-
-# ((1 - cos x)/2)^4: kills x-seam boundary terms to high order; built
-# once, outside every trial's scope
-_WINDOW = ((1 - Call("cos", Var(_CS.x))) / 2) ** 4
-
-
-def _windowed_trig(rng, cs: ContactStructure, window: Expr) -> Expr:
-    return canon(window * rand_trig_poly(rng, cs.chart.vars, terms=2, max_freq=2))
-
-
-def _probe_quadrature(cs: ContactStructure, e: Expr, grid: Grid) -> float:
-    var_axes = {v: i for i, v in enumerate(cs.chart.vars)}
-    # the x coefficient is aperiodic, but every probe integrand carries the
-    # seam window, so the sampled function is continuous across the seam
-    values = discretize(e, grid, var_axes, allow_aperiodic=True)
-    return quadrature(values, grid.h, grid.dim)
-
-
-def suite_operators_weak(trials: int, degree: int, seed: int) -> SuiteReport:
-    report = SuiteReport("operators-weak", trials, degree, seed,
-                         informational=True)
-    cs = _CS
-    grid = Grid(3, WEAK_PROBE_N)
-    w = _WINDOW
-    names = ("pairing-duality", "momentum-operator-weak",
-             "momentum-display-sign", "density-operator-weak",
-             "operator-relation")
-    # per check, one (a, b) pair per probe: its residual is rel(a, b) and
-    # its sign-flipped residual rel(a, -b)
-    pairs: dict[str, list[tuple[float, float]]] = {n: [] for n in names}
-    rng = random.Random(f"{seed}:operators-weak")
-
-    def rel(a: float, b: float) -> float:
-        return abs(a - b) / (1.0 + max(abs(a), abs(b)))
-
-    for _ in range(trials):
-        with scope():       # the trial keeps only floats
-            H = _windowed_trig(rng, cs, w)
-            K = _windowed_trig(rng, cs, w)
-            alpha = one_form(cs.chart, tuple(_windowed_trig(rng, cs, w) for _ in range(3)))
-            L = contact_density(cs, alpha)
-            X_H = contact_vector_field(cs, H)
-            X_K = contact_vector_field(cs, K)
-
-            # <alpha, X_K> integrates to K against the density
-            i1 = _probe_quadrature(cs, pointwise_pairing(alpha, X_K), grid)
-            i2 = _probe_quadrature(cs, canon(K * L), grid)
-            pairs["pairing-duality"].append((i1, i2))
-
-            # momentum-layer operator: int <X_H, J(alpha) X_K> against the
-            # Lie-Poisson bracket -int <alpha, [X_H, X_K]>
-            jx = hamiltonian_operator_momentum(cs, alpha, X_K)
-            pair_j = _probe_quadrature(cs, pointwise_pairing(jx, X_H), grid)
-            pair_br = _probe_quadrature(
-                cs, pointwise_pairing(alpha, jacobi_lie_bracket(X_H, X_K)), grid)
-            pairs["momentum-operator-weak"].append((pair_j, -pair_br))
-            # the defining display writes a minus in front of both integrals;
-            # taken verbatim the two sides differ by exactly that overall sign
-            pairs["momentum-display-sign"].append((-pair_j, -pair_br))
-
-            # density-layer operator against the density Lie-Poisson bracket
-            d1 = _probe_quadrature(cs, canon(H * hamiltonian_operator_density(cs, L, K)), grid)
-            d2 = _probe_quadrature(cs, canon(L * contact_bracket(cs, H, K)), grid)
-            pairs["density-operator-weak"].append((d1, d2))
-
-            # relation between the two printed operators
-            pairs["operator-relation"].append((d1, -pair_j))
-
-    for name in names:
-        rs = [rel(a, b) for a, b in pairs[name]]
-        flipped = max(rel(a, -b) for a, b in pairs[name])
-        flagged = max(rs) > WEAK_PROBE_TOL
-        note = None
-        if flagged and flipped <= WEAK_PROBE_TOL:
-            note = (f"sign-flipped residual {flipped:.3e}: the two "
-                    "sides agree up to an overall sign")
-        report.results.append(CheckResult(name, trials, True,
-                                          residuals=rs, flagged=flagged,
-                                          note=note))
-    return report
-
-
-SUITES: tuple[str, ...] = (*CHECKS, "operators-weak")
+SUITES: tuple[str, ...] = tuple(CHECKS)
 
 
 def run_suite(name: str, trials: int = 20, degree: int = 3,
@@ -560,10 +526,7 @@ def run_suite(name: str, trials: int = 20, degree: int = 3,
     if name not in SUITES:
         raise KeyError(f"unknown suite '{name}'; choose from {sorted(SUITES)}")
     start, stats = time.perf_counter(), kernel_stats()
-    if name in CHECKS:
-        report = _run_checks(name, trials, degree, seed)
-    else:
-        report = suite_operators_weak(trials, degree, seed)
+    report = _run_checks(name, trials, degree, seed)
     report.seconds = time.perf_counter() - start
     report.kernel = _kernel_delta(stats)
     return report

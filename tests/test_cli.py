@@ -177,12 +177,21 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--suite", "nope")
         assert code == 2
 
-    def test_operators_weak_reports_without_failing(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "operators-weak",
-                           "--trials", "1", "--seed", "3")
+    def test_operators_weak_passes_and_fails_under_a_fault(self, capsys, monkeypatch):
+        from liftlab import verify
+
+        argv = ("verify", "--suite", "operators-weak", "--trials", "1", "--seed", "3")
+        code, out, _ = run(capsys, *argv)
         assert code == 0
-        assert "RESULT: REPORTED" in out
-        assert "pairing-duality" in out
+        assert "  [PASS] pairing-duality (1 trials)\n" in out
+        assert out.endswith("RESULT: PASS\n")
+        momentum = verify.hamiltonian_operator_momentum
+        monkeypatch.setattr(verify, "hamiltonian_operator_momentum",
+                            lambda cs, alpha, X: momentum(cs, alpha, X).scaled(-1))
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, "")
+        assert "  [FAIL] momentum-operator-weak (1 trials)\n" in out
+        assert out.endswith("RESULT: FAIL\n")
 
     def test_failed_exact_suite_exits_one(self, capsys, monkeypatch):
         from liftlab import cli
@@ -267,9 +276,10 @@ class TestVerify:
                            "--trials", "1", "--seed", "3", "--json")
         assert code == 0
         report = json.loads(out)
-        assert report["result"] == "REPORTED" and report["seconds"] > 0
-        assert all(c["seconds"] is None and c["max_residual"] >= 0
-                   for c in report["checks"])
+        assert report["result"] == "PASS" and report["seconds"] > 0
+        assert report["seconds"] >= sum(c["seconds"] for c in report["checks"])
+        assert all(set(c) == {"name", "trials", "passed", "seconds", "kernel",
+                              "counterexample"} for c in report["checks"])
 
     def test_json_report_of_an_unknown_suite_is_config_error(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "nope", "--json")

@@ -3,7 +3,10 @@ and every private helper has a caller."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -92,4 +95,18 @@ def test_scope_is_entered_only_by_verify_trials():
     # no node past it may open one
     src = Path(liftlab.__file__).parent
     assert set().union(*(_callers(path, "scope") for path in src.glob("*.py"))) \
-        == {"verify._run_checks", "verify.suite_operators_weak"}
+        == {"verify._run_checks"}
+
+
+def test_verify_imports_no_numpy():
+    # the exact kernel and the numerical path are separate layers: verify
+    # decides every identity without the grid, so it loads no numpy
+    package_root = str(Path(liftlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, liftlab.verify; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'numpy')[:3])"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

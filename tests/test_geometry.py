@@ -3,10 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liftlab.expr import ONE, ZERO, Var, canon, expr_equal, is_zero_expr, partial
+from liftlab.expr import (
+    ONE, ZERO, ExprError, Var, canon, expr_equal, is_zero_expr, partial,
+)
 from liftlab.geometry import (
     Chart, ChartError, ChartMismatchError, DegreeError, DifferentialForm, VectorField,
-    VolumeForm, divergence, exterior_derivative, interior_product,
+    VolumeForm, divergence, exterior_derivative, formal_adjoint, interior_product,
     is_exact_candidate, jacobi_lie_bracket, lie_derivative_form, one_form,
     pointwise_pairing, wedge, zero_form,
 )
@@ -253,6 +255,57 @@ class TestPairingAndExactness:
             df = exterior_derivative(zero_form(chart3, f))
             beta = alpha + one_form(chart3, tuple(df.coeff((a,)) for a in range(3)))
             assert is_exact_candidate(beta - alpha)
+
+
+class TestFormalAdjoint:
+    def test_multiplication_is_its_own_adjoint(self, rng, chart3):
+        c = rand_poly(rng, chart3.vars, 3)
+        assert formal_adjoint(chart3, lambda H: canon(c * H)) == c
+
+    def test_first_derivative_moves_onto_the_coefficient_with_a_minus(self, rng, chart3):
+        x = chart3.vars[0]
+        c = rand_poly(rng, chart3.vars, 3)
+        assert formal_adjoint(chart3, lambda H: canon(c * partial(H, x))) == \
+            canon(partial(c, x) * -1)
+
+    def test_mixed_second_derivative_moves_onto_the_coefficient(self, rng, chart3):
+        x, y, _ = chart3.vars
+        c = rand_poly(rng, chart3.vars, 3)
+        assert formal_adjoint(chart3, lambda H: canon(c * partial(partial(H, x), y))) == \
+            partial(partial(c, x), y)
+
+    @pytest.mark.parametrize("chart", [Chart.make("x"), Chart.make("x", "y", "z")])
+    def test_adjoint_is_an_involution(self, rng, chart):
+        # D*[H] is the adjoint of G -> H D[G]; the adjoint of H -> L D*[H]
+        # is then D[L]
+        v = chart.vars
+        for _ in range(10):
+            c = rand_poly(rng, v, 2, 2)
+            first = [rand_poly(rng, v, 2, 2) for _ in v]
+            second = {(a, b): rand_poly(rng, v, 2, 2)
+                      for a in range(chart.dim) for b in range(a, chart.dim)}
+
+            def D(G):
+                return canon(c * G
+                             + sum((ca * partial(G, v[a]) for a, ca in enumerate(first)), ZERO)
+                             + sum((cab * partial(partial(G, v[a]), v[b])
+                                    for (a, b), cab in second.items()), ZERO))
+
+            def D_star(H):
+                return formal_adjoint(chart, lambda G: canon(H * D(G)))
+
+            L = rand_poly(rng, v, 3)
+            assert formal_adjoint(chart, lambda H: canon(L * D_star(H))) == D(L)
+
+    @pytest.mark.parametrize("axes", [(0, 0, 0), (0, 1, 2)])
+    def test_third_order_operator_is_refused(self, chart3, axes):
+        def D(H):
+            for a in axes:
+                H = partial(H, chart3.vars[a])
+            return H
+
+        with pytest.raises(ExprError, match="order above 2"):
+            formal_adjoint(chart3, D)
 
 
 # ---------------------------------------------------------------------------

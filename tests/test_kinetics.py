@@ -376,8 +376,8 @@ class TestPrintedOperators:
 
     def test_momentum_operator_is_strong_coadjoint_form(self, cs, rng):
         # the printed matrix expands to -L_X alpha - (div X) alpha; this is
-        # why its weak probe against the Lie-Poisson bracket can only differ
-        # by the overall sign printed in the defining display
+        # why its weak form against the Lie-Poisson bracket differs only by
+        # the overall sign printed in the defining display
         for _ in range(3):
             alpha = rand_one_form(rng, cs.chart, 2)
             X = rand_vector_field(rng, cs.chart, 2)
@@ -393,7 +393,7 @@ class TestPrintedOperators:
 
     def test_density_operator_strong_mismatch_is_the_known_term(self, cs, rng):
         # J(L)K - (coadjoint rate) = L_z (K_z - K): zeroth- vs first-order
-        # discrepancy in the printed operator, kept verbatim and probed weakly
+        # discrepancy in the printed operator, kept verbatim and decided weakly
         for _ in range(3):
             L = rand_poly(rng, cs.chart.vars, 3)
             K = rand_poly(rng, cs.chart.vars, 3)

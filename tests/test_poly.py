@@ -37,6 +37,21 @@ def test_mul_matches_convolution_oracle():
         assert got == want
 
 
+def test_power_matches_repeated_multiplication():
+    # one-term bases take the closed form; the others include sums with
+    # and without a constant term
+    rng = random.Random(7)
+    bases = [rand_poly(rng, 3, terms=rng.randint(1, 4)) for _ in range(40)]
+    bases += [{(2, 0, 1): -3}, {(0, 0, 0): 5}, {(1, 0, 0): 1, (0, 1, 0): -2},
+              {(0, 0, 0): 1, (1, 0, 0): 1, (0, 0, 2): -1}]
+    for a in bases:
+        want = poly.const(1, 3)
+        for n in range(7):
+            assert poly.power(a, n) == want
+            want = poly.mul(want, a)
+    assert all(poly.power({}, n) == {} for n in range(1, 4))
+
+
 def test_exact_division_inverts_multiplication():
     rng = random.Random(6)
     for _ in range(50):
