@@ -566,7 +566,8 @@ def _to_ratfunc(e: Expr, axis_of: dict[VarId, int],
     from its stored polynomials, a sum adds its terms without a
     denominator into one fresh dict, and a product folds its constants,
     variables and positive powers of variables into one monomial, so only
-    its other factors are multiplied out.  The result may share a
+    its other factors are multiplied out, and an equal factor met again
+    reuses the first one's expansion.  The result may share a
     canonical node's polynomials and must not be mutated.
     """
     global _ratfunc_nodes
@@ -607,6 +608,7 @@ def _to_ratfunc(e: Expr, axis_of: dict[VarId, int],
         mono = [0] * nvars
         cn = cd = 1
         num = den = None      # the product of the other factors
+        expanded: dict[Expr, tuple[Poly, Poly | None]] = {}
         for f in e.factors:
             fcls = type(f)
             if fcls is Const:
@@ -617,7 +619,9 @@ def _to_ratfunc(e: Expr, axis_of: dict[VarId, int],
             elif fcls is Pow and f.exponent > 0 and type(f.base) is Var:
                 mono[axis_of[f.base.var]] += f.exponent
             else:
-                fn, fd = _to_ratfunc(f, axis_of, nvars)
+                if f not in expanded:
+                    expanded[f] = _to_ratfunc(f, axis_of, nvars)
+                fn, fd = expanded[f]
                 num = fn if num is None else _mul(num, fn)
                 if fd is not None:
                     den = fd if den is None else _mul(den, fd)

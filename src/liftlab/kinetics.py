@@ -1,25 +1,30 @@
 """Lie-Poisson machinery on one-form densities and its three instances:
-ideal fluid (symbolic only), Vlasov plasma on T*Q, and contact particles
-in Darboux coordinates.
+ideal fluid, Vlasov plasma on T*Q, and contact particles in Darboux
+coordinates.
 
 Every momentum is a one-form: alpha on the contact chart, and
 Pi = Pi_i dq^i + Pi^i dp_i on the full chart of T*Q, passed with the chart it
 must live on.  The canonical right-hand-side path is always the strong
 coadjoint formula on the density alpha (x) dmu,
 
-    alpha_dot = -L_X alpha - (div_dmu X) alpha.
+    alpha_dot = -L_X alpha - (div_dmu X) alpha,
+
+``lie_poisson_rhs``.  The ideal fluid is this formula on a divergence-free
+X, and its vorticity equation is -L_X on d alpha.  The lift path,
+``momentum_rhs_via_lift``, computes the same rate on any chart from the
+vertical representative of the complete cotangent lift X^{c*}, with the
+divergence passed in.
 
 The printed Hamiltonian operators are implemented verbatim as well.  The
 operators-weak suite of ``liftlab verify`` decides them in weak form, by
 formal adjoints, together with the exact defects of the printed displays.
 
 The formulas that take derivatives of their arguments (``contact_bracket``,
-``contact_density``, ``contact_density_rhs``,
-``contact_momentum_rhs_via_lift``, ``vlasov_density_rhs`` and
-``vlasov_momentum_rhs``) take the derivative ``d(e, v)`` as a parameter,
-``partial`` by default.  Every simulation plan is one of these formulas
-called on a jet chart, with the state as fiber variables and the total
-derivative D_a for ``d``.
+``contact_density``, ``contact_density_rhs``, ``momentum_rhs_via_lift``,
+``vlasov_density_rhs`` and ``vlasov_momentum_rhs``) take the derivative
+``d(e, v)`` as a parameter, ``partial`` by default.  Every simulation plan
+is one of these formulas called on a jet chart, with the state as fiber
+variables and the total derivative D_a for ``d``.
 
 The functions here check their inputs, not their own output.  Identities of
 the output, such as the contact density's wedge formula or the Reeb field's
@@ -33,8 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import (
-    Expr, ExprError, Var, VarId, ZERO, ONE, canon, free_vars, is_rational,
-    is_zero_expr, partial, substitute,
+    Expr, ExprError, Var, VarId, ZERO, ONE, canon, free_vars, partial,
+    substitute,
 )
 from .geometry import (
     Chart, ChartError, ChartMismatchError, Derivative, DifferentialForm,
@@ -45,20 +50,14 @@ from .lifts import CotangentChart, hamiltonian_vector_field, lift_decomposition
 
 __all__ = [
     "PlasmaParams", "ContactStructure",
-    "NonDivergenceFreeError",
-    "lie_poisson_rhs", "fluid_rhs", "vorticity_rhs",
+    "lie_poisson_rhs", "momentum_rhs_via_lift",
     "plasma_chart", "plasma_hamiltonian", "plasma_density",
     "vlasov_momentum_rhs", "vlasov_density_rhs",
     "contact_vector_field", "contact_bracket",
     "contact_density", "contact_momentum_rhs",
-    "contact_momentum_rhs_via_lift", "contact_density_rhs",
+    "contact_density_rhs",
     "hamiltonian_operator_momentum", "hamiltonian_operator_density",
-    "contact_cotangent_chart",
 ]
-
-
-class NonDivergenceFreeError(ExprError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -75,31 +74,32 @@ def lie_poisson_rhs(X: VectorField, alpha: DifferentialForm,
     return lie_derivative_form(X, alpha).scaled(-1) - alpha.scaled(div)
 
 
-def _require_div_free(X: VectorField) -> None:
-    div = divergence(X, VolumeForm.standard(X.chart))
-    if not is_rational(div) or not is_zero_expr(div):
-        raise NonDivergenceFreeError(f"field has divergence {div}, expected 0")
+def momentum_rhs_via_lift(X: VectorField, alpha: DifferentialForm, div: Expr,
+                          d: Derivative = partial) -> DifferentialForm:
+    """Lift path: alpha_dot = V(X^{c*})(alpha) - div alpha on ``X.chart``.
 
-
-def fluid_rhs(upsilon: DifferentialForm, X: VectorField) -> DifferentialForm:
-    """d[Upsilon]/dt = -L_X Upsilon for divergence-free X.
-
-    The physical state is the class [Upsilon] modulo exact one-forms;
-    compare evolutions of two representatives with is_exact_candidate on
-    their difference.
+    The vertical representative of the complete cotangent lift lives on the
+    synthetic jet chart of T*, with fibers a_<var>; reading alpha as a
+    section binds each fiber variable to a component alpha_l and each
+    first-jet variable to d(alpha_l, x^a).  ``div`` is the divergence of X
+    for the density's volume: ``divergence(X, vol)``, ZERO for Hamiltonian
+    and divergence-free fields, or -2 K_z for X_K on the contact chart,
+    which the verify check ``contact-divergence-is--2Kz`` decides.
     """
-    if upsilon.degree != 1:
-        raise ChartError("fluid momentum is a one-form")
-    _require_div_free(X)
-    return lie_derivative_form(X, upsilon).scaled(-1)
-
-
-def vorticity_rhs(omega: DifferentialForm, X: VectorField) -> DifferentialForm:
-    """omega_dot = -L_X omega on two-forms; d o fluid_rhs = vorticity_rhs o d."""
-    if omega.degree != 2:
-        raise ChartError("vorticity is a two-form")
-    _require_div_free(X)
-    return lie_derivative_form(X, omega).scaled(-1)
+    if alpha.degree != 1 or alpha.chart != X.chart:
+        raise ChartError("expected a one-form on the field's chart")
+    chart = X.chart
+    cc = CotangentChart.make(chart, [f"a_{v.name}" for v in chart.vars])
+    v_part, _ = lift_decomposition(cc, X)
+    jc = v_part.jet_chart
+    comps = [alpha.coeff((l,)) for l in range(chart.dim)]
+    bindings: dict[VarId, Expr] = {}
+    for l, comp in enumerate(comps):
+        bindings[jc.fiber[l]] = comp
+        for a, v in enumerate(chart.vars):
+            bindings[jc.jet(l, a)] = d(comp, v)
+    return one_form(chart, tuple(canon(substitute(rate, bindings) - div * comp)
+                                 for rate, comp in zip(v_part.fiber_components, comps)))
 
 
 # ---------------------------------------------------------------------------
@@ -260,41 +260,6 @@ def contact_momentum_rhs(cs: ContactStructure, alpha: DifferentialForm,
                          K: Expr) -> DifferentialForm:
     """Coadjoint path: alpha_dot = -L_{X_K} alpha - (div X_K) alpha."""
     return lie_poisson_rhs(contact_vector_field(cs, K), alpha, cs.vol)
-
-
-def contact_cotangent_chart(cs: ContactStructure) -> CotangentChart:
-    """Induced chart (x, y, z, a_x, a_y, a_z) on T* of the contact manifold."""
-    names = [f"a_{v.name}" for v in cs.chart.vars]
-    return CotangentChart.make(cs.chart, names)
-
-
-def contact_momentum_rhs_via_lift(cs: ContactStructure, alpha: DifferentialForm,
-                                  K: Expr, d: Derivative = partial) -> DifferentialForm:
-    """Lift path: alpha_dot = V(X_K^{c*})(alpha) - (div X_K) alpha
-    = V(X_K^{c*})(alpha) + 2 K_z alpha.
-
-    The vertical representative lives on the synthetic jet chart; reading
-    alpha as a section binds each fiber variable to a component alpha_l and
-    each first-jet variable to d(alpha_l, x^a).  The divergence enters as
-    -2 K_z, which the verify check ``contact-divergence-is--2Kz`` decides.
-    """
-    if alpha.degree != 1 or alpha.chart != cs.chart:
-        raise ChartError("expected a one-form on the contact chart")
-    c6 = contact_cotangent_chart(cs)
-    v_part, _ = lift_decomposition(c6, contact_vector_field(cs, K))
-    jc = v_part.jet_chart
-    bindings: dict[VarId, Expr] = {}
-    comps = [alpha.coeff((i,)) for i in range(3)]
-    for l in range(3):
-        bindings[jc.fiber[l]] = comps[l]
-        for a in range(3):
-            bindings[jc.jet(l, a)] = d(comps[l], cs.chart.vars[a])
-    kz = d(K, cs.z)
-    out = []
-    for l in range(3):
-        rate = substitute(v_part.fiber_components[l], bindings)
-        out.append(canon(rate + 2 * kz * comps[l]))
-    return one_form(cs.chart, tuple(out))
 
 
 def contact_density_rhs(cs: ContactStructure, L: Expr, K: Expr,

@@ -40,9 +40,9 @@ from .jets import (
 from .kinetics import (
     ContactStructure, PlasmaParams,
     contact_bracket, contact_density, contact_density_rhs,
-    contact_momentum_rhs, contact_momentum_rhs_via_lift,
-    contact_vector_field, hamiltonian_operator_density,
-    hamiltonian_operator_momentum, lie_poisson_rhs, plasma_chart,
+    contact_momentum_rhs, contact_vector_field,
+    hamiltonian_operator_density, hamiltonian_operator_momentum,
+    lie_poisson_rhs, momentum_rhs_via_lift, plasma_chart,
     plasma_density, plasma_hamiltonian, vlasov_density_rhs,
     vlasov_momentum_rhs,
 )
@@ -387,7 +387,8 @@ def _dual_path(rng, degree: int) -> Instance:
     alpha = rand_one_form(rng, _CS.chart, degree)
     K = rand_poly(rng, _CS.chart.vars, degree, 3)
     return ({"alpha": alpha, "K": K}, contact_momentum_rhs(_CS, alpha, K),
-            contact_momentum_rhs_via_lift(_CS, alpha, K))
+            momentum_rhs_via_lift(contact_vector_field(_CS, K), alpha,
+                                  partial(K, _CS.z) * -2))
 
 
 def _contact_intertwining(rng, degree: int) -> Instance:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liftlab import expr
+from liftlab import expr, poly
 from liftlab.expr import (
     Call, Const, EvaluationDomainError, ExprError, Pow, Prod, Quot, Sum,
     SymbolicDivisionError, UnboundVariableError, UnsupportedClassError, Var,
@@ -670,6 +670,19 @@ def test_evaluator_counts_a_canonical_subtree_as_one_node():
     before = kernel_stats()["ratfunc_nodes"]
     canonicalize(Prod((Const(-5), Var(u), Pow(Var(v), 3), Var(u))))
     assert kernel_stats()["ratfunc_nodes"] - before == 1
+
+
+def test_equal_factors_of_a_product_expand_once(monkeypatch):
+    # the interned factor (1 + u + v)^7 appears twice; its power is taken once
+    # and the product is that expansion squared
+    u, v = VarId("ratfunc_u", 0), VarId("ratfunc_v", 1)
+    f = Pow(Sum((ONE, Var(u), Var(v))), 7)
+    calls = []
+    power = poly.power
+    monkeypatch.setattr(poly, "power", lambda p, n: calls.append(n) or power(p, n))
+    got = canonicalize(Prod((f, Const(3), f)))
+    assert calls == [7]
+    assert expr_equal(got, canonicalize(Pow(Sum((ONE, Var(u), Var(v))), 14) * 3))
 
 
 # ---------------------------------------------------------------------------

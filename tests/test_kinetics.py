@@ -14,14 +14,16 @@ from liftlab.geometry import (
     wedge, zero_form,
 )
 from liftlab.kinetics import (
-    ContactStructure, NonDivergenceFreeError, PlasmaParams, contact_bracket, contact_density, contact_density_rhs,
-    contact_cotangent_chart, contact_momentum_rhs,
-    contact_momentum_rhs_via_lift, contact_vector_field, fluid_rhs,
+    ContactStructure, PlasmaParams, contact_bracket, contact_density,
+    contact_density_rhs, contact_momentum_rhs, contact_vector_field,
     hamiltonian_operator_density, hamiltonian_operator_momentum,
-    lie_poisson_rhs, plasma_chart, plasma_density,
-    vlasov_density_rhs, vlasov_momentum_rhs, vorticity_rhs,
+    lie_poisson_rhs, momentum_rhs_via_lift, plasma_chart, plasma_density,
+    plasma_hamiltonian, vlasov_density_rhs, vlasov_momentum_rhs,
 )
-from liftlab.lifts import CotangentChart, complete_cotangent_lift, lift_decomposition
+from liftlab.lifts import (
+    CotangentChart, complete_cotangent_lift, hamiltonian_vector_field,
+    lift_decomposition,
+)
 from liftlab.samplers import rand_one_form, rand_poly, rand_vector_field
 
 
@@ -35,6 +37,26 @@ def div_free_field(rng, chart):
     h = rand_poly(rng, chart.vars, 3)
     return VectorField(chart, (partial(h, chart.vars[1]),
                                canon(partial(h, chart.vars[0]) * -1)))
+
+
+def curl_field(rng, chart):
+    """Random 3D field curl A: divergence free by design."""
+    A = [rand_poly(rng, chart.vars, 3) for _ in range(3)]
+    return VectorField(chart, tuple(
+        canon(partial(A[(i + 2) % 3], chart.vars[(i + 1) % 3])
+              - partial(A[(i + 1) % 3], chart.vars[(i + 2) % 3]))
+        for i in range(3)))
+
+
+def contact_lift_rhs(cs, alpha, K):
+    """The lift route for X_K, whose divergence for dsigma^sigma is -2 K_z."""
+    return momentum_rhs_via_lift(contact_vector_field(cs, K), alpha,
+                                 canon(partial(K, cs.z) * -2))
+
+
+def fluid_rate(upsilon, X):
+    """The ideal fluid's rate: the coadjoint formula on a divergence-free X."""
+    return lie_poisson_rhs(X, upsilon, VolumeForm.standard(X.chart))
 
 
 class TestLiePoissonRhs:
@@ -87,17 +109,12 @@ class TestLiePoissonRhs:
 class TestFluid:
     def test_shear_transport(self, chart2):
         x, y = (Var(v) for v in chart2.vars)
-        rate = fluid_rhs(one_form(chart2, (ZERO, x)), VectorField(chart2, (y, ZERO)))
+        rate = fluid_rate(one_form(chart2, (ZERO, x)), VectorField(chart2, (y, ZERO)))
         assert (rate + one_form(chart2, (ZERO, y))).is_zero()
 
     def test_invariant_representative(self, chart2):
-        rate = fluid_rhs(one_form(chart2, (ONE, ZERO)), VectorField(chart2, (ONE, ZERO)))
+        rate = fluid_rate(one_form(chart2, (ONE, ZERO)), VectorField(chart2, (ONE, ZERO)))
         assert rate.is_zero()
-
-    def test_rejects_compressible_flow(self, chart2):
-        x = Var(chart2.vars[0])
-        with pytest.raises(NonDivergenceFreeError):
-            fluid_rhs(one_form(chart2, (ONE, ZERO)), VectorField(chart2, (x, ZERO)))
 
     def test_representative_shift_stays_exact(self, rng, chart2):
         for _ in range(5):
@@ -106,20 +123,60 @@ class TestFluid:
             f = rand_poly(rng, chart2.vars, 3)
             df = exterior_derivative(zero_form(chart2, f))
             shifted = upsilon + one_form(chart2, tuple(df.coeff((a,)) for a in range(2)))
-            diff = fluid_rhs(shifted, X) - fluid_rhs(upsilon, X)
+            diff = fluid_rate(shifted, X) - fluid_rate(upsilon, X)
             assert is_exact_candidate(diff)
 
     def test_vorticity_of_invariant_area_form(self, chart2):
-        w = DifferentialForm(chart2, 2, {(0, 1): ONE})
-        assert vorticity_rhs(w, VectorField(chart2, (ONE, ZERO))).is_zero()
+        # x dy has vorticity dx^dy, which a translation carries to itself
+        X = VectorField(chart2, (ONE, ZERO))
+        upsilon = one_form(chart2, (ZERO, Var(chart2.vars[0])))
+        assert exterior_derivative(fluid_rate(upsilon, X)).is_zero()
+        assert lie_derivative_form(X, exterior_derivative(upsilon)).is_zero()
 
     def test_vorticity_commutes_with_d(self, rng, chart2):
         for _ in range(5):
             X = div_free_field(rng, chart2)
             upsilon = rand_one_form(rng, chart2, 3)
-            lhs = exterior_derivative(fluid_rhs(upsilon, X))
-            rhs = vorticity_rhs(exterior_derivative(upsilon), X)
+            lhs = exterior_derivative(fluid_rate(upsilon, X))
+            rhs = lie_derivative_form(X, exterior_derivative(upsilon)).scaled(-1)
             assert (lhs - rhs).is_zero()
+
+
+class TestMomentumRhsViaLift:
+    def test_vlasov_is_the_lift_route(self, rng):
+        # on plasma_chart(2) the cotangent chart has MAX_DIM = 8 variables
+        for n in (1, 2):
+            pc = plasma_chart(n)
+            for _ in range(3):
+                params = PlasmaParams(Fraction(2), Fraction(1),
+                                      rand_poly(rng, pc.base.vars, 3))
+                pi = rand_one_form(rng, pc.full, 2, terms=3)
+                X = hamiltonian_vector_field(pc, plasma_hamiltonian(pc, params))
+                lift = momentum_rhs_via_lift(X, pi, ZERO)
+                assert lift == vlasov_momentum_rhs(pc, pi, params)
+                assert lift == lie_poisson_rhs(X, pi, VolumeForm.standard(pc.full))
+
+    def test_3d_fluid_is_the_lift_route(self, rng, chart3):
+        for _ in range(3):
+            X = curl_field(rng, chart3)
+            assert divergence(X, VolumeForm.standard(chart3)) == ZERO
+            alpha = rand_one_form(rng, chart3, 2)
+            assert momentum_rhs_via_lift(X, alpha, ZERO) == fluid_rate(alpha, X)
+
+    def test_passed_divergence_of_a_compressible_field(self, rng, chart2):
+        vol = VolumeForm.standard(chart2)
+        for _ in range(3):
+            X = rand_vector_field(rng, chart2, 2)
+            alpha = rand_one_form(rng, chart2, 2)
+            assert momentum_rhs_via_lift(X, alpha, divergence(X, vol)) == \
+                lie_poisson_rhs(X, alpha, vol)
+
+    def test_rejects_a_form_off_the_field_chart(self, chart2, chart3):
+        X = VectorField(chart2, (ONE, ZERO))
+        with pytest.raises(ChartError, match="one-form"):
+            momentum_rhs_via_lift(X, one_form(chart3, (ONE, ZERO, ZERO)), ZERO)
+        with pytest.raises(ChartError, match="one-form"):
+            momentum_rhs_via_lift(X, DifferentialForm(chart2, 2, {(0, 1): ONE}), ZERO)
 
 
 class TestPlasmaDensity:
@@ -323,7 +380,7 @@ class TestContactMomentumRhs:
             alpha = rand_one_form(rng, cs.chart, 3)
             K = rand_poly(rng, cs.chart.vars, 3)
             a = contact_momentum_rhs(cs, alpha, K)
-            b = contact_momentum_rhs_via_lift(cs, alpha, K)
+            b = contact_lift_rhs(cs, alpha, K)
             assert (a - b).is_zero()
 
     def test_dual_path_on_trig_data_pointwise(self, cs, rng):
@@ -334,7 +391,7 @@ class TestContactMomentumRhs:
         K = Call("sin", z)
         alpha = one_form(cs.chart, (Call("cos", x), Call("sin", y), Call("cos", z)))
         a = contact_momentum_rhs(cs, alpha, K)
-        b = contact_momentum_rhs_via_lift(cs, alpha, K)
+        b = contact_lift_rhs(cs, alpha, K)
         for _ in range(10):
             pt = {v: rng.uniform(0.0, 6.28) for v in cs.chart.vars}
             for i in range(3):
@@ -405,7 +462,7 @@ class TestPrintedOperators:
 
 class TestContactLift:
     def test_constant_generator(self, cs):
-        lifted = complete_cotangent_lift(contact_cotangent_chart(cs),
+        lifted = complete_cotangent_lift(CotangentChart.make(cs.chart),
                                          contact_vector_field(cs, ONE))
         # lift of -d/dz is -d/dz (constant field, zero fiber action)
         assert expr_equal(lifted.components[2], canon(ONE * -1))
@@ -414,7 +471,7 @@ class TestContactLift:
 
     def test_z_generator_against_lift_formula(self, cs, rng):
         # oracle: apply the displayed lift formula componentwise
-        c6 = contact_cotangent_chart(cs)
+        c6 = CotangentChart.make(cs.chart)
         K = Var(cs.z)
         X = contact_vector_field(cs, K)
         lifted = complete_cotangent_lift(c6, X)
@@ -432,6 +489,6 @@ class TestContactLift:
         for _ in range(3):
             alpha = rand_one_form(rng, cs.chart, 2)
             K = rand_poly(rng, cs.chart.vars, 2)
-            a = contact_momentum_rhs_via_lift(cs, alpha, K)
+            a = contact_lift_rhs(cs, alpha, K)
             b = contact_momentum_rhs(cs, alpha, K)
             assert (a - b).is_zero()

@@ -686,14 +686,32 @@ class TestCompiledPlanAgainstHandWrittenRhs:
         assert np.max(np.abs(got[1] - want2)) < 1e-12
 
 
-# The exact plans of MODEL_CFGS (K = z, phi = cos(q)) and of the density
-# map: their jet chart, rates and carrying field.  The benchmark's gate
-# checks trajectories only to 1e-9; this table pins each plan's form.
+# The models of MODEL_CFGS and contact-momentum at the benchmark's
+# transcendental K, whose coordinate terms canonicalization does not cancel.
+PINNED_CFGS = {**MODEL_CFGS, "contact-momentum-trig": dataclasses.replace(
+    MODEL_CFGS["contact-momentum"], K="cos(x)*sin(y) + z")}
+
+
+# The exact plans of PINNED_CFGS and of the density map: their jet chart,
+# rates and carrying field.  The benchmark's gate checks trajectories only
+# to 1e-9; this table pins each plan's form.
 PINNED_PLANS = {
     "contact-momentum": ("(x, y, z; a_x, a_y, a_z)",
                          ["x*a_x_x + z*a_x_z + 3*a_x", "x*a_y_x + z*a_y_z + 2*a_y",
                           "x*a_z_x + z*a_z_z + 3*a_z"],
                          ["-x", "0", "-z"]),
+    "contact-momentum-trig": (
+        "(x, y, z; a_x, a_y, a_z)",
+        ["-a_x*(-sin(x)*cos(y) - 1) - a_y*cos(x)*sin(y)"
+         " - a_z*(-sin(x)*sin(y) - x*cos(x)*sin(y) + sin(x)*sin(y))"
+         " - a_x_x*(cos(x)*cos(y) - x) - a_x_y*sin(x)*sin(y)"
+         " - a_x_z*(-x*sin(x)*sin(y) - (cos(x)*sin(y) + z)) + 2*a_x",
+         "a_x*cos(x)*sin(y) - a_y*sin(x)*cos(y) - a_z*(-x*sin(x)*cos(y) - cos(x)*cos(y))"
+         " - a_y_x*(cos(x)*cos(y) - x) - a_y_y*sin(x)*sin(y)"
+         " - a_y_z*(-x*sin(x)*sin(y) - (cos(x)*sin(y) + z)) + 2*a_y",
+         "-a_z_x*(cos(x)*cos(y) - x) - a_z_y*sin(x)*sin(y)"
+         " - a_z_z*(-x*sin(x)*sin(y) - (cos(x)*sin(y) + z)) + 3*a_z"],
+        ["cos(x)*cos(y) - x", "sin(x)*sin(y)", "-x*sin(x)*sin(y) - (cos(x)*sin(y) + z)"]),
     "contact-density": ("(x, y, z; L)", ["x*L_x + z*L_z + 3*L"], ["-x", "0", "-z"]),
     "vlasov-momentum": ("(q, p; P1, P2)",
                         ["-(P1_p*sin(q) + p*P1_q) - P2*cos(q)",
@@ -705,10 +723,11 @@ PINNED_PLANS = {
 }
 
 
-# The number of calls in the bound RHS of each MODEL_CFGS model: nine per
+# The number of calls in the bound RHS of each PINNED_CFGS model: nine per
 # stencil it reads, and the plan's own.  A change that adds passes shows here.
 PINNED_CALLS = {
     "contact-momentum": 6 * 9 + 15,
+    "contact-momentum-trig": 9 * 9 + 33,
     "contact-density": 2 * 9 + 5,
     "vlasov-momentum": 4 * 9 + 12,
     "vlasov-density": 2 * 9 + 3,
@@ -717,8 +736,8 @@ PINNED_CALLS = {
 
 @pytest.mark.parametrize("name", PINNED_CALLS)
 def test_bound_calls_are_pinned(name):
-    model = build_model(MODEL_CFGS[name])
-    state = initial_state(MODEL_CFGS[name], model)
+    model = build_model(PINNED_CFGS[name])
+    state = initial_state(PINNED_CFGS[name], model)
     assert len(model.rhs.bind(state, np.empty_like(state))) == PINNED_CALLS[name]
 
 
@@ -728,7 +747,7 @@ def test_plan_is_pinned(name):
         jc, rate_exprs = density_map_plan()
         carrier = None
     else:
-        jc, rate_exprs, carrier = sim._model_plan(MODEL_CFGS[name])
+        jc, rate_exprs, carrier = sim._model_plan(PINNED_CFGS[name])
         carrier = [str(c) for c in carrier]
     assert (str(jc), [str(r) for r in rate_exprs], carrier) == PINNED_PLANS[name]
 
