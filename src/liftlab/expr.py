@@ -51,8 +51,9 @@ as absent.  The pair is reduced once at the end by ``poly.poly_gcd``.
 It recurses, one frame per tree level, and the parser bounds the depth.
 
 Every other walk (folding, differentiation as a tree, substitution,
-numeric evaluation, display and ``grid.compile_numeric``) is a rule that
-builds a node's result from its children's, run by one loop over
+numeric evaluation, display and ``grid.compile_numeric``, which
+evaluates expressions over fixed arrays) is a rule that builds a node's
+result from its children's, run by one loop over
 ``post_order``: an explicit stack, so no recursion, over distinct nodes,
 so a shared subtree is walked once.  No walk iterates a set of nodes, so
 no output depends on their hashes.

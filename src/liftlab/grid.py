@@ -8,12 +8,14 @@ torus trapezoid rule h^d * sum, spectrally accurate for smooth periodic
 data.  All reductions run in fixed index order so results are bitwise
 reproducible.
 
-``compile_numeric`` turns expressions into vectorized evaluators in one
-forward pass over their distinct nodes in ``expr.post_order``, with no
-recursion; an evaluator is one list of numpy ufunc calls, with the calls
-that compute a variable from an input (``stencil_calls``, say), bound
-once per pair of input and output arrays to views of them and of the
-slots it owns.  ``spatial_derivative`` and ``rk4_step`` write into
+``compile_numeric`` evaluates expressions over fixed arrays, such as the
+grid's coordinate lines, in one forward pass over their distinct nodes
+in ``expr.post_order``, with no recursion.  ``stencil_calls`` lists the
+calls of one stencil on views of its arrays, and ``spatial_derivative``
+runs them.  A ``LinearPlan`` evaluates rates that are sums of
+coefficients times state components or their stencils, with its calls
+bound once per pair of state and rate arrays to views of them and of the
+two buffers it owns.  ``spatial_derivative`` and ``rk4_step`` write into
 buffers their caller passes, and ``march`` steps a state with RK4 in
 buffers it allocates once, so a method-of-lines step allocates no
 whole-grid array and builds no view.
@@ -21,6 +23,7 @@ whole-grid array and builds no view.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections import Counter
@@ -37,7 +40,8 @@ from .expr import (
 __all__ = [
     "Grid", "GridError", "AperiodicDataError",
     "NumericalAbortError", "compile_numeric", "discretize",
-    "spatial_derivative", "stencil_calls", "quadrature", "rk4_step", "march",
+    "spatial_derivative", "stencil_calls", "LinearPlan", "quadrature", "rk4_step",
+    "march",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -90,303 +94,76 @@ class Grid:
         return np.broadcast_to(self.axis_line(axis), self.shape).copy()
 
 
-def _check_denominator(den, out=None) -> None:
-    """Raise unless every value of ``den`` has magnitude >= 1e-300;
-    ``out``, if given, receives the magnitudes."""
-    if np.min(np.abs(den, out=out)) < 1e-300:
+def _check_denominator(den) -> None:
+    """Raise unless every value of ``den`` has magnitude >= 1e-300."""
+    if np.min(np.abs(den)) < 1e-300:
         raise EvaluationDomainError("division by a value with magnitude < 1e-300")
 
 
-def _check_power_base(base, out=None) -> None:
+def _check_power_base(base) -> None:
     """The same check for the base of a negative power."""
-    if np.min(np.abs(base, out=out)) < 1e-300:
+    if np.min(np.abs(base)) < 1e-300:
         raise EvaluationDomainError("negative power of a value too close to zero")
 
 
-def _power(base, n: int):
-    if n < 0:
-        _check_power_base(base)
-    return base ** n
-
-
-def _copy(src, out) -> None:
-    np.copyto(out, src)
-
-
-@dataclass(frozen=True)
-class _Computed:
-    """A variable computed at call time by the calls that
-    ``fn(args[arg], out)`` returns, as ``stencil_calls`` returns them."""
-
-    fn: Callable
-    arg: tuple[str, int]
-
-
-def _dynamic(value) -> bool:
-    """True for a register read at call time, False for a folded value."""
-    return isinstance(value, tuple)
-
-
-def _chain_operands(combine: Callable, kids: list) -> list:
-    """The operands of a sum or product, in their order, with the folded
-    ones combined left to right into one that stands where the first of
-    them stood.  With no call-time operand this is the folded value alone.
-    """
-    acc, acc_at, parts = None, -1, []
-    for r in kids:
-        if _dynamic(r):
-            parts.append(r)
-        elif acc_at < 0:
-            acc, acc_at = r, len(parts)
-            parts.append(None)
-        else:
-            acc = combine(acc, r)
-    if acc_at >= 0:
-        parts[acc_at] = acc
-    return parts
-
-
-class _Program:
-    """Instructions in post-order over registers: the folded operands, the
-    slots, one output per root, and the call-time inputs.
-
-    ``emit`` appends one ufunc call writing into its destination.  A
-    node's destination is its root's output when it is a root, and
-    otherwise a slot from the free list, taken before its children's
-    slots go back to the list, so no instruction writes over an operand
-    it still has to read.
-    """
-
-    def __init__(self, roots: list[Expr]):
-        self.root_of: dict[Expr, int] = {}
-        for l, r in enumerate(roots):
-            self.root_of.setdefault(r, l)
-        self.consts: list = []
-        self.code: list = []
-        self.free: list[int] = []
-        self.nslots = 0
-
-    def dest(self, node: Expr) -> tuple[str, int]:
-        if node in self.root_of:
-            return ("root", self.root_of[node])
-        if self.free:
-            return ("slot", self.free.pop())
-        self.nslots += 1
-        return ("slot", self.nslots - 1)
-
-    def release(self, value) -> None:
-        if _dynamic(value) and value[0] == "slot":
-            self.free.append(value[1])
-
-    def operand(self, value) -> tuple[str, int]:
-        if _dynamic(value):
-            return value
-        self.consts.append(value)
-        return ("const", len(self.consts) - 1)
-
-    def emit(self, fn: Callable, ins, out: tuple[str, int]) -> None:
-        self.code.append((fn, [self.operand(v) for v in ins], out))
-
-    def registers(self, nroots: int) -> tuple[dict[str, int], list]:
-        """The offset of each register kind, and the code on flat indices."""
-        at = {"const": 0, "slot": len(self.consts)}
-        at["root"] = at["slot"] + self.nslots
-        at["arg"] = at["root"] + nroots
-        code = [(fn, tuple(at[k] + i for k, i in ins), at[out[0]] + out[1])
-                for fn, ins, out in self.code]
-        return at, code
-
-
-def _emit(node: Expr, kids: list, inputs: Mapping[VarId, object], prog: _Program):
-    """The folded value of ``node``, or the register its instructions
-    write, from those of its children.
-
-    A folded value is a float or an array and a register is a tuple, so a
-    node folds when none of its children is a register.  ``inputs`` holds
-    each variable's fixed array, call-time register or ``_Computed``
-    binding; a computed variable is emitted here, at its first use.
-    """
+def _fold(node: Expr, kids: list, fixed: Mapping[VarId, np.ndarray]):
+    """The value of ``node`` from those of its children: a numpy scalar or
+    an array of the broadcast shape of its variables' arrays."""
     if isinstance(node, Const):
         # a numpy scalar: Python float arithmetic overflows to inf silently
         return np.float64(node.value)
     if isinstance(node, Var):
-        value = inputs[node.var]
-        if not isinstance(value, _Computed):
-            return value
-        out = prog.dest(node)
-        prog.emit(value, (value.arg,), out)
-        return out
-    dynamic = any(map(_dynamic, kids))
+        return fixed[node.var]
     if isinstance(node, (Sum, Prod)):
-        combine = operator.add if isinstance(node, Sum) else operator.mul
-        parts = _chain_operands(combine, kids)
-        if not dynamic:
-            return parts[0]
-        out = prog.dest(node)
-        if len(parts) == 1:
-            prog.emit(_copy, parts, out)
-        ufunc = np.add if isinstance(node, Sum) else np.multiply
-        for i in range(1, len(parts)):
-            prog.emit(ufunc, (parts[0] if i == 1 else out, parts[i]), out)
-        return out
+        return functools.reduce(operator.add if isinstance(node, Sum) else operator.mul, kids)
     if isinstance(node, Pow):
-        n = node.exponent
-        if not dynamic:
-            return _power(kids[0], n)
-        out = prog.dest(node)
-        if n < 0:
-            prog.emit(_check_power_base, kids, out)
-        # the ufuncs that ndarray ** n calls, for the same bits
-        if n == 2:
-            prog.emit(np.square, kids, out)
-        elif n == -1:
-            prog.emit(np.reciprocal, kids, out)
-        else:
-            prog.emit(np.power, (kids[0], n), out)
-        return out
+        if node.exponent < 0:
+            _check_power_base(kids[0])
+        return kids[0] ** node.exponent
     if isinstance(node, Quot):
-        num, den = kids
-        if not _dynamic(den):
-            _check_denominator(den)
-            if not dynamic:
-                return num / den
-        out = prog.dest(node)
-        if _dynamic(den):
-            prog.emit(_check_denominator, (den,), out)
-        prog.emit(np.true_divide, kids, out)
-        return out
-    op = getattr(np, node.func)
-    if not dynamic:
-        return op(kids[0])
-    out = prog.dest(node)
-    prog.emit(op, kids, out)
-    return out
+        _check_denominator(kids[1])
+        return kids[0] / kids[1]
+    return getattr(np, node.func)(kids[0])
 
 
-def compile_numeric(e: Expr | Sequence[Expr], var_axes: Mapping[VarId, int],
-                    fixed: Mapping[VarId, np.ndarray] | None = None,
-                    computed: Mapping[VarId, tuple[int, Callable]] | None = None
-                    ) -> Callable:
-    """Compile an expression, or a batch of them sharing one DAG, into a
-    vectorized evaluator.
+def compile_numeric(e: Expr | Sequence[Expr], fixed: Mapping[VarId, np.ndarray]):
+    """The value of an expression, or the values of a batch of them
+    sharing one DAG, with every variable fixed to an array.
 
-    ``var_axes`` maps each variable read at call time to an index into the
-    array sequence the compiled function receives.  ``fixed`` maps
-    variables to arrays known now, typically coordinate lines that
-    broadcast against the grid (``Grid.axis_line``).  ``computed`` maps
-    variables computed at call time to pairs ``(i, fn)``: the value is
-    what the calls that ``fn(args[i], out)`` returns write into ``out``,
-    such as the ``stencil_calls`` of a call-time input.  The batch's distinct nodes compile
-    once each, in one forward pass in post-order, so each is built from
-    its children's results and nothing recurses.  Every node
-    whose variables are all fixed is evaluated here, once, and dropped
-    after its last use; in a sum or product the fixed operands fold, in
-    their order, into one accumulator that stands where the first of them
-    stood.  The rest compiles to one list of numpy ufunc calls in
-    post-order, each writing with ``out=`` into a slot that the evaluator
-    owns: a slot is taken from a free list and goes back to it after the
-    last use of its node, so a call allocates no intermediate array.  A
-    computed variable is one more such instruction, emitted at its first
-    use: its calls write into a free slot, or into its root's ``out`` when
-    the variable is a root, and the slot goes back after its last use.
+    ``fixed`` maps each variable to its array, typically a coordinate line
+    that broadcasts against the grid (``Grid.axis_line``), so each node is
+    evaluated on as many points as its variables span.  The batch's
+    distinct nodes are evaluated once each, in one forward pass in
+    post-order, so each is built from its children's values and nothing
+    recurses; a sum or product combines its operands left to right, and a
+    value is dropped after its last use.  A value is a numpy scalar or an
+    array of the broadcast shape of its variables' arrays, one for an
+    expression and a list of them for a batch.
 
     Division and negative powers raise ``EvaluationDomainError`` on
-    magnitudes below 1e-300, matching scalar evaluation: once, here, for a
-    folded operand, and on every call for one that is read at call time.
-    A folded value that overflows or turns invalid raises it here too.
-
-    The evaluator ``evaluate(args, out)`` takes the call-time arrays and
-    the arrays to write: one for one expression, a sequence of them (or
-    one array indexed by root) for a batch.  Every computed root writes
-    straight into its ``out``, and a root that is folded or a bare input
-    is copied there, broadcast to its shape.  It returns ``out``.  The
-    evaluator binds the code to each (args, out) pair as one flat list of
-    calls on views, and keeps the lists of the last four (``_Evaluator``),
-    so pass the same arrays, not new views of them.  The slots have the
-    broadcast shape of every input and output, and are reallocated when
-    that shape changes; as they are shared by the calls, one evaluator
-    serves one caller at a time.
+    magnitudes below 1e-300, matching scalar evaluation, and so does a
+    value that overflows or turns invalid.
     """
     single = isinstance(e, Expr)
     roots = [e] if single else list(e)
-    inputs = {v: ("arg", i) for v, i in var_axes.items()}
-    inputs.update(fixed or {})
-    inputs.update({v: _Computed(fn, ("arg", i)) for v, (i, fn) in (computed or {}).items()})
     order = post_order(roots)
     uses = Counter(roots)
     for node, kids in order:
-        if isinstance(node, Var) and node.var not in inputs:
+        if isinstance(node, Var) and node.var not in fixed:
             raise GridError(f"variable '{node.var.name}' is not mapped to a grid input")
         uses.update(kids)
-    prog = _Program(roots)
     done: dict[Expr, object] = {}
     with np.errstate(over="raise", invalid="raise"):
         for node, kids in order:
-            operands = [done[k] for k in kids]
             try:
-                done[node] = _emit(node, operands, inputs, prog)
-            except (OverflowError, FloatingPointError):   # a folded value overflowed or is NaN
+                done[node] = _fold(node, [done[k] for k in kids], fixed)
+            except (OverflowError, FloatingPointError):   # past the doubles, or NaN
                 raise EvaluationDomainError("a value too large for a double") from None
-            for k, value in zip(kids, operands):
+            for k in kids:
                 uses[k] -= 1
                 if not uses[k]:
                     del done[k]
-                    prog.release(value)
-    # each root not computed in place is copied from a register
-    copies = [(l, prog.operand(value)) for l, value in enumerate(map(done.get, roots))
-              if not _dynamic(value) or value != ("root", l)]
-    at, code = prog.registers(len(roots))
-    code += [(_copy, (at[k] + i,), at["root"] + l) for l, (k, i) in copies]
-    return _Evaluator(single, prog.consts, prog.nslots, code)
-
-
-def _ids(x) -> int | tuple[int, ...]:
-    """The identity of an array, or of each item of a sequence."""
-    return id(x) if isinstance(x, np.ndarray) else tuple(map(id, x))
-
-
-class _Evaluator:
-    """A compiled plan, called as ``evaluate(args, out)``.  It keeps the
-    bound calls of the last four (args, out) pairs, the four of one
-    ``march``, keyed on the identity of ``args`` and ``out``, or of each
-    item of one that is not an array.  An entry holds what it is keyed
-    on, so no id is reused while it lives.  ``binds`` counts the binds."""
-
-    def __init__(self, single: bool, consts: list, nslots: int, code: list):
-        self.single, self.consts, self.nslots, self.code = single, consts, nslots, code
-        self.const_shape = np.broadcast_shapes(*map(np.shape, consts))
-        self.slot_shape, self.slots, self.bound, self.binds = None, [], {}, 0
-
-    def bind(self, args, out) -> list[tuple]:
-        """The calls of one evaluation from ``args`` into ``out``, with
-        those that each computed variable adds, as ``(fn, (*operands,
-        out))``: a positional ``out`` costs less to pass than a keyword."""
-        dests = [out] if self.single else list(out)
-        shape = np.broadcast_shapes(self.const_shape, *map(np.shape, args),
-                                    *(d.shape for d in dests))
-        if shape != self.slot_shape:
-            self.slot_shape, self.slots = shape, [np.empty(shape) for _ in range(self.nslots)]
-        regs = [*self.consts, *self.slots, *dests, *args]
-        calls = []
-        for fn, ins, o in self.code:
-            operands = [regs[i] for i in ins]
-            calls += fn.fn(*operands, regs[o]) if isinstance(fn, _Computed) \
-                else [(fn, operands, regs[o])]
-        self.binds += 1
-        return [(fn, (*operands, dest)) for fn, operands, dest in calls]
-
-    def __call__(self, args: Sequence[np.ndarray], out):
-        key = (_ids(args), _ids(out))
-        entry = self.bound.pop(key, None)
-        if entry is None:
-            held = [x if isinstance(x, np.ndarray) else tuple(x) for x in (args, out)]
-            entry = held, self.bind(args, out)
-            if len(self.bound) == 4:
-                del self.bound[next(iter(self.bound))]
-        self.bound[key] = entry
-        for fn, operands in entry[1]:
-            fn(*operands)
-        return out
+    return done[e] if single else [done[r] for r in roots]
 
 
 _PROBE_FRACTIONS = (0.0, 0.17, 0.391, 0.553, 0.742, 0.918)
@@ -397,23 +174,31 @@ def check_periodic(e: Expr, grid: Grid, var_axes: Mapping[VarId, int],
                    axes: Sequence[int] | None = None) -> bool:
     """True when e evaluates 2pi-periodically along each of ``axes``.
 
-    ``axes`` defaults to every grid axis.
+    ``axes`` defaults to every grid axis.  ``var_axes`` maps each variable
+    to its grid axis.  e is evaluated on a cartesian set of probe points,
+    as lines of the probe fractions along each axis, then again with the
+    points of one axis shifted by 2pi; a shifted set on which e cannot be
+    evaluated is not periodic.
     """
-    fn = compile_numeric(e, var_axes)
-    base_points = np.array([[f * TWO_PI for f in _PROBE_FRACTIONS]] * grid.dim)
-    # probe the full cartesian set axis by axis
-    coords = [base_points[a] for a in range(grid.dim)]
-    mesh = np.meshgrid(*coords, indexing="ij")
-    args = [mesh[a].ravel() for a in range(grid.dim)]
-    ref, value = np.empty(args[0].shape), np.empty(args[0].shape)
-    with np.errstate(over="ignore", invalid="ignore"):   # discretize's fold reports it
-        fn(args, ref)
-        scale = 1.0 + float(np.max(np.abs(ref)))
-        for axis in range(grid.dim) if axes is None else axes:
-            shifted = [a.copy() for a in args]
-            shifted[axis] = shifted[axis] + TWO_PI
-            if np.max(np.abs(fn(shifted, value) - ref)) > PERIODIC_TOL * scale:
-                return False
+    line = np.array(_PROBE_FRACTIONS) * TWO_PI
+
+    def probe(shift_axis: int | None):
+        fixed = {}
+        for v, a in var_axes.items():
+            shape = [1] * grid.dim
+            shape[a] = -1
+            fixed[v] = (line + TWO_PI if a == shift_axis else line).reshape(shape)
+        return compile_numeric(e, fixed)
+
+    ref = probe(None)
+    scale = 1.0 + float(np.max(np.abs(ref)))
+    for axis in range(grid.dim) if axes is None else axes:
+        try:
+            value = probe(axis)
+        except EvaluationDomainError:
+            return False
+        if np.max(np.abs(value - ref)) > PERIODIC_TOL * scale:
+            return False
     return True
 
 
@@ -422,9 +207,9 @@ def discretize(e: Expr, grid: Grid, var_axes: Mapping[VarId, int],
     """Pointwise samples of e on the grid nodes, as an array of grid shape.
 
     ``var_axes`` maps each variable to its grid axis.  Every coordinate is
-    fixed to its axis line, so the compiler folds the whole expression:
-    each distinct subtree is evaluated once, on as many points as its
-    variables span, in the order the expression gives.
+    fixed to its axis line, so each distinct subtree is evaluated once
+    (``compile_numeric``), on as many points as its variables span, in
+    the order the expression gives.
 
     Rejects data that does not evaluate periodically unless explicitly
     overridden; silent Gibbs artifacts are worse than friction.
@@ -433,7 +218,11 @@ def discretize(e: Expr, grid: Grid, var_axes: Mapping[VarId, int],
         raise AperiodicDataError(
             "non-periodic data on a periodic grid (pass allow_aperiodic to override)")
     fixed = {v: grid.axis_line(axis) for v, axis in var_axes.items()}
-    return compile_numeric(e, {}, fixed)((), np.empty(grid.shape))
+    return np.broadcast_to(compile_numeric(e, fixed), grid.shape).copy()
+
+
+def _copy(src, out) -> None:
+    np.copyto(out, src)
 
 
 def stencil_calls(u: np.ndarray, axis: int, h: float,
@@ -492,6 +281,69 @@ def spatial_derivative(u: np.ndarray, axis: int, h: float, *,
     return out[0]
 
 
+class LinearPlan:
+    """Rates that are linear in a component-major state on ``grid``, called
+    as ``rhs(state, out)``.
+
+    ``terms[l]`` lists rate l as terms ``(j, a, c)``: the coefficient c, a
+    float or an array that broadcasts against the grid, times component j
+    of the state when ``a`` is None and its stencil derivative along axis
+    ``a`` otherwise.  A stencil is computed into ``slot``, with ``scratch``
+    as its wide difference, just before the term that reads it.  A call
+    writes each rate into ``out[l]``: its first term with one multiply,
+    and each further term with one multiply, in place in ``slot`` for a
+    stencil and into ``scratch`` for a component, and one add.
+
+    The calls are bound to each (state, out) pair as one flat list on views
+    of them (``bind``), and the lists of the last four pairs, the four of
+    one ``march``, are kept, keyed on the identity of ``state`` and ``out``.
+    An entry holds the arrays it is keyed on, so no id is reused while it
+    lives.  ``binds`` counts the binds; ``nterms`` and ``nstencils`` count
+    the terms and the stencils of one call.
+    """
+
+    def __init__(self, grid: Grid, terms: list[list[tuple]]):
+        self.h, self.terms = grid.h, terms
+        self.slot, self.scratch = np.empty(grid.shape), np.empty(grid.shape)
+        self.nterms = sum(map(len, terms))
+        self.nstencils = sum(a is not None for row in terms for _, a, _ in row)
+        self.bound, self.binds = {}, 0
+
+    def bind(self, state: np.ndarray, out: np.ndarray) -> list[tuple]:
+        """The calls of one evaluation from ``state`` into ``out``, as
+        ``(fn, (*operands, out))``: a positional ``out`` costs less to pass
+        than a keyword."""
+        calls = []
+        for dest, row in zip(out, self.terms):
+            if not row:
+                calls.append((np.copyto, (dest, 0.0)))
+            for i, (j, a, c) in enumerate(row):
+                s = state[j]
+                if a is not None:
+                    calls += [(fn, (*operands, o)) for fn, operands, o
+                              in stencil_calls(s, a, self.h, (self.slot, self.scratch))]
+                    s = self.slot
+                if i == 0:
+                    calls.append((np.multiply, (c, s, dest)))
+                else:
+                    tmp = self.scratch if a is None else s
+                    calls += [(np.multiply, (c, s, tmp)), (np.add, (dest, tmp, dest))]
+        self.binds += 1
+        return calls
+
+    def __call__(self, state: np.ndarray, out: np.ndarray) -> np.ndarray:
+        key = (id(state), id(out))
+        entry = self.bound.pop(key, None)
+        if entry is None:
+            entry = (state, out), self.bind(state, out)
+            if len(self.bound) == 4:
+                del self.bound[next(iter(self.bound))]
+        self.bound[key] = entry
+        for fn, operands in entry[1]:
+            fn(*operands)
+        return out
+
+
 def quadrature(u: np.ndarray, h: float, dim: int) -> float:
     """h^d * sum(u): the torus trapezoid rule, summed in fixed index order."""
     return float(h ** dim * np.sum(u, dtype=np.float64))
@@ -506,8 +358,8 @@ def rk4_step(state: np.ndarray, rhs: Callable[[np.ndarray, np.ndarray], object],
     ``rhs(u, k)`` writes the rate at ``u`` into ``k``.  ``work`` holds two
     arrays of the state's shape, neither of them ``state`` or ``out``: the
     weighted sum of the rates and the current rate: two arrays, not views
-    made anew, so a bound ``rhs`` (``compile_numeric``) meets the same
-    ones on every step.  ``out`` holds each
+    made anew, so an ``rhs`` bound to its arrays (a ``LinearPlan``) meets the
+    same ones on every step.  ``out`` holds each
     stage input, state + (dt/2) k1, state + (dt/2) k2 and state + dt k3,
     until it receives state + (dt/6) ((k1 + 2 k2 + 2 k3) + k4), summed in
     that order, so the values are bitwise those of the same expression on

@@ -14,12 +14,14 @@ derivative ``d``; the grid's dimension is that chart's base dimension.
 The density map of the two-path harness is ``contact_density`` called the
 same way on the contact-momentum row's fibers.
 
-A model's rates compile together into one DAG (``grid.compile_numeric``)
-with the coordinates fixed to the grid's axis lines.  Every coefficient
-that depends on the coordinates alone, such as K and its derivatives, is
-folded into an array when the model is built, on as many points as its
-coordinates span.  An RHS call computes only the stencils the rates read
-and the state-dependent rest of the plan.
+Every rate is linear in the state, since each is a lift applied to it, so
+a model's plan is the rates' exact Jacobian: rate l is the sum of c_j s_j
+over the fiber variables and the jet variables s_j, with coefficients
+c_j = d rate_l / d s_j that depend on the coordinates alone.  The
+coefficients are decided exactly and evaluated once, when the model is
+built, on as many points as their coordinates span
+(``grid.compile_numeric``); a rate that is not linear is refused.  An RHS
+call computes only the stencils the rates read and the sums of products.
 
 The state is component-major: one C-contiguous array of shape
 (k, n, ..., n), so each component is contiguous and its stencils are flat
@@ -27,21 +29,21 @@ shifts of it (``grid.stencil_calls``).  ``initial_state`` returns
 this layout, and ``Model.rhs(state, out)`` reads it and writes the rates
 into ``out`` in it.
 
-A model owns the buffers of its RHS: the plan's slots and one scratch
-array.  Each stencil is an instruction of the plan, computed into a free
-slot at its jet variable's first use and released after its last, so a
-model keeps no array per stencil.  Every loop over steps is one
-``grid.march``, which owns the rest of a step's buffers, the spare
-state and the two work arrays of ``grid.rk4_step``, so a step allocates
-no whole-grid array, and the plan is bound once to each (state, rate)
-pair of ``march``, so a step builds no view.  The buffers are shared by
-every call, so one run uses a model at a time.  Output is written at
-t = 0, every ``cadence`` steps and the last step (``_is_output``), by the
-run loop and the two-path harness alike.  The run loop writes each
-trajectory snapshot itself, one slab of fixed i at a time: every value is
-written as the bytes of ``repr(float(v))``, found for a block of slabs at
-once with numpy (``_repr_block``), and the few values that the
-vectorized method cannot decide exactly are formatted by ``repr`` itself.
+A model owns the buffers of its RHS: its coefficients, one slot for a
+stencil and one scratch array.  Each stencil is computed into the slot
+just before the term that reads it, so a model keeps no array per
+stencil.  Every loop over steps is one ``grid.march``, which owns the
+rest of a step's buffers, the spare state and the two work arrays of
+``grid.rk4_step``, so a step allocates no whole-grid array, and the plan
+is bound once to each (state, rate) pair of ``march``, so a step builds
+no view.  The buffers are shared by every call, so one run uses a model
+at a time.  Output is written at t = 0, every ``cadence`` steps and the
+last step (``_is_output``), by the run loop and the two-path harness
+alike.  The run loop writes each trajectory snapshot itself, one slab of
+fixed i at a time: every value is written as the bytes of
+``repr(float(v))``, found for a block of slabs at once with numpy
+(``_repr_block``), and the few values that the vectorized method cannot
+decide exactly are formatted by ``repr`` itself.
 """
 
 from __future__ import annotations
@@ -63,10 +65,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .expr import Expr, ExprError, Var, VarId
+from .expr import (
+    ONE, ZERO, Expr, ExprError, Quot, Var, VarId, free_vars, partial, substitute,
+)
 from .grid import (
-    TWO_PI, Grid, NumericalAbortError, check_periodic, compile_numeric,
-    discretize, march, quadrature, stencil_calls,
+    TWO_PI, Grid, LinearPlan, NumericalAbortError, check_periodic,
+    compile_numeric, discretize, march, quadrature,
 )
 from .geometry import Chart, DifferentialForm, one_form
 from .jets import JetChart, total_derivative
@@ -205,36 +209,56 @@ class Model:
     grid: Grid
     ncomp: int
     coord_vars: tuple[VarId, ...]
-    rhs: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    rhs: LinearPlan
     velocity_max: float
 
 
-def _compile_jet_plan(jc: JetChart, grid: Grid, rate_exprs: Sequence[Expr]
-                      ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Compile rates over a jet chart into a function (state, out) that
-    writes the rates into ``out`` and returns it.
+def _compile_jet_plan(jc: JetChart, grid: Grid, rate_exprs: Sequence[Expr]) -> LinearPlan:
+    """Lower rates over a jet chart, each linear in the fiber and jet
+    variables, to a ``LinearPlan`` on ``grid``.
 
-    Base variables are fixed to the grid's coordinate lines, so every
-    coefficient that depends on the coordinates alone is computed here,
-    once.  Fiber variables read the state's components, ``state[l]``; a
-    jet variable u^l_a is an instruction of the plan that writes the
-    stencil derivative of component l along axis a into a plan slot at
-    its first use (``compile_numeric``'s ``computed``), so only the
-    stencils the rates read are computed, and each holds a slot only
-    while the plan still reads it.  The function keeps the plan's slots
-    and one scratch array for the stencils.  The rates are
-    component-major, like the state.
+    Each rate is read as its exact Jacobian: c_j = ``partial(rate, s_j)``
+    for every fiber variable u^l and jet variable u^l_a.  The rate is
+    decided linear here, exactly: no c_j has a fiber or jet variable, so
+    the rate minus the sum of the c_j s_j does not depend on the state,
+    and the rate is zero at the zero state.  A quotient, such as a
+    canonical rational rate, is read as its numerator over its
+    denominator, which must be free of the state: c_j is then the
+    derivative of the numerator over the denominator, which spares
+    reducing each c_j by a gcd of the denominator's size.  A rate that is
+    not linear, or a quotient whose denominator has a fiber or jet
+    variable, raises ``ExprError``.  The nonzero coefficients are
+    evaluated once, with the base variables fixed to the grid's
+    coordinate lines (``compile_numeric``): to a float when constant, and
+    otherwise on as many points as their coordinates span.  A term of a
+    fiber variable reads the state's component, ``state[l]``, and a term
+    of a jet variable its stencil derivative, so only the stencils the
+    rates read are computed.  The rates are component-major, like the
+    state.
     """
-    h = grid.h
-    scratch = np.empty(grid.shape)
-
-    def stencil(a: int) -> Callable[[np.ndarray, np.ndarray], list]:
-        return lambda u, out: stencil_calls(u, a, h, (out, scratch))
-
-    var_axes = {v: l for l, v in enumerate(jc.fiber)}
-    computed = {jc.jet(l, a): (l, stencil(a)) for l in range(jc.k) for a in range(jc.m)}
-    fixed = {v: grid.axis_line(a) for a, v in enumerate(jc.base)}
-    return compile_numeric(rate_exprs, var_axes, fixed, computed)
+    sources = [(l, None) for l in range(jc.k)]
+    sources += [(l, a) for l in range(jc.k) for a in range(jc.m)]
+    state_vars = [jc.fiber[l] if a is None else jc.jet(l, a) for l, a in sources]
+    at_zero = dict.fromkeys(state_vars, ZERO)
+    rows, coeffs = [], []
+    for l, rate in enumerate(rate_exprs):
+        num, den = (rate.num, rate.den) if isinstance(rate, Quot) else (rate, ONE)
+        if not free_vars(den).isdisjoint(state_vars):
+            raise ExprError(f"rate {l} is not linear in the state: its denominator is {den}")
+        row = []
+        for source, s in zip(sources, state_vars):
+            c = partial(num, s) if s in free_vars(num) else ZERO
+            if not free_vars(c).isdisjoint(state_vars):
+                raise ExprError(f"rate {l} is not linear in the state: "
+                                f"its derivative along {s.name} is {c}")
+            if c != ZERO:
+                row.append(source)
+                coeffs.append(c if den is ONE else Quot(c, den))
+        if substitute(num, at_zero) != ZERO:
+            raise ExprError(f"rate {l} is not linear in the state: it is not 0 at 0")
+        rows.append(row)
+    values = iter(compile_numeric(coeffs, {v: grid.axis_line(a) for a, v in enumerate(jc.base)}))
+    return LinearPlan(grid, [[(j, a, next(values)) for j, a in row] for row in rows])
 
 
 def _jet_plan(base: Chart, fibers: Sequence[str],
@@ -303,12 +327,11 @@ def build_model(cfg: SimConfig) -> Model:
     """Compile the symbolic RHS for cfg into a grid evaluation plan."""
     jc, rates, velocity = _model_plan(cfg)
     grid = Grid(jc.m, cfg.n)
-    fixed = {v: grid.axis_line(a) for a, v in enumerate(jc.base)}
-    vel = compile_numeric(velocity, {}, fixed)((), np.empty((len(velocity),) + grid.shape))
+    vel = compile_numeric(velocity, {v: grid.axis_line(a) for a, v in enumerate(jc.base)})
     if len(cfg.init) != jc.k:
         raise ConfigError(f"model '{cfg.model}' needs {jc.k} initial component(s), got {len(cfg.init)}")
     rhs = _compile_jet_plan(jc, grid, rates)
-    return Model(grid, jc.k, tuple(jc.base), rhs, float(np.max(np.abs(vel))))
+    return Model(grid, jc.k, tuple(jc.base), rhs, max(float(np.max(np.abs(v))) for v in vel))
 
 
 def initial_state(cfg: SimConfig, model: Model) -> np.ndarray:
@@ -630,8 +653,10 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     fixed config; the manifest also records per-phase timings and counters,
     with the minor page faults of the run and of its steps, the process's
     peak RSS, ``traj_repr_fallbacks``, the number of trajectory values
-    that ``repr`` formatted instead of the vectorized formatter, and
-    ``plan_binds``, the binds of the model's plan (four at most)."""
+    that ``repr`` formatted instead of the vectorized formatter,
+    ``plan_binds``, the binds of the model's plan (four at most), and
+    ``plan_terms`` and ``plan_stencils``, the terms and the stencils of
+    one RHS call, which depend on the config alone."""
     clock = time.perf_counter
     faults = _minor_faults()
     t0 = clock()
@@ -690,7 +715,8 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     manifest["aborted_at_step"] = None if aborted is None else aborted.step
     usage = resource.getrusage(resource.RUSAGE_SELF)
     counters.update(minor_faults=usage.ru_minflt - faults, peak_rss_mb=usage.ru_maxrss / 1024,
-                    plan_binds=model.rhs.binds)
+                    plan_binds=model.rhs.binds, plan_terms=model.rhs.nterms,
+                    plan_stencils=model.rhs.nstencils)
     with open(manifest_path, "w") as mf:
         json.dump(manifest, mf, indent=2, sort_keys=True)
         mf.write("\n")
@@ -772,11 +798,10 @@ def determined_nodes(K_text: str, n: int, dt: float, steps: int,
     X = contact_vector_field(cs, K).components
     seams = [a for a in range(3) if a == 0 or not all(
         check_periodic(c, grid, var_axes, axes=(a,)) for c in X)]
-    field = compile_numeric(X, var_axes)
 
     def backward(p: np.ndarray, out: np.ndarray) -> None:
-        field(p, out)
-        np.negative(out, out=out)
+        for o, value in zip(out, compile_numeric(X, dict(zip(cs.chart.vars, p)))):
+            np.negative(value, out=o)
 
     margin = 4 * grid.h
     pos = np.stack([grid.axis_coordinate(a) for a in range(3)])

@@ -667,6 +667,11 @@ HOSTILE = {
     # a folded constant past the doubles, though its value would fit
     "overflowing-fold-in-init": (*_SIM, "--model", "contact-density", "--K", "z",
                                  "--init", "10^308*10 + sin(x)"),
+    # coefficients singular on a grid node: x = 0 and q = 0
+    "K-singular-on-a-node": (*_SIM, "--model", "contact-density", "--K", "1/x",
+                             "--init", "2+sin(x)"),
+    "phi-singular-on-a-node": (*_SIM, "--model", "vlasov-density", "--phi", "1/sin(q)",
+                               "--init", "2+sin(q)"),
 }
 
 
@@ -678,7 +683,8 @@ HOSTILE_CODE = {"overflowing-exp-in-K": 2, "blow-up": 3, "slow-blow-up": 3,
                 "mass-with-a-huge-exponent": 2, "contact-without-K": 2, "unparsable-phi": 2,
                 "unparsable-init": 2, "zero-cadence": 2, "sim-without-model": 2,
                 "contact-alpha-of-two": 2, "pro-extra-base-component": 2,
-                "overflowing-fold-in-init": 2}
+                "overflowing-fold-in-init": 2, "K-singular-on-a-node": 2,
+                "phi-singular-on-a-node": 2}
 
 # the cause that the error line of a pinned row names
 HOSTILE_MESSAGE = {
@@ -690,6 +696,8 @@ HOSTILE_MESSAGE = {
     "contact-alpha-of-two": "--contact-alpha needs 'ax;ay;az'",
     "pro-extra-base-component": "expected 1 base and 1 fiber components",
     "overflowing-fold-in-init": "a value too large for a double",
+    "K-singular-on-a-node": "division by a value with magnitude < 1e-300",
+    "phi-singular-on-a-node": "division by a value with magnitude < 1e-300",
 }
 
 

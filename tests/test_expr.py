@@ -757,7 +757,8 @@ def _mixed(name):
     }[name]
 
 
-# (case, str(), compile_numeric and eval_numeric at _POINTS as float.hex)
+# (case, str(), compile_numeric and eval_numeric at _POINTS as float.hex;
+# compile_numeric adds a sum's terms left to right, eval_numeric with fsum)
 _MIXED = [
     ("y*n", "y*(-1)*x",
      ["-0x1.51eb851eb851fp-2", "0x1.87ae147ae147bp-1", "0x1.9851eb851eb85p+2"],
@@ -862,7 +863,7 @@ _MIXED = [
      ["0x1.18f5c28f5c290p+1", "0x1.4f5c28f5c28f6p+1", "0x1.67ae147ae147ap+0"],
      ["0x1.18f5c28f5c290p+1", "0x1.4f5c28f5c28f6p+1", "0x1.67ae147ae147ap+0"]),
     ("a-1", "x^2 + 3*y + 1 - 1",
-     ["0x1.b1eb851eb851fp+1", "0x1.0f5c28f5c28f6p+2", "0x1.cf5c28f5c28f4p+0"],
+     ["0x1.b1eb851eb8520p+1", "0x1.0f5c28f5c28f6p+2", "0x1.cf5c28f5c28f4p+0"],
      ["0x1.b1eb851eb851fp+1", "0x1.0f5c28f5c28f6p+2", "0x1.cf5c28f5c28f4p+0"]),
     ("1-a", "1 - (x^2 + 3*y + 1)",
      ["-0x1.b1eb851eb8520p+1", "-0x1.0f5c28f5c28f6p+2", "-0x1.cf5c28f5c28f4p+0"],
@@ -901,7 +902,7 @@ def test_mixed_canonical_trees_print_and_evaluate_as_pinned(name, text, compiled
     e = _mixed(name)
     assert str(e) == text
     xs, ys = (np.array(p) for p in _POINTS)
-    got = compile_numeric(e, {X: 0, Y: 1})([xs, ys], np.empty(xs.shape))
+    got = compile_numeric(e, {X: xs, Y: ys})
     assert [float(v).hex() for v in got] == compiled
     assert [eval_numeric(e, {X: u, Y: v}).hex() for u, v in zip(*_POINTS)] == evaluated
 

@@ -14,7 +14,7 @@ from liftlab.expr import (
     eval_numeric,
 )
 from liftlab.grid import (
-    AperiodicDataError, Grid, GridError, NumericalAbortError,
+    AperiodicDataError, Grid, GridError, LinearPlan, NumericalAbortError,
     check_periodic, compile_numeric, discretize, march, quadrature, rk4_step,
     spatial_derivative, stencil_calls,
 )
@@ -68,6 +68,9 @@ class TestDiscretize:
         g = Grid(1, 8)
         with pytest.raises(AperiodicDataError):
             discretize(Var(X), g, {X: 0})
+        # finite on the grid, past the doubles one period on
+        with pytest.raises(AperiodicDataError):
+            discretize(parse_expr("exp(x^3)", [X]), g, {X: 0})
         vals = discretize(Var(X), g, {X: 0}, allow_aperiodic=True)
         assert vals[1] == pytest.approx(g.h)
 
@@ -242,14 +245,12 @@ class TestMarch:
         assert seen == [(1, decay), (2, decay), (3, decay)]
 
 
-def stencil_plan(g: Grid):
-    """u*u_x + sin(x)*v and u^2/(1 + v^2) over (u, v), with u_x a stencil:
-    slots, a computed variable, a folded coefficient and a division."""
-    U, V, D = VarId("u", 3), VarId("v", 4), VarId("ux", 5)
-    scratch = np.empty(g.shape)
-    rates = [parse_expr(t, [X, Y, U, V, D]) for t in ("u*ux + sin(x)*v", "u^2/(1 + v^2)")]
-    return compile_numeric(rates, {U: 0, V: 1}, {X: g.axis_line(0), Y: g.axis_line(1)},
-                           {D: (0, lambda u, out: stencil_calls(u, 0, g.h, (out, scratch)))})
+def linear_plan(g: Grid) -> LinearPlan:
+    """sin(x)*u_x + v and 3*u + cos(y)*v_y + x*u_x over (u, v): a stencil
+    that two rates read, a state term, folded and constant coefficients."""
+    xs, ys = g.axis_line(0), g.axis_line(1)
+    return LinearPlan(g, [[(0, 0, np.sin(xs)), (1, None, np.float64(1.0))],
+                          [(0, None, np.float64(3.0)), (1, 1, np.cos(ys)), (0, 0, xs)]])
 
 
 class TestBoundPrograms:
@@ -257,32 +258,22 @@ class TestBoundPrograms:
         g = Grid(2, 8)
         rng = np.random.default_rng(3)
         arrays = [np.empty((2,) + g.shape) for _ in range(6)]
-        plan = stencil_plan(g)
+        plan = linear_plan(g)
         # six distinct pairs, roles swapped, and returns to evicted pairs
         pairs = [(0, 1), (2, 3), (0, 3), (2, 1), (4, 5), (1, 0), (3, 2), (0, 1), (5, 4),
                  (2, 3), (0, 1), (0, 1)]
         for i, o in pairs:
             arrays[i][...] = rng.uniform(-1.0, 1.0, arrays[i].shape)
             arrays[o][...] = np.nan
-            want = stencil_plan(g)(arrays[i].copy(), np.empty_like(arrays[o]))
+            want = linear_plan(g)(arrays[i].copy(), np.empty_like(arrays[o]))
             assert plan(arrays[i], arrays[o]) is arrays[o]
             assert np.array_equal(arrays[o].view(np.uint64), want.view(np.uint64))
             assert len(plan.bound) <= 4
         assert plan.binds == 10        # the last two calls find (0, 1) kept
 
-    def test_a_list_changed_in_place_reads_its_new_arrays(self):
-        fn = compile_numeric(parse_expr("x*y + sin(x)", [X, Y]), {X: 0, Y: 1})
-        rng = np.random.default_rng(4)
-        args, out = [rng.standard_normal(5), rng.standard_normal(5)], np.empty(5)
-        for change in (lambda: None, lambda: args.__setitem__(0, rng.standard_normal(5)),
-                       args.reverse, lambda: args[1].__setitem__(..., 2.0)):
-            change()
-            want = args[0] * args[1] + np.sin(args[0])
-            assert np.array_equal(fn(args, out).view(np.uint64), want.view(np.uint64))
-
     def test_arrays_of_evicted_pairs_are_collected(self):
         g = Grid(2, 8)
-        plan = stencil_plan(g)
+        plan = linear_plan(g)
         refs = []
         for _ in range(7):
             pair = np.zeros((2,) + g.shape), np.empty((2,) + g.shape)
@@ -293,22 +284,34 @@ class TestBoundPrograms:
         alive = [[r() is not None for r in pair] for pair in refs]
         assert alive == [[False, False]] * 3 + [[True, True]] * 4
 
+    def test_terms_add_in_order_and_a_rate_without_terms_is_zero(self):
+        g = Grid(2, 8)
+        xs, ys = g.axis_line(0), g.axis_line(1)
+        state = np.random.default_rng(6).uniform(-1.0, 1.0, (2,) + g.shape)
+        plan = LinearPlan(g, linear_plan(g).terms + [[]])
+        out = np.full((3,) + g.shape, np.nan)
+        plan(state, out)
+        u_x, v_y = deriv(state[0], 0, g.h), deriv(state[1], 1, g.h)
+        want = [np.sin(xs) * u_x + 1.0 * state[1],
+                3.0 * state[0] + np.cos(ys) * v_y + xs * u_x, np.zeros(g.shape)]
+        for got, w in zip(out, want):
+            assert np.array_equal(got.view(np.uint64), w.view(np.uint64))
+        assert (plan.nterms, plan.nstencils) == (5, 3)
+
 
 class TestCompileNumeric:
     def test_matches_scalar_evaluation(self):
         from liftlab.expr import eval_numeric
         e = parse_expr("x^2*cos(y) - 1/2*exp(x)", [X, Y])
-        fn = compile_numeric(e, {X: 0, Y: 1})
         xs = np.linspace(0.0, 1.0, 5)
         ys = np.linspace(-1.0, 1.0, 5)
-        got = fn([xs, ys], np.empty(5))
+        got = compile_numeric(e, {X: xs, Y: ys})
         want = [eval_numeric(e, {X: float(a), Y: float(b)}) for a, b in zip(xs, ys)]
         assert np.allclose(got, want, rtol=1e-15)
 
     def test_division_guard(self):
-        fn = compile_numeric(parse_expr("1/x", [X]), {X: 0})
-        with pytest.raises(EvaluationDomainError):
-            fn([np.array([1.0, 0.0])], np.empty(2))
+        with pytest.raises(EvaluationDomainError, match="division by a value"):
+            compile_numeric(parse_expr("1/x", [X]), {X: np.array([1.0, 0.0])})
 
     @pytest.mark.parametrize("e", [
         Prod((Const(2 ** 2000), Var(X))),
@@ -319,7 +322,7 @@ class TestCompileNumeric:
         with pytest.raises(EvaluationDomainError):
             eval_numeric(e, {X: 0.5})
         with pytest.raises(EvaluationDomainError):
-            compile_numeric(e, {X: 0})
+            compile_numeric(e, {X: np.array([0.5])})
         with pytest.raises(EvaluationDomainError):
             discretize(e, Grid(1, 8), {X: 0})
 
@@ -327,34 +330,27 @@ class TestCompileNumeric:
                                       "sin(x)/(10^308*10)"])
     def test_folded_constants_overflow_as_doubles(self, text):
         # Python floats would fold these to inf or nan without a word; the
-        # scalar route and the compiled route raise alike
+        # scalar route and the fold raise alike
         e = parse_expr(text, [X])
         with pytest.raises(EvaluationDomainError, match="too large for a double"):
-            compile_numeric(e, {X: 0})
+            compile_numeric(e, {X: np.array([1.0])})
         with pytest.raises(EvaluationDomainError, match="too large for a double"):
             eval_numeric(e, {X: 1.0})
 
-    @pytest.mark.parametrize("node", [Sum((Var(X),)), Prod((Var(X),))], ids=["sum", "prod"])
-    def test_lone_call_time_operand_is_copied_bitwise(self, node):
-        xs = np.array([1.5, -0.0, np.nan, 5e-324])
-        got = compile_numeric(node, {X: 0})([xs], np.empty(4))
-        assert np.array_equal(got.view(np.uint64), xs.view(np.uint64))
-        assert not np.shares_memory(got, xs)
-
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_initial_data_raises_without_numpy_warnings(self):
-        # the periodicity probes overflow too, quietly; the fold raises
+        # the periodicity probes overflow too, and the fold raises
         with pytest.raises(EvaluationDomainError):
             discretize(parse_expr("exp(1000*sin(x))", [X]), Grid(1, 8), {X: 0})
 
     def test_folded_guards_raise_when_compiled(self):
         # x = 0 is a grid node, where sin(x) vanishes
-        line = {X: Grid(1, 8).axis_line(0)}
+        g = Grid(2, 8)
+        lines = {X: g.axis_line(0), Y: g.axis_line(1) + 1.0}
         for text in ("1/sin(x)", "sin(x)^-2", "y/sin(x)"):
             with pytest.raises(EvaluationDomainError):
-                compile_numeric(parse_expr(text, [X, Y]), {Y: 0}, line)
-        fn = compile_numeric(parse_expr("1/(2 + sin(x))", [X]), {}, line)
-        assert np.isfinite(fn((), np.empty(8))).all()
+                compile_numeric(parse_expr(text, [X, Y]), lines)
+        assert np.isfinite(compile_numeric(parse_expr("1/(2 + sin(x))", [X]), lines)).all()
 
     def test_structurally_equal_subtrees_fold_once(self, monkeypatch):
         terms = tuple(parse_expr("sin(x)", [X]) for _ in range(200))
@@ -363,85 +359,57 @@ class TestCompileNumeric:
         real_sin = np.sin
         monkeypatch.setattr(np, "sin", lambda a: calls.append(1) or real_sin(a))
         xs = Grid(1, 8).axis_line(0)
-        fn = compile_numeric(Sum(terms), {}, {X: xs})
+        got = compile_numeric(Sum(terms), {X: xs})
         assert len(calls) == 1
-        assert np.array_equal(fn((), np.empty(8)), fn((), np.empty(8)))
-        assert len(calls) == 1
+        assert np.allclose(got, 200 * real_sin(xs), rtol=1e-13, atol=1e-12)
 
-    def test_batch_shares_one_dag_and_folds_into_out(self):
-        rates = [parse_expr(t, [X, Y]) for t in ("cos(x)*y", "cos(x) + 1", "y")]
-        xs = Grid(2, 8).axis_line(0)
-        ys = np.arange(64.0).reshape(8, 8)
-        out = np.empty((3, 8, 8))
-        assert compile_numeric(rates, {Y: 0}, {X: xs})([ys], out) is out
-        assert np.array_equal(out[0], np.cos(xs) * ys)
-        assert np.array_equal(out[1], np.broadcast_to(np.cos(xs) + 1, (8, 8)))
-        assert np.array_equal(out[2], ys)
-        assert not np.shares_memory(out, ys)
+    def test_batch_shares_one_dag(self, monkeypatch):
+        rates = [parse_expr(t, [X, Y]) for t in ("cos(x)*y", "cos(x) + 1", "y", "3")]
+        calls = []
+        real_cos = np.cos
+        monkeypatch.setattr(np, "cos", lambda a: calls.append(1) or real_cos(a))
+        g = Grid(2, 8)
+        xs, ys = g.axis_line(0), g.axis_line(1)
+        got = compile_numeric(rates, {X: xs, Y: ys})
+        assert len(calls) == 1
+        # each value spans the points of its variables
+        assert [np.shape(v) for v in got] == [(8, 8), (8, 1), (1, 8), ()]
+        assert np.array_equal(got[0], real_cos(xs) * ys)
+        assert np.array_equal(got[1], real_cos(xs) + 1)
+        assert got[2] is ys and got[3] == 3.0
 
     def test_computed_nodes_match_numpy_bitwise(self):
         # powers 2, 3 and -1, a quotient, and a subtree shared by a root
-        # and four nodes, all read at call time
+        # and four nodes
         rng = np.random.default_rng(3)
         xs, ys = rng.uniform(0.5, 2.0, (2, 6, 6))
         shared = Sum((Call("sin", Var(X)), Var(Y)))
-        fn = compile_numeric([Pow(shared, 2), Pow(shared, 3), Pow(shared, -1),
-                              Quot(Call("cos", Var(Y)), shared), shared], {X: 0, Y: 1})
+        roots = [Pow(shared, 2), Pow(shared, 3), Pow(shared, -1),
+                 Quot(Call("cos", Var(Y)), shared), shared]
         s = np.sin(xs) + ys
         want = [s ** 2, s ** 3, s ** -1, np.cos(ys) / s, s]
-        out, rows = np.empty((5, 6, 6)), list(np.empty((5, 6, 6)))
-        for got in (fn([xs, ys], out), fn([xs, ys], rows)):
-            for g, w in zip(got, want):
-                assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
-        assert np.array_equal(fn([xs[0], ys[0]], np.empty((5, 6)))[0], want[0][0])
+        for g, w in zip(compile_numeric(roots, {X: xs, Y: ys}), want):
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
         xs[2, 3], ys[2, 3] = 0.0, 0.0
         with pytest.raises(EvaluationDomainError):
-            fn([xs, ys], out)
-
-    def test_computed_variable_runs_once_per_call_into_a_slot_or_its_root(self):
-        # D = 2 x at call time: a bare root, read by two more roots; E is unused
-        D, E = VarId("D", 3), VarId("E", 4)
-        calls = []
-
-        def doubling(u, out):
-            calls.append(out)
-            np.multiply(u, 2.0, out=out)
-
-        def double(u, out):     # lowered once per binding, run on every call
-            return [(doubling, (u,), out)]
-
-        fn = compile_numeric([Var(D), Prod((Var(D), Var(Y))), Call("sin", Var(D))],
-                             {Y: 1}, computed={D: (0, double), E: (0, double)})
-        rng = np.random.default_rng(5)
-        xs, ys = rng.uniform(-1.0, 1.0, (2, 6, 6))
-        out = np.empty((3, 6, 6))
-        for _ in range(2):
-            fn([xs, ys], out)
-        d = 2.0 * xs
-        for got, want in zip(out, (d, d * ys, np.sin(d))):
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert len(calls) == 2 and all(np.shares_memory(o, out[0]) for o in calls)
+            compile_numeric(roots, {X: xs, Y: ys})
 
     def test_unmapped_variable_rejected(self):
         with pytest.raises(GridError):
-            compile_numeric(parse_expr("x*y", [X, Y]), {X: 0})
+            compile_numeric(parse_expr("x*y", [X, Y]), {X: np.zeros(2)})
 
-    @pytest.mark.parametrize("depth, folded", [(5000, True), (300, False)])
-    def test_deep_chain_compiles_at_default_recursion_limit(self, depth, folded):
+    def test_deep_chain_compiles_at_default_recursion_limit(self):
         xs = Grid(1, 8).axis_coordinate(0)
         e = Var(X)
-        for _ in range(depth):
+        for _ in range(5000):
             e = Sum((Call("sin", e), Var(X)))
         want = xs
-        for _ in range(depth):
+        for _ in range(5000):
             want = np.sin(want) + xs
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
-            if folded:
-                got = compile_numeric(e, {}, {X: xs})((), np.empty(8))
-            else:
-                got = compile_numeric(e, {X: 0})([xs], np.empty(8))
+            got = compile_numeric(e, {X: xs})
         finally:
             sys.setrecursionlimit(limit)
         assert np.array_equal(got, want)
@@ -477,9 +445,8 @@ def test_compiled_matches_scalar_evaluation(e):
     xs, ys = g.axis_line(0), g.axis_line(1)
     want = np.array([[eval_numeric(e, {X: float(a), Y: float(b)})
                       for b in ys[0]] for a in xs[:, 0]])
-    at_call = compile_numeric(e, {X: 0, Y: 1})([g.axis_coordinate(0), g.axis_coordinate(1)],
-                                               np.empty(g.shape))
-    folded = compile_numeric(e, {}, {X: xs, Y: ys})((), np.empty(g.shape))
-    mixed = compile_numeric(e, {Y: 0}, {X: xs})([ys], np.empty(g.shape))
-    for got in (at_call, folded, mixed):
+    full = {X: g.axis_coordinate(0), Y: g.axis_coordinate(1)}
+    # on full arrays, on coordinate lines, and on one of each
+    for fixed in (full, {X: xs, Y: ys}, {X: xs, Y: full[Y]}):
+        got = np.broadcast_to(compile_numeric(e, fixed), g.shape)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)

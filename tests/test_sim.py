@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from liftlab import cli, grid, sim
 from liftlab.expr import (
-    ZERO, Var, canon, eval_numeric, expr_equal, partial, substitute,
+    ZERO, ExprError, Var, canon, eval_numeric, expr_equal, partial, substitute,
 )
 from liftlab.geometry import divergence, one_form
 from liftlab.grid import AperiodicDataError, Grid
@@ -211,8 +211,8 @@ class TestCompiledRates:
         state = initial_state(cfg, model)
         want = rates(model, state)
         lowered = []
-        real = sim.stencil_calls
-        monkeypatch.setattr(sim, "stencil_calls",
+        real = grid.stencil_calls
+        monkeypatch.setattr(grid, "stencil_calls",
                             lambda u, axis, h, out: lowered.append(axis) or real(u, axis, h, out))
         got = rates(model, state)
         assert len(lowered) == stencils
@@ -271,12 +271,15 @@ class TestRunSimulation:
         assert set(timings) == {"build_s", "init_s", "integrate_s", "io_s"}
         assert set(counters) == {"steps", "rhs_calls", "snapshots", "traj_bytes",
                                  "traj_repr_fallbacks", "minor_faults",
-                                 "integrate_minor_faults", "peak_rss_mb", "plan_binds"}
+                                 "integrate_minor_faults", "peak_rss_mb", "plan_binds",
+                                 "plan_terms", "plan_stencils"}
         assert all(v >= 0 for v in (*timings.values(), *counters.values()))
         assert counters["steps"] == cfg.steps
         assert counters["rhs_calls"] == 4 * cfg.steps
         assert counters["snapshots"] == len(result.diagnostics) == 2
         assert counters["traj_bytes"] == os.path.getsize(cfg.out)
+        # x L_x + z L_z + 3 L: three terms, two of them stencils
+        assert (counters["plan_terms"], counters["plan_stencils"]) == (3, 2)
 
     @pytest.mark.parametrize("steps", [1, 30])
     def test_plan_is_bound_to_at_most_the_four_pairs_of_march(self, tmp_path, steps):
@@ -314,11 +317,14 @@ def writer_sim_argv(tmp_path, out):
 
 # sha256 prefixes of traj.csv and diag.csv of each MODEL_CFGS model run for 4
 # steps at cadence 1, as written by the forked writer of the commit before
-# snapshots were formatted in numpy
+# snapshots were formatted in numpy.  The contact-density and vlasov-momentum
+# traj.csv digests were rewritten when the plan became a sum of coefficient
+# products, which changed some of their values in the last place; the new
+# ones are those of ``reference_snapshot`` on the same states.
 FORKED_WRITER_DIGESTS = {
     "contact-momentum": ("385b3692d4d8e14a", "2c56feeb13b901b8"),
-    "contact-density": ("191ae81d466eedd0", "b73626904c08d99e"),
-    "vlasov-momentum": ("8a1d4f6b4ab24b77", "58d964c10cccbf0f"),
+    "contact-density": ("9bee82f9e1cfdb78", "b73626904c08d99e"),
+    "vlasov-momentum": ("9b2833564a4006c6", "58d964c10cccbf0f"),
     "vlasov-density": ("bde1f7a7acae95d3", "d09434a1b6e31277"),
 }
 
@@ -439,23 +445,43 @@ class TestBufferedStep:
         assert peak < 0.5 * state[0].nbytes
 
 
-def plan_over_jets(jc, g, rate_exprs):
-    """The rates compiled with every jet variable as a call-time input,
-    after the fibers, in (l, a) order."""
-    var_axes = {v: l for l, v in enumerate(jc.fiber)}
-    for l, a in itertools.product(range(jc.k), range(jc.m)):
-        var_axes[jc.jet(l, a)] = jc.k + jc.m * l + a
+def stencils_then_plan(plan, state):
+    """The plan's terms by a second binding: every stencil into fresh
+    arrays by ``grid.spatial_derivative``, then each rate as the sum of its
+    terms, in their order, in numpy on fresh arrays."""
+    g = Grid(state.ndim - 1, state.shape[1])
+    jets = {(l, a): grid.spatial_derivative(state[l], a, g.h,
+                                            out=(np.empty(g.shape), np.empty(g.shape)))
+            for l, a in itertools.product(range(len(state)), range(g.dim))}
+    out = []
+    for row in plan.terms:
+        acc = np.zeros(g.shape)
+        for i, (j, a, c) in enumerate(row):
+            term = c * (state[j] if a is None else jets[j, a])
+            acc = term if i == 0 else acc + term
+        out.append(np.broadcast_to(acc, g.shape))
+    return np.stack(out)
+
+
+def folded_rates(jc, g, rate_exprs, state):
+    """The rates by a second route: each rate tree evaluated with every
+    variable fixed, the coordinates to the grid's lines, each fiber
+    variable to ``state[l]`` and each jet variable to its
+    ``grid.spatial_derivative``."""
     fixed = {v: g.axis_line(a) for a, v in enumerate(jc.base)}
-    return grid.compile_numeric(rate_exprs, var_axes, fixed)
+    fixed.update(zip(jc.fiber, state))
+    for l, a in itertools.product(range(jc.k), range(jc.m)):
+        fixed[jc.jet(l, a)] = grid.spatial_derivative(state[l], a, g.h,
+                                                      out=(np.empty(g.shape), np.empty(g.shape)))
+    return np.stack([np.broadcast_to(v, g.shape) for v in grid.compile_numeric(rate_exprs, fixed)])
 
 
-def stencils_then_plan(jc, g, rate_exprs, state):
-    """The rates by a second route: every stencil of the jet chart into
-    fresh arrays by ``grid.spatial_derivative``, then ``plan_over_jets``."""
-    jets = [grid.spatial_derivative(state[l], a, g.h, out=(np.empty(g.shape), np.empty(g.shape)))
-            for l, a in itertools.product(range(jc.k), range(jc.m))]
-    plan = plan_over_jets(jc, g, rate_exprs)
-    return plan([*state, *jets], np.empty((len(rate_exprs),) + g.shape))
+def odd_rates(jc):
+    """A rate that is a bare jet variable, twice, a jet that three rates
+    read, and a fiber variable with the coefficient -1."""
+    a_x_y, a_z_x = Var(jc.jet(0, 1)), Var(jc.jet(2, 0))
+    return [a_x_y, a_x_y * Var(jc.base[1]) + a_z_x - Var(jc.fiber[1]),
+            canon(a_z_x * Var(jc.base[2])), a_x_y]
 
 
 def numpy_bytes() -> int:
@@ -469,8 +495,7 @@ class TestStencilsAsPlanInstructions:
     def test_model_rhs_is_stencils_then_plan_bitwise(self, cfg):
         model = build_model(cfg)
         state = initial_state(cfg, model)
-        jc, rate_exprs, _ = sim._model_plan(cfg)
-        want = stencils_then_plan(jc, model.grid, rate_exprs, state)
+        want = stencils_then_plan(model.rhs, state)
         assert np.array_equal(rates(model, state).view(np.uint64), want.view(np.uint64))
 
     def test_density_map_and_shared_and_bare_jets_bitwise(self):
@@ -478,26 +503,19 @@ class TestStencilsAsPlanInstructions:
         state = initial_state(cfg, build_model(cfg))
         g = Grid(3, cfg.n)
         jc, map_rates = density_map_plan()
-        # a rate that is a bare jet variable, twice, and a jet that two rates read
-        a_y, c_x = Var(jc.jet(0, 1)), Var(jc.jet(2, 0))
-        odd_rates = [a_y, a_y * Var(jc.fiber[1]) + c_x, canon(c_x * Var(jc.base[2])), a_y]
-        for rate_exprs in (map_rates, odd_rates):
-            got = np.empty((len(rate_exprs),) + g.shape)
-            sim._compile_jet_plan(jc, g, rate_exprs)(state, got)
-            want = stencils_then_plan(jc, g, rate_exprs, state)
+        for rate_exprs in (map_rates, odd_rates(jc)):
+            plan = sim._compile_jet_plan(jc, g, rate_exprs)
+            got = plan(state, np.empty((len(rate_exprs),) + g.shape))
+            want = stencils_then_plan(plan, state)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_a_model_holds_no_array_per_stencil(self):
-        # the trig plan reads 9 stencils; the model may hold its plan's
-        # slots, one scratch array and the folded coefficients, which is
-        # what the same rates compiled over the jets as inputs hold, plus
-        # the scratch array
+        # the trig plan reads 9 stencils; the model holds its folded
+        # coefficients, equal ones once, the plan's stencil slot and scratch
+        # array, and at most one more grid array
         cfg = SimConfig(model="contact-momentum", n=16, dt=1e-3, steps=1,
                         K="cos(x)*sin(y) + z", init=("sin(x)", "cos(y)", "sin(z)"))
         state = initial_state(cfg, build_model(cfg))
-        g = Grid(3, cfg.n)
-        jc, rate_exprs, _ = sim._model_plan(cfg)
-        jets = [np.zeros(g.shape) for _ in range(jc.k * jc.m)]
         out = np.empty_like(state)
         tracemalloc.start()
         try:
@@ -505,14 +523,12 @@ class TestStencilsAsPlanInstructions:
             model = build_model(cfg)
             model.rhs(state, out)
             held = numpy_bytes() - base
-            base = numpy_bytes()
-            plan = plan_over_jets(jc, g, rate_exprs)
-            plan([*state, *jets], out)
-            plan_held = numpy_bytes() - base
         finally:
             tracemalloc.stop()
-        assert plan_held >= 7 * state[0].nbytes
-        assert held <= plan_held + state[0].nbytes
+        coefficients = sum({id(c): np.asarray(c).nbytes
+                            for row in model.rhs.terms for _, _, c in row}.values())
+        assert model.rhs.nstencils == 9
+        assert held <= coefficients + 3 * state[0].nbytes
 
     @pytest.mark.parametrize("ncomp", [1, 2, 3])
     def test_diag_l2_is_the_sum_of_squares_bitwise_in_two_component_arrays(self, ncomp):
@@ -724,12 +740,13 @@ PINNED_PLANS = {
 
 
 # The number of calls in the bound RHS of each PINNED_CFGS model: nine per
-# stencil it reads, and the plan's own.  A change that adds passes shows here.
+# stencil it reads, and 2M - 1 for a rate of M terms.  A change that adds
+# passes shows here.
 PINNED_CALLS = {
     "contact-momentum": 6 * 9 + 15,
-    "contact-momentum-trig": 9 * 9 + 33,
+    "contact-momentum-trig": 9 * 9 + 29,
     "contact-density": 2 * 9 + 5,
-    "vlasov-momentum": 4 * 9 + 12,
+    "vlasov-momentum": 4 * 9 + 10,
     "vlasov-density": 2 * 9 + 3,
 }
 
@@ -739,6 +756,40 @@ def test_bound_calls_are_pinned(name):
     model = build_model(PINNED_CFGS[name])
     state = initial_state(PINNED_CFGS[name], model)
     assert len(model.rhs.bind(state, np.empty_like(state))) == PINNED_CALLS[name]
+
+
+class TestLinearPlan:
+    """The plan is each rate's exact Jacobian: a second route folds the
+    rate trees themselves, and a rate that is not linear is refused."""
+
+    # the models of PINNED_CFGS, a rational K, whose rates are quotients,
+    # the density map and odd_rates
+    CFGS = {**PINNED_CFGS, "contact-momentum-rational": dataclasses.replace(
+        MODEL_CFGS["contact-momentum"], K="z/(1+x^2)")}
+
+    @pytest.mark.parametrize("name", [*CFGS, "density-map", "odd-rates"])
+    def test_rates_equal_the_folded_rate_trees(self, name):
+        cfg = self.CFGS.get(name, MODEL_CFGS["contact-momentum"])
+        model = build_model(cfg)
+        state = initial_state(cfg, model)
+        if name in self.CFGS:
+            jc, rate_exprs, _ = sim._model_plan(cfg)
+            plan = model.rhs
+        else:
+            jc, rate_exprs = density_map_plan()
+            if name == "odd-rates":
+                rate_exprs = odd_rates(jc)
+            plan = sim._compile_jet_plan(jc, model.grid, rate_exprs)
+        got = plan(state, np.empty((len(rate_exprs),) + model.grid.shape))
+        want = folded_rates(jc, model.grid, rate_exprs, state)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("text", ["a_x*a_y", "a_x + 1", "a_x/(1 + a_y)"])
+    def test_a_rate_that_is_not_linear_is_refused(self, text):
+        jc, _ = density_map_plan()
+        rate = parse_expr(text, [*jc.base, *jc.fiber])
+        with pytest.raises(ExprError, match="not linear in the state"):
+            sim._compile_jet_plan(jc, Grid(3, 8), [rate])
 
 
 @pytest.mark.parametrize("name", PINNED_PLANS)
