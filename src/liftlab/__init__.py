@@ -2,8 +2,8 @@
 
 Layers, bottom to top:
 
-- expr / parser: exact rational expression kernel with numeric-only
-  sin/cos/exp leaves;
+- expr / parser: exact rational expression kernel, with sin/cos/exp
+  calls as atoms of its canonical ring;
 - geometry: charts, vector fields, differential forms, exterior calculus;
 - jets: first-order jet charts, prolongation, holonomic/vertical split;
 - lifts: cotangent charts, complete cotangent lifts, canonical structure;

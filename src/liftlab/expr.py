@@ -7,15 +7,14 @@ coefficient under graded-lexicographic monomial order.  Structural equality
 of canonical trees therefore decides mathematical equality on that
 fragment.
 
-sin/cos/exp are opaque numeric leaves: differentiation produces the usual
-closed forms but no symbolic identities are applied to them, and
-expressions containing them cannot be canonicalized or compared
-symbolically.  ``canon`` folds such an expression as a tree whose every
-rational part is canonicalized: an idempotent normal form, not a
-canonical one (Moses, *Algebraic simplification: a guide for the
-perplexed*, CACM 1971).  Canonicalization cancels common polynomial factors
-(x/x -> 1), which enlarges the domain by a measure-zero set; this is the
-usual computer-algebra convention and is relied on throughout.
+A call of sin, cos or exp is a kernel (Moses, *Algebraic simplification:
+a guide for the perplexed*, CACM 1971): canonicalization takes it, its
+argument made canonical, as one more axis of the ring, an atom.  Atoms
+are independent, so unequal forms prove nothing once one is in them:
+sin(x)^2 + cos(x)^2 is not 1 here (Richardson, J. Symbolic Logic 33,
+1968), and ``expr_equal`` keeps to the rational fragment.
+Canonicalization cancels common polynomial factors (x/x -> 1), which
+enlarges the domain by a measure-zero set, as computer algebra does.
 
 Nodes are hash-consed (Filliâtre & Conchon, *Type-safe modular
 hash-consing*, ML Workshop 2006): every constructor looks its class name
@@ -27,36 +26,40 @@ on first use.  The table and the memos live as long as the process,
 except inside a ``scope``: on exit it undoes the memo writes made on
 older nodes and drops the nodes interned since it was entered.
 
-A canonical form is a constant, a variable or a power of one variable,
+A canonical form is a constant, a variable, an atom or a power of one,
 kept as the plain node, or else a canonical node of its own: a
 ``CanonicalSum``, ``CanonicalProd`` or ``CanonicalQuot``, interned on
-its reduced ``(axes, num, den)``.  A canonicalization that meets it as
-an operand re-indexes the stored polynomials, and ``partial``
-differentiates them in the ring and memoizes the result on the node, so
-neither builds a tree.  A canonical node is a subclass of the plain
-class its tree has, and builds that tree only when something reads it:
-its fields, ``children`` and every walk over ``post_order``.  The
-operators ``+`` and ``*`` keep a canonical operand whole, and
-``children`` reads a canonical sum in a sum (a canonical product in a
-product) as its terms (factors) in its place: the tree the operators
-build from the plain trees.  So a printed, evaluated or compiled
-expression is the same with canonical operands as with their trees.
+its reduced ``(axes, num, den)``: the variables by index, then the
+atoms by their text, so no form depends on ``PYTHONHASHSEED``.  A
+canonicalization that meets it as an operand re-indexes the stored
+polynomials, and ``partial`` differentiates them in the ring and
+memoizes the result on the node, so neither builds a tree.  A canonical
+node is a subclass of the plain class its tree has, and builds that tree
+only when something reads it: its fields, ``children`` and every walk
+over ``post_order``.  The operators ``+`` and ``*`` keep a canonical
+operand whole, and ``children`` reads a canonical sum in a sum (a
+canonical product in a product) as its terms (factors) in its place: the
+tree the operators build from the plain trees.  So a printed, evaluated
+or compiled expression is the same with canonical operands as with their
+trees.
 
-Canonicalization evaluates a tree in one pass straight in the polynomial
-ring: a sum adds its terms without a denominator into one coefficient
-dict in place, a product folds its constants, variables and positive
-powers of variables into one monomial, and a denominator of 1 is carried
-as absent.  The pair is reduced once at the end by ``poly.poly_gcd``.
-``kernel_stats()["ratfunc_nodes"]`` counts the nodes this pass visits.
-It recurses, one frame per tree level, and the parser bounds the depth.
+Canonicalization first makes every call in a tree an atom, innermost
+first, by a loop over an explicit stack.  It then evaluates the tree in
+one pass straight in the polynomial ring: a sum adds its terms without a
+denominator into one coefficient dict in place, a product folds its
+constants, variables and positive powers of variables into one monomial,
+and a denominator of 1 is carried as absent.  The pair is reduced once at
+the end by ``poly.poly_gcd``.  ``kernel_stats()["ratfunc_nodes"]``
+counts the nodes this pass visits.  It recurses, one frame per tree level
+above the nearest canonical node, an atom among them, and the parser
+bounds the depth.
 
-Every other walk (folding, differentiation as a tree, substitution,
-numeric evaluation, display and ``grid.compile_numeric``, which
-evaluates expressions over fixed arrays) is a rule that builds a node's
-result from its children's, run by one loop over
-``post_order``: an explicit stack, so no recursion, over distinct nodes,
-so a shared subtree is walked once.  No walk iterates a set of nodes, so
-no output depends on their hashes.
+Every other walk (substitution, numeric evaluation, display and
+``grid.compile_numeric``, which evaluates expressions over fixed arrays)
+is a rule that builds a node's result from its children's, run by one
+loop over ``post_order``: an explicit stack, so no recursion, over
+distinct nodes, so a shared subtree is walked once.  No walk iterates a
+set of nodes, so no output depends on their hashes.
 
 Everything here is immutable and safe to share across threads, except
 ``scope``, which is single-threaded.
@@ -78,7 +81,7 @@ __all__ = [
     "ExprError", "UnsupportedClassError", "UnboundVariableError",
     "EvaluationDomainError", "SymbolicDivisionError",
     "is_rational", "free_vars", "children", "post_order",
-    "canonicalize", "canon", "partial", "substitute", "expr_equal",
+    "canonicalize", "partial", "substitute", "expr_equal",
     "eval_numeric", "is_zero_expr", "kernel_stats", "ZERO", "ONE",
 ]
 
@@ -90,7 +93,7 @@ class ExprError(Exception):
 
 
 class UnsupportedClassError(ExprError):
-    """Operation defined only for the rational fragment got a numeric-only expression."""
+    """``expr_equal``, which decides inequality, got a sin, cos or exp."""
 
 
 class UnboundVariableError(ExprError):
@@ -128,8 +131,8 @@ _set = object.__setattr__
 _nodes_interned = 0
 
 # The trail of the innermost ``scope``: (node, slot, old value) for each
-# memo slot written, and (memo dict, key, None) for each entry added to a
-# ``_d`` dict; None outside every scope.
+# memo slot written, and (dict, key, None) for each entry added to a ``_d``
+# dict or to ``_ATOM_KEYS``; None outside every scope.
 _TRAIL: list | None = None
 
 
@@ -406,9 +409,10 @@ def children(e: Expr) -> tuple[Expr, ...]:
     return tuple(out)
 
 
-def post_order(roots: Iterable[Expr]) -> list[tuple[Expr, tuple[Expr, ...]]]:
+def post_order(roots: Iterable[Expr], leaf: Callable = lambda node: False
+               ) -> list[tuple[Expr, tuple[Expr, ...]]]:
     """The distinct nodes under ``roots`` with their ``children``, each
-    after its children.
+    after its children; a node that ``leaf`` picks is listed as a leaf.
 
     An explicit stack visits children left to right, so the order is that
     of a recursive walk, without its recursion.  Nodes are interned, so a
@@ -426,7 +430,7 @@ def post_order(roots: Iterable[Expr]) -> list[tuple[Expr, tuple[Expr, ...]]]:
                 order.append(node)
             elif id(node) not in seen:
                 seen.add(id(node))
-                kids = children(node)
+                kids = () if leaf(node) else children(node)
                 stack.append((node, kids))
                 stack.extend(reversed(kids))
     return order
@@ -491,13 +495,14 @@ def free_vars(e: Expr) -> frozenset[VarId]:
 RatFunc = tuple[Poly, Poly]
 
 
-def _rf_normalize(num: Poly, den: Poly) -> RatFunc:
+def _rf_normalize(num: Poly, den: Poly, part: Poly | None = None) -> RatFunc:
+    """num/den in lowest terms; a common factor divides ``part`` if given."""
     if poly.is_zero(den):
         raise SymbolicDivisionError("division by an identically zero expression")
     if poly.is_zero(num):
         nvars = len(next(iter(den)))
         return {}, poly.const(1, nvars)
-    g = poly.poly_gcd(num, den)
+    g = poly.poly_gcd(num, den if part is None else part)
     if not (poly.is_const(g) and poly.const_value(g) == 1):
         num = poly.exact_div(num, g)
         den = poly.exact_div(den, g)
@@ -559,17 +564,17 @@ def _mul(a: Poly, b: Poly) -> Poly:
     return poly.mul(a, b)
 
 
-def _to_ratfunc(e: Expr, axis_of: dict[VarId, int],
-                nvars: int) -> tuple[Poly, Poly | None]:
-    """``(num, den)`` of a rational ``e`` over the axes, in one pass.
+def _to_ratfunc(e: Expr, axis_of: dict, nvars: int) -> tuple[Poly, Poly | None]:
+    """``(num, den)`` of ``e`` over the axes, in one pass; every call in
+    ``e`` must be canonical already.
 
-    A denominator of 1 is returned as None.  A canonical subtree answers
-    from its stored polynomials, a sum adds its terms without a
-    denominator into one fresh dict, and a product folds its constants,
-    variables and positive powers of variables into one monomial, so only
-    its other factors are multiplied out, and an equal factor met again
-    reuses the first one's expansion.  The result may share a
-    canonical node's polynomials and must not be mutated.
+    A denominator of 1 is returned as None.  A canonical subtree, an atom
+    among them, answers from its stored polynomials, a sum adds its terms
+    without a denominator into one fresh dict, and a product folds its
+    constants, variables and positive powers of variables into one
+    monomial, so only its other factors are multiplied out, and an equal
+    factor met again reuses the first one's expansion.  The result may
+    share a canonical node's polynomials and must not be mutated.
     """
     global _ratfunc_nodes
     _ratfunc_nodes += 1
@@ -650,17 +655,15 @@ def _to_ratfunc(e: Expr, axis_of: dict[VarId, int],
             raise SymbolicDivisionError("negative power of an identically zero expression")
         return (poly.const(1, nvars) if bd is None else _power(bd, -n),
                 _power(bn, -n))
-    if cls is Quot:
-        an, ad = _to_ratfunc(e.num, axis_of, nvars)
-        bn, bd = _to_ratfunc(e.den, axis_of, nvars)
-        if poly.is_zero(bn):
-            raise SymbolicDivisionError("division by an identically zero expression")
-        return (an if bd is None else _mul(an, bd),
-                bn if ad is None else _mul(ad, bn))
-    raise UnsupportedClassError("canonicalize is defined only for rational expressions")
+    an, ad = _to_ratfunc(e.num, axis_of, nvars)
+    bn, bd = _to_ratfunc(e.den, axis_of, nvars)
+    if poly.is_zero(bn):
+        raise SymbolicDivisionError("division by an identically zero expression")
+    return (an if bd is None else _mul(an, bd),
+            bn if ad is None else _mul(ad, bn))
 
 
-def _poly_to_expr(p: Poly, axes: tuple[VarId, ...]) -> Expr:
+def _poly_to_expr(p: Poly, axes: tuple) -> Expr:
     if not p:
         return ZERO
     terms: list[Expr] = []
@@ -668,10 +671,11 @@ def _poly_to_expr(p: Poly, axes: tuple[VarId, ...]) -> Expr:
         c = p[mono]
         factors: list[Expr] = []
         for axis, exp in enumerate(mono):
-            if exp == 1:
-                factors.append(Var(axes[axis]))
-            elif exp > 1:
-                factors.append(Pow(Var(axes[axis]), exp))
+            if exp:
+                leaf = axes[axis]
+                if type(leaf) is VarId:
+                    leaf = Var(leaf)
+                factors.append(leaf if exp == 1 else Pow(leaf, exp))
         if not factors:
             terms.append(Const(c))
         elif c == 1:
@@ -689,11 +693,11 @@ _partial_calls = 0
 _partial_computed = 0
 
 
-def _canonical_node(axes: tuple[VarId, ...], num: Poly, den: Poly) -> Expr:
+def _canonical_node(axes: tuple, num: Poly, den: Poly) -> Expr:
     """The canonical form of the reduced ``num/den`` over ``axes``.
 
     The polynomials are projected onto the axes that are used.  A
-    constant, a variable or a power of one variable is the plain node,
+    constant, a variable, an atom or a power of one is the plain node,
     which keeps ``(axes, num, den)`` when it is new as a canonical form;
     any other form is the canonical node interned on them, with no tree.
     """
@@ -727,8 +731,10 @@ def _canonical_node(axes: tuple[VarId, ...], num: Poly, den: Poly) -> Expr:
     c = _TABLE.get(key)
     if c is None:
         c = object.__new__(cls)
-        for name, value in (("_hash", hash(key)), ("_rat", True),
-                            ("_fv", frozenset(axes)), ("_rf", (axes, num, den)),
+        atoms = [a for a in axes if type(a) is Call]
+        fv = frozenset(a for a in axes if type(a) is VarId).union(*(a._fv for a in atoms))
+        for name, value in (("_hash", hash(key)), ("_rat", not atoms),
+                            ("_fv", fv), ("_rf", (axes, num, den)),
                             ("_d", None), ("_tree", None)):
             _set(c, name, value)
         _set(c, "_canon", c)
@@ -758,21 +764,21 @@ def _tree_of(c: Expr) -> Expr:
 
 
 def canonicalize(e: Expr) -> Expr:
-    """Unique canonical form of a rational expression.
-
-    Idempotent; raises UnsupportedClassError on numeric-only input.  The
-    result is memoized on ``e``, and the result keeps its reduced
-    rational function for later canonicalizations that contain it.
-    """
+    """The canonical form of ``e``, its atoms taken as independent.
+    Idempotent; memoized on ``e``, and the result keeps its reduced
+    rational function for later canonicalizations that contain it."""
     global _canonicalize_calls, _canonicalize_computed
     _canonicalize_calls += 1
     c = e._canon
     if c is not None:
         return c
-    if not is_rational(e):
-        raise UnsupportedClassError("canonicalize is defined only for rational expressions")
     _canonicalize_computed += 1
-    axes = tuple(sorted(free_vars(e), key=lambda v: (v.index, v.name)))
+    if e._rat:
+        axes = tuple(sorted(e._fv, key=lambda v: (v.index, v.name)))
+    else:
+        axes = _axes(e)
+        if e._canon is not None:        # e is a call
+            return e._canon
     axis_of = {v: i for i, v in enumerate(axes)}
     nvars = len(axes)
     num, den = _to_ratfunc(e, axis_of, nvars)
@@ -785,6 +791,63 @@ def canonicalize(e: Expr) -> Expr:
     return c
 
 
+# The sort key of each atom, found on first use: the first ATOM_TEXT
+# characters of its text, then its variables.  The text of a shared tree
+# may be exponentially longer than the tree; each node's part is cut short.
+_ATOM_KEYS: dict["Call", tuple] = {}
+ATOM_TEXT = 10_000
+
+
+def _atom_key(a: "Call") -> tuple:
+    """The key of ``a``, and of each atom under it, innermost first, each
+    text formatted once with the texts of the atoms in it."""
+    texts: dict[Expr, str] = {}
+    for node, kids in post_order(() if a in _ATOM_KEYS else (a,), _ATOM_KEYS.__contains__):
+        if node not in _ATOM_KEYS:
+            texts[node] = _format_node(node, kids, [
+                texts[k] if k in texts else _ATOM_KEYS[k][0] for k in kids])[:ATOM_TEXT]
+            if type(node) is Call:
+                _ATOM_KEYS[node] = (texts[node], sorted((v.index, v.name) for v in node._fv))
+                if _TRAIL is not None:
+                    _TRAIL.append((_ATOM_KEYS, node, None))
+    return _ATOM_KEYS[a]
+
+
+def _axes(e: Expr) -> tuple:
+    """The sorted axes of ``e``, read off the nearest canonical or rational
+    nodes outside every call.  First every call under ``e`` gets its
+    canonical form, the atom of its canonical argument, innermost first,
+    so that no call's canonicalization recurses into another."""
+    axes, seen, stack = set(), set(), [(e, True)]
+    while stack:
+        node, top = stack.pop()
+        if type(top) is tuple:          # a call whose argument is done
+            atom = _canonical_node((Call(node.func, canonicalize(node.arg)),),
+                                   {(1,): 1}, {(0,): 1})
+            if node._canon is None:
+                _memo(node, "_canon", atom)
+            if top[0]:
+                axes.add(atom)
+        elif (id(node), top) not in seen:
+            seen.add((id(node), top))
+            c = node._canon
+            if c is None and not node._rat:
+                if type(node) is Call:
+                    stack.append((node, (top,)))
+                stack.extend((k, top and type(node) is not Call) for k in children(node))
+            elif top:
+                axes.update(node._fv if c is None else c._rf[0])
+    # the variables by (index, name), then the atoms by ``_atom_key``
+    atoms = [a for a in axes if type(a) is Call]
+    if len(atoms) > 1:
+        keyed = sorted(zip(map(_atom_key, atoms), atoms), key=lambda ka: ka[0])
+        if any(k == j for (k, _), (j, _) in zip(keyed, keyed[1:])):
+            raise ExprError(f"two atoms agree in their first {ATOM_TEXT} characters and variables")
+        atoms = [a for _, a in keyed]
+    return (*sorted((a for a in axes if type(a) is VarId), key=lambda v: (v.index, v.name)),
+            *atoms)
+
+
 def kernel_stats() -> dict[str, int]:
     """Work counters of the kernel since the process started.
 
@@ -794,16 +857,16 @@ def kernel_stats() -> dict[str, int]:
     ``canonicalize_calls`` the calls of ``canonicalize`` and
     ``canonicalize_computed`` those that were not answered from a node's
     memo.  ``partial_calls`` counts the calls of ``partial`` and
-    ``partial_computed`` the derivatives it computed: rational ones not
-    found in a node's memo, and every numeric-only one.  A ``scope`` gives
-    back nodes and memos but no count, so every count only grows, and
-    work that a scope undid counts again when it is redone.
-    ``ratfunc_nodes`` counts the tree nodes the
-    rational-function evaluator behind ``canonicalize`` visits: a
-    canonical subtree counts as one node, and a product's constants,
-    variables and positive powers of variables are folded into it
-    without a visit of their own.  The counts are plain integer
-    increments without a lock: threads working at once may lose a few.
+    ``partial_computed`` the derivatives it computed, those not found in
+    a node's memo, an atom's among them.  A ``scope`` gives back nodes
+    and memos but no count, so every count only grows, and work that a
+    scope undid counts again when it is redone.  ``ratfunc_nodes``
+    counts the tree nodes the rational-function evaluator behind
+    ``canonicalize`` visits: a canonical subtree, an atom among them,
+    counts as one node, and a product's constants, variables and
+    positive powers of variables are folded into it without a visit of
+    their own.  The counts are plain integer increments without a lock:
+    threads working at once may lose a few.
     """
     return {"nodes": _nodes_interned, "canonical_forms": _canonical_forms,
             "canonical_trees": _canonical_trees,
@@ -812,13 +875,6 @@ def kernel_stats() -> dict[str, int]:
             "partial_calls": _partial_calls,
             "partial_computed": _partial_computed,
             "ratfunc_nodes": _ratfunc_nodes}
-
-
-def canon(e: Expr) -> Expr:
-    """Canonicalize when rational, else fold with every rational part canonical."""
-    if is_rational(e):
-        return canonicalize(e)
-    return _walk(e, _fold_node)
 
 
 def is_zero_expr(e: Expr) -> bool:
@@ -833,65 +889,22 @@ def expr_equal(a: Expr, b: Expr) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# folding of numeric-only expressions: every rational part canonicalized
-
-def _fold_node(e: Expr, _kids: tuple[Expr, ...], folded: list[Expr]) -> Expr:
-    # a rational node stays whole for the nearest non-rational node above
-    # it, which canonicalizes its rational operands
-    if is_rational(e):
-        return e
-    cls = type(e)
-    if cls is Pow and e.exponent == 0:
-        return ONE
-    if cls is Sum or cls is Prod:
-        rational, rest = [], []
-        for f in folded:
-            # a folded sum's terms (product's factors) join this one's
-            for u in (f.terms if cls is Sum else f.factors) if type(f) is cls else (f,):
-                (rational if is_rational(u) else rest).append(u)
-        r = canonicalize(cls(tuple(rational)))
-        if not rest or (r is ZERO and cls is Prod):
-            return r
-        # the rational part is a sum's last term and a product's first factor
-        parts = rest if r is (ZERO if cls is Sum else ONE) else (
-            rest + [r] if cls is Sum else [r] + rest)
-        return parts[0] if len(parts) == 1 else cls(tuple(parts))
-    kids = [canonicalize(k) if is_rational(k) else k for k in folded]
-    if cls is Call:
-        return Call(e.func, kids[0])
-    if all(map(is_rational, kids)):
-        return canonicalize(Quot(*kids) if cls is Quot else Pow(kids[0], e.exponent))
-    if cls is Pow:
-        return kids[0] if e.exponent == 1 else Pow(kids[0], e.exponent)
-    num, den = kids
-    if den is ZERO:
-        raise SymbolicDivisionError("division by an identically zero expression")
-    if num is ZERO:
-        return ZERO
-    return num if den is ONE else Quot(num, den)
-
-
-# ---------------------------------------------------------------------------
 # calculus
 
 def partial(e: Expr, v: VarId) -> Expr:
-    """Exact partial derivative, canonicalized when rational.
+    """Exact partial derivative, canonical.
 
-    A rational ``e`` is canonicalized first, raising as ``canonicalize``
-    does.  Its derivative is then taken in the polynomial ring from the
-    canonical node's stored ``(axes, num, den)`` and memoized on that
-    node.  A numeric-only ``e`` is differentiated as a tree, folded by ``canon``.
+    ``e`` is canonicalized first, raising as ``canonicalize`` does.  Its
+    derivative is then taken in the ring from the canonical node's stored
+    ``(axes, num, den)`` and memoized on that node, with d sin u = cos u du,
+    d cos u = -sin u du and d exp u = exp u du for the atoms.
     """
     global _partial_calls, _partial_computed
     _partial_calls += 1
     c = e._canon
     if c is None:
-        if not is_rational(e):
-            _partial_computed += 1
-            return canon(_partial(e, v))
         c = canonicalize(e)
-    axes, num, den = c._rf
-    if v not in axes:
+    if v not in c._fv:
         return ZERO
     memo = c._d
     if memo is None:
@@ -899,20 +912,45 @@ def partial(e: Expr, v: VarId) -> Expr:
         _memo(c, "_d", memo)
     d = memo.get(v)
     if d is None:
+        # the atoms under c first, innermost first, down to those done
+        for a, _ in post_order(() if c._rat else (c,),
+                               lambda a: a is not c and a._d and v in a._d):
+            if type(a) is Call and a is not c and v in a._fv:
+                partial(a, v)
         _partial_computed += 1
-        i = axes.index(v)
-        if poly.is_const(den):
-            rf = _rf_normalize(_poly_diff(num, i), den)
-        else:
-            # quotient rule: (num' den - num den') / den^2
-            rf = _rf_normalize(
-                poly.sub(poly.mul(_poly_diff(num, i), den),
-                         poly.mul(num, _poly_diff(den, i))),
-                poly.mul(den, den))
-        d = memo[v] = _canonical_node(axes, *rf)
+        axes = c._rf[0]
+        if type(c) is Call:
+            outer = (Call("cos", c.arg) if c.func == "sin" else
+                     -Call("sin", c.arg) if c.func == "cos" else c)
+            d = canonicalize(outer * partial(c.arg, v))
+        elif c._rat:
+            d = _axis_partial(c, axes.index(v))
+        else:   # the chain rule over the axes
+            d = canonicalize(Sum(tuple(
+                Prod((_axis_partial(c, i), ONE if a == v else partial(a, v)))
+                for i, a in enumerate(axes) if a == v or (type(a) is Call and v in a._fv))))
+        memo[v] = d
         if _TRAIL is not None:
             _TRAIL.append((memo, v, None))
     return d
+
+
+def _axis_partial(c: Expr, i: int) -> Expr:
+    """The derivative of canonical ``c`` along its axis ``i``, the others
+    fixed, by the square-free quotient rule: with g = gcd(den, den'),
+    (num/den)' = (num' (den/g) - num (den'/g)) / (den (den/g)).  A factor
+    of den along the axis is prime to that numerator, so only the content
+    of den along it may be common to them (Horowitz, SYMSAM 1971)."""
+    axes, num, den = c._rf
+    dden = _poly_diff(den, i)
+    if not dden:                # g = den: the rule reads num'/den, with one gcd
+        return _canonical_node(axes, *_rf_normalize(_poly_diff(num, i), den))
+    g = poly.poly_gcd(den, dden)
+    q = poly.exact_div(den, g)
+    den = poly.mul(den, q)
+    return _canonical_node(axes, *_rf_normalize(
+        poly.sub(poly.mul(_poly_diff(num, i), q), poly.mul(num, poly.exact_div(dden, g))),
+        den, poly.primitive(den, i)[0]))
 
 
 def _poly_diff(p: Poly, axis: int) -> Poly:
@@ -926,44 +964,9 @@ def _poly_diff(p: Poly, axis: int) -> Poly:
     return out
 
 
-def _partial(e: Expr, v: VarId) -> Expr:
-    """The derivative of ``e`` along ``v`` as a tree, not folded."""
-    return _walk(e, _partial_node, v)
-
-
-def _partial_node(e: Expr, kids: tuple[Expr, ...], ds: list[Expr], v: VarId) -> Expr:
-    if isinstance(e, Var):
-        return ONE if e.var == v else ZERO
-    if isinstance(e, Sum):
-        return Sum(tuple(ds))
-    if isinstance(e, Prod):
-        terms = [Prod(kids[:i] + (df,) + kids[i + 1:])
-                 for i, df in enumerate(ds) if df != ZERO]
-        return Sum(tuple(terms)) if terms else ZERO
-    if isinstance(e, Pow):
-        if e.exponent == 0 or ds[0] == ZERO:
-            return ZERO
-        return Prod((Const(e.exponent), Pow(kids[0], e.exponent - 1), ds[0]))
-    if isinstance(e, Quot):
-        (n, d), (dn, dd) = kids, ds
-        return Quot(Sum((Prod((dn, d)), Prod((MINUS_ONE, n, dd)))), Pow(d, 2))
-    if isinstance(e, Call):
-        if ds[0] == ZERO:
-            return ZERO
-        arg = kids[0]
-        if e.func == "sin":
-            outer: Expr = Call("cos", arg)
-        elif e.func == "cos":
-            outer = Prod((MINUS_ONE, Call("sin", arg)))
-        else:
-            outer = Call("exp", arg)
-        return Prod((outer, ds[0]))
-    return ZERO
-
-
 def substitute(e: Expr, bindings: Mapping[VarId, Expr]) -> Expr:
-    """Simultaneous substitution, then canonicalization when rational."""
-    return canon(_walk(e, _substitute_node, bindings))
+    """Simultaneous substitution, then canonicalization."""
+    return canonicalize(_walk(e, _substitute_node, bindings))
 
 
 def _substitute_node(e: Expr, _kids: tuple[Expr, ...], subs: list[Expr],

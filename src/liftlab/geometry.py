@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .expr import (
-    FUNCTIONS, Expr, ExprError, ONE, Sum, Var, VarId, ZERO, canon, is_rational,
+    FUNCTIONS, Expr, ExprError, ONE, Sum, Var, VarId, ZERO, canonicalize, is_rational,
     is_zero_expr, partial,
 )
 from .parser import IDENT_RE
@@ -86,7 +86,7 @@ def directional_derivative(f: Expr, pairs: Iterable[tuple[VarId, Expr]],
             df = d(f, v)
             if df != ZERO:
                 terms.append(c * df)
-    return canon(Sum((ZERO, *terms)) if terms else ZERO)
+    return canonicalize(Sum((ZERO, *terms)) if terms else ZERO)
 
 
 def _require_same_chart(a, b) -> None:
@@ -104,7 +104,7 @@ class VectorField:
     def __post_init__(self):
         if len(self.components) != self.chart.dim:
             raise ChartError("component count must equal chart dimension")
-        object.__setattr__(self, "components", tuple(canon(c) for c in self.components))
+        object.__setattr__(self, "components", tuple(canonicalize(c) for c in self.components))
 
     def apply(self, f: Expr, d: Derivative = partial) -> Expr:
         """Directional derivative X(f), X^a d(f, x^a)."""
@@ -150,7 +150,7 @@ class DifferentialForm:
                 raise DegreeError(f"index {idx} out of chart range")
             if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
                 raise DegreeError(f"index {idx} is not strictly increasing")
-            coeff = canon(coeff)
+            coeff = canonicalize(coeff)
             if coeff != ZERO:
                 clean[idx] = coeff
         object.__setattr__(self, "terms", clean)
@@ -319,8 +319,8 @@ def divergence(X: VectorField, vol: VolumeForm) -> Expr:
     rho = vol.coefficient
     total: Expr = ZERO
     for a, comp in enumerate(X.components):
-        total = total + partial(canon(rho * comp), chart.vars[a])
-    return canon(total / rho)
+        total = total + partial(canonicalize(rho * comp), chart.vars[a])
+    return canonicalize(total / rho)
 
 
 def pointwise_pairing(alpha: DifferentialForm, X: VectorField) -> Expr:
@@ -331,7 +331,7 @@ def pointwise_pairing(alpha: DifferentialForm, X: VectorField) -> Expr:
     out: Expr = ZERO
     for (a,), coeff in alpha.terms.items():
         out = out + coeff * X.components[a]
-    return canon(out)
+    return canonicalize(out)
 
 
 def is_exact_candidate(alpha: DifferentialForm) -> bool:
@@ -365,20 +365,20 @@ def formal_adjoint(chart: Chart, D: Callable[[Expr], Expr]) -> Expr:
     v = chart.vars
     xs = [Var(u) for u in v]
     c = D(ONE)
-    first = [canon(D(x) - x * c) for x in xs]
+    first = [canonicalize(D(x) - x * c) for x in xs]
     second = {}
     for a in range(chart.dim):
         for b in range(a, chart.dim):
             xa, xb = xs[a], xs[b]
             s = D(xa * xb) - xa * first[b] - xb * first[a] - xa * xb * c
-            second[a, b] = canon(s if a < b else s / 2)
-    lin = canon(sum((x * (a + 1) for a, x in enumerate(xs)), ZERO))
-    predicted = canon(c * lin ** 3
-                      + sum((3 * lin ** 2 * (a + 1) * ca for a, ca in enumerate(first)), ZERO)
-                      + sum((6 * lin * (a + 1) * (b + 1) * cab
-                             for (a, b), cab in second.items()), ZERO))
-    if canon(D(lin ** 3)) != predicted:
+            second[a, b] = canonicalize(s if a < b else s / 2)
+    lin = canonicalize(sum((x * (a + 1) for a, x in enumerate(xs)), ZERO))
+    predicted = canonicalize(c * lin ** 3
+                             + sum((3 * lin ** 2 * (a + 1) * ca for a, ca in enumerate(first)), ZERO)
+                             + sum((6 * lin * (a + 1) * (b + 1) * cab
+                                    for (a, b), cab in second.items()), ZERO))
+    if canonicalize(D(lin ** 3)) != predicted:
         raise ExprError("formal adjoint of an operator of order above 2")
     out = c - sum((partial(ca, v[a]) for a, ca in enumerate(first)), ZERO)
     out = out + sum((partial(partial(cab, v[a]), v[b]) for (a, b), cab in second.items()), ZERO)
-    return canon(out)
+    return canonicalize(out)

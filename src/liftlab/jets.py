@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .expr import (
-    Expr, ExprError, ONE, Var, VarId, ZERO, canon, free_vars,
+    Expr, ExprError, ONE, Var, VarId, ZERO, canonicalize, free_vars,
 )
 from .geometry import Chart, ChartError, VectorField, directional_derivative
 
@@ -117,7 +117,7 @@ class JetChart:
 
 
 def _check_support(e: Expr, allowed: frozenset[VarId], what: str, err: type[ExprError]) -> Expr:
-    e = canon(e)
+    e = canonicalize(e)
     extra = free_vars(e) - allowed
     if extra:
         names = ", ".join(sorted(v.name for v in extra))
@@ -226,7 +226,7 @@ def prolong1(xi: GeneralizedVectorField) -> Prolongation:
             comp = total_derivative(jc, characteristic[l], a)
             for b in range(jc.m):
                 comp = comp + xi.base_components[b] * Var(jc.jet2_var(l, b, a))
-            row.append(canon(comp))
+            row.append(canonicalize(comp))
         phi.append(tuple(row))
     return Prolongation(xi, tuple(phi))
 
@@ -242,11 +242,11 @@ def prolongation_bracket(xi: GeneralizedVectorField,
         raise ChartError("jet charts differ")
     jc = xi.jet_chart
     pxi, peta = prolong1(xi), prolong1(eta)
-    base = tuple(canon(pxi.apply(eta.base_components[a]) - peta.apply(xi.base_components[a]))
+    base = tuple(canonicalize(pxi.apply(eta.base_components[a]) - peta.apply(xi.base_components[a]))
                  for a in range(jc.m))
     fiber = []
     for l in range(jc.k):
-        comp = canon(pxi.apply(eta.fiber_components[l]) - peta.apply(xi.fiber_components[l]))
+        comp = canonicalize(pxi.apply(eta.fiber_components[l]) - peta.apply(xi.fiber_components[l]))
         residue = free_vars(comp) & jc.second_jet_vars
         if residue:
             names = ", ".join(sorted(v.name for v in residue))
@@ -265,7 +265,7 @@ def holonomic_lift(jc: JetChart, X: VectorField) -> GeneralizedVectorField:
         comp: Expr = ZERO
         for a in range(jc.m):
             comp = comp + X.components[a] * Var(jc.jet(l, a))
-        fiber.append(canon(comp))
+        fiber.append(canonicalize(comp))
     return GeneralizedVectorField(jc, X.components, tuple(fiber))
 
 
@@ -282,7 +282,7 @@ def vertical_representative(xi: GeneralizedVectorField) -> GeneralizedVectorFiel
         comp = xi.fiber_components[l]
         for a in range(jc.m):
             comp = comp - xi.base_components[a] * Var(jc.jet(l, a))
-        fiber.append(canon(comp))
+        fiber.append(canonicalize(comp))
     return GeneralizedVectorField(jc, (ZERO,) * jc.m, tuple(fiber))
 
 

@@ -12,8 +12,7 @@ coadjoint formula on the density alpha (x) dmu,
 ``lie_poisson_rhs``.  The ideal fluid is this formula on a divergence-free
 X, and its vorticity equation is -L_X on d alpha.  The lift path,
 ``momentum_rhs_via_lift``, computes the same rate on any chart from the
-vertical representative of the complete cotangent lift X^{c*}, with the
-divergence passed in.
+vertical representative of the complete cotangent lift X^{c*}.
 
 The printed Hamiltonian operators are implemented verbatim as well.  The
 operators-weak suite of ``liftlab verify`` decides them in weak form, by
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import (
-    Expr, ExprError, Var, VarId, ZERO, ONE, canon, free_vars, partial,
+    Expr, ExprError, Var, VarId, ZERO, ONE, canonicalize, free_vars, partial,
     substitute,
 )
 from .geometry import (
@@ -74,20 +73,18 @@ def lie_poisson_rhs(X: VectorField, alpha: DifferentialForm,
     return lie_derivative_form(X, alpha).scaled(-1) - alpha.scaled(div)
 
 
-def momentum_rhs_via_lift(X: VectorField, alpha: DifferentialForm, div: Expr,
+def momentum_rhs_via_lift(X: VectorField, alpha: DifferentialForm, vol: VolumeForm,
                           d: Derivative = partial) -> DifferentialForm:
-    """Lift path: alpha_dot = V(X^{c*})(alpha) - div alpha on ``X.chart``.
+    """Lift path: alpha_dot = V(X^{c*})(alpha) - (div_vol X) alpha on ``X.chart``.
 
     The vertical representative of the complete cotangent lift lives on the
     synthetic jet chart of T*, with fibers a_<var>; reading alpha as a
     section binds each fiber variable to a component alpha_l and each
-    first-jet variable to d(alpha_l, x^a).  ``div`` is the divergence of X
-    for the density's volume: ``divergence(X, vol)``, ZERO for Hamiltonian
-    and divergence-free fields, or -2 K_z for X_K on the contact chart,
-    which the verify check ``contact-divergence-is--2Kz`` decides.
+    first-jet variable to d(alpha_l, x^a).
     """
     if alpha.degree != 1 or alpha.chart != X.chart:
         raise ChartError("expected a one-form on the field's chart")
+    div = divergence(X, vol)
     chart = X.chart
     cc = CotangentChart.make(chart, [f"a_{v.name}" for v in chart.vars])
     v_part, _ = lift_decomposition(cc, X)
@@ -98,7 +95,7 @@ def momentum_rhs_via_lift(X: VectorField, alpha: DifferentialForm, div: Expr,
         bindings[jc.fiber[l]] = comp
         for a, v in enumerate(chart.vars):
             bindings[jc.jet(l, a)] = d(comp, v)
-    return one_form(chart, tuple(canon(substitute(rate, bindings) - div * comp)
+    return one_form(chart, tuple(canonicalize(substitute(rate, bindings) - div * comp)
                                  for rate, comp in zip(v_part.fiber_components, comps)))
 
 
@@ -135,7 +132,7 @@ def plasma_hamiltonian(pc: CotangentChart, params: PlasmaParams) -> Expr:
     kinetic: Expr = ZERO
     for i in range(pc.m):
         kinetic = kinetic + Var(pc.fiber_var(i)) ** 2
-    return canon(kinetic * Fraction(1, 2) / params.mass + params.phi * params.charge)
+    return canonicalize(kinetic * Fraction(1, 2) / params.mass + params.phi * params.charge)
 
 
 def _plasma_components(pc: CotangentChart, pi: DifferentialForm
@@ -154,7 +151,7 @@ def plasma_density(pc: CotangentChart, pi: DifferentialForm) -> Expr:
     out: Expr = ZERO
     for i in range(pc.m):
         out = out + partial(up[i], pc.base_var(i)) - partial(down[i], pc.fiber_var(i))
-    return canon(out)
+    return canonicalize(out)
 
 
 def vlasov_momentum_rhs(pc: CotangentChart, pi: DifferentialForm, params: PlasmaParams,
@@ -183,7 +180,7 @@ def vlasov_density_rhs(pc: CotangentChart, f: Expr, params: PlasmaParams,
     for i in range(pc.m):
         out = out - Var(pc.fiber_var(i)) / params.mass * d(f, pc.base_var(i))
         out = out + d(params.phi, pc.base_var(i)) * d(f, pc.fiber_var(i)) * params.charge
-    return canon(out)
+    return canonicalize(out)
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +223,9 @@ def contact_vector_field(cs: ContactStructure, K: Expr) -> VectorField:
     x = Var(cs.x)
     kx, ky, kz = (partial(K, v) for v in (cs.x, cs.y, cs.z))
     return VectorField(cs.chart, (
-        canon(ky - x * kz),
-        canon(kx * -1),
-        canon(x * kx - K),
+        canonicalize(ky - x * kz),
+        canonicalize(kx * -1),
+        canonicalize(x * kx - K),
     ))
 
 
@@ -238,7 +235,7 @@ def contact_bracket(cs: ContactStructure, L: Expr, K: Expr,
     x = Var(cs.x)
     lx, ly, lz = (d(L, v) for v in (cs.x, cs.y, cs.z))
     kx, ky, kz = (d(K, v) for v in (cs.x, cs.y, cs.z))
-    return canon(lx * ky - ly * kx + kz * (L - x * lx) - lz * (K - x * kx))
+    return canonicalize(lx * ky - ly * kx + kz * (L - x * lx) - lz * (K - x * kx))
 
 
 def contact_density(cs: ContactStructure, alpha: DifferentialForm,
@@ -252,8 +249,8 @@ def contact_density(cs: ContactStructure, alpha: DifferentialForm,
         raise ChartError("contact density takes a one-form on the contact chart")
     ax, ay, az = (alpha.coeff((i,)) for i in range(3))
     x = Var(cs.x)
-    return canon(d(ay, cs.x) - d(ax, cs.y)
-                 - x * d(az, cs.x) + x * d(ax, cs.z) - az * 2)
+    return canonicalize(d(ay, cs.x) - d(ax, cs.y)
+                        - x * d(az, cs.x) + x * d(ax, cs.z) - az * 2)
 
 
 def contact_momentum_rhs(cs: ContactStructure, alpha: DifferentialForm,
@@ -266,7 +263,7 @@ def contact_density_rhs(cs: ContactStructure, L: Expr, K: Expr,
                         d: Derivative = partial) -> Expr:
     """L_dot = -{L,K}_c - 2 (div X_K) L = -{L,K}_c + 4 K_z L."""
     kz = d(K, cs.z)
-    return canon(contact_bracket(cs, L, K, d) * -1 + kz * L * 4)
+    return canonicalize(contact_bracket(cs, L, K, d) * -1 + kz * L * 4)
 
 
 def hamiltonian_operator_momentum(cs: ContactStructure, alpha: DifferentialForm,
@@ -288,8 +285,8 @@ def hamiltonian_operator_momentum(cs: ContactStructure, alpha: DifferentialForm,
         entry: Expr = ZERO
         for j in range(3):
             entry = entry + a[j] * partial(X.components[j], cs.chart.vars[i])
-            entry = entry + partial(canon(a[i] * X.components[j]), cs.chart.vars[j])
-        comps.append(canon(entry * -1))
+            entry = entry + partial(canonicalize(a[i] * X.components[j]), cs.chart.vars[j])
+        comps.append(canonicalize(entry * -1))
     return one_form(cs.chart, tuple(comps))
 
 
@@ -303,4 +300,4 @@ def hamiltonian_operator_density(cs: ContactStructure, L: Expr, K: Expr) -> Expr
     X_L = contact_vector_field(cs, L)
     kz = partial(K, cs.z)
     lz = partial(L, cs.z)
-    return canon(X_L.apply(K) + (L * 4 + lz) * kz)
+    return canonicalize(X_L.apply(K) + (L * 4 + lz) * kz)

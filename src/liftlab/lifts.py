@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .expr import Expr, ONE, Var, VarId, ZERO, canon, free_vars, partial
+from .expr import Expr, ONE, Var, VarId, ZERO, canonicalize, free_vars, partial
 from .geometry import MAX_DIM, Chart, ChartError, DifferentialForm, VectorField, one_form
 from .jets import GeneralizedVectorField, JetChart, vertical_representative, holonomic_part
 
@@ -88,7 +88,7 @@ def complete_cotangent_lift(cchart: CotangentChart, X: VectorField) -> VectorFie
         rate: Expr = ZERO
         for b in range(m):
             rate = rate - Var(cchart.fiber_var(b)) * partial(X.components[b], cchart.base_var(a))
-        comps.append(canon(rate))
+        comps.append(canonicalize(rate))
     return VectorField(cchart.full, tuple(comps))
 
 
@@ -98,14 +98,14 @@ def momentum_function(cchart: CotangentChart, X: VectorField) -> Expr:
     out: Expr = ZERO
     for b in range(cchart.m):
         out = out + Var(cchart.fiber_var(b)) * X.components[b]
-    return canon(out)
+    return canonicalize(out)
 
 
 def hamiltonian_vector_field(cchart: CotangentChart, h: Expr) -> VectorField:
     """X_h with i_{X_h} Omega = dh: (dh/dy_a, -dh/dx^a)."""
     m = cchart.m
     comps = [partial(h, cchart.fiber_var(a)) for a in range(m)]
-    comps += [canon(partial(h, cchart.base_var(a)) * -1) for a in range(m)]
+    comps += [canonicalize(partial(h, cchart.base_var(a)) * -1) for a in range(m)]
     return VectorField(cchart.full, tuple(comps))
 
 
@@ -115,13 +115,13 @@ def canonical_poisson(cchart: CotangentChart, f: Expr, g: Expr) -> Expr:
     for a in range(cchart.m):
         x, y = cchart.base_var(a), cchart.fiber_var(a)
         out = out + partial(f, x) * partial(g, y) - partial(f, y) * partial(g, x)
-    return canon(out)
+    return canonicalize(out)
 
 
 def euler_vector_field(cchart: CotangentChart) -> VectorField:
     """X_E = -y_a d/dy_a, the fiber dilation generator."""
     comps = [ZERO] * cchart.m + \
-        [canon(Var(cchart.fiber_var(a)) * -1) for a in range(cchart.m)]
+        [canonicalize(Var(cchart.fiber_var(a)) * -1) for a in range(cchart.m)]
     return VectorField(cchart.full, tuple(comps))
 
 
@@ -131,7 +131,7 @@ def vertical_lift(cchart: CotangentChart, alpha: DifferentialForm) -> VectorFiel
         raise ChartError("vertical lift takes a one-form on the base")
     comps: list[Expr] = [ZERO] * cchart.m
     for a in range(cchart.m):
-        comps.append(canon(alpha.coeff((a,)) * -1))
+        comps.append(canonicalize(alpha.coeff((a,)) * -1))
     return VectorField(cchart.full, tuple(comps))
 
 

@@ -184,7 +184,7 @@ def _leading_in(p: Poly, axis: int) -> tuple[int, Poly]:
     return d, {m[:axis] + (0,) + m[axis + 1:]: c for m, c in p.items() if m[axis] == d}
 
 
-def _primitive(p: Poly, axis: int) -> tuple[Poly, Poly]:
+def primitive(p: Poly, axis: int) -> tuple[Poly, Poly]:
     """Content and primitive part of p as a polynomial in ``axis``; the
     content is the sign-normalized gcd of the coefficients."""
     one = const(1, len(next(iter(p))))
@@ -245,11 +245,11 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         # disjoint variable supports: only an integer gcd is shared
         return const(_int_gcd(int_content(a), int_content(b)), nvars)
     axis = min(sa & sb)
-    cont_a, pa = _primitive(a, axis)
-    cont_b, pb = _primitive(b, axis)
+    cont_a, pa = primitive(a, axis)
+    cont_b, pb = primitive(b, axis)
     if _leading_in(pa, axis)[0] < _leading_in(pb, axis)[0]:
         pa, pb = pb, pa
     while pb:
         r = _pseudo_rem(pa, pb, axis)
-        pa, pb = pb, _primitive(r, axis)[1] if r else {}
+        pa, pb = pb, primitive(r, axis)[1] if r else {}
     return _normalize_sign(mul(poly_gcd(cont_a, cont_b), pa))

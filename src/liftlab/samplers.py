@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .expr import Const, Expr, Var, VarId, ZERO, canon
+from .expr import Const, Expr, Var, VarId, ZERO, canonicalize
 from .geometry import Chart, DifferentialForm, VectorField, one_form
 
 __all__ = [
@@ -40,7 +40,7 @@ def rand_poly(rng: random.Random, vars: Sequence[VarId], degree: int,
             elif e > 1:
                 term = term * Var(v) ** e
         out = out + term
-    return canon(out)
+    return canonicalize(out)
 
 
 def rand_vector_field(rng: random.Random, chart: Chart, degree: int,

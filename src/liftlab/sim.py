@@ -5,9 +5,9 @@ evaluation plan: an expression over (coordinates, state components,
 first-jet variables), where the jet variables are realized as 4th-order
 stencil derivatives of the state.  The models are the rows of one table,
 ``_RATES``: each row names the model's fibers, one per state component,
-and its ``kinetics`` formula: ``momentum_rhs_via_lift`` of X_K with the
-divergence -2 K_z (the vertical representative of the cotangent lift read
-at the state), ``contact_density_rhs``, ``vlasov_momentum_rhs`` or
+and its ``kinetics`` formula: ``momentum_rhs_via_lift`` of X_K (the
+vertical representative of the cotangent lift read at the state),
+``contact_density_rhs``, ``vlasov_momentum_rhs`` or
 ``vlasov_density_rhs``.  A plan is the row's formula called on the jet
 chart of its fibers, with the total derivative D_a as the formula's
 derivative ``d``; the grid's dimension is that chart's base dimension.
@@ -92,7 +92,7 @@ __all__ = [
 # formula f(structure, state, K or params, d)
 _RATES = {
     "contact-momentum": (("a_x", "a_y", "a_z"), lambda cs, a, K, d: (
-        momentum_rhs_via_lift(contact_vector_field(cs, K), a, d(K, cs.z) * -2, d))),
+        momentum_rhs_via_lift(contact_vector_field(cs, K), a, cs.vol, d))),
     "contact-density": (("L",), contact_density_rhs),
     "vlasov-momentum": (("P1", "P2"), vlasov_momentum_rhs),
     "vlasov-density": (("f",), vlasov_density_rhs),

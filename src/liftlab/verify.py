@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .expr import (
-    Expr, ExprError, ZERO, canon, kernel_stats, partial, scope, substitute,
+    Expr, ExprError, ZERO, canonicalize, kernel_stats, partial, scope, substitute,
 )
 from .geometry import (
     Chart, DifferentialForm, VectorField, VolumeForm, divergence,
@@ -358,13 +358,13 @@ def _contact_identities(rng, degree: int) -> Instance:
     dK = one_form(_CS.chart, tuple(partial(K, v) for v in _CS.chart.vars))
     return ({"K": K},
             (pointwise_pairing(_CS.sigma, X), interior_product(X, _DSIGMA)),
-            (canon(K * -1), dK - _CS.sigma.scaled(partial(K, _CS.z))))
+            (canonicalize(K * -1), dK - _CS.sigma.scaled(partial(K, _CS.z))))
 
 
 def _divergence_formula(rng, degree: int) -> Instance:
     K = rand_poly(rng, _CS.chart.vars, degree, 3)
     return ({"K": K}, divergence(contact_vector_field(_CS, K), _CS.vol),
-            canon(partial(K, _CS.z) * -2))
+            canonicalize(partial(K, _CS.z) * -2))
 
 
 def _bracket_antihomomorphism(rng, degree: int) -> Instance:
@@ -387,8 +387,7 @@ def _dual_path(rng, degree: int) -> Instance:
     alpha = rand_one_form(rng, _CS.chart, degree)
     K = rand_poly(rng, _CS.chart.vars, degree, 3)
     return ({"alpha": alpha, "K": K}, contact_momentum_rhs(_CS, alpha, K),
-            momentum_rhs_via_lift(contact_vector_field(_CS, K), alpha,
-                                  partial(K, _CS.z) * -2))
+            momentum_rhs_via_lift(contact_vector_field(_CS, K), alpha, _CS.vol))
 
 
 def _contact_intertwining(rng, degree: int) -> Instance:
@@ -423,7 +422,7 @@ def _momentum_pairings(alpha: DifferentialForm, K: Expr) -> tuple:
     X_K = contact_vector_field(_CS, K)
     J = hamiltonian_operator_momentum(_CS, alpha, X_K)
     return (lambda H: pointwise_pairing(J, contact_vector_field(_CS, H)),
-            lambda H: canon(pointwise_pairing(
+            lambda H: canonicalize(pointwise_pairing(
                 alpha, jacobi_lie_bracket(contact_vector_field(_CS, H), X_K)) * -1))
 
 
@@ -440,8 +439,8 @@ def _momentum_display_sign(rng, degree: int) -> Instance:
     alpha = rand_one_form(rng, _CS.chart, degree)
     K = rand_poly(rng, _CS.chart.vars, degree, 3)
     operator, bracket = _momentum_pairings(alpha, K)
-    return ({"alpha": alpha, "K": K}, _adjoint(lambda H: canon(operator(H) * -1)),
-            canon(_adjoint(bracket) * -1))
+    return ({"alpha": alpha, "K": K}, _adjoint(lambda H: canonicalize(operator(H) * -1)),
+            canonicalize(_adjoint(bracket) * -1))
 
 
 def _density_operator_weak(rng, degree: int) -> Instance:
@@ -450,10 +449,10 @@ def _density_operator_weak(rng, degree: int) -> Instance:
     alpha = rand_one_form(rng, _CS.chart, degree)
     K = rand_poly(rng, _CS.chart.vars, degree, 3)
     L = contact_density(_CS, alpha)
-    weak = _adjoint(lambda H: canon(L * contact_bracket(_CS, H, K)))
+    weak = _adjoint(lambda H: canonicalize(L * contact_bracket(_CS, H, K)))
     return ({"alpha": alpha, "K": K},
-            canon(hamiltonian_operator_density(_CS, L, K) - weak),
-            canon(partial(L, _CS.z) * (partial(K, _CS.z) - K)))
+            canonicalize(hamiltonian_operator_density(_CS, L, K) - weak),
+            canonicalize(partial(L, _CS.z) * (partial(K, _CS.z) - K)))
 
 
 def _operator_relation(rng, degree: int) -> Instance:

@@ -13,7 +13,7 @@ import random
 import time
 from fractions import Fraction
 
-from liftlab.expr import canon, expr_equal, partial
+from liftlab.expr import canonicalize, expr_equal, partial
 from liftlab.geometry import (
     divergence, exterior_derivative, interior_product, jacobi_lie_bracket,
     lie_derivative_form, one_form, pointwise_pairing,
@@ -150,11 +150,11 @@ def test_criterion_05_contact_structure_suite():
         K = rand_poly(rng, cs.chart.vars, 3)
         L = rand_poly(rng, cs.chart.vars, 3)
         X_K = contact_vector_field(cs, K)
-        assert expr_equal(pointwise_pairing(cs.sigma, X_K), canon(K * -1))
+        assert expr_equal(pointwise_pairing(cs.sigma, X_K), canonicalize(K * -1))
         dK = one_form(cs.chart, tuple(partial(K, v) for v in cs.chart.vars))
         want = dK - cs.sigma.scaled(partial(K, cs.z))
         assert (interior_product(X_K, dsigma) - want).is_zero()
-        assert expr_equal(divergence(X_K, cs.vol), canon(partial(K, cs.z) * -2))
+        assert expr_equal(divergence(X_K, cs.vol), canonicalize(partial(K, cs.z) * -2))
         lhs = jacobi_lie_bracket(X_K, contact_vector_field(cs, L))
         rhs = contact_vector_field(cs, contact_bracket(cs, K, L)).scaled(-1)
         assert vf_equal(lhs, rhs)
@@ -198,8 +198,7 @@ def test_criterion_07_dual_path_equality():
         alpha = rand_one_form(rng, cs.chart, 3)
         K = rand_poly(rng, cs.chart.vars, 3)
         a = contact_momentum_rhs(cs, alpha, K)
-        b = momentum_rhs_via_lift(contact_vector_field(cs, K), alpha,
-                                  partial(K, cs.z) * -2)
+        b = momentum_rhs_via_lift(contact_vector_field(cs, K), alpha, cs.vol)
         assert (a - b).is_zero()
     elapsed = time.time() - t0
     assert elapsed < 10

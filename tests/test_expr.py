@@ -3,11 +3,14 @@
 import copy
 import gc
 import math
+import os
 import pickle
 import random
+import subprocess
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,13 +20,14 @@ from liftlab import expr, poly
 from liftlab.expr import (
     Call, Const, EvaluationDomainError, ExprError, Pow, Prod, Quot, Sum,
     SymbolicDivisionError, UnboundVariableError, UnsupportedClassError, Var,
-    VarId, ZERO, ONE, _partial, canon, canonicalize, eval_numeric,
+    VarId, ZERO, ONE, MINUS_ONE, canonicalize, eval_numeric,
     expr_equal, free_vars, is_rational, is_zero_expr, kernel_stats, partial,
     substitute,
 )
 from liftlab.grid import compile_numeric
 from liftlab.parser import parse_expr
 from liftlab.verify import CHECKS, SUITES, run_suite
+from test_grid import LEAVES, TRIG_RATIONAL, _branches
 
 X, Y, Z, W = (VarId(n, i) for i, n in enumerate("xyzw"))
 VARS = [X, Y, Z, W]
@@ -72,9 +76,12 @@ class TestCanonicalize:
         assert product == {(2, 0): 1, (0, 2): -1}
         assert canonicalize(parse("(x^2-y^2)/(x-y)")) == canonicalize(parse("x+y"))
 
-    def test_numeric_only_rejected(self):
-        with pytest.raises(UnsupportedClassError):
-            canonicalize(parse("sin(x)+1"))
+    def test_transcendental_input_is_canonical(self):
+        # each call is an atom of the ring, ordered after the variables
+        assert str(canonicalize(parse("1 + sin(x)*y + cos(x)*y"))) == "y*cos(x) + y*sin(x) + 1"
+        assert canonicalize(parse("sin(x)*(1 + y) - sin(x)*y")) is Call("sin", Var(X))
+        # atoms are independent: an identity between them is not decided
+        assert canonicalize(parse("sin(x)^2 + cos(x)^2 - 1")) is not ZERO
 
     def test_denominator_sign_normalized(self):
         a = canonicalize(parse("1/(-x)"))
@@ -87,60 +94,64 @@ class TestCanonicalize:
 
 
 class TestNumericFold:
+    """Numeric-only input: constants, rational parts and terms collect
+    around the atoms."""
+
     def test_nested_sum_constant_joins_the_running_constant(self):
-        assert str(canon(ONE * parse("cos(x) + 3") + 2)) == "cos(x) + 5"
-        assert str(canon(ONE * parse("cos(x) + 3") + (-3))) == "cos(x)"
+        assert str(canonicalize(ONE * parse("cos(x) + 3") + 2)) == "cos(x) + 5"
+        assert str(canonicalize(ONE * parse("cos(x) + 3") + (-3))) == "cos(x)"
 
     def test_nested_product_constant_joins_the_running_constant(self):
-        assert str(canon(parse("2*(3*cos(x))"))) == "6*cos(x)"
-        assert str(canon(parse("(1/2)*(2*cos(x))"))) == "cos(x)"
-        assert canon(parse("2*(0*cos(x))")) is ZERO
+        assert str(canonicalize(parse("2*(3*cos(x))"))) == "6*cos(x)"
+        assert str(canonicalize(parse("(1/2)*(2*cos(x))"))) == "cos(x)"
+        assert canonicalize(parse("2*(0*cos(x))")) is ZERO
 
     def test_rational_parts_are_canonicalized(self):
         x = Var(X)
-        assert canon(x * Pow(Call("sin", Var(Y)), 0) - x) is ZERO
-        assert canon(x + Pow(Call("sin", x), 0)) is canonicalize(x + 1)
-        assert canon(parse("sin(x) + x*y - x*y")) is Call("sin", x)
-        assert str(canon(parse("sin(x)*y"))) == "y*sin(x)"
+        assert canonicalize(x * Pow(Call("sin", Var(Y)), 0) - x) is ZERO
+        assert canonicalize(x + Pow(Call("sin", x), 0)) is canonicalize(x + 1)
+        assert canonicalize(parse("sin(x) + x*y - x*y")) is Call("sin", x)
+        assert str(canonicalize(parse("sin(x)*y"))) == "y*sin(x)"
 
     def test_numeric_only_power_of_zero_raises(self):
         with pytest.raises(SymbolicDivisionError):
-            canon(parse("(sin(x)^0 - 1)^-1"))
-
-
-def _numeric_branches(children):
-    return st.one_of(
-        st.lists(children, min_size=2, max_size=4).map(lambda ts: Sum(tuple(ts))),
-        st.lists(children, min_size=2, max_size=3).map(lambda fs: Prod(tuple(fs))),
-        st.tuples(st.sampled_from(["sin", "cos"]), children).map(lambda t: Call(*t)),
-        st.tuples(children, children).map(lambda t: Quot(*t)),
-        st.tuples(children, st.integers(-2, 3)).map(lambda t: Pow(*t)),
-    )
-
-
-NUMERIC_TREES = st.recursive(
-    st.one_of(st.sampled_from([Var(X), Var(Y)]),
-              st.fractions(min_value=-3, max_value=3, max_denominator=4).map(Const)),
-    _numeric_branches, max_leaves=12)
-FOLD_POINTS = [(0.7316, -1.2043), (-0.4129, 0.3391), (1.8874, 1.0537), (-1.5562, -0.0815)]
+            canonicalize(parse("(sin(x)^0 - 1)^-1"))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(NUMERIC_TREES)
-def test_numeric_fold_is_idempotent_and_keeps_the_value(e):
-    # the unfolded tree against the folded one
-    try:
-        c = canon(e)
-    except SymbolicDivisionError:
-        return
-    assert canon(c) is c
-    for x, y in FOLD_POINTS:
-        try:
-            want = eval_numeric(e, {X: x, Y: y})
-            got = eval_numeric(c, {X: x, Y: y})
-        except EvaluationDomainError:
-            continue
-        assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9)
+@given(TRIG_RATIONAL)
+def test_canonical_form_keeps_the_value_of_trig_trees(e):
+    c = canonicalize(e)
+    assert canonicalize(c) is c
+    assert canonicalize(e - e) is ZERO
+    for x, y in [(0.7316, -1.2043), (-0.4129, 0.3391), (1.8874, 1.0537), (-1.5562, -0.0815)]:
+        want = eval_numeric(e, {X: x, Y: y})
+        assert math.isclose(eval_numeric(c, {X: x, Y: y}), want, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(TRIG_RATIONAL, TRIG_RATIONAL, TRIG_RATIONAL)
+def test_trig_forms_are_independent_of_tree_shape(a, b, c):
+    assert canonicalize(a + (b + c)) is canonicalize(Sum((c, Sum((b, a)))))
+    assert canonicalize(a * b - b * a + c) is canonicalize(c)
+
+
+def test_atom_order_is_the_same_under_any_hash_seed():
+    # five atoms, one inside another, over three variables
+    code = ("from liftlab.expr import VarId, partial\n"
+            "from liftlab.parser import parse_expr\n"
+            "v = [VarId(n, i) for i, n in enumerate('xyz')]\n"
+            "e = parse_expr('exp(z)*cos(x + y) - sin(y)/(2 + cos(x)) + z*exp(sin(x))', v)\n"
+            "print(partial(e, v[0]), partial(e, v[2]))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(expr.__file__).resolve().parents[1]), env.get("PYTHONPATH")) if p)
+    outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env={**env, "PYTHONHASHSEED": seed}, timeout=120)
+            for seed in ("0", "1")]
+    assert [p.returncode for p in outs] == [0, 0], outs[0].stderr
+    assert outs[0].stdout == outs[1].stdout
+    assert outs[0].stdout.count("(") > 10
 
 
 class TestExprEqual:
@@ -214,19 +225,14 @@ class TestPartial:
     def test_undefined_input_raises_for_an_absent_variable(self):
         # the input is checked before the variable is looked for, also
         # where its derivative tree folds to 0, as for (1/(x-x))^0
-        for text in ("x/(x-x)", "sin(x)/0", "(1/(x-x))^0"):
+        for text in ("x/(x-x)", "sin(x)/0", "(1/(x-x))^0", "sin(x)/(x-x)"):
             with pytest.raises(SymbolicDivisionError):
                 partial(parse(text), Y)
-
-    def test_numeric_only_input_folds_as_a_tree(self):
-        # the fold decides the rational denominator, as canon does
-        with pytest.raises(SymbolicDivisionError):
-            partial(parse("sin(x)/(x-x)"), Y)
 
     def test_numeric_only_quotient_by_identically_zero_raises(self):
         for text in ("sin(x)/(x-x)", "x + exp(y)/((x+1)^2 - x^2 - 2*x - 1)"):
             with pytest.raises(SymbolicDivisionError):
-                canon(parse(text))
+                canonicalize(parse(text))
 
     def test_derivative_drops_a_variable_it_no_longer_has(self):
         d = partial(parse("x*y/(1+z^2)"), X)
@@ -279,7 +285,7 @@ def test_constant_too_long_to_print_is_an_expression_error():
 def test_power_of_a_sum_expands_up_to_the_bound(monkeypatch, text, terms):
     # the bound is on the terms C(n + t - 1, t - 1) a power may have
     monkeypatch.setattr(expr, "MAX_POWER_TERMS", 10)
-    _, num, den = canon(parse(text))._rf
+    _, num, den = canonicalize(parse(text))._rf
     assert max(len(num), len(den)) == terms
 
 
@@ -377,8 +383,44 @@ def test_commuting_partials(e):
 ABSENT = VarId("u", 4)
 
 
+def tree_partial(e, v):
+    """The derivative of ``e`` along ``v`` built as a tree by the rules of
+    calculus, node by node: the reference route for ``partial``."""
+    return expr._walk(e, _tree_partial_node, v)
+
+
+def _tree_partial_node(e, kids, ds, v):
+    if isinstance(e, Var):
+        return ONE if e.var == v else ZERO
+    if isinstance(e, Sum):
+        return Sum(tuple(ds))
+    if isinstance(e, Prod):
+        terms = [Prod(kids[:i] + (df,) + kids[i + 1:]) for i, df in enumerate(ds) if df != ZERO]
+        return Sum(tuple(terms)) if terms else ZERO
+    if isinstance(e, Pow):
+        if e.exponent == 0 or ds[0] == ZERO:
+            return ZERO
+        return Prod((Const(e.exponent), Pow(kids[0], e.exponent - 1), ds[0]))
+    if isinstance(e, Quot):
+        (n, d), (dn, dd) = kids, ds
+        return Quot(Sum((Prod((dn, d)), Prod((MINUS_ONE, n, dd)))), Pow(d, 2))
+    if isinstance(e, Call):
+        if ds[0] == ZERO:
+            return ZERO
+        outer = {"sin": Call("cos", kids[0]), "cos": Prod((MINUS_ONE, Call("sin", kids[0]))),
+                 "exp": e}[e.func]
+        return Prod((outer, ds[0]))
+    return ZERO
+
+
+# trig trees of few leaves: the reference route squares every
+# denominator, and on a larger tree with a quotient inside a call its
+# canonicalization can pass the product bound
+SMALL_TRIG = st.recursive(LEAVES, _branches, max_leaves=5)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(expr_strategy(), expr_strategy(),
+@given(st.one_of(expr_strategy(), SMALL_TRIG), expr_strategy(),
        st.sampled_from(["plain", "quotient", "repeated", "cancelled"]))
 def test_ring_partial_is_the_tree_partial(a, b, shape):
     if shape == "quotient":
@@ -394,7 +436,7 @@ def test_ring_partial_is_the_tree_partial(a, b, shape):
     c = canonicalize(e)
     for v in (*VARS, ABSENT):
         d = partial(c, v)
-        assert d is canonicalize(_partial(c, v))
+        assert d is canonicalize(tree_partial(c, v))
         assert partial(e, v) is d
 
 
@@ -692,20 +734,26 @@ def test_deep_numeric_chain_needs_no_recursion():
     e = Var(X)
     for _ in range(5000):
         e = Sum((Call("sin", e), Var(X)))
-    v, dv = 0.3, 1.0
+    v = 0.3
     for _ in range(5000):
-        v, dv = math.sin(v) + 0.3, math.cos(v) * dv + 1.0
+        v = math.sin(v) + 0.3
+    # the expanded derivative of that chain has 5,000 terms over 5,000
+    # atoms, so partial is checked on a tower of sines instead
+    tower, t, dt = Var(X), 0.3, 1.0
+    for _ in range(1200):
+        tower = Call("sin", tower)
+        t, dt = math.sin(t), math.cos(t) * dt
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
         assert not is_rational(e)
         assert free_vars(e) == frozenset({X})
-        assert canon(e) is e
-        assert eval_numeric(e, {X: 0.3}) == v
-        assert eval_numeric(partial(e, X), {X: 0.3}) == dv
+        assert canonicalize(canonicalize(e)) is canonicalize(e)
+        assert eval_numeric(e, {X: 0.3}) == eval_numeric(canonicalize(e), {X: 0.3}) == v
+        assert math.isclose(eval_numeric(partial(tower, X), {X: 0.3}), dt, rel_tol=1e-12)
         renamed = substitute(e, {X: Var(Y)})
         assert free_vars(renamed) == frozenset({Y})
-        assert substitute(renamed, {Y: Var(X)}) is e
+        assert substitute(renamed, {Y: Var(X)}) is canonicalize(e)
     finally:
         sys.setrecursionlimit(limit)
 
@@ -713,16 +761,22 @@ def test_deep_numeric_chain_needs_no_recursion():
 def test_shared_chain_is_walked_once_per_distinct_node():
     # 60 levels of e = sin(e)*cos(e): 2^60 leaves as a tree, 181 distinct nodes
     e = Var(X)
-    for _ in range(60):
+    for level in range(60):
         e = Prod((Call("sin", e), Call("cos", e)))
+        if level == 9:
+            tenth = e
     v, dv = 0.3, 1.0
-    for _ in range(60):
+    for level in range(60):
         s, c = math.sin(v), math.cos(v)
         v, dv = s * c, (c * c - s * s) * dv
-    assert canon(e) is e
+        if level == 9:
+            tenth_dv = dv
+    assert canonicalize(canonicalize(e)) is canonicalize(e)
     assert eval_numeric(e, {X: 0.3}) == v
-    assert math.isclose(eval_numeric(partial(e, X), {X: 0.3}), dv, rel_tol=1e-12)
-    assert substitute(substitute(e, {X: Var(Y)}), {Y: Var(X)}) is e
+    # the expanded derivative has 2^k terms at level k, so partial is
+    # checked at the tenth
+    assert math.isclose(eval_numeric(partial(tenth, X), {X: 0.3}), tenth_dv, rel_tol=1e-12)
+    assert substitute(substitute(e, {X: Var(Y)}), {Y: Var(X)}) is canonicalize(e)
 
 
 # ---------------------------------------------------------------------------

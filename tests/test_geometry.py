@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liftlab.expr import (
-    ONE, ZERO, ExprError, Var, canon, expr_equal, is_zero_expr, partial,
+    ONE, ZERO, ExprError, Var, canonicalize, expr_equal, is_zero_expr, partial,
 )
 from liftlab.geometry import (
     Chart, ChartError, ChartMismatchError, DegreeError, DifferentialForm, VectorField,
@@ -38,13 +38,13 @@ class TestJacobiLieBracket:
         x = Var(chart2.vars[0])
         out = jacobi_lie_bracket(VectorField(chart2, (x, ZERO)),
                                  VectorField(chart2, (ONE, ZERO)))
-        assert vf_equal(out, VectorField(chart2, (canon(ONE * -1), ZERO)))
+        assert vf_equal(out, VectorField(chart2, (canonicalize(ONE * -1), ZERO)))
 
     def test_rotation_generators(self, chart2):
         x, y = (Var(v) for v in chart2.vars)
         out = jacobi_lie_bracket(VectorField(chart2, (ZERO, x)),
                                  VectorField(chart2, (y, ZERO)))
-        assert vf_equal(out, VectorField(chart2, (x, canon(y * -1))))
+        assert vf_equal(out, VectorField(chart2, (x, canonicalize(y * -1))))
 
     def test_chart_mismatch(self, chart2, chart3):
         with pytest.raises(ChartMismatchError):
@@ -164,7 +164,7 @@ def lie_derivative_componentwise(X, omega):
                 replaced = idx[:slot] + (j,) + idx[slot + 1:]
                 coeff = coeff + coeff_signed(omega, replaced) * \
                     partial(X.components[j], chart.vars[idx[slot]])
-        out[idx] = canon(coeff)
+        out[idx] = canonicalize(coeff)
     return DifferentialForm(chart, omega.degree, out)
 
 
@@ -211,18 +211,18 @@ class TestDivergence:
     def test_matches_lie_derivative_of_volume(self, rng, chart3):
         for _ in range(5):
             X = rand_vector_field(rng, chart3, 2)
-            rho = canon(rand_poly(rng, chart3.vars, 2) ** 2 + 1)   # nonvanishing
+            rho = canonicalize(rand_poly(rng, chart3.vars, 2) ** 2 + 1)   # nonvanishing
             vol = VolumeForm(DifferentialForm(chart3, 3, {(0, 1, 2): rho}))
             div = divergence(X, vol)
             lied = lie_derivative_form(X, vol.form)
-            assert expr_equal(lied.coeff((0, 1, 2)), canon(div * rho))
+            assert expr_equal(lied.coeff((0, 1, 2)), canonicalize(div * rho))
 
     def test_hamiltonian_field_is_divergence_free(self, rng, chart2):
         # X = (h_y, -h_x) for random h on a 2D chart
         for _ in range(5):
             h = rand_poly(rng, chart2.vars, 3)
             X = VectorField(chart2, (partial(h, chart2.vars[1]),
-                                     canon(partial(h, chart2.vars[0]) * -1)))
+                                     canonicalize(partial(h, chart2.vars[0]) * -1)))
             assert is_zero_expr(divergence(X, VolumeForm.standard(chart2)))
 
 
@@ -235,11 +235,11 @@ class TestPairingAndExactness:
         x, y = (Var(v) for v in chart2.vars)
         out = pointwise_pairing(one_form(chart2, (y, ZERO)),
                                 VectorField(chart2, (x, ZERO)))
-        assert expr_equal(out, canon(x * y))
+        assert expr_equal(out, canonicalize(x * y))
 
     def test_exact_form_is_closed(self, chart2):
         x, y = (Var(v) for v in chart2.vars)
-        f = canon(x ** 2 * y)
+        f = canonicalize(x ** 2 * y)
         df = exterior_derivative(zero_form(chart2, f))
         assert is_exact_candidate(one_form(chart2, tuple(
             df.coeff((a,)) for a in range(2))))
@@ -260,18 +260,18 @@ class TestPairingAndExactness:
 class TestFormalAdjoint:
     def test_multiplication_is_its_own_adjoint(self, rng, chart3):
         c = rand_poly(rng, chart3.vars, 3)
-        assert formal_adjoint(chart3, lambda H: canon(c * H)) == c
+        assert formal_adjoint(chart3, lambda H: canonicalize(c * H)) == c
 
     def test_first_derivative_moves_onto_the_coefficient_with_a_minus(self, rng, chart3):
         x = chart3.vars[0]
         c = rand_poly(rng, chart3.vars, 3)
-        assert formal_adjoint(chart3, lambda H: canon(c * partial(H, x))) == \
-            canon(partial(c, x) * -1)
+        assert formal_adjoint(chart3, lambda H: canonicalize(c * partial(H, x))) == \
+            canonicalize(partial(c, x) * -1)
 
     def test_mixed_second_derivative_moves_onto_the_coefficient(self, rng, chart3):
         x, y, _ = chart3.vars
         c = rand_poly(rng, chart3.vars, 3)
-        assert formal_adjoint(chart3, lambda H: canon(c * partial(partial(H, x), y))) == \
+        assert formal_adjoint(chart3, lambda H: canonicalize(c * partial(partial(H, x), y))) == \
             partial(partial(c, x), y)
 
     @pytest.mark.parametrize("chart", [Chart.make("x"), Chart.make("x", "y", "z")])
@@ -286,16 +286,16 @@ class TestFormalAdjoint:
                       for a in range(chart.dim) for b in range(a, chart.dim)}
 
             def D(G):
-                return canon(c * G
-                             + sum((ca * partial(G, v[a]) for a, ca in enumerate(first)), ZERO)
-                             + sum((cab * partial(partial(G, v[a]), v[b])
-                                    for (a, b), cab in second.items()), ZERO))
+                return canonicalize(c * G
+                                    + sum((ca * partial(G, v[a]) for a, ca in enumerate(first)), ZERO)
+                                    + sum((cab * partial(partial(G, v[a]), v[b])
+                                           for (a, b), cab in second.items()), ZERO))
 
             def D_star(H):
-                return formal_adjoint(chart, lambda G: canon(H * D(G)))
+                return formal_adjoint(chart, lambda G: canonicalize(H * D(G)))
 
             L = rand_poly(rng, v, 3)
-            assert formal_adjoint(chart, lambda H: canon(L * D_star(H))) == D(L)
+            assert formal_adjoint(chart, lambda H: canonicalize(L * D_star(H))) == D(L)
 
     @pytest.mark.parametrize("axes", [(0, 0, 0), (0, 1, 2)])
     def test_third_order_operator_is_refused(self, chart3, axes):
@@ -318,7 +318,7 @@ CHART3 = Chart.make("x", "y", "z")
 def poly3(draw, degree=3):
     e = ZERO
     for _ in range(draw(st.integers(1, 3))):
-        term = canon(ONE * draw(st.integers(-3, 3)))
+        term = canonicalize(ONE * draw(st.integers(-3, 3)))
         budget = degree
         for v in CHART3.vars:
             k = draw(st.integers(0, budget))
@@ -326,7 +326,7 @@ def poly3(draw, degree=3):
             if k:
                 term = term * Var(v) ** k
         e = e + term
-    return canon(e)
+    return canonicalize(e)
 
 
 @st.composite
@@ -356,7 +356,7 @@ def test_lie_derivative_is_a_derivation_of_wedge(X, a, b):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(field3(), field3())
 def test_bracket_in_lie_derivative_on_functions(X, Y):
-    f = canon(Var(CHART3.vars[0]) * Var(CHART3.vars[1]) ** 2
-              + Var(CHART3.vars[2]))
+    f = canonicalize(Var(CHART3.vars[0]) * Var(CHART3.vars[1]) ** 2
+                     + Var(CHART3.vars[2]))
     lhs = X.apply(Y.apply(f)) - Y.apply(X.apply(f))
     assert expr_equal(lhs, jacobi_lie_bracket(X, Y).apply(f))

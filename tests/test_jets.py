@@ -2,7 +2,7 @@
 
 import pytest
 
-from liftlab.expr import ONE, ZERO, Var, canon, expr_equal
+from liftlab.expr import ONE, ZERO, Var, canonicalize, expr_equal
 from liftlab.geometry import MAX_DIM, Chart, ChartError, VectorField
 from liftlab.jets import (
     GeneralizedVectorField, JetChart, JetConsistencyError,
@@ -56,13 +56,13 @@ class TestTotalDerivative:
 
     def test_product_with_jet(self, jc11):
         x, ux, uxx = Var(jc11.base[0]), Var(jc11.jet(0, 0)), Var(jc11.jet2_var(0, 0, 0))
-        out = total_derivative(jc11, canon(x * ux), 0)
-        assert expr_equal(out, canon(ux + x * uxx))
+        out = total_derivative(jc11, canonicalize(x * ux), 0)
+        assert expr_equal(out, canonicalize(ux + x * uxx))
 
     def test_base_only_reduces_to_partial(self, jc11):
         x = Var(jc11.base[0])
-        out = total_derivative(jc11, canon(x ** 3), 0)
-        assert expr_equal(out, canon(3 * x ** 2))
+        out = total_derivative(jc11, canonicalize(x ** 3), 0)
+        assert expr_equal(out, canonicalize(3 * x ** 2))
 
     def test_second_jet_input_rejected(self, jc11):
         with pytest.raises(JetConsistencyError):
@@ -115,9 +115,9 @@ class TestProlongationBracket:
         # xi = x d/dx, eta = -u_x d/du
         x, ux = Var(jc11.base[0]), Var(jc11.jet(0, 0))
         xi = GeneralizedVectorField(jc11, (x,), (ZERO,))
-        eta = GeneralizedVectorField(jc11, (ZERO,), (canon(ux * -1),))
+        eta = GeneralizedVectorField(jc11, (ZERO,), (canonicalize(ux * -1),))
         p_xi, p_eta = prolong1(xi), prolong1(eta)
-        want_fiber = canon(p_xi.apply(canon(ux * -1)) - p_eta.apply(ZERO))
+        want_fiber = canonicalize(p_xi.apply(canonicalize(ux * -1)) - p_eta.apply(ZERO))
         out = prolongation_bracket(xi, eta)
         assert expr_equal(out.fiber_components[0], want_fiber)
         assert expr_equal(out.base_components[0], ZERO)
@@ -140,7 +140,7 @@ class TestHolonomicVertical:
     def test_holonomic_lift_of_dilation(self, jc11):
         x = Var(jc11.base[0])
         lifted = holonomic_lift(jc11, VectorField(jc11.base_chart, (x,)))
-        assert expr_equal(lifted.fiber_components[0], canon(x * Var(jc11.jet(0, 0))))
+        assert expr_equal(lifted.fiber_components[0], canonicalize(x * Var(jc11.jet(0, 0))))
 
     def test_lift_projects_back(self, rng, jc22):
         X = VectorField(jc22.base_chart,
@@ -150,7 +150,7 @@ class TestHolonomicVertical:
         assert all(expr_equal(a, b) for a, b in zip(back.components, X.components))
 
     def test_holonomic_part_drops_fiber_component(self, jc11):
-        xi = GeneralizedVectorField(jc11, (ONE,), (canon(ONE * 5),))
+        xi = GeneralizedVectorField(jc11, (ONE,), (canonicalize(ONE * 5),))
         h = holonomic_part(xi)
         assert expr_equal(h.base_components[0], ONE)
         assert expr_equal(h.fiber_components[0], Var(jc11.jet(0, 0)))
@@ -168,7 +168,7 @@ class TestHolonomicVertical:
     def test_vertical_representative_of_translation(self, jc11):
         v = vertical_representative(GeneralizedVectorField(jc11, (ONE,), (ZERO,)))
         assert v.is_vertical()
-        assert expr_equal(v.fiber_components[0], canon(Var(jc11.jet(0, 0)) * -1))
+        assert expr_equal(v.fiber_components[0], canonicalize(Var(jc11.jet(0, 0)) * -1))
 
     def test_vertical_field_is_its_own_representative(self, jc11):
         xi = GeneralizedVectorField(jc11, (ZERO,), (Var(jc11.fiber[0]),))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from liftlab.expr import ONE, ZERO, Var, canon, expr_equal, partial, substitute
+from liftlab.expr import ONE, ZERO, Var, canonicalize, expr_equal, partial, substitute
 from liftlab.geometry import (
     Chart, ChartError, VectorField, exterior_derivative, interior_product,
     jacobi_lie_bracket, lie_derivative_form, one_form,
@@ -57,7 +57,7 @@ class TestCompleteCotangentLift:
     def test_dilation(self, cc1):
         x, y = Var(cc1.base_var(0)), Var(cc1.fiber_var(0))
         lift = complete_cotangent_lift(cc1, VectorField(cc1.base, (x,)))
-        assert vf_equal(lift, VectorField(cc1.full, (x, canon(y * -1))))
+        assert vf_equal(lift, VectorField(cc1.full, (x, canonicalize(y * -1))))
 
     def test_fiber_dependent_input_rejected(self, cc1):
         with pytest.raises(ChartError):
@@ -87,7 +87,7 @@ class TestMomentumFunction:
     def test_dilation(self, cc1):
         x, y = Var(cc1.base_var(0)), Var(cc1.fiber_var(0))
         p = momentum_function(cc1, VectorField(cc1.base, (x,)))
-        assert expr_equal(p, canon(x * y))
+        assert expr_equal(p, canonicalize(x * y))
 
     def test_generates_the_lift(self, rng, cc2):
         for _ in range(5):
@@ -100,7 +100,7 @@ class TestHamiltonianConventions:
     def test_free_particle(self, cc1):
         # h = p^2/2 must flow as dq/dt = p
         p = Var(cc1.fiber_var(0))
-        X = hamiltonian_vector_field(cc1, canon(p ** 2 / 2))
+        X = hamiltonian_vector_field(cc1, canonicalize(p ** 2 / 2))
         assert vf_equal(X, VectorField(cc1.full, (p, ZERO)))
 
     def test_charged_particle(self):
@@ -108,14 +108,14 @@ class TestHamiltonianConventions:
         pc = CotangentChart.make(Chart.make("q"), ["p"])
         q, p = Var(pc.base_var(0)), Var(pc.fiber_var(0))
         m, e = Fraction(2), Fraction(3)
-        phi = canon(q ** 3)
-        h = canon(p ** 2 / (2 * m) + e * phi)
+        phi = canonicalize(q ** 3)
+        h = canonicalize(p ** 2 / (2 * m) + e * phi)
         X = hamiltonian_vector_field(pc, h)
         assert vf_equal(X, VectorField(pc.full, (
-            canon(p / m), canon(-e * partial(phi, pc.base_var(0))))))
+            canonicalize(p / m), canonicalize(-e * partial(phi, pc.base_var(0))))))
 
     def test_constant_hamiltonian_is_static(self, cc2):
-        assert hamiltonian_vector_field(cc2, canon(ONE * 7)).is_zero()
+        assert hamiltonian_vector_field(cc2, canonicalize(ONE * 7)).is_zero()
 
     def test_defining_contraction(self, rng, cc2):
         # i_{X_h} Omega = dh
@@ -155,7 +155,7 @@ class TestEulerField:
         for a in range(2):
             assert xe.components[a] == ZERO
             assert expr_equal(xe.components[2 + a],
-                              canon(Var(cc2.fiber_var(a)) * -1))
+                              canonicalize(Var(cc2.fiber_var(a)) * -1))
 
     def test_three_defining_identities(self, cc2):
         xe = euler_vector_field(cc2)
@@ -177,7 +177,7 @@ class TestEulerField:
 class TestVerticalLift:
     def test_basis_form(self, cc1):
         v = vertical_lift(cc1, one_form(cc1.base, (ONE,)))
-        assert vf_equal(v, VectorField(cc1.full, (ZERO, canon(ONE * -1))))
+        assert vf_equal(v, VectorField(cc1.full, (ZERO, canonicalize(ONE * -1))))
 
     def test_zero_form(self, cc2):
         assert vertical_lift(cc2, one_form(cc2.base, (ZERO, ZERO))).is_zero()
@@ -204,7 +204,7 @@ class TestLiftDecomposition:
         jc = v.jet_chart
         jet = Var(jc.jet(0, 0))
         assert v.is_vertical()
-        assert expr_equal(v.fiber_components[0], canon(jet * -1))
+        assert expr_equal(v.fiber_components[0], canonicalize(jet * -1))
         assert expr_equal(h.base_components[0], ONE)
         assert expr_equal(h.fiber_components[0], jet)
 
@@ -213,7 +213,7 @@ class TestLiftDecomposition:
         v, _ = lift_decomposition(cc1, VectorField(cc1.base, (x,)))
         jc = v.jet_chart
         y, jet = Var(jc.fiber[0]), Var(jc.jet(0, 0))
-        assert expr_equal(v.fiber_components[0], canon((y + x * jet) * -1))
+        assert expr_equal(v.fiber_components[0], canonicalize((y + x * jet) * -1))
 
     def test_parts_reassemble(self, rng, cc2):
         for _ in range(5):
@@ -255,8 +255,8 @@ class TestPlasmaLiftDisplays:
         self.q, self.p = Var(self.tc.full.vars[0]), Var(self.tc.full.vars[1])
         self.pi_d, self.pi_u = Var(self.tc.full.vars[2]), Var(self.tc.full.vars[3])
         self.m, self.e = Fraction(2), Fraction(3)
-        self.phi = canon(self.q ** 3)
-        self.h = canon(self.p ** 2 / (2 * self.m) + self.e * self.phi)
+        self.phi = canonicalize(self.q ** 3)
+        self.h = canonicalize(self.p ** 2 / (2 * self.m) + self.e * self.phi)
 
     def test_lift_matches_display(self):
         # X_h^{c*} = X_h - (1/m) Pi_1 d/dPi^1 + e Pi^1 phi'' d/dPi_1
@@ -265,8 +265,8 @@ class TestPlasmaLiftDisplays:
         lift = complete_cotangent_lift(self.tc, X_h)
         phi_qq = partial(partial(self.phi, qv), qv)
         want = (X_h.components[0], X_h.components[1],
-                canon(self.e * self.pi_u * phi_qq),
-                canon(self.pi_d / self.m * -1))
+                canonicalize(self.e * self.pi_u * phi_qq),
+                canonicalize(self.pi_d / self.m * -1))
         assert all(expr_equal(a, b) for a, b in zip(lift.components, want))
 
     def test_vertical_and_holonomic_displays(self):
@@ -278,13 +278,13 @@ class TestPlasmaLiftDisplays:
 
         def x_h_on_section(l):
             # X_h acting through the first-jet variables of component l
-            return canon(X_h.components[0] * Var(jc.jet(l, 0))
-                         + X_h.components[1] * Var(jc.jet(l, 1)))
+            return canonicalize(X_h.components[0] * Var(jc.jet(l, 0))
+                                + X_h.components[1] * Var(jc.jet(l, 1)))
 
         # V X_h^{c*} = (e Pi^1 phi'' - X_h(Pi_1)) d/dPi_1
         #              - ((1/m) Pi_1 + X_h(Pi^1)) d/dPi^1
-        want_v0 = canon(self.e * Var(jc.fiber[1]) * phi_qq - x_h_on_section(0))
-        want_v1 = canon((Var(jc.fiber[0]) / self.m + x_h_on_section(1)) * -1)
+        want_v0 = canonicalize(self.e * Var(jc.fiber[1]) * phi_qq - x_h_on_section(0))
+        want_v1 = canonicalize((Var(jc.fiber[0]) / self.m + x_h_on_section(1)) * -1)
         assert expr_equal(v.fiber_components[0], want_v0)
         assert expr_equal(v.fiber_components[1], want_v1)
         # H X_h^{c*} = X_h + X_h(Pi_1) d/dPi_1 + X_h(Pi^1) d/dPi^1

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from liftlab import cli, grid, sim
 from liftlab.expr import (
-    ZERO, ExprError, Var, canon, eval_numeric, expr_equal, partial, substitute,
+    ZERO, ExprError, Var, canonicalize, expr_equal, partial, substitute,
 )
 from liftlab.geometry import divergence, one_form
 from liftlab.grid import AperiodicDataError, Grid
@@ -481,7 +481,7 @@ def odd_rates(jc):
     read, and a fiber variable with the coefficient -1."""
     a_x_y, a_z_x = Var(jc.jet(0, 1)), Var(jc.jet(2, 0))
     return [a_x_y, a_x_y * Var(jc.base[1]) + a_z_x - Var(jc.fiber[1]),
-            canon(a_z_x * Var(jc.base[2])), a_x_y]
+            canonicalize(a_z_x * Var(jc.base[2])), a_x_y]
 
 
 def numpy_bytes() -> int:
@@ -703,7 +703,7 @@ class TestCompiledPlanAgainstHandWrittenRhs:
 
 
 # The models of MODEL_CFGS and contact-momentum at the benchmark's
-# transcendental K, whose coordinate terms canonicalization does not cancel.
+# transcendental K.
 PINNED_CFGS = {**MODEL_CFGS, "contact-momentum-trig": dataclasses.replace(
     MODEL_CFGS["contact-momentum"], K="cos(x)*sin(y) + z")}
 
@@ -718,22 +718,20 @@ PINNED_PLANS = {
                          ["-x", "0", "-z"]),
     "contact-momentum-trig": (
         "(x, y, z; a_x, a_y, a_z)",
-        ["-a_x*(-sin(x)*cos(y) - 1) - a_y*cos(x)*sin(y)"
-         " - a_z*(-sin(x)*sin(y) - x*cos(x)*sin(y) + sin(x)*sin(y))"
-         " - a_x_x*(cos(x)*cos(y) - x) - a_x_y*sin(x)*sin(y)"
-         " - a_x_z*(-x*sin(x)*sin(y) - (cos(x)*sin(y) + z)) + 2*a_x",
-         "a_x*cos(x)*sin(y) - a_y*sin(x)*cos(y) - a_z*(-x*sin(x)*cos(y) - cos(x)*cos(y))"
-         " - a_y_x*(cos(x)*cos(y) - x) - a_y_y*sin(x)*sin(y)"
-         " - a_y_z*(-x*sin(x)*sin(y) - (cos(x)*sin(y) + z)) + 2*a_y",
-         "-a_z_x*(cos(x)*cos(y) - x) - a_z_y*sin(x)*sin(y)"
-         " - a_z_z*(-x*sin(x)*sin(y) - (cos(x)*sin(y) + z)) + 3*a_z"],
-        ["cos(x)*cos(y) - x", "sin(x)*sin(y)", "-x*sin(x)*sin(y) - (cos(x)*sin(y) + z)"]),
+        ["x*a_z*cos(x)*sin(y) + x*a_x_z*sin(x)*sin(y) + a_x*cos(y)*sin(x) - a_y*cos(x)*sin(y)"
+         " - a_x_x*cos(x)*cos(y) - a_x_y*sin(x)*sin(y) + a_x_z*cos(x)*sin(y) + x*a_x_x"
+         " + z*a_x_z + 3*a_x",
+         "x*a_z*cos(y)*sin(x) + x*a_y_z*sin(x)*sin(y) + a_x*cos(x)*sin(y) - a_y*cos(y)*sin(x)"
+         " + a_z*cos(x)*cos(y) - a_y_x*cos(x)*cos(y) - a_y_y*sin(x)*sin(y)"
+         " + a_y_z*cos(x)*sin(y) + x*a_y_x + z*a_y_z + 2*a_y",
+         "x*a_z_z*sin(x)*sin(y) - a_z_x*cos(x)*cos(y) - a_z_y*sin(x)*sin(y)"
+         " + a_z_z*cos(x)*sin(y) + x*a_z_x + z*a_z_z + 3*a_z"],
+        ["cos(x)*cos(y) - x", "sin(x)*sin(y)", "-x*sin(x)*sin(y) - cos(x)*sin(y) - z"]),
     "contact-density": ("(x, y, z; L)", ["x*L_x + z*L_z + 3*L"], ["-x", "0", "-z"]),
     "vlasov-momentum": ("(q, p; P1, P2)",
-                        ["-(P1_p*sin(q) + p*P1_q) - P2*cos(q)",
-                         "-(P2_p*sin(q) + p*P2_q) - P1"],
+                        ["-p*P1_q - P2*cos(q) - P1_p*sin(q)", "-p*P2_q - P2_p*sin(q) - P1"],
                         ["p", "sin(q)"]),
-    "vlasov-density": ("(q, p; f)", ["-f_p*sin(q) - p*f_q"], ["p", "sin(q)"]),
+    "vlasov-density": ("(q, p; f)", ["-p*f_q - f_p*sin(q)"], ["p", "sin(q)"]),
     "density-map": ("(x, y, z; a_x, a_y, a_z)",
                     ["x*a_x_z - x*a_z_x + (-2)*a_z - a_x_y + a_y_x"], None),
 }
@@ -824,7 +822,7 @@ def _rational_section(rng: random.Random, vars, k: int) -> list:
     while len(out) < k:
         num = rand_poly(rng, vars, 2, 2)
         if num != ZERO:
-            out.append(canon(num / (1 + Var(rng.choice(vars)) ** 2)))
+            out.append(canonicalize(num / (1 + Var(rng.choice(vars)) ** 2)))
     return out
 
 
@@ -836,7 +834,7 @@ def _on_section(jc, rates, section) -> list:
         bind[jc.fiber[l]] = comp
         for a, v in enumerate(jc.base):
             bind[jc.jet(l, a)] = partial(comp, v)
-    return [canon(substitute(r, bind)) for r in rates]
+    return [canonicalize(substitute(r, bind)) for r in rates]
 
 
 def _all_equal(got, want) -> bool:
@@ -885,7 +883,7 @@ class TestPlansAreKineticsFormulasOnJets:
         # can spend more than 30 s in one gcd of two polynomials over x, y, z
         alpha = []
         while len(alpha) < 3:
-            comp = canon(rand_poly(rng, self.cs.chart.vars, 2, 2))
+            comp = canonicalize(rand_poly(rng, self.cs.chart.vars, 2, 2))
             if comp != ZERO:
                 alpha.append(comp)
         want = contact_momentum_rhs(self.cs, one_form(self.cs.chart, tuple(alpha)),
@@ -927,18 +925,12 @@ class TestPlansAreKineticsFormulasOnJets:
 
 @pytest.mark.parametrize("K_text", ["cos(x)*sin(y) + z", "sin(x)*z + y"])
 class TestContactMomentumPlanNumericOnlyK:
-    """With a numeric-only K the plan and the coadjoint formula are folded
-    trees, not canonical forms, so they are compared by value at random
-    points.  The plan's divergence term is +2 K_z alpha; the coadjoint
-    formula's is -div(X_K) alpha, which folding leaves uncancelled."""
+    """With a numeric-only K the plan read at a numeric-only section is
+    the coadjoint formula exactly: both are canonical forms, with the calls
+    as atoms, and the divergence of X_K is exactly -2 K_z."""
 
     cs = ContactStructure.standard()
     section = ("sin(x)*cos(z) + y", "cos(x + y)*z", "exp(sin(y)) - x*z")
-
-    def points(self, K_text):
-        rng = random.Random(f"numeric-only K:{K_text}")
-        return [{v: rng.uniform(0.0, 6.3) for v in self.cs.chart.vars}
-                for _ in range(20)]
 
     def test_plan_on_trig_section_matches_coadjoint_formula(self, K_text):
         cs = self.cs
@@ -946,20 +938,14 @@ class TestContactMomentumPlanNumericOnlyK:
         cfg = SimConfig(model="contact-momentum", n=8, dt=1e-3, steps=1, K=K_text)
         jc, rates, _ = sim._model_plan(cfg)
         alpha = [parse_expr(t, cs.chart.vars) for t in self.section]
-        got = _on_section(jc, rates, alpha)
         want = contact_momentum_rhs(cs, one_form(cs.chart, tuple(alpha)), K)
-        for point in self.points(K_text):
-            for l in range(3):
-                w = eval_numeric(want.coeff((l,)), point)
-                assert abs(eval_numeric(got[l], point) - w) <= 1e-12 * (1 + abs(w))
+        assert _on_section(jc, rates, alpha) == [want.coeff((l,)) for l in range(3)]
 
     def test_divergence_is_minus_two_Kz(self, K_text):
         cs = self.cs
         K = parse_expr(K_text, cs.chart.vars)
-        div = divergence(contact_vector_field(cs, K), cs.vol)
-        kz = partial(K, cs.z)
-        for point in self.points(K_text):
-            assert abs(eval_numeric(div, point) + 2 * eval_numeric(kz, point)) <= 1e-12
+        assert divergence(contact_vector_field(cs, K), cs.vol) is \
+            canonicalize(partial(K, cs.z) * -2)
 
 
 class TestConvergenceHarnesses:

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from liftlab import verify
-from liftlab.expr import ZERO, Expr, Var, canon, canonicalize, partial, scope
+from liftlab.expr import ZERO, Expr, Var, canonicalize, partial, scope
 from liftlab.geometry import DifferentialForm, VectorField, jacobi_lie_bracket
 from liftlab.jets import (
     GeneralizedVectorField, prolong1, prolongation_bracket, vertical_representative,
@@ -103,8 +103,8 @@ def _plus_first_base_coordinate(pc, h):
 
 def _without_fiber_term(pc, pi):
     """The plasma density dPi^i/dq^i without its -dPi_i/dp_i term."""
-    return canon(sum((partial(pi.coeff((pc.m + i,)), pc.base_var(i)) for i in range(pc.m)),
-                     ZERO))
+    return canonicalize(sum((partial(pi.coeff((pc.m + i,)), pc.base_var(i)) for i in range(pc.m)),
+                            ZERO))
 
 
 def _times(c, f):
@@ -112,7 +112,7 @@ def _times(c, f):
     def faulty(*args):
         out = f(*args)
         if isinstance(out, Expr):
-            return canon(out * c)
+            return canonicalize(out * c)
         if isinstance(out, GeneralizedVectorField):
             return GeneralizedVectorField(out.jet_chart,
                                           tuple(x * c for x in out.base_components),
@@ -124,7 +124,7 @@ def _times(c, f):
 def _density_operator_with_2L(cs, L, K):
     """The printed density operator with 2L where it has 4L."""
     kz = partial(K, cs.z)
-    return canon(contact_vector_field(cs, L).apply(K) + (L * 2 + partial(L, cs.z)) * kz)
+    return canonicalize(contact_vector_field(cs, L).apply(K) + (L * 2 + partial(L, cs.z)) * kz)
 
 
 def _fiber_negated_lift(cc, X):
