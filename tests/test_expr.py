@@ -788,6 +788,7 @@ _Q = canonicalize(parse("(x+1)/(y^2+2)"))
 _N = canonicalize(parse("-x"))
 _H = canonicalize(Const(Fraction(1, 2)))
 _S = canonicalize(parse("x - y"))
+_T = canonicalize(parse("exp(sin(x))/(2 + cos(y)) + x*sin(x)"))
 
 
 def _mixed(name):
@@ -961,7 +962,7 @@ def test_mixed_canonical_trees_print_and_evaluate_as_pinned(name, text, compiled
     assert [eval_numeric(e, {X: u, Y: v}).hex() for u, v in zip(*_POINTS)] == evaluated
 
 
-@pytest.mark.parametrize("c", [_A, _P, _Q, _N, _H, _S], ids="APQNHS")
+@pytest.mark.parametrize("c", [_A, _P, _Q, _N, _H, _S, _T], ids="APQNHST")
 def test_canonical_node_survives_copy_and_pickle(c):
     assert copy.deepcopy(c) is c
     assert copy.copy(c) is c
