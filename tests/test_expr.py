@@ -225,9 +225,15 @@ class TestPartial:
     def test_undefined_input_raises_for_an_absent_variable(self):
         # the input is checked before the variable is looked for, also
         # where its derivative tree folds to 0, as for (1/(x-x))^0
-        for text in ("x/(x-x)", "sin(x)/0", "(1/(x-x))^0", "sin(x)/(x-x)"):
+        for text in ("x/(x-x)", "sin(x)/0", "(1/(x-x))^0"):
             with pytest.raises(SymbolicDivisionError):
                 partial(parse(text), Y)
+
+    def test_numeric_only_input_folds_as_a_tree(self):
+        # sin(x) is an atom of the ring, so canonicalize decides the
+        # rational denominator x - x is 0 before the variable is looked for
+        with pytest.raises(SymbolicDivisionError):
+            partial(parse("sin(x)/(x-x)"), Y)
 
     def test_numeric_only_quotient_by_identically_zero_raises(self):
         for text in ("sin(x)/(x-x)", "x + exp(y)/((x+1)^2 - x^2 - 2*x - 1)"):
