@@ -12,7 +12,8 @@ a guide for the perplexed*, CACM 1971): canonicalization takes it, its
 argument made canonical, as one more axis of the ring, an atom.  Atoms
 are independent, so unequal forms prove nothing once one is in them:
 sin(x)^2 + cos(x)^2 is not 1 here (Richardson, J. Symbolic Logic 33,
-1968), and ``expr_equal`` keeps to the rational fragment.
+1968), and ``expr_equal`` and ``is_zero_expr`` keep to the rational
+fragment.
 Canonicalization cancels common polynomial factors (x/x -> 1), which
 enlarges the domain by a measure-zero set, as computer algebra does.
 
@@ -93,7 +94,7 @@ class ExprError(Exception):
 
 
 class UnsupportedClassError(ExprError):
-    """``expr_equal``, which decides inequality, got a sin, cos or exp."""
+    """``expr_equal`` or ``is_zero_expr``, which decide inequality, got an atom."""
 
 
 class UnboundVariableError(ExprError):
@@ -537,10 +538,10 @@ def _reindex(rf: tuple[tuple[VarId, ...], Poly, Poly], axis_of: dict[VarId, int]
 
 _ratfunc_nodes = 0
 
-# The most terms a power or a product of sums may expand to.  No test and
-# no verify suite comes near it (at most 78 terms in a power, 582 in a
-# product); (1+x+y)^200 would have 20,301 terms, with coefficients of up
-# to 95 digits.
+# The most terms a power or a product of sums, or a derivative by the
+# chain rule, may expand to.  No test and no verify suite comes near it
+# (at most 78 terms in a power, 582 in a product); (1+x+y)^200 would have
+# 20,301 terms, with coefficients of up to 95 digits.
 MAX_POWER_TERMS = 10_000
 
 
@@ -773,19 +774,11 @@ def canonicalize(e: Expr) -> Expr:
     if c is not None:
         return c
     _canonicalize_computed += 1
-    if e._rat:
-        axes = tuple(sorted(e._fv, key=lambda v: (v.index, v.name)))
-    else:
-        axes = _axes(e)
-        if e._canon is not None:        # e is a call
-            return e._canon
-    axis_of = {v: i for i, v in enumerate(axes)}
-    nvars = len(axes)
-    num, den = _to_ratfunc(e, axis_of, nvars)
-    if den is None:
-        den = poly.const(1, nvars)
-    else:
-        num, den = _rf_normalize(num, den)
+    axes = _axes(e)
+    if e._canon is not None:            # e is a call
+        return e._canon
+    num, den = _to_ratfunc(e, {v: i for i, v in enumerate(axes)}, len(axes))
+    num, den = (num, poly.const(1, len(axes))) if den is None else _rf_normalize(num, den)
     c = _canonical_node(axes, num, den)
     _memo(e, "_canon", c)
     return c
@@ -878,6 +871,9 @@ def kernel_stats() -> dict[str, int]:
 
 
 def is_zero_expr(e: Expr) -> bool:
+    """Exact zero test on the rational fragment."""
+    if not is_rational(e):
+        raise UnsupportedClassError("symbolic zero test is defined only for rational expressions")
     return canonicalize(e) == ZERO
 
 
@@ -925,10 +921,13 @@ def partial(e: Expr, v: VarId) -> Expr:
             d = canonicalize(outer * partial(c.arg, v))
         elif c._rat:
             d = _axis_partial(c, axes.index(v))
-        else:   # the chain rule over the axes
-            d = canonicalize(Sum(tuple(
-                Prod((_axis_partial(c, i), ONE if a == v else partial(a, v)))
-                for i, a in enumerate(axes) if a == v or (type(a) is Call and v in a._fv))))
+        else:   # the chain rule over the axes, bounded as products are
+            terms = [(_axis_partial(c, i), ONE if a == v else partial(a, v))
+                     for i, a in enumerate(axes) if a == v or (type(a) is Call and v in a._fv)]
+            if sum(len(p._rf[1]) * (q is ONE or len(q._rf[1])) for p, q in terms) > MAX_POWER_TERMS:
+                raise ExprError("derivative by the chain rule is too large to expand: "
+                                f"it may have more than {MAX_POWER_TERMS} terms")
+            d = canonicalize(Sum(tuple(map(Prod, terms))))
         memo[v] = d
         if _TRAIL is not None:
             _TRAIL.append((memo, v, None))

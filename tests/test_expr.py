@@ -118,14 +118,35 @@ class TestNumericFold:
             canonicalize(parse("(sin(x)^0 - 1)^-1"))
 
 
+def _numeric_branches(children):
+    return st.one_of(
+        st.lists(children, min_size=2, max_size=4).map(lambda ts: Sum(tuple(ts))),
+        st.lists(children, min_size=2, max_size=3).map(lambda fs: Prod(tuple(fs))),
+        st.tuples(st.sampled_from(["sin", "cos"]), children).map(lambda t: Call(*t)),
+        st.tuples(children, children).map(lambda t: Quot(*t)),
+        st.tuples(children, st.integers(-2, 3)).map(lambda t: Pow(*t)),
+    )
+
+
+# trig trees with quotients and negative powers of any subtree, so with
+# denominators in the variables, which TRIG_RATIONAL keeps out
+NUMERIC_TREES = st.recursive(LEAVES, _numeric_branches, max_leaves=12)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(TRIG_RATIONAL)
+@given(st.one_of(TRIG_RATIONAL, NUMERIC_TREES))
 def test_canonical_form_keeps_the_value_of_trig_trees(e):
-    c = canonicalize(e)
+    try:
+        c = canonicalize(e)
+    except SymbolicDivisionError:
+        return
     assert canonicalize(c) is c
     assert canonicalize(e - e) is ZERO
     for x, y in [(0.7316, -1.2043), (-0.4129, 0.3391), (1.8874, 1.0537), (-1.5562, -0.0815)]:
-        want = eval_numeric(e, {X: x, Y: y})
+        try:
+            want = eval_numeric(e, {X: x, Y: y})
+        except EvaluationDomainError:
+            continue
         assert math.isclose(eval_numeric(c, {X: x, Y: y}), want, rel_tol=1e-12, abs_tol=1e-12)
 
 
@@ -154,6 +175,18 @@ def test_atom_order_is_the_same_under_any_hash_seed():
     assert outs[0].stdout.count("(") > 10
 
 
+def test_atoms_that_agree_in_their_cut_text_are_refused(monkeypatch):
+    # atoms are ordered by their first ATOM_TEXT characters, then their
+    # variables; two that agree in both cannot be ordered
+    u = VarId("atom_text_u", 0)
+    arg = canonicalize(Var(u) ** 5 + Var(u) ** 4 + Var(u) ** 3 + Var(u) ** 2 + Var(u))
+    monkeypatch.setattr(expr, "ATOM_TEXT", 20)
+    with expr.scope():
+        assert str(canonicalize(Call("sin", arg) - Call("cos", arg))).startswith("-cos(")
+        with pytest.raises(ExprError, match="agree in their first 20 characters"):
+            canonicalize(Call("sin", arg) + Call("sin", arg + 1))
+
+
 class TestExprEqual:
     def test_square_expansion(self):
         assert expr_equal(parse("(x+1)^2"), parse("x^2+2*x+1"))
@@ -164,6 +197,11 @@ class TestExprEqual:
     def test_numeric_only_rejected(self):
         with pytest.raises(UnsupportedClassError):
             expr_equal(parse("sin(x)"), parse("sin(x)"))
+
+    def test_zero_test_rejects_atoms(self):
+        # sin(x)^2 + cos(x)^2 - 1 is zero, but its atoms are independent
+        with pytest.raises(UnsupportedClassError):
+            is_zero_expr(parse("sin(x)^2 + cos(x)^2 - 1"))
 
     def test_randomized_against_exact_evaluation(self, rng):
         # oracle: equality decision must agree with exact evaluation at
@@ -779,9 +817,11 @@ def test_shared_chain_is_walked_once_per_distinct_node():
             tenth_dv = dv
     assert canonicalize(canonicalize(e)) is canonicalize(e)
     assert eval_numeric(e, {X: 0.3}) == v
-    # the expanded derivative has 2^k terms at level k, so partial is
-    # checked at the tenth
+    # the expanded derivative has 2^k terms at level k: partial is checked
+    # at the tenth, and refuses the sixtieth as too large to expand
     assert math.isclose(eval_numeric(partial(tenth, X), {X: 0.3}), tenth_dv, rel_tol=1e-12)
+    with pytest.raises(ExprError, match="chain rule is too large to expand"):
+        partial(e, X)
     assert substitute(substitute(e, {X: Var(Y)}), {Y: Var(X)}) is canonicalize(e)
 
 
