@@ -544,14 +544,25 @@ _ratfunc_nodes = 0
 # 20,301 terms, with coefficients of up to 95 digits.
 MAX_POWER_TERMS = 10_000
 
+# The most bits the coefficients of a power may reach, estimated as the
+# exponent times the bit length of the base's largest coefficient; a base
+# whose coefficients are all 1 or -1 is not bounded.  2^20000 (40,000
+# bits) and 10^5000 (20,000) pass; 2^3000000000 would need several GB.
+MAX_POWER_BITS = 2 ** 20
+
 
 def _power(p: Poly, n: int) -> Poly:
     """p**n, refused when it may pass MAX_POWER_TERMS: the power n of a
-    polynomial of t terms has at most C(n + t - 1, t - 1) terms."""
+    polynomial of t terms has at most C(n + t - 1, t - 1) terms; or when
+    its coefficients may pass MAX_POWER_BITS."""
     t = len(p)
     if t > 1 and (n >= MAX_POWER_TERMS or math.comb(n + t - 1, t - 1) > MAX_POWER_TERMS):
         raise ExprError(f"power {n} of a sum of {t} terms is too large to expand: "
                         f"it may have more than {MAX_POWER_TERMS} terms")
+    bits = max((abs(c).bit_length() for c in p.values()), default=0)
+    if bits > 1 and n * bits > MAX_POWER_BITS:
+        raise ExprError(f"power {n} of a coefficient of {bits} bits is too large: "
+                        f"it may have more than {MAX_POWER_BITS} bits")
     return poly.power(p, n)
 
 

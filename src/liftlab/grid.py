@@ -11,12 +11,11 @@ reproducible.
 ``compile_numeric`` evaluates expressions over fixed arrays, such as the
 grid's coordinate lines, in one forward pass over their distinct nodes
 in ``expr.post_order``, with no recursion.  ``stencil_calls`` lists the
-calls of one stencil on views of its arrays, and ``spatial_derivative``
-runs them.  A ``LinearPlan`` evaluates rates that are sums of
-coefficients times state components or their stencils, with its calls
-bound once per pair of state and rate arrays to views of them and of the
-two buffers it owns.  ``spatial_derivative`` and ``rk4_step`` write into
-buffers their caller passes, and ``march`` steps a state with RK4 in
+calls of one stencil on views of its arrays.  A ``LinearPlan`` evaluates
+rates that are sums of coefficients times state components or their
+stencils, with its calls bound once per pair of state and rate arrays to
+views of them and of the two buffers it owns.  ``rk4_step`` writes into
+buffers its caller passes, and ``march`` steps a state with RK4 in
 buffers it allocates once, so a method-of-lines step allocates no
 whole-grid array and builds no view.
 """
@@ -38,10 +37,8 @@ from .expr import (
 )
 
 __all__ = [
-    "Grid", "GridError", "AperiodicDataError",
-    "NumericalAbortError", "compile_numeric", "discretize",
-    "spatial_derivative", "stencil_calls", "LinearPlan", "quadrature", "rk4_step",
-    "march",
+    "Grid", "GridError", "AperiodicDataError", "NumericalAbortError", "compile_numeric",
+    "discretize", "stencil_calls", "LinearPlan", "quadrature", "rk4_step", "march",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -221,64 +218,45 @@ def discretize(e: Expr, grid: Grid, var_axes: Mapping[VarId, int],
     return np.broadcast_to(compile_numeric(e, fixed), grid.shape).copy()
 
 
-def _copy(src, out) -> None:
-    np.copyto(out, src)
-
-
 def stencil_calls(u: np.ndarray, axis: int, h: float,
                   out: tuple[np.ndarray, np.ndarray]) -> list[tuple]:
-    """The calls ``fn(*operands, out=out)`` of ``spatial_derivative``, as
-    ``(fn, operands, out)`` on views of ``u`` and ``out``."""
+    """The 4th-order periodic central difference along ``axis`` of ``u``,
+    into ``out[0]``, as calls ``(fn, (*operands, out))`` on views of ``u``
+    and ``out``, run in order as ``fn(*args)``.
+
+    ``u`` is C-contiguous, as each component of a component-major state
+    is.  ``out`` is two C-contiguous float arrays of its size: the
+    derivative d1 and a scratch d2 for the wide difference.  Each of
+    u_{j+1} - u_{j-1} and u_{j+2} - u_{j-2} is one subtraction of two flat
+    shifts of ``u``, by one and two planes along ``axis``.  The planes a
+    flat shift gets wrong where the stencil wraps (0 and n-1, and also 1
+    and n-2 for the wide difference) are then recomputed from their
+    periodic neighbours.  Needs at least 4 points along ``axis``.  Grouped
+    as differences so constant fields differentiate to exact zero, and
+    bitwise equal to the same formula on ``np.roll`` shifts.
+    """
     n = u.shape[axis]
     if n < 4:
         raise GridError(f"a derivative needs at least 4 points along its axis, got {n}")
-    if not all(b.flags.c_contiguous and b.size == u.size for b in out):
-        raise GridError("a derivative needs two C-contiguous out arrays of its input's size")
-    calls = []
-    if not u.flags.c_contiguous:
-        copy = np.empty(u.shape, u.dtype)
-        calls.append((_copy, (u,), copy))
-        u = copy
+    if not all(b.flags.c_contiguous and b.size == u.size for b in (u, *out)):
+        raise GridError("a derivative needs a C-contiguous input and out arrays of its size")
     f = u.reshape(-1)
     N, s = f.size, math.prod(u.shape[axis + 1:])
     d1, d2 = (b.reshape(-1) for b in out)
     # as (lines before, axis, points after), the wrapped planes are [:, j]
     g, w1, w2 = f.reshape(-1, n, s), d1.reshape(-1, n, s), d2.reshape(-1, n, s)
-    return calls + [
-        (np.subtract, (f[2 * s:], f[:N - 2 * s]), d1[s:N - s]),
-        (np.subtract, (f[4 * s:], f[:N - 4 * s]), d2[2 * s:N - 2 * s]),
-        (np.subtract, (g[:, 1], g[:, n - 1]), w1[:, 0]),
-        (np.subtract, (g[:, 0], g[:, n - 2]), w1[:, n - 1]),
-        (np.subtract, (g[:, 2:4], g[:, n - 2:]), w2[:, :2]),
-        (np.subtract, (g[:, :2], g[:, n - 4:n - 2]), w2[:, n - 2:]),
+    return [
+        (np.subtract, (f[2 * s:], f[:N - 2 * s], d1[s:N - s])),
+        (np.subtract, (f[4 * s:], f[:N - 4 * s], d2[2 * s:N - 2 * s])),
+        (np.subtract, (g[:, 1], g[:, n - 1], w1[:, 0])),
+        (np.subtract, (g[:, 0], g[:, n - 2], w1[:, n - 1])),
+        (np.subtract, (g[:, 2:4], g[:, n - 2:], w2[:, :2])),
+        (np.subtract, (g[:, :2], g[:, n - 4:n - 2], w2[:, n - 2:])),
         # (8 d1 - d2) / (12 h), in place in d1
-        (np.multiply, (d1, 8.0), d1),
-        (np.subtract, (d1, d2), d1),
-        (np.true_divide, (d1, 12.0 * h), d1),
+        (np.multiply, (d1, 8.0, d1)),
+        (np.subtract, (d1, d2, d1)),
+        (np.true_divide, (d1, 12.0 * h, d1)),
     ]
-
-
-def spatial_derivative(u: np.ndarray, axis: int, h: float, *,
-                       out: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """4th-order periodic central difference along ``axis``, written into
-    ``out[0]`` and returned: the calls of ``stencil_calls``, run once.
-
-    ``out`` is a pair of C-contiguous float arrays of ``u``'s size: the
-    derivative d1, and a scratch array d2 for the wide difference.  The
-    neighbour differences u_{j+1} - u_{j-1} and u_{j+2} - u_{j-2} are each
-    one subtraction of two shifts of the flattened C-ordered ``u``, by one
-    and two planes along ``axis``.  A flat shift crosses into the next
-    line where the stencil wraps, so the planes it gets wrong (0 and n-1,
-    and also 1 and n-2 for the wide difference) are then recomputed from
-    their periodic neighbours.  A contiguous ``u``, such as a component of
-    a component-major state, is read without a copy; any other is copied
-    first, by the first call.  Needs at least 4 points along ``axis``.
-    Grouped as differences so constant fields differentiate to exact zero,
-    and bitwise equal to the same formula on ``np.roll`` shifts.
-    """
-    for fn, operands, dest in stencil_calls(u, axis, h, out):
-        fn(*operands, out=dest)
-    return out[0]
 
 
 class LinearPlan:
@@ -320,8 +298,7 @@ class LinearPlan:
             for i, (j, a, c) in enumerate(row):
                 s = state[j]
                 if a is not None:
-                    calls += [(fn, (*operands, o)) for fn, operands, o
-                              in stencil_calls(s, a, self.h, (self.slot, self.scratch))]
+                    calls += stencil_calls(s, a, self.h, (self.slot, self.scratch))
                     s = self.slot
                 if i == 0:
                     calls.append((np.multiply, (c, s, dest)))

@@ -21,6 +21,7 @@ stack.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Sequence
 
@@ -138,7 +139,16 @@ class _Parser:
         if not m:
             raise ParseError("expected an integer exponent", self.pos)
         self.pos = m.end()
-        return int(self.text[start:self.pos])
+        return self.integer(start)
+
+    def integer(self, start: int) -> int:
+        """The integer literal from ``start`` to ``pos``; one with more
+        digits than Python converts raises ParseError at its start."""
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:
+            raise ParseError(f"an integer literal of more than {sys.get_int_max_str_digits()} "
+                             "digits", start) from None
 
     def base(self) -> Expr:
         ch = self.peek()
@@ -175,7 +185,7 @@ class _Parser:
         if not m:
             raise ParseError("expected an integer", self.pos)
         self.pos = m.end()
-        num = int(m.group(0))
+        num = self.integer(m.start())
         # a '/' directly after an integer binds as part of the rational
         # literal only when followed by another integer; term-level division
         # of integer by integer is the same value either way.
@@ -183,13 +193,12 @@ class _Parser:
         if self.peek() == "/":
             self.pos += 1
             m2 = _INT_RE.match(self.text, self.pos)
-            if m2 and int(m2.group(0)) > 0:
+            if m2:
                 self.pos = m2.end()
+                den = self.integer(m2.start())
                 # '^' binds tighter than '/', so 1/2^3 reads 1 here and leaves /2^3 to the term
-                if self.peek() == "^":
-                    self.pos = save
-                    return Const(Fraction(num))
-                return Const(Fraction(num, int(m2.group(0))))
+                if den > 0 and self.peek() != "^":
+                    return Const(Fraction(num, den))
             self.pos = save
         return Const(Fraction(num))
 

@@ -674,6 +674,13 @@ HOSTILE = {
                              "--init", "2+sin(x)"),
     "phi-singular-on-a-node": (*_SIM, "--model", "vlasov-density", "--phi", "1/sin(q)",
                                "--init", "2+sin(q)"),
+    # past Python's 4300-digit bound on converting a string to an int
+    "long-integer-literal": ("lift", "--field", "1" * 5000 + ",y", "--vars", "x,y"),
+    "long-integer-exponent": ("lift", "--field", "x^" + "1" * 5000 + ",y", "--vars", "x,y"),
+    "long-integer-denominator": ("lift", "--field", "x/" + "1" * 5000 + ",y",
+                                 "--vars", "x,y"),
+    # 2^3000000000 would have 3e9 bits
+    "power-of-a-constant": ("lift", "--field", "2^3000000000*x,y", "--vars", "x,y"),
 }
 
 
@@ -686,7 +693,9 @@ HOSTILE_CODE = {"overflowing-exp-in-K": 2, "blow-up": 3, "slow-blow-up": 3,
                 "unparsable-init": 2, "zero-cadence": 2, "sim-without-model": 2,
                 "contact-alpha-of-two": 2, "pro-extra-base-component": 2,
                 "overflowing-fold-in-init": 2, "K-singular-on-a-node": 2,
-                "phi-singular-on-a-node": 2, "power-of-a-sum-of-atoms": 2}
+                "phi-singular-on-a-node": 2, "power-of-a-sum-of-atoms": 2,
+                "long-integer-literal": 2, "long-integer-exponent": 2,
+                "long-integer-denominator": 2, "power-of-a-constant": 2}
 
 # the cause that the error line of a pinned row names
 HOSTILE_MESSAGE = {
@@ -701,6 +710,10 @@ HOSTILE_MESSAGE = {
     "K-singular-on-a-node": "division by a value with magnitude < 1e-300",
     "phi-singular-on-a-node": "division by a value with magnitude < 1e-300",
     "power-of-a-sum-of-atoms": "power 200 of a sum of 3 terms is too large to expand",
+    "long-integer-literal": "an integer literal of more than 4300 digits (at byte offset 0)",
+    "long-integer-exponent": "an integer literal of more than 4300 digits (at byte offset 2)",
+    "long-integer-denominator": "an integer literal of more than 4300 digits (at byte offset 2)",
+    "power-of-a-constant": "power 3000000000 of a coefficient of 2 bits is too large",
 }
 
 
@@ -752,6 +765,13 @@ def test_bad_plasma_parameter_names_itself(tmp_path, capsys, name, named):
     assert _run_hostile(tmp_path, name) == 2
     assert time.perf_counter() - start < 1.0
     assert f"error: bad rational parameter {named}" in capsys.readouterr().err
+
+
+def test_power_of_a_constant_is_refused_before_it_is_computed(tmp_path, capsys):
+    start = time.perf_counter()
+    assert _run_hostile(tmp_path, "power-of-a-constant") == 2
+    assert time.perf_counter() - start < 1.0
+    assert "it may have more than 1048576 bits" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

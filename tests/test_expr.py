@@ -340,6 +340,22 @@ def test_power_of_a_sum_past_the_bound_is_an_expression_error(monkeypatch, text)
         canonicalize(parse(text))
 
 
+@pytest.mark.parametrize("text, refused", [
+    ("2^10*x*y^7", False), ("(x*y^7)^100", False), ("(-x*y^7)^101", False),
+    ("2^11*x*y^7", True), ("(1/3)^11*x*y^7", True), ("3^-11*y^7", True),
+    ("(2*x*y^7 + 1)^11", True)])
+def test_power_of_a_coefficient_is_bounded_by_its_bits(monkeypatch, text, refused):
+    # the bound is on n times the bit length of the largest coefficient,
+    # numerator or denominator, past 1; the texts are met nowhere else, so
+    # no form canonicalized under the default bound is cached
+    monkeypatch.setattr(expr, "MAX_POWER_BITS", 20)
+    if refused:
+        with pytest.raises(ExprError, match="of a coefficient of 2 bits is too large"):
+            canonicalize(parse(text))
+    else:
+        canonicalize(parse(text))
+
+
 # ---------------------------------------------------------------------------
 # randomized structural invariants
 

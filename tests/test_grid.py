@@ -16,7 +16,7 @@ from liftlab.expr import (
 from liftlab.grid import (
     AperiodicDataError, Grid, GridError, LinearPlan, NumericalAbortError,
     check_periodic, compile_numeric, discretize, march, quadrature, rk4_step,
-    spatial_derivative, stencil_calls,
+    stencil_calls,
 )
 from liftlab.parser import parse_expr
 
@@ -24,8 +24,11 @@ X, Y, Z = (VarId(n, i) for i, n in enumerate("xyz"))
 
 
 def deriv(u, axis, h):
-    """``spatial_derivative`` into fresh buffers."""
-    return spatial_derivative(u, axis, h, out=(np.empty(u.shape), np.empty(u.shape)))
+    """The calls of ``stencil_calls`` run into fresh buffers: the derivative."""
+    out = (np.empty(u.shape), np.empty(u.shape))
+    for fn, args in stencil_calls(u, axis, h, out):
+        fn(*args)
+    return out[0]
 
 
 def step(state, rate, dt, step_index=0):
@@ -106,7 +109,8 @@ class TestSpatialDerivative:
     @pytest.mark.parametrize("n", [8, 32, 64])
     def test_matches_roll_formula_bitwise(self, n):
         # contiguous components of component-major states in 3-D and 2-D
-        # (Vlasov), as the models pass them, and strided component views
+        # (Vlasov), as the models pass them; strided component views are
+        # refused
         rng = np.random.default_rng(n)
         major3 = rng.standard_normal((3,) + Grid(3, n).shape)
         major2 = rng.standard_normal((2,) + Grid(2, n).shape)
@@ -114,12 +118,16 @@ class TestSpatialDerivative:
         comps = [*major3, *major2, *(last3[..., l] for l in range(3))]
         assert [u.flags.c_contiguous for u in comps] == [True] * 5 + [False] * 3
         h = 2 * math.pi / n
-        for u in comps:
+        for u in comps[:5]:
             for axis in range(u.ndim):
                 d1 = np.roll(u, -1, axis=axis) - np.roll(u, 1, axis=axis)
                 d2 = np.roll(u, -2, axis=axis) - np.roll(u, 2, axis=axis)
                 want = (8.0 * d1 - d2) / (12.0 * h)
                 assert np.array_equal(deriv(u, axis, h), want)
+        for u in comps[5:]:
+            for axis in range(u.ndim):
+                with pytest.raises(GridError, match="C-contiguous"):
+                    deriv(u, axis, h)
 
     def test_needs_four_points_along_the_axis(self):
         # the flat shifts by two planes wrap correctly from 4 points on
@@ -134,11 +142,12 @@ class TestSpatialDerivative:
     def test_writes_into_the_first_out_array(self):
         u = np.random.default_rng(1).standard_normal((8, 8))
         out = (np.empty((8, 8)), np.empty(64))
-        assert spatial_derivative(u, 0, 0.5, out=out) is out[0]
+        for fn, args in stencil_calls(u, 0, 0.5, out):
+            fn(*args)
         assert np.array_equal(out[0], deriv(u, 0, 0.5))
         for bad in ((np.empty((8, 16))[:, ::2], out[1]), (out[0], np.empty(63))):
             with pytest.raises(GridError, match="C-contiguous"):
-                spatial_derivative(u, 0, 0.5, out=bad)
+                stencil_calls(u, 0, 0.5, bad)
 
 
 class TestQuadrature:

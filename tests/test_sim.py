@@ -36,6 +36,7 @@ from liftlab.sim import (
     discrete_intertwining_error, initial_state, load_config, run_simulation,
     spatial_operator_order, temporal_order,
 )
+from test_grid import deriv
 
 L0 = "2 + sin(x)*sin(y)*sin(z)"
 
@@ -316,12 +317,13 @@ def writer_sim_argv(tmp_path, out):
 
 
 # sha256 prefixes of traj.csv and diag.csv of each MODEL_CFGS model run for 4
-# steps at cadence 1, as written by the forked writer of the commit before
-# snapshots were formatted in numpy.  The contact-density and vlasov-momentum
-# traj.csv digests were rewritten when the plan became a sum of coefficient
-# products, which changed some of their values in the last place; the new
-# ones are those of ``reference_snapshot`` on the same states.
-FORKED_WRITER_DIGESTS = {
+# steps at cadence 1, pinned from an earlier writer that formatted each value
+# with repr, so the numpy formatter is held to its bytes.  The
+# contact-density and vlasov-momentum traj.csv digests were rewritten when
+# the plan became a sum of coefficient products, which changed some of their
+# values in the last place; the new ones are those of ``reference_snapshot``
+# on the same states.
+TRAJECTORY_DIGESTS = {
     "contact-momentum": ("385b3692d4d8e14a", "2c56feeb13b901b8"),
     "contact-density": ("9bee82f9e1cfdb78", "b73626904c08d99e"),
     "vlasov-momentum": ("9b2833564a4006c6", "58d964c10cccbf0f"),
@@ -329,19 +331,19 @@ FORKED_WRITER_DIGESTS = {
 }
 
 
-class TestForkedWriter:
-    """The in-process writer that replaced the forked one: the same bytes,
-    and the same exit codes and error lines when a write fails."""
+class TestSnapshotWriter:
+    """The in-process snapshot writer: the pinned bytes, and the pinned exit
+    codes and error lines when a write fails."""
 
     @pytest.mark.parametrize("name", list(MODEL_CFGS))
-    def test_writes_the_bytes_of_the_forked_writer(self, tmp_path, name):
+    def test_writes_the_pinned_bytes(self, tmp_path, name):
         # at cadence 1 every step is a snapshot
         cfg = dataclasses.replace(MODEL_CFGS[name], steps=4, cadence=1,
                                   out=str(tmp_path / "t.csv"), diag=str(tmp_path / "d.csv"))
         run_simulation(cfg)
         digests = tuple(hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
                         for path in (cfg.out, cfg.diag))
-        assert digests == FORKED_WRITER_DIGESTS[name]
+        assert digests == TRAJECTORY_DIGESTS[name]
         counters = json.loads(Path(cfg.out + ".manifest.json").read_text())["counters"]
         assert counters["traj_bytes"] == os.path.getsize(cfg.out)
 
@@ -447,11 +449,10 @@ class TestBufferedStep:
 
 def stencils_then_plan(plan, state):
     """The plan's terms by a second binding: every stencil into fresh
-    arrays by ``grid.spatial_derivative``, then each rate as the sum of its
-    terms, in their order, in numpy on fresh arrays."""
+    arrays by ``deriv``, then each rate as the sum of its terms, in their
+    order, in numpy on fresh arrays."""
     g = Grid(state.ndim - 1, state.shape[1])
-    jets = {(l, a): grid.spatial_derivative(state[l], a, g.h,
-                                            out=(np.empty(g.shape), np.empty(g.shape)))
+    jets = {(l, a): deriv(state[l], a, g.h)
             for l, a in itertools.product(range(len(state)), range(g.dim))}
     out = []
     for row in plan.terms:
@@ -466,13 +467,12 @@ def stencils_then_plan(plan, state):
 def folded_rates(jc, g, rate_exprs, state):
     """The rates by a second route: each rate tree evaluated with every
     variable fixed, the coordinates to the grid's lines, each fiber
-    variable to ``state[l]`` and each jet variable to its
-    ``grid.spatial_derivative``."""
+    variable to ``state[l]`` and each jet variable to its stencil by
+    ``deriv``."""
     fixed = {v: g.axis_line(a) for a, v in enumerate(jc.base)}
     fixed.update(zip(jc.fiber, state))
     for l, a in itertools.product(range(jc.k), range(jc.m)):
-        fixed[jc.jet(l, a)] = grid.spatial_derivative(state[l], a, g.h,
-                                                      out=(np.empty(g.shape), np.empty(g.shape)))
+        fixed[jc.jet(l, a)] = deriv(state[l], a, g.h)
     return np.stack([np.broadcast_to(v, g.shape) for v in grid.compile_numeric(rate_exprs, fixed)])
 
 
@@ -924,10 +924,11 @@ class TestPlansAreKineticsFormulasOnJets:
 
 
 @pytest.mark.parametrize("K_text", ["cos(x)*sin(y) + z", "sin(x)*z + y"])
-class TestContactMomentumPlanNumericOnlyK:
-    """With a numeric-only K the plan read at a numeric-only section is
-    the coadjoint formula exactly: both are canonical forms, with the calls
-    as atoms, and the divergence of X_K is exactly -2 K_z."""
+class TestContactMomentumPlanTranscendentalK:
+    """With a K that calls sin, cos or exp, the plan read at a section that
+    calls them too is the coadjoint formula exactly: both are canonical
+    forms, with the calls as atoms, and the divergence of X_K is exactly
+    -2 K_z."""
 
     cs = ContactStructure.standard()
     section = ("sin(x)*cos(z) + y", "cos(x + y)*z", "exp(sin(y)) - x*z")
