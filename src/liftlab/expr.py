@@ -55,12 +55,13 @@ counts the nodes this pass visits.  It recurses, one frame per tree level
 above the nearest canonical node, an atom among them, and the parser
 bounds the depth.
 
-Every other walk (substitution, numeric evaluation, display and
-``grid.compile_numeric``, which evaluates expressions over fixed arrays)
-is a rule that builds a node's result from its children's, run by one
-loop over ``post_order``: an explicit stack, so no recursion, over
-distinct nodes, so a shared subtree is walked once.  No walk iterates a
-set of nodes, so no output depends on their hashes.
+Every other walk (substitution, numeric evaluation, display, the
+periodicity decision ``is_periodic`` and ``grid.compile_numeric``, which
+evaluates expressions over fixed arrays) is a rule that builds a node's
+result from its children's, run by one loop over ``post_order``: an
+explicit stack, so no recursion, over distinct nodes, so a shared subtree
+is walked once.  No walk iterates a set of nodes, so no output depends on
+their hashes.
 
 Everything here is immutable and safe to share across threads, except
 ``scope``, which is single-threaded.
@@ -83,7 +84,7 @@ __all__ = [
     "EvaluationDomainError", "SymbolicDivisionError",
     "is_rational", "free_vars", "children", "post_order",
     "canonicalize", "partial", "substitute", "expr_equal",
-    "eval_numeric", "is_zero_expr", "kernel_stats", "ZERO", "ONE",
+    "eval_numeric", "is_zero_expr", "is_periodic", "kernel_stats", "ZERO", "ONE",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp")
@@ -972,6 +973,35 @@ def _poly_diff(p: Poly, axis: int) -> Poly:
         if n:
             out[m[:axis] + (n - 1,) + m[axis + 1:]] = k * n
     return out
+
+
+def is_periodic(e: Expr, v: VarId) -> bool:
+    """True when ``e`` is decided 2pi-periodic in ``v``: ``v`` occurs in
+    its tree only under sin or cos of an argument whose ``partial`` along
+    ``v`` is an integer constant, or under calls, exp among them, of an
+    argument decided periodic in ``v``.  The rule reads the tree, never its
+    canonical form, so nothing is expanded.  It is sound, not complete, as
+    no test can be once sin and exp are in the language (Richardson 1968):
+    sin(x/2)^2 is refused, and so is a call whose ``partial`` raises.
+    """
+    return _walk(e, _periodic_node, v)
+
+
+def _periodic_node(e: Expr, _kids: tuple[Expr, ...], periodic: list[bool],
+                   v: VarId) -> bool:
+    if v not in e._fv:
+        return True
+    if type(e) is not Call:
+        return type(e) is not Var and all(periodic)
+    if periodic[0]:
+        return True
+    if e.func == "exp":
+        return False
+    try:
+        d = partial(e.arg, v)
+    except ExprError:
+        return False
+    return type(d) is Const     # a canonical constant with a denominator is a quotient
 
 
 def substitute(e: Expr, bindings: Mapping[VarId, Expr]) -> Expr:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .expr import (
     Const, EvaluationDomainError, Expr, ExprError, Pow, Prod, Quot, Sum, Var,
-    VarId, post_order,
+    VarId, is_periodic, post_order,
 )
 
 __all__ = [
@@ -49,7 +49,8 @@ class GridError(ExprError):
 
 
 class AperiodicDataError(GridError):
-    """Initial data does not evaluate 2pi-periodically along a grid axis."""
+    """Data is not decided 2pi-periodic (``expr.is_periodic``) in the
+    coordinate of a grid axis; the message names the coordinate."""
 
 
 class NumericalAbortError(GridError):
@@ -163,42 +164,6 @@ def compile_numeric(e: Expr | Sequence[Expr], fixed: Mapping[VarId, np.ndarray])
     return done[e] if single else [done[r] for r in roots]
 
 
-_PROBE_FRACTIONS = (0.0, 0.17, 0.391, 0.553, 0.742, 0.918)
-PERIODIC_TOL = 1e-9
-
-
-def check_periodic(e: Expr, grid: Grid, var_axes: Mapping[VarId, int],
-                   axes: Sequence[int] | None = None) -> bool:
-    """True when e evaluates 2pi-periodically along each of ``axes``.
-
-    ``axes`` defaults to every grid axis.  ``var_axes`` maps each variable
-    to its grid axis.  e is evaluated on a cartesian set of probe points,
-    as lines of the probe fractions along each axis, then again with the
-    points of one axis shifted by 2pi; a shifted set on which e cannot be
-    evaluated is not periodic.
-    """
-    line = np.array(_PROBE_FRACTIONS) * TWO_PI
-
-    def probe(shift_axis: int | None):
-        fixed = {}
-        for v, a in var_axes.items():
-            shape = [1] * grid.dim
-            shape[a] = -1
-            fixed[v] = (line + TWO_PI if a == shift_axis else line).reshape(shape)
-        return compile_numeric(e, fixed)
-
-    ref = probe(None)
-    scale = 1.0 + float(np.max(np.abs(ref)))
-    for axis in range(grid.dim) if axes is None else axes:
-        try:
-            value = probe(axis)
-        except EvaluationDomainError:
-            return False
-        if np.max(np.abs(value - ref)) > PERIODIC_TOL * scale:
-            return False
-    return True
-
-
 def discretize(e: Expr, grid: Grid, var_axes: Mapping[VarId, int],
                allow_aperiodic: bool = False) -> np.ndarray:
     """Pointwise samples of e on the grid nodes, as an array of grid shape.
@@ -208,12 +173,14 @@ def discretize(e: Expr, grid: Grid, var_axes: Mapping[VarId, int],
     (``compile_numeric``), on as many points as its variables span, in
     the order the expression gives.
 
-    Rejects data that does not evaluate periodically unless explicitly
-    overridden; silent Gibbs artifacts are worse than friction.
+    Refuses data that is not decided 2pi-periodic (``expr.is_periodic``)
+    in every variable of ``var_axes`` unless explicitly overridden; silent
+    Gibbs artifacts are worse than friction.
     """
-    if not allow_aperiodic and not check_periodic(e, grid, var_axes):
-        raise AperiodicDataError(
-            "non-periodic data on a periodic grid (pass allow_aperiodic to override)")
+    for v in var_axes:
+        if not (allow_aperiodic or is_periodic(e, v)):
+            raise AperiodicDataError("non-periodic data on a periodic grid: not decided "
+                                     f"2pi-periodic in {v} (pass allow_aperiodic to override)")
     fixed = {v: grid.axis_line(axis) for v, axis in var_axes.items()}
     return np.broadcast_to(compile_numeric(e, fixed), grid.shape).copy()
 

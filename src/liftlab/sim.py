@@ -66,11 +66,12 @@ import numpy as np
 
 from . import __version__
 from .expr import (
-    ONE, ZERO, Expr, ExprError, Quot, Var, VarId, free_vars, partial, substitute,
+    ONE, ZERO, Expr, ExprError, Quot, Var, VarId, free_vars, is_periodic, partial,
+    substitute,
 )
 from .grid import (
-    TWO_PI, Grid, LinearPlan, NumericalAbortError, check_periodic,
-    compile_numeric, discretize, march, quadrature,
+    TWO_PI, Grid, LinearPlan, NumericalAbortError, compile_numeric, discretize,
+    march, quadrature,
 )
 from .geometry import Chart, DifferentialForm, one_form
 from .jets import JetChart, total_derivative
@@ -778,10 +779,11 @@ def determined_nodes(K_text: str, n: int, dt: float, steps: int,
                      cadence: int) -> list[np.ndarray]:
     """Masks of the nodes that the torus initial data determine.
 
-    The contact problem has a seam at 0 = 2pi along x, because the Darboux
-    coefficient x enters the density map and both plans, and along every
-    other axis in which a component of X_K is not 2pi-periodic (z for
-    K = z, where X_K = (-x, 0, -z)).  A node that traces back to a seam
+    The contact problem has a seam at 0 = 2pi along each axis in whose
+    coordinate a coefficient of sigma = x dy + dz or a component of X_K is
+    not decided 2pi-periodic (``expr.is_periodic``): along x for sigma's x,
+    which enters the density map and both plans, and also along z for
+    K = z, where X_K = (-x, 0, -z).  A node that traces back to a seam
     takes its value from the jump there, not from the initial data, so no
     torus scheme is bound to agree with another on it.  A node counts as
     determined at time t when its backward characteristic under X_K over
@@ -794,10 +796,10 @@ def determined_nodes(K_text: str, n: int, dt: float, steps: int,
     cs = ContactStructure.standard()
     K = parse_expr(K_text, cs.chart.vars)
     grid = Grid(3, n)
-    var_axes = {v: i for i, v in enumerate(cs.chart.vars)}
     X = contact_vector_field(cs, K).components
-    seams = [a for a in range(3) if a == 0 or not all(
-        check_periodic(c, grid, var_axes, axes=(a,)) for c in X)]
+    coeffs = (*cs.sigma.terms.values(), *X)
+    seams = [a for a, v in enumerate(cs.chart.vars)
+             if not all(is_periodic(c, v) for c in coeffs)]
 
     def backward(p: np.ndarray, out: np.ndarray) -> None:
         for o, value in zip(out, compile_numeric(X, dict(zip(cs.chart.vars, p)))):
@@ -832,9 +834,9 @@ def discrete_intertwining_error(K_text: str, alpha_init: Sequence[str],
     """
     cs = ContactStructure.standard()
     cfg_m = SimConfig(model="contact-momentum", n=n, dt=dt, steps=steps,
-                      K=K_text, init=tuple(alpha_init), allow_aperiodic=True)
+                      K=K_text, init=tuple(alpha_init))
     cfg_d = SimConfig(model="contact-density", n=n, dt=dt, steps=steps,
-                      K=K_text, init=(density_init,), allow_aperiodic=True)
+                      K=K_text, init=(density_init,))
     mom = build_model(cfg_m)
     den = build_model(cfg_d)
     state_m = initial_state(cfg_m, mom)

@@ -397,6 +397,24 @@ class TestSim:
         assert code == 2
         assert "non-periodic" in err
 
+    def test_init_periodic_only_within_a_float_tolerance_needs_the_flag(self, tmp_path,
+                                                                         capsys):
+        # off by 2pi*1e-10 one period on, below a float tolerance
+        argv = ("sim", "--model", "contact-density", "--K", "z",
+                "--init", "2 + sin(x)*(1 + x/10^10)", "--n", "8", "--steps", "1",
+                "--out", str(tmp_path / "t.csv"), "--diag", str(tmp_path / "d.csv"))
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "non-periodic" in err and "periodic in x " in err
+        assert run(capsys, *argv, "--allow-aperiodic")[0] == 0
+
+    def test_periodic_power_is_decided_without_expanding_it(self, tmp_path, capsys):
+        code, _, err = run(capsys, "sim", "--model", "contact-density", "--K", "z",
+                           "--init", "(1+sin(x)+cos(y)+sin(z))^200", "--n", "8",
+                           "--steps", "1", "--out", str(tmp_path / "t.csv"),
+                           "--diag", str(tmp_path / "d.csv"))
+        assert code == 0, err
+
     def test_numerical_abort_exit_code(self, tmp_path, capsys):
         import warnings
         with warnings.catch_warnings():

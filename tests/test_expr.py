@@ -21,8 +21,8 @@ from liftlab.expr import (
     Call, Const, EvaluationDomainError, ExprError, Pow, Prod, Quot, Sum,
     SymbolicDivisionError, UnboundVariableError, UnsupportedClassError, Var,
     VarId, ZERO, ONE, MINUS_ONE, canonicalize, eval_numeric,
-    expr_equal, free_vars, is_rational, is_zero_expr, kernel_stats, partial,
-    substitute,
+    expr_equal, free_vars, is_periodic, is_rational, is_zero_expr, kernel_stats,
+    partial, substitute,
 )
 from liftlab.grid import compile_numeric
 from liftlab.parser import parse_expr
@@ -282,6 +282,40 @@ class TestPartial:
         d = partial(parse("x*y/(1+z^2)"), X)
         assert d is canonicalize(parse("y/(z^2+1)"))
         assert d._rf[0] == (Y, Z)
+
+
+class TestIsPeriodic:
+    @pytest.mark.parametrize("text", [
+        "sin(x)", "cos(-3*x + y)", "exp(sin(x) + cos(3*x))", "1/sin(x)",
+        "sin(sin(x))", "7/2", "y*z^2"])
+    def test_accepts(self, text):
+        assert is_periodic(parse(text), X)
+
+    @pytest.mark.parametrize("text", [
+        "x", "exp(x)", "exp(x^3)", "sin(x/2)",
+        # off by 2pi*1e-10 one period on, below a float tolerance
+        "sin(x) + x/10^10", "sin(x)*(1 + x/10^10)",
+        # periodic, but only through an identity: known gaps of the rule
+        "sin(x/2)^2", "x - x + sin(x)"])
+    def test_refuses(self, text):
+        assert not is_periodic(parse(text), X)
+
+    def test_a_derivative_that_raises_is_undecided(self):
+        # the argument's canonical form would pass MAX_POWER_TERMS
+        assert not is_periodic(parse("sin((1 + x + y + z)^300)"), X)
+
+    def test_reads_the_tree_without_expanding_it(self):
+        e = parse("(1 + sin(x) + cos(y) + sin(z))^200")
+        assert all(is_periodic(e, v) for v in (X, Y, Z))
+        assert e._canon is None
+
+    def test_decides_a_deep_tower_without_recursion(self):
+        e = Var(X)
+        for _ in range(5000):
+            e = Call("sin", e)
+        assert sys.getrecursionlimit() < 5000
+        assert is_periodic(e, X)
+        assert not is_periodic(Call("exp", e) + Var(X), X)
 
 
 class TestSubstitute:

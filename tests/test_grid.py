@@ -11,12 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from liftlab.expr import (
     Call, Const, EvaluationDomainError, Pow, Prod, Quot, Sum, Var, VarId,
-    eval_numeric,
+    eval_numeric, is_periodic,
 )
 from liftlab.grid import (
     AperiodicDataError, Grid, GridError, LinearPlan, NumericalAbortError,
-    check_periodic, compile_numeric, discretize, march, quadrature, rk4_step,
-    stencil_calls,
+    compile_numeric, discretize, march, quadrature, rk4_step, stencil_calls,
 )
 from liftlab.parser import parse_expr
 
@@ -69,18 +68,21 @@ class TestDiscretize:
 
     def test_aperiodic_rejected_without_override(self):
         g = Grid(1, 8)
-        with pytest.raises(AperiodicDataError):
+        with pytest.raises(AperiodicDataError, match="not decided 2pi-periodic in x "):
             discretize(Var(X), g, {X: 0})
         # finite on the grid, past the doubles one period on
         with pytest.raises(AperiodicDataError):
             discretize(parse_expr("exp(x^3)", [X]), g, {X: 0})
+        # the message names the first coordinate the datum is not decided in
+        with pytest.raises(AperiodicDataError, match="periodic in y "):
+            discretize(parse_expr("sin(x) + y", [X, Y]), Grid(2, 8), {X: 0, Y: 1})
         vals = discretize(Var(X), g, {X: 0}, allow_aperiodic=True)
         assert vals[1] == pytest.approx(g.h)
 
     def test_periodicity_checker_accepts_trig(self):
-        g = Grid(2, 8)
         e = parse_expr("sin(x)*cos(2*y) + 1/2", [X, Y])
-        assert check_periodic(e, g, {X: 0, Y: 1})
+        assert is_periodic(e, X) and is_periodic(e, Y)
+        assert discretize(e, Grid(2, 8), {X: 0, Y: 1}).shape == (8, 8)
 
 
 class TestSpatialDerivative:
@@ -332,8 +334,9 @@ class TestCompileNumeric:
             eval_numeric(e, {X: 0.5})
         with pytest.raises(EvaluationDomainError):
             compile_numeric(e, {X: np.array([0.5])})
+        # past the periodicity gate, which refuses the aperiodic rows
         with pytest.raises(EvaluationDomainError):
-            discretize(e, Grid(1, 8), {X: 0})
+            discretize(e, Grid(1, 8), {X: 0}, allow_aperiodic=True)
 
     @pytest.mark.parametrize("text", ["10^308*10*x", "(10^308 + 10^308)*0 + x",
                                       "sin(x)/(10^308*10)"])
@@ -348,7 +351,7 @@ class TestCompileNumeric:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_initial_data_raises_without_numpy_warnings(self):
-        # the periodicity probes overflow too, and the fold raises
+        # periodic, so past the gate; the fold raises
         with pytest.raises(EvaluationDomainError):
             discretize(parse_expr("exp(1000*sin(x))", [X]), Grid(1, 8), {X: 0})
 
