@@ -1,20 +1,24 @@
 """Periodic uniform grids on [0, 2pi)^d, stencils, quadrature, RK4.
 
-Spatial derivatives use the 4th-order central stencil
-(-u_{j+2} + 8 u_{j+1} - 8 u_{j-1} + u_{j-2}) / (12 h), computed on flat
-shifts of a contiguous array, such as one component of the simulation's
-component-major state, with the wrapped planes fixed up; quadrature is the
-torus trapezoid rule h^d * sum, spectrally accurate for smooth periodic
-data.  All reductions run in fixed index order so results are bitwise
+Spatial derivatives use the 4th-order central stencil delta u / (12 h),
+with the undivided difference delta u = 8 (u_{j+1} - u_{j-1}) -
+(u_{j+2} - u_{j-2}) computed on flat shifts of a contiguous array, such
+as one component of the simulation's component-major state, with the
+wrapped planes fixed up one plane at a time; quadrature is the torus
+trapezoid rule h^d * sum, spectrally accurate for smooth periodic data.
+All reductions run in fixed index order so results are bitwise
 reproducible.
 
 ``compile_numeric`` evaluates expressions over fixed arrays, such as the
 grid's coordinate lines, in one forward pass over their distinct nodes
 in ``expr.post_order``, with no recursion.  ``stencil_calls`` lists the
-calls of one stencil on views of its arrays.  A ``LinearPlan`` evaluates
-rates that are sums of coefficients times state components or their
-stencils, with its calls bound once per pair of state and rate arrays to
-views of them and of the two buffers it owns.  ``rk4_step`` writes into
+calls of one undivided difference on views of its arrays, with no
+divide.  A ``LinearPlan`` evaluates rates that are sums of coefficients
+times state components or their undivided differences, the 1/(12 h)
+folded into a stencil term's coefficient when the plan is built, so a
+stencil term is bitwise (c / (12 h)) delta u, not c (delta u / (12 h));
+its calls are bound once per pair of state and rate arrays to views of
+them and of the two buffers it owns.  ``rk4_step`` writes into
 buffers its caller passes, and ``march`` steps a state with RK4 in
 buffers it allocates once, so a method-of-lines step allocates no
 whole-grid array and builds no view.
@@ -185,22 +189,26 @@ def discretize(e: Expr, grid: Grid, var_axes: Mapping[VarId, int],
     return np.broadcast_to(compile_numeric(e, fixed), grid.shape).copy()
 
 
-def stencil_calls(u: np.ndarray, axis: int, h: float,
+def stencil_calls(u: np.ndarray, axis: int,
                   out: tuple[np.ndarray, np.ndarray]) -> list[tuple]:
-    """The 4th-order periodic central difference along ``axis`` of ``u``,
-    into ``out[0]``, as calls ``(fn, (*operands, out))`` on views of ``u``
-    and ``out``, run in order as ``fn(*args)``.
+    """The undivided 4th-order periodic central difference along ``axis``
+    of ``u``, delta u = 8 (u_{j+1} - u_{j-1}) - (u_{j+2} - u_{j-2}), into
+    ``out[0]``, as calls ``(fn, (*operands, out))`` on views of ``u`` and
+    ``out``, run in order as ``fn(*args)``.  The derivative is
+    delta u / (12 h); the caller folds the 1/(12 h) into the coefficient
+    that multiplies delta u (``LinearPlan``), so no call divides.
 
     ``u`` is C-contiguous, as each component of a component-major state
     is.  ``out`` is two C-contiguous float arrays of its size: the
-    derivative d1 and a scratch d2 for the wide difference.  Each of
+    difference d1 and a scratch d2 for the wide difference.  Each of
     u_{j+1} - u_{j-1} and u_{j+2} - u_{j-2} is one subtraction of two flat
     shifts of ``u``, by one and two planes along ``axis``.  The planes a
     flat shift gets wrong where the stencil wraps (0 and n-1, and also 1
     and n-2 for the wide difference) are then recomputed from their
-    periodic neighbours.  Needs at least 4 points along ``axis``.  Grouped
-    as differences so constant fields differentiate to exact zero, and
-    bitwise equal to the same formula on ``np.roll`` shifts.
+    periodic neighbours, one plane per call.  Needs at least 4 points
+    along ``axis``.  Grouped as differences so constant fields
+    differentiate to exact zero, and bitwise equal to the same formula on
+    ``np.roll`` shifts.
     """
     n = u.shape[axis]
     if n < 4:
@@ -215,14 +223,11 @@ def stencil_calls(u: np.ndarray, axis: int, h: float,
     return [
         (np.subtract, (f[2 * s:], f[:N - 2 * s], d1[s:N - s])),
         (np.subtract, (f[4 * s:], f[:N - 4 * s], d2[2 * s:N - 2 * s])),
-        (np.subtract, (g[:, 1], g[:, n - 1], w1[:, 0])),
-        (np.subtract, (g[:, 0], g[:, n - 2], w1[:, n - 1])),
-        (np.subtract, (g[:, 2:4], g[:, n - 2:], w2[:, :2])),
-        (np.subtract, (g[:, :2], g[:, n - 4:n - 2], w2[:, n - 2:])),
-        # (8 d1 - d2) / (12 h), in place in d1
+        *((np.subtract, (g[:, (j + 1) % n], g[:, j - 1], w1[:, j])) for j in (0, n - 1)),
+        *((np.subtract, (g[:, (j + 2) % n], g[:, j - 2], w2[:, j])) for j in (0, 1, n - 2, n - 1)),
+        # 8 d1 - d2, in place in d1
         (np.multiply, (d1, 8.0, d1)),
         (np.subtract, (d1, d2, d1)),
-        (np.true_divide, (d1, 12.0 * h, d1)),
     ]
 
 
@@ -232,12 +237,14 @@ class LinearPlan:
 
     ``terms[l]`` lists rate l as terms ``(j, a, c)``: the coefficient c, a
     float or an array that broadcasts against the grid, times component j
-    of the state when ``a`` is None and its stencil derivative along axis
-    ``a`` otherwise.  A stencil is computed into ``slot``, with ``scratch``
-    as its wide difference, just before the term that reads it.  A call
-    writes each rate into ``out[l]``: its first term with one multiply,
-    and each further term with one multiply, in place in ``slot`` for a
-    stencil and into ``scratch`` for a component, and one add.
+    of the state when ``a`` is None and its undivided stencil difference
+    delta_a (``stencil_calls``) otherwise, so the coefficient of a stencil
+    term carries the stencil's 1/(12 h) and no call divides.  A stencil
+    is computed into ``slot``, with ``scratch`` as its wide difference,
+    just before the term that reads it.  A call writes each rate into
+    ``out[l]``: its first term with one multiply, and each further term
+    with one multiply, in place in ``slot`` for a stencil and into
+    ``scratch`` for a component, and one add.
 
     The calls are bound to each (state, out) pair as one flat list on views
     of them (``bind``), and the lists of the last four pairs, the four of
@@ -248,7 +255,7 @@ class LinearPlan:
     """
 
     def __init__(self, grid: Grid, terms: list[list[tuple]]):
-        self.h, self.terms = grid.h, terms
+        self.terms = terms
         self.slot, self.scratch = np.empty(grid.shape), np.empty(grid.shape)
         self.nterms = sum(map(len, terms))
         self.nstencils = sum(a is not None for row in terms for _, a, _ in row)
@@ -265,7 +272,7 @@ class LinearPlan:
             for i, (j, a, c) in enumerate(row):
                 s = state[j]
                 if a is not None:
-                    calls += stencil_calls(s, a, self.h, (self.slot, self.scratch))
+                    calls += stencil_calls(s, a, (self.slot, self.scratch))
                     s = self.slot
                 if i == 0:
                     calls.append((np.multiply, (c, s, dest)))

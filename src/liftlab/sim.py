@@ -3,7 +3,7 @@
 Each model compiles its symbolic right-hand side once into a pointwise
 evaluation plan: an expression over (coordinates, state components,
 first-jet variables), where the jet variables are realized as 4th-order
-stencil derivatives of the state.  The models are the rows of one table,
+stencils of the state.  The models are the rows of one table,
 ``_RATES``: each row names the model's fibers, one per state component,
 and its ``kinetics`` formula: ``momentum_rhs_via_lift`` of X_K (the
 vertical representative of the cotangent lift read at the state),
@@ -20,8 +20,13 @@ over the fiber variables and the jet variables s_j, with coefficients
 c_j = d rate_l / d s_j that depend on the coordinates alone.  The
 coefficients are decided exactly and evaluated once, when the model is
 built, on as many points as their coordinates span
-(``grid.compile_numeric``); a rate that is not linear is refused.  An RHS
-call computes only the stencils the rates read and the sums of products.
+(``grid.compile_numeric``); a rate that is not linear is refused.  A jet
+variable u^l_a is read as the undivided difference delta_a u^l of
+``grid.stencil_calls``, and its coefficient is evaluated as c_j / (12 h),
+the stencil's scale folded in at build time, so no RHS call divides and
+a stencil term is bitwise (c_j / (12 h)) delta_a u^l, not
+c_j (delta_a u^l / (12 h)).  An RHS call computes only the stencils the
+rates read and the sums of products.
 
 The state is component-major: one C-contiguous array of shape
 (k, n, ..., n), so each component is contiguous and its stencils are flat
@@ -66,8 +71,8 @@ import numpy as np
 
 from . import __version__
 from .expr import (
-    ONE, ZERO, Expr, ExprError, Quot, Var, VarId, free_vars, is_periodic, partial,
-    substitute,
+    ONE, ZERO, Const, Expr, ExprError, Quot, Var, VarId, free_vars, is_periodic,
+    partial, substitute,
 )
 from .grid import (
     TWO_PI, Grid, LinearPlan, NumericalAbortError, compile_numeric, discretize,
@@ -166,10 +171,12 @@ class SimConfig:
         extra = set(self.params) - {"m", "e", "phi"}
         if extra:
             raise ConfigError(f"unknown params: {sorted(extra)}; choose from m, e, phi")
-        try:
-            paths = {Path(p).resolve() for p in (self.out, self.diag, self.out + ".manifest.json")}
-        except ValueError as exc:       # an embedded NUL
-            raise ConfigError(f"bad output path: {exc}") from None
+        paths = set()
+        for path in (self.out, self.diag, self.out + ".manifest.json"):
+            try:
+                paths.add(Path(path).resolve())
+            except (ValueError, RuntimeError) as exc:   # an embedded NUL, a symlink loop
+                raise ConfigError(f"bad output path {path!r}: {exc}") from None
         if len(paths) < 3:
             raise ConfigError("out, diag and out + '.manifest.json' must be three different files")
 
@@ -228,19 +235,23 @@ def _compile_jet_plan(jc: JetChart, grid: Grid, rate_exprs: Sequence[Expr]) -> L
     derivative of the numerator over the denominator, which spares
     reducing each c_j by a gcd of the denominator's size.  A rate that is
     not linear, or a quotient whose denominator has a fiber or jet
-    variable, raises ``ExprError``.  The nonzero coefficients are
-    evaluated once, with the base variables fixed to the grid's
-    coordinate lines (``compile_numeric``): to a float when constant, and
-    otherwise on as many points as their coordinates span.  A term of a
-    fiber variable reads the state's component, ``state[l]``, and a term
-    of a jet variable its stencil derivative, so only the stencils the
-    rates read are computed.  The rates are component-major, like the
-    state.
+    variable, raises ``ExprError``.  A term of a fiber variable reads the
+    state's component, ``state[l]``, and a term of a jet variable its
+    undivided stencil difference delta_a (``grid.stencil_calls``), so only
+    the stencils the rates read are computed; the stencil's 1/(12 h) is
+    folded into that term's coefficient, which is c_j / (12 h).  The
+    nonzero coefficients are evaluated once, in one batch, with the base
+    variables fixed to the grid's coordinate lines (``compile_numeric``):
+    to a float when constant, and otherwise on as many points as their
+    coordinates span, so a folded coefficient is one fresh array and c_j
+    is dropped after its last use.  The rates are component-major, like
+    the state.
     """
     sources = [(l, None) for l in range(jc.k)]
     sources += [(l, a) for l in range(jc.k) for a in range(jc.m)]
     state_vars = [jc.fiber[l] if a is None else jc.jet(l, a) for l, a in sources]
     at_zero = dict.fromkeys(state_vars, ZERO)
+    twelve_h = Const(Fraction(12 * grid.h))
     rows, coeffs = [], []
     for l, rate in enumerate(rate_exprs):
         num, den = (rate.num, rate.den) if isinstance(rate, Quot) else (rate, ONE)
@@ -254,7 +265,8 @@ def _compile_jet_plan(jc: JetChart, grid: Grid, rate_exprs: Sequence[Expr]) -> L
                                 f"its derivative along {s.name} is {c}")
             if c != ZERO:
                 row.append(source)
-                coeffs.append(c if den is ONE else Quot(c, den))
+                c = c if den is ONE else Quot(c, den)
+                coeffs.append(c if source[1] is None else Quot(c, twelve_h))
         if substitute(num, at_zero) != ZERO:
             raise ExprError(f"rate {l} is not linear in the state: it is not 0 at 0")
         rows.append(row)

@@ -630,6 +630,9 @@ HOSTILE = {
                          "contact-density", "--K", "z", "--init", "2+sin(x)"),
     "nul-in-out": (*_SIM[:6], "{tmp}/a\0b", *_SIM[7:], "--model", "contact-density",
                    "--K", "z", "--init", "2+sin(x)"),
+    # {tmp}/loop is a symlink to itself
+    "output-path-symlink-loop": (*_SIM[:6], "{tmp}/loop/t.csv", *_SIM[7:], "--model",
+                                 "contact-density", "--K", "z", "--init", "sin(x)"),
     "numeric-quotient-by-zero": ("lift", "--field", "sin(x)/(x-x),y", "--vars", "x,y"),
     "numeric-power-of-zero": ("lift", "--field", "(sin(x)^0-1)^-1,y", "--vars", "x,y"),
     # atoms expand as variables do, so a power of a sum of them is bounded too
@@ -713,7 +716,8 @@ HOSTILE_CODE = {"overflowing-exp-in-K": 2, "blow-up": 3, "slow-blow-up": 3,
                 "overflowing-fold-in-init": 2, "K-singular-on-a-node": 2,
                 "phi-singular-on-a-node": 2, "power-of-a-sum-of-atoms": 2,
                 "long-integer-literal": 2, "long-integer-exponent": 2,
-                "long-integer-denominator": 2, "power-of-a-constant": 2}
+                "long-integer-denominator": 2, "power-of-a-constant": 2,
+                "output-path-symlink-loop": 2}
 
 # the cause that the error line of a pinned row names
 HOSTILE_MESSAGE = {
@@ -732,10 +736,12 @@ HOSTILE_MESSAGE = {
     "long-integer-exponent": "an integer literal of more than 4300 digits (at byte offset 2)",
     "long-integer-denominator": "an integer literal of more than 4300 digits (at byte offset 2)",
     "power-of-a-constant": "power 3000000000 of a coefficient of 2 bits is too large",
+    "output-path-symlink-loop": "/loop/t.csv': Symlink loop from",
 }
 
 
 def _run_hostile(tmp_path, name):
+    (tmp_path / "loop").symlink_to("loop")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in HOSTILE[name]]
     try:
         return main(argv)

@@ -22,12 +22,18 @@ from liftlab.parser import parse_expr
 X, Y, Z = (VarId(n, i) for i, n in enumerate("xyz"))
 
 
-def deriv(u, axis, h):
-    """The calls of ``stencil_calls`` run into fresh buffers: the derivative."""
+def delta(u, axis):
+    """The calls of ``stencil_calls`` run into fresh buffers: the undivided
+    difference 8 d1 - d2."""
     out = (np.empty(u.shape), np.empty(u.shape))
-    for fn, args in stencil_calls(u, axis, h, out):
+    for fn, args in stencil_calls(u, axis, out):
         fn(*args)
     return out[0]
+
+
+def deriv(u, axis, h):
+    """The derivative: ``delta`` divided by 12 h."""
+    return delta(u, axis) / (12.0 * h)
 
 
 def step(state, rate, dt, step_index=0):
@@ -144,12 +150,22 @@ class TestSpatialDerivative:
     def test_writes_into_the_first_out_array(self):
         u = np.random.default_rng(1).standard_normal((8, 8))
         out = (np.empty((8, 8)), np.empty(64))
-        for fn, args in stencil_calls(u, 0, 0.5, out):
+        for fn, args in stencil_calls(u, 0, out):
             fn(*args)
-        assert np.array_equal(out[0], deriv(u, 0, 0.5))
+        assert np.array_equal(out[0], delta(u, 0))
         for bad in ((np.empty((8, 16))[:, ::2], out[1]), (out[0], np.empty(63))):
             with pytest.raises(GridError, match="C-contiguous"):
-                stencil_calls(u, 0, 0.5, bad)
+                stencil_calls(u, 0, bad)
+
+    @pytest.mark.parametrize("n", [4, 5, 8, 32, 64])
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_undivided_difference_matches_roll_formula_bitwise(self, ndim, n):
+        # at 4 and 5 points the flat shifts and the four wide planes overlap
+        u = np.random.default_rng(10 * ndim + n).standard_normal((n,) * ndim)
+        for axis in range(ndim):
+            d1 = np.roll(u, -1, axis=axis) - np.roll(u, 1, axis=axis)
+            d2 = np.roll(u, -2, axis=axis) - np.roll(u, 2, axis=axis)
+            assert np.array_equal(delta(u, axis).view(np.uint64), (8.0 * d1 - d2).view(np.uint64))
 
 
 class TestQuadrature:
@@ -258,10 +274,12 @@ class TestMarch:
 
 def linear_plan(g: Grid) -> LinearPlan:
     """sin(x)*u_x + v and 3*u + cos(y)*v_y + x*u_x over (u, v): a stencil
-    that two rates read, a state term, folded and constant coefficients."""
-    xs, ys = g.axis_line(0), g.axis_line(1)
-    return LinearPlan(g, [[(0, 0, np.sin(xs)), (1, None, np.float64(1.0))],
-                          [(0, None, np.float64(3.0)), (1, 1, np.cos(ys)), (0, 0, xs)]])
+    that two rates read, a state term, folded and constant coefficients.
+    A stencil term's coefficient carries the stencil's 1/(12 h)."""
+    xs, ys, twelve_h = g.axis_line(0), g.axis_line(1), 12.0 * g.h
+    return LinearPlan(g, [[(0, 0, np.sin(xs) / twelve_h), (1, None, np.float64(1.0))],
+                          [(0, None, np.float64(3.0)), (1, 1, np.cos(ys) / twelve_h),
+                           (0, 0, xs / twelve_h)]])
 
 
 class TestBoundPrograms:
@@ -302,9 +320,11 @@ class TestBoundPrograms:
         plan = LinearPlan(g, linear_plan(g).terms + [[]])
         out = np.full((3,) + g.shape, np.nan)
         plan(state, out)
-        u_x, v_y = deriv(state[0], 0, g.h), deriv(state[1], 1, g.h)
-        want = [np.sin(xs) * u_x + 1.0 * state[1],
-                3.0 * state[0] + np.cos(ys) * v_y + xs * u_x, np.zeros(g.shape)]
+        # the folded formula: (c / (12 h)) * delta u
+        du_x, dv_y, twelve_h = delta(state[0], 0), delta(state[1], 1), 12.0 * g.h
+        want = [np.sin(xs) / twelve_h * du_x + 1.0 * state[1],
+                3.0 * state[0] + np.cos(ys) / twelve_h * dv_y + xs / twelve_h * du_x,
+                np.zeros(g.shape)]
         for got, w in zip(out, want):
             assert np.array_equal(got.view(np.uint64), w.view(np.uint64))
         assert (plan.nterms, plan.nstencils) == (5, 3)

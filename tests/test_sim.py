@@ -36,7 +36,7 @@ from liftlab.sim import (
     discrete_intertwining_error, initial_state, load_config, run_simulation,
     spatial_operator_order, temporal_order,
 )
-from test_grid import deriv
+from test_grid import delta, deriv
 
 L0 = "2 + sin(x)*sin(y)*sin(z)"
 
@@ -214,7 +214,7 @@ class TestCompiledRates:
         lowered = []
         real = grid.stencil_calls
         monkeypatch.setattr(grid, "stencil_calls",
-                            lambda u, axis, h, out: lowered.append(axis) or real(u, axis, h, out))
+                            lambda u, axis, out: lowered.append(axis) or real(u, axis, out))
         got = rates(model, state)
         assert len(lowered) == stencils
         assert np.array_equal(got, want)
@@ -322,11 +322,14 @@ def writer_sim_argv(tmp_path, out):
 # contact-density and vlasov-momentum traj.csv digests were rewritten when
 # the plan became a sum of coefficient products, which changed some of their
 # values in the last place; the new ones are those of ``reference_snapshot``
-# on the same states.
+# on the same states.  The contact-momentum, contact-density and
+# vlasov-momentum traj.csv digests, and the vlasov-momentum diag.csv one,
+# were rewritten the same way when the stencil's 1/(12 h) was folded into
+# the plan's coefficients.
 TRAJECTORY_DIGESTS = {
-    "contact-momentum": ("385b3692d4d8e14a", "2c56feeb13b901b8"),
-    "contact-density": ("9bee82f9e1cfdb78", "b73626904c08d99e"),
-    "vlasov-momentum": ("9b2833564a4006c6", "58d964c10cccbf0f"),
+    "contact-momentum": ("7708ff37b6ffb60a", "2c56feeb13b901b8"),
+    "contact-density": ("191ae81d466eedd0", "b73626904c08d99e"),
+    "vlasov-momentum": ("dd6dbe0c22763550", "8d163df216977048"),
     "vlasov-density": ("bde1f7a7acae95d3", "d09434a1b6e31277"),
 }
 
@@ -448,11 +451,11 @@ class TestBufferedStep:
 
 
 def stencils_then_plan(plan, state):
-    """The plan's terms by a second binding: every stencil into fresh
-    arrays by ``deriv``, then each rate as the sum of its terms, in their
-    order, in numpy on fresh arrays."""
+    """The plan's terms by a second binding: every undivided stencil
+    difference into fresh arrays by ``delta``, then each rate as the sum
+    of its terms, in their order, in numpy on fresh arrays."""
     g = Grid(state.ndim - 1, state.shape[1])
-    jets = {(l, a): deriv(state[l], a, g.h)
+    jets = {(l, a): delta(state[l], a)
             for l, a in itertools.product(range(len(state)), range(g.dim))}
     out = []
     for row in plan.terms:
@@ -737,15 +740,16 @@ PINNED_PLANS = {
 }
 
 
-# The number of calls in the bound RHS of each PINNED_CFGS model: nine per
-# stencil it reads, and 2M - 1 for a rate of M terms.  A change that adds
-# passes shows here.
+# The number of calls in the bound RHS of each PINNED_CFGS model, as
+# stencils * 10 + pointwise: ten per stencil it reads (two flat-shift
+# subtractions, six one-plane fix-ups, a multiply by 8 and a subtraction),
+# and 2M - 1 for a rate of M terms.  A change that adds passes shows here.
 PINNED_CALLS = {
-    "contact-momentum": 6 * 9 + 15,
-    "contact-momentum-trig": 9 * 9 + 29,
-    "contact-density": 2 * 9 + 5,
-    "vlasov-momentum": 4 * 9 + 10,
-    "vlasov-density": 2 * 9 + 3,
+    "contact-momentum": 6 * 10 + 15,
+    "contact-momentum-trig": 9 * 10 + 29,
+    "contact-density": 2 * 10 + 5,
+    "vlasov-momentum": 4 * 10 + 10,
+    "vlasov-density": 2 * 10 + 3,
 }
 
 
@@ -754,6 +758,29 @@ def test_bound_calls_are_pinned(name):
     model = build_model(PINNED_CFGS[name])
     state = initial_state(PINNED_CFGS[name], model)
     assert len(model.rhs.bind(state, np.empty_like(state))) == PINNED_CALLS[name]
+
+
+@pytest.mark.parametrize("name", [*PINNED_CFGS, "density-map", "odd-rates"])
+def test_no_bound_call_divides_and_each_fix_up_writes_one_plane(monkeypatch, name):
+    cfg = PINNED_CFGS.get(name, MODEL_CFGS["contact-momentum"])
+    model = build_model(cfg)
+    state = initial_state(cfg, model)
+    plan = model.rhs
+    if name not in PINNED_CFGS:
+        jc, rate_exprs = density_map_plan()
+        rate_exprs = odd_rates(jc) if name == "odd-rates" else rate_exprs
+        plan = sim._compile_jet_plan(jc, model.grid, rate_exprs)
+    lowered = []
+    real = grid.stencil_calls
+    monkeypatch.setattr(grid, "stencil_calls",
+                        lambda u, axis, out: lowered.append(real(u, axis, out)) or lowered[-1])
+    calls = plan.bind(state, np.empty((len(plan.terms),) + model.grid.shape))
+    assert lowered and np.true_divide not in {fn for fn, _ in calls}
+    # the flat shifts and the closing multiply and subtraction write 1-D
+    # views, a fix-up one plane
+    for stencil in lowered:
+        planes = [args[-1].size for _, args in stencil if args[-1].ndim > 1]
+        assert planes == [state[0].size // model.grid.n] * 6
 
 
 class TestLinearPlan:
