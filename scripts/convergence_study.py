@@ -13,7 +13,8 @@ import argparse
 
 from liftlab.kinetics import ContactStructure, contact_density_rhs
 from liftlab.parser import parse_expr
-from liftlab.sim import SimConfig, spatial_operator_order, temporal_order
+from liftlab.sim import SimConfig
+from liftlab.studies import spatial_operator_order, temporal_order
 
 L0 = "2 + sin(x)*sin(y)*sin(z)"
 

@@ -7,7 +7,7 @@ against directly evolving L0 = 2 + sin x sin y sin z under contact-density.
 
 Reports the global max-norm gap and the determined gap, the gap over the
 nodes whose backward characteristic under X_K = (-x, 0, -z) stays 4h clear
-of the seams at 0 = 2pi in x and z (see `liftlab.sim.determined_nodes`).
+of the seams at 0 = 2pi in x and z (see `liftlab.studies.determined_nodes`).
 The global number does not converge: the torus problem supplies no data
 in the seam wake, so each discretization fills it with what its stencils
 make of the jump; the determined gap shows the two paths agreeing at
@@ -16,7 +16,7 @@ scheme accuracy.
 
 import argparse
 
-from liftlab.sim import discrete_intertwining_error
+from liftlab.studies import discrete_intertwining_error
 
 ALPHA0 = ("0", "-cos(x)*sin(y)*sin(z)", "-1")
 L0 = "2 + sin(x)*sin(y)*sin(z)"

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: lift, bracket, density, verify, sim.  Exit codes: 0 ok,
-1 verify failure, 2 config error, 3 numerical abort.
+1 verify failure, 2 config error, 3 numerical abort.  A warning, such as
+the CFL advisory of ``sim``, prints as one ``warning: ...`` line on
+stderr, like an error.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from .expr import ExprError
 from .geometry import Chart, VectorField, one_form
@@ -236,8 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    """A warning as the command prints it, without its source file and line."""
+    return f"warning: {message}\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         return args.fn(args)
     except NumericalAbortError as exc:
@@ -246,6 +255,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ExprError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -32,9 +32,9 @@ from liftlab.lifts import (
     vertical_lift, as_generalized,
 )
 from liftlab.samplers import rand_one_form, rand_poly, rand_vector_field
-from liftlab.sim import (
-    SimConfig, discrete_intertwining_error,
-    spatial_operator_order, temporal_order, build_model, initial_state,
+from liftlab.sim import SimConfig, build_model, initial_state
+from liftlab.studies import (
+    discrete_intertwining_error, spatial_operator_order, temporal_order,
 )
 from liftlab.verify import _COT_CHARTS, run_suite
 from liftlab.grid import march, quadrature

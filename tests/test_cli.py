@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 import tempfile
 import time
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import liftlab
 from liftlab.cli import main
 from liftlab.parser import MAX_DEPTH
 from liftlab.sim import ConfigError, SimConfig, load_config
@@ -777,6 +779,21 @@ def test_blow_up_warns_only_of_the_cfl_advisory(tmp_path, capsys, name):
     assert len(record) == 1
     assert str(record[0].message).startswith(f"dt={dt} exceeds the CFL advisory")
     assert capsys.readouterr().err.count("error: ") == 1
+
+
+def test_cfl_advisory_prints_one_warning_line_without_a_source_path(tmp_path):
+    # the library warns; the command prints it as one line, like an error
+    package_root = str(Path(liftlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    argv = ["sim", "--model", "contact-density", "--K", "exp(z)", "--init", "1",
+            "--n", "8", "--steps", "1"]
+    proc = subprocess.run([sys.executable, "-m", "liftlab.cli", *argv], cwd=tmp_path,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.startswith("warning: dt=0.001 exceeds the CFL advisory ")
+    assert proc.stderr.count("\n") == 1 and ".py" not in proc.stderr
 
 
 @pytest.mark.parametrize("name, named", [

@@ -98,15 +98,29 @@ def test_scope_is_entered_only_by_verify_trials():
         == {"verify._run_checks"}
 
 
-def test_verify_imports_no_numpy():
-    # the exact kernel and the numerical path are separate layers: verify
-    # decides every identity without the grid, so it loads no numpy
+def _package_env() -> dict:
+    """The environment of a child that imports the same liftlab as this process."""
     package_root = str(Path(liftlab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_verify_imports_no_numpy():
+    # the exact kernel and the numerical path are separate layers: verify
+    # decides every identity without the grid, so it loads no numpy
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, liftlab.verify; print(sorted("
          "m for m in sys.modules if m.split('.')[0] == 'numpy')[:3])"],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=_package_env(), timeout=120)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_the_command_line_loads_no_study_harness():
+    # the study harness serves tests and scripts/ only: a run compiles none of it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, liftlab.cli, liftlab.sim; "
+         "print('liftlab.studies' in sys.modules)"],
+        capture_output=True, text=True, env=_package_env(), timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

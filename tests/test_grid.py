@@ -15,7 +15,8 @@ from liftlab.expr import (
 )
 from liftlab.grid import (
     AperiodicDataError, Grid, GridError, LinearPlan, NumericalAbortError,
-    compile_numeric, discretize, march, quadrature, rk4_step, stencil_calls,
+    aligned_empty, compile_numeric, discretize, march, quadrature, rk4_step,
+    stencil_calls,
 )
 from liftlab.parser import parse_expr
 
@@ -271,6 +272,49 @@ class TestMarch:
             pass
         assert seen == [(1, decay), (2, decay), (3, decay)]
 
+    def test_spare_and_work_start_on_cache_lines(self, monkeypatch):
+        from liftlab import grid
+        buffers = []
+        real = grid.rk4_step
+
+        def recording(state, rhs, dt, step_index, *, out, work):
+            buffers.append((out, *work))
+            return real(state, rhs, dt, step_index, out=out, work=work)
+
+        monkeypatch.setattr(grid, "rk4_step", recording)
+        state = np.ones((3, 16, 16, 16))
+        for _ in march(state, decay, 0.1, 2):
+            pass
+        spare, *work = buffers[0]
+        # the second step writes into the caller's array, with the same work
+        assert buffers[1][0] is state
+        assert all(a is b for a, b in zip(buffers[1][1:], work))
+        for b in (spare, *work):
+            assert b.shape == state.shape and b.flags.c_contiguous
+            assert on_cache_line(b)
+
+
+def on_cache_line(a: np.ndarray) -> bool:
+    return a.ctypes.data % 64 == 0
+
+
+class TestAlignedEmpty:
+    # 1-D to 4-D, below and above the 128 KB past which glibc serves an
+    # array by mmap, 16 bytes past a cache line
+    @pytest.mark.parametrize("shape", [(5,), (8,), (3, 7), (2, 64, 64), (3, 32, 32, 32)])
+    def test_is_a_c_contiguous_float64_array_on_a_cache_line(self, shape):
+        for _ in range(4):
+            a = aligned_empty(shape)
+            assert a.shape == shape and a.dtype == np.float64
+            assert a.flags.c_contiguous and a.flags.writeable
+            assert on_cache_line(a)
+
+    @pytest.mark.parametrize("dim, n", [(1, 8), (1, 12), (2, 8), (2, 10), (3, 8), (3, 10)])
+    def test_a_component_starts_on_a_line_when_8_divides_its_size(self, dim, n):
+        # the documented limit: only the whole array is placed
+        a = aligned_empty((3,) + (n,) * dim)
+        assert [on_cache_line(c) for c in a] == [j * n ** dim % 8 == 0 for j in range(3)]
+
 
 def linear_plan(g: Grid) -> LinearPlan:
     """sin(x)*u_x + v and 3*u + cos(y)*v_y + x*u_x over (u, v): a stencil
@@ -283,6 +327,11 @@ def linear_plan(g: Grid) -> LinearPlan:
 
 
 class TestBoundPrograms:
+    def test_slot_and_scratch_start_on_cache_lines(self):
+        plan = linear_plan(Grid(2, 10))
+        for b in (plan.slot, plan.scratch):
+            assert b.shape == (10, 10) and on_cache_line(b)
+
     def test_more_pairs_than_kept_stay_bitwise_equal_to_a_fresh_evaluator(self):
         g = Grid(2, 8)
         rng = np.random.default_rng(3)

@@ -41,6 +41,11 @@ def test_help_exits_zero(script):
     # one row per pair of step sizes, then one per grid size of the spatial study
     ("convergence_study.py", ("--n", "16", "--t-end", "0.004"),
      {r"^  \|u\(dt=": 2, r"^  n= *\d+: ": 3}),
+    # K = z reads 6 stencils: two flat-shift differences and six wrap
+    # planes each, and 75 calls in all
+    ("rhs_profile.py", ("--n", "8", "--repeats", "2"),
+     {r"^shifted difference +12 ": 1, r"^wrap plane +36 ": 1, r"^sum +75 ": 1,
+      r"^whole RHS ": 1}),
 ])
 def test_runs_at_a_tiny_size(name, args, rows):
     proc = run_script(SCRIPT_DIR / name, *args)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liftlab import cli, grid, sim
+from liftlab import cli, grid, sim, studies
 from liftlab.expr import (
     ZERO, ExprError, Var, canonicalize, expr_equal, partial, substitute,
 )
@@ -32,9 +32,10 @@ from liftlab.kinetics import (
 from liftlab.parser import parse_expr
 from liftlab.samplers import rand_poly
 from liftlab.sim import (
-    ConfigError, SimConfig, build_model, determined_nodes,
-    discrete_intertwining_error, initial_state, load_config, run_simulation,
-    spatial_operator_order, temporal_order,
+    ConfigError, SimConfig, build_model, initial_state, load_config, run_simulation,
+)
+from liftlab.studies import (
+    determined_nodes, discrete_intertwining_error, spatial_operator_order, temporal_order,
 )
 from test_grid import delta, deriv
 
@@ -421,14 +422,14 @@ class TestBufferedStep:
 
     def test_temporal_order_finals_are_distinct_arrays(self, monkeypatch):
         finals = []
-        real = sim.march
+        real = studies.march
 
         def spying(state, *args):
             for step, state in real(state, *args):
                 yield step, state
             finals.append(state)
 
-        monkeypatch.setattr(sim, "march", spying)
+        monkeypatch.setattr(studies, "march", spying)
         temporal_order(MODEL_CFGS["contact-density"], (4e-3, 2e-3, 1e-3), t_end=8e-3)
         assert len(finals) == 3
         assert not any(np.shares_memory(f, g) for f, g in itertools.combinations(finals, 2))
@@ -758,6 +759,39 @@ def test_bound_calls_are_pinned(name):
     model = build_model(PINNED_CFGS[name])
     state = initial_state(PINNED_CFGS[name], model)
     assert len(model.rhs.bind(state, np.empty_like(state))) == PINNED_CALLS[name]
+
+
+@pytest.mark.parametrize("cfg", MODEL_CFGS.values(), ids=list(MODEL_CFGS))
+def test_initial_state_starts_on_a_cache_line(cfg):
+    state = initial_state(cfg, build_model(cfg))
+    assert state.flags.c_contiguous and state.ctypes.data % 64 == 0
+
+
+@pytest.mark.parametrize("name", PINNED_CFGS)
+def test_alignment_changes_no_bit(monkeypatch, name):
+    # every whole-grid buffer, the caller's and the plan's and march's,
+    # starts k elements past a cache line, for each k of a line: a numpy
+    # path that depends on alignment would show as a changed bit
+    cfg = PINNED_CFGS[name]
+    model = build_model(cfg)
+    state0 = initial_state(cfg, model)
+    real = grid.aligned_empty
+    results = []
+    for k in range(8):
+        def offset_empty(shape, k=k):
+            size = math.prod(shape)
+            return real((size + 8,))[k:k + size].reshape(shape)
+
+        monkeypatch.setattr(grid, "aligned_empty", offset_empty)
+        plan = grid.LinearPlan(model.grid, model.rhs.terms)
+        state = offset_empty(state0.shape)
+        state[...] = state0
+        rate = plan(state, offset_empty(state0.shape)).copy()
+        for _, state in grid.march(state, plan, cfg.dt, 3):
+            pass
+        assert plan.slot.ctypes.data % 64 == state.ctypes.data % 64 == 8 * k
+        results.append(np.concatenate([rate, state]).view(np.uint64))
+    assert all(np.array_equal(r, results[0]) for r in results[1:])
 
 
 @pytest.mark.parametrize("name", [*PINNED_CFGS, "density-map", "odd-rates"])
