@@ -2,7 +2,7 @@
 
 Charts are single global coordinate systems (dimension at most 8).  Forms
 are stored sparsely over strictly increasing multi-indices.  All values are
-immutable and all operations pure.
+immutable and all operations pure, and every derivative here is ``partial``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .expr import (
 )
 from .parser import IDENT_RE
 
-# a derivative d(e, v) of e along the coordinate v; ``partial`` is the default
+# a derivative d(e, v) along v, the parameter of the kinetics formulas read on a jet chart
 Derivative = Callable[[Expr, VarId], Expr]
 
 __all__ = [
@@ -75,15 +75,14 @@ class Chart:
         return "(" + ", ".join(v.name for v in self.vars) + ")"
 
 
-def directional_derivative(f: Expr, pairs: Iterable[tuple[VarId, Expr]],
-                           d: Derivative = partial) -> Expr:
-    """The sum of c * d(f, v) over the ``(v, c)`` pairs, canonicalized;
-    terms with c = 0 or d(f, v) = 0 are left out.  The terms make one
+def directional_derivative(f: Expr, pairs: Iterable[tuple[VarId, Expr]]) -> Expr:
+    """The sum of c * df/dv over the ``(v, c)`` pairs, canonicalized;
+    terms with c = 0 or df/dv = 0 are left out.  The terms make one
     ``Sum`` after a leading zero, the node ``0 + t1 + t2 + ...`` builds."""
     terms = []
     for v, c in pairs:
         if c != ZERO:
-            df = d(f, v)
+            df = partial(f, v)
             if df != ZERO:
                 terms.append(c * df)
     return canonicalize(Sum((ZERO, *terms)) if terms else ZERO)
@@ -106,9 +105,9 @@ class VectorField:
             raise ChartError("component count must equal chart dimension")
         object.__setattr__(self, "components", tuple(canonicalize(c) for c in self.components))
 
-    def apply(self, f: Expr, d: Derivative = partial) -> Expr:
-        """Directional derivative X(f), X^a d(f, x^a)."""
-        return directional_derivative(f, zip(self.chart.vars, self.components), d)
+    def apply(self, f: Expr) -> Expr:
+        """Directional derivative X(f), X^a df/dx^a."""
+        return directional_derivative(f, zip(self.chart.vars, self.components))
 
     def __add__(self, other: "VectorField") -> "VectorField":
         _require_same_chart(self, other)

@@ -18,12 +18,12 @@ The printed Hamiltonian operators are implemented verbatim as well.  The
 operators-weak suite of ``liftlab verify`` decides them in weak form, by
 formal adjoints, together with the exact defects of the printed displays.
 
-The formulas that take derivatives of their arguments (``contact_bracket``,
-``contact_density``, ``contact_density_rhs``, ``momentum_rhs_via_lift``,
-``vlasov_density_rhs`` and ``vlasov_momentum_rhs``) take the derivative
-``d(e, v)`` as a parameter, ``partial`` by default.  Every simulation plan
-is one of these formulas called on a jet chart, with the state as fiber
-variables and the total derivative D_a for ``d``.
+The formulas that the simulator reads on a jet chart (``contact_bracket``,
+``contact_density``, ``contact_density_rhs``, ``momentum_rhs_via_lift`` and
+``vlasov_density_rhs``) take the derivative ``d(e, v)`` as a parameter,
+``partial`` by default.  Every simulation plan is one of these formulas
+called on a jet chart, with the state as fiber variables and the total
+derivative D_a for ``d``.
 
 The functions here check their inputs, not their own output.  Identities of
 the output, such as the contact density's wedge formula or the Reeb field's
@@ -53,8 +53,7 @@ __all__ = [
     "plasma_chart", "plasma_hamiltonian", "plasma_density",
     "vlasov_momentum_rhs", "vlasov_density_rhs",
     "contact_vector_field", "contact_bracket",
-    "contact_density", "contact_momentum_rhs",
-    "contact_density_rhs",
+    "contact_density", "contact_density_rhs",
     "hamiltonian_operator_momentum", "hamiltonian_operator_density",
 ]
 
@@ -154,8 +153,8 @@ def plasma_density(pc: CotangentChart, pi: DifferentialForm) -> Expr:
     return canonicalize(out)
 
 
-def vlasov_momentum_rhs(pc: CotangentChart, pi: DifferentialForm, params: PlasmaParams,
-                        d: Derivative = partial) -> DifferentialForm:
+def vlasov_momentum_rhs(pc: CotangentChart, pi: DifferentialForm,
+                        params: PlasmaParams) -> DifferentialForm:
     """Vlasov equations in momentum variables, written exactly as displayed,
     for Pi = Pi_i dq^i + Pi^i dp_i; the rate is a one-form on ``pc.full``:
 
@@ -164,10 +163,10 @@ def vlasov_momentum_rhs(pc: CotangentChart, pi: DifferentialForm, params: Plasma
     """
     down, up = _plasma_components(pc, pi)
     X_h = hamiltonian_vector_field(pc, plasma_hamiltonian(pc, params))
-    rates = [X_h.apply(c, d) * -1 for c in down + up]
+    rates = [X_h.apply(c) * -1 for c in down + up]
     for i in range(pc.m):
         for j in range(pc.m):
-            hess = d(d(params.phi, pc.base_var(i)), pc.base_var(j))
+            hess = partial(partial(params.phi, pc.base_var(i)), pc.base_var(j))
             rates[i] = rates[i] + hess * up[j] * params.charge
         rates[pc.m + i] = rates[pc.m + i] - down[i] / params.mass
     return one_form(pc.full, rates)
@@ -251,12 +250,6 @@ def contact_density(cs: ContactStructure, alpha: DifferentialForm,
     x = Var(cs.x)
     return canonicalize(d(ay, cs.x) - d(ax, cs.y)
                         - x * d(az, cs.x) + x * d(ax, cs.z) - az * 2)
-
-
-def contact_momentum_rhs(cs: ContactStructure, alpha: DifferentialForm,
-                         K: Expr) -> DifferentialForm:
-    """Coadjoint path: alpha_dot = -L_{X_K} alpha - (div X_K) alpha."""
-    return lie_poisson_rhs(contact_vector_field(cs, K), alpha, cs.vol)
 
 
 def contact_density_rhs(cs: ContactStructure, L: Expr, K: Expr,

@@ -5,10 +5,10 @@ evaluation plan: an expression over (coordinates, state components,
 first-jet variables), where the jet variables are realized as 4th-order
 stencils of the state.  The models are the rows of one table,
 ``_RATES``: each row names the model's fibers, one per state component,
-and its ``kinetics`` formula: ``momentum_rhs_via_lift`` of X_K (the
-vertical representative of the cotangent lift read at the state),
-``contact_density_rhs``, ``vlasov_momentum_rhs`` or
-``vlasov_density_rhs``.  A plan is the row's formula called on the jet
+and its ``kinetics`` formula: ``contact_density_rhs``,
+``vlasov_density_rhs``, or for both momentum models ``momentum_rhs_via_lift``
+of the carrier field X_K or X_h (the vertical representative of the
+cotangent lift read at the state).  A plan is the formula called on the jet
 chart of its fibers, with the total derivative D_a as the formula's
 derivative ``d``; the grid's dimension is that chart's base dimension.
 The density map of the two-path harness (``studies``) is
@@ -79,12 +79,11 @@ from .grid import (
     Grid, LinearPlan, NumericalAbortError, aligned_empty, compile_numeric, discretize,
     march, quadrature,
 )
-from .geometry import Chart, DifferentialForm, one_form
+from .geometry import Chart, DifferentialForm, VolumeForm, one_form
 from .jets import JetChart, total_derivative
 from .kinetics import (
     ContactStructure, PlasmaParams, contact_density_rhs, contact_vector_field,
     momentum_rhs_via_lift, plasma_chart, plasma_hamiltonian, vlasov_density_rhs,
-    vlasov_momentum_rhs,
 )
 from .lifts import hamiltonian_vector_field
 from .parser import parse_expr
@@ -95,12 +94,12 @@ __all__ = [
 ]
 
 # one row per model: its fibers, one per state component, and its kinetics
-# formula f(structure, state, K or params, d)
+# formula f(structure, state, K or params, d); a momentum row has None, its
+# rate being the lift of the carrier field
 _RATES = {
-    "contact-momentum": (("a_x", "a_y", "a_z"), lambda cs, a, K, d: (
-        momentum_rhs_via_lift(contact_vector_field(cs, K), a, cs.vol, d))),
+    "contact-momentum": (("a_x", "a_y", "a_z"), None),
     "contact-density": (("L",), contact_density_rhs),
-    "vlasov-momentum": (("P1", "P2"), vlasov_momentum_rhs),
+    "vlasov-momentum": (("P1", "P2"), None),
     "vlasov-density": (("f",), vlasov_density_rhs),
 }
 MODELS = tuple(_RATES)
@@ -312,7 +311,7 @@ def _rational_param(params: dict, key: str) -> Fraction:
 
 def _model_plan(cfg: SimConfig) -> tuple[JetChart, list[Expr], tuple[Expr, ...]]:
     """The jet chart and rates of cfg's model, from its row of ``_RATES``,
-    and the components of the field that carries its state."""
+    and the components of its carrier field, whose lift a momentum row reads."""
     fibers, formula = _RATES[cfg.model]
     if cfg.model.startswith("contact"):
         structure = ContactStructure.standard()
@@ -322,7 +321,7 @@ def _model_plan(cfg: SimConfig) -> tuple[JetChart, list[Expr], tuple[Expr, ...]]
             data = parse_expr(cfg.K, structure.chart.vars)
         except ExprError as exc:
             raise ConfigError(f"bad K: {exc}") from None
-        base, carrier = structure.chart, contact_vector_field(structure, data)
+        base, carrier, vol = structure.chart, contact_vector_field(structure, data), structure.vol
     else:
         structure, p = plasma_chart(1), cfg.params
         mass, charge = _rational_param(p, "m"), _rational_param(p, "e")
@@ -332,7 +331,10 @@ def _model_plan(cfg: SimConfig) -> tuple[JetChart, list[Expr], tuple[Expr, ...]]
             raise ConfigError(f"bad potential phi: {exc}") from None
         base, data = structure.full, PlasmaParams(mass, charge, phi)
         carrier = hamiltonian_vector_field(structure, plasma_hamiltonian(structure, data))
-    jc, rates = _jet_plan(base, fibers, lambda s, d: formula(structure, s, data, d))
+        vol = VolumeForm.standard(base)
+    jc, rates = _jet_plan(base, fibers, lambda s, d: (
+        momentum_rhs_via_lift(carrier, s, vol, d) if formula is None
+        else formula(structure, s, data, d)))
     return jc, rates, carrier.components
 
 

@@ -39,8 +39,7 @@ from .jets import (
 )
 from .kinetics import (
     ContactStructure, PlasmaParams,
-    contact_bracket, contact_density, contact_density_rhs,
-    contact_momentum_rhs, contact_vector_field,
+    contact_bracket, contact_density, contact_density_rhs, contact_vector_field,
     hamiltonian_operator_density, hamiltonian_operator_momentum,
     lie_poisson_rhs, momentum_rhs_via_lift, plasma_chart,
     plasma_density, plasma_hamiltonian, vlasov_density_rhs,
@@ -337,6 +336,14 @@ def _momentum_matches_coadjoint(rng, degree: int) -> Instance:
             lie_poisson_rhs(X_h, pi, VolumeForm.standard(pc.full)))
 
 
+def _momentum_via_lift(rng, degree: int) -> Instance:
+    """The lift of X_h is the displayed Vlasov momentum equations."""
+    pc, params, pi, drawn = _rand_plasma(rng, degree)
+    X_h = hamiltonian_vector_field(pc, plasma_hamiltonian(pc, params))
+    return (drawn, momentum_rhs_via_lift(X_h, pi, VolumeForm.standard(pc.full)),
+            vlasov_momentum_rhs(pc, pi, params))
+
+
 def _plasma_intertwining(rng, degree: int) -> Instance:
     """The plasma density of the Vlasov momentum rate is the density rate."""
     pc, params, pi, drawn = _rand_plasma(rng, degree)
@@ -386,16 +393,17 @@ def _density_wedge(rng, degree: int) -> Instance:
 def _dual_path(rng, degree: int) -> Instance:
     alpha = rand_one_form(rng, _CS.chart, degree)
     K = rand_poly(rng, _CS.chart.vars, degree, 3)
-    return ({"alpha": alpha, "K": K}, contact_momentum_rhs(_CS, alpha, K),
-            momentum_rhs_via_lift(contact_vector_field(_CS, K), alpha, _CS.vol))
+    X_K = contact_vector_field(_CS, K)
+    return ({"alpha": alpha, "K": K}, lie_poisson_rhs(X_K, alpha, _CS.vol),
+            momentum_rhs_via_lift(X_K, alpha, _CS.vol))
 
 
 def _contact_intertwining(rng, degree: int) -> Instance:
     """The contact density of the momentum rate is the density rate."""
     alpha = rand_one_form(rng, _CS.chart, degree)
     K = rand_poly(rng, _CS.chart.vars, degree, 3)
-    return ({"alpha": alpha, "K": K},
-            contact_density(_CS, contact_momentum_rhs(_CS, alpha, K)),
+    rate = lie_poisson_rhs(contact_vector_field(_CS, K), alpha, _CS.vol)
+    return ({"alpha": alpha, "K": K}, contact_density(_CS, rate),
             contact_density_rhs(_CS, contact_density(_CS, alpha), K))
 
 
@@ -494,6 +502,7 @@ CHECKS: dict[str, tuple[tuple[str, Check], ...]] = {
         ("hamiltonian-fields-divergence-free", _hamiltonian_div_free),
         ("momentum-rhs-matches-coadjoint", _momentum_matches_coadjoint),
         ("plasma-density-intertwining", _plasma_intertwining),
+        ("momentum-rhs-via-lift", _momentum_via_lift),
     ),
     "contact": (
         ("contact-field-defining-identities", _contact_identities),

@@ -46,6 +46,11 @@ def test_help_exits_zero(script):
     ("rhs_profile.py", ("--n", "8", "--repeats", "2"),
      {r"^shifted difference +12 ": 1, r"^wrap plane +36 ": 1, r"^sum +75 ": 1,
       r"^whole RHS ": 1}),
+    # vlasov-momentum, the lift of X_h, reads 4 stencils: 50 calls in all
+    ("rhs_profile.py", ("--model", "vlasov-momentum", "--phi", "cos(q)",
+                        "--init", "cos(q)*sin(p);sin(q)+cos(p)", "--n", "8", "--repeats", "2"),
+     {r"^shifted difference +8 ": 1, r"^wrap plane +24 ": 1, r"^sum +50 ": 1,
+      r"^whole RHS ": 1}),
 ])
 def test_runs_at_a_tiny_size(name, args, rows):
     proc = run_script(SCRIPT_DIR / name, *args)

@@ -26,7 +26,7 @@ from liftlab.geometry import divergence, one_form
 from liftlab.grid import AperiodicDataError, Grid
 from liftlab.kinetics import (
     ContactStructure, PlasmaParams, contact_density,
-    contact_density_rhs, contact_momentum_rhs, contact_vector_field,
+    contact_density_rhs, contact_vector_field, lie_poisson_rhs,
     plasma_chart, vlasov_density_rhs, vlasov_momentum_rhs,
 )
 from liftlab.parser import parse_expr
@@ -649,61 +649,83 @@ class TestTrajectoryWriter:
         assert counts == [0, 3 * 16 ** 3]
 
 
+def roll_derivative(u, axis):
+    """The 4th-order periodic central difference along axis, by ``np.roll``,
+    for the spacing h = 2 pi / n of the n points along it."""
+    h = 2 * np.pi / u.shape[axis]
+    return (8 * (np.roll(u, -1, axis) - np.roll(u, 1, axis))
+            - (np.roll(u, -2, axis) - np.roll(u, 2, axis))) / (12 * h)
+
+
+def displayed_vlasov_rate(state, m, e, charge_sign=1):
+    """The displayed Vlasov momentum equations for phi = cos q, by numpy
+    alone: P1_dot = -X_h(P1) + e phi_qq P2 and P2_dot = -X_h(P2) - P1/m,
+    with X_h = (p/m) d_q - e phi_q d_p, phi_q = -sin q and phi_qq = -cos q.
+    ``charge_sign`` multiplies the charge term e phi_qq P2."""
+    n = state.shape[1]
+    line = np.arange(n) * (2 * np.pi / n)
+    q, p = line[:, None], line[None, :]
+    P1, P2 = state
+
+    def X_h(g):
+        return (p / m) * roll_derivative(g, 0) + e * np.sin(q) * roll_derivative(g, 1)
+
+    return np.stack([-X_h(P1) - charge_sign * e * np.cos(q) * P2, -X_h(P2) - P1 / m])
+
+
 class TestCompiledPlanAgainstHandWrittenRhs:
     def test_contact_density_plan_matches_direct_numpy(self):
         # independent oracle: the K = z rate written out by hand,
         # L_dot = 3 L + x L_x + z L_z, with its own stencil code
-        import numpy as np
         cfg = SimConfig(model="contact-density", n=16, dt=1e-3, steps=1,
                         K="z", init=(L0,))
         model = build_model(cfg)
         state = initial_state(cfg, model)
         got = rates(model, state)[0]
 
-        n = 16
-        h = 2 * np.pi / n
-        line = np.arange(n) * h
+        line = np.arange(16) * (2 * np.pi / 16)
         x = line[:, None, None]
         z = line[None, None, :]
         L = state[0]
-
-        def d(u, axis):
-            return (8 * (np.roll(u, -1, axis) - np.roll(u, 1, axis))
-                    - (np.roll(u, -2, axis) - np.roll(u, 2, axis))) / (12 * h)
-
-        want = 3 * L + x * d(L, 0) + z * d(L, 2)
+        want = 3 * L + x * roll_derivative(L, 0) + z * roll_derivative(L, 2)
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_vlasov_momentum_plan_matches_direct_numpy(self):
-        import numpy as np
         cfg = SimConfig(model="vlasov-momentum", n=16, dt=1e-3, steps=1,
                         params={"m": "2", "e": "3", "phi": "cos(q)"},
                         init=("sin(q)*sin(p)", "cos(q)"))
         model = build_model(cfg)
         state = initial_state(cfg, model)
         got = rates(model, state)
+        want = displayed_vlasov_rate(state, 2.0, 3.0)
+        assert np.max(np.abs(got - want)) < 1e-12
 
-        n = 16
-        h = 2 * np.pi / n
-        line = np.arange(n) * h
-        q = line[:, None]
-        p = line[None, :]
-        m, e = 2.0, 3.0
-        phi_q = -np.sin(q)          # phi = cos q
-        phi_qq = -np.cos(q)
-        P1, P2 = state[0], state[1]
+    def test_vlasov_momentum_trajectory_matches_numpy_rk4(self):
+        # a second route for a whole vlasov-momentum trajectory: classical
+        # RK4 of the displayed equations; with the charge term's sign
+        # flipped it must differ, or the comparison could not tell
+        cfg = SimConfig(model="vlasov-momentum", n=16, dt=1e-3, steps=5,
+                        params={"m": "3/2", "e": "-2", "phi": "cos(q)"},
+                        init=("cos(q)*sin(p)", "sin(q) + cos(p)"))
+        model = build_model(cfg)
+        start = initial_state(cfg, model)
+        for _, got in grid.march(start.copy(), model.rhs, cfg.dt, cfg.steps):
+            pass
 
-        def d(u, axis):
-            return (8 * (np.roll(u, -1, axis) - np.roll(u, 1, axis))
-                    - (np.roll(u, -2, axis) - np.roll(u, 2, axis))) / (12 * h)
+        def rk4(charge_sign):
+            def rate(u):
+                return displayed_vlasov_rate(u, 1.5, -2.0, charge_sign)
+            u, dt = start, cfg.dt
+            for _ in range(cfg.steps):
+                k1 = rate(u)
+                k2 = rate(u + dt / 2 * k1)
+                k3 = rate(u + dt / 2 * k2)
+                k4 = rate(u + dt * k3)
+                u = u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            return u
 
-        def X_h(g):
-            return (p / m) * d(g, 0) - e * phi_q * d(g, 1)
-
-        want1 = -X_h(P1) + e * phi_qq * P2
-        want2 = -X_h(P2) - P1 / m
-        assert np.max(np.abs(got[0] - want1)) < 1e-12
-        assert np.max(np.abs(got[1] - want2)) < 1e-12
+        assert np.max(np.abs(got - rk4(1))) <= 1e-12
+        assert np.max(np.abs(got - rk4(-1))) > 1e-6
 
 
 # The models of MODEL_CFGS and contact-momentum at the benchmark's
@@ -929,7 +951,8 @@ class TestPlansAreKineticsFormulasOnJets:
         cfg = SimConfig(model="contact-momentum", n=8, dt=1e-3, steps=1, K=K_text)
         jc, rates, _ = sim._model_plan(cfg)
         alpha = _rational_section(rng, self.cs.chart.vars, 3)
-        want = contact_momentum_rhs(self.cs, one_form(self.cs.chart, tuple(alpha)), K)
+        want = lie_poisson_rhs(contact_vector_field(self.cs, K),
+                               one_form(self.cs.chart, tuple(alpha)), self.cs.vol)
         assert _all_equal(_on_section(jc, rates, alpha),
                           [want.coeff((i,)) for i in range(3)])
 
@@ -947,8 +970,8 @@ class TestPlansAreKineticsFormulasOnJets:
             comp = canonicalize(rand_poly(rng, self.cs.chart.vars, 2, 2))
             if comp != ZERO:
                 alpha.append(comp)
-        want = contact_momentum_rhs(self.cs, one_form(self.cs.chart, tuple(alpha)),
-                                    parse_expr(K_text, self.cs.chart.vars))
+        X_K = contact_vector_field(self.cs, parse_expr(K_text, self.cs.chart.vars))
+        want = lie_poisson_rhs(X_K, one_form(self.cs.chart, tuple(alpha)), self.cs.vol)
         assert _all_equal(_on_section(jc, rates, alpha),
                           [want.coeff((i,)) for i in range(3)])
 
@@ -984,6 +1007,24 @@ class TestPlansAreKineticsFormulasOnJets:
         assert _all_equal(_on_section(jc, rates, pi), [want.coeff((i,)) for i in range(2)])
 
 
+def test_both_momentum_models_are_the_one_lift_route(monkeypatch):
+    # building a momentum model reads momentum_rhs_via_lift once, on the
+    # field that carries the state, and a density model never reads it
+    want = {name: [sim._model_plan(cfg)[2]] if name.endswith("momentum") else []
+            for name, cfg in MODEL_CFGS.items()}
+    carriers = []
+    real = sim.momentum_rhs_via_lift
+    monkeypatch.setattr(sim, "momentum_rhs_via_lift",
+                        lambda X, *args: carriers.append(X.components) or real(X, *args))
+    got = {}
+    for name, cfg in MODEL_CFGS.items():
+        carriers.clear()
+        build_model(cfg)
+        got[name] = list(carriers)
+    assert got == want
+    assert not hasattr(sim, "vlasov_momentum_rhs")
+
+
 @pytest.mark.parametrize("K_text", ["cos(x)*sin(y) + z", "sin(x)*z + y"])
 class TestContactMomentumPlanTranscendentalK:
     """With a K that calls sin, cos or exp, the plan read at a section that
@@ -1000,7 +1041,8 @@ class TestContactMomentumPlanTranscendentalK:
         cfg = SimConfig(model="contact-momentum", n=8, dt=1e-3, steps=1, K=K_text)
         jc, rates, _ = sim._model_plan(cfg)
         alpha = [parse_expr(t, cs.chart.vars) for t in self.section]
-        want = contact_momentum_rhs(cs, one_form(cs.chart, tuple(alpha)), K)
+        want = lie_poisson_rhs(contact_vector_field(cs, K), one_form(cs.chart, tuple(alpha)),
+                               cs.vol)
         assert _on_section(jc, rates, alpha) == [want.coeff((l,)) for l in range(3)]
 
     def test_divergence_is_minus_two_Kz(self, K_text):

@@ -12,8 +12,8 @@ from liftlab.jets import (
     GeneralizedVectorField, prolong1, prolongation_bracket, vertical_representative,
 )
 from liftlab.kinetics import (
-    contact_density, contact_momentum_rhs, contact_vector_field,
-    hamiltonian_operator_momentum, vlasov_momentum_rhs,
+    contact_density, contact_vector_field, hamiltonian_operator_momentum,
+    lie_poisson_rhs, momentum_rhs_via_lift, vlasov_momentum_rhs,
 )
 from liftlab.lifts import complete_cotangent_lift, euler_vector_field, hamiltonian_vector_field
 from liftlab.verify import SUITES, run_suite
@@ -69,6 +69,7 @@ suite: plasma  trials=2 degree=3 seed=0
   [PASS] hamiltonian-fields-divergence-free (2 trials)
   [PASS] momentum-rhs-matches-coadjoint (2 trials)
   [PASS] plasma-density-intertwining (2 trials)
+  [PASS] momentum-rhs-via-lift (2 trials)
 RESULT: PASS""",
     "intertwining": """\
 suite: intertwining  trials=2 degree=3 seed=0
@@ -165,13 +166,16 @@ PLANTED_FAULTS = {
                               {"contact-bracket-antihomomorphism",
                                "contact-divergence-is--2Kz",
                                "contact-field-defining-identities"}),
-    "negated-contact-momentum-rate": ("contact_momentum_rhs",
-                                      _times(-1, contact_momentum_rhs),
+    "negated-contact-momentum-rate": ("lie_poisson_rhs", _times(-1, lie_poisson_rhs),
                                       {"contact-density-intertwining",
                                        "contact-momentum-map-intertwining",
-                                       "momentum-rhs-dual-path-equality"}),
+                                       "momentum-rhs-dual-path-equality",
+                                       "momentum-rhs-matches-coadjoint"}),
+    "negated-lift-route": ("momentum_rhs_via_lift", _times(-1, momentum_rhs_via_lift),
+                           {"momentum-rhs-dual-path-equality", "momentum-rhs-via-lift"}),
     "negated-vlasov-momentum-rate": ("vlasov_momentum_rhs", _times(-1, vlasov_momentum_rhs),
                                      {"momentum-rhs-matches-coadjoint",
+                                      "momentum-rhs-via-lift",
                                       "plasma-density-intertwining",
                                       "plasma-momentum-map-intertwining"}),
     "doubled-cotangent-lift": ("complete_cotangent_lift", _times(2, complete_cotangent_lift),
