@@ -46,11 +46,14 @@ is bound once to each (state, rate) pair of ``march``, so a step builds
 no view.  The buffers are shared by every call, so one run uses a model
 at a time.  Output is written at t = 0, every ``cadence`` steps and the
 last step (``_is_output``), by the run loop and the two-path harness
-alike.  The run loop writes each trajectory snapshot itself, one slab of
-fixed i at a time: every value is written as the bytes of
-``repr(float(v))``, found for a block of slabs at once with numpy
-(``_repr_block``), and the few values that the vectorized method cannot
-decide exactly are formatted by ``repr`` itself.
+alike.  The run loop hands each trajectory snapshot to one writer child,
+forked once per run (``_SnapshotWriter``): it copies the state into a
+shared slot the size of the state and steps on while the child formats
+the slot, and writes in-process only when it cannot fork.  The writer
+writes one slab of fixed i at a time: every value is written as the
+bytes of ``repr(float(v))``, found for a block of slabs at once with
+numpy (``_repr_block``), and the few values that the vectorized method
+cannot decide exactly are formatted by ``repr`` itself.
 """
 
 from __future__ import annotations
@@ -58,15 +61,20 @@ from __future__ import annotations
 import functools
 import json
 import math
+import mmap
+import os
 import re
 import resource
+import signal
+import struct
 import sys
+import threading
 import time
 import warnings
 from dataclasses import MISSING, InitVar, asdict, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -652,6 +660,103 @@ def _write_traj_snapshot(f, t: float, state: np.ndarray, tails: np.ndarray) -> t
     return written, fallbacks
 
 
+def _serve_snapshots(commands: int, replies: int, traj, slot: np.ndarray,
+                     tails: np.ndarray) -> NoReturn:
+    """The writer child's loop: for each time t read from ``commands``,
+    write the snapshot in ``slot`` to ``traj`` and reply on ``replies``
+    with the characters written and the values ``repr`` formatted, as
+    JSON, or with the args of its error; leave by ``os._exit`` when
+    ``commands`` ends or after an error, so the parent's frames never
+    unwind here."""
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)   # after ^C the parent waits for this write
+        while message := os.read(commands, 8):
+            written = _write_traj_snapshot(traj, struct.unpack("d", message)[0], slot, tails)
+            traj.flush()
+            os.write(replies, json.dumps(written).encode())
+        os._exit(0)
+    except BaseException as exc:
+        args = exc.args if isinstance(exc, OSError) else [f"trajectory writer failed: {exc!r}"[:999]]
+        os.write(replies, json.dumps({"error": args}, default=str).encode())
+    finally:
+        os._exit(1)
+
+
+class _SnapshotWriter:
+    """The writer of a run's trajectory snapshots, after its header.
+
+    One child process, forked when the writer is made and alive for the
+    whole run (``_serve_snapshots``), formats each snapshot from a shared
+    slot the size of the state while the parent steps on.  The parent
+    writes in-process only when ``os.fork`` raises or another thread is
+    alive, as a fork copies the calling thread alone.  ``send(t, state)``
+    hands a snapshot over once ``wait()`` has acknowledged the one before;
+    ``wait()`` returns the characters written and the values ``repr``
+    formatted, (0, 0) when nothing is pending, and raises the writer's
+    ``OSError``, or one when the child ended without a reply.  ``close()``
+    ends and reaps the child once it has written what it was sent."""
+
+    def __init__(self, traj, state: np.ndarray, tails: np.ndarray):
+        self.traj, self.tails, self.pid = traj, tails, None
+        self.done, self.waiting = (0, 0), False
+        traj.flush()          # the child writes after what is on disk
+        if threading.active_count() > 1:
+            return
+        self.slot = np.frombuffer(mmap.mmap(-1, state.nbytes), state.dtype).reshape(state.shape)
+        commands, self.commands = os.pipe()
+        self.replies, replies = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (commands, self.commands, self.replies, replies):
+                os.close(fd)
+            return
+        if not self.pid:
+            os.close(self.commands)
+            os.close(self.replies)
+            _serve_snapshots(commands, replies, traj, self.slot, tails)
+        os.close(commands)
+        os.close(replies)
+
+    def send(self, t: float, state: np.ndarray) -> None:
+        if self.pid is None:
+            self.done = _write_traj_snapshot(self.traj, t, state, self.tails)
+            return
+        np.copyto(self.slot, state)
+        try:
+            os.write(self.commands, struct.pack("d", t))
+        except BrokenPipeError:
+            self._ended()
+        self.waiting = True
+
+    def wait(self) -> tuple[int, int]:
+        if not self.waiting:
+            done, self.done = self.done, (0, 0)
+            return done
+        self.waiting = False
+        reply = os.read(self.replies, 4096)
+        if not reply:
+            self._ended()
+        written = json.loads(reply)
+        if isinstance(written, dict):
+            raise OSError(*written["error"])
+        return tuple(written)
+
+    def _ended(self) -> NoReturn:
+        raise OSError(f"trajectory writer ended without a reply (wait status {self.close()})")
+
+    def close(self) -> int | None:
+        """End and reap the child; its wait status, None if there is none."""
+        if self.pid is None:
+            return None
+        pid, self.pid = self.pid, None
+        os.close(self.commands)
+        try:
+            return os.waitpid(pid, 0)[1]
+        finally:
+            os.close(self.replies)
+
+
 def _is_output(step: int, cadence: int, steps: int) -> bool:
     """Whether step ``step`` of ``steps`` is an output time: t = 0, every
     ``cadence`` steps, and the last step."""
@@ -665,9 +770,15 @@ def _minor_faults() -> int:
 def run_simulation(cfg: SimConfig) -> RunResult:
     """Integrate the configured model, writing trajectory, diagnostics and
     a manifest.  Output is written at t = 0, every ``cadence`` steps, and
-    the last step.  The trajectory and diagnostics are deterministic for a
-    fixed config; the manifest also records per-phase timings and counters,
-    with the minor page faults of the run and of its steps, the process's
+    the last step.  The snapshots are written by one writer child forked
+    for the run (``_SnapshotWriter``), which formats each from a shared
+    copy of the state while the steps go on, and is reaped on every exit
+    path; the diagnostics are written here.  The trajectory and
+    diagnostics are deterministic for a fixed config, and the same
+    whichever process writes the snapshots; the manifest also records
+    per-phase timings and counters, with ``writer_wait_s``, the part of
+    ``io_s`` spent blocked on the writer, the minor page faults of the
+    run and of its steps, the process's
     peak RSS, ``traj_repr_fallbacks``, the number of trajectory values
     that ``repr`` formatted instead of the vectorized formatter,
     ``plan_binds``, the binds of the model's plan (four at most), and
@@ -680,7 +791,7 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     t1 = clock()
     state = initial_state(cfg, model)
     timings = {"build_s": t1 - t0, "init_s": clock() - t1,
-               "integrate_s": 0.0, "io_s": 0.0}
+               "integrate_s": 0.0, "io_s": 0.0, "writer_wait_s": 0.0}
     counters = {"steps": 0, "rhs_calls": 0, "snapshots": 0, "traj_bytes": 0,
                 "traj_repr_fallbacks": 0, "integrate_minor_faults": 0}
     grid = model.grid
@@ -694,13 +805,21 @@ def run_simulation(cfg: SimConfig) -> RunResult:
                 "timings": timings, "counters": counters}
     result = RunResult([], cfg.out, cfg.diag, manifest_path)
     aborted: NumericalAbortError | None = None
-    tails = _row_tails(grid)
+
+    def acknowledged() -> float:
+        """Wait for the writer to finish the last snapshot sent and count
+        it; the seconds waited."""
+        start = clock()
+        written, fallbacks = writer.wait()
+        counters["traj_bytes"] += written
+        counters["traj_repr_fallbacks"] += fallbacks
+        timings["writer_wait_s"] += (waited := clock() - start)
+        return waited
 
     def emit(t: float, s: np.ndarray) -> None:
         start = clock()
-        written, fallbacks = _write_traj_snapshot(traj, t, s, tails)
-        counters["traj_bytes"] += written
-        counters["traj_repr_fallbacks"] += fallbacks
+        acknowledged()
+        writer.send(t, s)
         row = _diag_row(t, s, grid)
         diag.write(",".join(map(repr, row)) + "\n")
         result.diagnostics.append(row)
@@ -715,19 +834,24 @@ def run_simulation(cfg: SimConfig) -> RunResult:
         counters["traj_bytes"] = traj.write(
             "t,i,j,k," + ",".join(f"comp{i}" for i in range(model.ncomp)) + "\n")
         diag.write("t,mass,l2,min,max\n")
-        emit(0.0, state)
-        start, start_faults = clock(), _minor_faults()
+        writer = _SnapshotWriter(traj, state, _row_tails(grid))
         try:
-            for step, state in march(state, model.rhs, cfg.dt, cfg.steps):
+            emit(0.0, state)
+            start, start_faults = clock(), _minor_faults()
+            try:
+                for step, state in march(state, model.rhs, cfg.dt, cfg.steps):
+                    integrated(start, start_faults)
+                    counters.update(steps=step, rhs_calls=4 * step)
+                    if _is_output(step, cfg.cadence, cfg.steps):
+                        emit(step * cfg.dt, state)
+                    start, start_faults = clock(), _minor_faults()
+            except NumericalAbortError as exc:
                 integrated(start, start_faults)
-                counters.update(steps=step, rhs_calls=4 * step)
-                if _is_output(step, cfg.cadence, cfg.steps):
-                    emit(step * cfg.dt, state)
-                start, start_faults = clock(), _minor_faults()
-        except NumericalAbortError as exc:
-            integrated(start, start_faults)
-            counters["rhs_calls"] = 4 * exc.step
-            aborted = exc
+                counters["rhs_calls"] = 4 * exc.step
+                aborted = exc
+            timings["io_s"] += acknowledged()     # the last snapshot
+        finally:    # on every path, so no writer outlives the run
+            writer.close()
     manifest["aborted_at_step"] = None if aborted is None else aborted.step
     usage = resource.getrusage(resource.RUSAGE_SELF)
     counters.update(minor_faults=usage.ru_minflt - faults, peak_rss_mb=usage.ru_maxrss / 1024,

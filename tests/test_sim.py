@@ -9,6 +9,8 @@ import json
 import math
 import os
 import random
+import signal
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -270,7 +272,7 @@ class TestRunSimulation:
         assert manifest["grid"]["n"] == 16
         assert manifest["aborted_at_step"] is None
         timings, counters = manifest["timings"], manifest["counters"]
-        assert set(timings) == {"build_s", "init_s", "integrate_s", "io_s"}
+        assert set(timings) == {"build_s", "init_s", "integrate_s", "io_s", "writer_wait_s"}
         assert set(counters) == {"steps", "rhs_calls", "snapshots", "traj_bytes",
                                  "traj_repr_fallbacks", "minor_faults",
                                  "integrate_minor_faults", "peak_rss_mb", "plan_binds",
@@ -280,6 +282,7 @@ class TestRunSimulation:
         assert counters["rhs_calls"] == 4 * cfg.steps
         assert counters["snapshots"] == len(result.diagnostics) == 2
         assert counters["traj_bytes"] == os.path.getsize(cfg.out)
+        assert timings["writer_wait_s"] <= timings["io_s"]
         # x L_x + z L_z + 3 L: three terms, two of them stencils
         assert (counters["plan_terms"], counters["plan_stencils"]) == (3, 2)
 
@@ -335,21 +338,67 @@ TRAJECTORY_DIGESTS = {
 }
 
 
-class TestSnapshotWriter:
-    """The in-process snapshot writer: the pinned bytes, and the pinned exit
-    codes and error lines when a write fails."""
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids that ``os.fork`` returned in this process, through a wrapper."""
+    real, pids = os.fork, []
 
-    @pytest.mark.parametrize("name", list(MODEL_CFGS))
-    def test_writes_the_pinned_bytes(self, tmp_path, name):
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def refuse_fork():
+    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+def snapshot_rows(path) -> list[int]:
+    """The rows of each snapshot of a traj.csv, in order: its lines after
+    the header counted by their time column."""
+    with open(path) as f:
+        next(f)
+        return [len(list(rows)) for _, rows in itertools.groupby(f, lambda line: line.split(",")[0])]
+
+
+class TestSnapshotWriter:
+    """The snapshot writer, a child forked once per run or the run itself:
+    the pinned bytes, the pinned exit codes and error lines when a write
+    fails, and no child left after any ending."""
+
+    @pytest.mark.parametrize("name, in_process", [
+        pytest.param(name, in_process, id=f"{name}-in-process" if in_process else name)
+        for in_process in (False, True) for name in MODEL_CFGS])
+    def test_writes_the_pinned_bytes(self, tmp_path, monkeypatch, forks, name, in_process):
+        if in_process:
+            monkeypatch.setattr(os, "fork", refuse_fork)
         # at cadence 1 every step is a snapshot
         cfg = dataclasses.replace(MODEL_CFGS[name], steps=4, cadence=1,
                                   out=str(tmp_path / "t.csv"), diag=str(tmp_path / "d.csv"))
         run_simulation(cfg)
+        assert len(forks) == (0 if in_process else 1)     # one child for five snapshots
         digests = tuple(hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
                         for path in (cfg.out, cfg.diag))
         assert digests == TRAJECTORY_DIGESTS[name]
         counters = json.loads(Path(cfg.out + ".manifest.json").read_text())["counters"]
         assert counters["traj_bytes"] == os.path.getsize(cfg.out)
+
+    def test_a_live_thread_keeps_the_writer_in_process(self, tmp_path, forks):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            run_simulation(contact_cfg(tmp_path, n=8, steps=2, cadence=1))
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+        assert snapshot_rows(tmp_path / "traj.csv") == [8 ** 3] * 3
 
     def test_a_writer_failure_exits_2_with_the_in_process_error_line(
             self, tmp_path, monkeypatch, capsys):
@@ -382,10 +431,50 @@ class TestSnapshotWriter:
 
     @staticmethod
     def assert_snapshots_complete(cfg):
-        # every snapshot, the last one too, is complete on disk
+        # every snapshot, the last one too, is complete on disk, and the
+        # writer is reaped
         counters = json.loads(Path(cfg.out + ".manifest.json").read_text())["counters"]
-        with open(cfg.out) as f:
-            assert sum(1 for _ in f) == 1 + counters["snapshots"] * 16 ** 3
+        assert snapshot_rows(cfg.out) == [16 ** 3] * counters["snapshots"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("ending, err, snapshots", [pytest.param(*case, id=case[0]) for case in (
+        ("writer-enospc", "error: [Errno 28] No space left on device\n", 1),
+        ("writer-killed", "error: trajectory writer ended without a reply (wait status 9)\n", 1),
+        ("interrupt", "", 3),
+    )])
+    def test_a_failure_or_an_interrupt_reaps_the_writer_and_keeps_its_snapshots(
+            self, tmp_path, monkeypatch, capsys, forks, ending, err, snapshots):
+        parent, real_write, real_march = os.getpid(), sim._write_traj_snapshot, sim.march
+
+        def failing_write(f, t, state, tails):
+            if t > 0 and os.getpid() != parent:
+                if ending == "writer-killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_write(f, t, state, tails)
+
+        def interrupted_march(*args):
+            for step, state in real_march(*args):
+                if step == 3:
+                    raise KeyboardInterrupt
+                yield step, state
+
+        argv = writer_sim_argv(tmp_path, str(tmp_path / "t.csv"))
+        if ending == "interrupt":
+            monkeypatch.setattr(sim, "march", interrupted_march)
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(argv)
+        else:
+            monkeypatch.setattr(sim, "_write_traj_snapshot", failing_write)
+            assert cli.main(argv) == 2
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert capsys.readouterr().err == err
+        # every snapshot sent before the ending is complete on disk, and no
+        # other is begun
+        assert snapshot_rows(tmp_path / "t.csv") == [8 ** 3] * snapshots
 
 
 def allocating_rk4(state, rhs, dt):
